@@ -1,6 +1,6 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section over the synthetic SPEC95 suite, then measures the
-   library's own stages with Bechamel.
+(* Paper harness: regenerates the tables and figures of the paper's
+   evaluation section over the synthetic SPEC95 suite, plus the studies no
+   msc subcommand reproduces.
 
    All sections run through the unified experiment engine (lib/harness):
    one shared artifact store memoizes the expensive pipeline per
@@ -8,36 +8,23 @@
    trace — so each pipeline is computed exactly once per bench run no
    matter how many sections need it, and the independent jobs fan out
    across a domain pool (HARNESS_JOBS=1 forces serial).  Every simulation
-   on the default machine is recorded and exported to bench/results.json,
-   making the perf trajectory machine-readable.
+   on the default machine is recorded and exported to bench/results.json.
 
    Sections:
-     table1   - paper's Table 1 (task size, control transfers, prediction,
-                window span for bb/cf/dd tasks on 8 PUs)
-     figure5  - paper's Figure 5 (IPC of bb/cf/dd/ts tasks on 4/8 PUs,
-                out-of-order and in-order)
-     summary  - the headline claims, aggregated (int vs fp gains)
-     ablation - design-choice studies DESIGN.md calls out: counted vs generic
-                unrolling, release-point forwarding, synchronization table
-     lint     - static verification of every plan (all workloads x all
-                levels), exported to bench/lint.json for cross-commit diffs
-     trace    - memory statistics of the packed trace representation vs the
-                boxed layout it replaced, exported into bench/results.json
-     account  - cycle attribution to the paper's Section-2 performance
-                issues over the full grid, exported to bench/account.json;
-                exits non-zero if any record violates conservation
-     deps     - static cross-task dependence edges (Core.Depend) grounded
-                against the observed trace flows, exported to
-                bench/deps.json; exits non-zero on any soundness violation
-     cost     - predicted cycle-account shares (Analysis.Cost) vs measured,
-                all levels + fb, exported to bench/cost.json; exits non-zero
-                if fb loses to ts on geomean IPC or the predicted data_wait
-                share stops tracking the measured one (r < +0.5)
-     fuzz     - differential fuzzing over the synthetic corpus (seed 42,
-                200 programs through every level with lint/roundtrip/dep/
-                acct/cost/fb-bound/sim_ref as oracles), exported to
-                bench/fuzz.json; exits non-zero on any violation
-     bechamel - wall-clock measurement of the pipeline stages
+     table1      - paper's Table 1 (task size, control transfers,
+                   prediction, window span for bb/cf/dd tasks on 8 PUs)
+     figure5     - paper's Figure 5 (IPC of bb/cf/dd/ts tasks on 4/8 PUs,
+                   out-of-order and in-order)
+     summary     - the headline claims, aggregated (int vs fp gains)
+     superscalar - superscalar window occupancy vs multiscalar window span
+     ablation    - design-choice studies DESIGN.md calls out: counted vs
+                   generic unrolling, release-point forwarding,
+                   synchronization table
+     crossinput  - dd/ts tasks selected with alternative-input profiles
+
+   The grid analyses (lint, cycle accounting, dependences, refinement
+   precision, cost model, fuzzing) and their gates live in `msc check`;
+   wall-clock measurement lives in benchmark/.
 
    Run with: dune exec bench/main.exe            (all sections)
              dune exec bench/main.exe -- table1  (one section) *)
@@ -45,9 +32,7 @@
 let sections =
   if Array.length Sys.argv > 1 then Array.to_list (Array.sub Sys.argv 1 (Array.length Sys.argv - 1))
   else
-    [ "table1"; "figure5"; "summary"; "superscalar"; "ablation"; "crossinput";
-      "lint"; "trace"; "account"; "deps"; "absint"; "cost"; "fuzz";
-      "bechamel" ]
+    [ "table1"; "figure5"; "summary"; "superscalar"; "ablation"; "crossinput" ]
 
 let want s = List.mem s sections
 
@@ -334,414 +319,14 @@ let run_crossinput () =
           ("ts", Core.Heuristics.Task_size) ])
     [ "compress"; "go"; "perl"; "su2cor" ]
 
-(* --- lint ------------------------------------------------------------------ *)
-
-(* Lint every plan of the evaluation grid and export the rule counts: a
-   commit that changes a transform or heuristic shows up as a diff in
-   bench/lint.json long before it shows up as a wrong IPC. *)
-let run_lint () =
-  line ();
-  print_endline
-    "LINT — static verification of every plan (all workloads x all levels)";
-  line ();
-  let reports = Lint.check_suite ~store Workloads.Suite.all in
-  let errors = Lint.total_errors reports in
-  let count sev =
-    List.fold_left
-      (fun acc (r : Lint.report) -> acc + Lint.Diag.count sev r.Lint.diags)
-      0 reports
-  in
-  Printf.printf "%d plans: %d errors, %d warnings, %d infos\n"
-    (List.length reports) errors
-    (count Lint.Diag.Warning)
-    (count Lint.Diag.Info);
-  List.iter
-    (fun (r : Lint.report) ->
-      List.iter
-        (fun d -> Format.printf "%a@." Lint.Diag.pp d)
-        (Lint.Diag.errors r.Lint.diags))
-    reports;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "lint.json"
-    else "lint.json"
-  in
-  let oc = open_out path in
-  output_string oc (Harness.Json.to_string (Lint.report_to_json reports));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* --- trace memory --------------------------------------------------------- *)
-
-(* Heap words per dynamic event, packed vs the boxed event-record layout
-   the interpreter used to build; the boxed figure is computed from the
-   same event/address counts, so the comparison needs no legacy build. *)
-let run_trace () =
-  line ();
-  print_endline
-    "TRACE — packed trace memory vs the boxed event-record representation \
-     (dd tasks)";
-  line ();
-  Printf.printf "%-10s %9s %9s %7s %7s %6s %9s %9s\n" "bench" "events"
-    "addrs" "w/ev" "boxed" "ratio" "KB" "alloc-KW";
-  let rows =
-    Harness.Pool.map
-      (fun entry ->
-        let art = dd_artifact entry in
-        ( entry.Workloads.Registry.name,
-          Interp.Trace.stats art.Harness.Artifact.trace ))
-      Workloads.Suite.all
-  in
-  List.iter
-    (fun (name, (s : Interp.Trace.mem_stats)) ->
-      let ev = float_of_int (max 1 s.Interp.Trace.events) in
-      Printf.printf "%-10s %9d %9d %7.2f %7.2f %5.1fx %9.1f %9.1f\n" name
-        s.Interp.Trace.events s.Interp.Trace.addrs
-        (float_of_int s.Interp.Trace.heap_words /. ev)
-        (float_of_int s.Interp.Trace.boxed_words /. ev)
-        (float_of_int s.Interp.Trace.boxed_words
-        /. float_of_int (max 1 s.Interp.Trace.heap_words))
-        (float_of_int (s.Interp.Trace.heap_words * (Sys.word_size / 8))
-        /. 1024.0)
-        (float_of_int s.Interp.Trace.build_alloc_words /. 1024.0))
-    rows;
-  let s =
-    List.fold_left
-      (fun (acc : Interp.Trace.mem_stats) (_, (s : Interp.Trace.mem_stats)) ->
-        {
-          Interp.Trace.events = acc.Interp.Trace.events + s.Interp.Trace.events;
-          addrs = acc.Interp.Trace.addrs + s.Interp.Trace.addrs;
-          heap_words = acc.Interp.Trace.heap_words + s.Interp.Trace.heap_words;
-          boxed_words =
-            acc.Interp.Trace.boxed_words + s.Interp.Trace.boxed_words;
-          build_alloc_words =
-            acc.Interp.Trace.build_alloc_words
-            + s.Interp.Trace.build_alloc_words;
-          boxed_alloc_words =
-            acc.Interp.Trace.boxed_alloc_words
-            + s.Interp.Trace.boxed_alloc_words;
-        })
-      {
-        Interp.Trace.events = 0; addrs = 0; heap_words = 0; boxed_words = 0;
-        build_alloc_words = 0; boxed_alloc_words = 0;
-      }
-      rows
-  in
-  let ev = float_of_int (max 1 s.Interp.Trace.events) in
-  Printf.printf
-    "total: %d events / %d addrs; packed %.2f w/ev, boxed %.2f w/ev — %.1fx \
-     smaller resident, build churn %.1f KW vs %.1f KW boxed\n"
-    s.Interp.Trace.events s.Interp.Trace.addrs
-    (float_of_int s.Interp.Trace.heap_words /. ev)
-    (float_of_int s.Interp.Trace.boxed_words /. ev)
-    (float_of_int s.Interp.Trace.boxed_words
-    /. float_of_int (max 1 s.Interp.Trace.heap_words))
-    (float_of_int s.Interp.Trace.build_alloc_words /. 1024.0)
-    (float_of_int s.Interp.Trace.boxed_alloc_words /. 1024.0);
-  Printf.printf "store holds %.1f KB of packed traces\n"
-    (float_of_int (Harness.Artifact.trace_bytes store) /. 1024.0)
-
-(* --- cycle accounting ------------------------------------------------------ *)
-
-(* Attribute every PU-cycle of the evaluation grid to the paper's §2
-   performance issues and export the records; the conservation invariant
-   (categories sum to PUs x cycles, exactly) gates the section, so a smoke
-   run fails the moment any attribution path leaks or double-counts. *)
-let run_account () =
-  line ();
-  print_endline
-    "ACCOUNT — cycle attribution to the paper's performance issues\n\
-     (all workloads x all levels x 1/2/4/8 PUs, out-of-order)";
-  line ();
-  let rows = Report.Breakdown.run ~store Workloads.Suite.all in
-  Format.printf "%a@." Report.Breakdown.pp_aggregate rows;
-  let accounts = Report.Breakdown.accounts rows in
-  let bad =
-    List.filter (fun a -> not (Harness.Job.conserved a)) accounts
-  in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "account.json"
-    else "account.json"
-  in
-  Harness.Job.export_accounts ~path accounts;
-  Printf.printf "wrote %s (%d breakdown records)\n" path
-    (List.length accounts);
-  if bad <> [] then begin
-    List.iter
-      (fun (a : Harness.Job.account) ->
-        match Sim.Account.check a.Harness.Job.a_acct with
-        | Error msg ->
-          Printf.printf "CONSERVATION VIOLATION: %s %s %dPU %s: %s\n"
-            a.Harness.Job.a_spec.Harness.Job.workload
-            (Core.Heuristics.level_name a.Harness.Job.a_spec.Harness.Job.level)
-            a.Harness.Job.a_spec.Harness.Job.num_pus
-            (if a.Harness.Job.a_spec.Harness.Job.in_order then "in-order"
-             else "out-of-order")
-            msg
-        | Ok () -> ())
-      bad;
-    exit 1
-  end;
-  Printf.printf "conservation: %d/%d records exact\n" (List.length accounts)
-    (List.length accounts)
-
-(* --- static dependences ----------------------------------------------------- *)
-
-(* Static cross-task dependence edges per plan, grounded against the
-   dynamic trace: every observed cross-instance store->load flow must be
-   statically predicted (the dep/sound contract).  A violation here means
-   the Analysis.Memdep over-approximation has a hole, so the section exits
-   non-zero just like a conservation leak in the account section. *)
-let run_deps () =
-  line ();
-  print_endline
-    "DEPS — static cross-task dependence edges vs observed trace flows\n\
-     (all workloads x all levels; penalties on the 8-PU out-of-order machine)";
-  line ();
-  let rows = Report.Deps.run ~store Workloads.Suite.all in
-  Format.printf "%a@." Report.Deps.pp rows;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "deps.json"
-    else "deps.json"
-  in
-  let oc = open_out path in
-  output_string oc (Harness.Json.to_string (Report.Deps.to_json rows));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d dependence summaries)\n" path (List.length rows);
-  let violations = Report.Deps.violations rows in
-  if violations > 0 then begin
-    Printf.printf
-      "SOUNDNESS VIOLATION: %d observed dependences not statically predicted\n"
-      violations;
-    exit 1
-  end;
-  Printf.printf "soundness: every observed dependence predicted\n"
-
-(* --- flow-sensitive refinement precision ------------------------------------ *)
-
-(* The Analysis.Absint payoff table, with the acceptance gate of the
-   refinement: suite-wide, the refined analysis must predict strictly
-   fewer cross-task memory edges than the flow-insensitive baseline it is
-   bounded by.  Per-row [ab <= fi] is already a lint invariant
-   (absint/refines); this gate is about the aggregate actually moving. *)
-let run_absint () =
-  line ();
-  print_endline
-    "ABSINT — flow-sensitive refinement precision vs flow-insensitive\n\
-     baseline (all workloads x all levels)";
-  line ();
-  let rows = Report.Precision.run ~store Workloads.Suite.all in
-  Format.printf "%a@." Report.Precision.pp rows;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "absint.json"
-    else "absint.json"
-  in
-  let oc = open_out path in
-  output_string oc (Harness.Json.to_string (Report.Precision.to_json rows));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d precision rows)\n" path (List.length rows);
-  let fi, ab = Report.Precision.totals rows in
-  if ab >= fi then begin
-    Printf.printf
-      "PRECISION REGRESSION: refined mem edges (%d) not below the \
-       flow-insensitive baseline (%d)\n"
-      ab fi;
-    exit 1
-  end;
-  Printf.printf "precision: %d -> %d suite-wide mem edges (%d pruned)\n" fi ab
-    (fi - ab)
-
-(* --- static cost model ------------------------------------------------------ *)
-
-(* Predicted cycle-account shares per plan against the measured Sim.Account
-   shares, plus the payoff of trusting the model: the fb level must beat
-   its ts seed on geomean IPC, and the predicted data_wait share must
-   positively track the measured one at every profile-driven level.  Both
-   are hard gates — a silent model regression would turn the fb level into
-   noise while every per-plan lint check still passes. *)
-let run_cost () =
-  line ();
-  print_endline
-    "COST — predicted cycle-account shares vs measured (Analysis.Cost)\n\
-     (all workloads x all levels + fb; measured on the 8-PU out-of-order\n\
-     machine)";
-  line ();
-  let rows = Report.Cost.run ~store Workloads.Suite.all in
-  Format.printf "%a@." Report.Cost.pp rows;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "cost.json"
-    else "cost.json"
-  in
-  let oc = open_out path in
-  output_string oc (Harness.Json.to_string (Report.Cost.to_json rows));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d cost rows)\n" path (List.length rows);
-  let geo = Report.Cost.geomean_ipc rows in
-  let geo_of level =
-    List.find_map
-      (fun (l, _, g) -> if l = level then Some g else None)
-      geo
-  in
-  (match (geo_of Core.Heuristics.Feedback, geo_of Core.Heuristics.Task_size) with
-  | Some fb, Some ts when fb > ts ->
-    Printf.printf "feedback gate: fb geomean %.3f > ts geomean %.3f\n" fb ts
-  | Some fb, Some ts ->
-    Printf.printf
-      "FEEDBACK REGRESSION: fb geomean %.3f <= ts geomean %.3f\n" fb ts;
-    exit 1
-  | _ ->
-    print_endline "FEEDBACK REGRESSION: missing fb or ts geomean row";
-    exit 1);
-  let corr = Report.Cost.correlation rows in
-  List.iter
-    (fun level ->
-      match
-        List.find_map
-          (fun (l, c, _, p) ->
-            if l = level && c = "data_wait" then Some p else None)
-          corr
-      with
-      | Some p when p >= 0.5 ->
-        Printf.printf "correlation gate: %s data_wait r %+.3f >= +0.5\n"
-          (Core.Heuristics.level_name level)
-          p
-      | Some p ->
-        Printf.printf "MODEL REGRESSION: %s data_wait r %+.3f < +0.5\n"
-          (Core.Heuristics.level_name level)
-          p;
-        exit 1
-      | None ->
-        Printf.printf "MODEL REGRESSION: no data_wait correlation at %s\n"
-          (Core.Heuristics.level_name level);
-        exit 1)
-    [
-      Core.Heuristics.Control_flow; Core.Heuristics.Data_dependence;
-      Core.Heuristics.Task_size;
-    ]
-
-(* --- fuzz ------------------------------------------------------------------ *)
-
-(* The synthetic corpus through the full oracle stack: the section that
-   holds the verification layers themselves to account.  Any violation is
-   a hard failure, same as a conservation leak. *)
-let run_fuzz () =
-  line ();
-  print_endline
-    "FUZZ — differential fuzzing over the synthetic corpus\n\
-     (200 programs x all profiles x all levels; lint, round-trip, dep,\n\
-     acct, cost, fb-bound and sim_ref cycle differential as oracles)";
-  line ();
-  let cfg = { Fuzz.default_config with Fuzz.seed = 42; n = 200 } in
-  let o = Fuzz.run cfg in
-  Printf.printf "%-13s %6s %6s %6s %6s %6s %9s\n" "profile" "progs" "funcs"
-    "blocks" "insns" "ref" "violations";
-  List.iter2
-    (fun (name, (s : Fuzz.shape)) (r : Harness.Job.fuzz) ->
-      Printf.printf "%-13s %6d %6d %6d %6d %3d/%-3d %9d\n" name
-        s.Fuzz.s_programs s.Fuzz.s_funcs s.Fuzz.s_blocks s.Fuzz.s_insns
-        r.Harness.Job.z_ref_pass r.Harness.Job.z_ref_checked
-        r.Harness.Job.z_violations)
-    o.Fuzz.o_shapes o.Fuzz.o_records;
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench" then
-      Filename.concat "bench" "fuzz.json"
-    else "fuzz.json"
-  in
-  Harness.Job.export ~path ~fuzz:o.Fuzz.o_records [];
-  Printf.printf "wrote %s (%d fuzz records)\n" path
-    (List.length o.Fuzz.o_records);
-  Printf.printf "fuzz: %d programs, %d oracle passes, %d violations, %.1fs\n"
-    o.Fuzz.o_programs o.Fuzz.o_checks
-    (List.length o.Fuzz.o_violations)
-    o.Fuzz.o_wall_seconds;
-  if o.Fuzz.o_violations <> [] then begin
-    List.iteri
-      (fun i v ->
-        if i < 10 then
-          Printf.printf "FUZZ VIOLATION: %s\n" (Fuzz.violation_text v))
-      o.Fuzz.o_violations;
-    exit 1
-  end
-
-(* --- bechamel ------------------------------------------------------------- *)
-
-let run_bechamel () =
-  line ();
-  print_endline "BECHAMEL — wall-clock cost of the pipeline stages (compress)";
-  line ();
-  let open Bechamel in
-  let entry = Workloads.Suite.find "compress" in
-  let prog = entry.Workloads.Registry.build () in
-  let plan = Core.Partition.build Core.Heuristics.Data_dependence prog in
-  let outcome = Interp.Run.execute plan.Core.Partition.prog in
-  let trace = outcome.Interp.Run.trace in
-  let cfg = Sim.Config.default ~num_pus:8 ~in_order:false in
-  let tests =
-    [
-      Test.make ~name:"build workload"
-        (Staged.stage (fun () -> ignore (entry.Workloads.Registry.build ())));
-      Test.make ~name:"interpret + profile"
-        (Staged.stage (fun () -> ignore (Interp.Run.execute prog)));
-      Test.make ~name:"task selection (dd)"
-        (Staged.stage (fun () ->
-             ignore (Core.Partition.build Core.Heuristics.Data_dependence prog)));
-      Test.make ~name:"cycle simulation (8PU)"
-        (Staged.stage (fun () ->
-             ignore (Sim.Engine.run_with_trace cfg plan trace)));
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg_b =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 200) ()
-    in
-    Benchmark.all cfg_b instances test
-  in
-  let results =
-    List.map
-      (fun t ->
-        let r = benchmark (Test.make_grouped ~name:(Test.name t) [ t ]) in
-        (Test.name t, r))
-      tests
-  in
-  List.iter
-    (fun (name, raw) ->
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock raw
-      in
-      Hashtbl.iter
-        (fun _ ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-26s %12.0f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-26s (no estimate)\n" name)
-        results)
-    results
-
 (* --- results export -------------------------------------------------------- *)
 
 let export_results () =
   let results = Harness.Job.results_of_store store in
   let trace = Harness.Job.trace_stats_of_store store in
   if results <> [] || trace <> [] then begin
-    let path =
-      if Sys.file_exists "bench" && Sys.is_directory "bench" then
-        Filename.concat "bench" "results.json"
-      else "results.json"
-    in
-    (match trace with
-    | [] -> Harness.Job.export ~path results
-    | _ -> Harness.Job.export ~path ~trace results);
+    let path = Harness.Job.bench_path "results.json" in
+    Harness.Job.export ~path ~trace results;
     Printf.printf
       "wrote %s (%d job results, %d trace records, %d pipeline builds)\n" path
       (List.length results) (List.length trace)
@@ -755,14 +340,6 @@ let () =
   if want "superscalar" then run_superscalar ();
   if want "ablation" then run_ablation ();
   if want "crossinput" then run_crossinput ();
-  if want "lint" then run_lint ();
-  if want "trace" then run_trace ();
-  if want "account" then run_account ();
-  if want "deps" then run_deps ();
-  if want "absint" then run_absint ();
-  if want "cost" then run_cost ();
-  if want "fuzz" then run_fuzz ();
-  if want "bechamel" then run_bechamel ();
   line ();
   export_results ();
   print_endline "bench complete."

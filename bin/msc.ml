@@ -5,6 +5,9 @@
      run         compile + simulate one workload on one configuration
      breakdown   attribute every PU-cycle of the grid to the paper's
                  performance issues (per workload x heuristic x PU count)
+     check       run the grid analyses on the full default grid, write
+                 bench/<name>.json and fail on any broken invariant or
+                 suite claim
      dump        print the CFG and the task partition of a workload
      run-file    parse a textual IR program (see Ir.Parse) and simulate it
      export      print a workload in the textual IR format
@@ -20,20 +23,23 @@
                  fb-bound and the frozen sim_ref cycle differential as
                  oracles)
      table1      regenerate the paper's Table 1
-     figure5     regenerate the paper's Figure 5
-     bench-time  wall-clock table1/figure5 into BENCH_figure5.json *)
+     figure5     regenerate the paper's Figure 5 *)
 
 open Cmdliner
 
+(* the wire tags (bb, cf, dd, ts, fb), with the long level names as aliases *)
 let level_conv =
   let parse s =
-    match s with
-    | "bb" | "basic-block" -> Ok Core.Heuristics.Basic_block
-    | "cf" | "control-flow" -> Ok Core.Heuristics.Control_flow
-    | "dd" | "data-dependence" -> Ok Core.Heuristics.Data_dependence
-    | "ts" | "task-size" -> Ok Core.Heuristics.Task_size
-    | "fb" | "feedback" -> Ok Core.Heuristics.Feedback
-    | _ -> Error (`Msg (Printf.sprintf "unknown heuristic level %S" s))
+    match
+      List.find_opt
+        (fun l -> Core.Heuristics.level_name l = s)
+        Core.Heuristics.extended_levels
+    with
+    | Some l -> Ok l
+    | None ->
+      Result.map_error
+        (fun _ -> `Msg (Printf.sprintf "unknown heuristic level %S" s))
+        (Harness.Job.level_of_tag s)
   in
   let print ppf l = Format.pp_print_string ppf (Core.Heuristics.level_name l) in
   Arg.conv (parse, print)
@@ -91,14 +97,17 @@ let json_arg =
    plans, traces and default-machine simulations through the engine. *)
 let store = Harness.Artifact.create ()
 
+let write_json path json =
+  try Harness.Json.to_file path json
+  with Sys_error msg ->
+    Printf.eprintf "msc: cannot write %s: %s\n" path msg;
+    exit 1
+
 let export_json = function
   | None -> ()
   | Some path ->
     let results = Harness.Job.results_of_store store in
-    (try Harness.Job.export ~path results with
-     | Sys_error msg ->
-       Printf.eprintf "msc: cannot write results: %s\n" msg;
-       exit 1);
+    write_json path (Harness.Job.document results);
     Printf.printf "wrote %s (%d job results)\n" path (List.length results)
 
 (* --- list ---------------------------------------------------------------- *)
@@ -115,7 +124,7 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the workload suite")
     Term.(const run $ const ())
 
-(* --- run / breakdown ----------------------------------------------------- *)
+(* --- run ------------------------------------------------------------------- *)
 
 let simulate ?(optimize = false) ?(if_convert = false) ?(schedule = false)
     name level pus in_order =
@@ -147,75 +156,6 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Simulate one workload")
     Term.(const run $ workload_arg $ level_arg $ pus_arg $ in_order_arg
           $ optimize_arg $ if_convert_arg $ schedule_arg)
-
-let breakdown_cmd =
-  let level_opt_arg =
-    let doc = "Restrict to one heuristic level (default: all four)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
-  let pus_list_arg =
-    let doc = "Comma-separated PU counts of the grid." in
-    Arg.(value & opt string "1,2,4,8" & info [ "p"; "pus" ] ~docv:"PUS" ~doc)
-  in
-  let stats_arg =
-    let doc =
-      "Also print the full per-cell statistics record (Figure-2 phases, \
-       predictors, memory system)."
-    in
-    Arg.(value & flag & info [ "stats" ] ~doc)
-  in
-  let bd_json_arg =
-    let doc = "Export the breakdown records as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run only level jobs pus_s in_order stats json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.all_levels
-      | Some l -> [ l ]
-    in
-    let pus =
-      List.map
-        (fun s ->
-          match int_of_string_opt (String.trim s) with
-          | Some p when p > 0 -> p
-          | Some _ | None ->
-            Printf.eprintf "msc: bad PU count %S\n" s;
-            exit 1)
-        (String.split_on_char ',' pus_s)
-    in
-    let rows = Report.Breakdown.run ~store ?jobs ~levels ~pus ~in_order entries in
-    Format.printf "%a@." Report.Breakdown.pp rows;
-    Format.printf "%a@." Report.Breakdown.pp_aggregate rows;
-    if stats then
-      List.iter
-        (fun (r : Report.Experiment.run_result) ->
-          Format.printf "-- %s %s %dPU %s --@.%a@." r.Report.Experiment.workload
-            (Core.Heuristics.level_name r.Report.Experiment.level)
-            r.Report.Experiment.num_pus
-            (if r.Report.Experiment.in_order then "in-order"
-             else "out-of-order")
-            Sim.Stats.pp r.Report.Experiment.stats)
-        rows;
-    match json with
-    | None -> ()
-    | Some path ->
-      let accounts = Report.Breakdown.accounts rows in
-      (try Harness.Job.export_accounts ~path accounts with
-       | Sys_error msg ->
-         Printf.eprintf "msc: cannot write breakdown: %s\n" msg;
-         exit 1);
-      Printf.printf "wrote %s (%d breakdown records)\n" path
-        (List.length accounts)
-  in
-  Cmd.v
-    (Cmd.info "breakdown"
-       ~doc:
-         "Attribute every PU-cycle of the workload grid to the paper's \
-          performance issues")
-    Term.(const run $ workloads_filter $ level_opt_arg $ jobs_arg
-          $ pus_list_arg $ in_order_arg $ stats_arg $ bd_json_arg)
 
 (* --- dump ---------------------------------------------------------------- *)
 
@@ -396,211 +336,6 @@ let timeline_cmd =
     Term.(const run $ workload_arg $ level_arg $ pus_arg $ in_order_arg
           $ count_arg $ skip_arg)
 
-(* --- lint ----------------------------------------------------------------- *)
-
-let lint_cmd =
-  let level_opt_arg =
-    let doc = "Lint only this heuristic level (default: all four)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
-  let lint_json_arg =
-    let doc =
-      "Export the structured lint report as JSON to $(docv) (same shape as \
-       bench/lint.json: per-plan diagnostics plus a rule_counts summary \
-       covering every registered rule)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let rule_arg =
-    let doc =
-      "Keep only diagnostics whose rule id matches this anchored glob \
-       ($(b,*) matches any substring), e.g. $(b,dep/*) or \
-       $(b,part/stale-*).  The exit status reflects the filtered set."
-    in
-    Arg.(value & opt (some string) None & info [ "rule" ] ~docv:"GLOB" ~doc)
-  in
-  let run only level rule jobs json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.all_levels
-      | Some l -> [ l ]
-    in
-    let reports = Lint.check_suite ?jobs ~levels ~store entries in
-    let reports =
-      match rule with None -> reports | Some pat -> Lint.filter_rule pat reports
-    in
-    List.iter
-      (fun (r : Lint.report) ->
-        List.iter (fun d -> Format.printf "%a@." Lint.Diag.pp d) r.Lint.diags;
-        let e = Lint.Diag.count Lint.Diag.Error r.Lint.diags in
-        let w = Lint.Diag.count Lint.Diag.Warning r.Lint.diags in
-        let i = Lint.Diag.count Lint.Diag.Info r.Lint.diags in
-        if e + w + i > 0 then
-          Printf.printf "%-10s %-15s %d errors, %d warnings, %d infos\n"
-            r.Lint.workload
-            (Core.Heuristics.level_name r.Lint.level)
-            e w i)
-      reports;
-    (match json with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Harness.Json.to_string (Lint.report_to_json reports));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-    let errors = Lint.total_errors reports in
-    Printf.printf "lint: %d plans checked, %d errors\n" (List.length reports)
-      errors;
-    if errors > 0 then exit 1
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Statically verify IR, partitions, register communication and \
-          cross-task dependences (filter rule families with $(b,--rule))")
-    Term.(const run $ workloads_filter $ level_opt_arg $ rule_arg $ jobs_arg
-          $ lint_json_arg)
-
-(* --- deps ------------------------------------------------------------------ *)
-
-let deps_cmd =
-  let level_opt_arg =
-    let doc = "Restrict to one heuristic level (default: all four)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
-  let deps_json_arg =
-    let doc =
-      "Export the dependence summaries and per-level correlations as JSON \
-       to $(docv) (same shape as bench/deps.json)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run only level pus in_order jobs json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.all_levels
-      | Some l -> [ l ]
-    in
-    let rows =
-      Report.Deps.run ~store ?jobs ~levels ~num_pus:pus ~in_order entries
-    in
-    Format.printf "%a@." Report.Deps.pp rows;
-    (match json with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Harness.Json.to_string (Report.Deps.to_json rows));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s (%d dependence summaries)\n" path
-        (List.length rows));
-    let violations = Report.Deps.violations rows in
-    if violations > 0 then begin
-      Printf.printf
-        "deps: %d observed dependences NOT statically predicted\n" violations;
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "deps"
-       ~doc:
-         "Static cross-task dependence edges (Core.Depend) grounded against \
-          the observed trace flows, with per-level correlation against the \
-          data_wait/mem_squash cycle shares")
-    Term.(const run $ workloads_filter $ level_opt_arg $ pus_arg
-          $ in_order_arg $ jobs_arg $ deps_json_arg)
-
-(* --- absint ---------------------------------------------------------------- *)
-
-let absint_cmd =
-  let level_opt_arg =
-    let doc = "Restrict to one heuristic level (default: all four)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
-  let absint_json_arg =
-    let doc =
-      "Export the precision rows and suite totals as JSON to $(docv) (same \
-       shape as bench/absint.json)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run only level jobs json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.all_levels
-      | Some l -> [ l ]
-    in
-    let rows = Report.Precision.run ~store ?jobs ~levels entries in
-    Format.printf "%a@." Report.Precision.pp rows;
-    match json with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Harness.Json.to_string (Report.Precision.to_json rows));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s (%d precision rows)\n" path (List.length rows)
-  in
-  Cmd.v
-    (Cmd.info "absint"
-       ~doc:
-         "Flow-sensitive refinement precision (Analysis.Absint): cross-task \
-          memory edges pruned against the flow-insensitive baseline, \
-          unbounded-region sites and the widest refined regions per \
-          workload and level")
-    Term.(const run $ workloads_filter $ level_opt_arg $ jobs_arg
-          $ absint_json_arg)
-
-(* --- cost ------------------------------------------------------------------ *)
-
-let cost_cmd =
-  let level_opt_arg =
-    let doc = "Restrict to one heuristic level (default: all four + fb)." in
-    Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc)
-  in
-  let cost_json_arg =
-    let doc =
-      "Export the cost rows, per-level correlations and per-level geomean \
-       IPC as JSON to $(docv) (same shape as bench/cost.json)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run only level pus in_order jobs json =
-    let entries = suite_of only in
-    let levels =
-      match level with
-      | None -> Core.Heuristics.extended_levels
-      | Some l -> [ l ]
-    in
-    let rows =
-      Report.Cost.run ~store ?jobs ~levels ~num_pus:pus ~in_order entries
-    in
-    Format.printf "%a@." Report.Cost.pp rows;
-    match json with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Harness.Json.to_string (Report.Cost.to_json rows));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s (%d cost rows)\n" path (List.length rows)
-  in
-  Cmd.v
-    (Cmd.info "cost"
-       ~doc:
-         "Predicted cycle-account shares of every plan (Analysis.Cost \
-          static model) joined against the measured Sim.Account shares, \
-          with per-level predicted-vs-measured correlations and geomean \
-          IPC")
-    Term.(const run $ workloads_filter $ level_opt_arg $ pus_arg
-          $ in_order_arg $ jobs_arg $ cost_json_arg)
-
 (* --- trace-stats ----------------------------------------------------------- *)
 
 let trace_stats_cmd =
@@ -632,18 +367,25 @@ let trace_stats_cmd =
             span ))
         entries
     in
-    Printf.printf "%-10s %9s %9s %9s %6s %6s %6s %8s %7s %8s\n" "workload"
-      "events" "insns" "addrs" "w/ev" "boxed" "ratio" "KB" "tasks" "span";
+    Printf.printf "%-10s %9s %9s %9s %6s %6s %6s %8s %8s %7s %8s\n"
+      "workload" "events" "insns" "addrs" "w/ev" "boxed" "ratio" "KB"
+      "alloc-KW" "tasks" "span";
     let tot_ev = ref 0 in
     let tot_heap = ref 0 in
     let tot_boxed = ref 0 in
+    let tot_alloc = ref 0 in
+    let tot_boxed_alloc = ref 0 in
+    let kw words = float_of_int words /. 1024.0 in
     List.iter
       (fun (name, (s : Interp.Trace.mem_stats), insns, tasks, span) ->
         tot_ev := !tot_ev + s.Interp.Trace.events;
         tot_heap := !tot_heap + s.Interp.Trace.heap_words;
         tot_boxed := !tot_boxed + s.Interp.Trace.boxed_words;
+        tot_alloc := !tot_alloc + s.Interp.Trace.build_alloc_words;
+        tot_boxed_alloc := !tot_boxed_alloc + s.Interp.Trace.boxed_alloc_words;
         let per f = float_of_int f /. float_of_int (max 1 s.Interp.Trace.events) in
-        Printf.printf "%-10s %9d %9d %9d %6.2f %6.2f %5.1fx %8.1f %7d %8.0f\n"
+        Printf.printf
+          "%-10s %9d %9d %9d %6.2f %6.2f %5.1fx %8.1f %8.1f %7d %8.0f\n"
           name s.Interp.Trace.events insns
           s.Interp.Trace.addrs
           (per s.Interp.Trace.heap_words)
@@ -652,16 +394,19 @@ let trace_stats_cmd =
           /. float_of_int (max 1 s.Interp.Trace.heap_words))
           (float_of_int (s.Interp.Trace.heap_words * (Sys.word_size / 8))
           /. 1024.0)
+          (kw s.Interp.Trace.build_alloc_words)
           tasks span)
       per_workload;
     Printf.printf
       "total: %d events, %d packed words (%.2f w/ev) vs %d boxed (%.2f w/ev), \
-       %.1fx; store holds %.1f KB of traces\n"
+       %.1fx; build churn %.1f KW vs %.1f KW boxed; store holds %.1f KB of \
+       traces\n"
       !tot_ev !tot_heap
       (float_of_int !tot_heap /. float_of_int (max 1 !tot_ev))
       !tot_boxed
       (float_of_int !tot_boxed /. float_of_int (max 1 !tot_ev))
       (float_of_int !tot_boxed /. float_of_int (max 1 !tot_heap))
+      (kw !tot_alloc) (kw !tot_boxed_alloc)
       (float_of_int (Harness.Artifact.trace_bytes store) /. 1024.0)
   in
   Cmd.v
@@ -762,6 +507,14 @@ let fuzz_cmd =
           r.Harness.Job.z_ref_pass r.Harness.Job.z_ref_checked
           r.Harness.Job.z_violations)
       o.Fuzz.o_records;
+    (* structure-space coverage: generated shapes summed per profile *)
+    Printf.printf "\n%-13s %6s %6s %6s %6s\n" "profile" "progs" "funcs"
+      "blocks" "insns";
+    List.iter
+      (fun (name, (s : Fuzz.shape)) ->
+        Printf.printf "%-13s %6d %6d %6d %6d\n" name s.Fuzz.s_programs
+          s.Fuzz.s_funcs s.Fuzz.s_blocks s.Fuzz.s_insns)
+      o.Fuzz.o_shapes;
     Printf.printf
       "fuzz: %d programs x %d levels (seed %d), %d oracle passes, %d \
        violations, %.1fs\n"
@@ -770,10 +523,7 @@ let fuzz_cmd =
     (match json with
     | None -> ()
     | Some path ->
-      (try Harness.Job.export ~path ~fuzz:o.Fuzz.o_records [] with
-      | Sys_error msg ->
-        Printf.eprintf "msc: cannot write fuzz records: %s\n" msg;
-        exit 1);
+      write_json path (Harness.Job.document ~fuzz:o.Fuzz.o_records []);
       Printf.printf "wrote %s (%d fuzz records)\n" path
         (List.length o.Fuzz.o_records));
     match o.Fuzz.o_violations with
@@ -846,145 +596,347 @@ let figure5_cmd =
   Cmd.v (Cmd.info "figure5" ~doc:"Regenerate the paper's Figure 5")
     Term.(const run $ workloads_filter $ jobs_arg $ json_arg)
 
-(* --- bench-time ----------------------------------------------------------- *)
+(* --- grid analyses -------------------------------------------------------- *)
 
-(* Wall-clock the two headline reports so the perf trajectory of the
-   simulator core is machine-readable (tools/smoke.sh gates on it).  Each
-   section gets a fresh artifact store: the figure is the cold cost of the
-   full report, not whatever a previous section left memoized. *)
+(* Each analysis over the workload x level grid is defined once, in
+   [analyses]: its subcommand, its `msc check` entry and the
+   bench/<file>.json that entry writes are all built from that record. *)
 
-let bench_time_cmd =
-  let out_arg =
-    let doc = "Output JSON path." in
-    Arg.(value & opt string "BENCH_figure5.json"
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc)
+type query = {
+  entries : Workloads.Registry.entry list;
+  levels : Core.Heuristics.level list;
+  pus : int list;
+  in_order : bool;
+  jobs : int option;
+  stats : bool;  (** breakdown: also print the per-cell statistics *)
+  rule : string option;  (** lint: keep only diagnostics matching this glob *)
+}
+
+type outcome = {
+  print : unit -> unit;  (** the text report *)
+  json : Harness.Json.t;  (** the bench/<file>.json document *)
+  records : string;  (** what the JSON holds, as a " (N rows)" suffix *)
+  footer : string option;  (** printed after the JSON note *)
+  invariants : string list;  (** failures that count on any subset *)
+  claims : string list;  (** failures that count on the full grid only *)
+}
+
+let outcome ?footer ?(invariants = []) ?(claims = []) ~records ~json print =
+  { print; json; records; footer; invariants; claims }
+
+(* Which machine options a subcommand takes: none, one PU count, or a
+   comma-separated list of them. *)
+type machine = Fixed | One | Grid
+
+type analysis = {
+  name : string;  (** subcommand *)
+  file : string;  (** `msc check` name and bench/<file>.json stem *)
+  doc : string;
+  levels : Core.Heuristics.level list;  (** the default grid's levels *)
+  machine : machine;
+  extra : (query -> query) Term.t;  (** subcommand-specific options *)
+  run : query -> outcome;
+}
+
+let analyses =
+  let no_extra = Term.const Fun.id in
+  let num_pus q = List.hd q.pus (* [One] machines carry exactly one *) in
+  [
+    {
+      name = "lint";
+      file = "lint";
+      doc =
+        "Statically verify IR, partitions, register communication and \
+         cross-task dependences (filter rule families with $(b,--rule))";
+      levels = Core.Heuristics.all_levels;
+      machine = Fixed;
+      extra =
+        (let doc =
+           "Keep only diagnostics whose rule id matches this anchored glob \
+            ($(b,*) matches any substring), e.g. $(b,dep/*) or \
+            $(b,part/stale-*).  The exit status reflects the filtered set."
+         in
+         Term.(
+           const (fun rule q -> { q with rule })
+           $ Arg.(value & opt (some string) None
+                  & info [ "rule" ] ~docv:"GLOB" ~doc)));
+      run =
+        (fun q ->
+          let reports =
+            Lint.check_suite ?jobs:q.jobs ~levels:q.levels ~store q.entries
+          in
+          let reports =
+            match q.rule with
+            | None -> reports
+            | Some pat -> Lint.filter_rule pat reports
+          in
+          outcome ~records:""
+            ~footer:
+              (Printf.sprintf "lint: %d plans checked, %d errors"
+                 (List.length reports) (Lint.total_errors reports))
+            ~invariants:(Lint.invariants reports)
+            ~json:(Lint.report_to_json reports)
+            (fun () ->
+              List.iter
+                (fun (r : Lint.report) ->
+                  List.iter
+                    (fun d -> Format.printf "%a@." Lint.Diag.pp d)
+                    r.Lint.diags;
+                  let n sev = Lint.Diag.count sev r.Lint.diags in
+                  let e = n Lint.Diag.Error
+                  and w = n Lint.Diag.Warning
+                  and i = n Lint.Diag.Info in
+                  if e + w + i > 0 then
+                    Printf.printf
+                      "%-10s %-15s %d errors, %d warnings, %d infos\n"
+                      r.Lint.workload
+                      (Core.Heuristics.level_name r.Lint.level)
+                      e w i)
+                reports));
+    };
+    {
+      name = "breakdown";
+      file = "account";
+      doc =
+        "Attribute every PU-cycle of the workload grid to the paper's \
+         performance issues";
+      levels = Core.Heuristics.all_levels;
+      machine = Grid;
+      extra =
+        (let doc =
+           "Also print the full per-cell statistics record (Figure-2 \
+            phases, predictors, memory system)."
+         in
+         Term.(
+           const (fun stats q -> { q with stats })
+           $ Arg.(value & flag & info [ "stats" ] ~doc)));
+      run =
+        (fun q ->
+          let rows =
+            Report.Breakdown.run ~store ?jobs:q.jobs ~levels:q.levels
+              ~pus:q.pus ~in_order:q.in_order q.entries
+          in
+          outcome
+            ~records:
+              (Printf.sprintf " (%d breakdown records)" (List.length rows))
+            ~invariants:(Report.Breakdown.invariants rows)
+            ~json:(Report.Breakdown.to_json rows)
+            (fun () ->
+              Format.printf "%a@." Report.Breakdown.pp rows;
+              Format.printf "%a@." Report.Breakdown.pp_aggregate rows;
+              if q.stats then
+                List.iter
+                  (fun (r : Report.Experiment.run_result) ->
+                    Format.printf "-- %s %s %dPU %s --@.%a@."
+                      r.Report.Experiment.workload
+                      (Core.Heuristics.level_name r.Report.Experiment.level)
+                      r.Report.Experiment.num_pus
+                      (if r.Report.Experiment.in_order then "in-order"
+                       else "out-of-order")
+                      Sim.Stats.pp r.Report.Experiment.stats)
+                  rows));
+    };
+    {
+      name = "deps";
+      file = "deps";
+      doc =
+        "Static cross-task dependence edges (Core.Depend) grounded against \
+         the observed trace flows, with per-level correlation against the \
+         data_wait/mem_squash cycle shares";
+      levels = Core.Heuristics.all_levels;
+      machine = One;
+      extra = no_extra;
+      run =
+        (fun q ->
+          let rows =
+            Report.Deps.run ~store ?jobs:q.jobs ~levels:q.levels
+              ~num_pus:(num_pus q) ~in_order:q.in_order q.entries
+          in
+          outcome
+            ~records:
+              (Printf.sprintf " (%d dependence summaries)" (List.length rows))
+            ~invariants:(Report.Deps.invariants rows)
+            ~json:(Report.Deps.to_json rows)
+            (fun () -> Format.printf "%a@." Report.Deps.pp rows));
+    };
+    {
+      name = "absint";
+      file = "absint";
+      doc =
+        "Flow-sensitive refinement precision (Analysis.Absint): cross-task \
+         memory edges pruned against the flow-insensitive baseline, \
+         unbounded-region sites and the widest refined regions per \
+         workload and level";
+      levels = Core.Heuristics.all_levels;
+      machine = Fixed;
+      extra = no_extra;
+      run =
+        (fun q ->
+          let rows =
+            Report.Precision.run ~store ?jobs:q.jobs ~levels:q.levels
+              q.entries
+          in
+          outcome
+            ~records:(Printf.sprintf " (%d precision rows)" (List.length rows))
+            ~claims:(Report.Precision.claims rows)
+            ~json:(Report.Precision.to_json rows)
+            (fun () -> Format.printf "%a@." Report.Precision.pp rows));
+    };
+    {
+      name = "cost";
+      file = "cost";
+      doc =
+        "Predicted cycle-account shares of every plan (Analysis.Cost \
+         static model) joined against the measured Sim.Account shares, \
+         with per-level predicted-vs-measured correlations and geomean IPC";
+      levels = Core.Heuristics.extended_levels;
+      machine = One;
+      extra = no_extra;
+      run =
+        (fun q ->
+          let rows =
+            Report.Cost.run ~store ?jobs:q.jobs ~levels:q.levels
+              ~num_pus:(num_pus q) ~in_order:q.in_order q.entries
+          in
+          outcome
+            ~records:(Printf.sprintf " (%d cost rows)" (List.length rows))
+            ~claims:(Report.Cost.claims rows)
+            ~json:(Report.Cost.to_json rows)
+            (fun () -> Format.printf "%a@." Report.Cost.pp rows));
+    };
+  ]
+
+(* Failures go to stderr, one per line, and set a non-zero exit status. *)
+let fail_on = function
+  | [] -> ()
+  | failures ->
+    List.iter prerr_endline failures;
+    exit 1
+
+let query_term a =
+  let levels =
+    let doc =
+      Printf.sprintf "Restrict to one heuristic level (default: all four%s)."
+        (if List.mem Core.Heuristics.Feedback a.levels then " + fb" else "")
+    in
+    Term.(
+      const (function None -> a.levels | Some l -> [ l ])
+      $ Arg.(value & opt (some level_conv) None & info [ "l"; "level" ] ~doc))
   in
-  (* same-machine references: the growth-seed core (pre event core) and the
-     PR-3 packed-trace core, both measured as `msc figure5` on the
-     single-core CI box this file's baseline JSON ships from *)
-  let seed_seconds = 60.9 in
-  let time_section f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
+  let pus, in_order =
+    match a.machine with
+    | Fixed -> (Term.const [], Term.const false)
+    | One -> (Term.(const (fun p -> [ p ]) $ pus_arg), in_order_arg)
+    | Grid ->
+      let positive =
+        Arg.conv
+          ( (fun s ->
+              match int_of_string_opt (String.trim s) with
+              | Some p when p > 0 -> Ok p
+              | Some _ | None ->
+                Error (`Msg (Printf.sprintf "bad PU count %S" s))),
+            Format.pp_print_int )
+      in
+      let doc = "Comma-separated PU counts of the grid." in
+      ( Arg.(value & opt (list positive) Report.Breakdown.default_pus
+             & info [ "p"; "pus" ] ~docv:"PUS" ~doc),
+        in_order_arg )
   in
-  let git_commit () =
-    try
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-      let line = try input_line ic with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> line
-      | _ -> "unknown"
-    with Sys_error _ | Unix.Unix_error _ -> "unknown"
+  let make only levels pus in_order jobs extra =
+    extra
+      { entries = suite_of only; levels; pus; in_order; jobs; stats = false;
+        rule = None }
   in
-  let run only jobs out =
-    let suite = suite_of only in
-    let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-    let table1_s =
-      time_section (fun () ->
-          let store = Harness.Artifact.create () in
-          Format.fprintf null "%a@."
-            Report.Table1.pp (Report.Table1.run ~store ?jobs suite))
+  Term.(const make $ workloads_filter $ levels $ pus $ in_order $ jobs_arg
+        $ a.extra)
+
+(* The subcommand applies the analysis's invariants on every run; its suite
+   claims only mean something on the full grid, so `msc check` owns them. *)
+let analysis_cmd a =
+  let json_arg =
+    let doc =
+      Printf.sprintf "Export the report as JSON to $(docv) (same shape as \
+                      bench/%s.json)." a.file
     in
-    let figure5_s =
-      time_section (fun () ->
-          let store = Harness.Artifact.create () in
-          Format.fprintf null "%a@."
-            Report.Figure5.pp (Report.Figure5.run ~store ?jobs suite))
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  in
+  let run q json =
+    let o = a.run q in
+    o.print ();
+    Option.iter
+      (fun path ->
+        write_json path o.json;
+        Printf.printf "wrote %s%s\n" path o.records)
+      json;
+    Option.iter print_endline o.footer;
+    fail_on o.invariants
+  in
+  Cmd.v (Cmd.info a.name ~doc:a.doc) Term.(const run $ query_term a $ json_arg)
+
+(* The full default grid of an analysis: every workload, its default
+   levels, the default machines. *)
+let full_query a =
+  {
+    entries = Workloads.Suite.all;
+    levels = a.levels;
+    pus =
+      (match a.machine with
+      | Fixed -> []
+      | One -> [ 8 ]
+      | Grid -> Report.Breakdown.default_pus);
+    in_order = false;
+    jobs = None;
+    stats = false;
+    rule = None;
+  }
+
+(* The fuzz corpus is not a grid analysis, but its gate and its committed
+   bench/fuzz.json ride along in `msc check`. *)
+let fuzz_check () =
+  let o = Fuzz.run Fuzz.default_config in
+  outcome
+    ~records:(Printf.sprintf " (%d fuzz records)" (List.length o.Fuzz.o_records))
+    ~invariants:(Fuzz.invariants o)
+    ~json:(Harness.Job.document ~fuzz:o.Fuzz.o_records [])
+    ignore
+
+let check_cmd =
+  let checks =
+    List.map (fun a -> (a.file, fun () -> a.run (full_query a))) analyses
+    @ [ ("fuzz", fuzz_check) ]
+  in
+  let names_arg =
+    let doc =
+      Printf.sprintf "Analyses to check: %s (default: all)."
+        (String.concat ", " (List.map fst checks))
     in
-    let cost_s =
-      time_section (fun () ->
-          let store = Harness.Artifact.create () in
-          Format.fprintf null "%a@."
-            Report.Cost.pp (Report.Cost.run ~store ?jobs suite))
+    Arg.(value & pos_all (enum (List.map (fun (n, _) -> (n, n)) checks)) []
+         & info [] ~docv:"NAME" ~doc)
+  in
+  let run names =
+    let names = if names = [] then List.map fst checks else names in
+    let failures =
+      List.concat_map
+        (fun name ->
+          let o = (List.assoc name checks) () in
+          let path = Harness.Job.bench_path (name ^ ".json") in
+          write_json path o.json;
+          let failed = o.invariants @ o.claims in
+          Printf.printf "check %s: wrote %s%s, %d failures\n%!" name path
+            o.records (List.length failed);
+          failed)
+        names
     in
-    (* a fixed slice of the synthetic fuzz corpus (4 programs per profile
-       through the full oracle stack), so the wall cost of the
-       verification path is tracked alongside the reports it guards *)
-    let fuzz_n = 44 in
-    let fuzz_s =
-      time_section (fun () ->
-          ignore (Fuzz.run ?jobs { Fuzz.default_config with Fuzz.n = fuzz_n }))
-    in
-    (* the same figure5 report at full recommended width, so the file
-       records the parallel-vs-serial story of the scheduler on this
-       machine; on a single-core host the serial figure is reused
-       rather than re-measuring an identical configuration *)
-    let par_jobs = Domain.recommended_domain_count () in
-    let figure5_par_s =
-      if par_jobs <= 1 then figure5_s
-      else
-        time_section (fun () ->
-            let store = Harness.Artifact.create () in
-            Format.fprintf null "%a@."
-              Report.Figure5.pp
-              (Report.Figure5.run ~store ~jobs:par_jobs suite))
-    in
-    let json =
-      Harness.Json.Obj
-        [
-          ("commit", Harness.Json.String (git_commit ()));
-          ( "jobs",
-            Harness.Json.Int
-              (match jobs with
-              | Some j -> j
-              | None -> Harness.Pool.default_jobs ()) );
-          ("workloads", Harness.Json.Int (List.length suite));
-          ( "sections",
-            Harness.Json.List
-              [
-                Harness.Json.Obj
-                  [
-                    ("section", Harness.Json.String "table1");
-                    ("seconds", Harness.Json.Float table1_s);
-                  ];
-                Harness.Json.Obj
-                  [
-                    ("section", Harness.Json.String "figure5");
-                    ("seconds", Harness.Json.Float figure5_s);
-                    ("seed_seconds", Harness.Json.Float seed_seconds);
-                    ( "speedup_vs_seed",
-                      Harness.Json.Float (seed_seconds /. figure5_s) );
-                  ];
-                Harness.Json.Obj
-                  [
-                    ("section", Harness.Json.String "cost");
-                    ("seconds", Harness.Json.Float cost_s);
-                  ];
-                Harness.Json.Obj
-                  [
-                    ("section", Harness.Json.String "fuzz");
-                    ("seconds", Harness.Json.Float fuzz_s);
-                    ("programs", Harness.Json.Int fuzz_n);
-                  ];
-                Harness.Json.Obj
-                  [
-                    ("section", Harness.Json.String "figure5_parallel");
-                    ("seconds", Harness.Json.Float figure5_par_s);
-                    ("jobs", Harness.Json.Int par_jobs);
-                    ( "speedup_vs_serial",
-                      Harness.Json.Float (figure5_s /. figure5_par_s) );
-                  ];
-              ] );
-        ]
-    in
-    let oc = open_out out in
-    output_string oc (Harness.Json.to_string ~indent:true json);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf
-      "table1 %.2fs, figure5 %.2fs (%.1fx vs %.1fs seed), cost %.2fs, \
-       fuzz[%d] %.2fs, figure5[j=%d] %.2fs (%.2fx vs serial); wrote %s\n"
-      table1_s figure5_s (seed_seconds /. figure5_s) seed_seconds cost_s
-      fuzz_n fuzz_s par_jobs figure5_par_s (figure5_s /. figure5_par_s) out
+    fail_on failures
   in
   Cmd.v
-    (Cmd.info "bench-time"
+    (Cmd.info "check"
        ~doc:
-         "Wall-clock the table1, figure5 and cost reports plus a fixed \
-          fuzz-corpus slice and record the timings (with the speedup over \
-          the growth-seed core) as JSON")
-    Term.(const run $ workloads_filter $ jobs_arg $ out_arg)
+         "Run the grid analyses (lint, account, deps, absint, cost) and the \
+          fuzz corpus on the full default grid, write each one's \
+          bench/<name>.json, and exit non-zero if any invariant or suite \
+          claim fails")
+    Term.(const run $ names_arg)
 
 (* --- daemon / client ------------------------------------------------------ *)
 
@@ -1119,13 +1071,11 @@ let main =
       ~doc:"Multiscalar task selection (Sohi & Vijaykumar, MICRO-31) reproduction"
   in
   Cmd.group info
-    [
-      list_cmd; run_cmd; breakdown_cmd; dump_cmd; lint_cmd; deps_cmd;
-      absint_cmd; cost_cmd; trace_stats_cmd; fuzz_cmd; table1_cmd;
-      figure5_cmd;
-      bench_time_cmd; run_file_cmd;
-      export_cmd; dot_cmd; superscalar_cmd; timeline_cmd;
-      daemon_cmd; client_cmd;
-    ]
+    ([
+       list_cmd; run_cmd; dump_cmd; trace_stats_cmd; fuzz_cmd; table1_cmd;
+       figure5_cmd; check_cmd; run_file_cmd; export_cmd; dot_cmd;
+       superscalar_cmd; timeline_cmd; daemon_cmd; client_cmd;
+     ]
+    @ List.map analysis_cmd analyses)
 
 let () = exit (Cmd.eval main)

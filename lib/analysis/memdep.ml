@@ -245,8 +245,9 @@ let width = function
     else if v.stride = 0 then Some 1
     else
       let span = v.hi - v.lo in
-      if span < 0 then None (* wrapped: > max_int points *)
-      else Some ((span / max 1 v.stride) + 1)
+      let steps = span / max 1 v.stride in
+      (* wrapped span, or a count of max_int + 1 points *)
+      if span < 0 || steps = max_int then None else Some (steps + 1)
 
 let pp_bound ppf x =
   if x = neg_inf then Format.pp_print_string ppf "-inf"

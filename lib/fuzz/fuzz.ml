@@ -69,6 +69,8 @@ let violation_text v =
   Printf.sprintf "%s #%d (seed %d) level %s oracle %s: %s" v.v_profile
     v.v_index v.v_seed v.v_level v.v_oracle v.v_detail
 
+let invariants o = List.map violation_text o.o_violations
+
 (* --- the canned injected fault --------------------------------------- *)
 
 (* An unguarded divide-by-zero at a seeded position of main's entry block:

@@ -111,6 +111,10 @@ val run : ?jobs:int -> ?progress:(done_:int -> total:int -> unit) ->
     Deterministic in [config] (and [fault_hook]) regardless of [jobs];
     [progress] is called from the coordinating domain only. *)
 
+val invariants : outcome -> string list
+(** The corpus gate: one {!violation_text} line per oracle violation, in
+    corpus order.  Empty when every program passed every oracle. *)
+
 val records_of_reports : config -> report list -> Harness.Job.fuzz list
 (** Fold per-program reports into the per-profile {!Harness.Job.fuzz}
     aggregates ([run] does this internally; exposed for the daemon, which

@@ -21,9 +21,8 @@
     [(key, num_pus, in_order)]); these recorded results are what
     {!Job.results_of_store} exports as the machine-readable perf
     trajectory.  Each record carries its {!Sim.Account.t} cycle-attribution
-    breakdown, so breakdown reports ({!Job.accounts_of_store},
-    [msc breakdown], [bench/account.json]) are memoized alongside the
-    traces for free. *)
+    breakdown, so breakdown reports ([msc breakdown],
+    [bench/account.json]) are memoized alongside the traces for free. *)
 
 type variant = {
   optimize : bool;    (** classical optimiser pipeline first *)

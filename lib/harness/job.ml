@@ -123,26 +123,6 @@ type account = {
 let account_of_stats spec ~kind (s : Sim.Stats.t) =
   { a_spec = spec; a_kind = kind; a_acct = s.Sim.Stats.acct }
 
-let accounts_of_store store =
-  List.filter_map
-    (fun ((key : Artifact.key), (num_pus, in_order), stats) ->
-      if
-        key.Artifact.params = Core.Heuristics.default
-        && (not key.Artifact.profile_alt)
-        && key.Artifact.variant = Artifact.base_variant
-      then
-        let spec =
-          { workload = key.Artifact.workload; level = key.Artifact.level;
-            num_pus; in_order }
-        in
-        let kind = (Workloads.Suite.find spec.workload).Workloads.Registry.kind in
-        Some (account_of_stats spec ~kind stats)
-      else None)
-    (Artifact.sim_results store)
-
-let conserved a =
-  match Sim.Account.check a.a_acct with Ok () -> true | Error _ -> false
-
 (* --- static dependence summaries ------------------------------------------- *)
 
 type wide_site = {
@@ -265,19 +245,6 @@ let dep_of_artifact (art : Artifact.artifact) =
   }
 
 let dep_violations d = d.d_observed - d.d_predicted_hit
-
-let deps_of_store store =
-  List.filter_map
-    (fun ((key : Artifact.key), _trace) ->
-      if
-        key.Artifact.params = Core.Heuristics.default
-        && (not key.Artifact.profile_alt)
-        && key.Artifact.variant = Artifact.base_variant
-      then
-        let entry = Workloads.Suite.find key.Artifact.workload in
-        Some (dep_of_artifact (Artifact.get store ~level:key.Artifact.level entry))
-      else None)
-    (Artifact.traces store)
 
 (* --- static cost predictions ----------------------------------------------- *)
 
@@ -469,14 +436,6 @@ let fuzz_to_json z =
 let accounts_to_json accounts =
   Json.Obj [ ("accounts", Json.List (List.map account_to_json accounts)) ]
 
-let export_accounts ~path accounts =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (accounts_to_json accounts));
-      output_char oc '\n')
-
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 let field name j =
@@ -549,36 +508,28 @@ let results_of_list items =
       Ok (r :: rest))
     items (Ok [])
 
-let of_json = function
-  (* legacy shape: a bare list of job results *)
-  | Json.List items -> results_of_list items
-  (* current shape: an object whose "jobs" member is that list (other
-     members, e.g. "trace", carry section-specific statistics) *)
-  | Json.Obj _ as j -> (
-    match Json.member "jobs" j with
-    | Some (Json.List items) -> results_of_list items
-    | Some _ -> Error "field \"jobs\": expected a list of results"
-    | None -> Error "missing field \"jobs\"")
-  | _ -> Error "expected a top-level list or object of results"
+let of_json j =
+  match Json.member "jobs" j with
+  | Some (Json.List items) -> results_of_list items
+  | Some _ -> Error "field \"jobs\": expected a list of results"
+  | None -> Error "expected an object with a \"jobs\" member"
+
+(* The results.json object: the "jobs" list plus one member per section
+   that rides along. *)
+let document ?trace ?fuzz results =
+  let section name to_json = function
+    | None -> []
+    | Some items -> [ (name, Json.List (List.map to_json items)) ]
+  in
+  Json.Obj
+    (("jobs", to_json results)
+     :: (section "trace" trace_stat_to_json trace
+        @ section "fuzz" fuzz_to_json fuzz))
 
 let export ~path ?trace ?fuzz results =
-  let json =
-    match (trace, fuzz) with
-    (* legacy shape when no section rides along *)
-    | None, None -> to_json results
-    | _ ->
-      let section name to_json = function
-        | None -> []
-        | Some items -> [ (name, Json.List (List.map to_json items)) ]
-      in
-      Json.Obj
-        (("jobs", to_json results)
-         :: (section "trace" trace_stat_to_json trace
-            @ section "fuzz" fuzz_to_json fuzz))
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string json);
-      output_char oc '\n')
+  Json.to_file path (document ?trace ?fuzz results)
+
+let bench_path file =
+  if Sys.file_exists "bench" && Sys.is_directory "bench" then
+    Filename.concat "bench" file
+  else file

@@ -90,8 +90,8 @@ val trace_stats_of_store : Artifact.t -> trace_stat list
 
     A store's memoized simulations carry their {!Sim.Account.t} breakdown
     inside the recorded statistics; these records expose them as jobs for
-    the bench [account] section ([bench/account.json]) and the
-    [msc breakdown] subcommand. *)
+    the [msc breakdown] subcommand and its [msc check account] entry
+    ([bench/account.json]). *)
 
 type account = {
   a_spec : spec;
@@ -102,14 +102,6 @@ type account = {
 val account_of_stats :
   spec -> kind:Workloads.Registry.kind -> Sim.Stats.t -> account
 
-val accounts_of_store : Artifact.t -> account list
-(** Breakdown of every memoized default-machine simulation whose pipeline
-    used default parameters, the baseline variant and self-profiling — same
-    selection and order as {!results_of_store}. *)
-
-val conserved : account -> bool
-(** Does the record satisfy {!Sim.Account.check}? *)
-
 (** {1 Static dependence summaries}
 
     Per-(workload, level) counts from the {!Core.Depend} static inter-task
@@ -117,8 +109,8 @@ val conserved : account -> bool
     cross-instance store→load flow ({!Sim.Memflow}) is checked against the
     static prediction.  Soundness means [d_predicted_hit = d_observed];
     the gap to [d_mem_edges] measures precision (predicted pairs that never
-    materialise).  These records feed the bench [deps] section
-    ([bench/deps.json]) and the [msc deps] subcommand. *)
+    materialise).  These records feed the [msc deps] subcommand and its
+    [msc check deps] entry ([bench/deps.json]). *)
 
 (** One memory site in the [d_widest] precision ranking.  [w_width] is the
     number of distinct addresses the refined region admits, [-1] when the
@@ -168,11 +160,6 @@ val dep_violations : dep -> int
 (** [d_observed - d_predicted_hit]; non-zero means the static analysis is
     unsound on this workload (the [dep/sound] lint rule fires). *)
 
-val deps_of_store : Artifact.t -> dep list
-(** Dependence summary of every cached default-parameter pipeline, baseline
-    variant and self-profiling — same selection and order as
-    {!trace_stats_of_store}. *)
-
 val dep_to_json : dep -> Json.t
 (** Integer-only counts (plus the derived [violations]); ratio metrics are
     left to readers so golden snapshots stay float-free. *)
@@ -181,8 +168,8 @@ val dep_to_json : dep -> Json.t
 
     Per-(workload, level) predicted cycle-account shares from the
     {!Core.Cost} static model — no simulation involved.  These records
-    feed the bench [cost] section ([bench/cost.json]) and the [msc cost]
-    subcommand; the report layer joins them against measured
+    feed the [msc cost] subcommand and its [msc check cost] entry
+    ([bench/cost.json]); the report layer joins them against measured
     {!Sim.Account} shares on [(workload, level)]. *)
 
 type cost = {
@@ -208,9 +195,6 @@ val account_to_json : account -> Json.t
 
 val accounts_to_json : account list -> Json.t
 (** The [{"accounts": [...]}] object written to [bench/account.json]. *)
-
-val export_accounts : path:string -> account list -> unit
-(** Write {!accounts_to_json} to [path] (with a trailing newline). *)
 
 (** {1 Fuzz corpus summaries}
 
@@ -243,14 +227,20 @@ val fuzz_to_json : fuzz -> Json.t
 
 val to_json : result list -> Json.t
 
+val document :
+  ?trace:trace_stat list -> ?fuzz:fuzz list -> result list -> Json.t
+(** The [results.json] object: a "jobs" member holding {!to_json} of the
+    results, plus a "trace" / "fuzz" member per given section. *)
+
 val of_json : Json.t -> (result list, string) Stdlib.result
-(** Accepts both export shapes: the legacy bare list of job results and the
-    current [{"jobs": [...], ...}] object. *)
+(** Reads the "jobs" member of a {!document}. *)
 
 val export :
   path:string -> ?trace:trace_stat list -> ?fuzz:fuzz list -> result list ->
   unit
-(** Write the results to [path] (with a trailing newline).  Without [trace]
-    and [fuzz] the file is the legacy bare list; with either, an object
-    with a "jobs" member plus a "trace" / "fuzz" member per given section
-    (the dual-shape contract {!of_json} reads). *)
+(** Write {!document} to [path] (with a trailing newline). *)
+
+val bench_path : string -> string
+(** Where a committed report file lives: [bench/<file>] when the current
+    directory has a [bench/] directory (the repository root), else
+    [<file>] in the current directory. *)

@@ -80,6 +80,14 @@ let to_string ?(indent = true) t =
   go 0 t;
   Buffer.contents b
 
+let to_file path t =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (to_string t);
+      output_char oc '\n')
+
 (* --- parsing -------------------------------------------------------------- *)
 
 exception Parse_error of string

@@ -19,6 +19,10 @@ type t =
 val to_string : ?indent:bool -> t -> string
 (** [indent] (default true) pretty-prints with two-space indentation. *)
 
+val to_file : string -> t -> unit
+(** Write the indented {!to_string} rendering to a file, with a trailing
+    newline. *)
+
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the exact grammar [to_string] emits (plus
     arbitrary whitespace); the standard JSON escapes (backslash-quote,

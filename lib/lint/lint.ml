@@ -1241,7 +1241,7 @@ type report = {
 }
 
 (* Machine configurations the accounting gate simulates; both appear in the
-   figure-5 grid, so a bench run that already simulated them pays nothing
+   figure-5 grid, so a run that already simulated them pays nothing
    extra (the store memoizes per (key, PUs, issue-discipline)). *)
 let acct_configs = [ (4, true); (8, false) ]
 
@@ -1273,6 +1273,17 @@ let check_suite ?jobs ?(levels = Core.Heuristics.all_levels) ~store entries =
 
 let total_errors reports =
   List.fold_left (fun acc r -> acc + List.length (Diag.errors r.diags)) 0
+    reports
+
+let invariants reports =
+  List.concat_map
+    (fun r ->
+      List.map
+        (fun d ->
+          Format.asprintf "%s %s: %a" r.workload
+            (Harness.Job.level_tag r.level)
+            Diag.pp d)
+        (Diag.errors r.diags))
     reports
 
 let filter_rule pat reports =

@@ -155,10 +155,15 @@ val check_suite :
     artifact store.  Each (workload, level) is additionally simulated on
     two figure-5 machine configurations (4-PU in-order, 8-PU out-of-order)
     through {!Harness.Artifact.sim} so the [acct/conserve] gate covers the
-    suite; the sims are memoized, so a bench run that already produced them
+    suite; the sims are memoized, so a run that already produced them
     pays nothing extra.  Results are in input order (workload-major). *)
 
 val total_errors : report list -> int
+
+val invariants : report list -> string list
+(** The suite gate: one line per error diagnostic, prefixed with its
+    workload and level tag.  Empty when every plan is clean; holds on any
+    subset of the grid. *)
 
 val filter_rule : string -> report list -> report list
 (** Keep only the diagnostics whose rule id matches the glob (see

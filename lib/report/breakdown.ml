@@ -75,13 +75,6 @@ let aggregate rows =
          List.map (fun (p, io) -> (level, p, io)) machines)
        Core.Heuristics.all_levels)
 
-let level_tag = function
-  | Core.Heuristics.Basic_block -> "bb"
-  | Core.Heuristics.Control_flow -> "cf"
-  | Core.Heuristics.Data_dependence -> "dd"
-  | Core.Heuristics.Task_size -> "ts"
-  | Core.Heuristics.Feedback -> "fb"
-
 let category_tag = function
   | Sim.Account.Useful -> "useful"
   | Sim.Account.Ctrl_squash -> "ctrl"
@@ -92,6 +85,23 @@ let category_tag = function
   | Sim.Account.Idle -> "idle"
 
 let ord_name in_order = if in_order then "io" else "ooo"
+
+(* Invariant (holds on any subset of the grid): every record's categories
+   sum to exactly PUs x cycles. *)
+let invariants rows =
+  List.filter_map
+    (fun (r : Experiment.run_result) ->
+      match Sim.Account.check r.Experiment.stats.Sim.Stats.acct with
+      | Ok () -> None
+      | Error msg ->
+        Some
+          (Printf.sprintf "acct/conserve: %s %s %dPU %s: %s"
+             r.Experiment.workload
+             (Harness.Job.level_tag r.Experiment.level)
+             r.Experiment.num_pus
+             (ord_name r.Experiment.in_order)
+             msg))
+    rows
 
 let pp_category_header ppf =
   List.iter
@@ -114,7 +124,7 @@ let pp ppf rows =
     (fun (r : Experiment.run_result) ->
       let acct = r.Experiment.stats.Sim.Stats.acct in
       Format.fprintf ppf "%-10s %-3s %3d %4s %10d" r.Experiment.workload
-        (level_tag r.Experiment.level)
+        (Harness.Job.level_tag r.Experiment.level)
         r.Experiment.num_pus
         (ord_name r.Experiment.in_order)
         acct.Sim.Account.cycles;
@@ -131,7 +141,8 @@ let pp_aggregate ppf rows =
   Format.fprintf ppf "@,";
   List.iter
     (fun ((level, num_pus, in_order), acct) ->
-      Format.fprintf ppf "%-3s %3d %4s %14d" (level_tag level) num_pus
+      Format.fprintf ppf "%-3s %3d %4s %14d"
+        (Harness.Job.level_tag level) num_pus
         (ord_name in_order)
         (Sim.Account.budget acct);
       pp_acct_row ppf acct;

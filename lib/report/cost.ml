@@ -100,6 +100,40 @@ let geomean_ipc rows =
       | xs -> Some (level, List.length xs, Harness.Stat.geomean xs))
     Core.Heuristics.extended_levels
 
+(* The profile-driven levels whose data_wait prediction must track the
+   measured share. *)
+let tracked_levels =
+  Core.Heuristics.[ Control_flow; Data_dependence; Task_size ]
+
+(* Suite claims (full grid only): trusting the model pays — fb beats its
+   ts seed on geomean IPC — and the predicted data_wait share positively
+   tracks the measured one (r >= +0.5) at every profile-driven level. *)
+let claims rows =
+  let geo = geomean_ipc rows in
+  let geo_of level =
+    List.find_map (fun (l, _, g) -> if l = level then Some g else None) geo
+  in
+  let feedback =
+    match (geo_of Core.Heuristics.Feedback, geo_of Core.Heuristics.Task_size) with
+    | Some fb, Some ts when fb > ts -> []
+    | Some fb, Some ts ->
+      [ Printf.sprintf "cost: fb geomean IPC %.3f <= ts geomean %.3f" fb ts ]
+    | _ -> [ "cost: missing fb or ts geomean IPC" ]
+  in
+  let corr = correlation rows in
+  let tracking level =
+    let tag = Harness.Job.level_tag level in
+    match
+      List.find_map
+        (fun (l, c, _, p) -> if l = level && c = "data_wait" then Some p else None)
+        corr
+    with
+    | Some p when p >= 0.5 -> None
+    | Some p -> Some (Printf.sprintf "cost: %s data_wait r %+.3f < +0.5" tag p)
+    | None -> Some (Printf.sprintf "cost: no data_wait correlation at %s" tag)
+  in
+  feedback @ List.filter_map tracking tracked_levels
+
 let pp ppf rows =
   Format.fprintf ppf "@[<v>Predicted cost shares vs measured cycle account@,";
   Format.fprintf ppf "%-10s %-3s %6s %8s %6s %6s %6s %6s %6s %6s %6s %6s@,"
@@ -112,7 +146,7 @@ let pp ppf rows =
       Format.fprintf ppf
         "%-10s %-3s %6d %8.3f %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f@,"
         c.Harness.Job.co_workload
-        (Breakdown.level_tag c.Harness.Job.co_level)
+        (Harness.Job.level_tag c.Harness.Job.co_level)
         c.Harness.Job.co_tasks c.Harness.Job.co_scalar
         (100.0 *. s.Analysis.Cost.s_data_wait)
         r.meas_data_wait_pct
@@ -127,13 +161,13 @@ let pp ppf rows =
   List.iter
     (fun (level, cname, n, p) ->
       Format.fprintf ppf "  %-3s %-14s over %2d workloads: %+.3f@,"
-        (Breakdown.level_tag level) cname n p)
+        (Harness.Job.level_tag level) cname n p)
     (correlation rows);
   Format.fprintf ppf "@,Geometric-mean IPC per level@,";
   List.iter
     (fun (level, n, g) ->
       Format.fprintf ppf "  %-3s over %2d workloads: %.3f@,"
-        (Breakdown.level_tag level) n g)
+        (Harness.Job.level_tag level) n g)
     (geomean_ipc rows);
   Format.fprintf ppf "@]"
 
@@ -172,7 +206,7 @@ let to_json rows =
              (fun (level, cname, n, p) ->
                Harness.Json.Obj
                  [
-                   ("level", Harness.Json.String (Breakdown.level_tag level));
+                   ("level", Harness.Json.String (Harness.Job.level_tag level));
                    ("category", Harness.Json.String cname);
                    ("points", Harness.Json.Int n);
                    ("pearson", Harness.Json.Float p);
@@ -184,7 +218,7 @@ let to_json rows =
              (fun (level, n, g) ->
                Harness.Json.Obj
                  [
-                   ("level", Harness.Json.String (Breakdown.level_tag level));
+                   ("level", Harness.Json.String (Harness.Job.level_tag level));
                    ("points", Harness.Json.Int n);
                    ("geomean", Harness.Json.Float g);
                  ])

@@ -39,8 +39,22 @@ let run ?store ?jobs ?(levels = Core.Heuristics.all_levels) ?(num_pus = 8)
       })
     cells
 
-let violations rows =
-  List.fold_left (fun a r -> a + Harness.Job.dep_violations r.dep) 0 rows
+(* Invariant (holds on any subset of the grid): every observed cross-task
+   store->load flow is statically predicted. *)
+let invariants rows =
+  List.filter_map
+    (fun r ->
+      match Harness.Job.dep_violations r.dep with
+      | 0 -> None
+      | n ->
+        Some
+          (Printf.sprintf
+             "dep/sound: %s %s: %d observed dependences not statically \
+              predicted"
+             r.dep.Harness.Job.d_workload
+             (Harness.Job.level_tag r.dep.Harness.Job.d_level)
+             n))
+    rows
 
 (* Fraction of predicted store→load task pairs never observed in the
    trace — the cost of over-approximating. *)
@@ -85,7 +99,7 @@ let pp ppf rows =
       let d = r.dep in
       Format.fprintf ppf "%-10s %-3s %6d %6d %6d %6d %6d %5d %7.1f %6.1f %6.1f@,"
         d.Harness.Job.d_workload
-        (Breakdown.level_tag d.Harness.Job.d_level)
+        (Harness.Job.level_tag d.Harness.Job.d_level)
         d.Harness.Job.d_tasks d.Harness.Job.d_reg_edges
         d.Harness.Job.d_mem_edges d.Harness.Job.d_observed
         d.Harness.Job.d_predicted_hit
@@ -98,7 +112,7 @@ let pp ppf rows =
   List.iter
     (fun (level, n, r) ->
       Format.fprintf ppf "  %-3s over %2d workloads: %+.3f@,"
-        (Breakdown.level_tag level) n r)
+        (Harness.Job.level_tag level) n r)
     (correlation rows);
   Format.fprintf ppf "@]"
 
@@ -127,7 +141,7 @@ let to_json rows =
              (fun (level, n, r) ->
                Harness.Json.Obj
                  [
-                   ("level", Harness.Json.String (Breakdown.level_tag level));
+                   ("level", Harness.Json.String (Harness.Job.level_tag level));
                    ("points", Harness.Json.Int n);
                    ("pearson", Harness.Json.Float r);
                  ])

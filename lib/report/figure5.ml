@@ -41,7 +41,6 @@ let run ?params ?store ?jobs entries =
     entries
 
 let pp ppf rows =
-  let level_tag = [ "bb"; "cf"; "dd"; "ts" ] in
   Format.fprintf ppf
     "@[<v>Figure 5: IPC by task-selection heuristic (rows) and machine \
      configuration@,";
@@ -59,7 +58,6 @@ let pp ppf rows =
             (gain (v 0) (v 1))
             (gain (v 1) (v 2))
             (gain (v 2) (v 3)))
-        rows;
-      ignore level_tag)
+        rows)
     config_names;
   Format.fprintf ppf "@]"

@@ -95,10 +95,22 @@ let pruned_pct r =
   if r.fi_edges = 0 then 0.0
   else 100.0 *. float_of_int (pruned r) /. float_of_int r.fi_edges
 
-(* Suite totals: the acceptance gate is [ab < fi] over the whole suite. *)
 let totals rows =
   List.fold_left (fun (fi, ab) r -> (fi + r.fi_edges, ab + r.ab_edges)) (0, 0)
     rows
+
+(* Suite claim (full grid only): the refinement prunes something
+   suite-wide, refined < baseline. *)
+let claims rows =
+  let fi, ab = totals rows in
+  if ab < fi then []
+  else
+    [
+      Printf.sprintf
+        "absint: refined mem edges (%d) not below the flow-insensitive \
+         baseline (%d) suite-wide"
+        ab fi;
+    ]
 
 let pp ppf rows =
   Format.fprintf ppf
@@ -110,7 +122,7 @@ let pp ppf rows =
     (fun r ->
       Format.fprintf ppf
         "%-10s %-3s %6d %6d %6d %7d %7.1f %6d %5d %5d@," r.workload
-        (Breakdown.level_tag r.level)
+        (Harness.Job.level_tag r.level)
         r.sites r.fi_edges r.ab_edges (pruned r) (pruned_pct r) r.unbounded
         r.ai.Analysis.Memdep.saturated_cells
         r.ai.Analysis.Memdep.outer_rounds)
@@ -132,7 +144,7 @@ let pp ppf rows =
     Format.fprintf ppf
       "top alias region: %s (%d sites, %s/%s)@," top.top_cell
       top.top_cell_sites top.workload
-      (Breakdown.level_tag top.level));
+      (Harness.Job.level_tag top.level));
   Format.fprintf ppf "@]"
 
 let to_json rows =
@@ -149,7 +161,7 @@ let to_json rows =
                    ( "kind",
                      Harness.Json.String
                        (Workloads.Registry.kind_name r.kind) );
-                   ("level", Harness.Json.String (Breakdown.level_tag r.level));
+                   ("level", Harness.Json.String (Harness.Job.level_tag r.level));
                    ("sites", Harness.Json.Int r.sites);
                    ("fi_mem_edges", Harness.Json.Int r.fi_edges);
                    ("mem_edges", Harness.Json.Int r.ab_edges);

@@ -27,7 +27,7 @@
     Conservation — the sum of all categories equals [pus * cycles] exactly —
     is enforced at the end of every simulation ({!finalize} raises on
     violation) and re-checked statically by the lint rule [acct/conserve]
-    and the bench [account] section. *)
+    and the [msc check account] gate. *)
 
 type category =
   | Useful

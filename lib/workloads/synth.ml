@@ -1,7 +1,7 @@
 (* Seeded, parameterized synthetic IR program generators.
 
-   The corpus definition shared by the qcheck suites, [msc fuzz], the bench
-   fuzz section and the daemon fuzz op.  Everything is built through the
+   The corpus definition shared by the qcheck suites, [msc fuzz], its
+   [msc check fuzz] entry and the daemon fuzz op.  Everything is built through the
    public builder API, so programs are valid by construction; loops are
    counted with constant bounds and divisions are guarded, so they
    terminate.  Generation is deterministic in (profile, seed).

@@ -2,7 +2,7 @@
 
     This is the corpus definition shared by the qcheck test suites
     ([test/gen.ml] is a thin shim over this module), the [msc fuzz]
-    subcommand, the bench [fuzz] section and the daemon fuzz op: one
+    subcommand, its [msc check fuzz] entry and the daemon fuzz op: one
     generator family, spanning the structure space the partitioner and the
     static analyses must survive (call depth, loop-nest shape, branch
     density, switch fan-out, memory stride/aliasing, early returns).
@@ -44,7 +44,7 @@ end
 
 val program_seed : seed:int -> index:int -> int
 (** Derive the per-program seed for position [index] of a corpus run rooted
-    at [seed].  Shared by the CLI, bench and daemon drivers so the same
+    at [seed].  Shared by the CLI, benchmark and daemon drivers so the same
     [(seed, index)] always names the same program. *)
 
 val generate : profile:Profile.t -> seed:int -> Ir.Prog.t

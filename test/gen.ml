@@ -3,7 +3,7 @@
 
    The generator draws a (profile, seed) pair from the QCheck state and
    delegates to the corpus generator, so the property suites exercise
-   exactly the structure space the msc fuzz / bench fuzz drivers sweep:
+   exactly the structure space the msc fuzz / msc check drivers sweep:
    valid by construction, counted loops, guarded division, bounded
    memory.  Shrinking is the fuzz minimizer's job (Fuzz.minimize over
    Workloads.Synth.shrink_candidates), not QCheck's. *)

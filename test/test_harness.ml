@@ -220,7 +220,7 @@ let test_job_run_and_json_roundtrip () =
     (List.for_all (fun r -> r.Harness.Job.ipc > 0.0) results);
   checki "one pipeline for both configs" 1 (Harness.Artifact.builds store);
   (* JSON round-trip preserves every field exactly *)
-  let j = Harness.Job.to_json results in
+  let j = Harness.Job.document results in
   let s = Harness.Json.to_string j in
   (match Harness.Json.parse s with
    | Error e -> Alcotest.fail e
@@ -228,6 +228,9 @@ let test_job_run_and_json_roundtrip () =
      (match Harness.Job.of_json parsed with
       | Error e -> Alcotest.fail e
       | Ok back -> checkb "results roundtrip" true (back = results)));
+  (* only the {"jobs": ...} object is a results document *)
+  checkb "bare list rejected" true
+    (Result.is_error (Harness.Job.of_json (Harness.Job.to_json results)));
   (* the store's recorded trajectory covers the same runs *)
   let recorded = Harness.Job.results_of_store store in
   checkb "recorded = run results" true

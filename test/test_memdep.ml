@@ -51,7 +51,12 @@ let test_iv_width () =
   checkb "width of a strided range" true
     (M.width (M.range ~stride:4 0 36) = Some 10);
   checkb "width of top" true (M.width M.top = None);
-  checkb "width of a half line" true (M.width (M.range min_int 5) = None)
+  checkb "width of a half line" true (M.width (M.range min_int 5) = None);
+  (* max_int + 1 points: the count itself is not representable *)
+  checkb "width of [-1, max_int-1]" true
+    (M.width (M.range (-1) (max_int - 1)) = None);
+  checkb "width of [min_int+1, 0]" true
+    (M.width (M.range (min_int + 1) 0) = None)
 
 (* --- rail boundary properties (min_int/max_int hardening) ------------------- *)
 

@@ -1,29 +1,25 @@
 #!/usr/bin/env bash
-# Smoke check for the experiment/bench path: full build, the complete test
-# suite, static verification, then the Table 1, packed-trace memory,
-# cycle-accounting and static-dependence sections of the bench harness
-# through the unified experiment engine (serial, so the output is stable).
-# The account section writes bench/account.json and exits non-zero if any
-# record violates the conservation invariant (categories summing to
-# PUs x cycles); the deps section writes bench/deps.json and exits non-zero
-# if any observed cross-task memory dependence escaped the static analyzer
-# (dep/sound).  Either failure fails the smoke.  A final perf gate re-times
-# the figure5 report against the committed BENCH_figure5.json baseline and
-# fails if it has regressed by more than 10%.  Run from anywhere:
+# Smoke check: full build, the complete test suite, then `msc check` — every
+# grid analysis (lint, account, deps, absint, cost) and the fuzz corpus on
+# the full default grid.  It writes bench/<name>.json and exits non-zero if
+# any invariant (conservation, dep/sound, absint/refines, lint errors, fuzz
+# violations) or suite claim (refinement prunes suite-wide, fb beats ts,
+# data_wait r >= +0.5) fails.  Independent python3 re-derivations then
+# re-check the gates from the JSON alone, a guard fails if the committed
+# bench/*.json files are stale, the mscd service loop runs, and the
+# benchmark ledger runs at smoke scale against its goldens.  Run from
+# anywhere:
 #
 #   tools/smoke.sh
 #
 # Each phase runs as a named step: the banner identifies the phase and the
 # script stops at the first failing one, so a red smoke names its culprit.
+# On a fuzz failure, `msc fuzz` shrinks the first offender and dumps a
+# reproducer.
 #
-# The bench-section checks are also wired as dune aliases:
+# The check is also wired as a dune alias (it writes into the build tree):
 #
-#   dune build @bench-smoke   # table1 + trace + account sections
-#   dune build @deps-smoke    # static-dependence soundness section
-#   dune build @absint-smoke  # flow-sensitive refinement precision section
-#   dune build @cost-smoke    # static cost-model quality section
-#   dune build @fuzz-smoke    # differential fuzzing over the synth corpus
-#   dune build @lint          # static verification of every plan
+#   dune build @check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,19 +32,10 @@ step() {
 
 step build dune build
 step tests dune runtest
-step lint dune build @lint
-step bench env HARNESS_JOBS=1 dune exec bench/main.exe -- table1 trace account
-step deps env HARNESS_JOBS=1 dune exec bench/main.exe -- deps
-step absint env HARNESS_JOBS=1 dune exec bench/main.exe -- absint
-step cost env HARNESS_JOBS=1 dune exec bench/main.exe -- cost
-# differential fuzzing, fail-fast: a fixed 200-program corpus through every
-# level with the full oracle stack; on any violation msc fuzz shrinks the
-# offender, prints the reproducer path under /tmp/msc_fuzz_smoke and exits
-# non-zero (parallel jobs are fine here — results are job-count invariant)
-step fuzz dune exec bin/msc.exe -- fuzz --seed 42 -n 200 --out /tmp/msc_fuzz_smoke
+step check dune exec bin/msc.exe -- check
 
 # belt and braces: re-derive the conservation check from the exported JSON,
-# independently of the bench process that wrote it
+# independently of the process that wrote it
 check_account_json() {
   grep -q '"accounts":' bench/account.json || {
     echo "smoke: bench/account.json missing breakdown records" >&2
@@ -189,6 +176,21 @@ step deps-json check_deps_json
 step absint-json check_absint_json
 step cost-json check_cost_json
 
+# the committed bench/*.json files must be what msc check just wrote: a
+# change that moves a number has to commit the moved file with it
+check_committed() {
+  if ! git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "smoke: not a git checkout; skipping the committed-files guard"
+    return 0
+  fi
+  git diff --exit-code --stat -- 'bench/*.json' || {
+    echo "smoke: msc check changed committed bench/*.json files" >&2
+    return 1
+  }
+}
+
+step committed check_committed
+
 # service smoke: boot the mscd daemon on a throwaway socket, drive it with
 # the deterministic load generator, verify the run from the machine-readable
 # report (zero errors, dedup observed, tail latency present), then check the
@@ -253,54 +255,8 @@ EOF
 
 step service check_service
 
-# perf gate: the event core must not quietly regress.  Re-time the figure5
-# report and fail fast if it runs more than 10% slower than the committed
-# BENCH_figure5.json baseline (scaled comparisons are meaningless across
-# machines, so the gate only fires when a baseline exists).
-check_perf() {
-  if [ ! -f BENCH_figure5.json ]; then
-    echo "smoke: no BENCH_figure5.json baseline; skipping perf gate"
-    return 0
-  fi
-  dune exec bin/msc.exe -- bench-time -o /tmp/bench_figure5_now.json \
-    >/dev/null
-  python3 - <<'EOF'
-import json, sys
-def section(path, name):
-    for s in json.load(open(path))["sections"]:
-        if s["section"] == name:
-            return s["seconds"]
-    return None
-for name in ["figure5", "cost"]:
-    base = section("BENCH_figure5.json", name)
-    if base is None:
-        # older baselines predate the cost section; only figure5 is mandatory
-        if name == "figure5":
-            sys.exit("smoke: BENCH_figure5.json has no figure5 section")
-        print("smoke: baseline has no %s section; skipping" % name)
-        continue
-    now = section("/tmp/bench_figure5_now.json", name)
-    if now is None:
-        sys.exit("smoke: fresh timing has no %s section" % name)
-    if now > base * 1.10:
-        sys.exit("smoke: %s perf regression: %.2fs now vs %.2fs baseline "
-                 "(>10%% slower)" % (name, now, base))
-    print("smoke: %s %.2fs vs %.2fs baseline: within 10%%" % (name, now, base))
-# parallel gate, from the fresh timing alone: when the host has more than
-# one core, the work-stealing figure5 run must not lose to the serial one
-fresh = json.load(open("/tmp/bench_figure5_now.json"))["sections"]
-par = next((s for s in fresh if s["section"] == "figure5_parallel"), None)
-if par is None:
-    sys.exit("smoke: fresh timing has no figure5_parallel section")
-serial = next(s["seconds"] for s in fresh if s["section"] == "figure5")
-if par["jobs"] > 1 and par["seconds"] > serial:
-    sys.exit("smoke: parallel figure5 (%d jobs) slower than serial: "
-             "%.2fs vs %.2fs" % (par["jobs"], par["seconds"], serial))
-print("smoke: figure5 parallel %.2fs (jobs=%d) vs serial %.2fs: ok"
-      % (par["seconds"], par["jobs"], serial))
-EOF
-}
-
-step perf check_perf
+# the per-layer benchmark at minimum scale, outputs checked against its
+# goldens
+step benchmark dune build @benchmark/benchmark-smoke
 
 echo "smoke: OK"
