@@ -5,7 +5,7 @@ module Iset = Task.Iset
    frequencies, call-graph function weights and the memory address
    analysis are all independent of any partition, which is what lets the
    greedy search re-score a single function in isolation. *)
-type pctx = {
+type prog_ctx = {
   model : Analysis.Cost.model;
   freqs : (string, float array) Hashtbl.t;
   weights : float Smap.t;
@@ -46,7 +46,7 @@ let add_region r rs =
    callee function's weight), so summing useful over tasks of every
    function reproduces the partition-independent base up to task overlap
    and unreachable blocks. *)
-let func_cost ctx fname (f : Ir.Func.t) (part : Task.partition) =
+let func_cost ctx memo fname (f : Ir.Func.t) (part : Task.partition) =
   let model = ctx.model in
   let fw = Smap.find fname ctx.weights in
   if fw <= 0.0 then Analysis.Cost.zero
@@ -77,6 +77,7 @@ let func_cost ctx fname (f : Ir.Func.t) (part : Task.partition) =
              })
            part.Task.tasks)
     in
+    let edges = Depend.func_edges memo fname part in
     let reg_edges =
       List.map
         (fun (e : Depend.reg_edge) ->
@@ -93,7 +94,7 @@ let func_cost ctx fname (f : Ir.Func.t) (part : Task.partition) =
               +. Float.min model.Analysis.Cost.slack_cap
                    (Float.max 0.0 slack);
           })
-        (Depend.reg_edges_of_func fname f part)
+        edges.Depend.f_regs
     in
     (* every upward-exposed read waits on the ring regardless of producer
        distance; pairwise edges above vanish when a boundary move pushes
@@ -111,7 +112,7 @@ let func_cost ctx fname (f : Ir.Func.t) (part : Task.partition) =
                   model.Analysis.Cost.expose_rate
                   *. (1.0 -. (d /. model.Analysis.Cost.expose_horizon));
               })
-        (Depend.exposed_reads f part)
+        edges.Depend.f_exposed
     in
     let reg_edges = reg_edges @ expose_edges in
     (* within-function memory may-pairs, own blocks only: cross-function
@@ -156,15 +157,16 @@ type result = {
   r_per_func : (string * Analysis.Cost.t) list;
 }
 
-let plan_cost ?model (plan : Partition.plan) =
-  let ctx = make_prog_ctx ?model plan.Partition.prog in
+let memo_for f (part : Task.partition) =
+  Depend.memo f ~included_calls:part.Task.included_calls
+
+let cost_in ctx (plan : Partition.plan) =
   let per_func =
     List.rev
       (Smap.fold
          (fun name part acc ->
-           ( name,
-             func_cost ctx name (Ir.Prog.find plan.Partition.prog name) part )
-           :: acc)
+           let f = Ir.Prog.find plan.Partition.prog name in
+           (name, func_cost ctx (memo_for f part) name f part) :: acc)
          plan.Partition.parts [])
   in
   let total =
@@ -178,6 +180,9 @@ let plan_cost ?model (plan : Partition.plan) =
     r_shares = Analysis.Cost.shares total;
     r_per_func = per_func;
   }
+
+let plan_cost ?model (plan : Partition.plan) =
+  cost_in (make_prog_ctx ?model plan.Partition.prog) plan
 
 (* --- feedback search ------------------------------------------------------ *)
 
@@ -197,11 +202,11 @@ let entries_of (part : Task.partition) =
     (fun s (t : Task.t) -> Iset.add t.Task.entry s)
     Iset.empty part.Task.tasks
 
-let refine ?model (plan : Partition.plan) =
+(* [ctx] must be [plan]'s program context *)
+let refine_in ctx (plan : Partition.plan) =
   (match Partition.validate plan with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cost.refine: seed plan rejected: " ^ msg));
-  let ctx = make_prog_ctx ?model plan.Partition.prog in
   let params = plan.Partition.params in
   let acc = ref plan.Partition.parts in
   Smap.iter
@@ -212,7 +217,10 @@ let refine ?model (plan : Partition.plan) =
       if fw > 0.0 && n >= 3 && n <= max_search_blocks then begin
         let dom = Analysis.Dom.compute f in
         let dfs = Analysis.Dfs.compute f in
-        let pen p = Analysis.Cost.penalties (func_cost ctx fname f p) in
+        (* every candidate shares the seed's included calls, so one memo
+           serves the whole search of this function *)
+        let memo = memo_for f part in
+        let pen p = Analysis.Cost.penalties (func_cost ctx memo fname f p) in
         let best = ref part in
         let best_pen = ref (pen part) in
         (* forced boundaries evolve move by move; the seed partition is not
@@ -284,6 +292,9 @@ let refine ?model (plan : Partition.plan) =
     plan.Partition.parts;
   { plan with Partition.parts = !acc }
 
+let refine ?model (plan : Partition.plan) =
+  refine_in (make_prog_ctx ?model plan.Partition.prog) plan
+
 (* The Task_size seed is the paper's best level overall, but not per
    workload: where its unrolling/call-inclusion grows tasks past what the
    ring can forward, the Data_dependence plan (same selection, no growth
@@ -307,9 +318,16 @@ let build ?params ?optimize ?if_convert ?schedule ?profile_input prog =
       Partition.level = Heuristics.Feedback;
     }
   in
-  let sc p = (plan_cost p).r_scalar in
-  let c_ts = sc seed_ts and c_dd = sc seed_dd in
-  refine (if c_dd < c_ts *. seed_factor then seed_dd else seed_ts)
+  (* each seed's program context is built once, for its score and, for the
+     winner, its search *)
+  let scored p =
+    let ctx = make_prog_ctx p.Partition.prog in
+    (ctx, (cost_in ctx p).r_scalar)
+  in
+  let ctx_ts, c_ts = scored seed_ts in
+  let ctx_dd, c_dd = scored seed_dd in
+  if c_dd < c_ts *. seed_factor then refine_in ctx_dd seed_dd
+  else refine_in ctx_ts seed_ts
 
 let plan_for_level ?params ?optimize ?if_convert ?schedule ?profile_input
     level prog =

@@ -5,7 +5,7 @@
     shares without running the simulator: per-task observations come from
     {!Analysis.Cost.block_freqs}/[func_weights], register edges with their
     produce-early/consume-late criticality pairs from
-    {!Depend.reg_edges_of_func}, and within-function memory may-pairs from
+    {!Depend.func_edges}, and within-function memory may-pairs from
     {!Analysis.Memdep}.  The scalar cost divides the summed penalties by a
     partition-independent useful-work base, which makes the cost decompose
     over functions — the property the greedy search relies on.
@@ -19,7 +19,12 @@
     full lint rule set ({!Partition.validate}) plus the static dep/reg
     audit ({!Partition.validate_deps}).  A function keeps its seed
     partition unless something strictly better is found, so the refined
-    plan's scalar cost never exceeds the seed's. *)
+    plan's scalar cost never exceeds the seed's.
+
+    The search is incremental: one {!Depend.memo} per function lives for
+    that function's whole search, so a candidate re-derives dependence
+    summaries only for the tasks the move changed.  {!plan_cost} and every
+    audit start from a fresh memo. *)
 
 type result = {
   r_total : Analysis.Cost.t;      (** raw scores summed over functions *)
@@ -32,6 +37,25 @@ val plan_cost : ?model:Analysis.Cost.model -> Partition.plan -> result
 (** Deterministic: depends only on the plan (and model), not on hash or
     iteration order — the [cost/conserve] lint rule checks this by
     recomputation. *)
+
+(** {1 One function at a time} *)
+
+type prog_ctx
+(** The partition-independent observations of a program: block
+    frequencies, call-graph weights and the address analysis. *)
+
+val make_prog_ctx : ?model:Analysis.Cost.model -> Ir.Prog.t -> prog_ctx
+
+val func_cost :
+  prog_ctx -> Depend.memo -> string -> Ir.Func.t -> Task.partition ->
+  Analysis.Cost.t
+(** Raw scores of one function's partition: [plan_cost] sums these, and
+    {!refine} ranks candidates by their penalties.  The register half
+    comes from {!Depend.func_edges} through the given memo, which must be
+    made for this function and the partition's included calls; the result
+    does not depend on what the memo already holds. *)
+
+(** {1 The feedback search} *)
 
 val refine : ?model:Analysis.Cost.model -> Partition.plan -> Partition.plan
 (** The feedback search described above.  The seed plan must itself pass

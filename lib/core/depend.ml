@@ -43,7 +43,7 @@ type fevent = Read of int | Kill | Through
 
 type fctx = {
   f : Ir.Func.t;
-  part : Task.partition;
+  included_calls : bool array;
   live_in : Rset.t array;
   first_event : fevent array array;  (* .(blk).(reg) *)
   last_def : int array array;  (* .(blk).(reg); -1 = no explicit def *)
@@ -60,7 +60,7 @@ let term_reads (term : Ir.Block.terminator) r =
     true
   | Ir.Block.Jump _ | Ir.Block.Halt -> false
 
-let make_fctx (f : Ir.Func.t) (part : Task.partition) =
+let make_fctx (f : Ir.Func.t) ~included_calls =
   let nb = Ir.Func.num_blocks f in
   let live_in =
     (Analysis.Dataflow.liveness ~call_uses:all_regs f).Analysis.Dataflow.live_in
@@ -98,13 +98,13 @@ let make_fctx (f : Ir.Func.t) (part : Task.partition) =
         if (not decided.(r)) && term_reads b.Ir.Block.term r then
           fe.(r) <- Read n
       done;
-      if part.Task.included_calls.(l) then writes.(l) <- all_regs;
+      if included_calls.(l) then writes.(l) <- all_regs;
       sizes.(l) <- Ir.Block.size b)
     f.Ir.Func.blocks;
-  { f; part; live_in; first_event; last_def; writes; sizes }
+  { f; included_calls; live_in; first_event; last_def; writes; sizes }
 
 let tsucc ctx (task : Task.t) b =
-  Task.intra_successors ctx.f ~included_calls:ctx.part.Task.included_calls
+  Task.intra_successors ctx.f ~included_calls:ctx.included_calls
     ~entry:task.Task.entry task.Task.blocks b
 
 (* Minimum-distance fixpoint from the task entry over the task subgraph.
@@ -197,7 +197,7 @@ let producer_heights ctx (task : Task.t) =
            block, so no site there is ever the task's last write *)
         if
           i >= 0
-          && (not ctx.part.Task.included_calls.(b))
+          && (not ctx.included_calls.(b))
           && (not (Rset.mem r maw.(b)))
           && dist.(b) < max_int
         then
@@ -214,71 +214,119 @@ let producer_heights ctx (task : Task.t) =
   done;
   (heights, sites)
 
-let exposed_reads (f : Ir.Func.t) (part : Task.partition) =
-  let ctx = make_fctx f part in
-  let acc = ref [] in
-  for ti = Array.length part.Task.tasks - 1 downto 0 do
-    let depths = consumer_depths ctx part.Task.tasks.(ti) in
+(* --- per-task summaries and their memo ------------------------------------- *)
+
+(* Everything the register edges and exposed reads need from one task.  A
+   pure function of the function, its included calls and the task record,
+   so a boundary move that leaves a task untouched can reuse it. *)
+type tsum = {
+  depths : int array;
+  heights : int array;
+  sites : (Ir.Block.label * int) option array;
+  twrites : Rset.t;
+  exports : Rset.t;
+}
+
+let summarize ctx (t : Task.t) =
+  let heights, sites = producer_heights ctx t in
+  {
+    depths = consumer_depths ctx t;
+    heights;
+    sites;
+    twrites =
+      Iset.fold (fun b acc -> Rset.union acc ctx.writes.(b)) t.Task.blocks
+        Rset.empty;
+    exports =
+      (if t.Task.has_ret || t.Task.calls_out <> [] then all_regs
+       else
+         List.fold_left
+           (fun acc tgt -> Rset.union acc ctx.live_in.(tgt))
+           Rset.empty t.Task.targets);
+  }
+
+(* Keyed by the whole task record: targets, out-calls and the return flag
+   follow from (entry, blocks) for any Task.of_blocks task, and comparing
+   them too keeps a hand-built task from aliasing a derived one. *)
+module Tkey = Hashtbl.Make (struct
+  type t = Task.t
+
+  let equal (a : Task.t) (b : Task.t) =
+    a.Task.entry = b.Task.entry
+    && Iset.equal a.Task.blocks b.Task.blocks
+    && a.Task.targets = b.Task.targets
+    && a.Task.calls_out = b.Task.calls_out
+    && a.Task.has_ret = b.Task.has_ret
+
+  let hash (t : Task.t) =
+    Iset.fold (fun b h -> (h * 31) + b) t.Task.blocks t.Task.entry
+end)
+
+type memo = { ctx : fctx; sums : tsum Tkey.t }
+
+let memo f ~included_calls =
+  { ctx = make_fctx f ~included_calls; sums = Tkey.create 64 }
+
+let task_summary m t =
+  match Tkey.find_opt m.sums t with
+  | Some s -> s
+  | None ->
+    let s = summarize m.ctx t in
+    Tkey.add m.sums t s;
+    s
+
+type func_edges = {
+  f_regs : reg_edge list;
+  f_exposed : (int * Ir.Reg.t * int) list;
+}
+
+let func_edges m fname (part : Task.partition) =
+  if part.Task.included_calls <> m.ctx.included_calls then
+    invalid_arg
+      "Depend.func_edges: partition's included calls differ from the memo's";
+  let sums = Array.map (task_summary m) part.Task.tasks in
+  let exposed = ref [] in
+  for ti = Array.length sums - 1 downto 0 do
+    let depths = sums.(ti).depths in
     for r = Ir.Reg.count - 1 downto 1 do
-      if depths.(r) >= 0 then acc := (ti, r, depths.(r)) :: !acc
+      if depths.(r) >= 0 then exposed := (ti, r, depths.(r)) :: !exposed
     done
   done;
-  !acc
-
-let reg_edges_of_func fname (f : Ir.Func.t) (part : Task.partition) =
-  let ctx = make_fctx f part in
-  let tasks = part.Task.tasks in
-  let depths = Array.map (consumer_depths ctx) tasks in
-  let heights = Array.map (producer_heights ctx) tasks in
-  let twrites =
-    Array.map
-      (fun (t : Task.t) ->
-        Iset.fold (fun b acc -> Rset.union acc ctx.writes.(b)) t.Task.blocks
-          Rset.empty)
-      tasks
-  in
-  let exports =
-    Array.map
-      (fun (t : Task.t) ->
-        if t.Task.has_ret || t.Task.calls_out <> [] then all_regs
-        else
-          List.fold_left
-            (fun acc tgt -> Rset.union acc ctx.live_in.(tgt))
-            Rset.empty t.Task.targets)
-      tasks
-  in
   let edges = ref [] in
   Array.iteri
     (fun p (pt : Task.t) ->
+      let ps = sums.(p) in
       List.iter
         (fun tgt ->
           let c = part.Task.task_of_entry.(tgt) in
           if c >= 0 then
             for r = 1 to Ir.Reg.count - 1 do
               if
-                Rset.mem r twrites.(p)
-                && Rset.mem r exports.(p)
-                && depths.(c).(r) >= 0
+                Rset.mem r ps.twrites
+                && Rset.mem r ps.exports
+                && sums.(c).depths.(r) >= 0
               then
-                let hs, ss = heights.(p) in
                 edges :=
                   {
                     re_fn = fname;
                     re_src = p;
                     re_dst = c;
                     re_reg = r;
-                    re_height = hs.(r);
-                    re_depth = depths.(c).(r);
-                    re_site = ss.(r);
+                    re_height = ps.heights.(r);
+                    re_depth = sums.(c).depths.(r);
+                    re_site = ps.sites.(r);
                   }
                   :: !edges
             done)
         pt.Task.targets)
-    tasks;
-  List.sort
-    (fun a b ->
-      compare (a.re_src, a.re_dst, a.re_reg) (b.re_src, b.re_dst, b.re_reg))
-    !edges
+    part.Task.tasks;
+  {
+    f_regs =
+      List.sort
+        (fun a b ->
+          compare (a.re_src, a.re_dst, a.re_reg) (b.re_src, b.re_dst, b.re_reg))
+        !edges;
+    f_exposed = !exposed;
+  }
 
 (* --- memory edges ---------------------------------------------------------- *)
 
@@ -430,8 +478,12 @@ let analyze ?(fi = false) ?summary (plan : Partition.plan) =
   (* register edges per function *)
   let regs =
     Smap.fold
-      (fun fname part acc ->
-        acc @ reg_edges_of_func fname (Ir.Prog.find prog fname) part)
+      (fun fname (part : Task.partition) acc ->
+        let m =
+          memo (Ir.Prog.find prog fname)
+            ~included_calls:part.Task.included_calls
+        in
+        acc @ (func_edges m fname part).f_regs)
       plan.Partition.parts []
   in
   {

@@ -56,22 +56,46 @@ val analyze : ?fi:bool -> ?summary:Analysis.Memdep.t -> Partition.plan -> t
     (one {!Analysis.Memdep.analyze} run yields both site tables) instead
     of recomputing it. *)
 
-val exposed_reads :
-  Ir.Func.t -> Task.partition -> (int * Ir.Reg.t * int) list
-(** [(task, reg, depth)] for every register a task reads before writing
-    (minimum instruction distance from the task entry to the first read),
-    sorted by [(task, reg)].  This is the consumer half of the criticality
-    pair for {e every} upward-exposed read, whoever produces the value —
-    unlike {!reg_edges}, which only pairs immediate-successor tasks, it
-    cannot be shrunk by pushing a producer further back, which is what
-    makes it the split-robust part of the cost model's [data_wait] term. *)
+(** {1 One function's register dependences} *)
 
-val reg_edges_of_func :
-  string -> Ir.Func.t -> Task.partition -> reg_edge list
-(** Register edges of a single function's partition, independent of the
-    rest of the plan — the incremental entry point the cost model
-    ({!Cost}) uses while searching over one function's boundaries.
-    [analyze] returns exactly the concatenation of these over the plan. *)
+type memo
+(** Per-task summaries of one function under one included-call set:
+    consumer depths, producer heights and sites, the task's write set and
+    the registers it exports.  A summary is a pure function of (function,
+    included calls, task record), so every partition of the function that
+    contains the same task — as every boundary candidate of the [fb]
+    search does for all but the one or two tasks a move touches — reuses
+    it.  Results are bit-identical to a fresh memo's. *)
+
+val memo : Ir.Func.t -> included_calls:bool array -> memo
+(** An empty memo for partitions of this function with these included
+    calls.  Its lifetime is the caller's: {!Cost.refine} keeps one per
+    function for that function's whole search; {!analyze}, the cost of a
+    finished plan and the lint audits each take a fresh one. *)
+
+type func_edges = {
+  f_regs : reg_edge list;  (** sorted by [(re_src, re_dst, re_reg)] *)
+  f_exposed : (int * Ir.Reg.t * int) list;
+      (** [(task, reg, depth)] for every register a task reads before
+          writing (minimum instruction distance from the task entry to the
+          first read), sorted by [(task, reg)].  This is the consumer half
+          of the criticality pair for {e every} upward-exposed read,
+          whoever produces the value — unlike [f_regs], which only pairs
+          immediate-successor tasks, it cannot be shrunk by pushing a
+          producer further back, which is what makes it the split-robust
+          part of the cost model's [data_wait] term. *)
+}
+
+val func_edges : memo -> string -> Task.partition -> func_edges
+(** Register edges and exposed reads of the named function's partition,
+    independent of the rest of the plan — the entry point the cost model
+    ({!Cost}) uses while searching over one function's boundaries.  Both
+    come from one summary per task.  [analyze]'s register edges are
+    exactly the concatenation of [f_regs] over the plan's functions in
+    name order.  Raises [Invalid_argument] when the partition's included
+    calls differ from the ones the memo was made for. *)
+
+(** {1 A whole plan's edges} *)
 
 val summary : t -> Analysis.Memdep.t
 (** The address analysis the memory edges were derived from. *)

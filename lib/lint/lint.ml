@@ -900,7 +900,8 @@ let last_def_idx f b r =
     blk.Ir.Block.insns;
   !best
 
-let check_deps_func fname (f : Ir.Func.t) (part : Core.Task.partition) dep =
+(* [edges]: the analyzer's register edges of this function alone *)
+let check_deps_func fname (f : Ir.Func.t) (part : Core.Task.partition) edges =
   let ds = ref [] in
   let add d = ds := d :: !ds in
   let rc = Core.Regcomm.create f part in
@@ -945,9 +946,7 @@ let check_deps_func fname (f : Ir.Func.t) (part : Core.Task.partition) dep =
     (fun (e : Core.Depend.reg_edge) ->
       Hashtbl.replace theirs (e.Core.Depend.re_src, e.Core.Depend.re_dst,
                               e.Core.Depend.re_reg) ())
-    (List.filter
-       (fun (e : Core.Depend.reg_edge) -> e.Core.Depend.re_fn = fname)
-       (Core.Depend.reg_edges dep));
+    edges;
   Hashtbl.iter
     (fun (p, c, r) () ->
       if not (Hashtbl.mem theirs (p, c, r)) then
@@ -969,33 +968,32 @@ let check_deps_func fname (f : Ir.Func.t) (part : Core.Task.partition) dep =
   (* criticality sites against Regcomm.forwardable *)
   List.iter
     (fun (e : Core.Depend.reg_edge) ->
-      if e.Core.Depend.re_fn = fname then
-        let p = e.Core.Depend.re_src and r = e.Core.Depend.re_reg in
-        match e.Core.Depend.re_site with
-        | Some (b, i) ->
-          if not (Core.Regcomm.forwardable rc ~task:p ~blk:b ~idx:i ~reg:r)
-          then
-            add
-              (Diag.error ~rule:"dep/reg"
-                 (Diag.in_func ~task:p ~block:b ~insn:i fname)
-                 "analyzer height site for %s is not forwardable per Regcomm"
-                 (Ir.Reg.name r))
-        | None ->
-          Iset.iter
-            (fun b ->
-              let i = last_def_idx f b r in
-              if
-                i >= 0
-                && Core.Regcomm.forwardable rc ~task:p ~blk:b ~idx:i ~reg:r
-              then
-                add
-                  (Diag.error ~rule:"dep/reg"
-                     (Diag.in_func ~task:p ~block:b ~insn:i fname)
-                     "analyzer found no forwardable site for %s but Regcomm \
-                      forwards the write at i%d"
-                     (Ir.Reg.name r) i))
-            tasks.(p).Core.Task.blocks)
-    (Core.Depend.reg_edges dep);
+      let p = e.Core.Depend.re_src and r = e.Core.Depend.re_reg in
+      match e.Core.Depend.re_site with
+      | Some (b, i) ->
+        if not (Core.Regcomm.forwardable rc ~task:p ~blk:b ~idx:i ~reg:r)
+        then
+          add
+            (Diag.error ~rule:"dep/reg"
+               (Diag.in_func ~task:p ~block:b ~insn:i fname)
+               "analyzer height site for %s is not forwardable per Regcomm"
+               (Ir.Reg.name r))
+      | None ->
+        Iset.iter
+          (fun b ->
+            let i = last_def_idx f b r in
+            if
+              i >= 0
+              && Core.Regcomm.forwardable rc ~task:p ~blk:b ~idx:i ~reg:r
+            then
+              add
+                (Diag.error ~rule:"dep/reg"
+                   (Diag.in_func ~task:p ~block:b ~insn:i fname)
+                   "analyzer found no forwardable site for %s but Regcomm \
+                    forwards the write at i%d"
+                   (Ir.Reg.name r) i))
+          tasks.(p).Core.Task.blocks)
+    edges;
   !ds
 
 let check_deps (plan : Core.Partition.plan) trace =
@@ -1007,7 +1005,10 @@ let check_deps (plan : Core.Partition.plan) trace =
       List.iter add
         (check_deps_func fname
            (Ir.Prog.find plan.Core.Partition.prog fname)
-           part dep))
+           part
+           (List.filter
+              (fun (e : Core.Depend.reg_edge) -> e.Core.Depend.re_fn = fname)
+              (Core.Depend.reg_edges dep))))
     plan.Core.Partition.parts;
   let fnames = trace.Interp.Trace.fnames in
   (match
@@ -1050,15 +1051,19 @@ let check_deps (plan : Core.Partition.plan) trace =
 (* The static half of check_deps, installed behind
    Core.Partition.validate_deps: the cost-directed search vets every
    candidate plan with it (candidates have no trace, so dep/sound is
-   covered suite-wide once the refined plan is final). *)
+   covered suite-wide once the refined plan is final).  Only the register
+   edges are derived, function by function — the memory analysis
+   Depend.analyze would add is never read here. *)
 let check_deps_static (plan : Core.Partition.plan) =
-  let dep = Core.Depend.analyze plan in
   let ds =
     Smap.fold
-      (fun fname part acc ->
-        check_deps_func fname
-          (Ir.Prog.find plan.Core.Partition.prog fname)
-          part dep
+      (fun fname (part : Core.Task.partition) acc ->
+        let f = Ir.Prog.find plan.Core.Partition.prog fname in
+        let m =
+          Core.Depend.memo f ~included_calls:part.Core.Task.included_calls
+        in
+        check_deps_func fname f part
+          (Core.Depend.func_edges m fname part).Core.Depend.f_regs
         @ acc)
       plan.Core.Partition.parts []
   in
