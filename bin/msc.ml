@@ -44,9 +44,36 @@ let level_conv =
   let print ppf l = Format.pp_print_string ppf (Core.Heuristics.level_name l) in
   Arg.conv (parse, print)
 
+(* Workload names resolve against the suite while the command line is
+   parsed: an unknown name is a usage error (exit 124) naming it. *)
+let workload_of_name name =
+  match Workloads.Suite.find name with
+  | e -> Ok e
+  | exception Not_found ->
+    Error (`Msg (Printf.sprintf "unknown workload %S (see msc list)" name))
+
+let pp_names ppf (es : Workloads.Registry.entry list) =
+  Format.pp_print_string ppf
+    (String.concat "," (List.map (fun e -> e.Workloads.Registry.name) es))
+
+let workload_conv =
+  Arg.conv (workload_of_name, fun ppf e -> pp_names ppf [ e ])
+
+(* a comma-separated list of names; the first unknown one is reported *)
+let workloads_conv =
+  let parse s =
+    List.fold_right
+      (fun name acc ->
+        Result.bind (workload_of_name name) (fun e ->
+            Result.map (List.cons e) acc))
+      (String.split_on_char ',' s) (Ok [])
+  in
+  Arg.conv (parse, pp_names)
+
 let workload_arg =
   let doc = "Workload name (see $(b,msc list))." in
-  Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~doc)
+  Arg.(required & opt (some workload_conv) None
+       & info [ "w"; "workload" ] ~doc)
 
 let level_arg =
   let doc = "Task-selection heuristic: bb, cf, dd, ts or fb." in
@@ -69,18 +96,10 @@ let if_convert_arg =
   let doc = "Run the if-conversion (predication) extension first." in
   Arg.(value & flag & info [ "if-convert" ] ~doc)
 
-let schedule_arg =
-  let doc = "Run register-communication scheduling." in
-  Arg.(value & flag & info [ "schedule" ] ~doc)
-
-let suite_of = function
-  | None -> Workloads.Suite.all
-  | Some names ->
-    List.map Workloads.Suite.find (String.split_on_char ',' names)
-
 let workloads_filter =
-  let doc = "Comma-separated subset of workloads (default: all)." in
-  Arg.(value & opt (some string) None & info [ "only" ] ~doc)
+  let doc = "Comma-separated subset of workloads." in
+  Arg.(value & opt workloads_conv Workloads.Suite.all
+       & info [ "only" ] ~absent:"all" ~docv:"NAMES" ~doc)
 
 let jobs_arg =
   let doc =
@@ -126,21 +145,17 @@ let list_cmd =
 
 (* --- run ------------------------------------------------------------------- *)
 
-let simulate ?(optimize = false) ?(if_convert = false) ?(schedule = false)
-    name level pus in_order =
-  let entry = Workloads.Suite.find name in
-  let art =
-    Harness.Artifact.get store
-      ~variant:{ Harness.Artifact.optimize; if_convert; schedule }
-      ~level entry
-  in
-  (entry, Harness.Artifact.sim store art ~num_pus:pus ~in_order)
-
 let run_cmd =
-  let run name level pus in_order optimize if_convert schedule =
-    let _, s = simulate ~optimize ~if_convert ~schedule name level pus in_order in
+  let run (entry : Workloads.Registry.entry) level pus in_order optimize
+      if_convert =
+    let art =
+      Harness.Artifact.get store
+        ~variant:{ Harness.Artifact.optimize; if_convert }
+        ~level entry
+    in
+    let s = Harness.Artifact.sim store art ~num_pus:pus ~in_order in
     Printf.printf "%s %s %dPU %s: IPC %.3f (%d insns / %d cycles), %d tasks\n"
-      name
+      entry.Workloads.Registry.name
       (Core.Heuristics.level_name level)
       pus
       (if in_order then "in-order" else "out-of-order")
@@ -155,13 +170,12 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate one workload")
     Term.(const run $ workload_arg $ level_arg $ pus_arg $ in_order_arg
-          $ optimize_arg $ if_convert_arg $ schedule_arg)
+          $ optimize_arg $ if_convert_arg)
 
 (* --- dump ---------------------------------------------------------------- *)
 
 let dump_cmd =
-  let run name level =
-    let entry = Workloads.Suite.find name in
+  let run entry level =
     let art = Harness.Artifact.get store ~level entry in
     let plan = art.Harness.Artifact.plan in
     Format.printf "%a@." Ir.Prog.pp plan.Core.Partition.prog;
@@ -207,8 +221,7 @@ let run_file_cmd =
     Term.(const run $ path_arg $ level_arg $ pus_arg $ in_order_arg)
 
 let export_cmd =
-  let run name =
-    let entry = Workloads.Suite.find name in
+  let run (entry : Workloads.Registry.entry) =
     print_string (Ir.Pp.program_text (entry.Workloads.Registry.build ()))
   in
   Cmd.v
@@ -221,8 +234,7 @@ let dot_cmd =
     let doc = "Function to draw (default: main)." in
     Arg.(value & opt string "main" & info [ "f"; "function" ] ~doc)
   in
-  let run name level fname =
-    let entry = Workloads.Suite.find name in
+  let run entry level fname =
     let art = Harness.Artifact.get store ~level entry in
     let plan = art.Harness.Artifact.plan in
     let f = Ir.Prog.find plan.Core.Partition.prog fname in
@@ -253,8 +265,7 @@ let superscalar_cmd =
     let doc = "Reorder-buffer size." in
     Arg.(value & opt int 64 & info [ "rob" ] ~doc)
   in
-  let run name width rob =
-    let entry = Workloads.Suite.find name in
+  let run (entry : Workloads.Registry.entry) width rob =
     let prog = entry.Workloads.Registry.build () in
     let outcome = Interp.Run.execute prog in
     let cfg =
@@ -273,7 +284,7 @@ let superscalar_cmd =
     Printf.printf
       "%s superscalar %d-wide/ROB %d: IPC %.3f, avg window %.1f, branch        mispredict %.2f%%
 "
-      name width rob
+      entry.Workloads.Registry.name width rob
       (Sim.Stats.ipc r.Sim.Superscalar.stats)
       r.Sim.Superscalar.avg_window
       (Sim.Stats.branch_mispredict_rate r.Sim.Superscalar.stats)
@@ -292,8 +303,7 @@ let timeline_cmd =
     let doc = "Skip this many dynamic tasks first (past the warm-up)." in
     Arg.(value & opt int 200 & info [ "skip" ] ~doc)
   in
-  let run name level pus in_order n skip =
-    let entry = Workloads.Suite.find name in
+  let run entry level pus in_order n skip =
     let art = Harness.Artifact.get store ~level entry in
     let plan = art.Harness.Artifact.plan in
     let cfg = Sim.Config.default ~num_pus:pus ~in_order in
@@ -343,8 +353,7 @@ let trace_stats_cmd =
     let doc = "Task prediction accuracy for the window-span series." in
     Arg.(value & opt float 1.0 & info [ "pred" ] ~doc)
   in
-  let run only level jobs pus pred =
-    let entries = suite_of only in
+  let run entries level jobs pus pred =
     let per_workload =
       Harness.Pool.map ?jobs
         (fun (e : Workloads.Registry.entry) ->
@@ -579,8 +588,8 @@ let fuzz_cmd =
 (* --- table1 / figure5 ---------------------------------------------------- *)
 
 let table1_cmd =
-  let run only jobs json =
-    let rows = Report.Table1.run ~store ?jobs (suite_of only) in
+  let run entries jobs json =
+    let rows = Report.Table1.run ~store ?jobs entries in
     Format.printf "%a@." Report.Table1.pp rows;
     export_json json
   in
@@ -588,8 +597,8 @@ let table1_cmd =
     Term.(const run $ workloads_filter $ jobs_arg $ json_arg)
 
 let figure5_cmd =
-  let run only jobs json =
-    let rows = Report.Figure5.run ~store ?jobs (suite_of only) in
+  let run entries jobs json =
+    let rows = Report.Figure5.run ~store ?jobs entries in
     Format.printf "%a@." Report.Figure5.pp rows;
     export_json json
   in
@@ -842,10 +851,9 @@ let query_term a =
              & info [ "p"; "pus" ] ~docv:"PUS" ~doc),
         in_order_arg )
   in
-  let make only levels pus in_order jobs extra =
+  let make entries levels pus in_order jobs extra =
     extra
-      { entries = suite_of only; levels; pus; in_order; jobs; stats = false;
-        rule = None }
+      { entries; levels; pus; in_order; jobs; stats = false; rule = None }
   in
   Term.(const make $ workloads_filter $ levels $ pus $ in_order $ jobs_arg
         $ a.extra)

@@ -42,11 +42,13 @@ let () =
   let entry = Workloads.Suite.find name in
   Printf.printf "workload: %s (%s)\n\n" name
     entry.Workloads.Registry.description;
+  let store = Harness.Artifact.create () in
   List.iter
     (fun level ->
       Printf.printf "%s tasks:\n" (Core.Heuristics.level_name level);
       let r =
-        Report.Experiment.run_one ~level ~num_pus:8 ~in_order:false entry
+        Report.Experiment.run_one ~store ~level ~num_pus:8 ~in_order:false
+          entry
       in
       phase_report r.Report.Experiment.stats;
       print_newline ())

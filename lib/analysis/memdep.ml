@@ -285,13 +285,10 @@ type ai_stats = {
 
 type t = {
   prog : Ir.Prog.t;
-  regs : value array;
-  mem : value;
   rounds : int;
   fi_site_tbl : site list Ir.Prog.Smap.t;
   site_tbl : site list Ir.Prog.Smap.t;
   partition : value array;
-  cells : value array;
   ai : ai_stats;
 }
 
@@ -845,13 +842,10 @@ let analyze ~sp prog =
   let nsat = Array.fold_left (fun n s -> if s then n + 1 else n) 0 saturated in
   {
     prog;
-    regs;
-    mem = !mem;
     rounds = !round;
     fi_site_tbl;
     site_tbl;
     partition;
-    cells;
     ai =
       {
         updates = Engine.updates res;
@@ -863,8 +857,6 @@ let analyze ~sp prog =
   }
 
 let rounds t = t.rounds
-let reg_value t r = t.regs.(r)
-let mem_value t = t.mem
 
 let sites_of tbl fname =
   match Ir.Prog.Smap.find_opt fname tbl with Some l -> l | None -> []
@@ -872,7 +864,6 @@ let sites_of tbl fname =
 let sites t fname = sites_of t.site_tbl fname
 let fi_sites t fname = sites_of t.fi_site_tbl fname
 let partition t = t.partition
-let cell_values t = t.cells
 let ai_stats t = t.ai
 
 let classify t v =

@@ -118,12 +118,6 @@ val analyze : sp:int -> Ir.Prog.t -> t
 val rounds : t -> int
 (** Fixpoint iterations taken (diagnostics). *)
 
-val reg_value : t -> Ir.Reg.t -> value
-(** Over-approximation of every value the register ever holds. *)
-
-val mem_value : t -> value
-(** Over-approximation of every value the program ever loads. *)
-
 type site = {
   blk : Ir.Block.label;
   idx : int;  (** instruction index within the block *)
@@ -148,11 +142,6 @@ val fi_sites : t -> string -> site list
 val partition : t -> value array
 (** The disjoint static regions of the partitioned abstract memory, in
     ascending address order; their union covers every integer. *)
-
-val cell_values : t -> value array
-(** Abstract content of each partition cell ([partition]-indexed): the
-    join of the initial data segment, the uninitialised-read zero and
-    every value the program may store into the cell's region. *)
 
 type ai_stats = {
   updates : int;  (** accepted state updates in the ascending pass *)

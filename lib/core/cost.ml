@@ -305,15 +305,11 @@ let refine ?model (plan : Partition.plan) =
    [improve_factor]. *)
 let seed_factor = 0.8
 
-let build ?params ?optimize ?if_convert ?schedule ?profile_input prog =
-  let seed_ts =
-    Partition.build ?params ?optimize ?if_convert ?schedule ?profile_input
-      Heuristics.Feedback prog
-  in
+let build ?params ?profile_input prog =
+  let seed_ts = Partition.build ?params ?profile_input Heuristics.Feedback prog in
   let seed_dd =
     {
-      (Partition.build ?params ?optimize ?if_convert ?schedule ?profile_input
-         Heuristics.Data_dependence prog)
+      (Partition.build ?params ?profile_input Heuristics.Data_dependence prog)
       with
       Partition.level = Heuristics.Feedback;
     }
@@ -329,12 +325,9 @@ let build ?params ?optimize ?if_convert ?schedule ?profile_input prog =
   if c_dd < c_ts *. seed_factor then refine_in ctx_dd seed_dd
   else refine_in ctx_ts seed_ts
 
-let plan_for_level ?params ?optimize ?if_convert ?schedule ?profile_input
-    level prog =
+let plan_for_level ?params ?profile_input level prog =
   match level with
-  | Heuristics.Feedback ->
-    build ?params ?optimize ?if_convert ?schedule ?profile_input prog
+  | Heuristics.Feedback -> build ?params ?profile_input prog
   | Heuristics.Basic_block | Heuristics.Control_flow
   | Heuristics.Data_dependence | Heuristics.Task_size ->
-    Partition.build ?params ?optimize ?if_convert ?schedule ?profile_input
-      level prog
+    Partition.build ?params ?profile_input level prog

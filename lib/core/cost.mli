@@ -64,8 +64,8 @@ val refine : ?model:Analysis.Cost.model -> Partition.plan -> Partition.plan
     returning the seed would hide the mis-wiring). *)
 
 val build :
-  ?params:Heuristics.params -> ?optimize:bool -> ?if_convert:bool ->
-  ?schedule:bool -> ?profile_input:Ir.Prog.t -> Ir.Prog.t -> Partition.plan
+  ?params:Heuristics.params -> ?profile_input:Ir.Prog.t -> Ir.Prog.t ->
+  Partition.plan
 (** The [fb] level end to end: build two candidate seeds — the
     [Task_size]-transformed plan (carrying the [Feedback] level tag) and
     the [Data_dependence] plan (same selection scheme without the
@@ -76,8 +76,7 @@ val build :
     comparable even though unrolling changes the instruction count. *)
 
 val plan_for_level :
-  ?params:Heuristics.params -> ?optimize:bool -> ?if_convert:bool ->
-  ?schedule:bool -> ?profile_input:Ir.Prog.t -> Heuristics.level ->
+  ?params:Heuristics.params -> ?profile_input:Ir.Prog.t -> Heuristics.level ->
   Ir.Prog.t -> Partition.plan
 (** Level dispatch for callers that accept any {!Heuristics.level}:
     [Feedback] goes through {!build}, everything else through

@@ -28,8 +28,6 @@ type t = {
   ntasks : int;
   nloads : int;
   nstores : int;
-  stores_tbl : (string * int, Analysis.Memdep.value list) Hashtbl.t;
-  loads_tbl : (string * int, Analysis.Memdep.value list) Hashtbl.t;
 }
 
 let all_regs = Rset.of_list (List.init Ir.Reg.count Fun.id)
@@ -421,7 +419,6 @@ let analyze ?(fi = false) ?summary (plan : Partition.plan) =
       r
   in
   (* per-task summaries, in deterministic (function, task index) order *)
-  let stores_tbl = Hashtbl.create 64 and loads_tbl = Hashtbl.create 64 in
   let tinfos = ref [] in
   let ntasks = ref 0 in
   Smap.iter
@@ -446,8 +443,6 @@ let analyze ?(fi = false) ?summary (plan : Partition.plan) =
             task.Task.blocks;
           let st = dedup_regions !st and ld = dedup_regions !ld in
           let id = { fn = fname; task = i } in
-          Hashtbl.replace stores_tbl (fname, i) st;
-          Hashtbl.replace loads_tbl (fname, i) ld;
           let joined l =
             List.fold_left Analysis.Memdep.join Analysis.Memdep.bot l
           in
@@ -494,8 +489,6 @@ let analyze ?(fi = false) ?summary (plan : Partition.plan) =
     ntasks = !ntasks;
     nloads = !nloads;
     nstores = !nstores;
-    stores_tbl;
-    loads_tbl;
   }
 
 let summary t = t.summary
@@ -508,9 +501,3 @@ let predicts_mem t ~src ~dst =
 let num_tasks t = t.ntasks
 let num_load_sites t = t.nloads
 let num_store_sites t = t.nstores
-
-let task_regions tbl id =
-  match Hashtbl.find_opt tbl (id.fn, id.task) with Some l -> l | None -> []
-
-let task_stores t id = task_regions t.stores_tbl id
-let task_loads t id = task_regions t.loads_tbl id

@@ -114,9 +114,3 @@ val num_tasks : t -> int
 
 val num_load_sites : t -> int
 val num_store_sites : t -> int
-
-val task_stores : t -> task_id -> Analysis.Memdep.value list
-(** Deduplicated store-address regions of a task, included callees'
-    closure folded in.  Empty for unknown ids. *)
-
-val task_loads : t -> task_id -> Analysis.Memdep.value list

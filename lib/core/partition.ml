@@ -24,22 +24,12 @@ let dep_edges_of_profile profile ~fid f =
    computation cheap; the tail is low-frequency and barely steers anything. *)
 let max_deps = 64
 
-let build ?(params = Heuristics.default) ?(optimize = false)
-    ?(if_convert = false) ?(schedule = false) ?profile_input level prog =
+let build ?(params = Heuristics.default) ?profile_input level prog =
   (* cross-input profiling: run every profiling interpretation on a program
      built from the *training* input, transformed by exactly the same
      (structure-only, deterministic) passes as the evaluated program, so
      block labels and function names coincide *)
-  let transform_front p =
-    let p = if optimize then Opt.Pipeline.run p else p in
-    if if_convert then Transform.if_convert_program p else p
-  in
-  let prog = transform_front prog in
-  let prof_prog =
-    match profile_input with
-    | Some p -> transform_front p
-    | None -> prog
-  in
+  let prof_prog = Option.value profile_input ~default:prog in
   (* unrolling (task-size level only) runs before induction hoisting: a
      counted-unrolled group already has its induction coalesced at the top,
      while hoisting handles the remaining loops *)
@@ -70,12 +60,9 @@ let build ?(params = Heuristics.default) ?(optimize = false)
   in
   (* induction hoisting is part of the base compilation at every level *)
   let prog = Transform.hoist_program prog in
-  let prog = if schedule then Transform.schedule_communication prog else prog in
   let prof_prog =
     match profile_input with
-    | Some _ ->
-      let p = Transform.hoist_program prof_prog in
-      if schedule then Transform.schedule_communication p else p
+    | Some _ -> Transform.hoist_program prof_prog
     | None -> prog
   in
   let profile_for_deps =

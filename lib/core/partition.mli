@@ -13,26 +13,18 @@ type plan = {
 }
 
 val build :
-  ?params:Heuristics.params -> ?optimize:bool -> ?if_convert:bool ->
-  ?schedule:bool -> ?profile_input:Ir.Prog.t -> Heuristics.level ->
+  ?params:Heuristics.params -> ?profile_input:Ir.Prog.t -> Heuristics.level ->
   Ir.Prog.t -> plan
 (** Induction-variable hoisting is applied at every level (it is part of the
     paper's base Multiscalar compilation); loop unrolling and call inclusion
-    only at [Task_size].  [if_convert] (default false) additionally runs the
-    predication extension ({!Transform.if_convert_program}) first;
-    [schedule] (default false) runs block-local register-communication
-    scheduling ({!Transform.schedule_communication}) after the other
-    transforms — largely subsumed by induction hoisting and the hardware's
-    per-path release points in practice; [optimize] (default false) runs the
-    classical {!Opt.Pipeline} (const/copy propagation, CSE, peephole, DCE)
-    first, as the paper's gcc -O2 binaries imply.
+    only at [Task_size] (and at [Feedback], whose seed this is).
 
     [profile_input] supplies a *training* program (same structure, different
-    data — e.g. {!Workloads.Registry.build_alt} on the workload side): all
-    profiling runs use it instead of the evaluated program, enabling
-    cross-input studies of the profile-driven heuristics.  The paper
-    profiles with the evaluation inputs; this option measures how much that
-    choice matters. *)
+    data — e.g. {!Workloads.Registry.build_alt} on the workload side,
+    transformed by the same front-end passes as [prog]): all profiling runs
+    use it instead of the evaluated program, enabling cross-input studies of
+    the profile-driven heuristics.  The paper profiles with the evaluation
+    inputs; this option measures how much that choice matters. *)
 
 val validate : plan -> (unit, string) result
 (** Full static verification of a plan, delegated to [Lint.validate_plan]

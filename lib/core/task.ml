@@ -73,16 +73,6 @@ let intra_successors f ~included_calls ~entry blocks b =
       (fun s -> s <> entry && Iset.mem s blocks)
       (Ir.Block.successors blk)
 
-let mean_static_size f p =
-  let total =
-    Array.fold_left
-      (fun acc t ->
-        acc
-        + Iset.fold (fun b a -> a + Ir.Block.size (Ir.Func.block f b)) t.blocks 0)
-      0 p.tasks
-  in
-  float_of_int total /. float_of_int (max 1 (Array.length p.tasks))
-
 let validate f p =
   let result = ref (Ok ()) in
   let fail fmt =

@@ -38,8 +38,6 @@ val num_hw_targets : t -> int
 val task_of : partition -> Ir.Block.label -> t option
 (** The task whose entry is the given block. *)
 
-val mean_static_size : Ir.Func.t -> partition -> float
-
 val of_blocks :
   Ir.Func.t -> included_calls:bool array -> entry:Ir.Block.label -> Iset.t -> t
 (** Assemble a task record from a block set, computing targets, out-calls

@@ -735,126 +735,3 @@ let if_convert_program ?max_arm p =
     then free := r :: !free
   done;
   Ir.Prog.map_funcs (if_convert_func ?max_arm ~free) p
-
-(* --- register communication scheduling ------------------------------------ *)
-
-(* The paper's compiler schedules register communication so producers execute
-   early in their tasks ([18], §3.4: "the producer is executed early and the
-   consumer is executed late").  We implement the block-local part: a list
-   scheduler that reorders each basic block so the final writes of registers
-   live out of the block — the values successor tasks will wait for — issue
-   as early as their dependences allow.  All register and memory dependences
-   are preserved, so semantics are unchanged. *)
-
-let schedule_block ~live_out (b : Ir.Block.t) =
-  let n = Array.length b.Ir.Block.insns in
-  if n <= 1 then b
-  else begin
-    let insns = b.Ir.Block.insns in
-    (* dependence edges: pred.(i) lists j < i that i must follow *)
-    let preds = Array.make n [] in
-    let add_edge j i = if j <> i then preds.(i) <- j :: preds.(i) in
-    let last_def = Hashtbl.create 16 in
-    let last_uses = Hashtbl.create 16 in
-    let last_mem = ref (-1) in
-    Array.iteri
-      (fun i insn ->
-        List.iter
-          (fun r ->
-            (match Hashtbl.find_opt last_def r with
-            | Some j -> add_edge j i (* RAW *)
-            | None -> ());
-            Hashtbl.replace last_uses r
-              (i :: Option.value ~default:[] (Hashtbl.find_opt last_uses r)))
-          (Ir.Insn.uses insn);
-        List.iter
-          (fun r ->
-            (match Hashtbl.find_opt last_def r with
-            | Some j -> add_edge j i (* WAW *)
-            | None -> ());
-            List.iter (fun j -> add_edge j i) (* WAR *)
-              (Option.value ~default:[] (Hashtbl.find_opt last_uses r));
-            Hashtbl.replace last_def r i;
-            Hashtbl.replace last_uses r [])
-          (Ir.Insn.defs insn);
-        if Ir.Insn.is_mem insn then begin
-          (* conservative: keep all memory operations in order (the trace's
-             per-block address list is positional) *)
-          if !last_mem >= 0 then add_edge !last_mem i;
-          last_mem := i
-        end)
-      insns;
-    (* prioritised nodes: final writes of live-out registers and stores
-       (both produce values that successor tasks consume — through the ring
-       and through the ARB respectively), plus everything they transitively
-       depend on *)
-    let prioritized = Array.make n false in
-    Analysis.Dataflow.Regset.iter
-      (fun r ->
-        match Hashtbl.find_opt last_def r with
-        | Some i -> prioritized.(i) <- true
-        | None -> ())
-      live_out;
-    Array.iteri
-      (fun i insn ->
-        match insn with
-        | Ir.Insn.Store (_, _, _) -> prioritized.(i) <- true
-        | _ -> ())
-      insns;
-    let rec mark i =
-      List.iter
-        (fun j ->
-          if not prioritized.(j) then begin
-            prioritized.(j) <- true;
-            mark j
-          end)
-        preds.(i)
-    in
-    for i = 0 to n - 1 do
-      if prioritized.(i) then mark i
-    done;
-    (* stable list scheduling: ready nodes by (priority, original index) *)
-    let remaining_preds = Array.map List.length preds in
-    let succs = Array.make n [] in
-    Array.iteri (fun i ps -> List.iter (fun j -> succs.(j) <- i :: succs.(j)) ps) preds;
-    let scheduled = ref [] in
-    let placed = Array.make n false in
-    for _ = 1 to n do
-      (* pick the best ready node *)
-      let best = ref (-1) in
-      for i = n - 1 downto 0 do
-        if (not placed.(i)) && remaining_preds.(i) = 0 then
-          if
-            !best = -1
-            || (prioritized.(i) && not prioritized.(!best))
-            || (prioritized.(i) = prioritized.(!best) && i < !best)
-          then best := i
-      done;
-      let i = !best in
-      placed.(i) <- true;
-      scheduled := i :: !scheduled;
-      List.iter (fun j -> remaining_preds.(j) <- remaining_preds.(j) - 1) succs.(i)
-    done;
-    let order = Array.of_list (List.rev !scheduled) in
-    { b with Ir.Block.insns = Array.map (fun i -> insns.(i)) order }
-  end
-
-let schedule_communication_func f =
-  (* the liveness here only drives scheduling PRIORITY (any reordering is
-     dependence-preserving), so a sharp exit-live set is safe and makes the
-     pass actually discriminate *)
-  let lv =
-    Analysis.Dataflow.liveness
-      ~exit_live:(Analysis.Dataflow.Regset.of_list [ Ir.Reg.rv; Ir.Reg.sp ])
-      f
-  in
-  {
-    f with
-    Ir.Func.blocks =
-      Array.map
-        (fun (b : Ir.Block.t) ->
-          schedule_block ~live_out:lv.Analysis.Dataflow.live_out.(b.Ir.Block.label) b)
-        f.Ir.Func.blocks;
-  }
-
-let schedule_communication p = Ir.Prog.map_funcs schedule_communication_func p

@@ -55,11 +55,3 @@ val if_convert_program : ?max_arm:int -> Ir.Prog.t -> Ir.Prog.t
     at the same block — are flattened into straight-line code with renamed
     destinations and conditional moves.  Removes the corresponding intra-task
     branches (and their mispredictions) at the cost of executing both arms. *)
-
-val schedule_communication_func : Ir.Func.t -> Ir.Func.t
-val schedule_communication : Ir.Prog.t -> Ir.Prog.t
-(** Register-communication scheduling (the block-local part of the paper's
-    companion pass [18]): reorder each basic block so the final writes of
-    live-out registers — the values successor tasks wait for — issue as
-    early as their dependences allow.  Register and memory dependence order
-    is preserved; semantics are unchanged. *)

@@ -1,10 +1,9 @@
 type variant = {
   optimize : bool;
   if_convert : bool;
-  schedule : bool;
 }
 
-let base_variant = { optimize = false; if_convert = false; schedule = false }
+let base_variant = { optimize = false; if_convert = false }
 
 type key = {
   workload : string;
@@ -118,10 +117,17 @@ let get t ?(params = Core.Heuristics.default) ?(profile_alt = false)
         if profile_alt then Some (entry.Workloads.Registry.build_alt ())
         else None
       in
+      (* the variant's front-end transforms are structure-only and
+         deterministic, so the training program keeps the evaluated one's
+         block labels and function names *)
+      let transform p =
+        let p = if variant.optimize then Opt.Pipeline.run p else p in
+        if variant.if_convert then Core.Transform.if_convert_program p else p
+      in
+      let prog = transform prog in
+      let profile_input = Option.map transform profile_input in
       let plan =
-        Core.Cost.plan_for_level ~params ?profile_input
-          ~optimize:variant.optimize ~if_convert:variant.if_convert
-          ~schedule:variant.schedule level prog
+        Core.Cost.plan_for_level ~params ?profile_input level prog
       in
       let trace =
         (Interp.Run.execute plan.Core.Partition.prog).Interp.Run.trace

@@ -1,12 +1,14 @@
 (** The shared artifact store of the experiment engine.
 
-    Every evaluation path (bench sections, CLI subcommands, report tables)
-    needs the same expensive pipeline per [(workload, heuristic level)]:
-    build the workload program, run {!Core.Partition.build} (which itself
-    interprets the program for profiles), and interpret the partitioned
-    program for the dynamic trace.  The store memoizes all three behind a
-    structural key, so a full bench run computes each pipeline exactly once
-    instead of once per section.
+    Every evaluation path (bench sections, CLI subcommands, report tables,
+    the daemon) needs the same expensive pipeline per [(workload,
+    heuristic level)]: build the workload program, apply the {!variant}'s
+    front-end transforms, select tasks with {!Core.Cost.plan_for_level}
+    (which itself interprets the program for profiles), and interpret the
+    partitioned program for the dynamic trace.  The store memoizes all of
+    it behind a structural {!key} — the one place the variants and the
+    cross-input profile are keyed — so a full bench run computes each
+    pipeline exactly once instead of once per section.
 
     The store is domain-safe: it is the synchronisation point for
     {!Pool}-parallel jobs.  Each key owns a private in-flight cell with
@@ -25,9 +27,12 @@
     [bench/account.json]) are memoized alongside the traces for free. *)
 
 type variant = {
-  optimize : bool;    (** classical optimiser pipeline first *)
-  if_convert : bool;  (** predication extension first *)
-  schedule : bool;    (** register-communication scheduling *)
+  optimize : bool;
+      (** run the classical {!Opt.Pipeline} (const/copy propagation, CSE,
+          peephole, DCE) first, as the paper's gcc -O2 binaries imply *)
+  if_convert : bool;
+      (** then the predication extension
+          ({!Core.Transform.if_convert_program}) *)
 }
 
 val base_variant : variant
@@ -39,7 +44,9 @@ type key = {
   params : Core.Heuristics.params;
   profile_alt : bool;
       (** profile with the workload's alternative input
-          ({!Workloads.Registry.entry}[.build_alt]) instead of itself *)
+          ({!Workloads.Registry.entry}[.build_alt], transformed like the
+          evaluated program) instead of itself — a cross-input study; the
+          paper profiles with the evaluation inputs *)
   variant : variant;
 }
 

@@ -18,18 +18,6 @@ type result = {
   window_span : float;
 }
 
-let specs_for ?(levels = Core.Heuristics.all_levels)
-    ?(configs = [ (8, false) ]) workloads =
-  List.concat_map
-    (fun workload ->
-      List.concat_map
-        (fun level ->
-          List.map
-            (fun (num_pus, in_order) -> { workload; level; num_pus; in_order })
-            configs)
-        levels)
-    workloads
-
 let result_of_stats spec ~kind (s : Sim.Stats.t) =
   {
     spec;
@@ -43,17 +31,6 @@ let result_of_stats spec ~kind (s : Sim.Stats.t) =
     task_mispredict = Sim.Stats.task_mispredict_rate s;
     window_span = Sim.Stats.measured_window_span s;
   }
-
-let run ?jobs store specs =
-  Pool.map ?jobs
-    (fun spec ->
-      let entry = Workloads.Suite.find spec.workload in
-      let art = Artifact.get store ~level:spec.level entry in
-      let stats =
-        Artifact.sim store art ~num_pus:spec.num_pus ~in_order:spec.in_order
-      in
-      result_of_stats spec ~kind:art.Artifact.kind stats)
-    specs
 
 let results_of_store store =
   List.filter_map
@@ -310,8 +287,6 @@ let result_to_json r =
       ("window_span", Json.Float r.window_span);
     ]
 
-let to_json results = Json.List (List.map result_to_json results)
-
 let trace_stat_to_json t =
   Json.Obj
     [
@@ -436,84 +411,6 @@ let fuzz_to_json z =
 let accounts_to_json accounts =
   Json.Obj [ ("accounts", Json.List (List.map account_to_json accounts)) ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_string name = function
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected string" name)
-
-let as_int name = function
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "field %S: expected int" name)
-
-let as_bool name = function
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "field %S: expected bool" name)
-
-let as_float name = function
-  | Json.Float x -> Ok x
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "field %S: expected number" name)
-
-let str name j = let* v = field name j in as_string name v
-let int name j = let* v = field name j in as_int name v
-let boolean name j = let* v = field name j in as_bool name v
-let num name j = let* v = field name j in as_float name v
-
-let result_of_json j =
-  let* workload = str "workload" j in
-  let* kind_s = str "kind" j in
-  let* kind =
-    match kind_s with
-    | "int" -> Ok `Int
-    | "fp" -> Ok `Fp
-    | s -> Error (Printf.sprintf "unknown kind %S" s)
-  in
-  let* level_s = str "level" j in
-  let* level = level_of_tag level_s in
-  let* num_pus = int "num_pus" j in
-  let* in_order = boolean "in_order" j in
-  let* ipc = num "ipc" j in
-  let* cycles = int "cycles" j in
-  let* dyn_insns = int "dyn_insns" j in
-  let* tasks = int "tasks" j in
-  let* task_size = num "task_size" j in
-  let* ct_per_task = num "ct_per_task" j in
-  let* task_mispredict = num "task_mispredict" j in
-  let* window_span = num "window_span" j in
-  Ok
-    {
-      spec = { workload; level; num_pus; in_order };
-      kind;
-      ipc;
-      cycles;
-      dyn_insns;
-      tasks;
-      task_size;
-      ct_per_task;
-      task_mispredict;
-      window_span;
-    }
-
-let results_of_list items =
-  List.fold_right
-    (fun item acc ->
-      let* rest = acc in
-      let* r = result_of_json item in
-      Ok (r :: rest))
-    items (Ok [])
-
-let of_json j =
-  match Json.member "jobs" j with
-  | Some (Json.List items) -> results_of_list items
-  | Some _ -> Error "field \"jobs\": expected a list of results"
-  | None -> Error "expected an object with a \"jobs\" member"
-
 (* The results.json object: the "jobs" list plus one member per section
    that rides along. *)
 let document ?trace ?fuzz results =
@@ -522,7 +419,7 @@ let document ?trace ?fuzz results =
     | Some items -> [ (name, Json.List (List.map to_json items)) ]
   in
   Json.Obj
-    (("jobs", to_json results)
+    (("jobs", Json.List (List.map result_to_json results))
      :: (section "trace" trace_stat_to_json trace
         @ section "fuzz" fuzz_to_json fuzz))
 

@@ -1,12 +1,14 @@
-(** Declarative experiment jobs: [workload × heuristic level × machine
-    configuration → result].
+(** Result records of the experiment engine and their JSON.
 
-    A {!spec} names one simulation; {!run} fans a batch out over the
-    {!Pool} domains, sharing pipeline work through an {!Artifact} store, and
-    returns structured results in input order.  Results serialise to JSON
-    ({!to_json} / {!of_json} round-trip) so the perf trajectory of the repo
-    is machine-readable — the bench harness writes [bench/results.json] on
-    every run. *)
+    A {!spec} names one simulation cell [workload × heuristic level ×
+    machine configuration]; the other records summarise one
+    {!Artifact.artifact} (dependences, cost predictions, trace memory) or
+    one fuzz profile.  Every [*_to_json] here is the payload shape shared
+    by the [msc --json] exports, the committed [bench/*.json] files, the
+    bench harness's [bench/results.json] ({!document}) and the [mscd]
+    service responses.  The computations live with their callers: the
+    report runners and the daemon resolve artifacts and simulations
+    through an {!Artifact} store. *)
 
 type spec = {
   workload : string;  (** a {!Workloads.Suite} name *)
@@ -28,20 +30,6 @@ type result = {
   window_span : float;      (** measured, occupancy-weighted *)
 }
 
-val specs_for :
-  ?levels:Core.Heuristics.level list ->
-  ?configs:(int * bool) list ->
-  string list ->
-  spec list
-(** Cartesian grid of workloads × levels × [(num_pus, in_order)] machine
-    configurations.  Defaults: all four heuristic levels, the single
-    8-PU out-of-order configuration. *)
-
-val run : ?jobs:int -> Artifact.t -> spec list -> result list
-(** Run a batch through the store on the domain pool.  Result order matches
-    spec order; duplicate pipelines are computed once regardless of [jobs]
-    (concurrent requesters of one key block until it lands). *)
-
 val result_of_stats :
   spec -> kind:Workloads.Registry.kind -> Sim.Stats.t -> result
 
@@ -53,7 +41,7 @@ val level_of_tag : string -> (Core.Heuristics.level, string) Stdlib.result
 (** Inverse of {!level_tag}; [Error] names the unknown tag. *)
 
 val result_to_json : result -> Json.t
-(** One result as the object {!to_json} emits per element — the payload
+(** One result as an element of {!document}'s "jobs" member — the payload
     shape shared by the JSON export and the service protocol. *)
 
 val results_of_store : Artifact.t -> result list
@@ -225,15 +213,10 @@ type fuzz = {
 val fuzz_to_json : fuzz -> Json.t
 (** Integer-only counts, like accounts and deps. *)
 
-val to_json : result list -> Json.t
-
 val document :
   ?trace:trace_stat list -> ?fuzz:fuzz list -> result list -> Json.t
-(** The [results.json] object: a "jobs" member holding {!to_json} of the
-    results, plus a "trace" / "fuzz" member per given section. *)
-
-val of_json : Json.t -> (result list, string) Stdlib.result
-(** Reads the "jobs" member of a {!document}. *)
+(** The [results.json] object: a "jobs" member listing {!result_to_json}
+    of the results, plus a "trace" / "fuzz" member per given section. *)
 
 val export :
   path:string -> ?trace:trace_stat list -> ?fuzz:fuzz list -> result list ->

@@ -1,6 +1,4 @@
 type t = {
-  block_freq : (int * Ir.Block.label, int) Hashtbl.t;
-  edge_freq : (int * Ir.Block.label * Ir.Block.label, int) Hashtbl.t;
   dep_freq : (int * Ir.Block.label * Ir.Block.label * Ir.Reg.t, int) Hashtbl.t;
   mutable invocations : (int, int) Hashtbl.t;
   mutable inclusive_insns : (int, int) Hashtbl.t;
@@ -8,8 +6,6 @@ type t = {
 
 let create () =
   {
-    block_freq = Hashtbl.create 256;
-    edge_freq = Hashtbl.create 256;
     dep_freq = Hashtbl.create 256;
     invocations = Hashtbl.create 16;
     inclusive_insns = Hashtbl.create 16;
@@ -25,8 +21,6 @@ let add tbl key n =
 
 let lookup tbl key = try Hashtbl.find tbl key with Not_found -> 0
 
-let block_count t fid blk = lookup t.block_freq (fid, blk)
-let edge_count t fid src dst = lookup t.edge_freq (fid, src, dst)
 let dep_count t fid u v r = lookup t.dep_freq (fid, u, v, r)
 
 let avg_invocation_size t fid =
@@ -35,8 +29,6 @@ let avg_invocation_size t fid =
   else float_of_int (lookup t.inclusive_insns fid) /. float_of_int calls
 
 (* internal helpers used by Run *)
-let bump_block t fid blk = bump t.block_freq (fid, blk)
-let bump_edge t fid src dst = bump t.edge_freq (fid, src, dst)
 let bump_dep t fid u v r = bump t.dep_freq (fid, u, v, r)
 let bump_invocation t fid = bump t.invocations fid
 let add_inclusive t fid n = add t.inclusive_insns fid n

@@ -1,15 +1,11 @@
 (** Execution profiles, gathered by the interpreter.
 
-    The paper's compiler profiles SPEC95 runs to obtain basic-block
-    frequencies (used for register-communication scheduling and to prioritise
-    data dependences) and to size function invocations for the task-size
-    heuristic (CALL_THRESH is a *dynamic* instruction count). *)
+    The paper's compiler profiles SPEC95 runs to prioritise data
+    dependences by execution frequency and to size function invocations
+    for the task-size heuristic (CALL_THRESH is a *dynamic* instruction
+    count). *)
 
 type t = {
-  block_freq : (int * Ir.Block.label, int) Hashtbl.t;
-      (** executions per (fid, block) *)
-  edge_freq : (int * Ir.Block.label * Ir.Block.label, int) Hashtbl.t;
-      (** intra-function (fid, src, dst) control-flow edge counts *)
   dep_freq : (int * Ir.Block.label * Ir.Block.label * Ir.Reg.t, int) Hashtbl.t;
       (** dynamic register def-use pairs crossing blocks:
           (fid, producer block, consumer block, register) *)
@@ -20,8 +16,6 @@ type t = {
 
 val create : unit -> t
 
-val block_count : t -> int -> Ir.Block.label -> int
-val edge_count : t -> int -> Ir.Block.label -> Ir.Block.label -> int
 val dep_count : t -> int -> Ir.Block.label -> Ir.Block.label -> Ir.Reg.t -> int
 
 val avg_invocation_size : t -> int -> float
@@ -32,8 +26,6 @@ val avg_invocation_size : t -> int -> float
 (**/**)
 
 (* Recording hooks for the interpreter. *)
-val bump_block : t -> int -> Ir.Block.label -> unit
-val bump_edge : t -> int -> Ir.Block.label -> Ir.Block.label -> unit
 val bump_dep : t -> int -> Ir.Block.label -> Ir.Block.label -> Ir.Reg.t -> unit
 val bump_invocation : t -> int -> unit
 val add_inclusive : t -> int -> int -> unit

@@ -85,7 +85,6 @@ let execute ?on_event ?(max_steps = 30_000_000) prog =
   while !running do
     let f = funcs.(!cur_fid) in
     let b = Ir.Func.block f !cur_blk in
-    Profile.bump_block profile !cur_fid !cur_blk;
     Trace.Builder.start_event buf ~fid:!cur_fid ~blk:!cur_blk;
     let note_dep r =
       if r <> Ir.Reg.zero then begin
@@ -139,20 +138,16 @@ let execute ?on_event ?(max_steps = 30_000_000) prog =
       f ~fid:!cur_fid ~blk:!cur_blk ~addrs:(Trace.Builder.last_event_addrs buf)
     | None -> ());
     (* terminator *)
-    let goto l =
-      Profile.bump_edge profile !cur_fid !cur_blk l;
-      cur_blk := l
-    in
     (match b.Ir.Block.term with
-    | Ir.Block.Jump l -> goto l
+    | Ir.Block.Jump l -> cur_blk := l
     | Ir.Block.Br (c, l1, l2) ->
       note_dep c;
-      if Ir.Value.is_true (get c) then goto l1 else goto l2
+      cur_blk := if Ir.Value.is_true (get c) then l1 else l2
     | Ir.Block.Switch (c, targets, default) ->
       note_dep c;
       let v = geti c in
-      if v >= 0 && v < Array.length targets then goto targets.(v)
-      else goto default
+      cur_blk :=
+        if v >= 0 && v < Array.length targets then targets.(v) else default
     | Ir.Block.Call (callee, cont) ->
       let callee_fid = fid callee in
       stack := (!cur_fid, cont, callee_fid, !steps) :: !stack;

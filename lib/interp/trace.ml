@@ -79,7 +79,6 @@ let event_addrs t i =
 
 let block_at t i = Ir.Func.block t.funcs.(get_fid t i) (get_blk t i)
 let size_at t i = t.sizes.(get_fid t i).(get_blk t i)
-let block_size t ~fid ~blk = t.sizes.(fid).(blk)
 
 (* --- memory accounting ---------------------------------------------------- *)
 

@@ -79,9 +79,6 @@ val size_at : t -> int -> int
 (** Dynamic instructions contributed by event [i] (insns + terminator),
     served from the memoized [sizes] table. *)
 
-val block_size : t -> fid:int -> blk:Ir.Block.label -> int
-(** The memoized size table itself, for callers that already decoded. *)
-
 (** {1 Memory accounting} *)
 
 type mem_stats = {

@@ -74,8 +74,6 @@ let registered_rules () =
   List.sort Stdlib.compare
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) rules [])
 
-let is_registered id = Hashtbl.mem rules id
-
 let opt_int = function
   | Some i -> Harness.Json.Int i
   | None -> Harness.Json.Null
@@ -124,15 +122,3 @@ let of_json j =
   let* insn = opt_int_field "insn" j in
   let* message = str_field "message" j in
   Ok { rule; severity; loc = { func; task; block; insn }; message }
-
-let list_of_json = function
-  | Harness.Json.List l ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | j :: rest -> (
-        match of_json j with
-        | Ok d -> go (d :: acc) rest
-        | (Error _ as e) -> e)
-    in
-    go [] l
-  | _ -> Error "expected a JSON list of diagnostics"

@@ -53,8 +53,6 @@ val list_to_json : t list -> Harness.Json.t
 val of_json : Harness.Json.t -> (t, string) result
 (** Inverse of {!to_json} (serialize → parse → equal). *)
 
-val list_of_json : Harness.Json.t -> (t list, string) result
-
 (** {1 Rule registry}
 
     Every checker registers its rule ids once at link time (the lint
@@ -69,5 +67,3 @@ val register_rule : string -> string -> unit
 
 val registered_rules : unit -> (string * string) list
 (** All registered [(id, description)] pairs, sorted by id. *)
-
-val is_registered : string -> bool

@@ -10,8 +10,3 @@ let run ?(rounds = 4) p =
     end
   in
   go 0 p
-
-let static_shrink p =
-  let before = Ir.Prog.static_size p in
-  let after = Ir.Prog.static_size (run p) in
-  float_of_int after /. float_of_int before

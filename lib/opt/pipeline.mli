@@ -6,7 +6,3 @@
 
 val run : ?rounds:int -> Ir.Prog.t -> Ir.Prog.t
 (** Default 4 rounds; stops early when a round changes nothing. *)
-
-val static_shrink : Ir.Prog.t -> float
-(** Static instruction count after optimisation relative to before
-    (1.0 = unchanged). *)

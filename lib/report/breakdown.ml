@@ -6,7 +6,7 @@
 
 let default_pus = [ 1; 2; 4; 8 ]
 
-let run ?params ?store ?jobs ?(levels = Core.Heuristics.all_levels)
+let run ~store ?jobs ?(levels = Core.Heuristics.all_levels)
     ?(pus = default_pus) ?(in_order = false) entries =
   let cells =
     List.concat_map
@@ -16,7 +16,7 @@ let run ?params ?store ?jobs ?(levels = Core.Heuristics.all_levels)
   List.concat
     (Harness.Pool.map ?jobs
        (fun (entry, level) ->
-         Experiment.run_level_configs ?params ?store ~level
+         Experiment.run_level_configs ~store ~level
            ~configs:(List.map (fun p -> (p, in_order)) pus)
            entry)
        cells)

@@ -14,11 +14,8 @@ type row = {
   mem_squash_pct : float;
 }
 
-let run ?store ?jobs ?(levels = Core.Heuristics.all_levels) ?(num_pus = 8)
+let run ~store ?jobs ?(levels = Core.Heuristics.all_levels) ?(num_pus = 8)
     ?(in_order = false) entries =
-  let store =
-    match store with Some s -> s | None -> Harness.Artifact.create ()
-  in
   let cells =
     List.concat_map
       (fun entry -> List.map (fun level -> (entry, level)) levels)

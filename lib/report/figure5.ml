@@ -14,7 +14,7 @@ let config_names = [ "4PU/ooo"; "8PU/ooo"; "4PU/io"; "8PU/io" ]
 
 let levels = Core.Heuristics.all_levels
 
-let run ?params ?store ?jobs entries =
+let run ~store ?jobs entries =
   Harness.Pool.map ?jobs
     (fun entry ->
       (* nested fan-out: each (entry, level) is an independent pipeline +
@@ -26,7 +26,7 @@ let run ?params ?store ?jobs entries =
           (Harness.Pool.map ?jobs
              (fun level ->
                let results =
-                 Experiment.run_level_configs ?params ?store ~level ~configs
+                 Experiment.run_level_configs ~store ~level ~configs
                    entry
                in
                Array.of_list

@@ -75,10 +75,7 @@ let row_of_artifact (art : Harness.Artifact.artifact) =
     ai = Analysis.Memdep.ai_stats summary;
   }
 
-let run ?store ?jobs ?(levels = Core.Heuristics.all_levels) entries =
-  let store =
-    match store with Some s -> s | None -> Harness.Artifact.create ()
-  in
+let run ~store ?jobs ?(levels = Core.Heuristics.all_levels) entries =
   let cells =
     List.concat_map
       (fun entry -> List.map (fun level -> (entry, level)) levels)

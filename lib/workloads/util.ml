@@ -38,7 +38,6 @@ let t11 = Ir.Reg.tmp 11
 let t12 = Ir.Reg.tmp 12
 let t13 = Ir.Reg.tmp 13
 let t14 = Ir.Reg.tmp 14
-let t15 = Ir.Reg.tmp 15
 
 let imm n = Ir.Insn.Imm n
 let reg r = Ir.Insn.Reg r

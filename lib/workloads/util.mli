@@ -35,7 +35,6 @@ val t11 : Ir.Reg.t
 val t12 : Ir.Reg.t
 val t13 : Ir.Reg.t
 val t14 : Ir.Reg.t
-val t15 : Ir.Reg.t
 
 val imm : int -> Ir.Insn.operand
 val reg : Ir.Reg.t -> Ir.Insn.operand

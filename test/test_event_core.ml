@@ -123,19 +123,21 @@ let prop_prepared_matches =
         (pipelines prog);
       true)
 
-(* deterministic anchor: a real workload through both cores *)
+(* deterministic anchor: a real workload's pipelines through both cores *)
 let test_workload_differential () =
   let entry = Workloads.Suite.find "compress" in
-  let prog = entry.Workloads.Registry.build () in
+  let store = Harness.Artifact.create () in
   List.iter
-    (fun pipe ->
+    (fun level ->
+      let art = Harness.Artifact.get store ~level entry in
+      let pipe = (art.Harness.Artifact.plan, art.Harness.Artifact.trace) in
       let cfg = Sim.Config.default ~num_pus:4 ~in_order:false in
       let stats_n, inst_n, ev_n = run_new cfg pipe in
       let stats_r, inst_r, ev_r = run_ref cfg pipe in
       checki "instances" inst_r inst_n;
       checkb "schedules" true (ev_n = ev_r);
       checkb "stats" true (stats_n = stats_r))
-    (pipelines prog)
+    Core.Heuristics.all_levels
 
 let () =
   Alcotest.run "event_core"

@@ -1,7 +1,7 @@
 (* Tests for the unified experiment engine: JSON round-trips, the domain
    pool (order preservation, serial fallback, error propagation), the
-   artifact store's exactly-once memoization, and parallel/serial
-   equivalence of the report tables that run through it. *)
+   artifact store's exactly-once memoization, parallel/serial equivalence
+   of the report tables that run through it, and the results export. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -176,8 +176,12 @@ let test_table1_parallel_matches_serial () =
   checkb "identical rows" true (serial = parallel)
 
 let test_figure5_store_matches_direct () =
+  (* a fresh store per pass computes every cell itself; a reused one
+     serves the second pass from its caches *)
   let entries = [ Workloads.Suite.find "compress" ] in
-  let direct = Report.Figure5.run ~jobs:1 entries in
+  let direct =
+    Report.Figure5.run ~store:(Harness.Artifact.create ()) ~jobs:1 entries
+  in
   let store = Harness.Artifact.create () in
   let cached = Report.Figure5.run ~store ~jobs:1 entries in
   checkb "identical rows" true (direct = cached);
@@ -191,86 +195,79 @@ let test_figure5_store_matches_direct () =
   checkb "cache-served pass identical" true (cached = again);
   checki "still four pipeline builds" 4 (Harness.Artifact.builds store)
 
-(* --- jobs + export --------------------------------------------------------- *)
+(* --- job records + export -------------------------------------------------- *)
 
-let test_job_specs_grid () =
-  let specs =
-    Harness.Job.specs_for
-      ~levels:[ Core.Heuristics.Basic_block; Core.Heuristics.Control_flow ]
-      ~configs:[ (4, false); (8, true) ]
-      [ "compress"; "li" ]
-  in
-  checki "grid size" 8 (List.length specs);
-  checkb "first spec" true
-    (List.hd specs
-     = { Harness.Job.workload = "compress";
-         level = Core.Heuristics.Basic_block; num_pus = 4; in_order = false })
+(* compress at cf on two machines, through the engine *)
+let run_batch store =
+  Report.Experiment.run_level_configs ~store
+    ~level:Core.Heuristics.Control_flow
+    ~configs:[ (4, false); (8, false) ]
+    (Workloads.Suite.find "compress")
+
+let parse_file path =
+  let ic = open_in_bin path in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Harness.Json.parse (String.trim contents) with
+  | Ok j -> j
+  | Error e -> Alcotest.fail e
 
 let test_job_run_and_json_roundtrip () =
   let store = Harness.Artifact.create () in
-  let specs =
-    Harness.Job.specs_for
-      ~levels:[ Core.Heuristics.Control_flow ]
-      ~configs:[ (4, false); (8, false) ]
-      [ "compress" ]
+  let runs = run_batch store in
+  checki "one pipeline for both configs" 1 (Harness.Artifact.builds store);
+  (* a variant pipeline is recorded by the store but is not part of the
+     exported trajectory *)
+  let conv =
+    Harness.Artifact.get store
+      ~variant:{ Harness.Artifact.base_variant with if_convert = true }
+      ~level:Core.Heuristics.Control_flow (Workloads.Suite.find "compress")
   in
-  let results = Harness.Job.run ~jobs:2 store specs in
-  checki "one result per spec" (List.length specs) (List.length results);
+  ignore (Harness.Artifact.sim store conv ~num_pus:4 ~in_order:false);
+  checki "three recorded sims" 3
+    (List.length (Harness.Artifact.sim_results store));
+  let results = Harness.Job.results_of_store store in
+  let expected =
+    List.map
+      (fun (r : Report.Experiment.run_result) ->
+        Harness.Job.result_of_stats
+          { Harness.Job.workload = r.Report.Experiment.workload;
+            level = r.Report.Experiment.level;
+            num_pus = r.Report.Experiment.num_pus;
+            in_order = r.Report.Experiment.in_order }
+          ~kind:r.Report.Experiment.kind r.Report.Experiment.stats)
+      runs
+  in
+  checkb "recorded = run results" true (results = expected);
   checkb "positive ipc" true
     (List.for_all (fun r -> r.Harness.Job.ipc > 0.0) results);
-  checki "one pipeline for both configs" 1 (Harness.Artifact.builds store);
-  (* JSON round-trip preserves every field exactly *)
+  (* the document's "jobs" member survives a trip through its text *)
   let j = Harness.Job.document results in
-  let s = Harness.Json.to_string j in
-  (match Harness.Json.parse s with
-   | Error e -> Alcotest.fail e
-   | Ok parsed ->
-     (match Harness.Job.of_json parsed with
-      | Error e -> Alcotest.fail e
-      | Ok back -> checkb "results roundtrip" true (back = results)));
-  (* only the {"jobs": ...} object is a results document *)
-  checkb "bare list rejected" true
-    (Result.is_error (Harness.Job.of_json (Harness.Job.to_json results)));
-  (* the store's recorded trajectory covers the same runs *)
-  let recorded = Harness.Job.results_of_store store in
-  checkb "recorded = run results" true
-    (List.sort compare recorded = List.sort compare results)
+  match Harness.Json.parse (Harness.Json.to_string j) with
+  | Error e -> Alcotest.fail e
+  | Ok parsed ->
+    checkb "jobs member" true
+      (Harness.Json.member "jobs" parsed
+       = Some (Harness.Json.List (List.map Harness.Job.result_to_json results)))
 
 let test_job_export_file () =
   let store = Harness.Artifact.create () in
-  let specs =
-    Harness.Job.specs_for
-      ~levels:[ Core.Heuristics.Basic_block ]
-      ~configs:[ (4, false) ]
-      [ "compress" ]
-  in
-  let results = Harness.Job.run ~jobs:1 store specs in
+  ignore (run_batch store);
+  let results = Harness.Job.results_of_store store in
   let path = Filename.temp_file "harness_results" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Harness.Job.export ~path results;
-      let ic = open_in_bin path in
-      let contents = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Harness.Json.parse (String.trim contents) with
-      | Error e -> Alcotest.fail e
-      | Ok parsed ->
-        (match Harness.Job.of_json parsed with
-         | Error e -> Alcotest.fail e
-         | Ok back -> checkb "file roundtrip" true (back = results)))
+      checkb "file holds the document" true
+        (parse_file path = Harness.Job.document results))
 
 let test_job_export_with_trace () =
   let store = Harness.Artifact.create () in
-  let specs =
-    Harness.Job.specs_for
-      ~levels:[ Core.Heuristics.Basic_block ]
-      ~configs:[ (4, false) ]
-      [ "compress" ]
-  in
-  let results = Harness.Job.run ~jobs:1 store specs in
+  ignore (run_batch store);
+  let results = Harness.Job.results_of_store store in
   let trace = Harness.Job.trace_stats_of_store store in
-  checki "one trace record per workload" 1 (List.length trace);
+  checki "one trace record per pipeline" 1 (List.length trace);
   let t = List.hd trace in
   checkb "events counted" true (t.Harness.Job.t_events > 0);
   checkb "packed resident below boxed" true
@@ -279,22 +276,12 @@ let test_job_export_with_trace () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Harness.Job.export ~path ~trace results;
-      let ic = open_in_bin path in
-      let contents = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Harness.Json.parse (String.trim contents) with
-      | Error e -> Alcotest.fail e
-      | Ok parsed ->
-        (* the wrapped object shape still yields the same job results *)
-        (match Harness.Job.of_json parsed with
-         | Error e -> Alcotest.fail e
-         | Ok back -> checkb "jobs roundtrip through obj shape" true
-                        (back = results));
-        (match parsed with
-         | Harness.Json.Obj members ->
-           checkb "trace member present" true (List.mem_assoc "trace" members)
-         | _ -> Alcotest.fail "expected a JSON object at top level"))
+      Harness.Job.export ~path ~trace ~fuzz:[] results;
+      match parse_file path with
+      | Harness.Json.Obj members ->
+        checkb "jobs, trace and fuzz members" true
+          (List.map fst members = [ "jobs"; "trace"; "fuzz" ])
+      | _ -> Alcotest.fail "expected a JSON object at top level")
 
 (* --- stats ----------------------------------------------------------------- *)
 
@@ -342,7 +329,6 @@ let () =
         ] );
       ( "jobs",
         [
-          Alcotest.test_case "spec grid" `Quick test_job_specs_grid;
           Alcotest.test_case "run + json" `Quick test_job_run_and_json_roundtrip;
           Alcotest.test_case "export file" `Quick test_job_export_file;
           Alcotest.test_case "export with trace" `Quick

@@ -248,24 +248,6 @@ let test_trace_addr_counts () =
   done;
   checkb "each event has one addr per memory insn" true !ok
 
-let test_profile_block_freq () =
-  let prog = Gen.square_sum_program 6 in
-  let o = run prog in
-  let tr = o.Interp.Run.trace in
-  let profile = o.Interp.Run.profile in
-  (* recount from the trace *)
-  let counts = Hashtbl.create 16 in
-  for j = 0 to Interp.Trace.num_events tr - 1 do
-    let key = (Interp.Trace.get_fid tr j, Interp.Trace.get_blk tr j) in
-    Hashtbl.replace counts key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-  done;
-  checkb "profile matches trace" true
-    (Hashtbl.fold
-       (fun (fid, blk) n acc ->
-         acc && Interp.Profile.block_count profile fid blk = n)
-       counts true)
-
 let test_profile_invocations () =
   let o = run (Gen.fib_program 10) in
   let tr = o.Interp.Run.trace in
@@ -415,7 +397,6 @@ let () =
         ] );
       ( "profile",
         [
-          Alcotest.test_case "block freq" `Quick test_profile_block_freq;
           Alcotest.test_case "invocations" `Quick test_profile_invocations;
           Alcotest.test_case "dependences" `Quick test_profile_dep_freq;
         ] );

@@ -276,8 +276,22 @@ let test_pipeline_shrinks_naive_code () =
   checki "rv = (10+20)*4" 120 (result prog')
 
 let test_optimize_option_in_partition () =
-  let prog = Gen.square_sum_program 30 in
-  let plan = Core.Partition.build ~optimize:true Core.Heuristics.Control_flow prog in
+  (* the optimiser is an artifact variant, run before task selection *)
+  let entry =
+    {
+      Workloads.Registry.name = "square_sum";
+      kind = `Int;
+      build = (fun () -> Gen.square_sum_program 30);
+      build_alt = (fun () -> Gen.square_sum_program 30);
+      description = "";
+    }
+  in
+  let art =
+    Harness.Artifact.get (Harness.Artifact.create ())
+      ~variant:{ Harness.Artifact.base_variant with optimize = true }
+      ~level:Core.Heuristics.Control_flow entry
+  in
+  let plan = art.Harness.Artifact.plan in
   checkb "optimized plan valid" true (Core.Partition.validate plan = Ok ());
   let o = Interp.Run.execute plan.Core.Partition.prog in
   checki "optimized semantics" (Gen.square_sum_spec 30)

@@ -183,6 +183,87 @@ let test_service_stats_and_drain () =
         | Some (Json.Int n) -> n >= 3
         | _ -> false))
 
+(* --- the daemon and the report layer agree ---------------------------- *)
+
+(* For one (workload, level) cell, every analysis op answers with exactly
+   what the report layer prints for the same one-cell run on a fresh
+   store: the daemon's deps/cost/breakdown objects are the leading members
+   of the matching report row (deps and cost rows append [extra]
+   machine-side columns), simulate is the store's recorded job result,
+   absint the whole precision document and lint's report member the lint
+   document.  Compared as printed JSON — the bytes a client sees. *)
+let test_service_matches_reports () =
+  let text = Json.to_string ~indent:false in
+  let result c op =
+    match Service.Client.request c op with
+    | Ok resp -> field "result" resp
+    | Error msg -> Alcotest.fail msg
+  in
+  let only_row name doc =
+    match Json.member name doc with
+    | Some (Json.List [ row ]) -> row
+    | _ -> Alcotest.failf "expected one %S row" name
+  in
+  let leading name ~extra ~daemon ~row =
+    match (daemon, row) with
+    | Json.Obj d, Json.Obj r ->
+      checki (name ^ " extra columns") extra (List.length r - List.length d);
+      Alcotest.(check string)
+        name (text daemon)
+        (text (Json.Obj (List.filteri (fun i _ -> i < List.length d) r)))
+    | _ -> Alcotest.failf "%s: expected two objects" name
+  in
+  with_server (fun ~socket _ ->
+      let c = Service.Client.connect ~socket in
+      List.iter
+        (fun (workload, level) ->
+          let cell = workload ^ "/" ^ Harness.Job.level_tag level in
+          let entries = [ Workloads.Suite.find workload ] in
+          let levels = [ level ] in
+          let store = Harness.Artifact.create () in
+          leading (cell ^ " deps") ~extra:4
+            ~daemon:(result c (P.Deps { workload; level }))
+            ~row:
+              (only_row "deps"
+                 (Report.Deps.to_json (Report.Deps.run ~store ~levels entries)));
+          leading (cell ^ " cost") ~extra:9
+            ~daemon:(result c (P.Cost { workload; level }))
+            ~row:
+              (only_row "cost"
+                 (Report.Cost.to_json (Report.Cost.run ~store ~levels entries)));
+          leading (cell ^ " breakdown") ~extra:0
+            ~daemon:
+              (result c
+                 (P.Breakdown { workload; level; num_pus = 8; in_order = false }))
+            ~row:
+              (only_row "accounts"
+                 (Report.Breakdown.to_json
+                    (Report.Breakdown.run ~store ~levels ~pus:[ 8 ] entries)));
+          (match Harness.Job.results_of_store store with
+          | [ r ] ->
+            Alcotest.(check string)
+              (cell ^ " simulate")
+              (text (Harness.Job.result_to_json r))
+              (text
+                 (result c
+                    (P.Simulate
+                       { workload; level; num_pus = 8; in_order = false })))
+          | _ -> Alcotest.fail "expected one recorded simulation");
+          Alcotest.(check string)
+            (cell ^ " absint")
+            (text
+               (Report.Precision.to_json
+                  (Report.Precision.run ~store ~levels entries)))
+            (text (result c (P.Absint { workload; level })));
+          Alcotest.(check string)
+            (cell ^ " lint")
+            (text
+               (Lint.report_to_json (Lint.check_suite ~levels ~store entries)))
+            (text (field "report" (result c (P.Lint { workload; level })))))
+        [ ("compress", Core.Heuristics.Control_flow);
+          ("fpppp", Core.Heuristics.Feedback) ];
+      Service.Client.close c)
+
 let () =
   Alcotest.run "service"
     [
@@ -196,5 +277,7 @@ let () =
           Alcotest.test_case "simulate + dedup" `Slow
             test_service_simulate_and_dedup;
           Alcotest.test_case "stats + drain" `Slow test_service_stats_and_drain;
+          Alcotest.test_case "matches the reports" `Slow
+            test_service_matches_reports;
         ] );
     ]

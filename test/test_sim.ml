@@ -266,20 +266,20 @@ let test_dependent_chain_slower () =
     (dep.Sim.Stats.cycles > ind.Sim.Stats.cycles)
 
 let test_in_order_not_faster () =
+  let store = Harness.Artifact.create () in
   List.iter
     (fun name ->
-      let e = Workloads.Suite.find name in
-      let prog = e.Workloads.Registry.build () in
-      let plan = Core.Partition.build Core.Heuristics.Control_flow prog in
-      let ooo = Sim.Engine.run cfg8 plan in
-      let io =
-        Sim.Engine.run (Sim.Config.default ~num_pus:8 ~in_order:true) plan
+      let art =
+        Harness.Artifact.get store ~level:Core.Heuristics.Control_flow
+          (Workloads.Suite.find name)
+      in
+      let ipc in_order =
+        Sim.Stats.ipc (Harness.Artifact.sim store art ~num_pus:8 ~in_order)
       in
       checkb
         (name ^ ": out-of-order at least as fast")
         true
-        (Sim.Stats.ipc ooo.Sim.Engine.stats
-         >= Sim.Stats.ipc io.Sim.Engine.stats -. 0.01))
+        (ipc false >= ipc true -. 0.01))
     [ "compress"; "tomcatv" ]
 
 let test_ipc_bounded () =

@@ -26,22 +26,44 @@ let instance_of body =
   let layout = Sim.Layout.create trace.Interp.Trace.funcs in
   (trace, layout, instances.(0))
 
+(* The engine's inputs for one replay: the hooks plus the two per-attempt
+   scalars [Timing.exec] takes.  [h_mem_dep] answers in packed form: -1
+   for no dependence, else (avail lsl 1) lor synced. *)
+type env = {
+  start_fetch : int;
+  mem_hold : int;
+  hooks : Sim.Timing.hooks;
+}
+
 let default_env =
   {
-    Sim.Timing.start_fetch = 0;
-    reg_avail = (fun _ -> 0);
-    mem_dep = (fun ~addr:_ ~load_site:_ -> None);
-    load_lat = (fun ~addr:_ -> 1);
-    mem_slot = (fun ~addr:_ ~at -> at);
-    ifetch_extra = (fun ~fid:_ ~blk:_ -> 0);
-    cond_pred = (fun ~pc:_ ~taken:_ -> true);
-    switch_pred = (fun ~pc:_ ~actual:_ -> true);
+    start_fetch = 0;
     mem_hold = 0;
+    hooks =
+      {
+        Sim.Timing.h_reg_avail = (fun _ -> 0);
+        h_mem_dep = (fun ~addr:_ ~load_site:_ -> -1);
+        h_load_lat = (fun ~addr:_ -> 1);
+        h_mem_slot = (fun ~addr:_ ~at -> at);
+        h_ifetch_extra = (fun ~fid:_ ~blk:_ -> 0);
+        h_cond_pred = (fun ~pc:_ ~taken:_ -> true);
+        h_switch_pred = (fun ~pc:_ ~actual:_ -> true);
+      };
   }
 
-let time ?(env = default_env) ?(cfg = cfg) body =
-  let trace, layout, inst = instance_of body in
-  Sim.Timing.run cfg trace layout inst env
+let with_hooks f = { default_env with hooks = f default_env.hooks }
+
+let exec ?(env = default_env) ?(cfg = cfg) (trace, layout, inst) =
+  let ctx = Sim.Timing.create cfg trace layout in
+  Sim.Timing.exec ctx inst ~start_fetch:env.start_fetch ~mem_hold:env.mem_hold
+    env.hooks;
+  ctx
+
+let time ?env ?cfg body = exec ?env ?cfg (instance_of body)
+
+(* execution times of the instance's externally visible loads *)
+let load_times (r : Sim.Timing.ctx) =
+  List.init r.Sim.Timing.n_loads (fun i -> r.Sim.Timing.l_time.(i))
 
 let t0 = Ir.Reg.tmp 0
 let t1 = Ir.Reg.tmp 1
@@ -131,7 +153,9 @@ let test_rob_limits_overlap () =
     done;
     Ir.Builder.load b (Ir.Reg.tmp 10) t0 64
   in
-  let env = { default_env with Sim.Timing.load_lat = (fun ~addr:_ -> 100) } in
+  let env =
+    with_hooks (fun h -> { h with h_load_lat = (fun ~addr:_ -> 100) })
+  in
   let small = { cfg with Sim.Config.rob_size = 4 } in
   let large = { cfg with Sim.Config.rob_size = 128; iq_size = 64 } in
   let r_small = time ~env ~cfg:small body in
@@ -151,7 +175,9 @@ let test_in_order_blocks_issue () =
     Ir.Builder.addi b t1 t1 1;
     Ir.Builder.load b (Ir.Reg.tmp 2) t0 64
   in
-  let env = { default_env with Sim.Timing.load_lat = (fun ~addr:_ -> 50) } in
+  let env =
+    with_hooks (fun h -> { h with h_load_lat = (fun ~addr:_ -> 50) })
+  in
   let ooo = time ~env ~cfg body in
   let io = time ~env ~cfg:cfg_io body in
   checkb "in-order slower" true
@@ -186,9 +212,10 @@ let cycles_with_pred ~correct =
   let instances = Sim.Dyntask.chop trace ~parts in
   let layout = Sim.Layout.create trace.Interp.Trace.funcs in
   let env =
-    { default_env with Sim.Timing.cond_pred = (fun ~pc:_ ~taken:_ -> correct) }
+    with_hooks (fun h ->
+        { h with h_cond_pred = (fun ~pc:_ ~taken:_ -> correct) })
   in
-  let r = Sim.Timing.run cfg trace layout instances.(0) env in
+  let r = exec ~env (trace, layout, instances.(0)) in
   (r.Sim.Timing.complete, r.Sim.Timing.intra_mispredicts, r.Sim.Timing.intra_branches)
 
 let test_branch_redirect_costs () =
@@ -200,15 +227,14 @@ let test_branch_redirect_costs () =
   checkb "redirects cost cycles" true (bad > good)
 
 let test_event_entries_monotonic () =
-  let trace, layout, inst =
-    instance_of (fun b ->
+  let r =
+    time (fun b ->
         for i = 0 to 9 do
           Ir.Builder.li b (Ir.Reg.tmp (i mod 8)) i
         done)
   in
-  let r = Sim.Timing.run cfg trace layout inst default_env in
   let ok = ref true in
-  for i = 1 to Array.length r.Sim.Timing.event_entry - 1 do
+  for i = 1 to r.Sim.Timing.n_events_inst - 1 do
     if r.Sim.Timing.event_entry.(i) < r.Sim.Timing.event_entry.(i - 1) then
       ok := false
   done;
@@ -225,8 +251,8 @@ let test_sync_delays_load () =
   in
   let free = time body in
   let env =
-    { default_env with
-      Sim.Timing.mem_dep = (fun ~addr:_ ~load_site:_ -> Some (200, true)) }
+    with_hooks (fun h ->
+        { h with h_mem_dep = (fun ~addr:_ ~load_site:_ -> (200 lsl 1) lor 1) })
   in
   let synced = time ~env body in
   checki "one sync wait" 1 synced.Sim.Timing.sync_waits;
@@ -240,15 +266,15 @@ let test_unsynced_dep_reports_load () =
     Ir.Builder.load b t1 t0 0
   in
   let env =
-    { default_env with
-      Sim.Timing.mem_dep = (fun ~addr:_ ~load_site:_ -> Some (200, false)) }
+    with_hooks (fun h ->
+        { h with h_mem_dep = (fun ~addr:_ ~load_site:_ -> 200 lsl 1) })
   in
   let r = time ~env body in
   checki "no sync wait" 0 r.Sim.Timing.sync_waits;
   (* the speculative load executed early and is reported for violation
      checking *)
-  (match r.Sim.Timing.loads with
-  | [ ld ] -> checkb "load early" true (ld.Sim.Timing.m_time < 100)
+  (match load_times r with
+  | [ t ] -> checkb "load early" true (t < 100)
   | _ -> Alcotest.fail "expected one load")
 
 let test_local_forwarding_hides_load () =
@@ -261,18 +287,18 @@ let test_local_forwarding_hides_load () =
     Ir.Builder.load b Ir.Reg.rv t0 0
   in
   let r = time body in
-  checki "no externally-visible load" 0 (List.length r.Sim.Timing.loads);
-  checki "one store" 1 (List.length r.Sim.Timing.stores)
+  checki "no externally-visible load" 0 r.Sim.Timing.n_loads;
+  checki "one store" 1 r.Sim.Timing.n_stores
 
 let test_mem_hold () =
   let body b =
     Ir.Builder.li b t0 4096;
     Ir.Builder.load b t1 t0 0
   in
-  let held = { default_env with Sim.Timing.mem_hold = 150 } in
+  let held = { default_env with mem_hold = 150 } in
   let r = time ~env:held body in
-  (match r.Sim.Timing.loads with
-  | [ ld ] -> checkb "load held" true (ld.Sim.Timing.m_time >= 150)
+  (match load_times r with
+  | [ t ] -> checkb "load held" true (t >= 150)
   | _ -> Alcotest.fail "expected one load")
 
 let test_bank_slot_delays_access () =
@@ -281,11 +307,11 @@ let test_bank_slot_delays_access () =
     Ir.Builder.load b t1 t0 0
   in
   let env =
-    { default_env with Sim.Timing.mem_slot = (fun ~addr:_ ~at -> at + 42) }
+    with_hooks (fun h -> { h with h_mem_slot = (fun ~addr:_ ~at -> at + 42) })
   in
   let r = time ~env body in
-  (match r.Sim.Timing.loads with
-  | [ ld ] -> checkb "bank conflict delays" true (ld.Sim.Timing.m_time >= 42)
+  (match load_times r with
+  | [ t ] -> checkb "bank conflict delays" true (t >= 42)
   | _ -> Alcotest.fail "expected one load")
 
 (* --- inter-task operands --------------------------------------------------- *)
@@ -297,8 +323,8 @@ let test_reg_avail_delays_dependents () =
     Ir.Builder.li b (Ir.Reg.tmp 2) 5
   in
   let late =
-    { default_env with
-      Sim.Timing.reg_avail = (fun r -> if r = t0 then 300 else 0) }
+    with_hooks (fun h ->
+        { h with h_reg_avail = (fun r -> if r = t0 then 300 else 0) })
   in
   let r = time ~env:late body in
   checkb "dependent waits" true (r.Sim.Timing.complete >= 300);
@@ -310,7 +336,7 @@ let test_start_fetch_offsets_everything () =
   let body b = Ir.Builder.li b t0 1 in
   let r0 = time body in
   let r100 =
-    time ~env:{ default_env with Sim.Timing.start_fetch = 100 } body
+    time ~env:{ default_env with start_fetch = 100 } body
   in
   checki "pure offset" (r0.Sim.Timing.complete + 100) r100.Sim.Timing.complete
 
@@ -321,7 +347,7 @@ let test_ifetch_extra_charged () =
     done
   in
   let slow =
-    { default_env with Sim.Timing.ifetch_extra = (fun ~fid:_ ~blk:_ -> 30) }
+    with_hooks (fun h -> { h with h_ifetch_extra = (fun ~fid:_ ~blk:_ -> 30) })
   in
   let fast = time body in
   let miss = time ~env:slow body in

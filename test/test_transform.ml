@@ -255,79 +255,6 @@ let prop_if_convert_preserves =
       Ir.Value.equal base.Interp.Run.result o.Interp.Run.result
       && Ir.Prog.validate prog' = Ok ())
 
-(* --- register communication scheduling ------------------------------------ *)
-
-let test_schedule_preserves_workloads () =
-  List.iter
-    (fun name ->
-      let e = Workloads.Suite.find name in
-      let prog = e.Workloads.Registry.build () in
-      let base = Interp.Run.execute prog in
-      let o = Interp.Run.execute (Core.Transform.schedule_communication prog) in
-      checkb name true
-        (Ir.Value.equal base.Interp.Run.result o.Interp.Run.result
-        && base.Interp.Run.steps = o.Interp.Run.steps))
-    [ "compress"; "tomcatv"; "perl" ]
-
-let test_schedule_hoists_producer () =
-  (* a block computing dead work before the live-out producer: scheduling
-     must lift the producer chain to the front *)
-  let f =
-    {
-      Ir.Func.name = "s";
-      blocks =
-        [|
-          {
-            Ir.Block.label = 0;
-            insns =
-              [|
-                (* dead-ish work *)
-                Ir.Insn.Li (20, 1);
-                Ir.Insn.Bin (Ir.Insn.Add, 20, 20, Ir.Insn.Imm 2);
-                Ir.Insn.Bin (Ir.Insn.Mul, 20, 20, Ir.Insn.Reg 20);
-                (* the live-out producer (rv) *)
-                Ir.Insn.Li (Ir.Reg.rv, 7);
-              |];
-            term = Ir.Block.Ret;
-          };
-        |];
-    }
-  in
-  let f' = Core.Transform.schedule_communication_func f in
-  checkb "producer first" true
-    ((Ir.Func.block f' 0).Ir.Block.insns.(0) = Ir.Insn.Li (Ir.Reg.rv, 7))
-
-let test_schedule_keeps_memory_order () =
-  let f =
-    {
-      Ir.Func.name = "m";
-      blocks =
-        [|
-          {
-            Ir.Block.label = 0;
-            insns =
-              [|
-                Ir.Insn.Store (20, Ir.Reg.sp, 0);
-                Ir.Insn.Load (21, Ir.Reg.sp, 0);
-                Ir.Insn.Store (21, Ir.Reg.sp, 1);
-              |];
-            term = Ir.Block.Ret;
-          };
-        |];
-    }
-  in
-  let f' = Core.Transform.schedule_communication_func f in
-  checkb "memory order intact" true
-    ((Ir.Func.block f' 0).Ir.Block.insns = (Ir.Func.block f 0).Ir.Block.insns)
-
-let prop_schedule_preserves =
-  QCheck.Test.make ~name:"communication scheduling preserves results"
-    ~count:30 Gen.arbitrary_program (fun prog ->
-      let base = Interp.Run.execute prog in
-      let o = Interp.Run.execute (Core.Transform.schedule_communication prog) in
-      Ir.Value.equal base.Interp.Run.result o.Interp.Run.result
-      && base.Interp.Run.steps = o.Interp.Run.steps)
-
 (* --- whole-pipeline properties ------------------------------------------- *)
 
 let prop_unroll_preserves_semantics =
@@ -392,16 +319,6 @@ let () =
           Alcotest.test_case "workloads preserved" `Quick
             test_if_convert_workloads_preserved;
           QCheck_alcotest.to_alcotest prop_if_convert_preserves;
-        ] );
-      ( "scheduling",
-        [
-          Alcotest.test_case "preserves workloads" `Quick
-            test_schedule_preserves_workloads;
-          Alcotest.test_case "hoists producer" `Quick
-            test_schedule_hoists_producer;
-          Alcotest.test_case "memory order" `Quick
-            test_schedule_keeps_memory_order;
-          QCheck_alcotest.to_alcotest prop_schedule_preserves;
         ] );
       ( "properties",
         [

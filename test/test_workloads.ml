@@ -185,10 +185,13 @@ let test_alt_inputs_differ () =
 let test_cross_profile_plan_valid () =
   let e = Workloads.Suite.find "compress" in
   let prog = e.Workloads.Registry.build () in
-  let alt = e.Workloads.Registry.build_alt () in
+  let store = Harness.Artifact.create () in
   List.iter
     (fun level ->
-      let plan = Core.Partition.build ~profile_input:alt level prog in
+      let plan =
+        (Harness.Artifact.get store ~profile_alt:true ~level e)
+          .Harness.Artifact.plan
+      in
       match Core.Partition.validate plan with
       | Ok () ->
         (* the plan must carry the EVALUATION program *)
