@@ -118,9 +118,8 @@ let run_superscalar () =
 " "bench" "ss IPC" "ms IPC"
     "ss window" "ms span";
   let rows =
-    Harness.Pool.map
-      (fun entry ->
-        let art = dd_artifact entry in
+    Harness.Artifact.grid store ~levels:[ Core.Heuristics.Data_dependence ]
+      Workloads.Suite.all (fun art ->
         let ss_cfg =
           {
             (Sim.Config.default ~num_pus:1 ~in_order:false) with
@@ -137,8 +136,7 @@ let run_superscalar () =
         (* the multiscalar side is the same (dd, 8PU, ooo) job figure5 runs:
            served from the store's simulation cache *)
         let ms = Harness.Artifact.sim store art ~num_pus:8 ~in_order:false in
-        (entry.Workloads.Registry.name, ss, ms))
-      Workloads.Suite.all
+        (art.Harness.Artifact.key.Harness.Artifact.workload, ss, ms))
   in
   List.iter
     (fun (name, ss, ms) ->

@@ -355,9 +355,8 @@ let trace_stats_cmd =
   in
   let run entries level jobs pus pred =
     let per_workload =
-      Harness.Pool.map ?jobs
-        (fun (e : Workloads.Registry.entry) ->
-          let art = Harness.Artifact.get store ~level e in
+      Harness.Artifact.grid store ?jobs ~levels:[ level ] entries
+        (fun art ->
           let trace = art.Harness.Artifact.trace in
           let plan = art.Harness.Artifact.plan in
           let parts =
@@ -369,12 +368,11 @@ let trace_stats_cmd =
           let span =
             Report.Window_span.measured ~num_pus:pus ~pred trace ~tasks
           in
-          ( e.Workloads.Registry.name,
+          ( art.Harness.Artifact.key.Harness.Artifact.workload,
             Interp.Trace.stats trace,
             trace.Interp.Trace.dyn_insns,
             Array.length tasks,
             span ))
-        entries
     in
     Printf.printf "%-10s %9s %9s %9s %6s %6s %6s %8s %8s %7s %8s\n"
       "workload" "events" "insns" "addrs" "w/ev" "boxed" "ratio" "KB"
@@ -735,14 +733,12 @@ let analyses =
               Format.printf "%a@." Report.Breakdown.pp_aggregate rows;
               if q.stats then
                 List.iter
-                  (fun (r : Report.Experiment.run_result) ->
-                    Format.printf "-- %s %s %dPU %s --@.%a@."
-                      r.Report.Experiment.workload
-                      (Core.Heuristics.level_name r.Report.Experiment.level)
-                      r.Report.Experiment.num_pus
-                      (if r.Report.Experiment.in_order then "in-order"
-                       else "out-of-order")
-                      Sim.Stats.pp r.Report.Experiment.stats)
+                  (fun (r : Report.Breakdown.row) ->
+                    Format.printf "-- %s %s %dPU %s --@.%a@." r.workload
+                      (Core.Heuristics.level_name r.level)
+                      r.num_pus
+                      (if r.in_order then "in-order" else "out-of-order")
+                      Sim.Stats.pp r.stats)
                   rows));
     };
     {

@@ -46,10 +46,7 @@ let () =
   List.iter
     (fun level ->
       Printf.printf "%s tasks:\n" (Core.Heuristics.level_name level);
-      let r =
-        Report.Experiment.run_one ~store ~level ~num_pus:8 ~in_order:false
-          entry
-      in
-      phase_report r.Report.Experiment.stats;
+      let art = Harness.Artifact.get store ~level entry in
+      phase_report (Harness.Artifact.sim store art ~num_pus:8 ~in_order:false);
       print_newline ())
     Core.Heuristics.all_levels

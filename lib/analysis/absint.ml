@@ -29,7 +29,12 @@ module Make (S : STATE) = struct
 
   let no_refine _fname _blk _target st = st
 
-  let solve ?(widen_after = 3) ?(narrow_rounds = 2) ?(refine = no_refine) ~seed
+  (* widen a block's entry state past this many updates; then this many
+     guarded descending rounds *)
+  let widen_after = 3
+  let narrow_rounds = 2
+
+  let solve ?(refine = no_refine) ~seed
       ~transfer (prog : Ir.Prog.t) =
     let fnames =
       Array.of_list (List.map fst (Ir.Prog.Smap.bindings prog.Ir.Prog.funcs))

@@ -19,8 +19,8 @@
     - [S.widen old cand] (called with [cand = join old new]) returns a
       state at least [cand] and bounds every ascending chain — the engine
       switches from plain joins to widening once a block's entry state has
-      been updated [widen_after] times, so termination is the widening
-      operator's responsibility;
+      been updated 3 times, so termination is the widening operator's
+      responsibility;
     - [transfer] is a sound abstract execution of one block: for any
       concrete state covered by the input, the concrete successor state is
       covered by the output;
@@ -28,7 +28,7 @@
       concrete state covered by [a] is covered by [b]); conservative
       [false] answers only reduce narrowing, never soundness.
 
-    After the ascending pass the engine runs [narrow_rounds] descending
+    After the ascending pass the engine runs 2 descending
     (narrowing) passes: each block's entry state is recomputed as the join
     of its predecessors' transfer outputs (plus the entry seed) and
     accepted only when [S.leq] proves it refines the current state.  Any
@@ -57,20 +57,18 @@ module Make (S : STATE) : sig
   type result
 
   val solve :
-    ?widen_after:int ->
-    ?narrow_rounds:int ->
     ?refine:(string -> Ir.Block.t -> Ir.Block.label -> S.t -> S.t) ->
     seed:(string -> S.t option) ->
     transfer:(string -> Ir.Block.t -> S.t -> S.t) ->
     Ir.Prog.t ->
     result
-  (** Run the ascending worklist pass (widening past [widen_after] updates
-      per block, default 3) followed by [narrow_rounds] guarded descending
-      passes (default 2).  [seed fname] is the extra state joined into the
-      entry block of [fname] (the loader state for [main], [None]
-      elsewhere); [transfer fname block st] abstractly executes one block
-      from its entry state.  [transfer] of {!S.bot} should be {!S.bot} so
-      unreachable blocks stay inert during narrowing.
+  (** Run the ascending worklist pass (widening past 3 updates per block)
+      followed by 2 guarded descending passes.  [seed fname] is the extra
+      state joined into the entry block of [fname] (the loader state for
+      [main], [None] elsewhere); [transfer fname block st] abstractly
+      executes one block from its entry state.  [transfer] of {!S.bot}
+      should be {!S.bot} so unreachable blocks stay inert during
+      narrowing.
 
       [refine fname block target st] filters the out-state [st] of [block]
       along its edge to [target] — the path-sensitivity hook: a client can

@@ -23,7 +23,8 @@ let default_model =
     per_task_overhead = 2.0;
   }
 
-let block_freqs ?(model = default_model) (f : Ir.Func.t) =
+let block_freqs (f : Ir.Func.t) =
+  let model = default_model in
   let n = Ir.Func.num_blocks f in
   let dfs = Dfs.compute f in
   let loops = Loops.compute f in
@@ -74,8 +75,7 @@ let block_freqs ?(model = default_model) (f : Ir.Func.t) =
 let weight_rounds = 12
 let weight_cap = 1e9
 
-let func_weights ?(model = default_model) (prog : Ir.Prog.t) ~freqs =
-  ignore model;
+let func_weights (prog : Ir.Prog.t) ~freqs =
   let base name = if name = prog.Ir.Prog.main then 1.0 else 0.0 in
   let calls =
     Ir.Prog.Smap.mapi
@@ -162,7 +162,8 @@ let penalties c =
 
 let scalar ~useful_base c = penalties c /. Float.max 1.0 useful_base
 
-let evaluate ?(model = default_model) ~tasks ~reg_edges ~mem_edges () =
+let evaluate ~tasks ~reg_edges ~mem_edges () =
+  let model = default_model in
   let useful =
     List.fold_left (fun a t -> a +. (t.o_weight *. t.o_size)) 0.0 tasks
   in

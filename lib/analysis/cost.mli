@@ -53,7 +53,7 @@ val default_model : model
 
 (** {1 Flow estimation} *)
 
-val block_freqs : ?model:model -> Ir.Func.t -> float array
+val block_freqs : Ir.Func.t -> float array
 (** Relative per-block execution frequency, entry = 1.0.  Propagated in
     reverse postorder: a loop header multiplies its incoming forward mass
     by [trip]; a retreating out-edge carries relative weight [trip - 1]
@@ -65,7 +65,7 @@ val block_freqs : ?model:model -> Ir.Func.t -> float array
     Unreachable blocks stay at 0. *)
 
 val func_weights :
-  ?model:model -> Ir.Prog.t -> freqs:(string -> float array) ->
+  Ir.Prog.t -> freqs:(string -> float array) ->
   float Ir.Prog.Smap.t
 (** Expected invocations per function: [main] = 1.0, plus, iteratively,
     each caller's weight × the frequency of each of its call blocks
@@ -109,7 +109,7 @@ val scalar : useful_base:float -> t -> float
     monotonically into scalar reductions). *)
 
 val evaluate :
-  ?model:model -> tasks:task_obs list -> reg_edges:edge_obs list ->
+  tasks:task_obs list -> reg_edges:edge_obs list ->
   mem_edges:edge_obs list -> unit -> t
 (** Fold observations into raw scores:
     - [c_useful] = Σ weight × size;

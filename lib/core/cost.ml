@@ -6,21 +6,20 @@ module Iset = Task.Iset
    analysis are all independent of any partition, which is what lets the
    greedy search re-score a single function in isolation. *)
 type prog_ctx = {
-  model : Analysis.Cost.model;
   freqs : (string, float array) Hashtbl.t;
   weights : float Smap.t;
   mem : Analysis.Memdep.t;
   useful_base : float;
 }
 
-let make_prog_ctx ?(model = Analysis.Cost.default_model) (prog : Ir.Prog.t) =
+let make_prog_ctx (prog : Ir.Prog.t) =
   let freqs = Hashtbl.create 16 in
   Smap.iter
     (fun name f ->
-      Hashtbl.replace freqs name (Analysis.Cost.block_freqs ~model f))
+      Hashtbl.replace freqs name (Analysis.Cost.block_freqs f))
     prog.Ir.Prog.funcs;
   let weights =
-    Analysis.Cost.func_weights ~model prog ~freqs:(Hashtbl.find freqs)
+    Analysis.Cost.func_weights prog ~freqs:(Hashtbl.find freqs)
   in
   let mem = Analysis.Memdep.analyze ~sp:Interp.Run.initial_sp prog in
   let useful_base =
@@ -36,7 +35,7 @@ let make_prog_ctx ?(model = Analysis.Cost.default_model) (prog : Ir.Prog.t) =
         acc +. (w *. !s))
       prog.Ir.Prog.funcs 0.0
   in
-  { model; freqs; weights; mem; useful_base }
+  { freqs; weights; mem; useful_base }
 
 let add_region r rs =
   if List.exists (Analysis.Memdep.equal r) rs then rs else r :: rs
@@ -47,7 +46,7 @@ let add_region r rs =
    function reproduces the partition-independent base up to task overlap
    and unreachable blocks. *)
 let func_cost ctx memo fname (f : Ir.Func.t) (part : Task.partition) =
-  let model = ctx.model in
+  let model = Analysis.Cost.default_model in
   let fw = Smap.find fname ctx.weights in
   if fw <= 0.0 then Analysis.Cost.zero
   else begin
@@ -147,7 +146,7 @@ let func_cost ctx memo fname (f : Ir.Func.t) (part : Task.partition) =
             :: !mem_edges
       done
     done;
-    Analysis.Cost.evaluate ~model ~tasks ~reg_edges ~mem_edges:!mem_edges ()
+    Analysis.Cost.evaluate ~tasks ~reg_edges ~mem_edges:!mem_edges ()
   end
 
 type result = {
@@ -181,8 +180,8 @@ let cost_in ctx (plan : Partition.plan) =
     r_per_func = per_func;
   }
 
-let plan_cost ?model (plan : Partition.plan) =
-  cost_in (make_prog_ctx ?model plan.Partition.prog) plan
+let plan_cost (plan : Partition.plan) =
+  cost_in (make_prog_ctx plan.Partition.prog) plan
 
 (* --- feedback search ------------------------------------------------------ *)
 
@@ -292,8 +291,8 @@ let refine_in ctx (plan : Partition.plan) =
     plan.Partition.parts;
   { plan with Partition.parts = !acc }
 
-let refine ?model (plan : Partition.plan) =
-  refine_in (make_prog_ctx ?model plan.Partition.prog) plan
+let refine (plan : Partition.plan) =
+  refine_in (make_prog_ctx plan.Partition.prog) plan
 
 (* The Task_size seed is the paper's best level overall, but not per
    workload: where its unrolling/call-inclusion grows tasks past what the

@@ -33,8 +33,8 @@ type result = {
   r_per_func : (string * Analysis.Cost.t) list;  (** sorted by name *)
 }
 
-val plan_cost : ?model:Analysis.Cost.model -> Partition.plan -> result
-(** Deterministic: depends only on the plan (and model), not on hash or
+val plan_cost : Partition.plan -> result
+(** Deterministic: depends only on the plan, not on hash or
     iteration order — the [cost/conserve] lint rule checks this by
     recomputation. *)
 
@@ -44,7 +44,7 @@ type prog_ctx
 (** The partition-independent observations of a program: block
     frequencies, call-graph weights and the address analysis. *)
 
-val make_prog_ctx : ?model:Analysis.Cost.model -> Ir.Prog.t -> prog_ctx
+val make_prog_ctx : Ir.Prog.t -> prog_ctx
 
 val func_cost :
   prog_ctx -> Depend.memo -> string -> Ir.Func.t -> Task.partition ->
@@ -57,7 +57,7 @@ val func_cost :
 
 (** {1 The feedback search} *)
 
-val refine : ?model:Analysis.Cost.model -> Partition.plan -> Partition.plan
+val refine : Partition.plan -> Partition.plan
 (** The feedback search described above.  The seed plan must itself pass
     {!Partition.validate}: a failure raises [Invalid_argument] (it means
     the lint library is not linked, or the seed is broken — silently

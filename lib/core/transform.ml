@@ -95,20 +95,17 @@ let all_used_registers f =
   done;
   !rs
 
-let unused_registers f =
+(* Registers are architecturally global: a scratch register that is unused
+   in one function may be live across a call in another, so every pool of
+   copy registers is drawn from the registers unused across the whole
+   program. *)
+let free_registers p =
   let used = Array.make Ir.Reg.count false in
-  used.(Ir.Reg.zero) <- true;
-  used.(Ir.Reg.sp) <- true;
-  used.(Ir.Reg.rv) <- true;
-  for i = 0 to Ir.Reg.max_args - 1 do
-    used.(Ir.Reg.arg i) <- true
-  done;
-  List.iter (fun r -> used.(r) <- true) (all_used_registers f);
-  let free = ref [] in
-  for r = Ir.Reg.count - 1 downto 0 do
-    if not used.(r) then free := r :: !free
-  done;
-  !free
+  List.iter (fun r -> used.(r) <- true) [ Ir.Reg.zero; Ir.Reg.sp; Ir.Reg.rv ];
+  Ir.Prog.Smap.iter
+    (fun _ f -> List.iter (fun r -> used.(r) <- true) (all_used_registers f))
+    p.Ir.Prog.funcs;
+  ref (List.filter (fun r -> not used.(r)) (List.init Ir.Reg.count Fun.id))
 
 (* A hoistable induction register in loop [lo]: defined in the loop exactly
    once, by `add r, r, #imm` sitting last in the single latch; all loop exits
@@ -427,11 +424,9 @@ let rec unroll_round params ~free ~handled f =
     in
     unroll_round params ~free ~handled f
 
-let unroll_short_loops_with params ~free f =
-  unroll_round params ~free ~handled:(ref []) f
-
-let unroll_short_loops params f =
-  unroll_short_loops_with params ~free:(ref (unused_registers f)) f
+let unroll_program params p =
+  let free = free_registers p in
+  Ir.Prog.map_funcs (fun f -> unroll_round params ~free ~handled:(ref []) f) p
 
 (* --- call inclusion ------------------------------------------------------ *)
 
@@ -520,38 +515,8 @@ let hoist_induction_with ~free f =
       | None -> f)
     f loops.Analysis.Loops.loops
 
-let hoist_induction f = hoist_induction_with ~free:(ref (unused_registers f)) f
-
-(* Registers are architecturally global: a scratch register that is unused in
-   one function may be live across a call in another, so the pool of copy
-   registers must be computed over the whole program. *)
-(* Unrolling over the whole program, sharing the globally-unused register
-   pool for the coalesced induction copies (see hoist_program). *)
-let unroll_program params p =
-  let used = Array.make Ir.Reg.count false in
-  Ir.Prog.Smap.iter
-    (fun _ f ->
-      List.iter (fun r -> used.(r) <- true) (all_used_registers f))
-    p.Ir.Prog.funcs;
-  let free = ref [] in
-  for r = Ir.Reg.count - 1 downto 0 do
-    if not used.(r) && r <> Ir.Reg.zero && r <> Ir.Reg.sp && r <> Ir.Reg.rv
-    then free := r :: !free
-  done;
-  Ir.Prog.map_funcs (unroll_short_loops_with params ~free) p
-
 let hoist_program p =
-  let used = Array.make Ir.Reg.count false in
-  Ir.Prog.Smap.iter
-    (fun _ f ->
-      List.iter (fun r -> used.(r) <- true) (all_used_registers f))
-    p.Ir.Prog.funcs;
-  let free = ref [] in
-  for r = Ir.Reg.count - 1 downto 0 do
-    if not used.(r) && r <> Ir.Reg.zero && r <> Ir.Reg.sp && r <> Ir.Reg.rv
-    then free := r :: !free
-  done;
-  Ir.Prog.map_funcs (hoist_induction_with ~free) p
+  Ir.Prog.map_funcs (hoist_induction_with ~free:(free_registers p)) p
 
 (* --- if-conversion (predication) ------------------------------------------ *)
 
@@ -572,6 +537,7 @@ let hoist_program p =
 
    Arms are bounded by [max_arm] instructions to avoid flooding the block
    with wrong-path work. *)
+let max_arm = 6
 
 let pure_insn = function
   | Ir.Insn.Nop | Ir.Insn.Li _ | Ir.Insn.Lf _ | Ir.Insn.Mov _
@@ -663,7 +629,7 @@ let rename_arm insns ~free =
 
 (* converts the first convertible diamond it finds and recurses, so the
    predecessor information is always fresh *)
-let rec if_convert_func ?(max_arm = 6) ~free f =
+let rec if_convert_func ~free f =
   let n = Ir.Func.num_blocks f in
   let preds = Ir.Func.predecessors f in
   let blocks = Array.copy f.Ir.Func.blocks in
@@ -720,18 +686,9 @@ let rec if_convert_func ?(max_arm = 6) ~free f =
     | _ -> ()
   done;
   if !changed then
-    if_convert_func ~max_arm ~free
+    if_convert_func ~free
       (Ir.Func.drop_unreachable { f with Ir.Func.blocks })
   else f
 
-let if_convert_program ?max_arm p =
-  let used = Array.make Ir.Reg.count false in
-  Ir.Prog.Smap.iter
-    (fun _ f -> List.iter (fun r -> used.(r) <- true) (all_used_registers f))
-    p.Ir.Prog.funcs;
-  let free = ref [] in
-  for r = Ir.Reg.count - 1 downto 0 do
-    if not used.(r) && r <> Ir.Reg.zero && r <> Ir.Reg.sp && r <> Ir.Reg.rv
-    then free := r :: !free
-  done;
-  Ir.Prog.map_funcs (if_convert_func ?max_arm ~free) p
+let if_convert_program p =
+  Ir.Prog.map_funcs (if_convert_func ~free:(free_registers p)) p

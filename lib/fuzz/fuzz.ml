@@ -12,7 +12,6 @@ type config = {
   levels : Core.Heuristics.level list;
   ref_sample : int;
   max_steps : int;
-  machines : (int * bool) list;
 }
 
 let default_config =
@@ -23,7 +22,6 @@ let default_config =
     levels = Core.Heuristics.extended_levels;
     ref_sample = 10;
     max_steps = 5_000_000;
-    machines = [ (4, true); (8, false) ];
   }
 
 type violation = {
@@ -267,7 +265,7 @@ let check_value config ~profile ~index ~seed prog =
                           (Printf.sprintf "%dPU %s: %s" num_pus
                              (if in_order then "in-order" else "ooo")
                              msg))
-                config.machines
+                Lint.acct_configs
           end))
       config.levels;
     (* the feedback search must never lose to its task-size seed on the

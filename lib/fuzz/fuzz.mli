@@ -38,12 +38,12 @@ type config = {
       (** run the sim_ref differential on every [ref_sample]-th program
           (0 disables it) *)
   max_steps : int;  (** interpreter step bound per program execution *)
-  machines : (int * bool) list;  (** [(num_pus, in_order)] shapes simulated *)
 }
 
 val default_config : config
 (** seed 42, n 200, every profile, all five levels, 1-in-10 sim_ref
-    sampling, the 4-PU in-order and 8-PU out-of-order machines. *)
+    sampling.  Every program is simulated on the {!Lint.acct_configs}
+    machines. *)
 
 type violation = {
   v_profile : string;

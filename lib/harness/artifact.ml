@@ -20,88 +20,28 @@ type artifact = {
   trace : Interp.Trace.t;
 }
 
-(* Exactly-once memoization under work stealing: each key owns a cell
-   with its own mutex/condvar.  The store mutex only guards table
-   lookup-or-insert, so the winner of a key races nobody while it
-   computes and a landing broadcasts only to waiters of that key —
-   not, as the old single store-wide condvar did, to every waiter of
-   every key.  Failures are cached too, so every requester of a key
-   sees the same exception instead of re-running a computation that
-   cannot succeed.
-
-   Deadlock-freedom: the only cross-key waits go get -> prep -> sim
-   (never backwards), so the wait graph is acyclic; and a cell is
-   In_flight only while some domain is actively inside [compute] — a
-   waiter never waits on work that is queued but unowned. *)
-type 'a cell = {
-  cmu : Mutex.t;
-  ccond : Condition.t;
-  mutable cst : 'a outcome;  (* guarded by [cmu] *)
-}
-
-and 'a outcome = In_flight | Landed of 'a | Crashed of exn
-
+(* The three tables are Memo tables, so each key is computed once even
+   under work stealing, and a failed computation is retried by the next
+   request.  Deadlock-freedom: the only cross-key waits go get -> prep ->
+   sim (never backwards), so the wait graph is acyclic. *)
 type t = {
-  mu : Mutex.t;
-  pipeline : (key, artifact cell) Hashtbl.t;
+  pipeline : (key, artifact) Memo.t;
   (* configuration-independent Sim.Engine.prep per pipeline artifact,
      shared by every machine configuration simulated against it *)
-  preps : (key, Sim.Engine.prep cell) Hashtbl.t;
-  sims : (key * int * bool, Sim.Stats.t cell) Hashtbl.t;
-  mutable pipeline_builds : int;
+  preps : (key, Sim.Engine.prep) Memo.t;
+  sims : (key * int * bool, Sim.Stats.t) Memo.t;
+  builds : int Atomic.t;
 }
 
 let create () =
   {
-    mu = Mutex.create ();
-    pipeline = Hashtbl.create 64;
-    preps = Hashtbl.create 64;
-    sims = Hashtbl.create 256;
-    pipeline_builds = 0;
+    pipeline = Memo.create 64;
+    preps = Memo.create 64;
+    sims = Memo.create 256;
+    builds = Atomic.make 0;
   }
 
-let memo t tbl key ?(on_miss = fun () -> ()) compute =
-  Mutex.lock t.mu;
-  let cell, owner =
-    match Hashtbl.find_opt tbl key with
-    | Some c -> (c, false)
-    | None ->
-      let c =
-        { cmu = Mutex.create (); ccond = Condition.create ();
-          cst = In_flight }
-      in
-      Hashtbl.replace tbl key c;
-      on_miss ();
-      (c, true)
-  in
-  Mutex.unlock t.mu;
-  if owner then begin
-    let outcome = try Landed (compute ()) with e -> Crashed e in
-    Mutex.lock cell.cmu;
-    cell.cst <- outcome;
-    Condition.broadcast cell.ccond;
-    Mutex.unlock cell.cmu;
-    match outcome with
-    | Landed v -> v
-    | Crashed e -> raise e
-    | In_flight -> assert false
-  end
-  else begin
-    Mutex.lock cell.cmu;
-    let rec settle () =
-      match cell.cst with
-      | In_flight ->
-        Condition.wait cell.ccond cell.cmu;
-        settle ()
-      | Landed v ->
-        Mutex.unlock cell.cmu;
-        v
-      | Crashed e ->
-        Mutex.unlock cell.cmu;
-        raise e
-    in
-    settle ()
-  end
+let memo tbl key compute = fst (Memo.find_or_compute tbl key compute)
 
 let get t ?(params = Core.Heuristics.default) ?(profile_alt = false)
     ?(variant = base_variant) ~level (entry : Workloads.Registry.entry) =
@@ -109,9 +49,8 @@ let get t ?(params = Core.Heuristics.default) ?(profile_alt = false)
     { workload = entry.Workloads.Registry.name; level; params; profile_alt;
       variant }
   in
-  memo t t.pipeline key
-    ~on_miss:(fun () -> t.pipeline_builds <- t.pipeline_builds + 1)
-    (fun () ->
+  memo t.pipeline key (fun () ->
+      Atomic.incr t.builds;
       let prog = entry.Workloads.Registry.build () in
       let profile_input =
         if profile_alt then Some (entry.Workloads.Registry.build_alt ())
@@ -135,19 +74,22 @@ let get t ?(params = Core.Heuristics.default) ?(profile_alt = false)
       { key; kind = entry.Workloads.Registry.kind; plan; trace })
 
 let prep t (art : artifact) =
-  memo t t.preps art.key (fun () -> Sim.Engine.prepare art.plan art.trace)
+  memo t.preps art.key (fun () -> Sim.Engine.prepare art.plan art.trace)
 
 let sim t (art : artifact) ~num_pus ~in_order =
   let p = prep t art in
-  memo t t.sims (art.key, num_pus, in_order) (fun () ->
+  memo t.sims (art.key, num_pus, in_order) (fun () ->
       let cfg = Sim.Config.default ~num_pus ~in_order in
       (Sim.Engine.run_prepared cfg p art.trace).Sim.Engine.stats)
 
-let builds t =
-  Mutex.lock t.mu;
-  let n = t.pipeline_builds in
-  Mutex.unlock t.mu;
-  n
+let grid t ?jobs ~levels entries f =
+  Pool.map ?jobs
+    (fun (entry, level) -> f (get t ~level entry))
+    (List.concat_map
+       (fun entry -> List.map (fun level -> (entry, level)) levels)
+       entries)
+
+let builds t = Atomic.get t.builds
 
 let level_index level =
   let rec go i = function
@@ -156,32 +98,14 @@ let level_index level =
   in
   go 0 Core.Heuristics.extended_levels
 
-(* snapshot of a cell's outcome; locks only that cell *)
-let peek cell =
-  Mutex.lock cell.cmu;
-  let st = cell.cst in
-  Mutex.unlock cell.cmu;
-  st
+(* the deterministic order of {!traces} and {!sim_results} *)
+let order (k : key) =
+  (k.workload, level_index k.level, k.params, k.profile_alt, k.variant)
 
 let traces t =
-  Mutex.lock t.mu;
-  let landed =
-    Hashtbl.fold
-      (fun key cell acc ->
-        match peek cell with
-        | Landed art -> (key, art.trace) :: acc
-        | In_flight | Crashed _ -> acc)
-      t.pipeline []
-  in
-  Mutex.unlock t.mu;
   List.sort
-    (fun ((ka : key), _) ((kb : key), _) ->
-      compare
-        (ka.workload, level_index ka.level, ka.params, ka.profile_alt,
-         ka.variant)
-        (kb.workload, level_index kb.level, kb.params, kb.profile_alt,
-         kb.variant))
-    landed
+    (fun (ka, _) (kb, _) -> compare (order ka) (order kb))
+    (List.map (fun (key, art) -> (key, art.trace)) (Memo.bindings t.pipeline))
 
 let trace_bytes t =
   List.fold_left
@@ -189,21 +113,10 @@ let trace_bytes t =
     0 (traces t)
 
 let sim_results t =
-  Mutex.lock t.mu;
-  let landed =
-    Hashtbl.fold
-      (fun (key, num_pus, in_order) cell acc ->
-        match peek cell with
-        | Landed stats -> (key, (num_pus, in_order), stats) :: acc
-        | In_flight | Crashed _ -> acc)
-      t.sims []
-  in
-  Mutex.unlock t.mu;
   List.sort
-    (fun (ka, (pa, ioa), _) (kb, (pb, iob), _) ->
-      compare
-        (ka.workload, level_index ka.level, ka.params, ka.profile_alt,
-         ka.variant, pa, ioa)
-        (kb.workload, level_index kb.level, kb.params, kb.profile_alt,
-         kb.variant, pb, iob))
-    landed
+    (fun (ka, machine_a, _) (kb, machine_b, _) ->
+      compare (order ka, machine_a) (order kb, machine_b))
+    (List.map
+       (fun ((key, num_pus, in_order), stats) ->
+         (key, (num_pus, in_order), stats))
+       (Memo.bindings t.sims))

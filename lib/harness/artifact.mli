@@ -11,12 +11,12 @@
     pipeline exactly once instead of once per section.
 
     The store is domain-safe: it is the synchronisation point for
-    {!Pool}-parallel jobs.  Each key owns a private in-flight cell with
-    its own mutex and condition variable; the first requester computes,
-    later requesters block on that key's cell (not on a store-wide
-    condvar) until the result lands, so concurrent requests never
-    duplicate work and a landing never wakes waiters of unrelated keys.
-    Repeated [get]s return the physically same plan and trace.
+    {!Pool}-parallel jobs.  Its tables are {!Memo} tables: the first
+    requester of a key computes, later requesters block on that key alone
+    until the result lands, so concurrent requests never duplicate work;
+    a failed computation is not cached, and the next request retries it.
+    Repeated [get]s return the physically same plan and trace.  {!grid}
+    is the one fan-out over the store that every report runs on.
 
     On top of the pipeline artifacts the store also memoizes simulation
     statistics for {!Sim.Config.default} machine configurations (keyed by
@@ -85,9 +85,24 @@ val sim : t -> artifact -> num_pus:int -> in_order:bool -> Sim.Stats.t
     treat the returned statistics as read-only: repeated calls share one
     record. *)
 
+val grid :
+  t ->
+  ?jobs:int ->
+  levels:Core.Heuristics.level list ->
+  Workloads.Registry.entry list ->
+  (artifact -> 'a) ->
+  'a list
+(** [grid t ~levels entries f] applies [f] to the default-parameter
+    artifact ({!get}) of every (entry, level) cell, fanned out flat over
+    {!Pool.map} at width [jobs].  Results are entry-major: the cells of
+    the [i]-th entry are at positions [i * n] to [i * n + n - 1], in
+    [levels] order, where [n] is the number of levels.  [f] runs on a
+    pool worker and typically calls {!sim} itself. *)
+
 val builds : t -> int
 (** Number of pipeline computations actually performed (cache misses) —
-    the exactly-once property is [builds t = number of distinct keys]. *)
+    the exactly-once property is [builds t = number of distinct keys]
+    while no computation has failed. *)
 
 val sim_results : t -> (key * (int * bool) * Sim.Stats.t) list
 (** Every simulation recorded by {!sim}, sorted deterministically

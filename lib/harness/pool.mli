@@ -8,9 +8,9 @@
     for every subsequent call, so repeated experiment batches stop
     paying per-call domain spawns.  Calls made from {e inside} a pool
     task are routed to the caller's own scheduler (depth-first on the
-    worker's deque, stealable by its siblings), which is how nested
-    fan-outs such as figure5's entries x levels exploit the full width
-    without oversubscribing.
+    worker's deque, stealable by its siblings), so a nested fan-out, such
+    as a daemon handler's grid, uses the full width without
+    oversubscribing.
 
     Width selection honours [HARNESS_JOBS] and is always clamped by
     [Domain.recommended_domain_count ()]: spawning more domains than the

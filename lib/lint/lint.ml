@@ -1251,30 +1251,21 @@ type report = {
 let acct_configs = [ (4, true); (8, false) ]
 
 let check_suite ?jobs ?(levels = Core.Heuristics.all_levels) ~store entries =
-  let pairs =
-    List.concat_map
-      (fun e -> List.map (fun level -> (e, level)) levels)
-      entries
-  in
-  Harness.Pool.map ?jobs
-    (fun ((e : Workloads.Registry.entry), level) ->
-      let art = Harness.Artifact.get store ~level e in
+  Harness.Artifact.grid store ?jobs ~levels entries (fun art ->
+      let plan = art.Harness.Artifact.plan
+      and trace = art.Harness.Artifact.trace in
       {
-        workload = e.Workloads.Registry.name;
-        level;
+        workload = art.Harness.Artifact.key.Harness.Artifact.workload;
+        level = art.Harness.Artifact.key.Harness.Artifact.level;
         diags =
-          check_plan art.Harness.Artifact.plan
-          @ check_trace art.Harness.Artifact.trace
-          @ check_deps art.Harness.Artifact.plan art.Harness.Artifact.trace
-          @ check_absint art.Harness.Artifact.plan art.Harness.Artifact.trace
-          @ check_cost art.Harness.Artifact.plan
+          check_plan plan @ check_trace trace @ check_deps plan trace
+          @ check_absint plan trace @ check_cost plan
           @ List.concat_map
               (fun (num_pus, in_order) ->
                 check_account ~num_pus ~in_order
                   (Harness.Artifact.sim store art ~num_pus ~in_order))
               acct_configs;
       })
-    pairs
 
 let total_errors reports =
   List.fold_left (fun acc r -> acc + List.length (Diag.errors r.diags)) 0

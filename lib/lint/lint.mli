@@ -144,17 +144,21 @@ type report = {
   diags : Diag.t list;
 }
 
+val acct_configs : (int * bool) list
+(** The machines, [(num_pus, in_order)], that {!check_suite} (and the
+    fuzz oracle stack) simulate for the [acct/conserve] gate: the 4-PU
+    in-order and 8-PU out-of-order configurations of figure 5. *)
+
 val check_suite :
   ?jobs:int ->
   ?levels:Core.Heuristics.level list ->
   store:Harness.Artifact.t ->
   Workloads.Registry.entry list ->
   report list
-(** Lint every workload at every level (default: all four), fanning the
-    plan builds out over the {!Harness.Pool} domains through the shared
-    artifact store.  Each (workload, level) is additionally simulated on
-    two figure-5 machine configurations (4-PU in-order, 8-PU out-of-order)
-    through {!Harness.Artifact.sim} so the [acct/conserve] gate covers the
+(** Lint every workload at every level (default: all four), one
+    {!Harness.Artifact.grid} cell per (workload, level).  Each cell is
+    additionally simulated on the {!acct_configs} machines through
+    {!Harness.Artifact.sim} so the [acct/conserve] gate covers the
     suite; the sims are memoized, so a run that already produced them
     pays nothing extra.  Results are in input order (workload-major). *)
 

@@ -1,6 +1,9 @@
 let round p = Dce.run (Peephole.run (Cse.run (Constprop.run p)))
 
-let run ?(rounds = 4) p =
+(* at most this many rounds *)
+let rounds = 4
+
+let run p =
   let rec go i p =
     if i >= rounds then p
     else begin

@@ -4,5 +4,5 @@
     built with.  Semantics are preserved (checked by the test suite over
     every workload and by property tests). *)
 
-val run : ?rounds:int -> Ir.Prog.t -> Ir.Prog.t
-(** Default 4 rounds; stops early when a round changes nothing. *)
+val run : Ir.Prog.t -> Ir.Prog.t
+(** At most 4 rounds; stops early when a round changes nothing. *)

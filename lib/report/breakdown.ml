@@ -4,34 +4,46 @@
    imbalance, overhead) plus useful work and idleness, as percentages of
    the machine's cycle budget (PUs × total cycles). *)
 
+(* one (workload, level) pipeline simulated on one machine *)
+type row = {
+  workload : string;
+  kind : Workloads.Registry.kind;
+  level : Core.Heuristics.level;
+  num_pus : int;
+  in_order : bool;
+  stats : Sim.Stats.t;
+}
+
 let default_pus = [ 1; 2; 4; 8 ]
 
 let run ~store ?jobs ?(levels = Core.Heuristics.all_levels)
     ?(pus = default_pus) ?(in_order = false) entries =
-  let cells =
-    List.concat_map
-      (fun entry -> List.map (fun level -> (entry, level)) levels)
-      entries
-  in
   List.concat
-    (Harness.Pool.map ?jobs
-       (fun (entry, level) ->
-         Experiment.run_level_configs ~store ~level
-           ~configs:(List.map (fun p -> (p, in_order)) pus)
-           entry)
-       cells)
+    (Harness.Artifact.grid store ?jobs ~levels entries (fun art ->
+         let key = art.Harness.Artifact.key in
+         List.map
+           (fun num_pus ->
+             {
+               workload = key.Harness.Artifact.workload;
+               kind = art.Harness.Artifact.kind;
+               level = key.Harness.Artifact.level;
+               num_pus;
+               in_order;
+               stats = Harness.Artifact.sim store art ~num_pus ~in_order;
+             })
+           pus))
 
 let accounts rows =
   List.map
-    (fun (r : Experiment.run_result) ->
+    (fun r ->
       Harness.Job.account_of_stats
         {
-          Harness.Job.workload = r.Experiment.workload;
-          level = r.Experiment.level;
-          num_pus = r.Experiment.num_pus;
-          in_order = r.Experiment.in_order;
+          Harness.Job.workload = r.workload;
+          level = r.level;
+          num_pus = r.num_pus;
+          in_order = r.in_order;
         }
-        ~kind:r.Experiment.kind r.Experiment.stats)
+        ~kind:r.kind r.stats)
     rows
 
 let to_json rows = Harness.Job.accounts_to_json (accounts rows)
@@ -42,10 +54,8 @@ let to_json rows = Harness.Job.accounts_to_json (accounts rows)
 let aggregate rows =
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun (r : Experiment.run_result) ->
-      let key =
-        (r.Experiment.level, r.Experiment.num_pus, r.Experiment.in_order)
-      in
+    (fun r ->
+      let key = (r.level, r.num_pus, r.in_order) in
       let acc =
         match Hashtbl.find_opt tbl key with
         | Some a -> a
@@ -55,18 +65,14 @@ let aggregate rows =
           Hashtbl.replace tbl key a;
           a
       in
-      let src = r.Experiment.stats.Sim.Stats.acct in
+      let src = r.stats.Sim.Stats.acct in
       List.iter
         (fun c -> Sim.Account.add acc c (Sim.Account.get src c))
         Sim.Account.all;
       acc.Sim.Account.cycles <- acc.Sim.Account.cycles + Sim.Account.budget src)
     rows;
   let machines =
-    List.sort_uniq compare
-      (List.map
-         (fun (r : Experiment.run_result) ->
-           (r.Experiment.num_pus, r.Experiment.in_order))
-         rows)
+    List.sort_uniq compare (List.map (fun r -> (r.num_pus, r.in_order)) rows)
   in
   List.filter_map
     (fun key -> Option.map (fun a -> (key, a)) (Hashtbl.find_opt tbl key))
@@ -90,17 +96,14 @@ let ord_name in_order = if in_order then "io" else "ooo"
    sum to exactly PUs x cycles. *)
 let invariants rows =
   List.filter_map
-    (fun (r : Experiment.run_result) ->
-      match Sim.Account.check r.Experiment.stats.Sim.Stats.acct with
+    (fun r ->
+      match Sim.Account.check r.stats.Sim.Stats.acct with
       | Ok () -> None
       | Error msg ->
         Some
-          (Printf.sprintf "acct/conserve: %s %s %dPU %s: %s"
-             r.Experiment.workload
-             (Harness.Job.level_tag r.Experiment.level)
-             r.Experiment.num_pus
-             (ord_name r.Experiment.in_order)
-             msg))
+          (Printf.sprintf "acct/conserve: %s %s %dPU %s: %s" r.workload
+             (Harness.Job.level_tag r.level)
+             r.num_pus (ord_name r.in_order) msg))
     rows
 
 let pp_category_header ppf =
@@ -121,13 +124,11 @@ let pp ppf rows =
   pp_category_header ppf;
   Format.fprintf ppf "@,";
   List.iter
-    (fun (r : Experiment.run_result) ->
-      let acct = r.Experiment.stats.Sim.Stats.acct in
-      Format.fprintf ppf "%-10s %-3s %3d %4s %10d" r.Experiment.workload
-        (Harness.Job.level_tag r.Experiment.level)
-        r.Experiment.num_pus
-        (ord_name r.Experiment.in_order)
-        acct.Sim.Account.cycles;
+    (fun r ->
+      let acct = r.stats.Sim.Stats.acct in
+      Format.fprintf ppf "%-10s %-3s %3d %4s %10d" r.workload
+        (Harness.Job.level_tag r.level)
+        r.num_pus (ord_name r.in_order) acct.Sim.Account.cycles;
       pp_acct_row ppf acct;
       Format.fprintf ppf "@,")
     rows;

@@ -21,14 +21,7 @@ type row = {
 
 let run ~store ?jobs ?(levels = Core.Heuristics.extended_levels)
     ?(num_pus = 8) ?(in_order = false) entries =
-  let cells =
-    List.concat_map
-      (fun entry -> List.map (fun level -> (entry, level)) levels)
-      entries
-  in
-  Harness.Pool.map ?jobs
-    (fun (entry, level) ->
-      let art = Harness.Artifact.get store ~level entry in
+  Harness.Artifact.grid store ?jobs ~levels entries (fun art ->
       let cost = Harness.Job.cost_of_artifact art in
       let stats = Harness.Artifact.sim store art ~num_pus ~in_order in
       let acct = stats.Sim.Stats.acct in
@@ -45,7 +38,6 @@ let run ~store ?jobs ?(levels = Core.Heuristics.extended_levels)
         meas_load_imbalance_pct = pct Sim.Account.Load_imbalance;
         meas_overhead_pct = pct Sim.Account.Overhead;
       })
-    cells
 
 (* The categories the model predicts; Idle has no static counterpart (it
    is a property of the machine draining, not of the partition). *)

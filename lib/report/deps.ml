@@ -16,14 +16,7 @@ type row = {
 
 let run ~store ?jobs ?(levels = Core.Heuristics.all_levels) ?(num_pus = 8)
     ?(in_order = false) entries =
-  let cells =
-    List.concat_map
-      (fun entry -> List.map (fun level -> (entry, level)) levels)
-      entries
-  in
-  Harness.Pool.map ?jobs
-    (fun (entry, level) ->
-      let art = Harness.Artifact.get store ~level entry in
+  Harness.Artifact.grid store ?jobs ~levels entries (fun art ->
       let dep = Harness.Job.dep_of_artifact art in
       let stats = Harness.Artifact.sim store art ~num_pus ~in_order in
       let acct = stats.Sim.Stats.acct in
@@ -34,7 +27,6 @@ let run ~store ?jobs ?(levels = Core.Heuristics.all_levels) ?(num_pus = 8)
         data_wait_pct = Sim.Account.pct acct Sim.Account.Data_wait;
         mem_squash_pct = Sim.Account.pct acct Sim.Account.Mem_squash;
       })
-    cells
 
 (* Invariant (holds on any subset of the grid): every observed cross-task
    store->load flow is statically predicted. *)

@@ -15,28 +15,23 @@ let config_names = [ "4PU/ooo"; "8PU/ooo"; "4PU/io"; "8PU/io" ]
 let levels = Core.Heuristics.all_levels
 
 let run ~store ?jobs entries =
-  Harness.Pool.map ?jobs
-    (fun entry ->
-      (* nested fan-out: each (entry, level) is an independent pipeline +
-         four simulations, so the inner map exposes entries x levels
-         tasks to the scheduler — a worker that finishes its entry's
-         levels steals another entry's instead of idling *)
-      let ipc =
-        Array.of_list
-          (Harness.Pool.map ?jobs
-             (fun level ->
-               let results =
-                 Experiment.run_level_configs ~store ~level ~configs
-                   entry
-               in
-               Array.of_list
-                 (List.map (fun r -> Sim.Stats.ipc r.Experiment.stats) results))
-             levels)
-      in
+  let cells =
+    Array.of_list
+      (Harness.Artifact.grid store ?jobs ~levels entries (fun art ->
+           Array.of_list
+             (List.map
+                (fun (num_pus, in_order) ->
+                  Sim.Stats.ipc
+                    (Harness.Artifact.sim store art ~num_pus ~in_order))
+                configs)))
+  in
+  let n = List.length levels in
+  List.mapi
+    (fun i (entry : Workloads.Registry.entry) ->
       {
         workload = entry.Workloads.Registry.name;
         kind = entry.Workloads.Registry.kind;
-        ipc;
+        ipc = Array.sub cells (i * n) n;
       })
     entries
 

@@ -76,15 +76,7 @@ let row_of_artifact (art : Harness.Artifact.artifact) =
   }
 
 let run ~store ?jobs ?(levels = Core.Heuristics.all_levels) entries =
-  let cells =
-    List.concat_map
-      (fun entry -> List.map (fun level -> (entry, level)) levels)
-      entries
-  in
-  Harness.Pool.map ?jobs
-    (fun (entry, level) ->
-      row_of_artifact (Harness.Artifact.get store ~level entry))
-    cells
+  Harness.Artifact.grid store ?jobs ~levels entries row_of_artifact
 
 let pruned r = r.fi_edges - r.ab_edges
 

@@ -46,34 +46,26 @@ let cols_of_stats (s : Sim.Stats.t) ~num_pus =
 let num_pus = 8
 
 let run ~store ?jobs entries =
-  Harness.Pool.map ?jobs
-    (fun entry ->
-      let one level =
-        let r =
-          Experiment.run_one ~store ~level ~num_pus ~in_order:false
-            entry
-        in
-        cols_of_stats r.Experiment.stats ~num_pus
-      in
-      (* nested fan-out: the three levels are independent pipelines, so
-         expose them as stealable subtasks of this entry's task *)
-      match
-        Harness.Pool.map ?jobs one
-          [
-            Core.Heuristics.Basic_block;
-            Core.Heuristics.Control_flow;
-            Core.Heuristics.Data_dependence;
-          ]
-      with
-      | [ bb; cf; dd ] ->
-        {
-          workload = entry.Workloads.Registry.name;
-          kind = entry.Workloads.Registry.kind;
-          bb;
-          cf;
-          dd;
-        }
-      | _ -> assert false)
+  let cells =
+    Array.of_list
+      (Harness.Artifact.grid store ?jobs
+         ~levels:
+           Core.Heuristics.[ Basic_block; Control_flow; Data_dependence ]
+         entries
+         (fun art ->
+           cols_of_stats
+             (Harness.Artifact.sim store art ~num_pus ~in_order:false)
+             ~num_pus))
+  in
+  List.mapi
+    (fun i (entry : Workloads.Registry.entry) ->
+      {
+        workload = entry.Workloads.Registry.name;
+        kind = entry.Workloads.Registry.kind;
+        bb = cells.(3 * i);
+        cf = cells.((3 * i) + 1);
+        dd = cells.((3 * i) + 2);
+      })
     entries
 
 let pp ppf rows =

@@ -207,7 +207,13 @@ let submit ?token t f =
       f_sched = t;
     }
   in
+  (* A thief cannot clear the deque slot it took a task from, so a stolen
+     task stays reachable until the slot is reused.  The task therefore
+     lets go of [f], and of everything [f] captured, as it starts. *)
+  let body = ref (Some f) in
   let task () =
+    let f = Option.get !body in
+    body := None;
     let st =
       match token with
       | Some tk when Token.cancelled tk -> Failed Cancelled

@@ -2,17 +2,6 @@ module Json = Harness.Json
 module Job = Harness.Job
 module Hist = Harness.Stat.Histogram
 
-(* request-level dedup: per-key in-flight cells, same discipline as
-   Harness.Artifact.memo — first requester computes, the rest block on
-   the key's own condvar, outcomes (including errors) are cached *)
-type cell = {
-  cmu : Mutex.t;
-  ccond : Condition.t;
-  mutable cst : outcome; (* guarded by cmu *)
-}
-
-and outcome = In_flight | Landed of Json.t | Crashed of string
-
 type t = {
   socket : string;
   listen_fd : Unix.file_descr;
@@ -20,8 +9,9 @@ type t = {
   sched : Sched.t option; (* None when jobs = 1 *)
   store : Harness.Artifact.t;
   draining : bool Atomic.t;
+  dedup : (string, Json.t) Harness.Memo.t;
+      (* request-level dedup: equal keys share one computation *)
   mu : Mutex.t; (* guards everything below *)
-  dedup : (string, cell) Hashtbl.t;
   latency : Hist.t;
   mutable requests : int;
   mutable dedup_hits : int;
@@ -51,8 +41,8 @@ let create ?jobs ~socket () =
     sched = (if jobs >= 2 then Some (Harness.Pool.scheduler ~jobs) else None);
     store = Harness.Artifact.create ();
     draining = Atomic.make false;
+    dedup = Harness.Memo.create 64;
     mu = Mutex.create ();
-    dedup = Hashtbl.create 64;
     latency = Hist.create ();
     requests = 0;
     dedup_hits = 0;
@@ -202,55 +192,6 @@ let stats_json t =
 let on_sched t f =
   match t.sched with None -> f () | Some s -> Sched.run s f
 
-(* compute-or-join through the dedup cache; returns (payload, was_dedup) *)
-let dedup_compute t key compute =
-  Mutex.lock t.mu;
-  let cell, owner =
-    match Hashtbl.find_opt t.dedup key with
-    | Some c ->
-      t.dedup_hits <- t.dedup_hits + 1;
-      (c, false)
-    | None ->
-      let c =
-        { cmu = Mutex.create (); ccond = Condition.create (); cst = In_flight }
-      in
-      Hashtbl.replace t.dedup key c;
-      (c, true)
-  in
-  Mutex.unlock t.mu;
-  if owner then begin
-    let outcome =
-      match compute () with
-      | v -> Landed v
-      | exception Failure msg -> Crashed msg
-      | exception e -> Crashed (Printexc.to_string e)
-    in
-    Mutex.lock cell.cmu;
-    cell.cst <- outcome;
-    Condition.broadcast cell.ccond;
-    Mutex.unlock cell.cmu;
-    match outcome with
-    | Landed v -> (Ok v, false)
-    | Crashed msg -> (Error msg, false)
-    | In_flight -> assert false
-  end
-  else begin
-    Mutex.lock cell.cmu;
-    let rec settle () =
-      match cell.cst with
-      | In_flight ->
-        Condition.wait cell.ccond cell.cmu;
-        settle ()
-      | Landed v ->
-        Mutex.unlock cell.cmu;
-        (Ok v, true)
-      | Crashed msg ->
-        Mutex.unlock cell.cmu;
-        (Error msg, true)
-    in
-    settle ()
-  end
-
 let record t ~micros ~ok =
   Mutex.lock t.mu;
   t.requests <- t.requests + 1;
@@ -276,20 +217,21 @@ let handle_line t line =
       request_stop t;
       finish ~id ~ok:true (`Ok (Json.Obj [ ("draining", Json.Bool true) ], false))
     | _ -> (
-      let compute () = on_sched t (fun () -> handle_op t op) in
-      match Protocol.key op with
-      | None ->
-        (* unreachable today (every cachable op has a key) but keeps the
-           protocol honest if an uncachable op is added *)
-        (match compute () with
-        | v -> finish ~id ~ok:true (`Ok (v, false))
-        | exception Failure msg -> finish ~id ~ok:false (`Err msg)
-        | exception e ->
-          finish ~id ~ok:false (`Err (Printexc.to_string e)))
-      | Some key -> (
-        match dedup_compute t key compute with
-        | Ok v, dedup -> finish ~id ~ok:true (`Ok (v, dedup))
-        | Error msg, _ -> finish ~id ~ok:false (`Err msg))))
+      (* every op but stats and shutdown has a dedup key *)
+      let key = Option.get (Protocol.key op) in
+      match
+        Harness.Memo.find_or_compute t.dedup key (fun () ->
+            on_sched t (fun () -> handle_op t op))
+      with
+      | v, dedup ->
+        if dedup then begin
+          Mutex.lock t.mu;
+          t.dedup_hits <- t.dedup_hits + 1;
+          Mutex.unlock t.mu
+        end;
+        finish ~id ~ok:true (`Ok (v, dedup))
+      | exception Failure msg -> finish ~id ~ok:false (`Err msg)
+      | exception e -> finish ~id ~ok:false (`Err (Printexc.to_string e))))
 
 (* --- connection + accept loops ---------------------------------------- *)
 

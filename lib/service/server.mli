@@ -9,7 +9,10 @@
     concurrent clients share cores, artifacts and in-flight requests —
     two clients asking for the same (workload, level, machine) while the
     first computation is still running both get the one result, and the
-    second response is flagged [dedup].
+    second response is flagged [dedup].  The dedup cache is a
+    {!Harness.Memo}: a failed request is answered with its error to
+    everyone waiting on it and is not cached, so the next request for
+    the key computes it again.
 
     Draining: {!request_stop} (wired to SIGTERM and to the [shutdown]
     op by the CLI) makes {!serve} stop accepting, unblock idle

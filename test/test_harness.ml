@@ -108,6 +108,98 @@ let test_pool_default_jobs () =
       Unix.putenv "HARNESS_JOBS" "";
       checki "blank falls back" recommended (Harness.Pool.default_jobs ()))
 
+(* --- Memo ------------------------------------------------------------------ *)
+
+let test_memo_concurrent_once () =
+  (* eight domains requesting ten keys in rotated orders: each key is
+     computed once, every requester gets that one value, and exactly one
+     requester per key reports having computed it *)
+  let m = Harness.Memo.create 16 in
+  let keys = 10 in
+  let computed = Array.init keys (fun _ -> Atomic.make 0) in
+  let compute k () =
+    Atomic.incr computed.(k);
+    (* stay in flight long enough for other requesters to join *)
+    for _ = 1 to 20_000 do
+      Domain.cpu_relax ()
+    done;
+    ref k
+  in
+  let request d =
+    List.init keys (fun i ->
+        let k = (i + d) mod keys in
+        (k, Harness.Memo.find_or_compute m k (compute k)))
+  in
+  let results =
+    List.concat_map Domain.join
+      (List.init 8 (fun d -> Domain.spawn (fun () -> request d)))
+  in
+  for k = 0 to keys - 1 do
+    checki
+      (Printf.sprintf "key %d computed once" k)
+      1 (Atomic.get computed.(k));
+    let got =
+      List.filter_map (fun (k', r) -> if k' = k then Some r else None) results
+    in
+    let first = fst (List.hd got) in
+    checkb "one shared value" true
+      (List.for_all (fun (v, _) -> v == first) got);
+    checki "one computing requester" 1
+      (List.length (List.filter (fun (_, joined) -> not joined) got))
+  done;
+  checki "every key landed" keys (List.length (Harness.Memo.bindings m))
+
+let test_memo_failure_not_cached () =
+  (* a failing computation delivers its exception to everyone who joined
+     it; the key is then free, and the next request computes again *)
+  let m = Harness.Memo.create 4 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let arrived = Atomic.make 0 and late = Atomic.make 0 in
+  let outcome f =
+    match f () with
+    | v, _ -> Ok v
+    | exception Failure msg -> Error msg
+  in
+  let owner =
+    Domain.spawn (fun () ->
+        outcome (fun () ->
+            Harness.Memo.find_or_compute m "k" (fun () ->
+                Atomic.set started true;
+                while not (Atomic.get release) do
+                  Domain.cpu_relax ()
+                done;
+                failwith "boom")))
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let waiters =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr arrived;
+            outcome (fun () ->
+                Harness.Memo.find_or_compute m "k" (fun () ->
+                    Atomic.incr late;
+                    0))))
+  in
+  while Atomic.get arrived < 3 do
+    Domain.cpu_relax ()
+  done;
+  (* let the waiters block on the in-flight key before it fails *)
+  Unix.sleepf 0.5;
+  Atomic.set release true;
+  checkb "owner sees the failure" true (Domain.join owner = Error "boom");
+  List.iter
+    (fun w ->
+      checkb "waiter sees the failure" true (Domain.join w = Error "boom"))
+    waiters;
+  checki "no waiter computed" 0 (Atomic.get late);
+  checki "failure not bound" 0 (List.length (Harness.Memo.bindings m));
+  checkb "next request computes again" true
+    (Harness.Memo.find_or_compute m "k" (fun () -> 42) = (42, false));
+  checkb "then it is cached" true
+    (Harness.Memo.find_or_compute m "k" (fun () -> 0) = (42, true))
+
 (* --- Artifact store -------------------------------------------------------- *)
 
 let test_artifact_physical_equality () =
@@ -199,10 +291,9 @@ let test_figure5_store_matches_direct () =
 
 (* compress at cf on two machines, through the engine *)
 let run_batch store =
-  Report.Experiment.run_level_configs ~store
-    ~level:Core.Heuristics.Control_flow
-    ~configs:[ (4, false); (8, false) ]
-    (Workloads.Suite.find "compress")
+  Report.Breakdown.run ~store ~levels:[ Core.Heuristics.Control_flow ]
+    ~pus:[ 4; 8 ]
+    [ Workloads.Suite.find "compress" ]
 
 let parse_file path =
   let ic = open_in_bin path in
@@ -229,13 +320,11 @@ let test_job_run_and_json_roundtrip () =
   let results = Harness.Job.results_of_store store in
   let expected =
     List.map
-      (fun (r : Report.Experiment.run_result) ->
+      (fun (r : Report.Breakdown.row) ->
         Harness.Job.result_of_stats
-          { Harness.Job.workload = r.Report.Experiment.workload;
-            level = r.Report.Experiment.level;
-            num_pus = r.Report.Experiment.num_pus;
-            in_order = r.Report.Experiment.in_order }
-          ~kind:r.Report.Experiment.kind r.Report.Experiment.stats)
+          { Harness.Job.workload = r.workload; level = r.level;
+            num_pus = r.num_pus; in_order = r.in_order }
+          ~kind:r.kind r.stats)
       runs
   in
   checkb "recorded = run results" true (results = expected);
@@ -312,6 +401,12 @@ let () =
           Alcotest.test_case "order" `Quick test_pool_map_order;
           Alcotest.test_case "errors" `Quick test_pool_error_propagates;
           Alcotest.test_case "default jobs" `Quick test_pool_default_jobs;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "concurrent once" `Quick test_memo_concurrent_once;
+          Alcotest.test_case "failure not cached" `Quick
+            test_memo_failure_not_cached;
         ] );
       ( "artifact store",
         [

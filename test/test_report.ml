@@ -1,5 +1,5 @@
 (* Tests for the reporting layer: window-span formula, normalised
-   misprediction, experiment runners, table formatting, and the gates each
+   misprediction, the grid runners, table formatting, and the gates each
    analysis exports (each fired once and passed once on hand-built rows). *)
 
 let checkb = Alcotest.check Alcotest.bool
@@ -38,33 +38,27 @@ let test_normalised_mispred () =
   let back = 100.0 *. (1.0 -. (((100.0 -. b) /. 100.0) ** 3.0)) in
   checkb "roundtrip" true (Float.abs (back -. 20.0) < 1e-6)
 
+(* the grid's one-cell run: compress at cf on one machine *)
+let breakdown_cf ~store pus =
+  Report.Breakdown.run ~store ~levels:[ Core.Heuristics.Control_flow ] ~pus
+    [ Workloads.Suite.find "compress" ]
+
 let test_experiment_run_one () =
-  let entry = Workloads.Suite.find "compress" in
-  let r =
-    Report.Experiment.run_one ~store:(Harness.Artifact.create ())
-      ~level:Core.Heuristics.Control_flow ~num_pus:4 ~in_order:false entry
-  in
-  checkb "ipc positive" true (Sim.Stats.ipc r.Report.Experiment.stats > 0.0);
-  checkb "workload recorded" true (String.equal r.Report.Experiment.workload "compress")
+  match breakdown_cf ~store:(Harness.Artifact.create ()) [ 4 ] with
+  | [ r ] ->
+    checkb "ipc positive" true (Sim.Stats.ipc r.Report.Breakdown.stats > 0.0);
+    checkb "workload recorded" true
+      (String.equal r.Report.Breakdown.workload "compress")
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 let test_experiment_shared_trace_consistent () =
-  (* run_level_configs must agree with a separate run_one on its own
-     store *)
-  let entry = Workloads.Suite.find "compress" in
-  let results =
-    Report.Experiment.run_level_configs ~store:(Harness.Artifact.create ())
-      ~level:Core.Heuristics.Control_flow
-      ~configs:[ (4, false); (8, false) ]
-      entry
-  in
-  let solo =
-    Report.Experiment.run_one ~store:(Harness.Artifact.create ())
-      ~level:Core.Heuristics.Control_flow ~num_pus:4 ~in_order:false entry
-  in
-  let shared = List.hd results in
+  (* two machines sharing one cell's plan and trace must agree with a
+     separate one-machine run on its own store *)
+  let shared = breakdown_cf ~store:(Harness.Artifact.create ()) [ 4; 8 ] in
+  let solo = breakdown_cf ~store:(Harness.Artifact.create ()) [ 4 ] in
   checkf "same ipc from shared trace"
-    (Sim.Stats.ipc solo.Report.Experiment.stats)
-    (Sim.Stats.ipc shared.Report.Experiment.stats)
+    (Sim.Stats.ipc (List.hd solo).Report.Breakdown.stats)
+    (Sim.Stats.ipc (List.hd shared).Report.Breakdown.stats)
 
 let test_table1_row () =
   let rows =
@@ -148,7 +142,7 @@ let account_row ~useful =
   Sim.Account.add a Sim.Account.Useful useful;
   Sim.Account.add a Sim.Account.Idle 5;
   {
-    Report.Experiment.workload = "w";
+    Report.Breakdown.workload = "w";
     kind = `Int;
     level = Core.Heuristics.Basic_block;
     num_pus = 2;

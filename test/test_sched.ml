@@ -214,8 +214,44 @@ let test_sched_stress () =
       checkb "scheduler executed them all" true
         ((Sched.stats t).Sched.tasks >= n + nested))
 
+let test_sched_releases_stolen_tasks () =
+  (* a thief cannot clear the deque slot it took a task from, so the slot
+     keeps pointing at the task after it has run; what the task's body
+     captured must still become garbage *)
+  with_sched ~domains:2 (fun t ->
+      let made = ref 0 and collected = Atomic.make 0 in
+      let nested_map () =
+        (* reachable only through the inner tasks' closures *)
+        let block = Array.make 64 1 in
+        Gc.finalise (fun _ -> Atomic.incr collected) block;
+        incr made;
+        let before = (Sched.stats t).Sched.steals in
+        let inner j =
+          (* hold this worker until the other one has stolen a sibling
+             from its deque, or a second has passed *)
+          let deadline = Unix.gettimeofday () +. 1.0 in
+          while
+            (Sched.stats t).Sched.steals = before
+            && Unix.gettimeofday () < deadline
+          do
+            Domain.cpu_relax ()
+          done;
+          block.(j) + j
+        in
+        ignore (Sched.map t (fun () -> Sched.map t inner [ 0; 1; 2; 3 ]) [ () ]);
+        (Sched.stats t).Sched.steals > before
+      in
+      let rec until_stolen tries =
+        if (not (nested_map ())) && tries > 1 then until_stolen (tries - 1)
+      in
+      until_stolen 20;
+      checkb "a task was stolen" true ((Sched.stats t).Sched.steals > 0);
+      Gc.full_major ();
+      Gc.full_major ();
+      checki "every captured block collected" !made (Atomic.get collected))
+
 let test_pool_exactly_once_under_stealing () =
-  (* hammer one artifact key from a parallel map: the per-key cell must
+  (* hammer one artifact key from a parallel map: the store's memo must
      admit exactly one build no matter how the tasks interleave *)
   let store = Harness.Artifact.create () in
   let entry = Workloads.Suite.find "compress" in
@@ -356,6 +392,8 @@ let () =
           Alcotest.test_case "stress 1000 mixed tasks" `Slow test_sched_stress;
           Alcotest.test_case "exactly-once artifact builds" `Slow
             test_pool_exactly_once_under_stealing;
+          Alcotest.test_case "stolen tasks release their closures" `Quick
+            test_sched_releases_stolen_tasks;
         ] );
       ( "determinism",
         [

@@ -15,18 +15,19 @@ let test_counted_unroll_semantics () =
   List.iter
     (fun n ->
       let prog = Gen.square_sum_program n in
-      let prog' = Ir.Prog.map_funcs (Core.Transform.unroll_short_loops params)
-          prog
-      in
+      let prog' = Core.Transform.unroll_program params prog in
       checkb "still valid" true (Ir.Prog.validate prog' = Ok ());
       checki (Printf.sprintf "trip %d" n) (Gen.square_sum_spec n)
         (result prog'))
     [ 0; 1; 2; 3; 4; 5; 7; 10; 23 ]
 
+(* main before and after unrolling the whole program *)
+let unrolled prog =
+  ( Ir.Prog.find prog "main",
+    Ir.Prog.find (Core.Transform.unroll_program params prog) "main" )
+
 let test_counted_unroll_grows () =
-  let prog = Gen.square_sum_program 10 in
-  let f = Ir.Prog.find prog "main" in
-  let f' = Core.Transform.unroll_short_loops params f in
+  let f, f' = unrolled (Gen.square_sum_program 10) in
   checkb "more blocks after unrolling" true
     (Ir.Func.num_blocks f' > Ir.Func.num_blocks f);
   (* the loop should now be at least LOOP_THRESH instructions or have been
@@ -41,9 +42,7 @@ let test_counted_unroll_grows () =
 let test_counted_unroll_single_carried_write () =
   (* induction coalescing: the carried register is written exactly once in
      the unrolled body, near the top *)
-  let prog = Gen.square_sum_program 10 in
-  let f = Ir.Prog.find prog "main" in
-  let f' = Core.Transform.unroll_short_loops params f in
+  let _, f' = unrolled (Gen.square_sum_program 10) in
   let loops = Analysis.Loops.compute f' in
   let lo = List.hd loops.Analysis.Loops.loops in
   let r = Ir.Reg.tmp 1 (* square_sum's induction register *) in
@@ -72,14 +71,10 @@ let test_generic_unroll_semantics () =
     Ir.Builder.finish pb ~main:"main"
   in
   let prog = make () in
-  let base = result prog in
-  let f = Ir.Prog.find prog "main" in
-  let f' = Core.Transform.unroll_short_loops params f in
+  let f, f' = unrolled prog in
   checkb "blocks grew" true (Ir.Func.num_blocks f' > Ir.Func.num_blocks f);
-  let prog' =
-    Ir.Prog.map_funcs (Core.Transform.unroll_short_loops params) prog
-  in
-  checki "same result" base (result prog')
+  checki "same result" (result prog)
+    (result (Core.Transform.unroll_program params prog))
 
 let test_unroll_skips_big_loops () =
   (* a loop over LOOP_THRESH instructions must be left alone *)
@@ -92,9 +87,7 @@ let test_unroll_skips_big_loops () =
             Ir.Builder.addi b t1 t1 1
           done);
       Ir.Builder.mov b Ir.Reg.rv t1);
-  let prog = Ir.Builder.finish pb ~main:"main" in
-  let f = Ir.Prog.find prog "main" in
-  let f' = Core.Transform.unroll_short_loops params f in
+  let f, f' = unrolled (Ir.Builder.finish pb ~main:"main") in
   checki "unchanged" (Ir.Func.num_blocks f) (Ir.Func.num_blocks f')
 
 (* --- call inclusion ------------------------------------------------------ *)
@@ -118,8 +111,7 @@ let test_mark_included_calls () =
 
 let test_hoist_moves_increment () =
   let prog = Gen.square_sum_program 12 in
-  let f = Ir.Prog.find prog "main" in
-  let f' = Core.Transform.hoist_induction f in
+  let f' = Ir.Prog.find (Core.Transform.hoist_program prog) "main" in
   (* the latch must no longer end with the increment; some body block must
      start with a mov of the induction register *)
   let loops = Analysis.Loops.compute f' in
@@ -135,7 +127,7 @@ let test_hoist_moves_increment () =
   in
   checkb "increment no longer last in latch" false ends_with_add;
   checki "semantics preserved" (Gen.square_sum_spec 12)
-    (result (Ir.Prog.map_funcs Core.Transform.hoist_induction prog))
+    (result (Core.Transform.hoist_program prog))
 
 let test_hoist_exit_value () =
   (* the induction register is read after the loop: its exit value must
@@ -145,8 +137,7 @@ let test_hoist_exit_value () =
       checki
         (Printf.sprintf "exit value %d" n)
         (Gen.square_sum_spec n)
-        (result (Ir.Prog.map_funcs Core.Transform.hoist_induction
-                   (Gen.square_sum_program n))))
+        (result (Core.Transform.hoist_program (Gen.square_sum_program n))))
     [ 0; 1; 5; 9 ]
 
 let test_hoist_skips_loops_with_calls () =
@@ -159,7 +150,7 @@ let test_hoist_skips_loops_with_calls () =
       Ir.Builder.mov b Ir.Reg.rv t0);
   let prog = Ir.Builder.finish pb ~main:"main" in
   let f = Ir.Prog.find prog "main" in
-  let f' = Core.Transform.hoist_induction f in
+  let f' = Ir.Prog.find (Core.Transform.hoist_program prog) "main" in
   checkb "left untouched" true (f.Ir.Func.blocks = f'.Ir.Func.blocks)
 
 let test_hoist_program_no_cross_clobber () =

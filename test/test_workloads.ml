@@ -37,6 +37,24 @@ let test_goldens () =
       checki name expected (Ir.Value.to_int o.Interp.Run.result))
     goldens
 
+let test_levels_preserve_results () =
+  (* task selection at every level, fb included, must not change what a
+     workload computes: each partitioned program returns the golden *)
+  let entries = List.map (fun (name, _) -> Workloads.Suite.find name) goldens in
+  List.iter
+    (fun (name, level, got) ->
+      checki
+        (Printf.sprintf "%s at %s" name (Harness.Job.level_tag level))
+        (List.assoc name goldens) got)
+    (Harness.Artifact.grid (Harness.Artifact.create ())
+       ~levels:Core.Heuristics.extended_levels entries (fun art ->
+         let key = art.Harness.Artifact.key in
+         ( key.Harness.Artifact.workload,
+           key.Harness.Artifact.level,
+           Ir.Value.to_int
+             (Interp.Run.execute art.Harness.Artifact.plan.Core.Partition.prog)
+               .Interp.Run.result )))
+
 let test_all_build_and_validate () =
   List.iter
     (fun e ->
@@ -213,6 +231,8 @@ let () =
           Alcotest.test_case "goldens" `Quick test_goldens;
           Alcotest.test_case "validate" `Quick test_all_build_and_validate;
           Alcotest.test_case "terminate" `Quick test_all_terminate_in_budget;
+          Alcotest.test_case "every level preserves the goldens" `Slow
+            test_levels_preserve_results;
         ] );
       ( "structure",
         [
