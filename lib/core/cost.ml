@@ -304,11 +304,14 @@ let refine (plan : Partition.plan) =
    [improve_factor]. *)
 let seed_factor = 0.8
 
-let build ?params ?profile_input prog =
-  let seed_ts = Partition.build ?params ?profile_input Heuristics.Feedback prog in
+let build ?params ?profile_input ?run prog =
+  let seed_ts =
+    Partition.build ?params ?profile_input ?run Heuristics.Feedback prog
+  in
   let seed_dd =
     {
-      (Partition.build ?params ?profile_input Heuristics.Data_dependence prog)
+      (Partition.build ?params ?profile_input ?run Heuristics.Data_dependence
+         prog)
       with
       Partition.level = Heuristics.Feedback;
     }
@@ -324,9 +327,9 @@ let build ?params ?profile_input prog =
   if c_dd < c_ts *. seed_factor then refine_in ctx_dd seed_dd
   else refine_in ctx_ts seed_ts
 
-let plan_for_level ?params ?profile_input level prog =
+let plan_for_level ?params ?profile_input ?run level prog =
   match level with
-  | Heuristics.Feedback -> build ?params ?profile_input prog
+  | Heuristics.Feedback -> build ?params ?profile_input ?run prog
   | Heuristics.Basic_block | Heuristics.Control_flow
   | Heuristics.Data_dependence | Heuristics.Task_size ->
-    Partition.build ?params ?profile_input level prog
+    Partition.build ?params ?profile_input ?run level prog

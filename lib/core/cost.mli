@@ -64,8 +64,8 @@ val refine : Partition.plan -> Partition.plan
     returning the seed would hide the mis-wiring). *)
 
 val build :
-  ?params:Heuristics.params -> ?profile_input:Ir.Prog.t -> Ir.Prog.t ->
-  Partition.plan
+  ?params:Heuristics.params -> ?profile_input:Ir.Prog.t ->
+  ?run:(Ir.Prog.t -> Interp.Run.outcome) -> Ir.Prog.t -> Partition.plan
 (** The [fb] level end to end: build two candidate seeds — the
     [Task_size]-transformed plan (carrying the [Feedback] level tag) and
     the [Data_dependence] plan (same selection scheme without the
@@ -73,11 +73,15 @@ val build :
     {!plan_cost}, keep [Task_size] unless the other is decisively cheaper,
     then {!refine} the winner.  The scalar cost normalises by each
     program's own useful-work base, which is what makes the two plans
-    comparable even though unrolling changes the instruction count. *)
+    comparable even though unrolling changes the instruction count.  Both
+    seed builds take their profiling runs from [run], as in
+    {!Partition.build}; the refined plan keeps its seed's program, so
+    without [profile_input] one of those runs already interpreted it. *)
 
 val plan_for_level :
-  ?params:Heuristics.params -> ?profile_input:Ir.Prog.t -> Heuristics.level ->
-  Ir.Prog.t -> Partition.plan
+  ?params:Heuristics.params -> ?profile_input:Ir.Prog.t ->
+  ?run:(Ir.Prog.t -> Interp.Run.outcome) -> Heuristics.level -> Ir.Prog.t ->
+  Partition.plan
 (** Level dispatch for callers that accept any {!Heuristics.level}:
     [Feedback] goes through {!build}, everything else through
-    {!Partition.build} unchanged. *)
+    {!Partition.build} unchanged; [run] reaches every profiling run. *)

@@ -24,7 +24,8 @@ let dep_edges_of_profile profile ~fid f =
    computation cheap; the tail is low-frequency and barely steers anything. *)
 let max_deps = 64
 
-let build ?(params = Heuristics.default) ?profile_input level prog =
+let build ?(params = Heuristics.default) ?profile_input
+    ?(run = fun p -> Interp.Run.execute p) level prog =
   (* cross-input profiling: run every profiling interpretation on a program
      built from the *training* input, transformed by exactly the same
      (structure-only, deterministic) passes as the evaluated program, so
@@ -36,7 +37,7 @@ let build ?(params = Heuristics.default) ?profile_input level prog =
   let (prog, prof_prog), included_of =
     match level with
     | Heuristics.Task_size | Heuristics.Feedback ->
-      let outcome = Interp.Run.execute prof_prog in
+      let outcome = run prof_prog in
       let profile = outcome.Interp.Run.profile in
       let trace = outcome.Interp.Run.trace in
       let callee_size name =
@@ -69,7 +70,7 @@ let build ?(params = Heuristics.default) ?profile_input level prog =
     match level with
     | Heuristics.Data_dependence | Heuristics.Task_size | Heuristics.Feedback
       ->
-      let outcome = Interp.Run.execute prof_prog in
+      let outcome = run prof_prog in
       Some (outcome.Interp.Run.profile, outcome.Interp.Run.trace)
     | Heuristics.Basic_block | Heuristics.Control_flow -> None
   in

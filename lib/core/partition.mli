@@ -3,7 +3,10 @@
     Builds, for a given heuristic level, the transformed program and a closed
     per-function partition.  Profiling (for dependence frequencies and callee
     sizes) is done by running the interpreter on the program itself, playing
-    the role of the paper's SPEC95 profiling runs. *)
+    the role of the paper's SPEC95 profiling runs.  Every profiling run goes
+    through the [run] argument, so a caller that already holds a program's
+    outcome (the artifact store) can hand it in instead of interpreting
+    again. *)
 
 type plan = {
   level : Heuristics.level;
@@ -13,8 +16,9 @@ type plan = {
 }
 
 val build :
-  ?params:Heuristics.params -> ?profile_input:Ir.Prog.t -> Heuristics.level ->
-  Ir.Prog.t -> plan
+  ?params:Heuristics.params -> ?profile_input:Ir.Prog.t ->
+  ?run:(Ir.Prog.t -> Interp.Run.outcome) -> Heuristics.level -> Ir.Prog.t ->
+  plan
 (** Induction-variable hoisting is applied at every level (it is part of the
     paper's base Multiscalar compilation); loop unrolling and call inclusion
     only at [Task_size] (and at [Feedback], whose seed this is).
@@ -24,7 +28,14 @@ val build :
     transformed by the same front-end passes as [prog]): all profiling runs
     use it instead of the evaluated program, enabling cross-input studies of
     the profile-driven heuristics.  The paper profiles with the evaluation
-    inputs; this option measures how much that choice matters. *)
+    inputs; this option measures how much that choice matters.
+
+    [run] (default {!Interp.Run.execute} with its default step bound)
+    performs every profiling run: [ts] and [fb] make two (the program as
+    given, for callee sizes, then after unrolling and hoisting, for
+    dependence frequencies), [dd] one (after hoisting), [bb] and [cf] none.
+    It must return what {!Interp.Run.execute} would for the same program;
+    the plan is then the same whatever [run] is. *)
 
 val validate : plan -> (unit, string) result
 (** Full static verification of a plan, delegated to [Lint.validate_plan]

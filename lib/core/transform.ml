@@ -587,8 +587,9 @@ let rename_arm insns ~free =
         | [] -> rewritten := insn :: !rewritten
         | [ d ] when d = Ir.Reg.zero -> rewritten := insn :: !rewritten
         | [ d ] ->
+          let renamed = Hashtbl.find_opt map d in
           let fresh =
-            match Hashtbl.find_opt map d with
+            match renamed with
             | Some f -> Some f (* reuse the same fresh reg for repeat defs *)
             | None ->
               (match !free with
@@ -618,8 +619,9 @@ let rename_arm insns ~free =
               | Ir.Insn.Load _ | Ir.Insn.Store _ -> insn
             in
             (match insn with
-            | Ir.Insn.Cmov (d, _, _) ->
-              (* seed f with d's current value first *)
+            | Ir.Insn.Cmov _ when renamed = None ->
+              (* seed f with d's value on entry to the arm first; once the
+                 arm has written d, its current value is already in f *)
               rewritten := insn' :: Ir.Insn.Mov (f, d) :: !rewritten
             | _ -> rewritten := insn' :: !rewritten))
         | _ :: _ :: _ -> ok := false

@@ -20,12 +20,19 @@ type artifact = {
   trace : Interp.Trace.t;
 }
 
-(* The three tables are Memo tables, so each key is computed once even
+(* The four tables are Memo tables, so each key is computed once even
    under work stealing, and a failed computation is retried by the next
    request.  Deadlock-freedom: the only cross-key waits go get -> prep ->
-   sim (never backwards), so the wait graph is acyclic. *)
+   sim and get -> run (never backwards), and a run's computation waits on
+   nothing, so the wait graph is acyclic. *)
 type t = {
   pipeline : (key, artifact) Memo.t;
+  (* interpreter outcomes by structural program digest: a program whose
+     trace some artifact holds is interpreted once per store, and its
+     profiling runs for other levels reuse it.  Only the runs behind
+     artifacts' traces land here, so the table holds no trace that no
+     artifact holds. *)
+  runs : (Digest.t, Interp.Run.outcome) Memo.t;
   (* configuration-independent Sim.Engine.prep per pipeline artifact,
      shared by every machine configuration simulated against it *)
   preps : (key, Sim.Engine.prep) Memo.t;
@@ -36,12 +43,16 @@ type t = {
 let create () =
   {
     pipeline = Memo.create 64;
+    runs = Memo.create 64;
     preps = Memo.create 64;
     sims = Memo.create 256;
     builds = Atomic.make 0;
   }
 
 let memo tbl key compute = fst (Memo.find_or_compute tbl key compute)
+
+let digest (prog : Ir.Prog.t) =
+  Digest.string (Marshal.to_string prog [ Marshal.No_sharing ])
 
 let get t ?(params = Core.Heuristics.default) ?(profile_alt = false)
     ?(variant = base_variant) ~level (entry : Workloads.Registry.entry) =
@@ -65,13 +76,35 @@ let get t ?(params = Core.Heuristics.default) ?(profile_alt = false)
       in
       let prog = transform prog in
       let profile_input = Option.map transform profile_input in
+      (* a profiling run takes a landed or in-flight outcome, but one it
+         interprets itself stays this pipeline's: a callee-size run or a
+         losing fb seed's run would keep a trace no artifact holds *)
+      let own = ref [] in
+      let run p =
+        let d = digest p in
+        match Memo.find t.runs d with
+        | Some outcome -> outcome
+        | None ->
+          let outcome = Interp.Run.execute p in
+          own := (d, outcome) :: !own;
+          outcome
+      in
       let plan =
-        Core.Cost.plan_for_level ~params ?profile_input level prog
+        Core.Cost.plan_for_level ~params ?profile_input ~run level prog
       in
-      let trace =
-        (Interp.Run.execute plan.Core.Partition.prog).Interp.Run.trace
+      let d = digest plan.Core.Partition.prog in
+      let outcome =
+        memo t.runs d (fun () ->
+            match List.assoc_opt d !own with
+            | Some outcome -> outcome
+            | None -> Interp.Run.execute plan.Core.Partition.prog)
       in
-      { key; kind = entry.Workloads.Registry.kind; plan; trace })
+      {
+        key;
+        kind = entry.Workloads.Registry.kind;
+        plan;
+        trace = outcome.Interp.Run.trace;
+      })
 
 let prep t (art : artifact) =
   memo t.preps art.key (fun () -> Sim.Engine.prepare art.plan art.trace)
@@ -107,10 +140,12 @@ let traces t =
     (fun (ka, _) (kb, _) -> compare (order ka) (order kb))
     (List.map (fun (key, art) -> (key, art.trace)) (Memo.bindings t.pipeline))
 
+(* every artifact's trace is the trace of one landed run, and every landed
+   run's trace is some artifact's *)
 let trace_bytes t =
   List.fold_left
-    (fun acc (_, trace) -> acc + Interp.Trace.bytes trace)
-    0 (traces t)
+    (fun acc (_, outcome) -> acc + Interp.Trace.bytes outcome.Interp.Run.trace)
+    0 (Memo.bindings t.runs)
 
 let sim_results t =
   List.sort

@@ -3,12 +3,19 @@
     Every evaluation path (bench sections, CLI subcommands, report tables,
     the daemon) needs the same expensive pipeline per [(workload,
     heuristic level)]: build the workload program, apply the {!variant}'s
-    front-end transforms, select tasks with {!Core.Cost.plan_for_level}
-    (which itself interprets the program for profiles), and interpret the
-    partitioned program for the dynamic trace.  The store memoizes all of
-    it behind a structural {!key} — the one place the variants and the
-    cross-input profile are keyed — so a full bench run computes each
-    pipeline exactly once instead of once per section.
+    front-end transforms, select tasks with {!Core.Cost.plan_for_level},
+    and interpret the partitioned program for the dynamic trace.  The store
+    memoizes all of it behind a structural {!key} — the one place the
+    variants and the cross-input profile are keyed — so a full bench run
+    computes each pipeline exactly once instead of once per section.
+
+    Interpretation is shared below the pipelines.  The store keeps the
+    interpreter outcome behind each artifact's trace, keyed by a digest of
+    the program, and hands {!Core.Cost.plan_for_level} a [run] that reuses
+    those outcomes for its profiling runs: bb, cf and dd share one run of
+    the hoisted program, and dd, ts and fb take their trace from a run
+    their own selection made.  A profiling run whose trace no artifact
+    holds (ts's callee-size run, the losing fb seed's) is never kept.
 
     The store is domain-safe: it is the synchronisation point for
     {!Pool}-parallel jobs.  Its tables are {!Memo} tables: the first
@@ -110,9 +117,11 @@ val sim_results : t -> (key * (int * bool) * Sim.Stats.t) list
 
 val traces : t -> (key * Interp.Trace.t) list
 (** Every packed trace resident in the pipeline cache, sorted like
-    {!sim_results} (without the machine axes). *)
+    {!sim_results} (without the machine axes).  Artifacts that run the
+    same program share one physical trace, so it can appear under several
+    keys. *)
 
 val trace_bytes : t -> int
-(** Total resident bytes of all cached packed traces
-    ({!Interp.Trace.bytes} summed over {!traces}) — the store's dominant
-    memory term. *)
+(** Total resident bytes of the store's packed traces
+    ({!Interp.Trace.bytes}), each physical trace counted once however many
+    keys share it — the store's dominant memory term. *)

@@ -14,23 +14,31 @@ type ('k, 'v) t = { mu : Mutex.t; cells : ('k, 'v cell) Hashtbl.t }
 
 let create n = { mu = Mutex.create (); cells = Hashtbl.create n }
 
+(* called with the mutex held; releases it *)
+let rec settle t cell =
+  match cell.state with
+  | In_flight ->
+    Condition.wait cell.cond t.mu;
+    settle t cell
+  | Landed v ->
+    Mutex.unlock t.mu;
+    v
+  | Failed (e, bt) ->
+    Mutex.unlock t.mu;
+    Printexc.raise_with_backtrace e bt
+
+let find t key =
+  Mutex.lock t.mu;
+  match Hashtbl.find_opt t.cells key with
+  | Some cell -> Some (settle t cell)
+  | None ->
+    Mutex.unlock t.mu;
+    None
+
 let find_or_compute t key compute =
   Mutex.lock t.mu;
   match Hashtbl.find_opt t.cells key with
-  | Some cell ->
-    let rec settle () =
-      match cell.state with
-      | In_flight ->
-        Condition.wait cell.cond t.mu;
-        settle ()
-      | Landed v ->
-        Mutex.unlock t.mu;
-        (v, true)
-      | Failed (e, bt) ->
-        Mutex.unlock t.mu;
-        Printexc.raise_with_backtrace e bt
-    in
-    settle ()
+  | Some cell -> (settle t cell, true)
   | None ->
     let cell = { cond = Condition.create (); state = In_flight } in
     Hashtbl.replace t.cells key cell;

@@ -32,6 +32,13 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * bool
     ran [compute] itself.  Raises what [compute] raised, to the computing
     caller and to every joined one. *)
 
+val find : ('k, 'v) t -> 'k -> 'v option
+(** [find t key] joins [key] like {!find_or_compute} but never computes:
+    the landed value, or the in-flight one once it lands (raising what its
+    computation raised), or [None] when the key is neither landed nor in
+    flight.  For callers that may compute the value themselves but must not
+    make the table keep it. *)
+
 val bindings : ('k, 'v) t -> ('k * 'v) list
 (** Snapshot of every landed binding, in no particular order; in-flight
     keys are left out. *)

@@ -31,23 +31,146 @@ let eval_binop op a b =
   | Gt -> if a > b then 1 else 0
   | Ge -> if a >= b then 1 else 0
 
-let eval_fbinop op a b =
-  let open Ir.Insn in
-  match op with
-  | Fadd -> a +. b
-  | Fsub -> a -. b
-  | Fmul -> a *. b
-  | Fdiv -> a /. b
-  | Fmin -> Float.min a b
-  | Fmax -> Float.max a b
+(* --- the register file, unboxed ------------------------------------------- *)
 
-let eval_fcmp op a b =
+(* Every write keeps both views of a register current: [ints.(r)] is the
+   value's [Value.to_int] and [flts.(r)] its [Value.to_float], so reads
+   neither branch nor box.  [is_flt.(r)] records the constructor, which
+   matters only when a value leaves the file (a store, the result).  r0 is
+   never written, so it reads as integer 0. *)
+type regs = { ints : int array; flts : float array; is_flt : bool array }
+
+(* [@inline] keeps the float argument unboxed at every call site: without
+   flambda, a float passed to a function that is not inlined is boxed *)
+let[@inline] set_int regs d n =
+  if d <> Ir.Reg.zero then begin
+    regs.ints.(d) <- n;
+    regs.flts.(d) <- float_of_int n;
+    regs.is_flt.(d) <- false
+  end
+
+let[@inline] set_flt regs d x =
+  if d <> Ir.Reg.zero then begin
+    regs.ints.(d) <- int_of_float x;
+    regs.flts.(d) <- x;
+    regs.is_flt.(d) <- true
+  end
+
+let[@inline] copy regs d s =
+  if d <> Ir.Reg.zero then begin
+    regs.ints.(d) <- regs.ints.(s);
+    regs.flts.(d) <- regs.flts.(s);
+    regs.is_flt.(d) <- regs.is_flt.(s)
+  end
+
+let value regs r =
+  if regs.is_flt.(r) then Ir.Value.Flt regs.flts.(r)
+  else Ir.Value.Int regs.ints.(r)
+
+(* [Value.is_true]: for an integer n, [float_of_int n <> 0.0] iff n <> 0 *)
+let[@inline] is_true regs r = regs.flts.(r) <> 0.0
+
+(* --- one instruction ------------------------------------------------------ *)
+
+let exec regs (mem : (int, Ir.Value.t) Hashtbl.t) buf insn =
   let open Ir.Insn in
-  match op with
-  | Flt -> a < b
-  | Fle -> a <= b
-  | Feq -> Float.equal a b
-  | Fne -> not (Float.equal a b)
+  match insn with
+  | Nop -> ()
+  | Li (d, n) -> set_int regs d n
+  | Lf (d, x) -> set_flt regs d x
+  | Mov (d, s) -> copy regs d s
+  | Bin (op, d, s, o) ->
+    let b = match o with Reg r -> regs.ints.(r) | Imm n -> n in
+    set_int regs d (eval_binop op regs.ints.(s) b)
+  | Fbin (op, d, s1, s2) ->
+    let a = regs.flts.(s1) and b = regs.flts.(s2) in
+    set_flt regs d
+      (match op with
+      | Fadd -> a +. b
+      | Fsub -> a -. b
+      | Fmul -> a *. b
+      | Fdiv -> a /. b
+      | Fmin -> Float.min a b
+      | Fmax -> Float.max a b)
+  | Fcmp (op, d, s1, s2) ->
+    let a = regs.flts.(s1) and b = regs.flts.(s2) in
+    let holds =
+      match op with
+      | Flt -> a < b
+      | Fle -> a <= b
+      | Feq -> Float.equal a b
+      | Fne -> not (Float.equal a b)
+    in
+    set_int regs d (if holds then 1 else 0)
+  | Fun (op, d, s) -> (
+    match op with
+    | Fneg -> set_flt regs d (-.regs.flts.(s))
+    | Fabs -> set_flt regs d (Float.abs regs.flts.(s))
+    | Fsqrt -> set_flt regs d (sqrt regs.flts.(s))
+    | Itof -> set_flt regs d (float_of_int regs.ints.(s))
+    | Ftoi -> set_int regs d (int_of_float regs.flts.(s)))
+  | Load (d, base, off) -> (
+    let a = regs.ints.(base) + off in
+    Trace.Builder.push_addr buf a;
+    match Hashtbl.find mem a with
+    | Ir.Value.Int n -> set_int regs d n
+    | Ir.Value.Flt x -> set_flt regs d x
+    | exception Not_found -> set_int regs d 0)
+  | Store (s, base, off) ->
+    let a = regs.ints.(base) + off in
+    Trace.Builder.push_addr buf a;
+    Hashtbl.replace mem a (value regs s)
+  | Cmov (d, c, s) -> if is_true regs c then copy regs d s
+
+(* --- decoding ------------------------------------------------------------- *)
+
+(* A block as the loop runs it, decoded once per run: each instruction's
+   deduplicated uses and its def, r0 dropped from both (it carries no
+   dependence; a def of -1 means none), and a call's callee fid (-1 when
+   the callee is undefined, which fails only if the call executes). *)
+type block = {
+  insns : Ir.Insn.t array;
+  uses : int array array;
+  defs : int array;
+  term : Ir.Block.terminator;
+  callee : int;
+}
+
+let decode fid_of (b : Ir.Block.t) =
+  let real r = r <> Ir.Reg.zero in
+  {
+    insns = b.Ir.Block.insns;
+    uses =
+      Array.map
+        (fun i -> Array.of_list (List.filter real (Ir.Insn.uses i)))
+        b.Ir.Block.insns;
+    defs =
+      Array.map
+        (fun i ->
+          match List.filter real (Ir.Insn.defs i) with d :: _ -> d | [] -> -1)
+        b.Ir.Block.insns;
+    term = b.Ir.Block.term;
+    callee =
+      (match b.Ir.Block.term with
+      | Ir.Block.Call (name, _) -> fid_of name
+      | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
+      | Ir.Block.Halt ->
+        -1);
+  }
+
+(* --- the dependence profile ----------------------------------------------- *)
+
+(* A register's last writer is one packed int, [fid lsl blk_bits lor blk]
+   (-1 before any write); blocks fit the trace's 16-bit field, since the
+   builder rejects any block that does not before it executes. *)
+let blk_bits = 16
+
+let[@inline] note_dep last_writer profile ~fid ~blk ~at r =
+  let w = last_writer.(r) in
+  if w lsr blk_bits = fid && w <> at then
+    Profile.bump_dep profile fid (w land ((1 lsl blk_bits) - 1)) blk r
+
+(* --- the loop ------------------------------------------------------------- *)
 
 let execute ?on_event ?(max_steps = 30_000_000) prog =
   let bindings = Ir.Prog.Smap.bindings prog.Ir.Prog.funcs in
@@ -55,119 +178,96 @@ let execute ?on_event ?(max_steps = 30_000_000) prog =
   let funcs = Array.of_list (List.map snd bindings) in
   let fid_tbl = Hashtbl.create 16 in
   Array.iteri (fun i name -> Hashtbl.replace fid_tbl name i) fnames;
-  let fid name =
-    match Hashtbl.find_opt fid_tbl name with
-    | Some i -> i
-    | None -> fail "call to undefined function %s" name
+  let fid_of name = Option.value (Hashtbl.find_opt fid_tbl name) ~default:(-1) in
+  let main = fid_of prog.Ir.Prog.main in
+  if main < 0 then fail "call to undefined function %s" prog.Ir.Prog.main;
+  let code = Array.map (fun f -> Array.map (decode fid_of) f.Ir.Func.blocks) funcs in
+  let regs =
+    {
+      ints = Array.make Ir.Reg.count 0;
+      flts = Array.make Ir.Reg.count 0.0;
+      is_flt = Array.make Ir.Reg.count false;
+    }
   in
-  let regs = Array.make Ir.Reg.count Ir.Value.zero in
-  regs.(Ir.Reg.sp) <- Ir.Value.Int initial_sp;
+  set_int regs Ir.Reg.sp initial_sp;
   let mem : (int, Ir.Value.t) Hashtbl.t = Hashtbl.create 4096 in
   List.iter (fun (a, v) -> Hashtbl.replace mem a v) prog.Ir.Prog.mem_init;
-  let profile = Profile.create () in
-  (* last writer of each register: (fid, blk), or (-1, -1) initially *)
-  let last_writer = Array.make Ir.Reg.count (-1, -1) in
+  let profile = Profile.create ~nfuncs:(Array.length funcs) in
+  let last_writer = Array.make Ir.Reg.count (-1) in
   let buf = Trace.Builder.create () in
+  (* call stack, three ints a frame: return fid, return block, steps at the
+     callee's entry *)
+  let stack = ref (Array.make 48 0) in
+  let depth = ref 0 in
   let steps = ref 0 in
-  let get r = if r = Ir.Reg.zero then Ir.Value.zero else regs.(r) in
-  let geti r = Ir.Value.to_int (get r) in
-  let getf r = Ir.Value.to_float (get r) in
-  let set r v = if r <> Ir.Reg.zero then regs.(r) <- v in
-  let read_mem a = try Hashtbl.find mem a with Not_found -> Ir.Value.zero in
-  (* call stack: (return fid, return block, callee fid, steps at entry) *)
-  let stack = ref [] in
-  let cur_fid = ref (fid prog.Ir.Prog.main) in
+  let cur_fid = ref main in
   let cur_blk = ref Ir.Func.entry in
-  Profile.bump_invocation profile !cur_fid;
-  let entry_steps_main = 0 in
+  Profile.bump_invocation profile main;
   let running = ref true in
   let result = ref Ir.Value.zero in
   while !running do
-    let f = funcs.(!cur_fid) in
-    let b = Ir.Func.block f !cur_blk in
-    Trace.Builder.start_event buf ~fid:!cur_fid ~blk:!cur_blk;
-    let note_dep r =
-      if r <> Ir.Reg.zero then begin
-        let wfid, wblk = last_writer.(r) in
-        if wfid = !cur_fid && wblk <> !cur_blk && wblk >= 0 then
-          Profile.bump_dep profile !cur_fid wblk !cur_blk r
-      end
-    in
-    let note_write r = if r <> Ir.Reg.zero then last_writer.(r) <- (!cur_fid, !cur_blk) in
-    let exec_insn insn =
+    let fid = !cur_fid and blk = !cur_blk in
+    let b = code.(fid).(blk) in
+    Trace.Builder.start_event buf ~fid ~blk;
+    let at = (fid lsl blk_bits) lor blk in
+    for i = 0 to Array.length b.insns - 1 do
       incr steps;
-      List.iter note_dep (Ir.Insn.uses insn);
-      (match insn with
-      | Ir.Insn.Nop -> ()
-      | Ir.Insn.Li (d, n) -> set d (Ir.Value.Int n)
-      | Ir.Insn.Lf (d, x) -> set d (Ir.Value.Flt x)
-      | Ir.Insn.Mov (d, s) -> set d (get s)
-      | Ir.Insn.Bin (op, d, s, o) ->
-        let a = geti s in
-        let b' = match o with Ir.Insn.Reg r -> geti r | Ir.Insn.Imm n -> n in
-        set d (Ir.Value.Int (eval_binop op a b'))
-      | Ir.Insn.Fbin (op, d, s1, s2) ->
-        set d (Ir.Value.Flt (eval_fbinop op (getf s1) (getf s2)))
-      | Ir.Insn.Fcmp (op, d, s1, s2) ->
-        set d (Ir.Value.Int (if eval_fcmp op (getf s1) (getf s2) then 1 else 0))
-      | Ir.Insn.Fun (op, d, s) ->
-        (match op with
-        | Ir.Insn.Fneg -> set d (Ir.Value.Flt (-.getf s))
-        | Ir.Insn.Fabs -> set d (Ir.Value.Flt (Float.abs (getf s)))
-        | Ir.Insn.Fsqrt -> set d (Ir.Value.Flt (sqrt (getf s)))
-        | Ir.Insn.Itof -> set d (Ir.Value.Flt (float_of_int (geti s)))
-        | Ir.Insn.Ftoi -> set d (Ir.Value.Int (int_of_float (getf s))))
-      | Ir.Insn.Load (d, base, off) ->
-        let a = geti base + off in
-        Trace.Builder.push_addr buf a;
-        set d (read_mem a)
-      | Ir.Insn.Store (s, base, off) ->
-        let a = geti base + off in
-        Trace.Builder.push_addr buf a;
-        Hashtbl.replace mem a (get s)
-      | Ir.Insn.Cmov (d, c, s) ->
-        if Ir.Value.is_true (get c) then set d (get s));
-      List.iter note_write (Ir.Insn.defs insn)
-    in
-    Array.iter exec_insn b.Ir.Block.insns;
+      let uses = b.uses.(i) in
+      for k = 0 to Array.length uses - 1 do
+        note_dep last_writer profile ~fid ~blk ~at uses.(k)
+      done;
+      exec regs mem buf b.insns.(i);
+      let d = b.defs.(i) in
+      if d >= 0 then last_writer.(d) <- at
+    done;
     incr steps;
     if !steps > max_steps then
       fail "exceeded %d dynamic instructions (infinite loop?)" max_steps;
     (match on_event with
-    | Some f ->
-      f ~fid:!cur_fid ~blk:!cur_blk ~addrs:(Trace.Builder.last_event_addrs buf)
+    | Some f -> f ~fid ~blk ~addrs:(Trace.Builder.last_event_addrs buf)
     | None -> ());
-    (* terminator *)
-    (match b.Ir.Block.term with
+    match b.term with
     | Ir.Block.Jump l -> cur_blk := l
     | Ir.Block.Br (c, l1, l2) ->
-      note_dep c;
-      cur_blk := if Ir.Value.is_true (get c) then l1 else l2
+      if c <> Ir.Reg.zero then note_dep last_writer profile ~fid ~blk ~at c;
+      cur_blk := if is_true regs c then l1 else l2
     | Ir.Block.Switch (c, targets, default) ->
-      note_dep c;
-      let v = geti c in
+      if c <> Ir.Reg.zero then note_dep last_writer profile ~fid ~blk ~at c;
+      let v = regs.ints.(c) in
       cur_blk :=
         if v >= 0 && v < Array.length targets then targets.(v) else default
-    | Ir.Block.Call (callee, cont) ->
-      let callee_fid = fid callee in
-      stack := (!cur_fid, cont, callee_fid, !steps) :: !stack;
-      Profile.bump_invocation profile callee_fid;
-      cur_fid := callee_fid;
+    | Ir.Block.Call (name, cont) ->
+      let callee = b.callee in
+      if callee < 0 then fail "call to undefined function %s" name;
+      if !depth + 3 > Array.length !stack then begin
+        let bigger = Array.make (2 * Array.length !stack) 0 in
+        Array.blit !stack 0 bigger 0 !depth;
+        stack := bigger
+      end;
+      let s = !stack and top = !depth in
+      s.(top) <- fid;
+      s.(top + 1) <- cont;
+      s.(top + 2) <- !steps;
+      depth := top + 3;
+      Profile.bump_invocation profile callee;
+      cur_fid := callee;
       cur_blk := Ir.Func.entry
     | Ir.Block.Ret ->
-      (match !stack with
-      | (ret_fid, ret_blk, callee_fid, entry_steps) :: rest ->
-        Profile.add_inclusive profile callee_fid (!steps - entry_steps);
-        stack := rest;
-        cur_fid := ret_fid;
-        cur_blk := ret_blk
-      | [] ->
-        Profile.add_inclusive profile !cur_fid (!steps - entry_steps_main);
-        result := get Ir.Reg.rv;
-        running := false)
+      if !depth = 0 then begin
+        Profile.add_inclusive profile fid !steps;
+        result := value regs Ir.Reg.rv;
+        running := false
+      end
+      else begin
+        let s = !stack and top = !depth - 3 in
+        Profile.add_inclusive profile fid (!steps - s.(top + 2));
+        depth := top;
+        cur_fid := s.(top);
+        cur_blk := s.(top + 1)
+      end
     | Ir.Block.Halt ->
-      result := get Ir.Reg.rv;
-      running := false)
+      result := value regs Ir.Reg.rv;
+      running := false
   done;
   let trace = Trace.Builder.finish buf ~prog ~fnames ~funcs ~dyn_insns:!steps in
   { trace; profile; steps = !steps; result = !result }

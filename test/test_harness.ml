@@ -200,6 +200,32 @@ let test_memo_failure_not_cached () =
   checkb "then it is cached" true
     (Harness.Memo.find_or_compute m "k" (fun () -> 0) = (42, true))
 
+let test_memo_find () =
+  (* [find] never computes: absent keys stay absent, and a requester of an
+     in-flight key waits for its value *)
+  let m = Harness.Memo.create 4 in
+  checkb "absent" true (Harness.Memo.find m "k" = None);
+  checki "nothing bound" 0 (List.length (Harness.Memo.bindings m));
+  let started = Atomic.make false and release = Atomic.make false in
+  let owner =
+    Domain.spawn (fun () ->
+        Harness.Memo.find_or_compute m "k" (fun () ->
+            Atomic.set started true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done;
+            7))
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let waiter = Domain.spawn (fun () -> Harness.Memo.find m "k") in
+  Unix.sleepf 0.2;
+  Atomic.set release true;
+  checkb "owner computed" true (Domain.join owner = (7, false));
+  checkb "waiter joined the in-flight value" true (Domain.join waiter = Some 7);
+  checkb "landed" true (Harness.Memo.find m "k" = Some 7)
+
 (* --- Artifact store -------------------------------------------------------- *)
 
 let test_artifact_physical_equality () =
@@ -250,6 +276,66 @@ let test_artifact_concurrent_once () =
   match plans with
   | first :: rest -> checkb "all physically equal" true (List.for_all (fun p -> p == first) rest)
   | [] -> Alcotest.fail "no results"
+
+(* One interpretation per distinct program: bb, cf and dd run the same
+   hoisted program, and fb's refined plan keeps its seed's program, so
+   their artifacts share one physical trace; sharing changes no plan. *)
+let plan_dump (plan : Core.Partition.plan) =
+  Format.asprintf "%a@.%a" Ir.Prog.pp plan.Core.Partition.prog
+    (fun ppf parts ->
+      Ir.Prog.Smap.iter (fun _ p -> Format.fprintf ppf "%a@." Core.Task.pp p) parts)
+    plan.Core.Partition.parts
+
+let test_artifact_shared_runs () =
+  let store = Harness.Artifact.create () in
+  let entries = [ Workloads.Suite.find "compress"; Workloads.Suite.find "fpppp" ] in
+  let levels = Core.Heuristics.extended_levels in
+  let arts = Harness.Artifact.grid store ~jobs:1 ~levels entries Fun.id in
+  checki "one pipeline per cell" 10 (Harness.Artifact.builds store);
+  List.iter
+    (fun (entry : Workloads.Registry.entry) ->
+      let name = entry.Workloads.Registry.name in
+      let at level =
+        List.find
+          (fun (a : Harness.Artifact.artifact) ->
+            a.Harness.Artifact.key.Harness.Artifact.workload = name
+            && a.Harness.Artifact.key.Harness.Artifact.level = level)
+          arts
+      in
+      let trace level = (at level).Harness.Artifact.trace in
+      checkb (name ^ ": cf shares bb's trace") true
+        (trace Core.Heuristics.Control_flow == trace Core.Heuristics.Basic_block);
+      checkb (name ^ ": dd shares bb's trace") true
+        (trace Core.Heuristics.Data_dependence == trace Core.Heuristics.Basic_block);
+      let prog level = (at level).Harness.Artifact.plan.Core.Partition.prog in
+      let seed =
+        if compare (prog Core.Heuristics.Feedback) (prog Core.Heuristics.Task_size) = 0
+        then Core.Heuristics.Task_size
+        else Core.Heuristics.Data_dependence
+      in
+      checkb (name ^ ": fb shares its seed's trace") true
+        (trace Core.Heuristics.Feedback == trace seed);
+      List.iter
+        (fun level ->
+          checkb
+            (Printf.sprintf "%s %s: plan as built without the store" name
+               (Core.Heuristics.level_name level))
+            true
+            (plan_dump (at level).Harness.Artifact.plan
+            = plan_dump
+                (Core.Cost.plan_for_level level (entry.Workloads.Registry.build ()))))
+        levels)
+    entries;
+  let distinct =
+    List.fold_left
+      (fun acc (a : Harness.Artifact.artifact) ->
+        if List.memq a.Harness.Artifact.trace acc then acc
+        else a.Harness.Artifact.trace :: acc)
+      [] arts
+  in
+  checki "trace bytes count each shared trace once"
+    (List.fold_left (fun acc tr -> acc + Interp.Trace.bytes tr) 0 distinct)
+    (Harness.Artifact.trace_bytes store)
 
 (* --- parallel/serial equivalence of the report tables ---------------------- *)
 
@@ -405,6 +491,7 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "concurrent once" `Quick test_memo_concurrent_once;
+          Alcotest.test_case "find" `Quick test_memo_find;
           Alcotest.test_case "failure not cached" `Quick
             test_memo_failure_not_cached;
         ] );
@@ -413,6 +500,7 @@ let () =
           Alcotest.test_case "physical equality" `Quick
             test_artifact_physical_equality;
           Alcotest.test_case "sim memoized" `Quick test_sim_memoized;
+          Alcotest.test_case "shared runs" `Quick test_artifact_shared_runs;
           Alcotest.test_case "concurrent once" `Quick
             test_artifact_concurrent_once;
         ] );

@@ -362,6 +362,170 @@ let test_trace_narrow_stays_packed () =
   checkb "packed resident beats boxed by 4x" true
     (s.Interp.Trace.boxed_words >= 4 * s.Interp.Trace.heap_words)
 
+(* --- the oracle: observable behaviour pinned program by program ------------- *)
+
+(* Every program the paper grid interprets (each workload as built, after
+   induction hoisting, and after default unrolling then hoisting), the
+   seed-42 fuzz corpus drawn as [Fuzz.check_one] draws it, and the shrunken
+   fuzz reproducers.  A program that raises pins its [Runtime_error]. *)
+let suite_programs () =
+  List.concat_map
+    (fun (e : Workloads.Registry.entry) ->
+      let p = e.Workloads.Registry.build () in
+      let name = e.Workloads.Registry.name in
+      [
+        (name, p);
+        (name ^ "+hoist", Core.Transform.hoist_program p);
+        ( name ^ "+unroll+hoist",
+          Core.Transform.hoist_program
+            (Core.Transform.unroll_program Core.Heuristics.default p) );
+      ])
+    Workloads.Suite.all
+
+let fuzz_corpus = 44
+
+let fuzz_programs () =
+  let profiles = Workloads.Synth.Profile.all in
+  List.init fuzz_corpus (fun index ->
+      let profile = List.nth profiles (index mod List.length profiles) in
+      let seed = Workloads.Synth.program_seed ~seed:42 ~index in
+      ( Printf.sprintf "fuzz-%02d-%s" index profile.Workloads.Synth.Profile.name,
+        Workloads.Synth.generate ~profile ~seed ))
+
+let reproducer_programs () =
+  Sys.readdir "golden/fuzz" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ir")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let ic = open_in_bin (Filename.concat "golden/fuzz" f) in
+         let text = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         match Ir.Parse.program text with
+         | Ok p -> ("ir-" ^ Filename.chop_suffix f ".ir", p)
+         | Error e -> Alcotest.failf "golden/fuzz/%s does not parse: %s" f e)
+
+(* trace words and address pool, steps and result, and the profile read
+   through its public queries: every static cross-block def-use triple of
+   every function, and each function's average invocation size *)
+let digest_outcome (o : Interp.Run.outcome) =
+  let tr = o.Interp.Run.trace in
+  let words a =
+    let b = Bytes.create (8 * Array.length a) in
+    Array.iteri (fun i w -> Bytes.set_int64_le b (8 * i) (Int64.of_int w)) a;
+    Digest.bytes b
+  in
+  let profile = o.Interp.Run.profile in
+  let prof = Buffer.create 1024 in
+  Array.iteri
+    (fun fid f ->
+      List.iter
+        (fun (u, v, r) ->
+          Printf.bprintf prof "%d " (Interp.Profile.dep_count profile fid u v r))
+        (Analysis.Dataflow.block_dep_edges (Analysis.Dataflow.def_use f));
+      Printf.bprintf prof "%h\n" (Interp.Profile.avg_invocation_size profile fid))
+    tr.Interp.Trace.funcs;
+  Digest.to_hex
+    (Digest.string
+       (String.concat "|"
+          [
+            words tr.Interp.Trace.packed;
+            words tr.Interp.Trace.apool;
+            string_of_bool tr.Interp.Trace.awide;
+            string_of_int o.Interp.Run.steps;
+            Ir.Value.to_string o.Interp.Run.result;
+            Buffer.contents prof;
+          ]))
+
+type oracle_run = {
+  line : string;  (** the golden line *)
+  suite : bool;  (** one of the grid's programs *)
+  program : Digest.t;  (** structural identity, for deduplication *)
+  words : float;  (** heap words the call allocated *)
+  steps : int;
+}
+
+let allocated () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* each program runs once, shared by the golden and the allocation budget *)
+let oracle_runs =
+  lazy
+    (let tagged suite = List.map (fun (name, p) -> (suite, name, p)) in
+     List.map
+       (fun (suite, name, p) ->
+         let before = allocated () in
+         let outcome =
+           match Interp.Run.execute p with
+           | o -> Ok o
+           | exception Interp.Run.Runtime_error msg -> Error msg
+         in
+         let words = allocated () -. before in
+         let line, steps =
+           match outcome with
+           | Ok o ->
+             (Printf.sprintf "%-26s %s" name (digest_outcome o), o.Interp.Run.steps)
+           | Error msg -> (Printf.sprintf "%-26s raises %s" name msg, 0)
+         in
+         let program = Digest.string (Marshal.to_string p [ Marshal.No_sharing ]) in
+         { line; suite; program; words; steps })
+       (tagged true (suite_programs ())
+       @ tagged false (fuzz_programs ())
+       @ tagged false (reproducer_programs ())))
+
+let golden_path = Filename.concat "golden" "interp_digests.txt"
+
+let test_oracle_golden () =
+  let got =
+    String.concat ""
+      (List.map (fun r -> r.line ^ "\n") (Lazy.force oracle_runs))
+  in
+  let want =
+    let ic = open_in_bin golden_path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  if got <> want then begin
+    let out = golden_path ^ ".actual" in
+    let oc = open_out_bin out in
+    output_string oc got;
+    close_out oc;
+    Alcotest.failf
+      "interpreter behaviour diverged from test/golden/%s; what this build \
+       computed is in %s (in the build tree).  The golden pins the \
+       interpreter as it was before its rewrite: a difference is a bug in \
+       the interpreter, not a reason to regenerate."
+      (Filename.basename golden_path) out
+  end
+
+(* The per-step budget DESIGN.md states: the packed trace builder included,
+   the interpreter allocates at most [budget] words per dynamic instruction
+   over the grid's distinct programs (this suite starts no other domain, so
+   no other allocation enters the counters). *)
+let budget = 3.0
+
+let test_alloc_budget () =
+  let seen = Hashtbl.create 64 in
+  let words, steps =
+    List.fold_left
+      (fun (w, s) r ->
+        if r.suite && not (Hashtbl.mem seen r.program) then begin
+          Hashtbl.replace seen r.program ();
+          (w +. r.words, s + r.steps)
+        end
+        else (w, s))
+      (0.0, 0) (Lazy.force oracle_runs)
+  in
+  let per_step = words /. float_of_int steps in
+  Printf.printf "%d distinct programs: %.2f words per dynamic instruction\n"
+    (Hashtbl.length seen) per_step;
+  if per_step > budget then
+    Alcotest.failf
+      "%d distinct programs: %.0f words over %d steps = %.2f words per \
+       dynamic instruction, over the budget of %.1f"
+      (Hashtbl.length seen) words steps per_step budget
+
 let () =
   Alcotest.run "interp"
     [
@@ -406,5 +570,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_trace_tiles;
           QCheck_alcotest.to_alcotest prop_packed_decodes_legacy;
           QCheck_alcotest.to_alcotest prop_trace_check;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "golden digests" `Quick test_oracle_golden;
+          Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
         ] );
     ]

@@ -227,15 +227,26 @@ let test_if_convert_skips_memory_arms () =
   checki "branch kept" (count_branches prog) (count_branches prog')
 
 let test_if_convert_workloads_preserved () =
+  let preserved name prog =
+    let base = Interp.Run.execute prog in
+    let o = Interp.Run.execute (Core.Transform.if_convert_program prog) in
+    checkb name true (Ir.Value.equal base.Interp.Run.result o.Interp.Run.result)
+  in
   List.iter
-    (fun name ->
-      let e = Workloads.Suite.find name in
-      let prog = e.Workloads.Registry.build () in
-      let base = Interp.Run.execute prog in
-      let o = Interp.Run.execute (Core.Transform.if_convert_program prog) in
-      checkb name true
-        (Ir.Value.equal base.Interp.Run.result o.Interp.Run.result))
-    [ "go"; "hydro2d"; "compress" ]
+    (fun name -> preserved name ((Workloads.Suite.find name).Workloads.Registry.build ()))
+    [ "go"; "hydro2d"; "compress" ];
+  (* synthetic programs with nested diamonds: the inner one, converted
+     first, leaves a cmov in an outer arm that had already written the
+     cmov's destination, and the cmov's seed copy used to overwrite that
+     write with the value from before the arm *)
+  List.iter
+    (fun (profile, seed) ->
+      preserved
+        (Printf.sprintf "%s seed %d" profile seed)
+        (Workloads.Synth.generate
+           ~profile:(Option.get (Workloads.Synth.Profile.find profile))
+           ~seed))
+    [ ("branchy", 317); ("deep-calls", 753); ("float-mix", 858) ]
 
 let prop_if_convert_preserves =
   QCheck.Test.make ~name:"if-conversion preserves results" ~count:25
