@@ -80,9 +80,27 @@ let level_arg =
   Arg.(value & opt level_conv Core.Heuristics.Data_dependence
        & info [ "l"; "level" ] ~doc)
 
+(* Machine shapes are checked while the command line is parsed, so a bad
+   one is a usage error (exit 124) rather than a crash inside the
+   simulator.  PU counts share their bound with mscd requests. *)
+let int_conv ~ok ~expected =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some v when ok v -> Ok v
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let pus_conv =
+  int_conv
+    ~ok:(fun p -> p >= 1 && p <= Sim.Config.max_pus)
+    ~expected:(Printf.sprintf "a PU count from 1 to %d" Sim.Config.max_pus)
+
+let positive_conv = int_conv ~ok:(fun v -> v >= 1) ~expected:"a positive integer"
+
 let pus_arg =
   let doc = "Number of processing units." in
-  Arg.(value & opt int 8 & info [ "p"; "pus" ] ~doc)
+  Arg.(value & opt pus_conv 8 & info [ "p"; "pus" ] ~doc)
 
 let in_order_arg =
   let doc = "Use in-order PUs (default: out-of-order)." in
@@ -259,11 +277,11 @@ let dot_cmd =
 let superscalar_cmd =
   let width_arg =
     let doc = "Issue width of the superscalar machine." in
-    Arg.(value & opt int 4 & info [ "width" ] ~doc)
+    Arg.(value & opt positive_conv 4 & info [ "width" ] ~doc)
   in
   let rob_arg =
     let doc = "Reorder-buffer size." in
-    Arg.(value & opt int 64 & info [ "rob" ] ~doc)
+    Arg.(value & opt positive_conv 64 & info [ "rob" ] ~doc)
   in
   let run (entry : Workloads.Registry.entry) width rob =
     let prog = entry.Workloads.Registry.build () in
@@ -833,17 +851,8 @@ let query_term a =
     | Fixed -> (Term.const [], Term.const false)
     | One -> (Term.(const (fun p -> [ p ]) $ pus_arg), in_order_arg)
     | Grid ->
-      let positive =
-        Arg.conv
-          ( (fun s ->
-              match int_of_string_opt (String.trim s) with
-              | Some p when p > 0 -> Ok p
-              | Some _ | None ->
-                Error (`Msg (Printf.sprintf "bad PU count %S" s))),
-            Format.pp_print_int )
-      in
       let doc = "Comma-separated PU counts of the grid." in
-      ( Arg.(value & opt (list positive) Report.Breakdown.default_pus
+      ( Arg.(value & opt (list pus_conv) Report.Breakdown.default_pus
              & info [ "p"; "pus" ] ~docv:"PUS" ~doc),
         in_order_arg )
   in

@@ -48,8 +48,11 @@ let machine json =
   let* num_pus =
     match Json.member "num_pus" json with
     | None -> Ok 8
-    | Some (Json.Int n) when n >= 1 -> Ok n
-    | Some _ -> Error "field \"num_pus\" must be a positive integer"
+    | Some (Json.Int n) when n >= 1 && n <= Sim.Config.max_pus -> Ok n
+    | Some _ ->
+      Error
+        (Printf.sprintf "field \"num_pus\" must be an integer from 1 to %d"
+           Sim.Config.max_pus)
   in
   let* in_order =
     match Json.member "in_order" json with

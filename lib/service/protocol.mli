@@ -12,7 +12,8 @@
 
     Operations [simulate], [partition], [deps], [absint], [cost],
     [breakdown] and [lint] address one (workload, heuristic level) pipeline — levels use
-    the {!Harness.Job.level_tag} encoding; [num_pus] (default 8) and
+    the {!Harness.Job.level_tag} encoding; [num_pus] (default 8, at most
+    {!Sim.Config.max_pus}) and
     [in_order] (default false) further select the machine for
     [simulate]/[breakdown].  [fuzz] runs a synthetic-corpus sweep through
     the {!Fuzz} oracle stack ([seed] default 42, [n] default 100 — the

@@ -4,7 +4,9 @@
    simulation run creates three caches (two L1s and the L2) and probes
    them once per load and per block fetch, so the per-set subarrays of the
    obvious representation cost an extra indirection per probe and tens of
-   thousands of small allocations per run. *)
+   thousands of small allocations per run.  An age is below [ways], so the
+   ages take one byte per way ([create] rejects more than 256 ways); only
+   the tags need a word. *)
 
 type t = {
   sets : int;
@@ -12,16 +14,22 @@ type t = {
   block_words : int;
   (* tags.(set * ways + way); lru ages, 0 = most recent *)
   tags : int array;
-  lru : int array;
+  lru : Bytes.t;
   mutable accesses : int;
   mutable misses : int;
 }
 
 let create ~sets ~ways ~block_words =
-  let lru = Array.make (sets * ways) 0 in
+  if sets < 1 || ways < 1 || ways > 256 || block_words < 1 then
+    invalid_arg
+      (Printf.sprintf
+         "Cache.create: %d sets of %d ways of %d words (need at least 1 set, \
+          1 to 256 ways, at least 1 word)"
+         sets ways block_words);
+  let lru = Bytes.create (sets * ways) in
   for s = 0 to sets - 1 do
     for w = 0 to ways - 1 do
-      lru.((s * ways) + w) <- w
+      Bytes.set lru ((s * ways) + w) (Char.chr w)
     done
   done;
   {
@@ -34,13 +42,16 @@ let create ~sets ~ways ~block_words =
     misses = 0;
   }
 
+let[@inline] age t i = Char.code (Bytes.get t.lru i)
+
 let touch t base way =
   let lru = t.lru in
-  let age = lru.(base + way) in
+  let a = age t (base + way) in
   for w = base to base + t.ways - 1 do
-    if lru.(w) < age then lru.(w) <- lru.(w) + 1
+    let aw = age t w in
+    if aw < a then Bytes.set lru w (Char.unsafe_chr (aw + 1))
   done;
-  lru.(base + way) <- 0
+  Bytes.set lru (base + way) '\000'
 
 let access t addr =
   t.accesses <- t.accesses + 1;
@@ -60,10 +71,9 @@ let access t addr =
   else begin
     t.misses <- t.misses + 1;
     (* evict LRU way *)
-    let lru = t.lru in
     let victim = ref 0 in
     for w = 0 to t.ways - 1 do
-      if lru.(base + w) > lru.(base + !victim) then victim := w
+      if age t (base + w) > age t (base + !victim) then victim := w
     done;
     tags.(base + !victim) <- tag;
     touch t base !victim;

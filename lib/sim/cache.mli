@@ -3,6 +3,8 @@
 type t
 
 val create : sets:int -> ways:int -> block_words:int -> t
+(** Raises [Invalid_argument] unless [sets >= 1], [1 <= ways <= 256] (LRU
+    ages take a byte per way) and [block_words >= 1]. *)
 
 val access : t -> int -> bool
 (** Word-address access; returns hit, updates LRU, fills on miss. *)

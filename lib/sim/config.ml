@@ -37,7 +37,13 @@ type t = {
   perfect_task_pred : bool;
 }
 
+let max_pus = 256
+
 let default ~num_pus ~in_order =
+  if num_pus < 1 || num_pus > max_pus then
+    invalid_arg
+      (Printf.sprintf "Sim.Config.default: %d PUs (need 1 to %d)" num_pus
+         max_pus);
   let l1_bytes = if num_pus <= 4 then 64 * 1024 else 128 * 1024 in
   let block_bytes = 32 in
   let l1_ways = 2 in

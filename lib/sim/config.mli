@@ -47,10 +47,18 @@ type t = {
           isolate the other cycle sinks in accounting experiments) *)
 }
 
+val max_pus : int
+(** The largest machine (256 PUs) that [msc] options and [mscd] requests
+    may ask for.  A simulation keeps about 7.5 KB per PU (ring and bank
+    windows, 2N store maps, 2N register-send rows) on top of about 1.5 MB
+    of caches and predictors, and each task scans up to N in-flight
+    tasks, so the bound caps one request's memory and time. *)
+
 val default : num_pus:int -> in_order:bool -> t
 (** The paper's configuration: L1 caches are 64 KB for 4 PUs and 128 KB for
     8 PUs (2-way, 32-byte blocks, 1-cycle hit); L2 is 4 MB, 2-way, 12-cycle;
     memory 58 cycles; ARB 32 entries/PU with 2-cycle hit; gshare and
-    path-based predictors with 16-bit histories and 64K entries. *)
+    path-based predictors with 16-bit histories and 64K entries.  Raises
+    [Invalid_argument] unless [1 <= num_pus <= max_pus]. *)
 
 val latency : t -> Ir.Insn.fu_class -> int

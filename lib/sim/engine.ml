@@ -1,16 +1,21 @@
 (* The Multiscalar engine on the event-driven, structure-of-arrays core.
 
-   All cross-task state lives in flat int arrays and occupancy windows
-   (DESIGN.md §10): ring-send times are generation-stamped per-flight
-   register slots, per-flight store maps and the synchronization table are
-   reusable open-addressing int maps with packed keys, and the shared
-   ring / ARB-bank bandwidth is Occ.Slots occupancy rows indexed by
-   absolute cycle.  One Timing.ctx is reused for every attempt of every
-   dynamic task instance, and every in-flight scan is a plain loop over
-   those arrays, so the per-task loop allocates nothing in the steady
-   state.  The schedule is cycle-for-cycle identical to the frozen
-   pre-event core (Sim_ref.Engine_ref), pinned by the qcheck differential
-   in test/test_event_core.ml and the byte-identical report goldens. *)
+   A run allocates in proportion to the machine, not to the simulated
+   cycles or task instances (DESIGN.md §10).  Cross-task state lives in
+   rings over the last 2N task instances (N = PUs): assignment, resolve
+   and retire times, generation-stamped ring-send register slots and
+   per-flight store maps; the synchronization table is an open-addressing
+   int map with packed keys, bounded by its configured size.  The shared
+   ring / ARB-bank bandwidth is Occ.Slots windows whose floor rises to
+   each task's first assignment cycle — a0 only increases from task to
+   task and every probe of task k is at or after it — so the rows slide
+   instead of spanning the run.  One Timing.ctx is reused for every
+   attempt of every dynamic task instance, the predictor and cache tables
+   are byte-packed, and every in-flight scan is a plain loop over those
+   arrays, so the per-task loop allocates nothing in the steady state.
+   The schedule is cycle-for-cycle identical to the frozen pre-event core
+   (Sim_ref.Engine_ref), pinned by the qcheck differential in
+   test/test_event_core.ml and the byte-identical report goldens. *)
 
 type result = {
   stats : Stats.t;
@@ -64,6 +69,17 @@ let site_bits = 30
 let site_mask = (1 lsl site_bits) - 1
 
 let max_violation_retries = 8
+
+(* the position of [l] / of function [name] in a task's successor lists,
+   counting from [i]; -1 when absent *)
+let rec target_index (l : Ir.Block.label) i = function
+  | [] -> -1
+  | x :: rest -> if x = l then i else target_index l (i + 1) rest
+
+let rec callee_index name i = function
+  | [] -> -1
+  | x :: rest ->
+    if String.equal x name then i else callee_index name (i + 1) rest
 
 (* Ring-send time of register [r] written at [psite]/[t] by [inst]: at the
    write itself when the compiler can prove it final (forward bits), at the
@@ -134,13 +150,15 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   let n = cfg.Config.num_pus in
   let two_n = 2 * n in
   let pu_free = Array.make n 0 in
-  let assign = Array.make (max 1 k_max) 0 in
-  let retire = Array.make (max 1 k_max) 0 in
-  let resolve = Array.make (max 1 k_max) 0 in
   (* circular flight window: only the last 2N instances can matter to a
-     younger task's timing.  A register send of task j lives at
+     younger task's timing (every read names a task in [k - N + 1, k]).
+     Task j's assignment, resolve and retire times live at index j mod 2N.
+     A register send of task j lives at
      send_time.((j mod 2N) * Reg.count + r), valid iff the stamp is j; a
      slot is reclaimed by restamping, never cleared. *)
+  let assign = Array.make two_n 0 in
+  let retire = Array.make two_n 0 in
+  let resolve = Array.make two_n 0 in
   let send_time = Array.make (two_n * Ir.Reg.count) 0 in
   let send_stamp = Array.make (two_n * Ir.Reg.count) (-1) in
   let store_maps = Array.init two_n (fun _ -> Occ.Intmap.create 32) in
@@ -148,9 +166,9 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   (* (load site, store site) pairs, packed; grows for the whole run *)
   let sync_table = Occ.Intmap.create 64 in
   (* per-PU ring injection bandwidth, per-cycle *)
-  let ring_slots = Occ.Slots.create ~rows:n ~hint:4096 in
+  let ring_slots = Occ.Slots.create ~rows:n ~hint:1024 in
   (* one access per D-cache/ARB bank per cycle, shared by all PUs *)
-  let bank_slots = Occ.Slots.create ~rows:cfg.Config.l1_banks ~hint:4096 in
+  let bank_slots = Occ.Slots.create ~rows:cfg.Config.l1_banks ~hint:1024 in
   (* per-attempt inputs read by the once-per-run hook closures *)
   let cur_k = ref 0 in
   let cur_assign = ref 0 in
@@ -162,7 +180,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
         (fun r ->
           let j = last_writer_task.(r) in
           if j < 0 || j < !in_flight_low then 0
-          else if retire.(j) <= !cur_assign then 0
+          else if retire.(j mod two_n) <= !cur_assign then 0
           else begin
             let s = ((j mod two_n) * Ir.Reg.count) + r in
             if send_stamp.(s) = j then
@@ -178,7 +196,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           let continue_ = ref true in
           while !continue_ do
             if !j < !in_flight_low || !j < 0 then continue_ := false
-            else if retire.(!j) <= !cur_assign then decr j
+            else if retire.(!j mod two_n) <= !cur_assign then decr j
             else begin
               let v = Occ.Intmap.find store_maps.(!j mod two_n) addr in
               if v >= 0 then begin
@@ -229,15 +247,11 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     match pinst.Dyntask.kind with
     | Dyntask.Program_end -> true
     | Dyntask.Returns ->
-      (match Predict.Ras.pop ras with
-      | Some uid -> uid = entry_uid k
-      | None -> false)
+      (* block uids are non-negative, so -1 marks underflow *)
+      let uid = Predict.Ras.pop_or ras (-1) in
+      uid >= 0 && uid = entry_uid k
     | Dyntask.Fallthrough l ->
-      let rec index i = function
-        | [] -> -1
-        | x :: rest -> if x = l then i else index (i + 1) rest
-      in
-      let actual = index 0 ptask.Core.Task.targets in
+      let actual = target_index l 0 ptask.Core.Task.targets in
       if actual < 0 then false
       else Predict.Target.predict_and_update task_pred ~pc ~actual
     | Dyntask.Calls callee_fid ->
@@ -248,14 +262,9 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           (Layout.block_id layout ~fid:pinst.Dyntask.fid ~blk:cont)
       | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
       | Ir.Block.Halt -> ());
-      let rec index i = function
-        | [] -> -1
-        | x :: rest ->
-          if String.equal x fnames.(callee_fid) then i else index (i + 1) rest
-      in
       let actual =
         List.length ptask.Core.Task.targets
-        + index 0 ptask.Core.Task.calls_out
+        + callee_index fnames.(callee_fid) 0 ptask.Core.Task.calls_out
       in
       Predict.Target.predict_and_update task_pred ~pc ~actual
   in
@@ -276,17 +285,20 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
         stats.Stats.task_mispredicts <- stats.Stats.task_mispredicts + 1
     end;
     let base_assign =
-      if k = 0 then 0 else max pu_free.(pu) (assign.(k - 1) + 1)
+      if k = 0 then 0 else max pu_free.(pu) (assign.((k - 1) mod two_n) + 1)
     in
     let a0 =
       if k > 0 && not correct then begin
-        let restart = resolve.(k - 1) + 1 in
+        let restart = resolve.((k - 1) mod two_n) + 1 in
         stats.Stats.cf_penalty <-
           stats.Stats.cf_penalty + max 0 (restart - base_assign);
         max base_assign restart
       end
       else base_assign
     in
+    (* no later probe of the shared ring and bank windows lands before a0 *)
+    Occ.Slots.raise_floor ring_slots a0;
+    Occ.Slots.raise_floor bank_slots a0;
     (* violation / ARB-overflow loop; each attempt leaves its schedule in
        [tctx] *)
     let assign_t = ref a0 in
@@ -302,7 +314,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
       cur_assign := !assign_t;
       Timing.exec tctx inst
         ~start_fetch:(!assign_t + cfg.Config.task_start_overhead)
-        ~mem_hold:retire.(k - 1) hooks
+        ~mem_hold:retire.((k - 1) mod two_n) hooks
     end;
     let retries = ref 0 in
     let violations_here = ref 0 in
@@ -327,7 +339,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           let continue_ = ref true in
           while !continue_ do
             if !j < !in_flight_low || !j < 0 then continue_ := false
-            else if retire.(!j) <= m_time then continue_ := false
+            else if retire.(!j mod two_n) <= m_time then continue_ := false
             else begin
               let v = Occ.Intmap.find store_maps.(!j mod two_n) m_addr in
               if v >= 0 then begin
@@ -364,12 +376,16 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
         end
       end
     done;
-    assign.(k) <- !assign_t;
-    resolve.(k) <- tctx.Timing.resolve;
+    let slot = k mod two_n in
+    assign.(slot) <- !assign_t;
+    resolve.(slot) <- tctx.Timing.resolve;
     let complete = tctx.Timing.complete in
-    retire.(k) <-
-      (if k = 0 then complete else max complete (retire.(k - 1) + 1));
-    pu_free.(pu) <- retire.(k) + cfg.Config.task_end_overhead;
+    let retire_k =
+      if k = 0 then complete
+      else max complete (retire.((k - 1) mod two_n) + 1)
+    in
+    retire.(slot) <- retire_k;
+    pu_free.(pu) <- retire_k + cfg.Config.task_end_overhead;
     (* register the task's outgoing values on the ring, per-register in
        descending register order — the order of the old reg_writes list —
        because ring-slot contention makes registration order visible to
@@ -379,7 +395,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
       parts.(inst.Dyntask.fid).Core.Task.tasks.(inst.Dyntask.task)
         .Core.Task.blocks
     in
-    let slot_base = k mod two_n * Ir.Reg.count in
+    let slot_base = slot * Ir.Reg.count in
     for r = Ir.Reg.count - 1 downto 0 do
       let t = tctx.Timing.local_time.(r) in
       if t >= 0 then
@@ -401,7 +417,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           last_writer_task.(r) <- k
         end
     done;
-    let smap = store_maps.(k mod two_n) in
+    let smap = store_maps.(slot) in
     Occ.Intmap.clear smap;
     for si = 0 to tctx.Timing.n_stores - 1 do
       let psite = tctx.Timing.s_site.(si) in
@@ -429,7 +445,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     stats.Stats.intra_task_dep <-
       stats.Stats.intra_task_dep + tctx.Timing.intra_wait;
     stats.Stats.load_imbalance <-
-      stats.Stats.load_imbalance + max 0 (retire.(k) - complete);
+      stats.Stats.load_imbalance + max 0 (retire_k - complete);
     stats.Stats.syncs <- stats.Stats.syncs + tctx.Timing.sync_waits;
     (* cycle accounting: partition this PU's timeline from its previous
        release [prev_free] to this task's release [retire + end_overhead]
@@ -444,7 +460,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
       (cfg.Config.task_start_overhead + cfg.Config.task_end_overhead);
     Timing.attribute_ctx tctx
       ~start_fetch:(!assign_t + cfg.Config.task_start_overhead) acct;
-    Account.add acct Account.Load_imbalance (retire.(k) - complete);
+    Account.add acct Account.Load_imbalance (retire_k - complete);
     (match observer with
     | Some f ->
       f
@@ -454,7 +470,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           e_pu = pu;
           e_assign = !assign_t;
           e_complete = complete;
-          e_retire = retire.(k);
+          e_retire = retire_k;
           e_mispredicted = not correct;
           e_violations = !violations_here;
         }
@@ -462,20 +478,22 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     (* window-span sample: dynamic instructions in flight at assignment *)
     let span = ref inst.Dyntask.size in
     for j = !in_flight_low to k - 1 do
-      if retire.(j) > !assign_t then span := !span + instances.(j).Dyntask.size
+      if retire.(j mod two_n) > !assign_t then
+        span := !span + instances.(j).Dyntask.size
     done;
     stats.Stats.window_span_total <- stats.Stats.window_span_total + !span;
     stats.Stats.window_span_samples <- stats.Stats.window_span_samples + 1
   done;
-  (* Total time is the last task's retirement plus its end overhead.
-     [retire.(k_max - 1)] is written from the *final* timing attempt, after
-     the ARB-overflow re-attempt and the violation squash/re-execution loop
+  (* Total time is the last task's retirement plus its end overhead.  Its
+     retire slot is written from the *final* timing attempt, after the
+     ARB-overflow re-attempt and the violation squash/re-execution loop
      have converged, and retirement times are strictly increasing in k — so
      a squash-replayed final task is fully counted.  The conservation check
      below would catch any re-introduced under-count: a cycles value taken
      from a pre-replay snapshot could not absorb the Mem_squash charge. *)
   if k_max > 0 then
-    stats.Stats.cycles <- retire.(k_max - 1) + cfg.Config.task_end_overhead;
+    stats.Stats.cycles <-
+      retire.((k_max - 1) mod two_n) + cfg.Config.task_end_overhead;
   (* cycle accounting: each PU drains idle from its last release to the end
      of execution, completing the per-PU telescopes *)
   for p = 0 to n - 1 do

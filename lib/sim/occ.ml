@@ -1,17 +1,25 @@
 (* Flat occupancy structures for the event-driven simulator core.
 
    The engine's resource model is "reserve the earliest free slot at or
-   after cycle [t]": D-cache/ARB bank ports, ring injection bandwidth,
-   issue and commit bandwidth.  The pre-event core kept these as
-   tuple-keyed hashtables ((bank, cycle) -> unit), paying an allocation
-   and a polymorphic hash per probe and advancing cycle by cycle.  Here a
-   resource is a row of byte counts indexed by ABSOLUTE cycle: probing is
-   one unsafe byte read, and finding the next free slot skips over a fully
-   booked region in a tight scan instead of re-hashing each cycle.  Rows
-   grow geometrically in the time dimension and are never cleared — a
-   reservation, once made, stays, exactly like the hashtable entries it
-   replaces (including reservations made by simulation attempts that were
-   later squashed; see DESIGN.md §10).
+   after cycle [t]": D-cache/ARB bank ports, ring injection bandwidth.
+   The pre-event core kept these as tuple-keyed hashtables ((bank, cycle)
+   -> unit), paying an allocation and a polymorphic hash per probe and
+   advancing cycle by cycle.  Here a resource is a row of byte counts:
+   probing is one byte read, and finding the next free slot skips over a
+   fully booked region in a tight scan instead of re-hashing each cycle.
+
+   A row is a sliding window, not a history.  Its byte 0 holds cycle
+   [origin]; the owner raises a [floor] below which it promises never to
+   probe again (the engine: the first assignment cycle of the task it is
+   about to time, which only rises), and everything below the floor is
+   dead.  When a reservation falls past the end of the rows they slide
+   the live part [floor, ...) down to byte 0 in place, or — when the span
+   from the floor to the new cycle fills half a row — grow to twice that
+   span.  So a row's size follows the longest window one task needs, not
+   the length of the run, and each slide moves the origin by more than
+   half a row, which keeps the copying O(1) per simulated cycle.  A probe
+   below the floor raises [Invalid_argument]; every byte read is inside
+   [0, len).
 
    [Intmap] is the companion scratch map: open-addressing int -> int with
    O(1) whole-map invalidation by generation stamp, so the per-task /
@@ -22,47 +30,81 @@
 module Slots = struct
   type t = {
     mutable rows : Bytes.t array;
-    mutable cap : int;  (* time capacity of every row, in cycles *)
+    mutable len : int;  (* bytes per row *)
+    mutable origin : int;  (* cycle held at byte 0 of every row *)
+    mutable floor : int;  (* lowest cycle a probe may name; origin <= floor *)
   }
 
   let create ~rows ~hint =
     let hint = max 64 hint in
-    { rows = Array.init rows (fun _ -> Bytes.make hint '\000'); cap = hint }
+    {
+      rows = Array.init rows (fun _ -> Bytes.make hint '\000');
+      len = hint;
+      origin = 0;
+      floor = 0;
+    }
 
-  let ensure t time =
-    if time >= t.cap then begin
-      let ncap = max (2 * t.cap) (time + 1) in
-      t.rows <-
-        Array.map
-          (fun b ->
-            let nb = Bytes.make ncap '\000' in
-            Bytes.blit b 0 nb 0 t.cap;
-            nb)
-          t.rows;
-      t.cap <- ncap
+  let capacity t = t.len
+
+  let raise_floor t cycle =
+    if cycle < t.floor then
+      invalid_arg
+        (Printf.sprintf "Occ.Slots.raise_floor: %d is below the floor %d" cycle
+           t.floor);
+    t.floor <- cycle
+
+  let check t time =
+    if time < t.floor then
+      invalid_arg
+        (Printf.sprintf "Occ.Slots: cycle %d is below the floor %d" time t.floor)
+
+  (* make [time] (>= origin + len) addressable: keep the live bytes
+     [floor, origin + len), at byte 0 of the same rows or of rows twice the
+     span from the floor to [time] *)
+  let make_room t time =
+    let span = time - t.floor + 1 in
+    let shift = t.floor - t.origin in
+    let keep = max 0 (t.len - shift) in
+    if 2 * span > t.len then begin
+      let len = max (2 * t.len) (2 * span) in
+      for r = 0 to Array.length t.rows - 1 do
+        let b = Bytes.make len '\000' in
+        if keep > 0 then Bytes.blit t.rows.(r) shift b 0 keep;
+        t.rows.(r) <- b
+      done;
+      t.len <- len
     end
+    else
+      for r = 0 to Array.length t.rows - 1 do
+        let b = t.rows.(r) in
+        if keep > 0 then Bytes.blit b shift b 0 keep;
+        Bytes.fill b keep (t.len - keep) '\000'
+      done;
+    t.origin <- t.floor
 
   let count t ~row time =
-    if time >= t.cap then 0
-    else Char.code (Bytes.unsafe_get t.rows.(row) time)
+    check t time;
+    let b = t.rows.(row) in
+    let i = time - t.origin in
+    if i >= t.len then 0 else Char.code (Bytes.unsafe_get b i)
 
   let take t ~row time =
-    ensure t time;
+    check t time;
+    if time - t.origin >= t.len then make_room t time;
     let b = t.rows.(row) in
-    Bytes.unsafe_set b time (Char.unsafe_chr (Char.code (Bytes.unsafe_get b time) + 1))
+    let i = time - t.origin in
+    Bytes.unsafe_set b i (Char.chr (Char.code (Bytes.unsafe_get b i) + 1))
 
   (* earliest cycle >= [from] whose count is below [cap] — the next free
      event on this resource; everything in between is fully booked and is
      jumped over without per-cycle bookkeeping *)
   let find_free t ~row ~cap ~from =
-    if from >= t.cap then from
-    else begin
-      let b = t.rows.(row) in
-      let limit = t.cap in
-      let c = ref from in
-      while !c < limit && Char.code (Bytes.unsafe_get b !c) >= cap do incr c done;
-      !c
-    end
+    check t from;
+    let b = t.rows.(row) in
+    let limit = t.len in
+    let i = ref (from - t.origin) in
+    while !i < limit && Char.code (Bytes.unsafe_get b !i) >= cap do incr i done;
+    t.origin + !i
 
   (* find_free + take in one step *)
   let reserve t ~row ~cap ~from =

@@ -2,12 +2,14 @@
     layer of the event-driven simulator core (DESIGN.md §10).
 
     A {!Slots.t} models a banked resource with a per-cycle capacity (ARB
-    bank ports, ring injection slots, issue/commit bandwidth) as rows of
-    byte counts indexed by absolute cycle.  Probes are O(1) byte reads and
+    bank ports, ring injection slots) as rows of byte counts over a
+    sliding window of cycles.  Probes are O(1) byte reads and
     {!Slots.find_free} jumps over fully booked regions in one scan — the
     event-queue replacement for the old per-cycle [Hashtbl.mem] loops.
-    Reservations persist for the whole run, exactly like the hashtable
-    entries they replace.
+    The owner raises a floor below which it never probes again; the rows
+    keep only the cycles from the floor up, sliding in place, so their
+    size follows the widest window in use rather than the length of the
+    run.
 
     An {!Intmap.t} is an open-addressing [int -> int] map whose {!Intmap.clear}
     is O(1) (generation bump), so per-task and per-flight scratch maps can
@@ -17,20 +19,34 @@ module Slots : sig
   type t
 
   val create : rows:int -> hint:int -> t
-  (** [rows] resources, each with an initial time capacity of [hint]
-      cycles (grown geometrically on demand). *)
+  (** [rows] resources, each a window of initially [hint] cycles (at least
+      64) starting at cycle 0, which is also the initial floor. *)
+
+  val raise_floor : t -> int -> unit
+  (** Promise that no probe names a cycle below the given one again;
+      reservations below it are forgotten.  Raises [Invalid_argument]
+      if it is below the current floor. *)
+
+  val capacity : t -> int
+  (** Cycles each row holds now.  A row slides when a reservation falls
+      past its end and grows (to twice the span) only when the span from
+      the floor to that reservation fills half of it. *)
 
   val count : t -> row:int -> int -> int
-  (** Reservations currently held at (row, cycle); 0 beyond capacity. *)
+  (** Reservations currently held at (row, cycle); 0 beyond the window. *)
 
   val take : t -> row:int -> int -> unit
-  (** Add one reservation at (row, cycle), growing if needed. *)
+  (** Add one reservation at (row, cycle), sliding or growing the rows if
+      needed.  At most 255 per (row, cycle). *)
 
   val find_free : t -> row:int -> cap:int -> from:int -> int
   (** Earliest cycle [>= from] with fewer than [cap] reservations. *)
 
   val reserve : t -> row:int -> cap:int -> from:int -> int
-  (** [find_free] then [take]; returns the reserved cycle. *)
+  (** [find_free] then [take]; returns the reserved cycle.
+
+      Every probe ([count], [take], [find_free], [reserve]) raises
+      [Invalid_argument] on a cycle below the floor. *)
 end
 
 module Intmap : sig

@@ -1,3 +1,10 @@
+(* Control-flow predictors.  The paper sizes their tables in bits (2-bit
+   counters, 2-bit confidence plus a 2-bit target number), so each entry
+   takes one byte of a [Bytes.t]: a run creates three 64K-entry tables,
+   and at a word per entry they would be most of what a simulation
+   allocates.  The return-address stack is a fixed ring that overwrites
+   its oldest slot when full. *)
+
 let mix pc = (pc * 2654435761) land max_int
 
 module Gshare = struct
@@ -5,7 +12,7 @@ module Gshare = struct
     mask : int;
     hist_mask : int;
     mutable hist : int;
-    table : int array;  (* 2-bit counters, initialised weakly taken *)
+    table : Bytes.t;  (* 2-bit counters, initialised weakly taken *)
   }
 
   let create (cfg : Config.t) =
@@ -13,16 +20,17 @@ module Gshare = struct
       mask = cfg.Config.predictor_entries - 1;
       hist_mask = (1 lsl cfg.Config.predictor_bits) - 1;
       hist = 0;
-      table = Array.make cfg.Config.predictor_entries 2;
+      table = Bytes.make cfg.Config.predictor_entries '\002';
     }
 
   let predict_and_update t ~pc ~taken =
     let idx = (mix pc lxor t.hist) land t.mask in
-    let counter = t.table.(idx) in
+    let counter = Char.code (Bytes.get t.table idx) in
     let predicted = counter >= 2 in
     let correct = predicted = taken in
-    t.table.(idx) <-
-      (if taken then min 3 (counter + 1) else max 0 (counter - 1));
+    Bytes.set t.table idx
+      (Char.unsafe_chr
+         (if taken then min 3 (counter + 1) else max 0 (counter - 1)));
     t.hist <- ((t.hist lsl 1) lor (if taken then 1 else 0)) land t.hist_mask;
     correct
 end
@@ -33,9 +41,9 @@ module Target = struct
     hist_mask : int;
     use_history : bool;
     mutable hist : int;
-    (* packed entries: counter lsl 2 | target (2-bit confidence, 2-bit
-       target number) — one flat int array instead of a record per slot *)
-    table : int array;
+    (* one byte per entry: counter lsl 2 | target (2-bit confidence, 2-bit
+       target number) *)
+    table : Bytes.t;
   }
 
   let create ?(use_history = true) (cfg : Config.t) =
@@ -44,20 +52,22 @@ module Target = struct
       hist_mask = (1 lsl cfg.Config.predictor_bits) - 1;
       use_history;
       hist = 0;
-      table = Array.make cfg.Config.predictor_entries 0;
+      table = Bytes.make cfg.Config.predictor_entries '\000';
     }
 
   let predict_and_update t ~pc ~actual =
     let idx =
       (if t.use_history then mix pc lxor t.hist else mix pc) land t.mask
     in
-    let e = t.table.(idx) in
+    let e = Char.code (Bytes.get t.table idx) in
     let counter = e lsr 2 and target = e land 3 in
     let correct = target = actual land 3 && actual < 4 in
-    (if target = actual land 3 then
-       t.table.(idx) <- (min 3 (counter + 1) lsl 2) lor target
-     else if counter > 0 then t.table.(idx) <- ((counter - 1) lsl 2) lor target
-     else t.table.(idx) <- actual land 3);
+    let e' =
+      if target = actual land 3 then (min 3 (counter + 1) lsl 2) lor target
+      else if counter > 0 then ((counter - 1) lsl 2) lor target
+      else actual land 3
+    in
+    Bytes.set t.table idx (Char.unsafe_chr e');
     (* path history: fold the chosen target and the task pc in *)
     t.hist <- ((t.hist lsl 2) lxor mix pc lxor actual) land t.hist_mask;
     correct
@@ -65,34 +75,30 @@ end
 
 module Ras = struct
   type t = {
-    capacity : int;
-    mutable stack : int list;
+    slots : int array;
+    mutable top : int;  (* slot the next push writes *)
     mutable size : int;
   }
 
-  let create capacity = { capacity; stack = []; size = 0 }
+  let create capacity =
+    if capacity < 1 then invalid_arg "Predict.Ras.create: capacity below 1";
+    { slots = Array.make capacity 0; top = 0; size = 0 }
 
   let push t v =
-    if t.size >= t.capacity then begin
-      (* drop the oldest entry *)
-      let rec drop_last = function
-        | [] | [ _ ] -> []
-        | x :: rest -> x :: drop_last rest
-      in
-      t.stack <- v :: drop_last t.stack
-    end
+    let cap = Array.length t.slots in
+    t.slots.(t.top) <- v;
+    t.top <- (t.top + 1) mod cap;
+    if t.size < cap then t.size <- t.size + 1
+
+  let pop_or t default =
+    if t.size = 0 then default
     else begin
-      t.stack <- v :: t.stack;
-      t.size <- t.size + 1
+      let cap = Array.length t.slots in
+      t.top <- (t.top + cap - 1) mod cap;
+      t.size <- t.size - 1;
+      t.slots.(t.top)
     end
 
-  let pop t =
-    match t.stack with
-    | [] -> None
-    | v :: rest ->
-      t.stack <- rest;
-      t.size <- t.size - 1;
-      Some v
-
+  let pop t = if t.size = 0 then None else Some (pop_or t 0)
   let depth t = t.size
 end

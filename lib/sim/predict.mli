@@ -7,7 +7,10 @@
       saturating counter plus a 2-bit target number, predicting *which of
       the task's ≤ 4 successors* comes next.  Also reused for intra-task
       indexed jumps.
-    - {!Ras}: return address stack for call/return task sequencing. *)
+    - {!Ras}: return address stack for call/return task sequencing.
+
+    The predictor tables take one byte per entry, the width the paper's
+    counters need. *)
 
 module Gshare : sig
   type t
@@ -36,10 +39,17 @@ module Ras : sig
   type t
 
   val create : int -> t
+  (** A ring of the given capacity (at least 1). *)
+
   val push : t -> int -> unit
+  (** When full, the new entry overwrites the oldest. *)
 
   val pop : t -> int option
   (** [None] on underflow (prediction necessarily wrong). *)
+
+  val pop_or : t -> int -> int
+  (** [pop] without the option: the popped entry, or the given default on
+      underflow. *)
 
   val depth : t -> int
 end

@@ -7,9 +7,13 @@
    on the hot path is a top-level function fully applied to the context
    (an inner closure would re-box the scheduler state on each attempt).
    Issue and commit bandwidth are generation-stamped occupancy windows
-   indexed by absolute cycle (value = gen lsl 8 | count); instead of
-   re-probing a hashtable cycle by cycle, the scheduler jumps to the next
-   cycle with a free slot.  Sites are packed into single ints
+   (value = gen lsl 8 | count) indexed from the attempt's [start_fetch]:
+   every cycle an attempt issues or commits at is at or after its fetch
+   start, so index 0 is [start_fetch], a probe before it raises
+   [Invalid_argument], and a window grows only when one attempt's span
+   outgrows it — its size follows the longest task, not the run.  Instead
+   of re-probing a hashtable cycle by cycle, the scheduler jumps to the
+   next cycle with a free slot.  Sites are packed into single ints
    (fid lsl 36 | blk lsl 16 | idx) and the loads / stores / event-entry
    results are growable parallel int arrays.  The engine drives [exec]
    through a [hooks] record created once per run. *)
@@ -46,11 +50,13 @@ type ctx = {
   units_branch : int array;
   rob : int array;
   iq : int array;
-  (* generation-stamped bandwidth windows indexed by absolute cycle;
-     slot value = gen lsl 8 | count, stale generations read as 0 *)
+  (* generation-stamped bandwidth windows; index i holds cycle
+     [win_start + i], slot value = gen lsl 8 | count, stale generations
+     read as 0 *)
   mutable issue_slots : int array;
   mutable commit_slots : int array;
   mutable gen : int;
+  mutable win_start : int;
   (* register state *)
   local_time : int array;   (* completion time of the last local write; -1 none *)
   local_site : int array;   (* packed site of that write *)
@@ -111,9 +117,10 @@ let create (cfg : Config.t) trace layout =
     units_branch = Array.make cfg.Config.fu_branch 0;
     rob = Array.make cfg.Config.rob_size 0;
     iq = Array.make cfg.Config.iq_size 0;
-    issue_slots = Array.make 4096 0;
-    commit_slots = Array.make 4096 0;
+    issue_slots = Array.make 1024 0;
+    commit_slots = Array.make 1024 0;
     gen = 0;
+    win_start = 0;
     local_time = Array.make Ir.Reg.count (-1);
     local_site = Array.make Ir.Reg.count 0;
     avail_cache = Array.make Ir.Reg.count (-1);
@@ -158,33 +165,43 @@ let grow_int_array a n =
 
 (* --- top-level hot-path helpers (no per-attempt closures) ---------------- *)
 
-let[@inline] slot_count a gen t =
-  if t >= Array.length a then 0
+(* index of cycle [t] in the attempt's bandwidth windows *)
+let[@inline] slot_index ctx t =
+  let i = t - ctx.win_start in
+  if i < 0 then
+    invalid_arg
+      (Printf.sprintf "Timing: cycle %d before the attempt's start %d" t
+         ctx.win_start);
+  i
+
+let[@inline] slot_count ctx a t =
+  let i = slot_index ctx t in
+  if i >= Array.length a then 0
   else begin
-    let v = Array.unsafe_get a t in
-    if v lsr 8 = gen then v land 0xFF else 0
+    let v = Array.unsafe_get a i in
+    if v lsr 8 = ctx.gen then v land 0xFF else 0
   end
 
-let take_issue ctx t =
-  if t >= Array.length ctx.issue_slots then
-    ctx.issue_slots <- grow_int_array ctx.issue_slots (t + 1);
-  let a = ctx.issue_slots in
-  let v = Array.unsafe_get a t in
+let[@inline] bump ctx a i =
+  let v = Array.unsafe_get a i in
   let gen = ctx.gen in
-  Array.unsafe_set a t (if v lsr 8 = gen then v + 1 else (gen lsl 8) lor 1)
+  Array.unsafe_set a i (if v lsr 8 = gen then v + 1 else (gen lsl 8) lor 1)
+
+let take_issue ctx t =
+  let i = slot_index ctx t in
+  if i >= Array.length ctx.issue_slots then
+    ctx.issue_slots <- grow_int_array ctx.issue_slots (i + 1);
+  bump ctx ctx.issue_slots i
 
 let take_commit ctx t =
-  if t >= Array.length ctx.commit_slots then
-    ctx.commit_slots <- grow_int_array ctx.commit_slots (t + 1);
-  let a = ctx.commit_slots in
-  let v = Array.unsafe_get a t in
-  let gen = ctx.gen in
-  Array.unsafe_set a t (if v lsr 8 = gen then v + 1 else (gen lsl 8) lor 1)
+  let i = slot_index ctx t in
+  if i >= Array.length ctx.commit_slots then
+    ctx.commit_slots <- grow_int_array ctx.commit_slots (i + 1);
+  bump ctx ctx.commit_slots i
 
 (* choose issue cycle >= cand with a free unit and issue bandwidth *)
 let find_issue ctx cand (units : int array) ~init =
   let issue_width = ctx.cfg.Config.issue_width in
-  let gen = ctx.gen in
   let t = ref cand in
   let chosen = ref (-1) in
   let continue_ = ref true in
@@ -195,7 +212,7 @@ let find_issue ctx cand (units : int array) ~init =
       if units.(u) < units.(!best) then best := u
     done;
     if units.(!best) > !t then t := units.(!best)
-    else if slot_count ctx.issue_slots gen !t >= issue_width then incr t
+    else if slot_count ctx ctx.issue_slots !t >= issue_width then incr t
     else begin
       chosen := !best;
       continue_ := false
@@ -377,9 +394,8 @@ let sched ctx ~site ~units ~latency ~init ~u1 ~u2 ~u3 ~def ~mem_addr ~mem_kind
   end;
   (* in-order commit with issue-width bandwidth *)
   let issue_width = cfg.Config.issue_width in
-  let gen = ctx.gen in
   let c = ref (max complete_t ctx.last_commit) in
-  while slot_count ctx.commit_slots gen !c >= issue_width do incr c done;
+  while slot_count ctx ctx.commit_slots !c >= issue_width do incr c done;
   take_commit ctx !c;
   ctx.last_commit <- !c;
   ctx.rob.(i mod rob_size) <- !c;
@@ -395,8 +411,10 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
   let cfg = ctx.cfg in
   let trace = ctx.trace in
   let layout = ctx.layout in
-  (* new attempt: invalidate every slot window by generation *)
+  (* new attempt: invalidate every slot window by generation and start
+     the windows at the attempt's first fetch cycle *)
   ctx.gen <- ctx.gen + 1;
+  ctx.win_start <- start_fetch;
   Array.fill ctx.units_int 0 (Array.length ctx.units_int) 0;
   Array.fill ctx.units_fp 0 (Array.length ctx.units_fp) 0;
   Array.fill ctx.units_mem 0 (Array.length ctx.units_mem) 0;
@@ -575,11 +593,11 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
     | Ir.Block.Switch (_, targets, _) when next_in_fid ->
       ctx.intra_branches <- ctx.intra_branches + 1;
       let next_blk = Interp.Trace.get_blk trace (j + 1) in
-      let actual = ref (Array.length targets) in
-      Array.iteri
-        (fun k l ->
-          if l = next_blk && !actual = Array.length targets then actual := k)
-        targets;
+      let n_targets = Array.length targets in
+      let actual = ref 0 in
+      while !actual < n_targets && targets.(!actual) <> next_blk do
+        incr actual
+      done;
       if not (h.h_switch_pred ~pc ~actual:!actual) then begin
         ctx.intra_mispredicts <- ctx.intra_mispredicts + 1;
         if j < inst.Dyntask.last then

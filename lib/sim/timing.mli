@@ -16,8 +16,10 @@
     The engine allocates one {!ctx} per simulation and calls {!exec} for
     every attempt of every dynamic task instance; all scratch state is
     preallocated and invalidated by generation stamps, so steady-state
-    execution allocates nothing.  Results are read directly from the
-    context's flat arrays (DESIGN.md §10). *)
+    execution allocates nothing.  The issue and commit windows start at
+    the attempt's [start_fetch] and grow only with one attempt's span.
+    Results are read directly from the context's flat arrays
+    (DESIGN.md §10). *)
 
 (** Inter-task inputs as a record of closures created once per run (the
     closures read the engine's mutable per-task state, so nothing is
@@ -58,7 +60,10 @@ type ctx = {
   iq : int array;
   mutable issue_slots : int array;
   mutable commit_slots : int array;
+      (** issue and commit bandwidth: index [i] holds cycle
+          [win_start + i] as [gen lsl 8 lor count] *)
   mutable gen : int;
+  mutable win_start : int;  (** the current attempt's [start_fetch] *)
   local_time : int array;
       (** per register: completion time of the instance's last write, or -1 *)
   local_site : int array;  (** packed site of that write (see {!pack_site}) *)
@@ -112,7 +117,9 @@ val exec :
   ctx -> Dyntask.instance -> start_fetch:int -> mem_hold:int -> hooks -> unit
 (** Replay one instance whose fetch starts at [start_fetch], overwriting
     the context's result fields.  Memory operations may not issue before
-    [mem_hold] (ARB-overflow serialisation; 0 normally).  The qcheck
+    [mem_hold] (ARB-overflow serialisation; 0 normally).  Every issue and
+    commit cycle is at or after [start_fetch]; [Invalid_argument] if a
+    hook would move one before it.  The qcheck
     differential in test/test_event_core.ml pins this cycle for cycle
     against the frozen pre-event core. *)
 

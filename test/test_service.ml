@@ -48,7 +48,16 @@ let test_protocol_parse () =
     (is_error {|{"op": "deps", "workload": "li", "level": "zz"}|});
   checkb "missing workload rejected" true
     (is_error {|{"op": "cost", "level": "ts"}|});
-  checkb "garbage rejected" true (is_error "not json")
+  checkb "garbage rejected" true (is_error "not json");
+  let sim_pus n =
+    Printf.sprintf
+      {|{"op": "simulate", "workload": "li", "level": "bb", "num_pus": %d}|} n
+  in
+  checkb "largest machine accepted" false
+    (is_error (sim_pus Sim.Config.max_pus));
+  checkb "zero PUs rejected" true (is_error (sim_pus 0));
+  checkb "oversized machine rejected" true
+    (is_error (sim_pus (Sim.Config.max_pus + 1)))
 
 let test_protocol_key () =
   let sim w =
@@ -183,6 +192,28 @@ let test_service_stats_and_drain () =
         | Some (Json.Int n) -> n >= 3
         | _ -> false))
 
+(* A request for a machine past Sim.Config.max_pus (here a million PUs,
+   about 7.5 GB of simulator state) gets an error reply naming the field,
+   and the daemon keeps serving the same connection. *)
+let test_service_oversized_machine () =
+  with_server (fun ~socket _srv ->
+      let c = Service.Client.connect ~socket in
+      let sim num_pus =
+        P.Simulate
+          { workload = "compress"; level = Core.Heuristics.Basic_block;
+            num_pus; in_order = false }
+      in
+      (match Service.Client.request c (sim 1_000_000) with
+      | Error msg ->
+        checkb "num_pus named" true
+          (String.length msg >= 15 && String.sub msg 0 15 = "field \"num_pus\"")
+      | Ok _ -> Alcotest.fail "a million PUs accepted");
+      (match Service.Client.request c (sim 4) with
+      | Ok resp ->
+        checkb "served after the error" true (field "ok" resp = Json.Bool true)
+      | Error msg -> Alcotest.fail msg);
+      Service.Client.close c)
+
 (* --- the daemon and the report layer agree ---------------------------- *)
 
 (* For one (workload, level) cell, every analysis op answers with exactly
@@ -279,5 +310,7 @@ let () =
           Alcotest.test_case "stats + drain" `Slow test_service_stats_and_drain;
           Alcotest.test_case "matches the reports" `Slow
             test_service_matches_reports;
+          Alcotest.test_case "oversized machine" `Slow
+            test_service_oversized_machine;
         ] );
     ]

@@ -497,6 +497,409 @@ let prop_engine_retires_everything =
           && r.Sim.Engine.stats.Sim.Stats.cycles > 0)
         Core.Heuristics.all_levels)
 
+(* --- model checks of the packed tables --------------------------------- *)
+
+(* The simulator and the frozen reference (lib/sim_ref) share Predict and
+   Cache, so the event-core differential cannot see a packing bug in
+   them.  These models are the representations before packing — an int
+   per entry, a list for the return stack — driven by the same random
+   operation sequences. *)
+
+let model_mix pc = (pc * 2654435761) land max_int
+
+module Gshare_model = struct
+  type t = {
+    mask : int;
+    hist_mask : int;
+    mutable hist : int;
+    table : int array;
+  }
+
+  let create (cfg : Sim.Config.t) =
+    {
+      mask = cfg.Sim.Config.predictor_entries - 1;
+      hist_mask = (1 lsl cfg.Sim.Config.predictor_bits) - 1;
+      hist = 0;
+      table = Array.make cfg.Sim.Config.predictor_entries 2;
+    }
+
+  let predict_and_update t ~pc ~taken =
+    let idx = (model_mix pc lxor t.hist) land t.mask in
+    let counter = t.table.(idx) in
+    let correct = counter >= 2 = taken in
+    t.table.(idx) <-
+      (if taken then min 3 (counter + 1) else max 0 (counter - 1));
+    t.hist <- ((t.hist lsl 1) lor (if taken then 1 else 0)) land t.hist_mask;
+    correct
+end
+
+module Target_model = struct
+  type t = {
+    mask : int;
+    hist_mask : int;
+    use_history : bool;
+    mutable hist : int;
+    counter : int array;
+    target : int array;
+  }
+
+  let create ~use_history (cfg : Sim.Config.t) =
+    let n = cfg.Sim.Config.predictor_entries in
+    {
+      mask = n - 1;
+      hist_mask = (1 lsl cfg.Sim.Config.predictor_bits) - 1;
+      use_history;
+      hist = 0;
+      counter = Array.make n 0;
+      target = Array.make n 0;
+    }
+
+  let predict_and_update t ~pc ~actual =
+    let idx =
+      (if t.use_history then model_mix pc lxor t.hist else model_mix pc)
+      land t.mask
+    in
+    let c = t.counter.(idx) and g = t.target.(idx) in
+    let correct = g = actual land 3 && actual < 4 in
+    if g = actual land 3 then t.counter.(idx) <- min 3 (c + 1)
+    else if c > 0 then t.counter.(idx) <- c - 1
+    else t.target.(idx) <- actual land 3;
+    t.hist <- ((t.hist lsl 2) lxor model_mix pc lxor actual) land t.hist_mask;
+    correct
+end
+
+(* a small predictor: 2^1 .. 2^10 entries, 1 .. 12 history bits *)
+let gen_predictor_cfg =
+  QCheck.Gen.(
+    map2
+      (fun e b ->
+        { cfg4 with
+          Sim.Config.predictor_entries = 1 lsl e;
+          predictor_bits = b })
+      (int_range 1 10) (int_range 1 12))
+
+let print_predictor_cfg (c : Sim.Config.t) =
+  Printf.sprintf "%d entries, %d history bits" c.Sim.Config.predictor_entries
+    c.Sim.Config.predictor_bits
+
+let prop_gshare_model =
+  QCheck.Test.make ~name:"gshare matches the int-array model" ~count:200
+    QCheck.(
+      pair
+        (make ~print:print_predictor_cfg gen_predictor_cfg)
+        (small_list (pair (int_bound 40) bool)))
+    (fun (cfg, ops) ->
+      let g = Sim.Predict.Gshare.create cfg and m = Gshare_model.create cfg in
+      List.for_all
+        (fun (pc, taken) ->
+          Sim.Predict.Gshare.predict_and_update g ~pc ~taken
+          = Gshare_model.predict_and_update m ~pc ~taken)
+        (ops @ ops @ ops))
+
+let prop_target_model =
+  QCheck.Test.make ~name:"target matches the int-array model" ~count:200
+    QCheck.(
+      triple
+        (make ~print:print_predictor_cfg gen_predictor_cfg)
+        bool
+        (small_list (pair (int_bound 40) (int_bound 6))))
+    (fun (cfg, use_history, ops) ->
+      let t = Sim.Predict.Target.create ~use_history cfg in
+      let m = Target_model.create ~use_history cfg in
+      List.for_all
+        (fun (pc, actual) ->
+          Sim.Predict.Target.predict_and_update t ~pc ~actual
+          = Target_model.predict_and_update m ~pc ~actual)
+        (ops @ ops @ ops))
+
+(* [Some v] pushes v, [None] pops (through [pop] or [pop_or] in turn) *)
+let prop_ras_model =
+  QCheck.Test.make ~name:"ras matches the list model" ~count:300
+    QCheck.(pair (int_range 1 6) (list (option (int_bound 1000))))
+    (fun (capacity, ops) ->
+      let r = Sim.Predict.Ras.create capacity in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Some v ->
+              Sim.Predict.Ras.push r v;
+              model := List.filteri (fun i _ -> i < capacity) (v :: !model);
+              true
+            | None ->
+              let want =
+                match !model with
+                | [] -> None
+                | v :: rest ->
+                  model := rest;
+                  Some v
+              in
+              if List.length !model mod 2 = 0 then
+                Sim.Predict.Ras.pop r = want
+              else
+                Sim.Predict.Ras.pop_or r (-1)
+                = Option.value want ~default:(-1)
+          in
+          agree && Sim.Predict.Ras.depth r = List.length !model)
+        ops)
+
+module Cache_model = struct
+  type t = {
+    sets : int;
+    ways : int;
+    block_words : int;
+    tags : int array;
+    lru : int array;
+  }
+
+  let create ~sets ~ways ~block_words =
+    {
+      sets;
+      ways;
+      block_words;
+      tags = Array.make (sets * ways) (-1);
+      lru = Array.init (sets * ways) (fun i -> i mod ways);
+    }
+
+  let touch t base way =
+    let age = t.lru.(base + way) in
+    for w = base to base + t.ways - 1 do
+      if t.lru.(w) < age then t.lru.(w) <- t.lru.(w) + 1
+    done;
+    t.lru.(base + way) <- 0
+
+  let access t addr =
+    let block = addr / t.block_words in
+    let base = block mod t.sets * t.ways and tag = block / t.sets in
+    let found = ref (-1) in
+    for w = 0 to t.ways - 1 do
+      if t.tags.(base + w) = tag then found := w
+    done;
+    if !found >= 0 then (touch t base !found; true)
+    else begin
+      let victim = ref 0 in
+      for w = 0 to t.ways - 1 do
+        if t.lru.(base + w) > t.lru.(base + !victim) then victim := w
+      done;
+      t.tags.(base + !victim) <- tag;
+      touch t base !victim;
+      false
+    end
+end
+
+let prop_cache_model =
+  QCheck.Test.make ~name:"cache matches the int-array LRU model" ~count:200
+    QCheck.(
+      quad (int_range 1 8)
+        (oneofl [ 1; 2; 3; 4; 8; 255; 256 ])
+        (int_range 1 4)
+        (list (int_bound 3000)))
+    (fun (sets, ways, block_words, addrs) ->
+      let c = Sim.Cache.create ~sets ~ways ~block_words in
+      let m = Cache_model.create ~sets ~ways ~block_words in
+      let misses = ref 0 in
+      List.for_all
+        (fun a ->
+          let hit = Cache_model.access m a in
+          if not hit then incr misses;
+          Sim.Cache.access c a = hit)
+        (addrs @ addrs)
+      && Sim.Cache.misses c = !misses
+      && Sim.Cache.accesses c = 2 * List.length addrs)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_cache_rejects_wide_sets () =
+  let create sets ways () = Sim.Cache.create ~sets ~ways ~block_words:8 in
+  checkb "256 ways accepted" false (raises_invalid (create 2 256));
+  checkb "257 ways rejected" true (raises_invalid (create 2 257));
+  checkb "0 sets rejected" true (raises_invalid (create 0 2))
+
+(* --- occupancy windows -------------------------------------------------- *)
+
+(* The three paths of a reservation past the end of the rows, on a
+   64-cycle window: slide (the span from the floor fits in half a row),
+   grow (it does not), and the probes below the floor that must raise. *)
+let test_slots_paths () =
+  let s = Sim.Occ.Slots.create ~rows:2 ~hint:64 in
+  Sim.Occ.Slots.take s ~row:0 10;
+  Sim.Occ.Slots.take s ~row:1 62;
+  Sim.Occ.Slots.raise_floor s 60;
+  Sim.Occ.Slots.take s ~row:1 70;
+  checki "slid, not grown" 64 (Sim.Occ.Slots.capacity s);
+  checki "kept above the floor" 1 (Sim.Occ.Slots.count s ~row:1 62);
+  checki "new reservation" 1 (Sim.Occ.Slots.count s ~row:1 70);
+  checki "find_free skips the booked cycle" 63
+    (Sim.Occ.Slots.find_free s ~row:1 ~cap:1 ~from:62);
+  Sim.Occ.Slots.take s ~row:0 (60 + 100);
+  checkb "grown to twice the span" true (Sim.Occ.Slots.capacity s >= 202);
+  checki "kept across the growth" 1 (Sim.Occ.Slots.count s ~row:1 62);
+  checki "grown reservation" 1 (Sim.Occ.Slots.count s ~row:0 160);
+  checki "beyond the window" 0 (Sim.Occ.Slots.count s ~row:0 100_000);
+  checkb "count below the floor" true
+    (raises_invalid (fun () -> Sim.Occ.Slots.count s ~row:0 59));
+  checkb "take below the floor" true
+    (raises_invalid (fun () -> Sim.Occ.Slots.take s ~row:0 10));
+  checkb "reserve below the floor" true
+    (raises_invalid (fun () ->
+         Sim.Occ.Slots.reserve s ~row:0 ~cap:1 ~from:0));
+  checkb "the floor only rises" true
+    (raises_invalid (fun () -> Sim.Occ.Slots.raise_floor s 59))
+
+type slots_op =
+  | Raise of int  (* raise the floor by this much *)
+  | Take of int * int  (* row, cycles above the floor *)
+  | Reserve of int * int * int  (* row, cap, cycles above the floor *)
+  | Count of int * int
+  | Below of int  (* a probe this many cycles below the floor + 1 *)
+
+let print_slots_op = function
+  | Raise d -> Printf.sprintf "Raise %d" d
+  | Take (r, o) -> Printf.sprintf "Take (%d, %d)" r o
+  | Reserve (r, c, o) -> Printf.sprintf "Reserve (%d, %d, %d)" r c o
+  | Count (r, o) -> Printf.sprintf "Count (%d, %d)" r o
+  | Below d -> Printf.sprintf "Below %d" d
+
+(* offsets mostly inside a 64-cycle row, sometimes far past it *)
+let gen_slots_op =
+  QCheck.Gen.(
+    let offset = frequency [ (4, int_bound 60); (1, int_bound 400) ] in
+    frequency
+      [
+        ( 2,
+          map
+            (fun d -> Raise d)
+            (frequency [ (3, int_bound 30); (1, int_bound 300) ]) );
+        (3, map2 (fun r o -> Take (r, o)) (int_bound 2) offset);
+        ( 3,
+          map3
+            (fun r c o -> Reserve (r, c, o))
+            (int_bound 2) (int_range 1 3) offset );
+        (2, map2 (fun r o -> Count (r, o)) (int_bound 2) offset);
+        (1, map (fun d -> Below d) (int_bound 50));
+      ])
+
+let prop_slots_model =
+  QCheck.Test.make ~name:"slots match a hashtable under rising floors"
+    ~count:500
+    QCheck.(
+      make ~print:(Print.list print_slots_op)
+        Gen.(list_size (int_range 1 300) gen_slots_op))
+    (fun ops ->
+      let s = Sim.Occ.Slots.create ~rows:3 ~hint:64 in
+      let model = Hashtbl.create 64 in
+      let floor = ref 0 in
+      let get r c = Option.value (Hashtbl.find_opt model (r, c)) ~default:0 in
+      let incr_at r c = Hashtbl.replace model (r, c) (get r c + 1) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Raise d ->
+            floor := !floor + d;
+            Sim.Occ.Slots.raise_floor s !floor;
+            true
+          | Take (r, o) ->
+            Sim.Occ.Slots.take s ~row:r (!floor + o);
+            incr_at r (!floor + o);
+            true
+          | Reserve (r, cap, o) ->
+            let c = ref (!floor + o) in
+            while get r !c >= cap do incr c done;
+            incr_at r !c;
+            Sim.Occ.Slots.reserve s ~row:r ~cap ~from:(!floor + o) = !c
+          | Count (r, o) ->
+            Sim.Occ.Slots.count s ~row:r (!floor + o) = get r (!floor + o)
+          | Below d ->
+            let c = !floor - 1 - d in
+            !floor = 0
+            || raises_invalid (fun () -> Sim.Occ.Slots.count s ~row:0 c)
+               && raises_invalid (fun () -> Sim.Occ.Slots.take s ~row:1 c)
+               && raises_invalid (fun () ->
+                      Sim.Occ.Slots.find_free s ~row:2 ~cap:1 ~from:c))
+        ops)
+
+(* --- simulator allocation budget ---------------------------------------- *)
+
+(* words allocated so far; the major collection first makes the counters
+   exact (without it, words still in the minor heap and promotions not
+   yet added to [major_words] are missing) *)
+let allocated () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* A loop with a switch, a branch, a call on every other trip and a
+   read-modify-write of a small array in the callee: every table the
+   engine keeps (predictors, the return stack, caches, ring and bank
+   windows, store maps, the sync table) sees steady-state traffic. *)
+let budget_program trips =
+  let open Ir.Builder in
+  let open Workloads.Util in
+  let pb = program () in
+  let base = alloc pb 64 in
+  func pb "bump" (fun b ->
+      bin b Ir.Insn.And t2 (Ir.Reg.arg 0) (imm 63);
+      load_at b ~dst:t3 ~base ~index:t2 ~scratch:t4;
+      bin b Ir.Insn.Add t3 t3 (reg (Ir.Reg.arg 0));
+      store_at b ~src:t3 ~base ~index:t2 ~scratch:t4;
+      ret b);
+  func pb "main" (fun b ->
+      li b t0 0;
+      for_ b t1 ~from:(imm 0) ~below:(imm trips) ~step:1 (fun b ->
+          bin b Ir.Insn.And t5 t1 (imm 3);
+          switch_ b t5
+            [| (fun b -> addi b t0 t0 1); (fun b -> addi b t0 t0 2);
+               (fun b -> bin b Ir.Insn.Mul t0 t0 (imm 3)) |]
+            ~default:(fun b -> addi b t0 t0 (-1));
+          bin b Ir.Insn.And t6 t1 (imm 1);
+          if_ b t6
+            (fun b ->
+              mov b (Ir.Reg.arg 0) t1;
+              call b "bump")
+            (fun b -> addi b t0 t0 5));
+      mov b Ir.Reg.rv t0;
+      ret b);
+  finish pb ~main:"main"
+
+(* [Engine.run_prepared] allocates in proportion to the machine: a trace
+   6x longer of the same loop on the same machine may allocate at most
+   [slack] words more.  (With occupancy rows indexed by absolute cycle and
+   per-instance time arrays, the engine allocated about 21 words per
+   simulated cycle.)  The preparation (task chop, layout) is sized by the
+   trace by nature and stays outside the measurement. *)
+let slack = 1024.0
+
+let test_engine_alloc_budget () =
+  let run level cfg trips =
+    let plan = Core.Partition.build level (budget_program trips) in
+    let trace = (Interp.Run.execute plan.Core.Partition.prog).Interp.Run.trace in
+    let prep = Sim.Engine.prepare plan trace in
+    let before = allocated () in
+    let r = Sim.Engine.run_prepared cfg prep trace in
+    (allocated () -. before, r.Sim.Engine.stats.Sim.Stats.cycles)
+  in
+  List.iter
+    (fun (level, cfg) ->
+      let short_w, short_c = run level cfg 400 in
+      let long_w, long_c = run level cfg 2400 in
+      let what =
+        Printf.sprintf "%s on %d PUs: %.0f words for %d cycles, %.0f for %d"
+          (Core.Heuristics.level_name level) cfg.Sim.Config.num_pus short_w
+          short_c long_w long_c
+      in
+      checkb (what ^ ": the long trace is 4x longer") true
+        (long_c >= 4 * short_c);
+      checkb (what ^ ": within the budget") true (long_w -. short_w <= slack))
+    [
+      (Core.Heuristics.Basic_block, cfg8);
+      (Core.Heuristics.Control_flow, cfg4);
+      ( Core.Heuristics.Data_dependence,
+        Sim.Config.default ~num_pus:8 ~in_order:true );
+    ]
+
+
 let () =
   Alcotest.run "sim"
     [
@@ -510,6 +913,9 @@ let () =
             test_target_above_four_never_correct;
           Alcotest.test_case "ras" `Quick test_ras;
           Alcotest.test_case "ras overflow" `Quick test_ras_overflow_drops_oldest;
+          QCheck_alcotest.to_alcotest prop_gshare_model;
+          QCheck_alcotest.to_alcotest prop_target_model;
+          QCheck_alcotest.to_alcotest prop_ras_model;
         ] );
       ( "caches",
         [
@@ -518,6 +924,13 @@ let () =
           Alcotest.test_case "hierarchy latencies" `Quick
             test_hierarchy_latencies;
           Alcotest.test_case "bank contention" `Quick test_bank_contention;
+          QCheck_alcotest.to_alcotest prop_cache_model;
+          Alcotest.test_case "way limit" `Quick test_cache_rejects_wide_sets;
+        ] );
+      ( "occupancy",
+        [
+          Alcotest.test_case "slide, grow, floor" `Quick test_slots_paths;
+          QCheck_alcotest.to_alcotest prop_slots_model;
         ] );
       ("layout", [ Alcotest.test_case "unique ids" `Quick test_layout_unique ]);
       ( "chopping",
@@ -558,5 +971,7 @@ let () =
           Alcotest.test_case "release points" `Quick
             test_release_points_unserialise;
           QCheck_alcotest.to_alcotest prop_engine_retires_everything;
+          Alcotest.test_case "allocation budget" `Quick
+            test_engine_alloc_budget;
         ] );
     ]
