@@ -252,27 +252,38 @@ let dot_cmd =
     let doc = "Function to draw (default: main)." in
     Arg.(value & opt string "main" & info [ "f"; "function" ] ~doc)
   in
-  let run entry level fname =
+  (* an unknown function is a usage error naming the ones there are *)
+  let run (entry : Workloads.Registry.entry) level fname =
     let art = Harness.Artifact.get store ~level entry in
     let plan = art.Harness.Artifact.plan in
-    let f = Ir.Prog.find plan.Core.Partition.prog fname in
-    let part = Ir.Prog.Smap.find fname plan.Core.Partition.parts in
-    let partition blk =
-      (* colour by the first task containing the block *)
-      let found = ref 0 in
-      Array.iteri
-        (fun i (t : Core.Task.t) ->
-          if !found = 0 && Core.Task.Iset.mem blk t.Core.Task.blocks then
-            found := i)
-        part.Core.Task.tasks;
-      !found
-    in
-    print_string (Ir.Pp.dot_of_func ~partition f)
+    let prog = plan.Core.Partition.prog in
+    if not (Ir.Prog.has_func prog fname) then
+      Error
+        (`Msg
+          (Printf.sprintf "unknown function %S in %s (functions: %s)"
+             fname entry.Workloads.Registry.name
+             (String.concat ", " (Ir.Prog.func_names prog))))
+    else begin
+      let f = Ir.Prog.find prog fname in
+      let part = Ir.Prog.Smap.find fname plan.Core.Partition.parts in
+      let partition blk =
+        (* colour by the first task containing the block *)
+        let found = ref 0 in
+        Array.iteri
+          (fun i (t : Core.Task.t) ->
+            if !found = 0 && Core.Task.Iset.mem blk t.Core.Task.blocks then
+              found := i)
+          part.Core.Task.tasks;
+        !found
+      in
+      print_string (Ir.Pp.dot_of_func ~partition f);
+      Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "dot"
        ~doc:"Emit a Graphviz CFG of a workload function, coloured by task")
-    Term.(const run $ workload_arg $ level_arg $ fname_arg)
+    Term.(cli_parse_result (const run $ workload_arg $ level_arg $ fname_arg))
 
 let superscalar_cmd =
   let width_arg =
@@ -319,7 +330,9 @@ let timeline_cmd =
   in
   let skip_arg =
     let doc = "Skip this many dynamic tasks first (past the warm-up)." in
-    Arg.(value & opt int 200 & info [ "skip" ] ~doc)
+    Arg.(value
+         & opt (int_conv ~ok:(fun v -> v >= 0) ~expected:"a non-negative integer") 200
+         & info [ "skip" ] ~doc)
   in
   let run entry level pus in_order n skip =
     let art = Harness.Artifact.get store ~level entry in
@@ -368,8 +381,21 @@ let timeline_cmd =
 
 let trace_stats_cmd =
   let pred_arg =
-    let doc = "Task prediction accuracy for the window-span series." in
-    Arg.(value & opt float 1.0 & info [ "pred" ] ~doc)
+    let doc =
+      "Task prediction accuracy for the window-span series, from 0 to 1."
+    in
+    (* a finite accuracy in [0, 1]; anything else (2, nan, -1) is a usage
+       error rather than a nonsense span *)
+    let accuracy =
+      let parse s =
+        match float_of_string_opt (String.trim s) with
+        | Some v when Float.is_finite v && v >= 0.0 && v <= 1.0 -> Ok v
+        | Some _ | None ->
+          Error (`Msg (Printf.sprintf "%S is not an accuracy from 0 to 1" s))
+      in
+      Arg.conv (parse, Format.pp_print_float)
+    in
+    Arg.(value & opt accuracy 1.0 & info [ "pred" ] ~doc)
   in
   let run entries level jobs pus pred =
     let per_workload =

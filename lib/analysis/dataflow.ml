@@ -1,4 +1,56 @@
-module Regset = Set.Make (Int)
+(* Register sets as bit vectors: registers 0-31 in [lo], 32-63 in [hi]
+   (an OCaml int holds 63 bits, so one int cannot hold all 64).  Every
+   operation that would rebuild an argument unchanged returns that
+   argument, so a fixpoint round that changes nothing allocates nothing. *)
+module Regset = struct
+  type t = { lo : int; hi : int }
+
+  let () =
+    if Ir.Reg.count > 64 then
+      failwith
+        (Printf.sprintf "Dataflow.Regset: %d registers do not fit in 64 bits"
+           Ir.Reg.count)
+
+  let empty = { lo = 0; hi = 0 }
+  let in_range r = r >= 0 && r < 64
+
+  let mem r s =
+    in_range r
+    && (if r < 32 then (s.lo lsr r) land 1 else (s.hi lsr (r - 32)) land 1)
+       <> 0
+
+  let make lo hi s = if lo = s.lo && hi = s.hi then s else { lo; hi }
+
+  let add r s =
+    if not (in_range r) then
+      invalid_arg (Printf.sprintf "Dataflow.Regset.add: register %d" r);
+    if r < 32 then make (s.lo lor (1 lsl r)) s.hi s
+    else make s.lo (s.hi lor (1 lsl (r - 32))) s
+
+  let remove r s =
+    if not (mem r s) then s
+    else if r < 32 then { s with lo = s.lo land lnot (1 lsl r) }
+    else { s with hi = s.hi land lnot (1 lsl (r - 32)) }
+
+  let union a b =
+    let lo = a.lo lor b.lo and hi = a.hi lor b.hi in
+    if lo = b.lo && hi = b.hi then b else make lo hi a
+
+  let inter a b =
+    let lo = a.lo land b.lo and hi = a.hi land b.hi in
+    if lo = b.lo && hi = b.hi then b else make lo hi a
+
+  let diff a b = make (a.lo land lnot b.lo) (a.hi land lnot b.hi) a
+  let equal a b = a.lo = b.lo && a.hi = b.hi
+  let of_list l = List.fold_left (fun s r -> add r s) empty l
+
+  let elements s =
+    let acc = ref [] in
+    for r = 63 downto 0 do
+      if mem r s then acc := r :: !acc
+    done;
+    !acc
+end
 
 type site = {
   blk : Ir.Block.label;
@@ -40,7 +92,8 @@ let block_use_def ~call_uses (b : Ir.Block.t) =
   Array.iter (fun i -> step (Ir.Insn.uses i) (Ir.Insn.defs i)) b.Ir.Block.insns;
   (match b.Ir.Block.term with
   | Ir.Block.Call (_, _) ->
-    step (Regset.elements call_uses) (term_defs b.Ir.Block.term)
+    use := Regset.union !use (Regset.diff call_uses !def);
+    step [] (term_defs b.Ir.Block.term)
   | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
   | Ir.Block.Halt ->
     step (term_uses b.Ir.Block.term) (term_defs b.Ir.Block.term));
@@ -53,29 +106,30 @@ let liveness ?(exit_live = all_regs) ?(call_uses = default_call_uses) f =
   let n = Ir.Func.num_blocks f in
   let use = Array.make n Regset.empty in
   let def = Array.make n Regset.empty in
+  (* what flows into each block's live-out before its successors: the exit
+     set at [Ret]/[Halt], nothing elsewhere *)
+  let base = Array.make n Regset.empty in
+  let succs = Array.make n [||] in
   for l = 0 to n - 1 do
-    let u, d = block_use_def ~call_uses (Ir.Func.block f l) in
+    let b = Ir.Func.block f l in
+    let u, d = block_use_def ~call_uses b in
     use.(l) <- u;
-    def.(l) <- d
+    def.(l) <- d;
+    succs.(l) <- Array.of_list (Ir.Block.successors b);
+    match b.Ir.Block.term with
+    | Ir.Block.Ret | Ir.Block.Halt -> base.(l) <- exit_live
+    | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Call _ ->
+      ()
   done;
   let live_in = Array.make n Regset.empty in
   let live_out = Array.make n Regset.empty in
-  let exits l =
-    match (Ir.Func.block f l).Ir.Block.term with
-    | Ir.Block.Ret | Ir.Block.Halt -> true
-    | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Call _ ->
-      false
-  in
   let changed = ref true in
   while !changed do
     changed := false;
     for l = n - 1 downto 0 do
-      let out =
-        List.fold_left
-          (fun acc s -> Regset.union acc live_in.(s))
-          (if exits l then exit_live else Regset.empty)
-          (Ir.Func.successors f l)
-      in
+      let out = ref base.(l) in
+      Array.iter (fun s -> out := Regset.union !out live_in.(s)) succs.(l);
+      let out = !out in
       let inn = Regset.union use.(l) (Regset.diff out def.(l)) in
       if not (Regset.equal out live_out.(l) && Regset.equal inn live_in.(l))
       then begin

@@ -1,8 +1,36 @@
 (** Classic bit-vector dataflow over a function's CFG: liveness and reaching
     definitions, plus def-use chain extraction (the "traditional def-use
-    dataflow equations" the paper relies on for register dependences). *)
+    dataflow equations" the paper relies on for register dependences).
 
-module Regset : Set.S with type elt = Ir.Reg.t
+    Register sets are bit vectors ({!Regset}): liveness costs a few words
+    per block, and a fixpoint round that changes no set allocates
+    nothing. *)
+
+(** Immutable sets of architectural registers, as two machine words
+    (registers 0–31 and 32–63).  Initialising the module fails if
+    {!Ir.Reg.count} exceeds 64.  [add], [remove], [union], [inter] and
+    [diff] return an argument unchanged (physically) when the result
+    equals it. *)
+module Regset : sig
+  type t
+
+  val empty : t
+  val mem : Ir.Reg.t -> t -> bool
+  (** [false] for registers outside 0–63. *)
+
+  val add : Ir.Reg.t -> t -> t
+  (** @raise Invalid_argument for a register outside 0–63. *)
+
+  val remove : Ir.Reg.t -> t -> t
+  val union : t -> t -> t
+  val inter : t -> t -> t
+  val diff : t -> t -> t
+  val equal : t -> t -> bool
+  val of_list : Ir.Reg.t list -> t
+
+  val elements : t -> Ir.Reg.t list
+  (** Ascending. *)
+end
 
 type site = {
   blk : Ir.Block.label;

@@ -1,42 +1,6 @@
 module Smap = Ir.Prog.Smap
 module Iset = Task.Iset
 
-(* Program-wide observations every per-function cost shares: block
-   frequencies, call-graph function weights and the memory address
-   analysis are all independent of any partition, which is what lets the
-   greedy search re-score a single function in isolation. *)
-type prog_ctx = {
-  freqs : (string, float array) Hashtbl.t;
-  weights : float Smap.t;
-  mem : Analysis.Memdep.t;
-  useful_base : float;
-}
-
-let make_prog_ctx (prog : Ir.Prog.t) =
-  let freqs = Hashtbl.create 16 in
-  Smap.iter
-    (fun name f ->
-      Hashtbl.replace freqs name (Analysis.Cost.block_freqs f))
-    prog.Ir.Prog.funcs;
-  let weights =
-    Analysis.Cost.func_weights prog ~freqs:(Hashtbl.find freqs)
-  in
-  let mem = Analysis.Memdep.analyze ~sp:Interp.Run.initial_sp prog in
-  let useful_base =
-    Smap.fold
-      (fun name (f : Ir.Func.t) acc ->
-        let w = Smap.find name weights in
-        let fr = Hashtbl.find freqs name in
-        let s = ref 0.0 in
-        Array.iteri
-          (fun b blk ->
-            s := !s +. (fr.(b) *. float_of_int (Ir.Block.size blk)))
-          f.Ir.Func.blocks;
-        acc +. (w *. !s))
-      prog.Ir.Prog.funcs 0.0
-  in
-  { freqs; weights; mem; useful_base }
-
 let add_region r rs =
   if List.exists (Analysis.Memdep.equal r) rs then rs else r :: rs
 
@@ -45,12 +9,13 @@ let add_region r rs =
    callee function's weight), so summing useful over tasks of every
    function reproduces the partition-independent base up to task overlap
    and unreachable blocks. *)
-let func_cost ctx memo fname (f : Ir.Func.t) (part : Task.partition) =
+let func_cost (facts : Partition.facts) memo fname (f : Ir.Func.t)
+    (part : Task.partition) =
   let model = Analysis.Cost.default_model in
-  let fw = Smap.find fname ctx.weights in
+  let fw = Smap.find fname facts.Partition.weights in
   if fw <= 0.0 then Analysis.Cost.zero
   else begin
-    let fr = Hashtbl.find ctx.freqs fname in
+    let fr = Hashtbl.find facts.Partition.freqs fname in
     let nt = Array.length part.Task.tasks in
     let weight_of = Array.make nt 0.0 in
     let tasks =
@@ -127,7 +92,7 @@ let func_cost ctx memo fname (f : Ir.Func.t) (part : Task.partition) =
                 stores.(i) <- add_region s.Analysis.Memdep.region stores.(i)
               else loads.(i) <- add_region s.Analysis.Memdep.region loads.(i))
           part.Task.tasks)
-      (Analysis.Memdep.sites ctx.mem fname);
+      (Analysis.Memdep.sites facts.Partition.mem fname);
     let mem_edges = ref [] in
     for i = 0 to nt - 1 do
       for j = 0 to nt - 1 do
@@ -159,13 +124,13 @@ type result = {
 let memo_for f (part : Task.partition) =
   Depend.memo f ~included_calls:part.Task.included_calls
 
-let cost_in ctx (plan : Partition.plan) =
+let cost_with facts (plan : Partition.plan) =
   let per_func =
     List.rev
       (Smap.fold
          (fun name part acc ->
            let f = Ir.Prog.find plan.Partition.prog name in
-           (name, func_cost ctx (memo_for f part) name f part) :: acc)
+           (name, func_cost facts (memo_for f part) name f part) :: acc)
          plan.Partition.parts [])
   in
   let total =
@@ -175,13 +140,13 @@ let cost_in ctx (plan : Partition.plan) =
   in
   {
     r_total = total;
-    r_scalar = Analysis.Cost.scalar ~useful_base:ctx.useful_base total;
+    r_scalar =
+      Analysis.Cost.scalar ~useful_base:facts.Partition.useful_base total;
     r_shares = Analysis.Cost.shares total;
     r_per_func = per_func;
   }
 
-let plan_cost (plan : Partition.plan) =
-  cost_in (make_prog_ctx plan.Partition.prog) plan
+let plan_cost plan = cost_with (Partition.facts plan) plan
 
 (* --- feedback search ------------------------------------------------------ *)
 
@@ -201,25 +166,27 @@ let entries_of (part : Task.partition) =
     (fun s (t : Task.t) -> Iset.add t.Task.entry s)
     Iset.empty part.Task.tasks
 
-(* [ctx] must be [plan]'s program context *)
-let refine_in ctx (plan : Partition.plan) =
+let refine (plan : Partition.plan) =
   (match Partition.validate plan with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cost.refine: seed plan rejected: " ^ msg));
+  let facts = Partition.facts plan in
   let params = plan.Partition.params in
   let acc = ref plan.Partition.parts in
   Smap.iter
     (fun fname (part : Task.partition) ->
       let f = Ir.Prog.find plan.Partition.prog fname in
       let n = Ir.Func.num_blocks f in
-      let fw = Smap.find fname ctx.weights in
+      let fw = Smap.find fname facts.Partition.weights in
       if fw > 0.0 && n >= 3 && n <= max_search_blocks then begin
         let dom = Analysis.Dom.compute f in
         let dfs = Analysis.Dfs.compute f in
         (* every candidate shares the seed's included calls, so one memo
            serves the whole search of this function *)
         let memo = memo_for f part in
-        let pen p = Analysis.Cost.penalties (func_cost ctx memo fname f p) in
+        let pen p =
+          Analysis.Cost.penalties (func_cost facts memo fname f p)
+        in
         let best = ref part in
         let best_pen = ref (pen part) in
         (* forced boundaries evolve move by move; the seed partition is not
@@ -275,7 +242,7 @@ let refine_in ctx (plan : Partition.plan) =
           | None -> searching := false
           | Some (p, part', c) ->
             let plan' =
-              { plan with Partition.parts = Smap.add fname part' !acc }
+              Partition.with_parts plan (Smap.add fname part' !acc)
             in
             (match
                (Partition.validate plan', Partition.validate_deps plan')
@@ -289,10 +256,7 @@ let refine_in ctx (plan : Partition.plan) =
         done
       end)
     plan.Partition.parts;
-  { plan with Partition.parts = !acc }
-
-let refine (plan : Partition.plan) =
-  refine_in (make_prog_ctx plan.Partition.prog) plan
+  Partition.with_parts plan !acc
 
 (* The Task_size seed is the paper's best level overall, but not per
    workload: where its unrolling/call-inclusion grows tasks past what the
@@ -309,23 +273,16 @@ let build ?params ?profile_input ?run prog =
     Partition.build ?params ?profile_input ?run Heuristics.Feedback prog
   in
   let seed_dd =
-    {
+    Partition.with_level
       (Partition.build ?params ?profile_input ?run Heuristics.Data_dependence
          prog)
-      with
-      Partition.level = Heuristics.Feedback;
-    }
+      Heuristics.Feedback
   in
-  (* each seed's program context is built once, for its score and, for the
-     winner, its search *)
-  let scored p =
-    let ctx = make_prog_ctx p.Partition.prog in
-    (ctx, (cost_in ctx p).r_scalar)
-  in
-  let ctx_ts, c_ts = scored seed_ts in
-  let ctx_dd, c_dd = scored seed_dd in
-  if c_dd < c_ts *. seed_factor then refine_in ctx_dd seed_dd
-  else refine_in ctx_ts seed_ts
+  (* each seed's facts are derived once, for its score and, for the
+     winner, its search and every later reader of the refined plan *)
+  let c_ts = (plan_cost seed_ts).r_scalar in
+  let c_dd = (plan_cost seed_dd).r_scalar in
+  if c_dd < c_ts *. seed_factor then refine seed_dd else refine seed_ts
 
 let plan_for_level ?params ?profile_input ?run level prog =
   match level with

@@ -21,10 +21,14 @@
     partition unless something strictly better is found, so the refined
     plan's scalar cost never exceeds the seed's.
 
-    The search is incremental: one {!Depend.memo} per function lives for
-    that function's whole search, so a candidate re-derives dependence
-    summaries only for the tasks the move changed.  {!plan_cost} and every
-    audit start from a fresh memo. *)
+    The partition-independent half — block frequencies, call weights, the
+    useful-work base and the address analysis — is the plan's
+    {!Partition.facts}: derived once per plan, on first use, and shared by
+    the seed's score, its search, the refined plan and every later
+    {!plan_cost} of it.  The search is incremental too: one {!Depend.memo}
+    per function lives for that function's whole search, so a candidate
+    re-derives dependence summaries only for the tasks the move changed.
+    {!plan_cost} and every audit start from a fresh memo. *)
 
 type result = {
   r_total : Analysis.Cost.t;      (** raw scores summed over functions *)
@@ -34,20 +38,18 @@ type result = {
 }
 
 val plan_cost : Partition.plan -> result
-(** Deterministic: depends only on the plan, not on hash or
-    iteration order — the [cost/conserve] lint rule checks this by
-    recomputation. *)
+(** [cost_with (Partition.facts plan) plan].  Deterministic: depends only
+    on the plan, not on hash or iteration order — the [cost/conserve] lint
+    rule checks this against {!cost_with} on freshly derived facts. *)
+
+val cost_with : Partition.facts -> Partition.plan -> result
+(** The plan's cost over the given facts, which must be those of the
+    plan's program ({!Partition.make_facts} derives them afresh). *)
 
 (** {1 One function at a time} *)
 
-type prog_ctx
-(** The partition-independent observations of a program: block
-    frequencies, call-graph weights and the address analysis. *)
-
-val make_prog_ctx : Ir.Prog.t -> prog_ctx
-
 val func_cost :
-  prog_ctx -> Depend.memo -> string -> Ir.Func.t -> Task.partition ->
+  Partition.facts -> Depend.memo -> string -> Ir.Func.t -> Task.partition ->
   Analysis.Cost.t
 (** Raw scores of one function's partition: [plan_cost] sums these, and
     {!refine} ranks candidates by their penalties.  The register half

@@ -1,8 +1,12 @@
 (* Static cross-task dependence edges (see depend.mli).  Register edges are
    computed from Analysis.Dataflow liveness plus private per-task fixpoints
    — NOT from Regcomm, which the dep/reg lint rule uses as the independent
-   reference implementation.  Memory edges combine per-task address-region
-   summaries from Analysis.Memdep. *)
+   reference implementation.  Each task summary builds the task's subgraph
+   once (blocks as an array, intra-task successors as positions in it) and
+   runs its 63 per-register fixpoints and its distance pass over that
+   subgraph and one reused distance buffer.  Memory edges combine per-task
+   address-region summaries from the plan's Analysis.Memdep analysis
+   (Partition.facts). *)
 
 module Smap = Ir.Prog.Smap
 module Rset = Analysis.Dataflow.Regset
@@ -101,56 +105,93 @@ let make_fctx (f : Ir.Func.t) ~included_calls =
     f.Ir.Func.blocks;
   { f; included_calls; live_in; first_event; last_def; writes; sizes }
 
-let tsucc ctx (task : Task.t) b =
-  Task.intra_successors ctx.f ~included_calls:ctx.included_calls
-    ~entry:task.Task.entry task.Task.blocks b
+(* One task's subgraph, built once per summary: its blocks in ascending
+   label order, each block's intra-task successors (Task.intra_successors)
+   as positions in that array, and one distance buffer, by position, that
+   every fixpoint of the summary reuses. *)
+type sub = {
+  blocks : int array;
+  succs : int array array;
+  entry : int;  (* position of the task entry *)
+  dist : int array;
+}
 
-(* Minimum-distance fixpoint from the task entry over the task subgraph.
-   [weight b] is the cost of passing through block [b]; [stop b] cuts
-   propagation out of a block (its distance stays valid). *)
-let task_dists ctx (task : Task.t) ~weight ~stop =
-  let nb = Ir.Func.num_blocks ctx.f in
-  let dist = Array.make nb max_int in
-  dist.(task.Task.entry) <- 0;
+let position blocks b =
+  let rec go lo hi =
+    let mid = (lo + hi) / 2 in
+    if lo > hi then invalid_arg "Depend: task entry outside its blocks"
+    else if blocks.(mid) = b then mid
+    else if blocks.(mid) < b then go (mid + 1) hi
+    else go lo (mid - 1)
+  in
+  go 0 (Array.length blocks - 1)
+
+let subgraph ctx (task : Task.t) =
+  let blocks = Array.of_list (Iset.elements task.Task.blocks) in
+  let succs =
+    Array.map
+      (fun b ->
+        Array.of_list
+          (List.map (position blocks)
+             (Task.intra_successors ctx.f ~included_calls:ctx.included_calls
+                ~entry:task.Task.entry task.Task.blocks b)))
+      blocks
+  in
+  {
+    blocks;
+    succs;
+    entry = position blocks task.Task.entry;
+    dist = Array.make (Array.length blocks) max_int;
+  }
+
+(* Minimum-distance fixpoint from the task entry over the subgraph, into
+   [sub.dist]; passing through a block costs its static size.  With
+   [stop >= 0], propagation stops out of every block whose first event on
+   register [stop] is a read or a kill (its own distance stays valid). *)
+let task_dists ctx sub ~stop =
+  let dist = sub.dist in
+  Array.fill dist 0 (Array.length dist) max_int;
+  dist.(sub.entry) <- 0;
   let changed = ref true in
   while !changed do
     changed := false;
-    Iset.iter
-      (fun b ->
-        if dist.(b) < max_int && not (stop b) then
-          let d = dist.(b) + weight b in
-          List.iter
-            (fun s ->
-              if d < dist.(s) then begin
-                dist.(s) <- d;
-                changed := true
-              end)
-            (tsucc ctx task b))
-      task.Task.blocks
-  done;
-  dist
+    for i = 0 to Array.length dist - 1 do
+      let b = sub.blocks.(i) in
+      if
+        dist.(i) < max_int
+        && (stop < 0
+           ||
+           match ctx.first_event.(b).(stop) with
+           | Through -> true
+           | Read _ | Kill -> false)
+      then begin
+        let d = dist.(i) + ctx.sizes.(b) in
+        let ss = sub.succs.(i) in
+        for k = 0 to Array.length ss - 1 do
+          let j = ss.(k) in
+          if d < dist.(j) then begin
+            dist.(j) <- d;
+            changed := true
+          end
+        done
+      end
+    done
+  done
 
 (* Per register: the minimum number of instructions the task executes
    before first reading it (-1 when not upward-exposed in the task). *)
-let consumer_depths ctx (task : Task.t) =
+let consumer_depths ctx sub =
   let depths = Array.make Ir.Reg.count (-1) in
   for r = 1 to Ir.Reg.count - 1 do
-    let dist =
-      task_dists ctx task
-        ~weight:(fun b -> ctx.sizes.(b))
-        ~stop:(fun b ->
-          match ctx.first_event.(b).(r) with
-          | Through -> false
-          | Read _ | Kill -> true)
-    in
+    task_dists ctx sub ~stop:r;
     let best = ref max_int in
-    Iset.iter
-      (fun b ->
-        if dist.(b) < max_int then
+    Array.iteri
+      (fun i b ->
+        if sub.dist.(i) < max_int then
           match ctx.first_event.(b).(r) with
-          | Read i -> best := min !best (dist.(b) + i)
+          | Read k -> best := min !best (sub.dist.(i) + k)
           | Kill | Through -> ())
-      task.Task.blocks;
+      sub.blocks;
     if !best < max_int then depths.(r) <- !best
   done;
   depths
@@ -159,56 +200,57 @@ let consumer_depths ctx (task : Task.t) =
    (static instructions from the entry through the write, inclusive).
    Registers with writes but no forwardable site fall back to the task's
    static size — the value only leaves at task exit. *)
-let producer_heights ctx (task : Task.t) =
+let producer_heights ctx sub =
   (* may-write-after: registers some block strictly after [b] (within the
-     task, cycles included) may still write *)
-  let nb = Ir.Func.num_blocks ctx.f in
-  let maw = Array.make nb Rset.empty in
+     task, cycles included) may still write; by position *)
+  let nt = Array.length sub.blocks in
+  let maw = Array.make nt Rset.empty in
   let changed = ref true in
   while !changed do
     changed := false;
-    Iset.iter
-      (fun b ->
-        let s =
-          List.fold_left
-            (fun acc s -> Rset.union acc (Rset.union ctx.writes.(s) maw.(s)))
-            maw.(b) (tsucc ctx task b)
-        in
-        if not (Rset.equal s maw.(b)) then begin
-          maw.(b) <- s;
-          changed := true
-        end)
-      task.Task.blocks
+    for i = 0 to nt - 1 do
+      let s =
+        Array.fold_left
+          (fun acc j ->
+            Rset.union acc (Rset.union ctx.writes.(sub.blocks.(j)) maw.(j)))
+          maw.(i) sub.succs.(i)
+      in
+      if not (Rset.equal s maw.(i)) then begin
+        maw.(i) <- s;
+        changed := true
+      end
+    done
   done;
-  let dist =
-    task_dists ctx task ~weight:(fun b -> ctx.sizes.(b)) ~stop:(fun _ -> false)
-  in
-  let tsize = Iset.fold (fun b acc -> acc + ctx.sizes.(b)) task.Task.blocks 0 in
+  task_dists ctx sub ~stop:(-1);
+  let dist = sub.dist in
+  let tsize = Array.fold_left (fun acc b -> acc + ctx.sizes.(b)) 0 sub.blocks in
   let heights = Array.make Ir.Reg.count tsize in
   let sites = Array.make Ir.Reg.count None in
   for r = 1 to Ir.Reg.count - 1 do
-    let best = ref None in
-    Iset.iter
-      (fun b ->
-        let i = ctx.last_def.(b).(r) in
-        (* an included call's mega-write follows every explicit def of its
-           block, so no site there is ever the task's last write *)
-        if
-          i >= 0
-          && (not ctx.included_calls.(b))
-          && (not (Rset.mem r maw.(b)))
-          && dist.(b) < max_int
-        then
-          let h = dist.(b) + i + 1 in
-          match !best with
-          | Some (h', b', i') when (h', b', i') <= (h, b, i) -> ()
-          | _ -> best := Some (h, b, i))
-      task.Task.blocks;
-    match !best with
-    | Some (h, b, i) ->
-      heights.(r) <- h;
-      sites.(r) <- Some (b, i)
-    | None -> ()
+    (* the (height, block, index)-least site; blocks ascend, so a tie on
+       height keeps the first *)
+    let best = ref (-1) and best_h = ref max_int in
+    for p = 0 to nt - 1 do
+      let b = sub.blocks.(p) in
+      let i = ctx.last_def.(b).(r) in
+      (* an included call's mega-write follows every explicit def of its
+         block, so no site there is ever the task's last write *)
+      if
+        i >= 0
+        && (not ctx.included_calls.(b))
+        && (not (Rset.mem r maw.(p)))
+        && dist.(p) < max_int
+        && dist.(p) + i + 1 < !best_h
+      then begin
+        best := p;
+        best_h := dist.(p) + i + 1
+      end
+    done;
+    if !best >= 0 then begin
+      let b = sub.blocks.(!best) in
+      heights.(r) <- !best_h;
+      sites.(r) <- Some (b, ctx.last_def.(b).(r))
+    end
   done;
   (heights, sites)
 
@@ -226,9 +268,10 @@ type tsum = {
 }
 
 let summarize ctx (t : Task.t) =
-  let heights, sites = producer_heights ctx t in
+  let sub = subgraph ctx t in
+  let heights, sites = producer_heights ctx sub in
   {
-    depths = consumer_depths ctx t;
+    depths = consumer_depths ctx sub;
     heights;
     sites;
     twrites =
@@ -363,13 +406,9 @@ let closure prog =
   in
   reach
 
-let analyze ?(fi = false) ?summary (plan : Partition.plan) =
+let analyze ?(fi = false) (plan : Partition.plan) =
   let prog = plan.Partition.prog in
-  let summary =
-    match summary with
-    | Some s -> s
-    | None -> Analysis.Memdep.analyze ~sp:Interp.Run.initial_sp prog
-  in
+  let summary = (Partition.facts plan).Partition.mem in
   let site_fn = if fi then Analysis.Memdep.fi_sites else Analysis.Memdep.sites in
   let reach = closure prog in
   (* per-function region groupings *)

@@ -20,7 +20,10 @@
     This module is deliberately independent of {!Regcomm} — the [dep/reg]
     lint rule differentially compares the register edges computed here
     (from {!Analysis.Dataflow} liveness and private fixpoints) against a
-    recomputation from [Regcomm.needed]/[forwardable].
+    recomputation from [Regcomm.needed]/[forwardable].  The private
+    fixpoints of one task run over its subgraph, built once per task
+    summary, and share one distance buffer; the address analysis is the
+    plan's {!Partition.facts}.
 
     Everything here is an over-approximation: edges may be predicted that
     never occur dynamically, but the [dep/sound] lint rule asserts that
@@ -48,13 +51,14 @@ type reg_edge = {
 
 type t
 
-val analyze : ?fi:bool -> ?summary:Analysis.Memdep.t -> Partition.plan -> t
+val analyze : ?fi:bool -> Partition.plan -> t
 (** Derive the edges.  [fi] (default [false]) selects the flow-insensitive
     baseline site regions ({!Analysis.Memdep.fi_sites}) instead of the
     refined ones — the before/after switch the precision report compares.
-    [summary] reuses an existing address analysis of the plan's program
-    (one {!Analysis.Memdep.analyze} run yields both site tables) instead
-    of recomputing it. *)
+    Both read the plan's own address analysis,
+    [(Partition.facts plan).mem] (one {!Analysis.Memdep.analyze} run
+    yields both site tables), so repeated analyses of one plan share
+    it. *)
 
 (** {1 One function's register dependences} *)
 

@@ -1,9 +1,69 @@
+module Smap = Ir.Prog.Smap
+
+(* Program-wide observations every per-function cost shares: block
+   frequencies, call-graph function weights and the memory address
+   analysis are all independent of any partition, which is what lets the
+   greedy search re-score a single function in isolation. *)
+type facts = {
+  freqs : (string, float array) Hashtbl.t;
+  weights : float Smap.t;
+  mem : Analysis.Memdep.t;
+  useful_base : float;
+}
+
+let make_facts (prog : Ir.Prog.t) =
+  let freqs = Hashtbl.create 16 in
+  Smap.iter
+    (fun name f ->
+      Hashtbl.replace freqs name (Analysis.Cost.block_freqs f))
+    prog.Ir.Prog.funcs;
+  let weights =
+    Analysis.Cost.func_weights prog ~freqs:(Hashtbl.find freqs)
+  in
+  let mem = Analysis.Memdep.analyze ~sp:Interp.Run.initial_sp prog in
+  let useful_base =
+    Smap.fold
+      (fun name (f : Ir.Func.t) acc ->
+        let w = Smap.find name weights in
+        let fr = Hashtbl.find freqs name in
+        let s = ref 0.0 in
+        Array.iteri
+          (fun b blk ->
+            s := !s +. (fr.(b) *. float_of_int (Ir.Block.size blk)))
+          f.Ir.Func.blocks;
+        acc +. (w *. !s))
+      prog.Ir.Prog.funcs 0.0
+  in
+  { freqs; weights; mem; useful_base }
+
+type cell = facts option Atomic.t
+
 type plan = {
   level : Heuristics.level;
   params : Heuristics.params;
   prog : Ir.Prog.t;
   parts : Task.partition Ir.Prog.Smap.t;
+  cell : cell;
 }
+
+(* The facts are a function of [plan.prog] alone, and every plan derived
+   with [with_parts]/[with_level] keeps its source's program and cell.
+   Domains may race to fill an empty cell: each derives a copy, the first
+   compare-and-set publishes its copy, and the losers return the
+   published one (any copy would do — the derivation is deterministic). *)
+let facts plan =
+  match Atomic.get plan.cell with
+  | Some f -> f
+  | None -> (
+    let f = make_facts plan.prog in
+    if Atomic.compare_and_set plan.cell None (Some f) then f
+    else
+      match Atomic.get plan.cell with
+      | Some f -> f
+      | None -> assert false)
+
+let with_parts plan parts = { plan with parts }
+let with_level plan level = { plan with level }
 
 let dep_edges_of_profile profile ~fid f =
   let static = Analysis.Dataflow.block_dep_edges (Analysis.Dataflow.def_use f) in
@@ -99,7 +159,7 @@ let build ?(params = Heuristics.default) ?profile_input
       Select.data_dependence params f ~included_calls:(included_of f) ~deps
   in
   let parts = Ir.Prog.Smap.mapi select prog.Ir.Prog.funcs in
-  { level; params; prog; parts }
+  { level; params; prog; parts; cell = Atomic.make None }
 
 (* The real checker lives in the lint library, which depends on this one;
    it registers itself here at link time (lint is built with -linkall).

@@ -6,14 +6,62 @@
     the role of the paper's SPEC95 profiling runs.  Every profiling run goes
     through the [run] argument, so a caller that already holds a program's
     outcome (the artifact store) can hand it in instead of interpreting
-    again. *)
+    again.
 
-type plan = {
+    A plan also carries its program's {!facts} — block frequencies, call
+    weights, the useful-work base and the address analysis — derived once,
+    on first use, and shared by every plan derived from it with
+    {!with_parts} or {!with_level}: the cost of the plan, its refinement,
+    {!Depend.analyze} and the lint audits all read the same copy. *)
+
+(** {1 Program facts} *)
+
+type facts = {
+  freqs : (string, float array) Hashtbl.t;
+      (** per function, {!Analysis.Cost.block_freqs} *)
+  weights : float Ir.Prog.Smap.t;  (** {!Analysis.Cost.func_weights} *)
+  mem : Analysis.Memdep.t;
+      (** the address analysis, at {!Interp.Run.initial_sp} *)
+  useful_base : float;
+      (** partition-independent useful work: Σ weight × freq × size *)
+}
+(** The partition-independent observations of a program that the cost
+    model ({!Cost}), {!Depend.analyze} and the lint audits share.  Read
+    them only: a plan's facts are shared by every plan derived from it,
+    across domains. *)
+
+val make_facts : Ir.Prog.t -> facts
+(** Derive the facts afresh.  Deterministic: two derivations of the same
+    program are equal. *)
+
+(** {1 Plans} *)
+
+type cell
+(** A plan's facts, derived on first use. *)
+
+type plan = private {
   level : Heuristics.level;
   params : Heuristics.params;
   prog : Ir.Prog.t;   (** program after this level's transformations *)
   parts : Task.partition Ir.Prog.Smap.t;  (** per-function partitions *)
+  cell : cell;  (** this plan's {!facts}, shared with plans derived from it *)
 }
+(** Private: {!build} makes plans, and {!with_parts} and {!with_level} are
+    the only ways to derive one plan from another.  A derived plan keeps
+    its source's program, so it shares its source's facts. *)
+
+val facts : plan -> facts
+(** [make_facts plan.prog], derived on the first call for the plan or any
+    plan it was derived from, and returned by every later call.  Safe
+    across domains: concurrent first calls may each derive a copy, one is
+    published with [Atomic.compare_and_set], and every caller returns the
+    published copy. *)
+
+val with_parts : plan -> Task.partition Ir.Prog.Smap.t -> plan
+(** The plan with other partitions of the same program. *)
+
+val with_level : plan -> Heuristics.level -> plan
+(** The plan under another level tag (the [fb] level's [dd] seed). *)
 
 val build :
   ?params:Heuristics.params -> ?profile_input:Ir.Prog.t ->

@@ -125,7 +125,9 @@ type sched = {
 }
 [@@warning "-69"]
 
-let ref_differential cfg plan trace =
+(* The event core runs on the prep the acct oracle simulated; the frozen
+   reference prepares for itself. *)
+let ref_differential cfg prep plan trace =
   let ev_new = ref [] in
   let obs_new (e : Sim.Engine.event) =
     ev_new :=
@@ -140,7 +142,7 @@ let ref_differential cfg plan trace =
       }
       :: !ev_new
   in
-  let r_new = Sim.Engine.run_with_trace ~observer:obs_new cfg plan trace in
+  let r_new = Sim.Engine.run_prepared ~observer:obs_new cfg prep trace in
   let ev_ref = ref [] in
   let obs_ref (e : Sim_ref.Engine_ref.event) =
     ev_ref :=
@@ -245,20 +247,27 @@ let check_value config ~profile ~index ~seed prog =
               check ~level:ltag ~oracle:"dep" (Lint.check_deps plan trace);
               check ~level:ltag ~oracle:"absint"
                 (Lint.check_absint plan trace);
+              (* one prep serves every machine, as the artifact store
+                 shares it; a failed prep is each machine's crash *)
+              let prep =
+                try Ok (Sim.Engine.prepare plan trace)
+                with e -> Error (Printexc.to_string e)
+              in
               List.iter
                 (fun (num_pus, in_order) ->
                   let cfg = Sim.Config.default ~num_pus ~in_order in
                   match
-                    try Ok (Sim.Engine.run_with_trace cfg plan trace)
-                    with e -> Error (Printexc.to_string e)
+                    Result.bind prep (fun prep ->
+                        try Ok (prep, Sim.Engine.run_prepared cfg prep trace)
+                        with e -> Error (Printexc.to_string e))
                   with
                   | Error msg -> add ~level:ltag ~oracle:"crash" ("sim: " ^ msg)
-                  | Ok r ->
+                  | Ok (prep, r) ->
                     check ~level:ltag ~oracle:"acct"
                       (Lint.check_account ~num_pus ~in_order
                          r.Sim.Engine.stats);
                     if ref_checked then
-                      match ref_differential cfg plan trace with
+                      match ref_differential cfg prep plan trace with
                       | None -> ()
                       | Some msg ->
                         add ~level:ltag ~oracle:"ref-diff"

@@ -177,7 +177,7 @@ let dep_of_artifact (art : Artifact.artifact) =
   let plan = art.Artifact.plan and trace = art.Artifact.trace in
   let dep = Core.Depend.analyze plan in
   let summary = Core.Depend.summary dep in
-  let fi_dep = Core.Depend.analyze ~fi:true ~summary plan in
+  let fi_dep = Core.Depend.analyze ~fi:true plan in
   let unbounded, fi_unbounded, widest =
     precision_of_summary plan.Core.Partition.prog summary
   in

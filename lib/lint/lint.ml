@@ -1097,7 +1097,7 @@ let check_absint (plan : Core.Partition.plan) trace =
   let ds = ref [] in
   let add d = ds := d :: !ds in
   let prog = plan.Core.Partition.prog in
-  let summary = Analysis.Memdep.analyze ~sp:Interp.Run.initial_sp prog in
+  let summary = (Core.Partition.facts plan).Core.Partition.mem in
   (* refinement bound, site for site *)
   List.iter
     (fun fname ->
@@ -1199,14 +1199,20 @@ let check_absint (plan : Core.Partition.plan) trace =
 (* --- static cost model ------------------------------------------------------ *)
 
 (* cost/conserve: the predicted cycle-account shares form a well-formed
-   distribution, and the whole cost result is stable under re-derivation —
-   Core.Cost.plan_cost recomputes the address analysis, block frequencies,
-   function weights and dependence edges from scratch on every call, so
-   bit-comparing two evaluations exercises the entire derivation chain for
-   determinism (ordered folds only, no hash-order float sums). *)
+   distribution, and the whole cost result is stable under re-derivation.
+   Core.Cost.plan_cost reads the plan's facts (derived once per plan); the
+   second derivation makes fresh ones with Core.Partition.make_facts —
+   address analysis, block frequencies, function weights — and, like
+   every plan_cost, fresh dependence memos, so bit-comparing the two
+   exercises the entire derivation chain for determinism (ordered folds
+   only, no hash-order float sums). *)
 let check_cost (plan : Core.Partition.plan) =
   let a = Core.Cost.plan_cost plan in
-  let b = Core.Cost.plan_cost plan in
+  let b =
+    Core.Cost.cost_with
+      (Core.Partition.make_facts plan.Core.Partition.prog)
+      plan
+  in
   let ds = ref [] in
   let add d = ds := d :: !ds in
   if not (Analysis.Cost.shares_well_formed a.Core.Cost.r_shares) then

@@ -129,8 +129,10 @@ val check_cost : Core.Partition.plan -> Diag.t list
 (** Static cost-model audit ([cost/conserve]): {!Core.Cost.plan_cost}'s
     predicted shares must be a well-formed distribution
     ({!Analysis.Cost.shares_well_formed}), the scalar cost finite and
-    non-negative, and the whole result bit-identical when the cost is
-    re-derived from scratch — determinism of every fold in the chain. *)
+    non-negative, and the whole result bit-identical to
+    {!Core.Cost.cost_with} over facts derived afresh
+    ({!Core.Partition.make_facts}) — determinism of every fold in the
+    chain, whatever the plan's cached facts hold. *)
 
 val rule_matches : pat:string -> string -> bool
 (** Anchored shell-style glob match over rule ids ([*] matches any

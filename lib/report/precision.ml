@@ -48,7 +48,7 @@ let row_of_artifact (art : Harness.Artifact.artifact) =
   let prog = plan.Core.Partition.prog in
   let dep = Core.Depend.analyze plan in
   let summary = Core.Depend.summary dep in
-  let fi_dep = Core.Depend.analyze ~fi:true ~summary plan in
+  let fi_dep = Core.Depend.analyze ~fi:true plan in
   let unbounded, fi_unbounded, widest =
     Harness.Job.precision_of_summary prog summary
   in

@@ -118,7 +118,7 @@ let prop_memo_exact =
     Gen.arbitrary_program (fun prog ->
       let plan = Core.Partition.build Core.Heuristics.Feedback prog in
       let prog = plan.Core.Partition.prog in
-      let ctx = Core.Cost.make_prog_ctx prog in
+      let facts = Core.Partition.facts plan in
       Ir.Prog.Smap.iter
         (fun fname (part : Core.Task.partition) ->
           let f = Ir.Prog.find prog fname in
@@ -133,8 +133,8 @@ let prop_memo_exact =
               then
                 QCheck.Test.fail_reportf "%s: memoized func_edges differ" fname;
               if
-                cost_bits (Core.Cost.func_cost ctx warm fname f p)
-                <> cost_bits (Core.Cost.func_cost ctx (fresh ()) fname f p)
+                cost_bits (Core.Cost.func_cost facts warm fname f p)
+                <> cost_bits (Core.Cost.func_cost facts (fresh ()) fname f p)
               then
                 QCheck.Test.fail_reportf "%s: memoized func_cost differs" fname)
             (part
@@ -236,6 +236,74 @@ let test_golden name =
        via msc cost --json if the model changed intentionally)"
       name name
 
+(* --- facts on the plan ------------------------------------------------------- *)
+
+(* The facts compared by value: hashtable and map bindings sorted, site
+   regions through Memdep.equal. *)
+let facts_equal (prog : Ir.Prog.t) (a : Core.Partition.facts)
+    (b : Core.Partition.facts) =
+  let freqs (f : Core.Partition.facts) =
+    List.sort compare
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) f.Core.Partition.freqs [])
+  in
+  let sites_equal get =
+    List.for_all
+      (fun name ->
+        List.equal
+          (fun (x : Analysis.Memdep.site) (y : Analysis.Memdep.site) ->
+            x.Analysis.Memdep.blk = y.Analysis.Memdep.blk
+            && x.Analysis.Memdep.idx = y.Analysis.Memdep.idx
+            && x.Analysis.Memdep.store = y.Analysis.Memdep.store
+            && Analysis.Memdep.equal x.Analysis.Memdep.region
+                 y.Analysis.Memdep.region)
+          (get a.Core.Partition.mem name) (get b.Core.Partition.mem name))
+      (Ir.Prog.func_names prog)
+  in
+  freqs a = freqs b
+  && Ir.Prog.Smap.equal Float.equal a.Core.Partition.weights
+       b.Core.Partition.weights
+  && Float.equal a.Core.Partition.useful_base b.Core.Partition.useful_base
+  && sites_equal Analysis.Memdep.sites
+  && sites_equal Analysis.Memdep.fi_sites
+
+(* Two domains force one fresh plan's facts at once: neither may raise,
+   both must return the one published copy, and it must equal a fresh
+   derivation. *)
+let test_facts_across_domains () =
+  let prog = Workloads.W_compress.entry.Workloads.Registry.build () in
+  let plan = Core.Partition.build Core.Heuristics.Data_dependence prog in
+  let ready = Atomic.make 0 in
+  let force () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    Core.Partition.facts plan
+  in
+  let d = Domain.spawn force in
+  let mine = force () in
+  let theirs = Domain.join d in
+  Alcotest.(check bool) "both domains see the published facts" true
+    (mine == theirs);
+  Alcotest.(check bool) "the published facts equal a fresh derivation" true
+    (facts_equal plan.Core.Partition.prog mine
+       (Core.Partition.make_facts plan.Core.Partition.prog))
+
+let test_derived_plans_share_facts () =
+  let prog = Workloads.W_compress.entry.Workloads.Registry.build () in
+  let plan = Core.Partition.build Core.Heuristics.Task_size prog in
+  let by_parts = Core.Partition.with_parts plan plan.Core.Partition.parts in
+  let by_level = Core.Partition.with_level plan Core.Heuristics.Feedback in
+  (* forced through a derived plan first: the source reads the same cell *)
+  let f = Core.Partition.facts by_parts in
+  Alcotest.(check bool) "with_parts shares its source's facts" true
+    (Core.Partition.facts plan == f);
+  Alcotest.(check bool) "with_level shares its source's facts" true
+    (Core.Partition.facts by_level == f);
+  let other = Core.Partition.build Core.Heuristics.Task_size prog in
+  Alcotest.(check bool) "a separately built plan derives its own" true
+    (Core.Partition.facts other != f)
+
 let () =
   Alcotest.run "cost"
     [
@@ -252,6 +320,13 @@ let () =
           Alcotest.test_case "memo rejects other included calls" `Quick
             test_memo_rejects_other_calls;
           QCheck_alcotest.to_alcotest prop_analyze_concat;
+        ] );
+      ( "facts",
+        [
+          Alcotest.test_case "derived once across domains" `Quick
+            test_facts_across_domains;
+          Alcotest.test_case "derived plans share facts" `Quick
+            test_derived_plans_share_facts;
         ] );
       ( "golden",
         [

@@ -168,11 +168,8 @@ let plan_of_main f level = Core.Partition.build level (prog_of [ f ])
 let find_main_part plan = Ir.Prog.Smap.find "main" plan.Core.Partition.parts
 
 let with_main_part plan part =
-  {
-    plan with
-    Core.Partition.parts =
-      Ir.Prog.Smap.add "main" part plan.Core.Partition.parts;
-  }
+  Core.Partition.with_parts plan
+    (Ir.Prog.Smap.add "main" part plan.Core.Partition.parts)
 
 let test_plan_clean () =
   List.iter
