@@ -415,7 +415,7 @@ let trace_stats_cmd =
           ( art.Harness.Artifact.key.Harness.Artifact.workload,
             Interp.Trace.stats trace,
             trace.Interp.Trace.dyn_insns,
-            Array.length tasks,
+            Sim.Dyntask.count tasks,
             span ))
     in
     Printf.printf "%-10s %9s %9s %9s %6s %6s %6s %8s %8s %7s %8s\n"

@@ -11,8 +11,8 @@ let formula ~task_size ~pred ~num_pus =
    size table), so this doubles as an end-to-end consistency point between
    the trace representation and the chopper. *)
 let measured ~num_pus ~pred (trace : Interp.Trace.t)
-    ~(tasks : Sim.Dyntask.instance array) =
-  let n_tasks = Array.length tasks in
+    ~(tasks : Sim.Dyntask.t) =
+  let n_tasks = Sim.Dyntask.count tasks in
   if n_tasks = 0 then 0.0
   else begin
     let total = ref 0 in

@@ -1,4 +1,16 @@
-(** Set-associative LRU caches and the two-level hierarchy of §4.2. *)
+(** Set-associative LRU caches and the two-level hierarchy of §4.2.
+
+    A cache's tags and LRU ages are allocated a page of 64 sets at a time,
+    when a probe first names a set in the page ({!Occ.Pages}), so a cache
+    costs what a run touches of it. *)
+
+val slot : block_words:int -> slots:int -> int -> int
+(** [slot ~block_words ~slots addr] is the slot, in \[0, [slots]), of the
+    [block_words]-word block holding word address [addr]: the block is
+    [addr / block_words] rounded down, the slot its non-negative remainder
+    modulo [slots].  A cache's set, and the engines' D-cache/ARB bank.
+    Negative addresses map too; non-negative ones map as with truncating
+    division. *)
 
 type t
 
@@ -7,7 +19,9 @@ val create : sets:int -> ways:int -> block_words:int -> t
     ages take a byte per way) and [block_words >= 1]. *)
 
 val access : t -> int -> bool
-(** Word-address access; returns hit, updates LRU, fills on miss. *)
+(** Word-address access; returns hit, updates LRU, fills on miss.  The
+    set is {!slot}'s; the tag is the block divided by the sets, rounded
+    down. *)
 
 val accesses : t -> int
 val misses : t -> int

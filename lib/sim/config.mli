@@ -50,9 +50,12 @@ type t = {
 val max_pus : int
 (** The largest machine (256 PUs) that [msc] options and [mscd] requests
     may ask for.  A simulation keeps about 7.5 KB per PU (ring and bank
-    windows, 2N store maps, 2N register-send rows) on top of about 1.5 MB
-    of caches and predictors, and each task scans up to N in-flight
-    tasks, so the bound caps one request's memory and time. *)
+    windows, 2N store maps, 2N register-send rows) on top of its caches
+    and predictors, which cost what the run touches of them: 42 KB of
+    page indexes, 1.2 KB per page of 64 cache sets touched and 80 bytes
+    per page of 64 predictor entries, 1.6 MB at most.  Each task scans up
+    to N in-flight tasks, so the bound caps one request's memory and
+    time. *)
 
 val default : num_pus:int -> in_order:bool -> t
 (** The paper's configuration: L1 caches are 64 KB for 4 PUs and 128 KB for

@@ -1,19 +1,22 @@
 (* The Multiscalar engine on the event-driven, structure-of-arrays core.
 
-   A run allocates in proportion to the machine, not to the simulated
-   cycles or task instances (DESIGN.md §10).  Cross-task state lives in
-   rings over the last 2N task instances (N = PUs): assignment, resolve
-   and retire times, generation-stamped ring-send register slots and
-   per-flight store maps; the synchronization table is an open-addressing
-   int map with packed keys, bounded by its configured size.  The shared
-   ring / ARB-bank bandwidth is Occ.Slots windows whose floor rises to
-   each task's first assignment cycle — a0 only increases from task to
-   task and every probe of task k is at or after it — so the rows slide
-   instead of spanning the run.  One Timing.ctx is reused for every
-   attempt of every dynamic task instance, the predictor and cache tables
-   are byte-packed, and every in-flight scan is a plain loop over those
-   arrays, so the per-task loop allocates nothing in the steady state.
-   The schedule is cycle-for-cycle identical to the frozen pre-event core
+   A run allocates in proportion to what it touches of the machine, not to
+   the simulated cycles or task instances (DESIGN.md §10).  Cross-task
+   state lives in rings over the last 2N task instances (N = PUs):
+   assignment, resolve and retire times, generation-stamped ring-send
+   register slots and per-flight store maps; the synchronization table is
+   an open-addressing int map with packed keys, bounded by its configured
+   size.  The shared ring / ARB-bank bandwidth is Occ.Slots windows whose
+   floor rises to each task's first assignment cycle — a0 only increases
+   from task to task and every probe of task k is at or after it — so the
+   rows slide instead of spanning the run.  One Timing.ctx is reused for
+   every attempt of every dynamic task instance, the predictor and cache
+   tables are byte and int pages allocated on first touch (Occ.Pages),
+   the per-task loop reads the instance's fields straight from the packed
+   chop (Dyntask.t; the record view is built only for an observer), and
+   every in-flight scan is a plain loop over those arrays, so the per-task
+   loop allocates nothing in the steady state.  The schedule is
+   cycle-for-cycle identical to the frozen pre-event core
    (Sim_ref.Engine_ref), pinned by the qcheck differential in
    test/test_event_core.ml and the byte-identical report goldens. *)
 
@@ -34,14 +37,15 @@ type event = {
 }
 
 (* Trace-derived state shared by every machine configuration simulated
-   against the same (plan, trace): the task-instance chop, the per-function
-   register-communication analyses and the code layout are configuration-
-   independent, and all are read-only during simulation — compute them once
-   and reuse across the table's machine sweep. *)
+   against the same (plan, trace): the task-instance chop (a packed table
+   of three ints per instance), the per-function register-communication
+   analyses and the code layout are configuration-independent, and all
+   are read-only during simulation — compute them once and reuse across
+   the table's machine sweep. *)
 type prep = {
   p_parts : Core.Task.partition array;
   p_regcomms : Core.Regcomm.t array;
-  p_instances : Dyntask.instance array;
+  p_instances : Dyntask.t;
   p_layout : Layout.t;
 }
 
@@ -81,32 +85,33 @@ let rec callee_index name i = function
   | x :: rest ->
     if String.equal x name then i else callee_index name (i + 1) rest
 
-(* Ring-send time of register [r] written at [psite]/[t] by [inst]: at the
+(* Ring-send time of register [r] written at [psite]/[t] by the instance
+   of [task] in function [fid] that spans events [first]..[last]: at the
    write itself when the compiler can prove it final (forward bits), at the
    first executed block past the write from which no rewrite is reachable
    (per-path release annotation), and failing that at task completion.
    Top-level — called once per surviving register write; a per-task closure
    would re-box the task context on every instance. *)
-let send_time_of trace (tctx : Timing.ctx) rc (inst : Dyntask.instance)
+let send_time_of trace (tctx : Timing.ctx) rc ~fid ~task ~first ~last
     task_blocks ~complete (r : Ir.Reg.t) t psite =
   if
-    Timing.site_fid psite <> inst.Dyntask.fid
+    Timing.site_fid psite <> fid
     || not (Core.Task.Iset.mem (Timing.site_blk psite) task_blocks)
   then complete
   else if
-    Core.Regcomm.forwardable rc ~task:inst.Dyntask.task
-      ~blk:(Timing.site_blk psite) ~idx:(Timing.site_idx psite) ~reg:r
+    Core.Regcomm.forwardable rc ~task ~blk:(Timing.site_blk psite)
+      ~idx:(Timing.site_idx psite) ~reg:r
   then t
   else begin
     (* find the event of the writing block, then the first later event
        whose block can no longer rewrite r *)
-    let n_ev = inst.Dyntask.last - inst.Dyntask.first + 1 in
+    let n_ev = last - first + 1 in
     let write_pos = ref (-1) in
     (let j = ref 0 in
      while !write_pos = -1 && !j < n_ev do
-       let i = inst.Dyntask.first + !j in
+       let i = first + !j in
        if
-         Interp.Trace.get_fid trace i = inst.Dyntask.fid
+         Interp.Trace.get_fid trace i = fid
          && Interp.Trace.get_blk trace i = Timing.site_blk psite
        then write_pos := !j;
        incr j
@@ -116,14 +121,12 @@ let send_time_of trace (tctx : Timing.ctx) rc (inst : Dyntask.instance)
       let release = ref complete in
       (let j = ref (!write_pos + 1) in
        while !release = complete && !j < n_ev do
-         let i = inst.Dyntask.first + !j in
+         let i = first + !j in
          let ev_blk = Interp.Trace.get_blk trace i in
          if
-           Interp.Trace.get_fid trace i = inst.Dyntask.fid
+           Interp.Trace.get_fid trace i = fid
            && Core.Task.Iset.mem ev_blk task_blocks
-           && not
-                (Core.Regcomm.may_rewrite rc ~task:inst.Dyntask.task
-                   ~blk:ev_blk ~reg:r)
+           && not (Core.Regcomm.may_rewrite rc ~task ~blk:ev_blk ~reg:r)
          then release := max t tctx.Timing.event_entry.(!j);
          incr j
        done);
@@ -138,7 +141,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   let regcomms = prep.p_regcomms in
   let instances = prep.p_instances in
   let layout = prep.p_layout in
-  let k_max = Array.length instances in
+  let k_max = Dyntask.count instances in
   let hier = Cache.Hierarchy.create cfg in
   let gshare = Predict.Gshare.create cfg in
   let switch_pred = Predict.Target.create cfg in
@@ -219,7 +222,8 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
       h_mem_slot =
         (fun ~addr ~at ->
           let bank =
-            (addr / cfg.Config.l1_block_words) mod cfg.Config.l1_banks
+            Cache.slot ~block_words:cfg.Config.l1_block_words
+              ~slots:cfg.Config.l1_banks addr
           in
           Occ.Slots.reserve bank_slots ~row:bank ~cap:1 ~from:at);
       h_ifetch_extra =
@@ -233,43 +237,54 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     }
   in
   let entry_uid k =
-    let inst = instances.(k) in
-    let part = parts.(inst.Dyntask.fid) in
-    let entry = part.Core.Task.tasks.(inst.Dyntask.task).Core.Task.entry in
-    Layout.block_id layout ~fid:inst.Dyntask.fid ~blk:entry
+    let fid = Dyntask.fid instances k in
+    let entry =
+      parts.(fid).Core.Task.tasks.(Dyntask.task instances k).Core.Task.entry
+    in
+    Layout.block_id layout ~fid ~blk:entry
   in
   (* predict the transition prev -> k; returns correct? *)
   let predict_transition prev k =
-    let pinst = instances.(prev) in
-    let ppart = parts.(pinst.Dyntask.fid) in
-    let ptask = ppart.Core.Task.tasks.(pinst.Dyntask.task) in
+    let pfid = Dyntask.fid instances prev in
+    let ptask = parts.(pfid).Core.Task.tasks.(Dyntask.task instances prev) in
     let pc = entry_uid prev in
-    match pinst.Dyntask.kind with
-    | Dyntask.Program_end -> true
-    | Dyntask.Returns ->
+    match Dyntask.succ instances prev with
+    | Dyntask.To_end -> true
+    | Dyntask.To_caller ->
       (* block uids are non-negative, so -1 marks underflow *)
       let uid = Predict.Ras.pop_or ras (-1) in
       uid >= 0 && uid = entry_uid k
-    | Dyntask.Fallthrough l ->
-      let actual = target_index l 0 ptask.Core.Task.targets in
+    | Dyntask.To_block ->
+      let actual =
+        target_index (Dyntask.succ_arg instances prev) 0
+          ptask.Core.Task.targets
+      in
       if actual < 0 then false
       else Predict.Target.predict_and_update task_pred ~pc ~actual
-    | Dyntask.Calls callee_fid ->
+    | Dyntask.To_callee ->
       (* push the continuation of the call block for the matching return *)
-      (match (Interp.Trace.block_at trace pinst.Dyntask.last).Ir.Block.term with
+      (match
+         (Interp.Trace.block_at trace (Dyntask.last instances prev))
+           .Ir.Block.term
+       with
       | Ir.Block.Call (_, cont) ->
-        Predict.Ras.push ras
-          (Layout.block_id layout ~fid:pinst.Dyntask.fid ~blk:cont)
+        Predict.Ras.push ras (Layout.block_id layout ~fid:pfid ~blk:cont)
       | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
       | Ir.Block.Halt -> ());
       let actual =
         List.length ptask.Core.Task.targets
-        + callee_index fnames.(callee_fid) 0 ptask.Core.Task.calls_out
+        + callee_index
+            fnames.(Dyntask.succ_arg instances prev)
+            0 ptask.Core.Task.calls_out
       in
       Predict.Target.predict_and_update task_pred ~pc ~actual
   in
   for k = 0 to k_max - 1 do
-    let inst = instances.(k) in
+    let fid = Dyntask.fid instances k in
+    let task = Dyntask.task instances k in
+    let first = Dyntask.first instances k in
+    let last = Dyntask.last instances k in
+    let size = Dyntask.size instances k in
     let pu = k mod n in
     cur_k := k;
     in_flight_low := max 0 (k - n + 1);
@@ -303,7 +318,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
        [tctx] *)
     let assign_t = ref a0 in
     cur_assign := !assign_t;
-    Timing.exec tctx inst
+    Timing.exec tctx ~first ~last
       ~start_fetch:(!assign_t + cfg.Config.task_start_overhead)
       ~mem_hold:0 hooks;
     (* ARB overflow: speculative footprint exceeds the task's ARB share;
@@ -312,7 +327,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     then begin
       stats.Stats.arb_overflows <- stats.Stats.arb_overflows + 1;
       cur_assign := !assign_t;
-      Timing.exec tctx inst
+      Timing.exec tctx ~first ~last
         ~start_fetch:(!assign_t + cfg.Config.task_start_overhead)
         ~mem_hold:retire.((k - 1) mod two_n) hooks
     end;
@@ -369,7 +384,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           assign_t := max !assign_t v_time + 1;
           incr retries;
           cur_assign := !assign_t;
-          Timing.exec tctx inst
+          Timing.exec tctx ~first ~last
             ~start_fetch:(!assign_t + cfg.Config.task_start_overhead)
             ~mem_hold:0 hooks;
           stable := false
@@ -390,21 +405,18 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
        descending register order — the order of the old reg_writes list —
        because ring-slot contention makes registration order visible to
        send times *)
-    let rc = regcomms.(inst.Dyntask.fid) in
-    let task_blocks =
-      parts.(inst.Dyntask.fid).Core.Task.tasks.(inst.Dyntask.task)
-        .Core.Task.blocks
-    in
+    let rc = regcomms.(fid) in
+    let task_blocks = parts.(fid).Core.Task.tasks.(task).Core.Task.blocks in
     let slot_base = slot * Ir.Reg.count in
     for r = Ir.Reg.count - 1 downto 0 do
       let t = tctx.Timing.local_time.(r) in
       if t >= 0 then
         (* dead-register analysis: values no successor can read before
            rewriting are never put on the ring *)
-        if Core.Regcomm.needed rc ~task:inst.Dyntask.task ~reg:r then begin
+        if Core.Regcomm.needed rc ~task ~reg:r then begin
           let desired =
-            send_time_of trace tctx rc inst task_blocks ~complete r t
-              tctx.Timing.local_site.(r)
+            send_time_of trace tctx rc ~fid ~task ~first ~last task_blocks
+              ~complete r t tctx.Timing.local_site.(r)
           in
           (* ring bandwidth: this PU can inject ring_bandwidth values/cycle *)
           let cycle =
@@ -430,8 +442,8 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     done;
     (* statistics *)
     stats.Stats.tasks <- stats.Stats.tasks + 1;
-    stats.Stats.dyn_insns <- stats.Stats.dyn_insns + inst.Dyntask.size;
-    stats.Stats.ct_insns <- stats.Stats.ct_insns + inst.Dyntask.ct;
+    stats.Stats.dyn_insns <- stats.Stats.dyn_insns + size;
+    stats.Stats.ct_insns <- stats.Stats.ct_insns + Dyntask.ct instances k;
     stats.Stats.intra_branches <-
       stats.Stats.intra_branches + tctx.Timing.intra_branches;
     stats.Stats.intra_branch_mispredicts <-
@@ -466,7 +478,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
       f
         {
           e_index = k;
-          e_instance = inst;
+          e_instance = Dyntask.get instances k;
           e_pu = pu;
           e_assign = !assign_t;
           e_complete = complete;
@@ -476,10 +488,10 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
         }
     | None -> ());
     (* window-span sample: dynamic instructions in flight at assignment *)
-    let span = ref inst.Dyntask.size in
+    let span = ref size in
     for j = !in_flight_low to k - 1 do
       if retire.(j mod two_n) > !assign_t then
-        span := !span + instances.(j).Dyntask.size
+        span := !span + Dyntask.size instances j
     done;
     stats.Stats.window_span_total <- stats.Stats.window_span_total + !span;
     stats.Stats.window_span_samples <- stats.Stats.window_span_samples + 1

@@ -21,6 +21,8 @@ type result = {
 type event = {
   e_index : int;          (** dynamic task number *)
   e_instance : Dyntask.instance;
+      (** the instance's fields ({!Dyntask.get}), unpacked only when an
+          observer is installed *)
   e_pu : int;
   e_assign : int;         (** cycle the sequencer assigned the task *)
   e_complete : int;       (** last commit inside the PU *)
@@ -46,7 +48,9 @@ val run_with_trace :
     communication analyses and the code layout depend only on the
     (plan, trace) pair, not on the machine configuration.  When sweeping
     configurations against one trace (table 1, figure 5), [prepare] once
-    and pass the result to each [run_prepared] call. *)
+    and pass the result to each [run_prepared] call.  The chop is kept
+    packed ({!Dyntask.t}, three words per instance), which is most of what
+    a prep holds. *)
 
 type prep
 
@@ -57,4 +61,7 @@ val prepare : Core.Partition.plan -> Interp.Trace.t -> prep
 val run_prepared :
   ?observer:(event -> unit) -> Config.t -> prep -> Interp.Trace.t -> result
 (** [run_with_trace] minus the per-call re-preparation; [trace] must be the
-    trace [prep] was built from. *)
+    trace [prep] was built from.  Allocates what the run touches of the
+    machine, whatever the trace's length: the cache and predictor page
+    indexes, the pages it names, and the per-PU rings and windows — 29 k
+    words per run on average over the paper grid. *)

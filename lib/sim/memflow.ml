@@ -36,27 +36,27 @@ let observed tr ~instances =
   let edges : (int * int * int * int, int ref * int) Hashtbl.t =
     Hashtbl.create 64
   in
-  Array.iteri
-    (fun k (inst : Dyntask.instance) ->
-      for ev = inst.Dyntask.first to inst.Dyntask.last do
-        let ka = kinds.(Interp.Trace.get_fid tr ev).(Interp.Trace.get_blk tr ev) in
-        let off = Interp.Trace.addr_offset tr ev in
-        for j = 0 to Array.length ka - 1 do
-          let addr = Interp.Trace.addr_at tr (off + j) in
-          if ka.(j) then
-            Hashtbl.replace last_store addr
-              (k, inst.Dyntask.fid, inst.Dyntask.task)
-          else
-            match Hashtbl.find_opt last_store addr with
-            | Some (k', f', t') when k' < k -> (
-              let key = (f', t', inst.Dyntask.fid, inst.Dyntask.task) in
-              match Hashtbl.find_opt edges key with
-              | Some (n, _) -> incr n
-              | None -> Hashtbl.replace edges key (ref 1, addr))
-            | _ -> ()
-        done
-      done)
-    instances;
+  for k = 0 to Dyntask.count instances - 1 do
+    let fid = Dyntask.fid instances k and task = Dyntask.task instances k in
+    for ev = Dyntask.first instances k to Dyntask.last instances k do
+      let ka =
+        kinds.(Interp.Trace.get_fid tr ev).(Interp.Trace.get_blk tr ev)
+      in
+      let off = Interp.Trace.addr_offset tr ev in
+      for j = 0 to Array.length ka - 1 do
+        let addr = Interp.Trace.addr_at tr (off + j) in
+        if ka.(j) then Hashtbl.replace last_store addr (k, fid, task)
+        else
+          match Hashtbl.find_opt last_store addr with
+          | Some (k', f', t') when k' < k -> (
+            let key = (f', t', fid, task) in
+            match Hashtbl.find_opt edges key with
+            | Some (n, _) -> incr n
+            | None -> Hashtbl.replace edges key (ref 1, addr))
+          | _ -> ()
+      done
+    done
+  done;
   Hashtbl.fold
     (fun (src_fid, src_task, dst_fid, dst_task) (n, addr) acc ->
       { src_fid; src_task; dst_fid; dst_task; count = !n; addr } :: acc)

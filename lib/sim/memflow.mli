@@ -18,7 +18,7 @@ type edge = {
   addr : int;  (** one sample effective address, for diagnostics *)
 }
 
-val observed : Interp.Trace.t -> instances:Dyntask.instance array -> edge list
+val observed : Interp.Trace.t -> instances:Dyntask.t -> edge list
 (** Distinct (source task, destination task) pairs, sorted by
     [(src_fid, src_task, dst_fid, dst_task)].  Stores inside included
     callees attribute to the enclosing instance's task, mirroring

@@ -25,7 +25,16 @@
    O(1) whole-map invalidation by generation stamp, so the per-task /
    per-flight maps of the old core (local store forwarding, ARB
    footprints, per-flight store maps) become steady-state-allocation-free
-   reusable buffers. *)
+   reusable buffers.
+
+   [Pages] is the first-touch table behind the caches and predictors:
+   a page index whose slots all start as one shared empty page, and pages
+   of 64 rows allocated, filled with the initial row, the first time a
+   row in them is named.  A paper-grid run touches on average 7 of the
+   L2's 1,024 pages and 23 to 254 of each predictor's 1,024, so most of
+   the index never leaves the sentinel.  If a run did touch every page,
+   the table would cost its flat size plus a header per page and the
+   index. *)
 
 module Slots = struct
   type t = {
@@ -200,4 +209,50 @@ module Intmap = struct
     for i = 0 to t.mask do
       if t.stamps.(i) = t.gen then f t.keys.(i) t.vals.(i)
     done
+end
+
+module Pages = struct
+  let page_bits = 6
+  let rows_per_page = 1 lsl page_bits
+
+  type 'p t = {
+    index : 'p array;  (* page p, or [empty] until first touched *)
+    empty : 'p;
+    rows : int;
+    width : int;
+    fresh : int -> 'p;  (* a page of that many rows holding the initial row *)
+  }
+
+  let create ~rows ~width ~empty ~fresh =
+    if rows < 1 || width < 1 then
+      invalid_arg
+        (Printf.sprintf "Occ.Pages: %d rows of %d entries" rows width);
+    let pages = (rows + rows_per_page - 1) / rows_per_page in
+    { index = Array.make pages empty; empty; rows; width; fresh }
+
+  let bytes ~rows ~init =
+    let width = String.length init in
+    create ~rows ~width ~empty:Bytes.empty ~fresh:(fun n ->
+        let b = Bytes.create (n * width) in
+        for r = 0 to n - 1 do
+          Bytes.blit_string init 0 b (r * width) width
+        done;
+        b)
+
+  let ints ~rows ~width ~init =
+    create ~rows ~width ~empty:[||] ~fresh:(fun n ->
+        Array.make (n * width) init)
+
+  (* the last page holds only the rows that exist *)
+  let touch t p =
+    let pg = t.fresh (min rows_per_page (t.rows - (p lsl page_bits))) in
+    t.index.(p) <- pg;
+    pg
+
+  let[@inline] page t row =
+    let p = row lsr page_bits in
+    let pg = t.index.(p) in
+    if pg != t.empty then pg else touch t p
+
+  let[@inline] offset t row = (row land (rows_per_page - 1)) * t.width
 end

@@ -1,5 +1,6 @@
-(** Flat occupancy windows and generation-stamped scratch maps — the data
-    layer of the event-driven simulator core (DESIGN.md §10).
+(** Flat occupancy windows, generation-stamped scratch maps and
+    first-touch tables — the data layer of the event-driven simulator core
+    (DESIGN.md §10).
 
     A {!Slots.t} models a banked resource with a per-cycle capacity (ARB
     bank ports, ring injection slots) as rows of byte counts over a
@@ -13,7 +14,12 @@
 
     An {!Intmap.t} is an open-addressing [int -> int] map whose {!Intmap.clear}
     is O(1) (generation bump), so per-task and per-flight scratch maps can
-    be reused without allocating or rehashing in the steady state. *)
+    be reused without allocating or rehashing in the steady state.
+
+    A {!Pages.t} is a fixed-length table that allocates a page of it only
+    when the page is first touched, so the machine's large tables (the
+    L2's tags and ages, the 64K-entry predictors) cost what a run touches
+    rather than what the machine holds. *)
 
 module Slots : sig
   type t
@@ -70,4 +76,30 @@ module Intmap : sig
   (** Insert or replace.  The value must be non-negative. *)
 
   val iter : t -> (int -> int -> unit) -> unit
+end
+
+module Pages : sig
+  type 'p t
+  (** A fixed-length table of rows, each of the same number of entries
+      (its width), held as pages of 64 rows behind a page index.  ['p]
+      is a page: [Bytes.t] for byte entries, [int array] for int
+      entries.  Every slot of the index starts as one shared empty page
+      that is never written; the first {!page} call that names a page
+      allocates it, filled with the table's initial row. *)
+
+  val bytes : rows:int -> init:string -> Bytes.t t
+  (** [rows] rows of [String.length init] byte entries, each row starting
+      as [init].  Allocates only the page index. *)
+
+  val ints : rows:int -> width:int -> init:int -> int array t
+  (** [rows] rows of [width] int entries, each starting as [init].
+      Allocates only the page index. *)
+
+  val page : 'p t -> int -> 'p
+  (** The page holding the given row, allocated on first touch.  The
+      row's entries start at {!offset} in it. *)
+
+  val offset : 'p t -> int -> int
+  (** Index in its page of the given row's first entry:
+      [(row mod 64) * width]. *)
 end

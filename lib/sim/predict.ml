@@ -1,9 +1,12 @@
 (* Control-flow predictors.  The paper sizes their tables in bits (2-bit
    counters, 2-bit confidence plus a 2-bit target number), so each entry
-   takes one byte of a [Bytes.t]: a run creates three 64K-entry tables,
-   and at a word per entry they would be most of what a simulation
-   allocates.  The return-address stack is a fixed ring that overwrites
-   its oldest slot when full. *)
+   takes one byte.  A run creates three 64K-entry tables and touches part
+   of each (on the paper grid, 23 to 254 of a table's 1,024 pages on
+   average), so the tables are first-touch byte pages (Occ.Pages, 64
+   entries to a page): creating one allocates its page index, and an
+   entry's page is allocated, holding the initial counter, when a
+   prediction first indexes it.  The return-address stack is a fixed ring
+   that overwrites its oldest slot when full. *)
 
 let mix pc = (pc * 2654435761) land max_int
 
@@ -12,7 +15,7 @@ module Gshare = struct
     mask : int;
     hist_mask : int;
     mutable hist : int;
-    table : Bytes.t;  (* 2-bit counters, initialised weakly taken *)
+    table : Bytes.t Occ.Pages.t;  (* 2-bit counters, initialised weakly taken *)
   }
 
   let create (cfg : Config.t) =
@@ -20,15 +23,17 @@ module Gshare = struct
       mask = cfg.Config.predictor_entries - 1;
       hist_mask = (1 lsl cfg.Config.predictor_bits) - 1;
       hist = 0;
-      table = Bytes.make cfg.Config.predictor_entries '\002';
+      table = Occ.Pages.bytes ~rows:cfg.Config.predictor_entries ~init:"\002";
     }
 
   let predict_and_update t ~pc ~taken =
     let idx = (mix pc lxor t.hist) land t.mask in
-    let counter = Char.code (Bytes.get t.table idx) in
+    let page = Occ.Pages.page t.table idx in
+    let i = Occ.Pages.offset t.table idx in
+    let counter = Char.code (Bytes.get page i) in
     let predicted = counter >= 2 in
     let correct = predicted = taken in
-    Bytes.set t.table idx
+    Bytes.set page i
       (Char.unsafe_chr
          (if taken then min 3 (counter + 1) else max 0 (counter - 1)));
     t.hist <- ((t.hist lsl 1) lor (if taken then 1 else 0)) land t.hist_mask;
@@ -43,7 +48,7 @@ module Target = struct
     mutable hist : int;
     (* one byte per entry: counter lsl 2 | target (2-bit confidence, 2-bit
        target number) *)
-    table : Bytes.t;
+    table : Bytes.t Occ.Pages.t;
   }
 
   let create ?(use_history = true) (cfg : Config.t) =
@@ -52,14 +57,16 @@ module Target = struct
       hist_mask = (1 lsl cfg.Config.predictor_bits) - 1;
       use_history;
       hist = 0;
-      table = Bytes.make cfg.Config.predictor_entries '\000';
+      table = Occ.Pages.bytes ~rows:cfg.Config.predictor_entries ~init:"\000";
     }
 
   let predict_and_update t ~pc ~actual =
     let idx =
       (if t.use_history then mix pc lxor t.hist else mix pc) land t.mask
     in
-    let e = Char.code (Bytes.get t.table idx) in
+    let page = Occ.Pages.page t.table idx in
+    let i = Occ.Pages.offset t.table idx in
+    let e = Char.code (Bytes.get page i) in
     let counter = e lsr 2 and target = e land 3 in
     let correct = target = actual land 3 && actual < 4 in
     let e' =
@@ -67,7 +74,7 @@ module Target = struct
       else if counter > 0 then ((counter - 1) lsl 2) lor target
       else actual land 3
     in
-    Bytes.set t.table idx (Char.unsafe_chr e');
+    Bytes.set page i (Char.unsafe_chr e');
     (* path history: fold the chosen target and the task pc in *)
     t.hist <- ((t.hist lsl 2) lxor mix pc lxor actual) land t.hist_mask;
     correct

@@ -10,7 +10,8 @@
     - {!Ras}: return address stack for call/return task sequencing.
 
     The predictor tables take one byte per entry, the width the paper's
-    counters need. *)
+    counters need, and are allocated 64 entries at a time when a
+    prediction first indexes a page of them ({!Occ.Pages}). *)
 
 module Gshare : sig
   type t

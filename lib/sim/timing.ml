@@ -406,8 +406,7 @@ let sched ctx ~site ~units ~latency ~init ~u1 ~u2 ~u3 ~def ~mem_addr ~mem_kind
   end;
   complete_t
 
-let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
-    (h : hooks) =
+let exec (ctx : ctx) ~first ~last ~start_fetch ~mem_hold (h : hooks) =
   let cfg = ctx.cfg in
   let trace = ctx.trace in
   let layout = ctx.layout in
@@ -443,7 +442,7 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
   ctx.sync_waits <- 0;
   (* walk the events of the instance *)
   let n_events = Interp.Trace.num_events trace in
-  let num_inst_events = inst.Dyntask.last - inst.Dyntask.first + 1 in
+  let num_inst_events = last - first + 1 in
   ctx.event_entry <- grow_int_array ctx.event_entry num_inst_events;
   ctx.n_events_inst <- num_inst_events;
   let lat_int = cfg.Config.lat_int in
@@ -451,7 +450,7 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
   let lat_int_div = cfg.Config.lat_int_div in
   let lat_fp = cfg.Config.lat_fp in
   let lat_fp_div = cfg.Config.lat_fp_div in
-  for j = inst.Dyntask.first to inst.Dyntask.last do
+  for j = first to last do
     let fid = Interp.Trace.get_fid trace j in
     let blkl = Interp.Trace.get_blk trace j in
     let blk = Interp.Trace.block_at trace j in
@@ -461,7 +460,7 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
       ctx.fetch_time <- ctx.fetch_time + extra;
       ctx.fetch_in_cycle <- 0
     end;
-    ctx.event_entry.(j - inst.Dyntask.first) <- ctx.fetch_time;
+    ctx.event_entry.(j - first) <- ctx.fetch_time;
     let addr_base = Interp.Trace.addr_offset trace j in
     let next_addr = ref 0 in
     let insns = blk.Ir.Block.insns in
@@ -587,7 +586,7 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
       let taken = Interp.Trace.get_blk trace (j + 1) = l1 in
       if not (h.h_cond_pred ~pc ~taken) then begin
         ctx.intra_mispredicts <- ctx.intra_mispredicts + 1;
-        if j < inst.Dyntask.last then
+        if j < last then
           redirect ctx (t_complete + cfg.Config.branch_redirect - 1)
       end
     | Ir.Block.Switch (_, targets, _) when next_in_fid ->
@@ -600,7 +599,7 @@ let exec (ctx : ctx) (inst : Dyntask.instance) ~start_fetch ~mem_hold
       done;
       if not (h.h_switch_pred ~pc ~actual:!actual) then begin
         ctx.intra_mispredicts <- ctx.intra_mispredicts + 1;
-        if j < inst.Dyntask.last then
+        if j < last then
           redirect ctx (t_complete + cfg.Config.branch_redirect - 1)
       end
     | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Jump _ | Ir.Block.Call _

@@ -13,8 +13,9 @@
 
 (** {2 Event-core fast path}
 
-    The engine allocates one {!ctx} per simulation and calls {!exec} for
-    every attempt of every dynamic task instance; all scratch state is
+    The engine allocates one {!ctx} per simulation and calls {!exec}, with
+    the instance's event range read from the packed chop, for every
+    attempt of every dynamic task instance; all scratch state is
     preallocated and invalidated by generation stamps, so steady-state
     execution allocates nothing.  The issue and commit windows start at
     the attempt's [start_fetch] and grow only with one attempt's span.
@@ -114,10 +115,13 @@ val site_idx : int -> int
 val create : Config.t -> Interp.Trace.t -> Layout.t -> ctx
 
 val exec :
-  ctx -> Dyntask.instance -> start_fetch:int -> mem_hold:int -> hooks -> unit
-(** Replay one instance whose fetch starts at [start_fetch], overwriting
-    the context's result fields.  Memory operations may not issue before
-    [mem_hold] (ARB-overflow serialisation; 0 normally).  Every issue and
+  ctx -> first:int -> last:int -> start_fetch:int -> mem_hold:int -> hooks ->
+  unit
+(** Replay one instance, the trace events [first] to [last] inclusive
+    ({!Dyntask.first} and {!Dyntask.last}), whose fetch starts at
+    [start_fetch], overwriting the context's result fields.  Memory
+    operations may not issue before [mem_hold] (ARB-overflow
+    serialisation; 0 normally).  Every issue and
     commit cycle is at or after [start_fetch]; [Invalid_argument] if a
     hook would move one before it.  The qcheck
     differential in test/test_event_core.ml pins this cycle for cycle

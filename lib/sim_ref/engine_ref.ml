@@ -42,7 +42,10 @@ let run_with_trace ?observer (cfg : Config.t) (plan : Core.Partition.plan)
   let regcomms =
     Array.mapi (fun fid part -> Core.Regcomm.create funcs.(fid) part) parts
   in
-  let instances = Dyntask.chop trace ~parts in
+  let instances =
+    let chop = Dyntask.chop trace ~parts in
+    Array.init (Dyntask.count chop) (Dyntask.get chop)
+  in
   let k_max = Array.length instances in
   let layout = Layout.create funcs in
   let hier = Cache.Hierarchy.create cfg in
@@ -67,7 +70,10 @@ let run_with_trace ?observer (cfg : Config.t) (plan : Core.Partition.plan)
   (* one access per D-cache/ARB bank per cycle, shared by all PUs *)
   let bank_slots : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let mem_slot ~addr ~at =
-    let bank = (addr / cfg.Config.l1_block_words) mod cfg.Config.l1_banks in
+    let bank =
+      Cache.slot ~block_words:cfg.Config.l1_block_words
+        ~slots:cfg.Config.l1_banks addr
+    in
     let t = ref at in
     while Hashtbl.mem bank_slots (bank, !t) do
       incr t

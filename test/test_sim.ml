@@ -154,24 +154,23 @@ let test_chop_tiles () =
         Alcotest.failf "%s: %s" (Core.Heuristics.level_name level) e)
     Core.Heuristics.all_levels
 
+(* instances whose successor is [s] *)
+let count_succ instances s =
+  let c = ref 0 in
+  for k = 0 to Sim.Dyntask.count instances - 1 do
+    if Sim.Dyntask.succ instances k = s then incr c
+  done;
+  !c
+
 let test_chop_kinds () =
   let tr, instances = chop_of Core.Heuristics.Control_flow (Gen.fib_program 6) in
   ignore tr;
-  let n = Array.length instances in
+  let n = Sim.Dyntask.count instances in
   checkb "last is program end" true
-    (instances.(n - 1).Sim.Dyntask.kind = Sim.Dyntask.Program_end);
-  let calls =
-    Array.fold_left
-      (fun acc i ->
-        match i.Sim.Dyntask.kind with Sim.Dyntask.Calls _ -> acc + 1 | _ -> acc)
-      0 instances
-  in
-  let rets =
-    Array.fold_left
-      (fun acc i ->
-        match i.Sim.Dyntask.kind with Sim.Dyntask.Returns -> acc + 1 | _ -> acc)
-      0 instances
-  in
+    ((Sim.Dyntask.get instances (n - 1)).Sim.Dyntask.kind
+    = Sim.Dyntask.Program_end);
+  let calls = count_succ instances Sim.Dyntask.To_callee in
+  let rets = count_succ instances Sim.Dyntask.To_caller in
   checkb "calls happen" true (calls > 0);
   (* every call returns except possibly the last instance *)
   checkb "calls and returns balance" true (abs (calls - rets) <= 1)
@@ -194,7 +193,7 @@ let test_chop_included_calls () =
   let _, dd = chop_of Core.Heuristics.Data_dependence prog in
   let _, ts = chop_of Core.Heuristics.Task_size prog in
   checkb "inclusion merges instances" true
-    (Array.length ts < Array.length dd)
+    (Sim.Dyntask.count ts < Sim.Dyntask.count dd)
 
 let test_chop_nested_included_calls () =
   (* tiny2 calls tiny1; both below CALL_THRESH: at the task-size level the
@@ -221,16 +220,11 @@ let test_chop_nested_included_calls () =
   | Error e -> Alcotest.failf "nested inclusion: %s" e);
   let _, dd = chop_of Core.Heuristics.Data_dependence prog in
   checkb "nested inclusion merges instances" true
-    (Array.length ts < Array.length dd);
+    (Sim.Dyntask.count ts < Sim.Dyntask.count dd);
   (* with both calls included, no instance ends in Calls/Returns except via
      main's own epilogue *)
-  let calls =
-    Array.fold_left
-      (fun acc i ->
-        match i.Sim.Dyntask.kind with Sim.Dyntask.Calls _ -> acc + 1 | _ -> acc)
-      0 ts
-  in
-  checkb "call boundaries disappear" true (calls <= 1)
+  checkb "call boundaries disappear" true
+    (count_succ ts Sim.Dyntask.To_callee <= 1)
 
 let test_chop_recursion () =
   (* recursive functions stay task boundaries (their inclusive size is big);
@@ -239,6 +233,48 @@ let test_chop_recursion () =
   match Sim.Dyntask.check_instances tr instances with
   | Ok () -> ()
   | Error e -> Alcotest.failf "recursion: %s" e
+
+(* The chop golden: one line per (program, level) of Corpus, an MD5 over
+   every instance's fid, task, event range, size, control transfers and
+   successor, or the message of the [Not_closed] the chop raised.  Made
+   with the chop as it was before its instance table was packed. *)
+let chop_line (c : Corpus.cell) =
+  match c.Corpus.plan with
+  | Error e -> Corpus.label c ^ " raises " ^ Printexc.to_string e
+  | Ok plan -> (
+    let trace = (c.Corpus.run plan.Core.Partition.prog).Interp.Run.trace in
+    let parts =
+      Array.map
+        (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
+        trace.Interp.Trace.fnames
+    in
+    match Sim.Dyntask.chop trace ~parts with
+    | exception Sim.Dyntask.Not_closed msg ->
+      Corpus.label c ^ " not closed: " ^ msg
+    | d ->
+      let buf = Buffer.create 65536 in
+      for k = 0 to Sim.Dyntask.count d - 1 do
+        let arg = string_of_int (Sim.Dyntask.succ_arg d k) in
+        Printf.bprintf buf "%d %d %d %d %d %d %s\n" (Sim.Dyntask.fid d k)
+          (Sim.Dyntask.task d k) (Sim.Dyntask.first d k)
+          (Sim.Dyntask.last d k) (Sim.Dyntask.size d k) (Sim.Dyntask.ct d k)
+          (match Sim.Dyntask.succ d k with
+          | Sim.Dyntask.To_block -> "F" ^ arg
+          | Sim.Dyntask.To_callee -> "C" ^ arg
+          | Sim.Dyntask.To_caller -> "R"
+          | Sim.Dyntask.To_end -> "E")
+      done;
+      Corpus.label c ^ " "
+      ^ Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let corpus = lazy (Corpus.cells ())
+
+let test_chop_golden () =
+  Corpus.check_golden
+    ~path:(Filename.concat "golden" "chop_digests.txt")
+    ~what:"task instances" ~pins:"the chop as it was before its packing"
+    (String.concat ""
+       (List.map (fun c -> chop_line c ^ "\n") (Lazy.force corpus)))
 
 (* --- timing -------------------------------------------------------------- *)
 
@@ -568,7 +604,9 @@ module Target_model = struct
     correct
 end
 
-(* a small predictor: 2^1 .. 2^10 entries, 1 .. 12 history bits *)
+(* a predictor of 2^1 .. 2^10 entries (one to sixteen 64-entry pages) or
+   of 2^12 .. 2^16 (64 to 1,024 pages, where the hashed indexes land on
+   many of them), with 1 .. 16 history bits *)
 let gen_predictor_cfg =
   QCheck.Gen.(
     map2
@@ -576,7 +614,8 @@ let gen_predictor_cfg =
         { cfg4 with
           Sim.Config.predictor_entries = 1 lsl e;
           predictor_bits = b })
-      (int_range 1 10) (int_range 1 12))
+      (frequency [ (1, int_range 1 10); (2, int_range 12 16) ])
+      (int_range 1 16))
 
 let print_predictor_cfg (c : Sim.Config.t) =
   Printf.sprintf "%d entries, %d history bits" c.Sim.Config.predictor_entries
@@ -644,12 +683,15 @@ let prop_ras_model =
           agree && Sim.Predict.Ras.depth r = List.length !model)
         ops)
 
+(* The model keeps an int per age and an option per tag in flat
+   [set * ways + way] arrays, and maps an address with floor division and
+   a non-negative remainder written out over the integers. *)
 module Cache_model = struct
   type t = {
     sets : int;
     ways : int;
     block_words : int;
-    tags : int array;
+    tags : int option array;
     lru : int array;
   }
 
@@ -658,7 +700,7 @@ module Cache_model = struct
       sets;
       ways;
       block_words;
-      tags = Array.make (sets * ways) (-1);
+      tags = Array.make (sets * ways) None;
       lru = Array.init (sets * ways) (fun i -> i mod ways);
     }
 
@@ -669,12 +711,18 @@ module Cache_model = struct
     done;
     t.lru.(base + way) <- 0
 
+  (* the largest q with q * d <= a *)
+  let floor_div a d =
+    let q = a / d in
+    if q * d > a then q - 1 else q
+
   let access t addr =
-    let block = addr / t.block_words in
-    let base = block mod t.sets * t.ways and tag = block / t.sets in
+    let block = floor_div addr t.block_words in
+    let tag = floor_div block t.sets in
+    let base = (block - (tag * t.sets)) * t.ways in
     let found = ref (-1) in
     for w = 0 to t.ways - 1 do
-      if t.tags.(base + w) = tag then found := w
+      if t.tags.(base + w) = Some tag then found := w
     done;
     if !found >= 0 then (touch t base !found; true)
     else begin
@@ -682,20 +730,44 @@ module Cache_model = struct
       for w = 0 to t.ways - 1 do
         if t.lru.(base + w) > t.lru.(base + !victim) then victim := w
       done;
-      t.tags.(base + !victim) <- tag;
+      t.tags.(base + !victim) <- Some tag;
       touch t base !victim;
       false
     end
 end
 
+(* Set counts on both sides of the 64-set page boundary and spanning
+   several pages, up to 18; addresses over many pages, below zero
+   included.  A wrong page index or in-page offset makes two sets share
+   entries. *)
+let gen_cache_shape =
+  QCheck.Gen.(
+    triple
+      (frequency
+         [
+           (1, int_range 1 8);
+           (2, oneofl [ 1; 63; 64; 65; 128; 129; 300; 1100 ]);
+         ])
+      (oneofl [ 1; 2; 3; 4; 8; 255; 256 ])
+      (int_range 1 4))
+
+let gen_cache_addrs =
+  QCheck.Gen.(
+    list
+      (frequency
+         [ (2, int_bound 3000); (2, int_range (-40_000) 40_000);
+           (1, int_range (-600) 0) ]))
+
 let prop_cache_model =
   QCheck.Test.make ~name:"cache matches the int-array LRU model" ~count:200
     QCheck.(
-      quad (int_range 1 8)
-        (oneofl [ 1; 2; 3; 4; 8; 255; 256 ])
-        (int_range 1 4)
-        (list (int_bound 3000)))
-    (fun (sets, ways, block_words, addrs) ->
+      pair
+        (make
+           ~print:(fun (s, w, b) ->
+             Printf.sprintf "%d sets, %d ways, %d words" s w b)
+           gen_cache_shape)
+        (make ~print:Print.(list int) gen_cache_addrs))
+    (fun ((sets, ways, block_words), addrs) ->
       let c = Sim.Cache.create ~sets ~ways ~block_words in
       let m = Cache_model.create ~sets ~ways ~block_words in
       let misses = ref 0 in
@@ -830,6 +902,11 @@ let allocated () =
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
+let measure f =
+  let before = allocated () in
+  f ();
+  allocated () -. before
+
 (* A loop with a switch, a branch, a call on every other trip and a
    read-modify-write of a small array in the callee: every table the
    engine keeps (predictors, the return stack, caches, ring and bank
@@ -867,9 +944,13 @@ let budget_program trips =
    6x longer of the same loop on the same machine may allocate at most
    [slack] words more.  (With occupancy rows indexed by absolute cycle and
    per-instance time arrays, the engine allocated about 21 words per
-   simulated cycle.)  The preparation (task chop, layout) is sized by the
-   trace by nature and stays outside the measurement. *)
+   simulated cycle.)  And it allocates only what the run touches of the
+   machine: at most [run_words] per run, where allocating the caches and
+   predictors in full took 193,029 words on 8 PUs.  The preparation (task
+   chop, layout) is sized by the trace by nature and stays outside the
+   measurement. *)
 let slack = 1024.0
+let run_words = 32768.0
 
 let test_engine_alloc_budget () =
   let run level cfg trips =
@@ -891,7 +972,9 @@ let test_engine_alloc_budget () =
       in
       checkb (what ^ ": the long trace is 4x longer") true
         (long_c >= 4 * short_c);
-      checkb (what ^ ": within the budget") true (long_w -. short_w <= slack))
+      checkb (what ^ ": within the budget") true (long_w -. short_w <= slack);
+      checkb (what ^ ": within the run's words") true
+        (Float.max short_w long_w <= run_words))
     [
       (Core.Heuristics.Basic_block, cfg8);
       (Core.Heuristics.Control_flow, cfg4);
@@ -899,6 +982,122 @@ let test_engine_alloc_budget () =
         Sim.Config.default ~num_pus:8 ~in_order:true );
     ]
 
+(* An L2-shaped cache (65,536 sets of 2 ways, 1,024 pages of 64 sets)
+   touched at [k] distinct pages allocates its two page indexes, [k] tag
+   pages and [k] age pages, and at most 128 words of records (the
+   cache's, the tables', and the measurement's own). *)
+let test_cache_first_touch () =
+  let sets = 65536 and ways = 2 and block_words = 8 in
+  let pages = List.init 20 (fun i -> i * 51) in
+  let index = 2.0 *. float_of_int (1 + (sets / 64)) in
+  (* a page of 64 * ways int tags, and of 64 * ways byte ages *)
+  let page = float_of_int (1 + (64 * ways) + 1 + ((64 * ways) + 8) / 8) in
+  let c = ref (Sim.Cache.create ~sets:1 ~ways ~block_words) in
+  let words =
+    measure (fun () ->
+        c := Sim.Cache.create ~sets ~ways ~block_words;
+        for round = 0 to 2 do
+          List.iter
+            (fun p ->
+              for s = 0 to 5 do
+                let set = (p * 64) + (s * 11) in
+                let addr = (set + (round * sets)) * block_words in
+                ignore (Sim.Cache.access !c addr)
+              done)
+            pages;
+          (* the last page again, from below zero *)
+          ignore (Sim.Cache.access !c (-block_words))
+        done)
+  in
+  let k = List.length pages + 1 in
+  let bound = index +. (float_of_int k *. page) +. 128.0 in
+  Printf.printf "%d pages touched: %.0f words (bound %.0f)\n" k words bound;
+  checki "accesses" (3 * ((6 * (k - 1)) + 1)) (Sim.Cache.accesses !c);
+  checkb "within the page indexes plus the touched pages" true (words <= bound)
+
+(* The chop over the suite's bb and dd traces allocates at most
+   [chop_alloc] words per instance and keeps at most [chop_resident]
+   (about 30 and 11 as an array of records). *)
+let chop_alloc = 20.0
+let chop_resident = 4.0
+
+let test_chop_budget () =
+  let traces =
+    List.filter_map
+      (fun (c : Corpus.cell) ->
+        match (c.Corpus.suite, c.Corpus.level, c.Corpus.plan) with
+        | true, (Core.Heuristics.Basic_block | Core.Heuristics.Data_dependence),
+          Ok plan ->
+          let trace =
+            (c.Corpus.run plan.Core.Partition.prog).Interp.Run.trace
+          in
+          let parts =
+            Array.map
+              (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
+              trace.Interp.Trace.fnames
+          in
+          Some (trace, parts)
+        | _ -> None)
+      (Lazy.force corpus)
+  in
+  let chops = ref [] in
+  let words =
+    measure (fun () ->
+        List.iter
+          (fun (trace, parts) ->
+            chops := Sim.Dyntask.chop trace ~parts :: !chops)
+          traces)
+  in
+  let instances =
+    float_of_int
+      (List.fold_left (fun a d -> a + Sim.Dyntask.count d) 0 !chops)
+  in
+  let resident =
+    float_of_int
+      (List.fold_left
+         (fun a d -> a + Obj.reachable_words (Obj.repr d))
+         0 !chops)
+  in
+  let alloc = words /. instances and keep = resident /. instances in
+  Printf.printf
+    "%d traces, %.0f instances: %.1f words allocated, %.1f resident each\n"
+    (List.length traces) instances alloc keep;
+  checkb "allocated per instance" true (alloc <= chop_alloc);
+  checkb "resident per instance" true (keep <= chop_resident)
+
+(* A store and a load at word address -64, which the trace records as it
+   is: the simulators map it to a block, set and bank like any other. *)
+let negative_address_program =
+  "func main {\nL0:\n  li t0, -64\n  li t1, 5\n  st t1, 0(t0)\n\
+  \  ld t2, 0(t0)\n  ret\n}\nmain main\n"
+
+let test_negative_address () =
+  let prog =
+    match Ir.Parse.program negative_address_program with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "parse: %s" e
+  in
+  List.iter
+    (fun level ->
+      let plan = Core.Cost.plan_for_level level prog in
+      let trace =
+        (Interp.Run.execute plan.Core.Partition.prog).Interp.Run.trace
+      in
+      List.iter
+        (fun cfg ->
+          let what =
+            Printf.sprintf "%s on %d PUs" (Core.Heuristics.level_name level)
+              cfg.Sim.Config.num_pus
+          in
+          let s = (Sim.Engine.run_with_trace cfg plan trace).Sim.Engine.stats in
+          let r =
+            (Sim_ref.Engine_ref.run_with_trace cfg plan trace)
+              .Sim_ref.Engine_ref.stats
+          in
+          checki (what ^ ": instructions") 5 s.Sim.Stats.dyn_insns;
+          checkb (what ^ ": the reference agrees") true (s = r))
+        [ cfg4; Sim.Config.default ~num_pus:8 ~in_order:true ])
+    Core.Heuristics.extended_levels
 
 let () =
   Alcotest.run "sim"
@@ -926,6 +1125,7 @@ let () =
           Alcotest.test_case "bank contention" `Quick test_bank_contention;
           QCheck_alcotest.to_alcotest prop_cache_model;
           Alcotest.test_case "way limit" `Quick test_cache_rejects_wide_sets;
+          Alcotest.test_case "first touch" `Quick test_cache_first_touch;
         ] );
       ( "occupancy",
         [
@@ -941,6 +1141,8 @@ let () =
           Alcotest.test_case "nested inclusion" `Quick
             test_chop_nested_included_calls;
           Alcotest.test_case "recursion" `Quick test_chop_recursion;
+          Alcotest.test_case "golden digests" `Quick test_chop_golden;
+          Alcotest.test_case "allocation budget" `Quick test_chop_budget;
           QCheck_alcotest.to_alcotest prop_chop_covers_packed;
         ] );
       ( "timing",
@@ -973,5 +1175,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_retires_everything;
           Alcotest.test_case "allocation budget" `Quick
             test_engine_alloc_budget;
+          Alcotest.test_case "negative addresses" `Quick
+            test_negative_address;
         ] );
     ]

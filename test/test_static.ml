@@ -135,39 +135,7 @@ let static_digest (plan : Core.Partition.plan) =
   cost buf plan;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* --- the programs ------------------------------------------------------- *)
-
-(* Profiling runs shared within one program's levels, as the artifact
-   store shares them: the plans are the same whoever interprets. *)
-let shared_run () =
-  let runs = Hashtbl.create 8 in
-  fun p ->
-    let key = Digest.string (Marshal.to_string p [ Marshal.No_sharing ]) in
-    match Hashtbl.find_opt runs key with
-    | Some o -> o
-    | None ->
-      let o = Interp.Run.execute p in
-      Hashtbl.replace runs key o;
-      o
-
-(* the 18 workloads, then the 44 programs of the seed-42 fuzz corpus (the
-   fuzz-corpus ledger workload's), generated as Fuzz.check_one generates
-   them *)
-let programs () =
-  let cfg = Fuzz.default_config in
-  List.map
-    (fun (e : Workloads.Registry.entry) ->
-      (true, e.Workloads.Registry.name, e.build))
-    Workloads.Suite.all
-  @ List.init 44 (fun index ->
-        let profile =
-          List.nth cfg.Fuzz.profiles (index mod List.length cfg.Fuzz.profiles)
-        in
-        let seed = Workloads.Synth.program_seed ~seed:cfg.Fuzz.seed ~index in
-        ( false,
-          Printf.sprintf "fuzz-%02d-%s" index
-            profile.Workloads.Synth.Profile.name,
-          fun () -> Workloads.Synth.generate ~profile ~seed ))
+(* --- the golden ----------------------------------------------------------- *)
 
 type cell = {
   line : string;  (** the golden line *)
@@ -176,61 +144,27 @@ type cell = {
   plan : Core.Partition.plan option;
 }
 
-(* one line per (program, level), with the level's plan for the budgets *)
+(* one line per (program, level) of Corpus, with the level's plan for the
+   budgets *)
 let cells =
   lazy
-    (List.concat_map
-       (fun (suite, name, build) ->
-         let prog = build () in
-         let run = shared_run () in
-         List.map
-           (fun level ->
-             let tag = Harness.Job.level_tag level in
-             match Core.Cost.plan_for_level ~run level prog with
-             | plan ->
-               {
-                 line =
-                   Printf.sprintf "%-22s %-2s %s" name tag (static_digest plan);
-                 suite;
-                 level;
-                 plan = Some plan;
-               }
-             | exception e ->
-               {
-                 line =
-                   Printf.sprintf "%-22s %-2s raises %s" name tag
-                     (Printexc.to_string e);
-                 suite;
-                 level;
-                 plan = None;
-               })
-           Core.Heuristics.extended_levels)
-       (programs ()))
-
-let golden_path = Filename.concat "golden" "static_digests.txt"
+    (List.map
+       (fun (c : Corpus.cell) ->
+         let line, plan =
+           match c.Corpus.plan with
+           | Ok plan -> (Corpus.label c ^ " " ^ static_digest plan, Some plan)
+           | Error e ->
+             (Corpus.label c ^ " raises " ^ Printexc.to_string e, None)
+         in
+         { line; suite = c.Corpus.suite; level = c.Corpus.level; plan })
+       (Corpus.cells ()))
 
 let test_golden () =
-  let got =
-    String.concat "" (List.map (fun c -> c.line ^ "\n") (Lazy.force cells))
-  in
-  let want =
-    let ic = open_in_bin golden_path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  if got <> want then begin
-    let out = golden_path ^ ".actual" in
-    let oc = open_out_bin out in
-    output_string oc got;
-    close_out oc;
-    Alcotest.failf
-      "static analyses diverged from test/golden/%s; what this build \
-       computed is in %s (in the build tree).  The golden pins the static \
-       layer as it was before its rewrite: a difference is a bug in the \
-       change, not a reason to regenerate."
-      (Filename.basename golden_path) out
-  end
+  Corpus.check_golden
+    ~path:(Filename.concat "golden" "static_digests.txt")
+    ~what:"static analyses"
+    ~pins:"the static layer as it was before its rewrite"
+    (String.concat "" (List.map (fun c -> c.line ^ "\n") (Lazy.force cells)))
 
 (* --- allocation budgets ---------------------------------------------------- *)
 

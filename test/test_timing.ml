@@ -10,7 +10,10 @@ let cfg_io = Sim.Config.default ~num_pus:4 ~in_order:true
 
 (* Build a single-function program whose entry block holds [body]; chop it
    into basic-block tasks and return everything needed to time the first
-   instance. *)
+   instance: the trace, its layout and the instance's event range. *)
+let first_range instances =
+  (Sim.Dyntask.first instances 0, Sim.Dyntask.last instances 0)
+
 let instance_of body =
   let pb = Ir.Builder.program () in
   Ir.Builder.func pb "main" (fun b ->
@@ -24,7 +27,7 @@ let instance_of body =
   in
   let instances = Sim.Dyntask.chop trace ~parts in
   let layout = Sim.Layout.create trace.Interp.Trace.funcs in
-  (trace, layout, instances.(0))
+  (trace, layout, first_range instances)
 
 (* The engine's inputs for one replay: the hooks plus the two per-attempt
    scalars [Timing.exec] takes.  [h_mem_dep] answers in packed form: -1
@@ -53,10 +56,10 @@ let default_env =
 
 let with_hooks f = { default_env with hooks = f default_env.hooks }
 
-let exec ?(env = default_env) ?(cfg = cfg) (trace, layout, inst) =
+let exec ?(env = default_env) ?(cfg = cfg) (trace, layout, (first, last)) =
   let ctx = Sim.Timing.create cfg trace layout in
-  Sim.Timing.exec ctx inst ~start_fetch:env.start_fetch ~mem_hold:env.mem_hold
-    env.hooks;
+  Sim.Timing.exec ctx ~first ~last ~start_fetch:env.start_fetch
+    ~mem_hold:env.mem_hold env.hooks;
   ctx
 
 let time ?env ?cfg body = exec ?env ?cfg (instance_of body)
@@ -215,7 +218,7 @@ let cycles_with_pred ~correct =
     with_hooks (fun h ->
         { h with h_cond_pred = (fun ~pc:_ ~taken:_ -> correct) })
   in
-  let r = exec ~env (trace, layout, instances.(0)) in
+  let r = exec ~env (trace, layout, first_range instances) in
   (r.Sim.Timing.complete, r.Sim.Timing.intra_mispredicts, r.Sim.Timing.intra_branches)
 
 let test_branch_redirect_costs () =
