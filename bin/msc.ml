@@ -59,14 +59,27 @@ let pp_names ppf (es : Workloads.Registry.entry list) =
 let workload_conv =
   Arg.conv (workload_of_name, fun ppf e -> pp_names ppf [ e ])
 
-(* a comma-separated list of names; the first unknown one is reported *)
+(* a comma-separated list of distinct names; the first unknown one, then
+   the first repeated one, is reported *)
 let workloads_conv =
   let parse s =
-    List.fold_right
-      (fun name acc ->
-        Result.bind (workload_of_name name) (fun e ->
-            Result.map (List.cons e) acc))
-      (String.split_on_char ',' s) (Ok [])
+    let names = String.split_on_char ',' s in
+    let rec repeated seen = function
+      | [] -> None
+      | n :: rest ->
+        if List.mem n seen then Some n else repeated (n :: seen) rest
+    in
+    Result.bind
+      (List.fold_right
+         (fun name acc ->
+           Result.bind (workload_of_name name) (fun e ->
+               Result.map (List.cons e) acc))
+         names (Ok []))
+      (fun entries ->
+        match repeated [] names with
+        | None -> Ok entries
+        | Some n ->
+          Error (`Msg (Printf.sprintf "workload %S is listed twice" n)))
   in
   Arg.conv (parse, pp_names)
 
@@ -119,12 +132,30 @@ let workloads_filter =
   Arg.(value & opt workloads_conv Workloads.Suite.all
        & info [ "only" ] ~absent:"all" ~docv:"NAMES" ~doc)
 
+(* The flag and HARNESS_JOBS go through Pool's one parser; a bad value of
+   either is a usage error, a count above the host's is capped. *)
 let jobs_arg =
   let doc =
     "Worker domains for experiment batches (default: HARNESS_JOBS or the \
-     host's core count; 1 = serial)."
+     host's core count; 1 = serial; capped at the core count)."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
+  let jobs_conv =
+    Arg.conv
+      ( (fun s ->
+          Result.map_error (fun m -> `Msg m) (Harness.Pool.parse_jobs s)),
+        Format.pp_print_int )
+  in
+  let resolve = function
+    | Some j -> `Ok (Some j)
+    | None -> (
+      match Harness.Pool.env_jobs () with
+      | Ok j -> `Ok j
+      | Error msg -> `Error (true, msg))
+  in
+  Term.(
+    ret
+      (const resolve
+      $ Arg.(value & opt (some jobs_conv) None & info [ "j"; "jobs" ] ~doc)))
 
 let json_arg =
   let doc = "Also export the structured job results as JSON to $(docv)." in
@@ -689,6 +720,26 @@ type analysis = {
   run : query -> outcome;
 }
 
+(* A --rule pattern must match some registered rule id: one that matches
+   none would filter every diagnostic away and pass. *)
+let rule_conv =
+  let parse pat =
+    let ids = List.map fst (Lint.Diag.registered_rules ()) in
+    if List.exists (Lint.rule_matches ~pat) ids then Ok pat
+    else
+      let family id =
+        match String.index_opt id '/' with
+        | Some i -> String.sub id 0 i ^ "/*"
+        | None -> id
+      in
+      let families = List.sort_uniq compare (List.map family ids) in
+      Error
+        (`Msg
+          (Printf.sprintf "%S matches no lint rule (rule families: %s)" pat
+             (String.concat ", " families)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let analyses =
   let no_extra = Term.const Fun.id in
   let num_pus q = List.hd q.pus (* [One] machines carry exactly one *) in
@@ -709,7 +760,7 @@ let analyses =
          in
          Term.(
            const (fun rule q -> { q with rule })
-           $ Arg.(value & opt (some string) None
+           $ Arg.(value & opt (some rule_conv) None
                   & info [ "rule" ] ~docv:"GLOB" ~doc)));
       run =
         (fun q ->

@@ -4,38 +4,39 @@
    integer range; edges follow terminators, with Call feeding the callee's
    entry and every Ret block of a callee feeding the continuation of every
    one of its call sites (registers are architecturally global, so no
-   calling context needs to be tracked). *)
+   calling context needs to be tracked).  States live in buffers the
+   engine owns: one per node, plus scratch buffers for a block's
+   out-state, an edge's refinement, and the join and widening candidates. *)
 
 module type STATE = sig
   type t
 
-  val bot : t
+  val create : unit -> t
+  val is_bot : t -> bool
+  val assign : t -> t -> unit
+  val join_into : t -> t -> unit
+  val widen_into : old:t -> t -> unit
   val equal : t -> t -> bool
-  val join : t -> t -> t
-  val widen : t -> t -> t
   val leq : t -> t -> bool
 end
 
 module Make (S : STATE) = struct
   type result = {
-    fnames : string array;
     findex : (string, int) Hashtbl.t;
     offset : int array; (* node id of (f, 0) *)
     states : S.t array; (* block-entry state per node *)
+    bot : S.t; (* never written: the answer for unknown blocks *)
     updates : int;
     widenings : int;
     narrowed : int;
   }
-
-  let no_refine _fname _blk _target st = st
 
   (* widen a block's entry state past this many updates; then this many
      guarded descending rounds *)
   let widen_after = 3
   let narrow_rounds = 2
 
-  let solve ?(refine = no_refine) ~seed
-      ~transfer (prog : Ir.Prog.t) =
+  let solve ?refine ~seed ~transfer (prog : Ir.Prog.t) =
     let fnames =
       Array.of_list (List.map fst (Ir.Prog.Smap.bindings prog.Ir.Prog.funcs))
     in
@@ -105,14 +106,32 @@ module Make (S : STATE) = struct
     Array.iteri
       (fun n ss -> List.iter (fun m -> preds.(m) <- n :: preds.(m)) ss)
       succs;
-    let states = Array.make nnodes S.bot in
+    let succs = Array.map Array.of_list succs
+    and preds = Array.map Array.of_list preds in
+    let states = Array.init nnodes (fun _ -> S.create ()) in
+    let bot = S.create () in
+    (* a block's out-state, its refinement along one edge, and the
+       candidate entry state with its widened variant *)
+    let out = S.create () and edge = S.create () in
+    let cand = ref (S.create ()) and wide = ref (S.create ()) in
+    let along fname blk target =
+      match refine with
+      | None -> out
+      | Some refine ->
+        refine fname blk target ~src:out ~dst:edge;
+        edge
+    in
     let upd_count = Array.make nnodes 0 in
+    (* FIFO worklist; a node is queued at most once, so a ring of one slot
+       per node never overflows *)
     let queued = Array.make nnodes false in
-    let queue = Queue.create () in
+    let ring = Array.make (max 1 nnodes) 0 in
+    let head = ref 0 and len = ref 0 in
     let push n =
       if not queued.(n) then begin
         queued.(n) <- true;
-        Queue.add n queue
+        ring.((!head + !len) mod Array.length ring) <- n;
+        incr len
       end
     in
     let seed_of = Array.make nnodes None in
@@ -122,38 +141,42 @@ module Make (S : STATE) = struct
         | Some s ->
           let n = node fi Ir.Func.entry in
           seed_of.(n) <- Some s;
-          states.(n) <- S.join states.(n) s;
+          S.join_into states.(n) s;
           push n
         | None -> ())
       fnames;
     let updates = ref 0 and widenings = ref 0 in
     (* ascending pass: propagate block outs along supergraph edges, widening
        any target whose entry state keeps moving *)
-    while not (Queue.is_empty queue) do
-      let n = Queue.pop queue in
+    while !len > 0 do
+      let n = ring.(!head) in
+      head := (!head + 1) mod Array.length ring;
+      decr len;
       queued.(n) <- false;
       let fname = fnames.(func_of.(n)) in
       let blk = funcs.(func_of.(n)).Ir.Func.blocks.(blk_of.(n)) in
-      let out = transfer fname blk states.(n) in
-      List.iter
-        (fun m ->
-          let old = states.(m) in
-          let cand = S.join old (refine fname blk blk_of.(m) out) in
-          let cand =
-            if upd_count.(m) >= widen_after then begin
-              let w = S.widen old cand in
-              if not (S.equal w cand) then incr widenings;
-              w
-            end
-            else cand
-          in
-          if not (S.equal cand old) then begin
-            states.(m) <- cand;
-            upd_count.(m) <- upd_count.(m) + 1;
-            incr updates;
-            push m
-          end)
-        succs.(n)
+      transfer fname blk ~src:states.(n) ~dst:out;
+      let ss = succs.(n) in
+      for k = 0 to Array.length ss - 1 do
+        let m = ss.(k) in
+        let old = states.(m) in
+        S.assign !cand old;
+        S.join_into !cand (along fname blk blk_of.(m));
+        if upd_count.(m) >= widen_after then begin
+          S.assign !wide !cand;
+          S.widen_into ~old !wide;
+          if not (S.equal !wide !cand) then incr widenings;
+          let c = !cand in
+          cand := !wide;
+          wide := c
+        end;
+        if not (S.equal !cand old) then begin
+          S.assign old !cand;
+          upd_count.(m) <- upd_count.(m) + 1;
+          incr updates;
+          push m
+        end
+      done
     done;
     (* descending (narrowing) passes: recompute each entry state from its
        predecessors and accept only provable refinements *)
@@ -161,26 +184,22 @@ module Make (S : STATE) = struct
     let rec narrow rounds =
       if rounds > 0 then begin
         let changed = ref false in
+        let cand = !cand in
         for n = 0 to nnodes - 1 do
-          if not (S.equal states.(n) S.bot) then begin
-            let base = match seed_of.(n) with Some s -> s | None -> S.bot in
-            let cand =
-              List.fold_left
-                (fun acc p ->
-                  if S.equal states.(p) S.bot then acc
-                  else
-                    let pname = fnames.(func_of.(p)) in
-                    let pblk = funcs.(func_of.(p)).Ir.Func.blocks.(blk_of.(p)) in
-                    S.join acc
-                      (refine pname pblk blk_of.(n)
-                         (transfer pname pblk states.(p))))
-                base preds.(n)
-            in
-            if
-              S.leq cand states.(n)
-              && not (S.equal cand states.(n))
-            then begin
-              states.(n) <- cand;
+          if not (S.is_bot states.(n)) then begin
+            S.assign cand (match seed_of.(n) with Some s -> s | None -> bot);
+            let ps = preds.(n) in
+            for k = 0 to Array.length ps - 1 do
+              let p = ps.(k) in
+              if not (S.is_bot states.(p)) then begin
+                let pname = fnames.(func_of.(p)) in
+                let pblk = funcs.(func_of.(p)).Ir.Func.blocks.(blk_of.(p)) in
+                transfer pname pblk ~src:states.(p) ~dst:out;
+                S.join_into cand (along pname pblk blk_of.(n))
+              end
+            done;
+            if S.leq cand states.(n) && not (S.equal cand states.(n)) then begin
+              S.assign states.(n) cand;
               incr narrowed;
               changed := true
             end
@@ -191,10 +210,10 @@ module Make (S : STATE) = struct
     in
     narrow narrow_rounds;
     {
-      fnames;
       findex;
       offset;
       states;
+      bot;
       updates = !updates;
       widenings = !widenings;
       narrowed = !narrowed;
@@ -208,10 +227,10 @@ module Make (S : STATE) = struct
 
   let entry_state r fname blk =
     match Hashtbl.find_opt r.findex fname with
-    | None -> S.bot
+    | None -> r.bot
     | Some fi ->
       let n = r.offset.(fi) + blk in
-      if blk < 0 || n >= r.offset.(fi + 1) then S.bot else r.states.(n)
+      if blk < 0 || n >= r.offset.(fi + 1) then r.bot else r.states.(n)
 
   let updates r = r.updates
   let widenings r = r.widenings

@@ -13,20 +13,27 @@
 
     The engine is a functor over the state lattice; {!Memdep} instantiates
     it with per-register strided intervals, but the solver itself never
-    inspects states.  Client obligations:
+    inspects states.  States are mutable buffers: the engine owns one per
+    supergraph node and a few scratch buffers, and every operation writes
+    its result into a buffer it is handed, so a step of the solve allocates
+    only what the client's own operations allocate.  Client obligations:
 
-    - [S.join] is an upper bound of its arguments;
-    - [S.widen old cand] (called with [cand = join old new]) returns a
-      state at least [cand] and bounds every ascending chain — the engine
-      switches from plain joins to widening once a block's entry state has
-      been updated 3 times, so termination is the widening operator's
-      responsibility;
-    - [transfer] is a sound abstract execution of one block: for any
-      concrete state covered by the input, the concrete successor state is
-      covered by the output;
+    - [S.join_into dst src] leaves in [dst] an upper bound of the old [dst]
+      and [src];
+    - [S.widen_into ~old dst] (called with [dst = join old new]) leaves in
+      [dst] a state at least [dst] that bounds every ascending chain — the
+      engine switches from plain joins to widening once a block's entry
+      state has been updated 3 times, so termination is the widening
+      operator's responsibility;
+    - [transfer ~src ~dst] is a sound abstract execution of one block: for
+      any concrete state covered by [src], the concrete successor state is
+      covered by what it leaves in [dst];
     - [S.leq] is a sound partial-order test ([leq a b] implies every
       concrete state covered by [a] is covered by [b]); conservative
-      [false] answers only reduce narrowing, never soundness.
+      [false] answers only reduce narrowing, never soundness;
+    - no operation keeps a reference to a buffer it is handed, and none
+      writes to any buffer but its destination: [src], [old] and every
+      buffer the engine hands out are read-only.
 
     After the ascending pass the engine runs 2 descending
     (narrowing) passes: each block's entry state is recomputed as the join
@@ -38,16 +45,26 @@
 
 module type STATE = sig
   type t
+  (** A mutable state buffer. *)
 
-  val bot : t
-  (** The unreachable state (identity of {!join}). *)
+  val create : unit -> t
+  (** A fresh buffer holding the unreachable state (identity of
+      {!join_into}). *)
+
+  val is_bot : t -> bool
+  (** Does the buffer hold the unreachable state? *)
+
+  val assign : t -> t -> unit
+  (** [assign dst src] copies [src] into [dst]. *)
+
+  val join_into : t -> t -> unit
+  (** [join_into dst src]: [dst] becomes the join of [dst] and [src]. *)
+
+  val widen_into : old:t -> t -> unit
+  (** [widen_into ~old dst]: accelerate [dst] (an upper bound of [old]) to
+      something that bounds ascending chains. *)
 
   val equal : t -> t -> bool
-  val join : t -> t -> t
-
-  val widen : t -> t -> t
-  (** [widen old cand]: accelerate [cand] (an upper bound of [old]) to
-      something that bounds ascending chains. *)
 
   val leq : t -> t -> bool
   (** Sound partial-order test; conservative [false] allowed. *)
@@ -57,42 +74,47 @@ module Make (S : STATE) : sig
   type result
 
   val solve :
-    ?refine:(string -> Ir.Block.t -> Ir.Block.label -> S.t -> S.t) ->
+    ?refine:
+      (string -> Ir.Block.t -> Ir.Block.label -> src:S.t -> dst:S.t -> unit) ->
     seed:(string -> S.t option) ->
-    transfer:(string -> Ir.Block.t -> S.t -> S.t) ->
+    transfer:(string -> Ir.Block.t -> src:S.t -> dst:S.t -> unit) ->
     Ir.Prog.t ->
     result
   (** Run the ascending worklist pass (widening past 3 updates per block)
       followed by 2 guarded descending passes.  [seed fname] is the extra
       state joined into the entry block of [fname] (the loader state for
-      [main], [None] elsewhere); [transfer fname block st] abstractly
-      executes one block from its entry state.  [transfer] of {!S.bot}
-      should be {!S.bot} so unreachable blocks stay inert during
-      narrowing.
+      [main], [None] elsewhere); the engine reads it during the solve.
+      [transfer fname block ~src ~dst] abstractly executes one block from
+      its entry state [src] into [dst].  [transfer] of an unreachable
+      [src] should leave [dst] unreachable, so unreachable blocks stay
+      inert during narrowing.
 
-      [refine fname block target st] filters the out-state [st] of [block]
-      along its edge to [target] — the path-sensitivity hook: a client can
-      narrow states using the branch condition ([Br]/[Switch]) that guards
-      the edge, or return {!S.bot} for an edge it can prove untaken.  It
-      must over-approximate every concrete state that flows along that
-      exact edge, and is applied identically in the ascending and
-      descending passes.  For interprocedural edges ([Call]/[Ret]),
-      [target] is a label in the {e callee}/continuation function — a
-      condition-driven client matches on [block]'s terminator and leaves
-      those edges alone.  Default: identity. *)
+      [refine fname block target ~src ~dst] filters the out-state [src] of
+      [block] along its edge to [target] into [dst] — the path-sensitivity
+      hook: a client can narrow states using the branch condition
+      ([Br]/[Switch]) that guards the edge, or leave [dst] unreachable for
+      an edge it can prove untaken.  It must over-approximate every
+      concrete state that flows along that exact edge, and is applied
+      identically in the ascending and descending passes.  For
+      interprocedural edges ([Call]/[Ret]), [target] is a label in the
+      {e callee}/continuation function — a condition-driven client matches
+      on [block]'s terminator and leaves those edges alone.  Default: the
+      out-state itself. *)
 
   val entry_state : result -> string -> Ir.Block.label -> S.t
-  (** The fixpoint state at a block's entry; {!S.bot} for unknown
-      functions, out-of-range labels, or unreachable blocks. *)
+  (** The fixpoint state at a block's entry (the engine's buffer, read-only);
+      an unreachable state for unknown functions, out-of-range labels, or
+      unreachable blocks. *)
 
   val func_states : result -> string -> S.t array option
-  (** All block-entry states of one function, indexed by label. *)
+  (** All block-entry states of one function, indexed by label: the
+      engine's buffers, read-only. *)
 
   val updates : result -> int
   (** Total accepted state updates across the ascending pass. *)
 
   val widenings : result -> int
-  (** Updates that went through {!S.widen}. *)
+  (** Updates that went through {!S.widen_into}. *)
 
   val narrowed : result -> int
   (** States refined by the descending passes. *)

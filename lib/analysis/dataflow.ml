@@ -52,12 +52,6 @@ module Regset = struct
     !acc
 end
 
-type site = {
-  blk : Ir.Block.label;
-  idx : int;
-  reg : Ir.Reg.t;
-}
-
 let all_regs =
   Regset.of_list (List.init Ir.Reg.count (fun i -> i))
 
@@ -141,111 +135,72 @@ let liveness ?(exit_live = all_regs) ?(call_uses = default_call_uses) f =
   done;
   { live_in; live_out }
 
-(* --- reaching definitions / def-use chains ------------------------------ *)
+(* --- cross-block dependence edges ---------------------------------------- *)
 
-module Iset = Set.Make (Int)
-
-type defuse = {
-  sites : site array;
-  pairs : (site * site) list;
-}
-
-let def_use f =
+(* Forward search from each defining block: a register [d] defines reaches
+   a block's entry when some path from [d] gets there through blocks that
+   do not define it (reaching definitions, one definition block at a
+   time).  All of [d]'s registers are searched at once, one bit each, in
+   two int words per block like {!Regset}; a block passes on what reached
+   it minus what it defines.  The edges come out in ascending
+   (producer, consumer, register) order. *)
+let block_dep_edges f =
   let n = Ir.Func.num_blocks f in
-  (* enumerate definition sites *)
-  let sites = ref [] in
-  let count = ref 0 in
+  let def = Array.make n Regset.empty and exposed = Array.make n Regset.empty in
   for l = 0 to n - 1 do
-    let b = Ir.Func.block f l in
-    Array.iteri
-      (fun idx insn ->
-        List.iter
-          (fun reg ->
-            sites := { blk = l; idx; reg } :: !sites;
-            incr count)
-          (Ir.Insn.defs insn))
-      b.Ir.Block.insns;
-    List.iter
-      (fun reg ->
-        sites :=
-          { blk = l; idx = Array.length b.Ir.Block.insns; reg } :: !sites;
-        incr count)
-      (term_defs b.Ir.Block.term)
+    let u, d = block_use_def ~call_uses:default_call_uses (Ir.Func.block f l) in
+    def.(l) <- d;
+    exposed.(l) <- Regset.remove Ir.Reg.zero u
   done;
-  let sites = Array.of_list (List.rev !sites) in
-  let site_ids_by_reg = Array.make Ir.Reg.count [] in
-  Array.iteri
-    (fun id s -> site_ids_by_reg.(s.reg) <- id :: site_ids_by_reg.(s.reg))
-    sites;
-  (* gen/kill per block: gen = last def of each register; kill = every def of
-     a register the block writes *)
-  let gen = Array.make n Iset.empty in
-  let kill = Array.make n Iset.empty in
-  let last_def_in_block = Hashtbl.create 64 in
-  Array.iteri
-    (fun id s ->
-      Hashtbl.replace last_def_in_block (s.blk, s.reg) id)
-    sites;
-  Array.iteri
-    (fun id s ->
-      if Hashtbl.find last_def_in_block (s.blk, s.reg) = id then
-        gen.(s.blk) <- Iset.add id gen.(s.blk);
-      kill.(s.blk) <-
-        List.fold_left
-          (fun acc other -> if sites.(other).blk <> s.blk then Iset.add other acc else acc)
-          kill.(s.blk) site_ids_by_reg.(s.reg))
-    sites;
-  let in_ = Array.make n Iset.empty in
-  let out = Array.make n Iset.empty in
-  let preds = Ir.Func.predecessors f in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for l = 0 to n - 1 do
-      let inn =
-        List.fold_left (fun acc p -> Iset.union acc out.(p)) Iset.empty preds.(l)
-      in
-      let o = Iset.union gen.(l) (Iset.diff inn kill.(l)) in
-      if not (Iset.equal inn in_.(l) && Iset.equal o out.(l)) then begin
-        in_.(l) <- inn;
-        out.(l) <- o;
-        changed := true
+  let succs = Array.init n (fun l -> Array.of_list (Ir.Func.successors f l)) in
+  let reach_lo = Array.make n 0 and reach_hi = Array.make n 0 in
+  let stack = Array.make (max 1 n) 0 and queued = Array.make n false in
+  let depth = ref 0 in
+  (* what reaches the entries of [b]'s successors gains [lo]/[hi]; the
+     search goes on from each one that grew *)
+  let pass_on b lo hi =
+    let ss = succs.(b) in
+    for k = 0 to Array.length ss - 1 do
+      let t = ss.(k) in
+      let lo' = reach_lo.(t) lor lo and hi' = reach_hi.(t) lor hi in
+      if lo' <> reach_lo.(t) || hi' <> reach_hi.(t) then begin
+        reach_lo.(t) <- lo';
+        reach_hi.(t) <- hi';
+        if not queued.(t) then begin
+          queued.(t) <- true;
+          stack.(!depth) <- t;
+          incr depth
+        end
       end
     done
+  in
+  let edges = ref [] in
+  for d = n - 1 downto 0 do
+    let dd = def.(d) in
+    if not (Regset.equal dd Regset.empty) then begin
+      Array.fill reach_lo 0 n 0;
+      Array.fill reach_hi 0 n 0;
+      pass_on d dd.Regset.lo dd.Regset.hi;
+      while !depth > 0 do
+        decr depth;
+        let b = stack.(!depth) in
+        queued.(b) <- false;
+        let lo = reach_lo.(b) land lnot def.(b).Regset.lo
+        and hi = reach_hi.(b) land lnot def.(b).Regset.hi in
+        if lo <> 0 || hi <> 0 then pass_on b lo hi
+      done;
+      for u = n - 1 downto 0 do
+        if u <> d then begin
+          let lo = reach_lo.(u) land exposed.(u).Regset.lo
+          and hi = reach_hi.(u) land exposed.(u).Regset.hi in
+          for r = 31 downto 0 do
+            if (hi lsr r) land 1 <> 0 then edges := (d, u, r + 32) :: !edges
+          done;
+          for r = 31 downto 0 do
+            if (lo lsr r) land 1 <> 0 then edges := (d, u, r) :: !edges
+          done
+        end
+      done
+    end
   done;
-  (* walk each block, resolving uses against local defs or in-set *)
-  let pairs = ref [] in
-  for l = 0 to n - 1 do
-    let b = Ir.Func.block f l in
-    let local : (Ir.Reg.t, site) Hashtbl.t = Hashtbl.create 16 in
-    let resolve_use idx reg =
-      if reg <> Ir.Reg.zero then begin
-        let use_site = { blk = l; idx; reg } in
-        match Hashtbl.find_opt local reg with
-        | Some def_site -> pairs := (def_site, use_site) :: !pairs
-        | None ->
-          Iset.iter
-            (fun id ->
-              if sites.(id).reg = reg then
-                pairs := (sites.(id), use_site) :: !pairs)
-            in_.(l)
-      end
-    in
-    let record_def idx reg = Hashtbl.replace local reg { blk = l; idx; reg } in
-    Array.iteri
-      (fun idx insn ->
-        List.iter (resolve_use idx) (Ir.Insn.uses insn);
-        List.iter (record_def idx) (Ir.Insn.defs insn))
-      b.Ir.Block.insns;
-    let tidx = Array.length b.Ir.Block.insns in
-    List.iter (resolve_use tidx) (term_uses b.Ir.Block.term)
-  done;
-  { sites; pairs = !pairs }
-
-let block_dep_edges du =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (d, u) ->
-      if d.blk <> u.blk then Hashtbl.replace tbl (d.blk, u.blk, d.reg) ())
-    du.pairs;
-  List.sort compare (Hashtbl.fold (fun (a, b, r) () acc -> (a, b, r) :: acc) tbl [])
+  !edges

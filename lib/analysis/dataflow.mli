@@ -1,10 +1,13 @@
-(** Classic bit-vector dataflow over a function's CFG: liveness and reaching
-    definitions, plus def-use chain extraction (the "traditional def-use
-    dataflow equations" the paper relies on for register dependences).
+(** Classic bit-vector dataflow over a function's CFG: liveness, and the
+    cross-block register dependences that reaching definitions imply (the
+    "traditional def-use dataflow equations" the paper relies on for
+    register dependences).
 
     Register sets are bit vectors ({!Regset}): liveness costs a few words
     per block, and a fixpoint round that changes no set allocates
-    nothing. *)
+    nothing.  Dependence edges come from a forward search per defining
+    block over the same bit vectors; no definition site or def-use pair is
+    ever materialised. *)
 
 (** Immutable sets of architectural registers, as two machine words
     (registers 0–31 and 32–63).  Initialising the module fails if
@@ -32,14 +35,6 @@ module Regset : sig
   (** Ascending. *)
 end
 
-type site = {
-  blk : Ir.Block.label;
-  idx : int;
-      (** instruction index; [idx = Array.length insns] denotes the block
-          terminator (only ever a use site) *)
-  reg : Ir.Reg.t;
-}
-
 val term_uses : Ir.Block.terminator -> Ir.Reg.t list
 (** Registers read by a terminator ([Br]/[Switch] conditions; [Call] reads
     the argument registers since the callee may consume them). *)
@@ -61,15 +56,17 @@ val liveness :
     but interprocedurally-sound analyses (registers are architecturally
     global, so a callee may read anything) should pass all registers. *)
 
-(** {1 Reaching definitions and def-use chains} *)
+(** {1 Cross-block dependences} *)
 
-type defuse = {
-  sites : site array;  (** all definition sites, indexed by id *)
-  pairs : (site * site) list;  (** (def, use) pairs; use may be a terminator *)
-}
-
-val def_use : Ir.Func.t -> defuse
-
-val block_dep_edges : defuse -> (Ir.Block.label * Ir.Block.label * Ir.Reg.t) list
-(** Cross-block register dependences, deduplicated: producer block,
-    consumer block, register. *)
+val block_dep_edges :
+  Ir.Func.t -> (Ir.Block.label * Ir.Block.label * Ir.Reg.t) list
+(** The distinct cross-block register dependences of reaching definitions,
+    as (producer block, consumer block, register), in ascending order: [r]
+    is defined in the producer, read before any write in the consumer
+    (its upward-exposed uses, {!Ir.Reg.zero} excepted, a [Call] reading
+    the argument registers), and some CFG path from the producer's end to
+    the consumer's entry passes through no other block that defines [r].
+    Producer and consumer differ; a definition that only reaches its own
+    block around a loop is no edge.  Computed by a forward search from
+    each defining block's successors that stops, per register, at blocks
+    that define it. *)

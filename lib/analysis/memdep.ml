@@ -6,7 +6,16 @@
    instantiated with per-register strided intervals and a partitioned
    abstract memory — whose per-site regions are clamped to the
    flow-insensitive ones ([leq]-tested per site), so the old result remains
-   a mandatory refinement bound. *)
+   a mandatory refinement bound.
+
+   Intervals are immutable; register files are not.  The engine's states
+   are register files updated in place, block transfers and edge
+   refinements write into buffers they are handed, and every replay after
+   a solve runs in one scratch file.  [mk], the one normaliser, returns
+   the value it is handed to reuse when the result equals it, so a join or
+   widening that leaves a register unchanged allocates nothing: what a
+   solve allocates is the fresh interval each executed definition
+   produces. *)
 
 (* --- strided intervals ---------------------------------------------------- *)
 
@@ -36,10 +45,18 @@ let congruent x y s =
   in
   r x = r y
 
-let mk lo hi stride =
+(* The one interval normaliser.  [reuse] is returned itself when the
+   normalised result equals it, so an operation whose result is one of its
+   operands allocates nothing; callers with nothing to reuse pass [Bot]. *)
+let iv reuse lo hi stride =
+  match reuse with
+  | Iv r when r.lo = lo && r.hi = hi && r.stride = stride -> reuse
+  | Bot | Iv _ -> Iv { lo; hi; stride }
+
+let mk reuse lo hi stride =
   if lo > hi then Bot
   else if lo = pos_inf || hi = neg_inf then top (* saturated past the rails *)
-  else if lo = hi then if is_fin lo then Iv { lo; hi; stride = 0 } else top
+  else if lo = hi then if is_fin lo then iv reuse lo hi 0 else top
   else
     let stride = if (not (is_fin lo)) || stride <= 0 then 1 else stride in
     (* snap hi down onto the grid anchored at lo.  The obvious
@@ -60,14 +77,21 @@ let mk lo hi stride =
       end
       else hi
     in
-    if lo = hi then Iv { lo; hi; stride = 0 } else Iv { lo; hi; stride }
+    if lo = hi then iv reuse lo hi 0 else iv reuse lo hi stride
 
-let singleton n = mk n n 0
-let range ?(stride = 1) lo hi = mk lo hi stride
+let singleton n = mk Bot n n 0
+let range ?(stride = 1) lo hi = mk Bot lo hi stride
 
 let is_bot v = v = Bot
 let is_top v = v = top
-let equal (a : value) b = a = b
+
+let equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Iv x, Iv y -> x.lo = y.lo && x.hi = y.hi && x.stride = y.stride
+  | Bot, Bot -> true
+  | Bot, Iv _ | Iv _, Bot -> false
 
 (* Saturating arithmetic.  Callers only feed lo-bounds (never +inf) to the
    lo slot and hi-bounds (never -inf) to the hi slot, so the infinity
@@ -104,30 +128,32 @@ let smul a b =
 let join a b =
   match (a, b) with
   | Bot, v | v, Bot -> v
-  | Iv a, Iv b ->
-    let lo = min a.lo b.lo and hi = max a.hi b.hi in
+  | Iv x, Iv y ->
+    let lo = min x.lo y.lo and hi = max x.hi y.hi in
     let stride =
-      if not (is_fin a.lo && is_fin b.lo) then 1
+      if not (is_fin x.lo && is_fin y.lo) then 1
       else
-        let g = gcd a.stride b.stride in
+        let g = gcd x.stride y.stride in
         if g = 0 then begin
           (* two singletons: the joint stride is the anchor distance when
              it is representable; a wrapped subtraction flips the sign of
              the mathematical difference, which has the sign of
-             a.lo - b.lo, i.e. of (a.lo >= b.lo) *)
-          let d = a.lo - b.lo in
-          if d >= 0 = (a.lo >= b.lo) then abs d else 1
+             x.lo - y.lo, i.e. of (x.lo >= y.lo) *)
+          let d = x.lo - y.lo in
+          if d >= 0 = (x.lo >= y.lo) then abs d else 1
         end
         else
-          (* gcd(g, a.lo - b.lo) = gcd(g, (a.lo - b.lo) mod g); take the
+          (* gcd(g, x.lo - y.lo) = gcd(g, (x.lo - y.lo) mod g); take the
              offset mod g rail-safely instead of subtracting raw anchors *)
           let r =
-            let m = ((a.lo mod g) - (b.lo mod g)) mod g in
+            let m = ((x.lo mod g) - (y.lo mod g)) mod g in
             if m < 0 then m + g else m
           in
           gcd g r
     in
-    mk lo hi stride
+    (* offer [a] when its bounds are the result's (it is the result
+       unless the stride shrank), [b] otherwise *)
+    mk (if x.lo = lo && x.hi = hi then a else b) lo hi stride
 
 let vadd a b =
   match (a, b) with
@@ -143,13 +169,13 @@ let vadd a b =
       let stride =
         if is_fin x.lo && is_fin y.lo then gcd x.stride y.stride else 1
       in
-      mk lo hi stride
+      mk Bot lo hi stride
 
 let vadd_const v c = vadd v (singleton c)
 
 let vneg = function
   | Bot -> Bot
-  | Iv v -> mk (sneg v.hi) (sneg v.lo) v.stride
+  | Iv v -> mk Bot (sneg v.hi) (sneg v.lo) v.stride
 
 let vsub a b = vadd a (vneg b)
 
@@ -170,9 +196,9 @@ let vmul a b =
           else 1
         in
         let stride = if is_fin stride then stride else 1 in
-        mk lo hi stride
+        mk Bot lo hi stride
 
-let vcmp = mk 0 1 1
+let vcmp = mk Bot 0 1 1
 
 let may_intersect a b =
   match (a, b) with
@@ -222,8 +248,8 @@ let clamp v lo hi =
     let lo' = max x.lo lo and hi' = min x.hi hi in
     if lo' > hi' then Bot
     else if lo' = x.lo && hi' = x.hi then v
-    else if x.stride <= 1 then mk lo' hi' x.stride
-    else if lo' = x.lo then mk lo' hi' x.stride
+    else if x.stride <= 1 then mk Bot lo' hi' x.stride
+    else if lo' = x.lo then mk Bot lo' hi' x.stride
     else begin
       (* stride > 1 forces x.lo finite, hence lo' finite too *)
       let s = x.stride in
@@ -233,7 +259,7 @@ let clamp v lo hi =
       in
       let up = if m = 0 then 0 else s - m in
       let lo'' = lo' + up in
-      if lo'' < lo' || lo'' > hi' then Bot else mk lo'' hi' s
+      if lo'' < lo' || lo'' > hi' then Bot else mk Bot lo'' hi' s
     end
 
 (* Cardinality when finite and representable; [None] for unbounded regions
@@ -301,7 +327,7 @@ let widen old j =
   | Iv o, Iv n ->
     let lo = if n.lo < o.lo then neg_inf else n.lo in
     let hi = if n.hi > o.hi then pos_inf else n.hi in
-    mk lo hi n.stride
+    mk j lo hi n.stride
 
 let eval_op regs = function
   | Ir.Insn.Reg r -> regs.(r)
@@ -335,54 +361,64 @@ let bin_value regs op s o =
       (* x land (2^k - 1) = x: the generator's bounded-index mask *)
       a
     | Iv x, Iv y ->
-      if x.lo >= 0 && y.lo >= 0 then mk 0 (min x.hi y.hi) 1 else top)
+      if x.lo >= 0 && y.lo >= 0 then mk Bot 0 (min x.hi y.hi) 1 else top)
   | Ir.Insn.Or | Ir.Insn.Xor -> (
     match (a, b) with
     | Bot, _ | _, Bot -> Bot
     | Iv x, Iv y ->
       (* for non-negatives, (x lor y) <= x + y and xor <= or *)
-      if x.lo >= 0 && y.lo >= 0 then mk 0 (sadd x.hi y.hi) 1 else top)
+      if x.lo >= 0 && y.lo >= 0 then mk Bot 0 (sadd x.hi y.hi) 1 else top)
   | Ir.Insn.Lt | Ir.Insn.Le | Ir.Insn.Eq | Ir.Insn.Ne | Ir.Insn.Gt
   | Ir.Insn.Ge ->
     vcmp
 
 (* --- flow-sensitive refinement (Absint instantiation) --------------------- *)
 
-(* Register-file states: [None] is the unreachable bottom, [Some regs] maps
-   every register to a strided interval.  Arrays are never mutated after
-   publication — the transfer copies. *)
+(* Register-file states, as the engine's mutable buffers: a reachability
+   flag (unreachable is the bottom state; its registers are then
+   meaningless) and one strided interval per register, updated in place.
+   Joins and widenings go through [mk]'s reuse, so a register whose value
+   does not change keeps its interval and costs no allocation. *)
 module Rstate = struct
-  type t = value array option
+  type t = { mutable reach : bool; regs : value array }
 
-  let bot = None
+  let create () = { reach = false; regs = Array.make Ir.Reg.count Bot }
+  let is_bot s = not s.reach
+
+  let assign dst src =
+    dst.reach <- src.reach;
+    if src.reach then Array.blit src.regs 0 dst.regs 0 Ir.Reg.count
+
+  (* [p] holds register by register *)
+  let for_all2 p a b =
+    let i = ref 0 in
+    while !i < Ir.Reg.count && p a.(!i) b.(!i) do
+      incr i
+    done;
+    !i = Ir.Reg.count
 
   let equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y ->
-      let n = Array.length x in
-      let rec go i = i >= n || (equal x.(i) y.(i) && go (i + 1)) in
-      go 0
-    | _ -> false
+    a.reach = b.reach && ((not a.reach) || for_all2 equal a.regs b.regs)
 
-  let join a b =
-    match (a, b) with
-    | None, v | v, None -> v
-    | Some x, Some y -> Some (Array.map2 join x y)
+  (* [dst.(i) <- f dst.(i) src.(i)], skipping the write of a value [f]
+     returned unchanged *)
+  let update f dst src =
+    for i = 0 to Ir.Reg.count - 1 do
+      let d = dst.(i) in
+      let v = f d src.(i) in
+      if v != d then dst.(i) <- v
+    done
 
-  let widen a b =
-    match (a, b) with
-    | None, v | v, None -> v
-    | Some o, Some n -> Some (Array.map2 widen o n)
+  let join_into dst src =
+    if src.reach then
+      if not dst.reach then assign dst src else update join dst.regs src.regs
 
-  let leq a b =
-    match (a, b) with
-    | None, _ -> true
-    | _, None -> false
-    | Some x, Some y ->
-      let n = Array.length x in
-      let rec go i = i >= n || (leq x.(i) y.(i) && go (i + 1)) in
-      go 0
+  let widen_into ~old dst =
+    if old.reach then
+      if not dst.reach then assign dst old
+      else update (fun n o -> widen o n) dst.regs old.regs
+
+  let leq a b = (not a.reach) || (b.reach && for_all2 leq a.regs b.regs)
 end
 
 module Engine = Absint.Make (Rstate)
@@ -452,45 +488,47 @@ let read_cells cells partition region =
   if is_bot region then Bot
   else begin
     let acc = ref Bot in
-    Array.iteri
-      (fun i p -> if may_intersect p region then acc := join !acc cells.(i))
-      partition;
+    for i = 0 to Array.length partition - 1 do
+      if may_intersect partition.(i) region then acc := join !acc cells.(i)
+    done;
     !acc
   end
 
-(* One block of abstract execution with strong updates: the flow-sensitive
-   counterpart of the fi fixpoint's [step_insn].  [on_site] observes each
-   memory access's address region (and, for stores, the stored value) at
-   the program point, for site extraction and cell accumulation. *)
-let exec_block cells partition ~on_site (b : Ir.Block.t) local =
-  let set d v = if d <> Ir.Reg.zero then local.(d) <- v in
-  Array.iteri
-    (fun idx insn ->
-      (* the address operand is read before the insn's def *)
-      (match insn with
-      | Ir.Insn.Load (_, base, disp) ->
-        on_site ~idx ~store:false ~region:(vadd_const local.(base) disp)
-          ~stored:Bot
-      | Ir.Insn.Store (s, base, disp) ->
-        on_site ~idx ~store:true ~region:(vadd_const local.(base) disp)
-          ~stored:local.(s)
-      | _ -> ());
-      match insn with
-      | Ir.Insn.Nop | Ir.Insn.Store _ -> ()
-      | Ir.Insn.Li (d, n) -> set d (singleton n)
-      | Ir.Insn.Lf (d, _) -> set d top
-      | Ir.Insn.Mov (d, s) -> set d local.(s)
-      (* a cmov may keep the old value: join, not replace *)
-      | Ir.Insn.Cmov (d, _, s) -> set d (join local.(d) local.(s))
-      | Ir.Insn.Bin (op, d, s, o) -> set d (bin_value local op s o)
-      | Ir.Insn.Fbin (_, d, _, _) | Ir.Insn.Fun (_, d, _) -> set d top
-      | Ir.Insn.Fcmp (_, d, _, _) -> set d vcmp
-      | Ir.Insn.Load (d, base, disp) ->
-        set d (read_cells cells partition (vadd_const local.(base) disp)))
-    b.Ir.Block.insns;
-  local
+(* a write to the zero register is discarded, as the machine discards it *)
+let set local d v = if d <> Ir.Reg.zero then local.(d) <- v
 
-let no_site ~idx:_ ~store:_ ~region:_ ~stored:_ = ()
+(* One block of abstract execution with strong updates, in place on the
+   register file [local]: the flow-sensitive counterpart of the fi
+   fixpoint's [step_insn].  [on_site], when given, observes each memory
+   access's address region (and, for stores, the stored value) at the
+   program point, for site extraction and cell accumulation. *)
+let exec_block cells partition ?on_site (b : Ir.Block.t) local =
+  let insns = b.Ir.Block.insns in
+  for idx = 0 to Array.length insns - 1 do
+    (* the address operand is read before the insn's def *)
+    match insns.(idx) with
+    | Ir.Insn.Nop -> ()
+    | Ir.Insn.Store (s, base, disp) -> (
+      match on_site with
+      | None -> ()
+      | Some on_site ->
+        on_site ~idx ~store:true ~region:(vadd_const local.(base) disp)
+          ~stored:local.(s))
+    | Ir.Insn.Load (d, base, disp) ->
+      let region = vadd_const local.(base) disp in
+      (match on_site with
+      | None -> ()
+      | Some on_site -> on_site ~idx ~store:false ~region ~stored:Bot);
+      set local d (read_cells cells partition region)
+    | Ir.Insn.Li (d, n) -> set local d (singleton n)
+    | Ir.Insn.Lf (d, _) -> set local d top
+    | Ir.Insn.Mov (d, s) -> set local d local.(s)
+    (* a cmov may keep the old value: join, not replace *)
+    | Ir.Insn.Cmov (d, _, s) -> set local d (join local.(d) local.(s))
+    | Ir.Insn.Bin (op, d, s, o) -> set local d (bin_value local op s o)
+    | Ir.Insn.Fbin (_, d, _, _) | Ir.Insn.Fun (_, d, _) -> set local d top
+    | Ir.Insn.Fcmp (_, d, _, _) -> set local d vcmp
+  done
 
 (* --- branch-condition refinement ------------------------------------------ *)
 
@@ -517,6 +555,15 @@ let apply_cmp op taken v bound =
     | Ir.Insn.Eq, false | Ir.Insn.Ne, true -> v
     | _ -> v)
 
+(* Index of the last instruction that writes [r], by a backward scan; -1
+   when none does. *)
+let last_def (insns : Ir.Insn.t array) r =
+  let i = ref (Array.length insns - 1) in
+  while !i >= 0 && Ir.Insn.def insns.(!i) <> r do
+    decr i
+  done;
+  !i
+
 (* Filter a block's out-state along one CFG edge using the terminator's
    condition — the {!Absint} path-sensitivity hook.  Three refinements,
    each grounded in what the machine tests at the terminator (always the
@@ -532,11 +579,13 @@ let apply_cmp op taken v bound =
    - a [Switch] index on a non-default edge: within the matching targets.
 
    An edge whose refined state has an empty register is statically
-   untaken: the hook returns bottom and the engine never propagates it. *)
-let refine_edge _fname (b : Ir.Block.t) target st =
-  match st with
-  | None -> None
-  | Some regs -> (
+   untaken: the hook leaves its destination unreachable and the engine
+   never propagates it.  The hook writes only into [dst]; last definitions
+   come from backward scans of the block. *)
+let refine_edge _fname (b : Ir.Block.t) target ~src ~dst =
+  Rstate.assign dst src;
+  if src.Rstate.reach then begin
+    let regs = src.Rstate.regs and out = dst.Rstate.regs in
     match b.Ir.Block.term with
     | Ir.Block.Br (c, t, e) when t <> e && (target = t || target = e) ->
       let taken = target = t in
@@ -549,66 +598,53 @@ let refine_edge _fname (b : Ir.Block.t) target st =
           | Iv x when x.hi <= 0 -> clamp cv neg_inf (-1)
           | v -> v
       in
-      if is_bot cv' then None
+      if is_bot cv' then dst.Rstate.reach <- false
       else begin
-        let regs' = Array.copy regs in
-        if c <> Ir.Reg.zero then regs'.(c) <- cv';
-        let last_def = Array.make Ir.Reg.count (-1) in
-        Array.iteri
-          (fun i insn ->
-            List.iter (fun d -> last_def.(d) <- i) (Ir.Insn.defs insn))
-          b.Ir.Block.insns;
-        let dead = ref false in
-        (if last_def.(c) >= 0 then
-           match b.Ir.Block.insns.(last_def.(c)) with
-           | Ir.Insn.Bin
-               ( (( Ir.Insn.Lt | Ir.Insn.Le | Ir.Insn.Eq | Ir.Insn.Ne
-                  | Ir.Insn.Gt | Ir.Insn.Ge ) as op),
-                 c',
-                 j,
-                 o )
-             when c' = c && j <> c && last_def.(j) < last_def.(c) ->
-             let bound =
-               match o with
-               | Ir.Insn.Imm k -> Some (singleton k)
-               | Ir.Insn.Reg m ->
-                 (* [regs.(m)] is the block-exit value; it only speaks for
-                    the operand at the compare if [m] is not redefined at
-                    or after it ([m = c] hits the "at" case: the compare
-                    overwrites its own operand with the 0/1 result). *)
-                 if m = Ir.Reg.zero then Some (singleton 0)
-                 else if last_def.(m) >= last_def.(c) then None
-                 else Some regs.(m)
-             in
-             (match bound with
-             | None -> ()
-             | Some bound ->
-               let jv = apply_cmp op taken regs.(j) bound in
-               if is_bot jv && not (is_bot regs.(j)) then dead := true
-               else if j <> Ir.Reg.zero then regs'.(j) <- jv)
-           | _ -> ());
-        if !dead then None else Some regs'
+        set out c cv';
+        let insns = b.Ir.Block.insns in
+        let lc = last_def insns c in
+        if lc >= 0 then
+          match insns.(lc) with
+          | Ir.Insn.Bin
+              ( (( Ir.Insn.Lt | Ir.Insn.Le | Ir.Insn.Eq | Ir.Insn.Ne
+                 | Ir.Insn.Gt | Ir.Insn.Ge ) as op),
+                c',
+                j,
+                o )
+            when c' = c && j <> c && last_def insns j < lc ->
+            (* [Bot] stands for "no usable bound": [apply_cmp] then
+               returns [regs.(j)] itself, which [out] already holds *)
+            let bound =
+              match o with
+              | Ir.Insn.Imm k -> singleton k
+              | Ir.Insn.Reg m ->
+                (* [regs.(m)] is the block-exit value; it only speaks for
+                   the operand at the compare if [m] is not redefined at
+                   or after it ([m = c] hits the "at" case: the compare
+                   overwrites its own operand with the 0/1 result). *)
+                if m = Ir.Reg.zero then singleton 0
+                else if last_def insns m >= lc then Bot
+                else regs.(m)
+            in
+            let jv = apply_cmp op taken regs.(j) bound in
+            if is_bot jv && not (is_bot regs.(j)) then dst.Rstate.reach <- false
+            else set out j jv
+          | _ -> ()
       end
     | Ir.Block.Switch (i, targets, d) when target <> d ->
       let lo = ref max_int and hi = ref min_int in
-      Array.iteri
-        (fun k l ->
-          if l = target then begin
-            if k < !lo then lo := k;
-            if k > !hi then hi := k
-          end)
-        targets;
-      if !lo > !hi then st
-      else
-        let iv = clamp regs.(i) !lo !hi in
-        if is_bot iv then None
-        else if i = Ir.Reg.zero then st
-        else begin
-          let regs' = Array.copy regs in
-          regs'.(i) <- iv;
-          Some regs'
+      for k = 0 to Array.length targets - 1 do
+        if targets.(k) = target then begin
+          if k < !lo then lo := k;
+          if k > !hi then hi := k
         end
-    | _ -> st)
+      done;
+      if !lo <= !hi then begin
+        let iv = clamp regs.(i) !lo !hi in
+        if is_bot iv then dst.Rstate.reach <- false else set out i iv
+      end
+    | _ -> ()
+  end
 
 let analyze ~sp prog =
   let regs = Array.make Ir.Reg.count (singleton 0) in
@@ -681,6 +717,13 @@ let analyze ~sp prog =
      the partition here: loads fall back to the global mem join. *)
   let fi_cells = [| !mem |] in
   let fi_partition = [| top |] in
+  (* every replay of a block from a known entry state runs in this one
+     register file *)
+  let scratch = Array.make Ir.Reg.count Bot in
+  let replay cells partition ~on_site b entry =
+    Array.blit entry 0 scratch 0 Ir.Reg.count;
+    exec_block cells partition ~on_site b scratch
+  in
   let fi_site_tbl =
     Ir.Prog.Smap.map
       (fun (f : Ir.Func.t) ->
@@ -690,8 +733,7 @@ let analyze ~sp prog =
             let on_site ~idx ~store ~region ~stored:_ =
               acc := { blk = b.Ir.Block.label; idx; store; region } :: !acc
             in
-            ignore
-              (exec_block fi_cells fi_partition ~on_site b (Array.copy regs)))
+            replay fi_cells fi_partition ~on_site b regs)
           f.Ir.Func.blocks;
         List.rev !acc)
       prog.Ir.Prog.funcs
@@ -719,19 +761,20 @@ let analyze ~sp prog =
   in
   let cells = Array.init ncells cell_init in
   let saturated = Array.make ncells false in
-  let seed fname =
-    if String.equal fname prog.Ir.Prog.main then begin
-      let init = Array.make Ir.Reg.count (singleton 0) in
-      init.(Ir.Reg.sp) <- singleton sp;
-      Some (Some init)
-    end
-    else None
+  (* the loader state, joined into main's entry by every solve *)
+  let loader =
+    let st = Rstate.create () in
+    st.Rstate.reach <- true;
+    Array.fill st.Rstate.regs 0 Ir.Reg.count (singleton 0);
+    st.Rstate.regs.(Ir.Reg.sp) <- singleton sp;
+    Some st
   in
-  let transfer _fname b st =
-    match st with
-    | None -> None
-    | Some local ->
-      Some (exec_block cells partition ~on_site:no_site b (Array.copy local))
+  let seed fname =
+    if String.equal fname prog.Ir.Prog.main then loader else None
+  in
+  let transfer _fname b ~src ~dst =
+    Rstate.assign dst src;
+    if dst.Rstate.reach then exec_block cells partition b dst.Rstate.regs
   in
   let max_outer = 8 in
   let outer = ref 0 in
@@ -744,11 +787,10 @@ let analyze ~sp prog =
     let next = Array.copy cells in
     let on_site ~idx:_ ~store ~region ~stored =
       if store && not (is_bot region) then
-        Array.iteri
-          (fun i p ->
-            if (not saturated.(i)) && may_intersect p region then
-              next.(i) <- join next.(i) stored)
-          partition
+        for i = 0 to ncells - 1 do
+          if (not saturated.(i)) && may_intersect partition.(i) region then
+            next.(i) <- join next.(i) stored
+        done
     in
     Ir.Prog.Smap.iter
       (fun fname (f : Ir.Func.t) ->
@@ -757,11 +799,10 @@ let analyze ~sp prog =
         | Some states ->
           Array.iter
             (fun (b : Ir.Block.t) ->
-              match states.(b.Ir.Block.label) with
-              | None -> () (* unreachable: no stores to account for *)
-              | Some entry ->
-                ignore
-                  (exec_block cells partition ~on_site b (Array.copy entry)))
+              let entry = states.(b.Ir.Block.label) in
+              (* an unreachable block has no stores to account for *)
+              if entry.Rstate.reach then
+                replay cells partition ~on_site b entry.Rstate.regs)
             f.Ir.Func.blocks)
       prog.Ir.Prog.funcs;
     let moved = Array.make ncells false in
@@ -802,7 +843,9 @@ let analyze ~sp prog =
             let entry =
               match states with
               | None -> None
-              | Some states -> states.(b.Ir.Block.label)
+              | Some states ->
+                let st = states.(b.Ir.Block.label) in
+                if st.Rstate.reach then Some st.Rstate.regs else None
             in
             match entry with
             | None ->
@@ -824,8 +867,7 @@ let analyze ~sp prog =
               let on_site ~idx ~store ~region ~stored:_ =
                 acc := { blk = b.Ir.Block.label; idx; store; region } :: !acc
               in
-              ignore
-                (exec_block cells partition ~on_site b (Array.copy entry)))
+              replay cells partition ~on_site b entry)
           f.Ir.Func.blocks;
         let refined = List.rev !acc in
         let fi =

@@ -182,8 +182,12 @@ let refine (plan : Partition.plan) =
         let dom = Analysis.Dom.compute f in
         let dfs = Analysis.Dfs.compute f in
         (* every candidate shares the seed's included calls, so one memo
-           serves the whole search of this function *)
+           and one selection context serve the whole search of this
+           function *)
         let memo = memo_for f part in
+        let with_cuts =
+          Select.with_cuts params f ~included_calls:part.Task.included_calls
+        in
         let pen p =
           Analysis.Cost.penalties (func_cost facts memo fname f p)
         in
@@ -222,10 +226,7 @@ let refine (plan : Partition.plan) =
           let scored =
             List.map
               (fun c ->
-                let p =
-                  Select.with_cuts params f
-                    ~included_calls:part.Task.included_calls ~cuts:c
-                in
+                let p = with_cuts ~cuts:c in
                 (pen p, p, c))
               cands
           in

@@ -66,7 +66,7 @@ let with_parts plan parts = { plan with parts }
 let with_level plan level = { plan with level }
 
 let dep_edges_of_profile profile ~fid f =
-  let static = Analysis.Dataflow.block_dep_edges (Analysis.Dataflow.def_use f) in
+  let static = Analysis.Dataflow.block_dep_edges f in
   let edges =
     List.map
       (fun (u, v, r) ->

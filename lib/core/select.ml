@@ -130,13 +130,17 @@ let control_flow params f ~included_calls =
    absorbed into another task, so each reachable cut heads its own task
    (closure discovers it as a target of whatever task contains one of its
    predecessors).  This is the mechanism the cost-directed [fb] search
-   uses to move task heads along dominator edges. *)
-let with_cuts params f ~included_calls ~cuts =
+   uses to move task heads along dominator edges.  Staged: the context
+   (DFS numbering, loop forest) does not depend on the cuts, so a search
+   applies the first three arguments once and scores every candidate with
+   the result. *)
+let with_cuts params f ~included_calls =
   let ctx = make_ctx params f ~included_calls in
-  close_partition ctx ~grow:(fun entry ->
-      grow_task ctx ~entry
-        ~cut:(fun b -> Iset.mem b cuts)
-        ~steer:(fun _ _ -> true))
+  fun ~cuts ->
+    close_partition ctx ~grow:(fun entry ->
+        grow_task ctx ~entry
+          ~cut:(fun b -> Iset.mem b cuts)
+          ~steer:(fun _ _ -> true))
 
 let data_dependence params f ~included_calls ~deps =
   let ctx = make_ctx params f ~included_calls in

@@ -35,7 +35,11 @@ val with_cuts :
     block in [cuts], so every reachable cut block heads its own task.  Used
     by the cost-directed feedback search ({!Cost.refine}) to move task heads
     along dominator edges; with [cuts] equal to an existing partition's entry
-    set it reproduces a partition with at least those boundaries. *)
+    set it reproduces a partition with at least those boundaries.
+
+    Staged: [with_cuts params f ~included_calls] derives the function's DFS
+    numbering and loop forest once and returns the partitioner of every
+    [cuts]. *)
 
 val data_dependence :
   Heuristics.params -> Ir.Func.t -> included_calls:bool array ->

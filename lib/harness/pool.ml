@@ -1,24 +1,27 @@
-let default_jobs () =
-  let recommended = Domain.recommended_domain_count () in
+(* --jobs and HARNESS_JOBS share this parser: one domain per recommended
+   core, never more — oversubscription costs ~2x wall time in minor-GC
+   synchronisation, and a huge request cannot even allocate its domains. *)
+let parse_jobs s =
+  match int_of_string_opt (String.trim s) with
+  | Some j when j >= 1 -> Ok (min j (Domain.recommended_domain_count ()))
+  | Some _ | None -> Error (Printf.sprintf "%S is not a positive integer" s)
+
+let env_jobs () =
   match Sys.getenv_opt "HARNESS_JOBS" with
-  | None -> recommended
+  | None -> Ok None
   | Some s when String.trim s = "" ->
     (* `HARNESS_JOBS= cmd` idiom: blank means unset *)
-    recommended
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some j when j >= 1 ->
-       (* one domain per recommended core, never more: oversubscription
-          costs ~2x wall time in minor-GC synchronisation *)
-       min j recommended
-     | Some j ->
-       failwith
-         (Printf.sprintf
-            "HARNESS_JOBS must be a positive integer, got %d" j)
-     | None ->
-       failwith
-         (Printf.sprintf
-            "HARNESS_JOBS must be a positive integer, got %S" s))
+    Ok None
+  | Some s -> (
+    match parse_jobs s with
+    | Ok j -> Ok (Some j)
+    | Error msg -> Error ("environment variable HARNESS_JOBS: " ^ msg))
+
+let default_jobs () =
+  match env_jobs () with
+  | Ok (Some j) -> j
+  | Ok None -> Domain.recommended_domain_count ()
+  | Error msg -> failwith msg
 
 (* Resident scheduler per requested width, created lazily and reused
    across calls; at_exit unwinds them so parked worker domains cannot

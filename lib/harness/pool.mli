@@ -18,11 +18,20 @@
     [HARNESS_JOBS=1] is the serial path (no scheduler is touched and
     [map] degenerates to [List.map]). *)
 
+val parse_jobs : string -> (int, string) result
+(** A worker count as [--jobs] or [HARNESS_JOBS] spells it: a positive
+    integer (blanks around it allowed), clamped to
+    [Domain.recommended_domain_count ()].  The error says what is wrong
+    with the text. *)
+
+val env_jobs : unit -> (int option, string) result
+(** [HARNESS_JOBS] through {!parse_jobs}: [None] when the variable is
+    unset or blank (the [HARNESS_JOBS= cmd] idiom), an error naming the
+    variable when it is malformed. *)
+
 val default_jobs : unit -> int
-(** [HARNESS_JOBS] when set to a positive integer, clamped to
-    [Domain.recommended_domain_count ()]; the recommended count when the
-    variable is unset or blank (the [HARNESS_JOBS= cmd] idiom).  Raises
-    [Failure] with a descriptive message when [HARNESS_JOBS] is set but
+(** {!env_jobs}, or the recommended count when it is [None].  Raises
+    [Failure] with {!env_jobs}'s message when [HARNESS_JOBS] is set but
     non-numeric or < 1 — a malformed width request must not silently run
     at a different width. *)
 

@@ -47,11 +47,13 @@ let fu_class = function
   | Load (_, _, _) -> Fu_load
   | Store (_, _, _) -> Fu_store
 
-let defs = function
-  | Nop | Store (_, _, _) -> []
+let def = function
+  | Nop | Store (_, _, _) -> -1
   | Li (d, _) | Lf (d, _) | Mov (d, _)
   | Bin (_, d, _, _) | Fbin (_, d, _, _) | Fcmp (_, d, _, _)
-  | Fun (_, d, _) | Load (d, _, _) | Cmov (d, _, _) -> [ d ]
+  | Fun (_, d, _) | Load (d, _, _) | Cmov (d, _, _) -> d
+
+let defs insn = match def insn with -1 -> [] | d -> [ d ]
 
 let uses insn =
   let rs =

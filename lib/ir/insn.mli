@@ -50,9 +50,13 @@ type fu_class =
 
 val fu_class : t -> fu_class
 
+val def : t -> Reg.t
+(** The register written, or -1 when the instruction writes none (an
+    instruction writes at most one).  A write to [Reg.zero] is reported
+    (the machine discards it; analyses may still see the def). *)
+
 val defs : t -> Reg.t list
-(** Registers written.  Writes to [Reg.zero] are reported (the machine
-    discards them; analyses may still see the def). *)
+(** {!def} as a list: empty or one register. *)
 
 val uses : t -> Reg.t list
 (** Registers read, without duplicates. *)

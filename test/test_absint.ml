@@ -22,13 +22,15 @@ let a = Ir.Reg.tmp 4
    the supergraph connects from the seeded entry must go true, nothing
    else may. *)
 module Reach = Analysis.Absint.Make (struct
-  type t = bool
+  type t = bool ref
 
-  let bot = false
-  let equal = Bool.equal
-  let join = ( || )
-  let widen _ b = b (* finite lattice: join already converges *)
-  let leq a b = (not a) || b
+  let create () = ref false
+  let is_bot s = not !s
+  let assign dst src = dst := !src
+  let join_into dst src = dst := !dst || !src
+  let widen_into ~old:_ _ = () (* finite lattice: join already converges *)
+  let equal a b = Bool.equal !a !b
+  let leq a b = (not !a) || !b
 end)
 
 let test_reachability () =
@@ -48,17 +50,18 @@ let test_reachability () =
   let prog = Ir.Builder.finish pb ~main:"main" in
   let r =
     Reach.solve
-      ~seed:(fun f -> if f = "main" then Some true else None)
-      ~transfer:(fun _ _ st -> st)
+      ~seed:(fun f -> if f = "main" then Some (ref true) else None)
+      ~transfer:(fun _ _ ~src ~dst -> dst := !src)
       prog
   in
-  checkb "main entry reached" true (Reach.entry_state r "main" 0);
-  checkb "helper reached through the call" true (Reach.entry_state r "helper" 0);
-  checkb "orphan stays bottom" false (Reach.entry_state r "orphan" 0);
-  checkb "unknown function is bottom" false (Reach.entry_state r "nope" 0);
+  checkb "main entry reached" true !(Reach.entry_state r "main" 0);
+  checkb "helper reached through the call" true
+    !(Reach.entry_state r "helper" 0);
+  checkb "orphan stays bottom" false !(Reach.entry_state r "orphan" 0);
+  checkb "unknown function is bottom" false !(Reach.entry_state r "nope" 0);
   checkb "orphan states all bottom" true
     (match Reach.func_states r "orphan" with
-    | Some sts -> Array.for_all (fun s -> not s) sts
+    | Some sts -> Array.for_all (fun s -> not !s) sts
     | None -> false)
 
 (* --- engine: widening on an infinite ascending chain ----------------------- *)
@@ -67,13 +70,15 @@ let test_reachability () =
    so a loop only converges because the engine widens past the update
    threshold. *)
 module UB = Analysis.Absint.Make (struct
-  type t = int (* -1 = bot; k = entry reachable along <= k instructions *)
+  type t = int ref (* -1 = bot; k = entry reachable along <= k instructions *)
 
-  let bot = -1
-  let equal = Int.equal
-  let join = max
-  let widen a b = if b > a then max_int else b
-  let leq a b = a <= b
+  let create () = ref (-1)
+  let is_bot s = !s < 0
+  let assign dst src = dst := !src
+  let join_into dst src = dst := max !dst !src
+  let widen_into ~old dst = if !dst > !old then dst := max_int
+  let equal a b = Int.equal !a !b
+  let leq a b = !a <= !b
 end)
 
 let test_widening_terminates () =
@@ -90,17 +95,19 @@ let test_widening_terminates () =
   let prog = Ir.Builder.finish pb ~main:"main" in
   let r =
     UB.solve
-      ~seed:(fun f -> if f = "main" then Some 0 else None)
-      ~transfer:(fun _ blk st ->
-        if st < 0 then st
-        else if st > max_int - 64 then max_int
-        else st + Array.length blk.Ir.Block.insns)
+      ~seed:(fun f -> if f = "main" then Some (ref 0) else None)
+      ~transfer:(fun _ blk ~src ~dst ->
+        let st = !src in
+        dst :=
+          if st < 0 then st
+          else if st > max_int - 64 then max_int
+          else st + Array.length blk.Ir.Block.insns)
       prog
   in
   checkb "loop converged only by widening" true (UB.widenings r > 0);
   checkb "states non-bottom once reached" true
     (match UB.func_states r "main" with
-    | Some sts -> Array.for_all (fun s -> s >= 0) sts
+    | Some sts -> Array.for_all (fun s -> !s >= 0) sts
     | None -> false)
 
 (* --- refinement: constant branch kills the dead arm ------------------------ *)

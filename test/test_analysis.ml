@@ -1,6 +1,6 @@
 (* Tests for the compiler analyses: DFS numbering, dominators, natural
-   loops, liveness, reaching definitions / def-use chains, and codependent
-   sets. *)
+   loops, liveness, cross-block dependence edges against a
+   reaching-definitions model, and codependent sets. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -235,12 +235,11 @@ let test_liveness_call_uses () =
   checkb "live across call when callees may read anything" true
     (Analysis.Dataflow.Regset.mem 20 wide2.Analysis.Dataflow.live_out.(0))
 
-(* --- def-use ------------------------------------------------------------- *)
+(* --- cross-block dependence edges ---------------------------------------- *)
 
 let test_def_use_diamond () =
   let f = diamond_func () in
-  let du = Analysis.Dataflow.def_use f in
-  let edges = Analysis.Dataflow.block_dep_edges du in
+  let edges = Analysis.Dataflow.block_dep_edges f in
   (* defs of 13 in blocks 1 and 2 reach the use in block 3 *)
   checkb "1 -> 3 on r13" true (List.mem (1, 3, 13) edges);
   checkb "2 -> 3 on r13" true (List.mem (2, 3, 13) edges);
@@ -249,42 +248,173 @@ let test_def_use_diamond () =
 
 let test_def_use_loop_carried () =
   let f = loop_func () in
-  let du = Analysis.Dataflow.def_use f in
-  let edges = Analysis.Dataflow.block_dep_edges du in
+  let edges = Analysis.Dataflow.block_dep_edges f in
   (* the increment in block 2 feeds the test in block 1 around the back
      edge, and the init in block 0 feeds both *)
   checkb "2 -> 1 loop-carried" true (List.mem (2, 1, 12) edges);
   checkb "0 -> 1 init" true (List.mem (0, 1, 12) edges)
 
-let prop_def_use_sites_consistent =
-  QCheck.Test.make ~name:"every def-use pair names a real def and use"
-    ~count:40 Gen.arbitrary_program (fun prog ->
-      List.for_all
-        (fun name ->
-          let f = Ir.Prog.find prog name in
-          let du = Analysis.Dataflow.def_use f in
-          List.for_all
-            (fun ((d : Analysis.Dataflow.site), (u : Analysis.Dataflow.site)) ->
-              let db = Ir.Func.block f d.Analysis.Dataflow.blk in
-              let defs_ok =
-                d.Analysis.Dataflow.idx < Array.length db.Ir.Block.insns
-                && List.mem d.Analysis.Dataflow.reg
-                     (Ir.Insn.defs db.Ir.Block.insns.(d.Analysis.Dataflow.idx))
-                || d.Analysis.Dataflow.idx = Array.length db.Ir.Block.insns
-              in
-              let ub = Ir.Func.block f u.Analysis.Dataflow.blk in
-              let uses_ok =
-                if u.Analysis.Dataflow.idx < Array.length ub.Ir.Block.insns
-                then
-                  List.mem u.Analysis.Dataflow.reg
-                    (Ir.Insn.uses ub.Ir.Block.insns.(u.Analysis.Dataflow.idx))
-                else
-                  List.mem u.Analysis.Dataflow.reg
-                    (Analysis.Dataflow.term_uses ub.Ir.Block.term)
-              in
-              defs_ok && uses_ok && d.Analysis.Dataflow.reg = u.Analysis.Dataflow.reg)
-            du.Analysis.Dataflow.pairs)
-        (Ir.Prog.func_names prog))
+(* The model: reaching definitions over tree sets of definition sites,
+   every (def, use) pair listed, and the distinct cross-block (producer
+   block, consumer block, register) triples read off the pairs — how the
+   edges were computed before the forward search. *)
+module Reaching = struct
+  module Iset = Set.Make (Int)
+
+  type site = { blk : Ir.Block.label; idx : int; reg : Ir.Reg.t }
+
+  let term_defs = function
+    | Ir.Block.Call (_, _) -> [ Ir.Reg.rv ]
+    | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
+    | Ir.Block.Halt -> []
+
+  (* every (def, use) pair; a use at [idx = Array.length insns] is the
+     terminator's *)
+  let def_use f =
+    let n = Ir.Func.num_blocks f in
+    let sites = ref [] in
+    for l = 0 to n - 1 do
+      let b = Ir.Func.block f l in
+      Array.iteri
+        (fun idx insn ->
+          List.iter
+            (fun reg -> sites := { blk = l; idx; reg } :: !sites)
+            (Ir.Insn.defs insn))
+        b.Ir.Block.insns;
+      List.iter
+        (fun reg ->
+          sites :=
+            { blk = l; idx = Array.length b.Ir.Block.insns; reg } :: !sites)
+        (term_defs b.Ir.Block.term)
+    done;
+    let sites = Array.of_list (List.rev !sites) in
+    let site_ids_by_reg = Array.make Ir.Reg.count [] in
+    Array.iteri
+      (fun id s -> site_ids_by_reg.(s.reg) <- id :: site_ids_by_reg.(s.reg))
+      sites;
+    (* gen = last def of each register in the block; kill = every def in
+       another block of a register the block writes *)
+    let gen = Array.make n Iset.empty in
+    let kill = Array.make n Iset.empty in
+    let last_def_in_block = Hashtbl.create 64 in
+    Array.iteri
+      (fun id s -> Hashtbl.replace last_def_in_block (s.blk, s.reg) id)
+      sites;
+    Array.iteri
+      (fun id s ->
+        if Hashtbl.find last_def_in_block (s.blk, s.reg) = id then
+          gen.(s.blk) <- Iset.add id gen.(s.blk);
+        kill.(s.blk) <-
+          List.fold_left
+            (fun acc other ->
+              if sites.(other).blk <> s.blk then Iset.add other acc else acc)
+            kill.(s.blk) site_ids_by_reg.(s.reg))
+      sites;
+    let in_ = Array.make n Iset.empty in
+    let out = Array.make n Iset.empty in
+    let preds = Ir.Func.predecessors f in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for l = 0 to n - 1 do
+        let inn =
+          List.fold_left (fun acc p -> Iset.union acc out.(p)) Iset.empty
+            preds.(l)
+        in
+        let o = Iset.union gen.(l) (Iset.diff inn kill.(l)) in
+        if not (Iset.equal inn in_.(l) && Iset.equal o out.(l)) then begin
+          in_.(l) <- inn;
+          out.(l) <- o;
+          changed := true
+        end
+      done
+    done;
+    (* walk each block, resolving uses against local defs or the in-set *)
+    let pairs = ref [] in
+    for l = 0 to n - 1 do
+      let b = Ir.Func.block f l in
+      let local = Hashtbl.create 16 in
+      let resolve_use idx reg =
+        if reg <> Ir.Reg.zero then begin
+          let use_site = { blk = l; idx; reg } in
+          match Hashtbl.find_opt local reg with
+          | Some def_site -> pairs := (def_site, use_site) :: !pairs
+          | None ->
+            Iset.iter
+              (fun id ->
+                if sites.(id).reg = reg then
+                  pairs := (sites.(id), use_site) :: !pairs)
+              in_.(l)
+        end
+      in
+      Array.iteri
+        (fun idx insn ->
+          List.iter (resolve_use idx) (Ir.Insn.uses insn);
+          List.iter
+            (fun reg -> Hashtbl.replace local reg { blk = l; idx; reg })
+            (Ir.Insn.defs insn))
+        b.Ir.Block.insns;
+      List.iter
+        (resolve_use (Array.length b.Ir.Block.insns))
+        (Analysis.Dataflow.term_uses b.Ir.Block.term)
+    done;
+    !pairs
+
+  let block_dep_edges f =
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun (d, u) ->
+        if d.blk <> u.blk then Hashtbl.replace tbl (d.blk, u.blk, d.reg) ())
+      (def_use f);
+    List.sort compare
+      (Hashtbl.fold (fun (a, b, r) () acc -> (a, b, r) :: acc) tbl [])
+end
+
+(* A program as the levels compile it: as built, hoisted (bb, cf, dd) and
+   unrolled then hoisted (ts, fb). *)
+let compiled prog =
+  [
+    prog;
+    Core.Transform.hoist_program prog;
+    Core.Transform.hoist_program
+      (Core.Transform.unroll_program Core.Heuristics.default prog);
+  ]
+
+(* The first function of [prog]'s compilations whose edges differ from the
+   model's, with both edge lists. *)
+let model_mismatch prog =
+  List.find_map
+    (fun (p : Ir.Prog.t) ->
+      List.find_map
+        (fun (name, f) ->
+          let got = Analysis.Dataflow.block_dep_edges f
+          and want = Reaching.block_dep_edges f in
+          if got = want then None else Some (name, got, want))
+        (Ir.Prog.Smap.bindings p.Ir.Prog.funcs))
+    (compiled prog)
+
+let print_edges l =
+  String.concat " "
+    (List.map (fun (u, v, r) -> Printf.sprintf "%d>%d:r%d" u v r) l)
+
+let prop_dep_edges_model =
+  QCheck.Test.make ~name:"matches a reaching-definitions model" ~count:400
+    Gen.arbitrary_program (fun prog ->
+      match model_mismatch prog with
+      | None -> true
+      | Some (name, got, want) ->
+        QCheck.Test.fail_reportf "%s: got %s, the model %s" name
+          (print_edges got) (print_edges want))
+
+let test_dep_edges_corpus () =
+  List.iter
+    (fun (_, name, build) ->
+      match model_mismatch (build ()) with
+      | None -> ()
+      | Some (fname, got, want) ->
+        Alcotest.failf "%s, function %s: got %s, the model %s" name fname
+          (print_edges got) (print_edges want))
+    (Corpus.programs ())
 
 (* --- reachability / codependent sets ------------------------------------- *)
 
@@ -337,7 +467,9 @@ let () =
         [
           Alcotest.test_case "diamond" `Quick test_def_use_diamond;
           Alcotest.test_case "loop carried" `Quick test_def_use_loop_carried;
-          QCheck_alcotest.to_alcotest prop_def_use_sites_consistent;
+          QCheck_alcotest.to_alcotest prop_dep_edges_model;
+          Alcotest.test_case "corpus matches the model" `Quick
+            test_dep_edges_corpus;
         ] );
       ( "reach",
         [

@@ -268,7 +268,7 @@ let test_profile_dep_freq () =
   let f = tr.Interp.Trace.funcs.(fid) in
   (* there must be at least one cross-block dependence with positive count,
      and every counted pair must be a static def-use block edge *)
-  let static = Analysis.Dataflow.block_dep_edges (Analysis.Dataflow.def_use f) in
+  let static = Analysis.Dataflow.block_dep_edges f in
   let any = ref false in
   List.iter
     (fun (u, v, r) ->
@@ -421,7 +421,7 @@ let digest_outcome (o : Interp.Run.outcome) =
       List.iter
         (fun (u, v, r) ->
           Printf.bprintf prof "%d " (Interp.Profile.dep_count profile fid u v r))
-        (Analysis.Dataflow.block_dep_edges (Analysis.Dataflow.def_use f));
+        (Analysis.Dataflow.block_dep_edges f);
       Printf.bprintf prof "%h\n" (Interp.Profile.avg_invocation_size profile fid))
     tr.Interp.Trace.funcs;
   Digest.to_hex

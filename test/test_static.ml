@@ -144,6 +144,8 @@ type cell = {
   plan : Core.Partition.plan option;
 }
 
+let corpus = lazy (Corpus.cells ())
+
 (* one line per (program, level) of Corpus, with the level's plan for the
    budgets *)
 let cells =
@@ -157,7 +159,7 @@ let cells =
              (Corpus.label c ^ " raises " ^ Printexc.to_string e, None)
          in
          { line; suite = c.Corpus.suite; level = c.Corpus.level; plan })
-       (Corpus.cells ()))
+       (Lazy.force corpus))
 
 let test_golden () =
   Corpus.check_golden
@@ -165,6 +167,49 @@ let test_golden () =
     ~what:"static analyses"
     ~pins:"the static layer as it was before its rewrite"
     (String.concat "" (List.map (fun c -> c.line ^ "\n") (Lazy.force cells)))
+
+(* --- the analysis golden ------------------------------------------------- *)
+
+(* What the two fixpoints of lib/analysis compute beyond the sites the
+   static golden already pins: the address analysis's round and engine
+   iteration counts and its memory partition, and every function's
+   cross-block dependence edges in order. *)
+let analysis_digest (prog : Ir.Prog.t) =
+  let buf = Buffer.create 4096 in
+  let m = Analysis.Memdep.analyze ~sp:Interp.Run.initial_sp prog in
+  let s = Analysis.Memdep.ai_stats m in
+  Printf.bprintf buf "rounds %d updates %d widenings %d narrowed %d outer %d \
+                      saturated %d\n"
+    (Analysis.Memdep.rounds m) s.Analysis.Memdep.updates
+    s.Analysis.Memdep.widenings s.Analysis.Memdep.narrowed
+    s.Analysis.Memdep.outer_rounds s.Analysis.Memdep.saturated_cells;
+  Array.iter
+    (fun v ->
+      Printf.bprintf buf "cell %s\n" (Analysis.Memdep.value_to_string v))
+    (Analysis.Memdep.partition m);
+  Ir.Prog.Smap.iter
+    (fun name f ->
+      Printf.bprintf buf "func %s\n" name;
+      List.iter
+        (fun (u, v, r) -> Printf.bprintf buf "%d>%d r%d\n" u v r)
+        (Analysis.Dataflow.block_dep_edges f))
+    prog.Ir.Prog.funcs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_analysis_golden () =
+  Corpus.check_golden
+    ~path:(Filename.concat "golden" "analysis_digests.txt")
+    ~what:"address analysis and dependence edges"
+    ~pins:"both fixpoints of lib/analysis as they were before their rewrite"
+    (String.concat ""
+       (List.map
+          (fun (c : Corpus.cell) ->
+            Corpus.label c ^ " "
+            ^ (match c.Corpus.plan with
+              | Ok plan -> analysis_digest plan.Core.Partition.prog
+              | Error e -> "raises " ^ Printexc.to_string e)
+            ^ "\n")
+          (Lazy.force corpus)))
 
 (* --- allocation budgets ---------------------------------------------------- *)
 
@@ -189,11 +234,17 @@ let measure f =
   f ();
   allocated () -. before
 
-let within what ~words ~per ~unit_ ~budget =
-  Printf.printf "%s: %.0f words, %.0f per %s\n" what words per unit_;
+let report what ~words ~per ~unit_ =
+  Printf.printf "%s: %.0f words, %.0f per %s\n" what words per unit_
+
+let judge what ~per ~unit_ ~budget =
   if per > budget then
     Alcotest.failf "%s: %.0f words per %s, over the budget of %.0f" what per
       unit_ budget
+
+let within what ~words ~per ~unit_ ~budget =
+  report what ~words ~per ~unit_;
+  judge what ~per ~unit_ ~budget
 
 (* Liveness as Depend, Regcomm and Dce call it, over the 18 fb plans'
    functions (tree-set register sets took about 3,700 words per block).
@@ -245,6 +296,62 @@ let test_plan_budget () =
   within "second plan_cost and Depend.analyze of the fb plans" ~words
     ~per:(words /. float_of_int insns) ~unit_:"static instruction"
     ~budget:plan_budget
+
+(* The 18 workloads' programs as the levels compile them: hoisted (bb, cf
+   and dd share one), and unrolled then hoisted (ts and fb share one). *)
+let suite_progs =
+  lazy
+    (List.map
+       (fun (what, level) ->
+         ( what,
+           List.filter_map
+             (fun (c : Corpus.cell) ->
+               match c.Corpus.plan with
+               | Ok plan when c.Corpus.suite && c.Corpus.level = level ->
+                 Some plan.Core.Partition.prog
+               | _ -> None)
+             (Lazy.force corpus) ))
+       [
+         ("hoisted", Core.Heuristics.Data_dependence);
+         ("unrolled", Core.Heuristics.Task_size);
+       ])
+
+(* Words per static instruction of [run] over each set of programs; both
+   sets are measured and reported before either is judged. *)
+let per_insn_budget ~what ~budget run =
+  let unit_ = "static instruction" in
+  List.map
+    (fun (progs_what, progs) ->
+      let insns =
+        List.fold_left (fun a p -> a + Ir.Prog.static_size p) 0 progs
+      in
+      let words = measure (fun () -> List.iter run progs) in
+      let what = Printf.sprintf "%s of the %s programs" what progs_what in
+      let per = words /. float_of_int insns in
+      report what ~words ~per ~unit_;
+      (what, per))
+    (Lazy.force suite_progs)
+  |> List.iter (fun (what, per) -> judge what ~per ~unit_ ~budget)
+
+(* The address analysis, whose engine once copied the register file on
+   every transfer and rebuilt it on every join (3,351 and 3,517 words per
+   static instruction). *)
+let memdep_budget = 1600.0
+
+let test_memdep_budget () =
+  per_insn_budget ~what:"Memdep.analyze" ~budget:memdep_budget (fun p ->
+      ignore (Analysis.Memdep.analyze ~sp:Interp.Run.initial_sp p))
+
+(* Every function's cross-block dependence edges (657 and 1,272 words per
+   static instruction when they were read off tree-set reaching
+   definitions and a list of every def-use pair). *)
+let dep_edges_budget = 400.0
+
+let test_dep_edges_budget () =
+  per_insn_budget ~what:"block_dep_edges" ~budget:dep_edges_budget (fun p ->
+      Ir.Prog.Smap.iter
+        (fun _ f -> ignore (Analysis.Dataflow.block_dep_edges f))
+        p.Ir.Prog.funcs)
 
 (* --- the bit-vector register set against a tree-set model ------------------- *)
 
@@ -352,9 +459,14 @@ let () =
       ( "static",
         [
           Alcotest.test_case "golden digests" `Quick test_golden;
+          Alcotest.test_case "analysis digests" `Quick test_analysis_golden;
           Alcotest.test_case "liveness allocation budget" `Quick
             test_liveness_budget;
           Alcotest.test_case "plan allocation budget" `Quick test_plan_budget;
+          Alcotest.test_case "memdep allocation budget" `Quick
+            test_memdep_budget;
+          Alcotest.test_case "dependence edge allocation budget" `Quick
+            test_dep_edges_budget;
         ] );
       ( "regset",
         [
