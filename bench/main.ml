@@ -120,19 +120,11 @@ let run_superscalar () =
   let rows =
     Harness.Artifact.grid store ~levels:[ Core.Heuristics.Data_dependence ]
       Workloads.Suite.all (fun art ->
-        let ss_cfg =
-          {
-            (Sim.Config.default ~num_pus:1 ~in_order:false) with
-            Sim.Config.issue_width = 4;
-            rob_size = 64;
-            iq_size = 32;
-            fu_int = 4;
-            fu_fp = 2;
-            fu_mem = 2;
-            fu_branch = 2;
-          }
+        let ss =
+          Sim.Superscalar.run
+            (Sim.Superscalar.config ~width:4 ~rob:64)
+            art.Harness.Artifact.trace
         in
-        let ss = Sim.Superscalar.run ss_cfg art.Harness.Artifact.trace in
         (* the multiscalar side is the same (dd, 8PU, ooo) job figure5 runs:
            served from the store's simulation cache *)
         let ms = Harness.Artifact.sim store art ~num_pus:8 ~in_order:false in
@@ -208,8 +200,8 @@ let run_ablation () =
       in
       let conv = Harness.Artifact.sim store conv_art ~num_pus:8 ~in_order:false in
       Printf.printf
-        "if-conversion (%s, dd, 8PU): IPC %.2f -> %.2f, intra-task branch          mispredicts %d -> %d
-"
+        "if-conversion (%s, dd, 8PU): IPC %.2f -> %.2f, intra-task branch \
+         mispredicts %d -> %d\n"
         name (Sim.Stats.ipc base) (Sim.Stats.ipc conv)
         base.Sim.Stats.intra_branch_mispredicts
         conv.Sim.Stats.intra_branch_mispredicts)
@@ -223,8 +215,8 @@ let run_ablation () =
       let bimodal_cfg = { base_cfg with Sim.Config.task_path_history = false } in
       let bim = custom_sim bimodal_cfg art in
       Printf.printf
-        "task predictor (%s, dd, 8PU): path-based %.1f%% mispredict / IPC          %.2f, bimodal %.1f%% / IPC %.2f
-"
+        "task predictor (%s, dd, 8PU): path-based %.1f%% mispredict / IPC \
+         %.2f, bimodal %.1f%% / IPC %.2f\n"
         name
         (Sim.Stats.task_mispredict_rate path)
         (Sim.Stats.ipc path)
@@ -286,7 +278,7 @@ let run_ablation () =
 let run_crossinput () =
   line ();
   print_endline
-    "CROSS-INPUT PROFILING — dd/ts tasks selected with profiles from an
+    "CROSS-INPUT PROFILING — dd/ts tasks selected with profiles from an \
      alternative input, evaluated on the reference input (8 PUs, ooo)";
   line ();
   Printf.printf "%-10s %-6s %12s %12s %8s

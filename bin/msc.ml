@@ -52,36 +52,38 @@ let workload_of_name name =
   | exception Not_found ->
     Error (`Msg (Printf.sprintf "unknown workload %S (see msc list)" name))
 
-let pp_names ppf (es : Workloads.Registry.entry list) =
-  Format.pp_print_string ppf
-    (String.concat "," (List.map (fun e -> e.Workloads.Registry.name) es))
-
 let workload_conv =
-  Arg.conv (workload_of_name, fun ppf e -> pp_names ppf [ e ])
+  Arg.conv
+    ( workload_of_name,
+      fun ppf e -> Format.pp_print_string ppf e.Workloads.Registry.name )
 
-(* a comma-separated list of distinct names; the first unknown one, then
-   the first repeated one, is reported *)
-let workloads_conv =
+(* a comma-separated list of distinct names, each resolved by [find]; the
+   first unknown one, then the first repeated one, is reported *)
+let list_conv ~what find name =
   let parse s =
-    let names = String.split_on_char ',' s in
-    let rec repeated seen = function
-      | [] -> None
-      | n :: rest ->
-        if List.mem n seen then Some n else repeated (n :: seen) rest
-    in
     Result.bind
       (List.fold_right
-         (fun name acc ->
-           Result.bind (workload_of_name name) (fun e ->
-               Result.map (List.cons e) acc))
-         names (Ok []))
-      (fun entries ->
-        match repeated [] names with
-        | None -> Ok entries
-        | Some n ->
-          Error (`Msg (Printf.sprintf "workload %S is listed twice" n)))
+         (fun n acc ->
+           Result.bind (find n) (fun x -> Result.map (List.cons x) acc))
+         (String.split_on_char ',' s) (Ok []))
+      (fun xs ->
+        let rec repeated seen = function
+          | [] -> Ok xs
+          | n :: rest ->
+            if List.mem n seen then
+              Error (`Msg (Printf.sprintf "%s %S is listed twice" what n))
+            else repeated (n :: seen) rest
+        in
+        repeated [] (List.map name xs))
   in
-  Arg.conv (parse, pp_names)
+  let print ppf xs =
+    Format.pp_print_string ppf (String.concat "," (List.map name xs))
+  in
+  Arg.conv (parse, print)
+
+let workloads_conv =
+  list_conv ~what:"workload" workload_of_name (fun e ->
+      e.Workloads.Registry.name)
 
 let workload_arg =
   let doc = "Workload name (see $(b,msc list))." in
@@ -110,6 +112,9 @@ let pus_conv =
     ~expected:(Printf.sprintf "a PU count from 1 to %d" Sim.Config.max_pus)
 
 let positive_conv = int_conv ~ok:(fun v -> v >= 1) ~expected:"a positive integer"
+
+let non_negative_conv =
+  int_conv ~ok:(fun v -> v >= 0) ~expected:"a non-negative integer"
 
 let pus_arg =
   let doc = "Number of processing units." in
@@ -256,10 +261,9 @@ let run_file_cmd =
 " e;
       exit 1
     | Ok prog ->
-      let plan = Core.Cost.plan_for_level level prog in
-      let cfg = Sim.Config.default ~num_pus:pus ~in_order in
-      let r = Sim.Engine.run cfg plan in
-      let s = r.Sim.Engine.stats in
+      let entry = Workloads.Registry.of_program ~name:path prog in
+      let art = Harness.Artifact.get store ~level entry in
+      let s = Harness.Artifact.sim store art ~num_pus:pus ~in_order in
       Printf.printf "%s %s %dPU: IPC %.3f (%d insns / %d cycles)
 " path
         (Core.Heuristics.level_name level)
@@ -325,25 +329,19 @@ let superscalar_cmd =
     let doc = "Reorder-buffer size." in
     Arg.(value & opt positive_conv 64 & info [ "rob" ] ~doc)
   in
-  let run (entry : Workloads.Registry.entry) width rob =
-    let prog = entry.Workloads.Registry.build () in
-    let outcome = Interp.Run.execute prog in
-    let cfg =
-      {
-        (Sim.Config.default ~num_pus:1 ~in_order:false) with
-        Sim.Config.issue_width = width;
-        rob_size = rob;
-        iq_size = max 8 (rob / 2);
-        fu_int = width;
-        fu_fp = max 1 (width / 2);
-        fu_mem = max 1 (width / 2);
-        fu_branch = max 1 (width / 2);
-      }
+  (* the trace bench's superscalar section simulates: the dd artifact's *)
+  let run entry width rob =
+    let art =
+      Harness.Artifact.get store ~level:Core.Heuristics.Data_dependence entry
     in
-    let r = Sim.Superscalar.run cfg outcome.Interp.Run.trace in
+    let r =
+      Sim.Superscalar.run
+        (Sim.Superscalar.config ~width ~rob)
+        art.Harness.Artifact.trace
+    in
     Printf.printf
-      "%s superscalar %d-wide/ROB %d: IPC %.3f, avg window %.1f, branch        mispredict %.2f%%
-"
+      "%s superscalar %d-wide/ROB %d: IPC %.3f, avg window %.1f, branch \
+       mispredict %.2f%%\n"
       entry.Workloads.Registry.name width rob
       (Sim.Stats.ipc r.Sim.Superscalar.stats)
       r.Sim.Superscalar.avg_window
@@ -361,9 +359,7 @@ let timeline_cmd =
   in
   let skip_arg =
     let doc = "Skip this many dynamic tasks first (past the warm-up)." in
-    Arg.(value
-         & opt (int_conv ~ok:(fun v -> v >= 0) ~expected:"a non-negative integer") 200
-         & info [ "skip" ] ~doc)
+    Arg.(value & opt non_negative_conv 200 & info [ "skip" ] ~doc)
   in
   let run entry level pus in_order n skip =
     let art = Harness.Artifact.get store ~level entry in
@@ -513,7 +509,17 @@ let fuzz_cmd =
       "Comma-separated subset of corpus profiles (default: the whole \
        Workloads.Synth family)."
     in
-    Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"NAMES" ~doc)
+    let profiles_conv =
+      list_conv ~what:"fuzz profile"
+        (fun name ->
+          match Workloads.Synth.Profile.find (String.trim name) with
+          | Some p -> Ok p
+          | None ->
+            Error (`Msg (Printf.sprintf "unknown fuzz profile %S" name)))
+        (fun p -> p.Workloads.Synth.Profile.name)
+    in
+    Arg.(value & opt profiles_conv Workloads.Synth.Profile.all
+         & info [ "profile" ] ~absent:"all" ~docv:"NAMES" ~doc)
   in
   let level_opt_arg =
     let doc = "Restrict to one heuristic level (default: all four + fb)." in
@@ -524,7 +530,8 @@ let fuzz_cmd =
       "Run the frozen sim_ref cycle differential on every $(docv)-th \
        program (0 disables it)."
     in
-    Arg.(value & opt int 10 & info [ "ref-sample" ] ~docv:"K" ~doc)
+    Arg.(value & opt non_negative_conv 10
+         & info [ "ref-sample" ] ~docv:"K" ~doc)
   in
   let out_arg =
     let doc = "Directory for minimized reproducer dumps." in
@@ -546,28 +553,13 @@ let fuzz_cmd =
     in
     Arg.(value & flag & info [ "inject-fault" ] ~doc)
   in
-  let run seed n profile level ref_sample jobs out json inject =
-    let profiles =
-      match profile with
-      | None -> Workloads.Synth.Profile.all
-      | Some names ->
-        List.map
-          (fun name ->
-            match Workloads.Synth.Profile.find (String.trim name) with
-            | Some p -> p
-            | None ->
-              Printf.eprintf "msc: unknown fuzz profile %S\n" name;
-              exit 2)
-          (String.split_on_char ',' names)
-    in
+  let run seed n profiles level ref_sample jobs out json inject =
     let levels =
       match level with
       | None -> Core.Heuristics.extended_levels
       | Some l -> [ l ]
     in
-    let cfg =
-      { Fuzz.default_config with Fuzz.seed; n; profiles; levels; ref_sample }
-    in
+    let cfg = { Fuzz.seed; n; profiles; levels; ref_sample } in
     if inject then Fuzz.fault_hook := Some (Fuzz.inject_div0 ~seed);
     let progress ~done_ ~total =
       Printf.eprintf "\rfuzz: %d/%d programs%!" done_ total

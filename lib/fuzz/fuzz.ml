@@ -1,7 +1,7 @@
 (* Differential fuzzing harness over the synthetic corpus: generate
-   programs with Workloads.Synth, push each through every heuristic level,
-   and hold the result against every verification layer the repo has
-   (lint, round-trip, dep/sound, acct/conserve, cost/conserve, the fb<=ts
+   programs with Workloads.Synth, build each at every heuristic level
+   through a private artifact store, and hold the result against every
+   verification layer the repo has (the lint cell, round-trip, the fb<=ts
    cost bound and the frozen sim_ref cycle differential).  See fuzz.mli
    for the oracle stack. *)
 
@@ -11,7 +11,6 @@ type config = {
   profiles : Workloads.Synth.Profile.t list;
   levels : Core.Heuristics.level list;
   ref_sample : int;
-  max_steps : int;
 }
 
 let default_config =
@@ -21,7 +20,6 @@ let default_config =
     profiles = Workloads.Synth.Profile.all;
     levels = Core.Heuristics.extended_levels;
     ref_sample = 10;
-    max_steps = 5_000_000;
   }
 
 type violation = {
@@ -111,74 +109,21 @@ let diag_text = function
       | [] -> ""
       | _ -> Printf.sprintf " (+%d more)" (List.length rest))
 
-(* per-task schedule record for the sim_ref differential (the same
-   comparison the event-core test suite pins) *)
-(* fields are only written and structurally compared *)
-type sched = {
-  c_index : int;
-  c_pu : int;
-  c_assign : int;
-  c_complete : int;
-  c_retire : int;
-  c_mispredicted : bool;
-  c_violations : int;
-}
-[@@warning "-69"]
-
-(* The event core runs on the prep the acct oracle simulated; the frozen
-   reference prepares for itself. *)
-let ref_differential cfg prep plan trace =
-  let ev_new = ref [] in
-  let obs_new (e : Sim.Engine.event) =
-    ev_new :=
-      {
-        c_index = e.Sim.Engine.e_index;
-        c_pu = e.Sim.Engine.e_pu;
-        c_assign = e.Sim.Engine.e_assign;
-        c_complete = e.Sim.Engine.e_complete;
-        c_retire = e.Sim.Engine.e_retire;
-        c_mispredicted = e.Sim.Engine.e_mispredicted;
-        c_violations = e.Sim.Engine.e_violations;
-      }
-      :: !ev_new
-  in
-  let r_new = Sim.Engine.run_prepared ~observer:obs_new cfg prep trace in
-  let ev_ref = ref [] in
-  let obs_ref (e : Sim_ref.Engine_ref.event) =
-    ev_ref :=
-      {
-        c_index = e.Sim_ref.Engine_ref.e_index;
-        c_pu = e.Sim_ref.Engine_ref.e_pu;
-        c_assign = e.Sim_ref.Engine_ref.e_assign;
-        c_complete = e.Sim_ref.Engine_ref.e_complete;
-        c_retire = e.Sim_ref.Engine_ref.e_retire;
-        c_mispredicted = e.Sim_ref.Engine_ref.e_mispredicted;
-        c_violations = e.Sim_ref.Engine_ref.e_violations;
-      }
-      :: !ev_ref
-  in
-  let r_ref =
-    Sim_ref.Engine_ref.run_with_trace ~observer:obs_ref cfg plan trace
-  in
-  if r_new.Sim.Engine.instances <> r_ref.Sim_ref.Engine_ref.instances then
-    Some
-      (Printf.sprintf "instances diverge: event core %d, sim_ref %d"
-         r_new.Sim.Engine.instances r_ref.Sim_ref.Engine_ref.instances)
-  else if !ev_new <> !ev_ref then
-    Some "per-task schedules diverge from sim_ref"
-  else if r_new.Sim.Engine.stats <> r_ref.Sim_ref.Engine_ref.stats then
-    Some
-      (Printf.sprintf "stats diverge: event core %d cycles, sim_ref %d"
-         r_new.Sim.Engine.stats.Sim.Stats.cycles
-         r_ref.Sim_ref.Engine_ref.stats.Sim.Stats.cycles)
-  else None
-
 let prog_shape (prog : Ir.Prog.t) =
   ( Ir.Prog.Smap.cardinal prog.funcs,
     Ir.Prog.Smap.fold
       (fun _ f acc -> acc + Ir.Func.num_blocks f)
       prog.funcs 0,
     Ir.Prog.static_size prog )
+
+(* a diagnostic's oracle is its rule family; the plan's own families are
+   lint's *)
+let oracles = [ "lint"; "trace"; "dep"; "absint"; "cost"; "acct" ]
+
+let oracle_of (d : Lint.Diag.t) =
+  match List.hd (String.split_on_char '/' d.Lint.Diag.rule) with
+  | "ir" | "part" | "regcomm" -> "lint"
+  | family -> family
 
 let check_value config ~profile ~index ~seed prog =
   let vs = ref [] in
@@ -209,77 +154,56 @@ let check_value config ~profile ~index ~seed prog =
     add ~level:"-" ~oracle:"lint" (diag_text prog_errors)
   else begin
     check ~level:"-" ~oracle:"roundtrip" (Lint.check_roundtrip prog);
-    let scalar_ts = ref None in
-    let scalar_fb = ref None in
+    (* a private store: the levels share its interpreter runs and preps,
+       and a crashing run is not cached, so each level reports its own *)
+    let store = Harness.Artifact.create () in
+    let entry = Workloads.Registry.of_program ~name:profile prog in
+    let plans = ref [] in
     List.iter
       (fun level ->
         let ltag = Harness.Job.level_tag level in
-        match
-          try Ok (Core.Cost.plan_for_level level prog)
-          with e -> Error (Printexc.to_string e)
-        with
-        | Error msg -> add ~level:ltag ~oracle:"plan" msg
-        | Ok plan -> (
-          let plan_errors = Lint.Diag.errors (Lint.check_plan plan) in
-          if plan_errors <> [] then
-            add ~level:ltag ~oracle:"lint" (diag_text plan_errors)
-          else begin
-            check ~level:ltag ~oracle:"cost" (Lint.check_cost plan);
-            (match level with
-            | Core.Heuristics.Task_size ->
-              scalar_ts := Some (Core.Cost.plan_cost plan).Core.Cost.r_scalar
-            | Core.Heuristics.Feedback ->
-              scalar_fb := Some (Core.Cost.plan_cost plan).Core.Cost.r_scalar
-            | _ -> ());
-            match
-              try
-                Ok
-                  (Interp.Run.execute ~max_steps:config.max_steps
-                     plan.Core.Partition.prog)
-              with
-              | Interp.Run.Runtime_error m -> Error m
-              | e -> Error (Printexc.to_string e)
-            with
-            | Error msg -> add ~level:ltag ~oracle:"crash" msg
-            | Ok out ->
-              let trace = out.Interp.Run.trace in
-              check ~level:ltag ~oracle:"trace" (Lint.check_trace trace);
-              check ~level:ltag ~oracle:"dep" (Lint.check_deps plan trace);
-              check ~level:ltag ~oracle:"absint"
-                (Lint.check_absint plan trace);
-              (* one prep serves every machine, as the artifact store
-                 shares it; a failed prep is each machine's crash *)
-              let prep =
-                try Ok (Sim.Engine.prepare plan trace)
-                with e -> Error (Printexc.to_string e)
-              in
-              List.iter
-                (fun (num_pus, in_order) ->
-                  let cfg = Sim.Config.default ~num_pus ~in_order in
-                  match
-                    Result.bind prep (fun prep ->
-                        try Ok (prep, Sim.Engine.run_prepared cfg prep trace)
-                        with e -> Error (Printexc.to_string e))
-                  with
-                  | Error msg -> add ~level:ltag ~oracle:"crash" ("sim: " ^ msg)
-                  | Ok (prep, r) ->
-                    check ~level:ltag ~oracle:"acct"
-                      (Lint.check_account ~num_pus ~in_order
-                         r.Sim.Engine.stats);
-                    if ref_checked then
-                      match ref_differential cfg prep plan trace with
-                      | None -> ()
-                      | Some msg ->
+        match Harness.Artifact.get store ~level entry with
+        | exception Interp.Run.Runtime_error msg ->
+          add ~level:ltag ~oracle:"crash" msg
+        | exception e -> add ~level:ltag ~oracle:"plan" (Printexc.to_string e)
+        | art -> (
+          try
+            let errs = Lint.Diag.errors (Lint.check_artifact store art) in
+            List.iter
+              (fun oracle ->
+                check ~level:ltag ~oracle
+                  (List.filter (fun d -> oracle_of d = oracle) errs))
+              oracles;
+            (* a plan error stood alone; a valid plan is kept for the
+               fb bound and, sampled, simulated by the frozen core *)
+            let plan = art.Harness.Artifact.plan in
+            if List.for_all (fun d -> oracle_of d <> "lint") errs then begin
+              plans := (level, plan) :: !plans;
+              if ref_checked then
+                List.iter
+                  (fun (num_pus, in_order) ->
+                    Option.iter
+                      (fun msg ->
                         add ~level:ltag ~oracle:"ref-diff"
                           (Printf.sprintf "%dPU %s: %s" num_pus
                              (if in_order then "in-order" else "ooo")
                              msg))
-                Lint.acct_configs
-          end))
+                      (Sim_ref.Engine_ref.differential
+                         (Sim.Config.default ~num_pus ~in_order)
+                         (Harness.Artifact.prep store art)
+                         plan art.Harness.Artifact.trace))
+                  Lint.acct_configs
+            end
+          with e -> add ~level:ltag ~oracle:"crash" (Printexc.to_string e)))
       config.levels;
     (* the feedback search must never lose to its task-size seed on the
        static scalar (Core.Cost.refine's contract) *)
-    match (!scalar_ts, !scalar_fb) with
+    let scalar level =
+      Option.map
+        (fun plan -> (Core.Cost.plan_cost plan).Core.Cost.r_scalar)
+        (List.assoc_opt level !plans)
+    in
+    match Core.Heuristics.(scalar Task_size, scalar Feedback) with
     | Some ts, Some fb when fb > ts +. 1e-9 ->
       add ~level:"fb" ~oracle:"fb-bound"
         (Printf.sprintf "fb scalar %.9f exceeds ts seed %.9f" fb ts)

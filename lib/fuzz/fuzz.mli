@@ -2,28 +2,38 @@
 
     Runs {!Workloads.Synth} programs through every heuristic selection
     level and applies the verification layers built across the repo as an
-    oracle stack, per program:
+    oracle stack, per program.  Each program is built, as a
+    {!Workloads.Registry.of_program} entry, through a private
+    {!Harness.Artifact} store: its levels share interpreter runs and preps
+    as the suite's do, a failed run is not cached (each level reports its
+    own crash), no fuzz program enters a shared store, and memory is
+    bounded by one program's store per domain.  Every run has the
+    interpreter's one step bound (30 million); fuzzing sets none of its
+    own.  Each level's artifact goes through {!Lint.check_artifact}, its
+    errors reported by rule family:
 
-    - [lint]: {!Lint.check_prog} on the program, {!Lint.check_plan} on
-      every level's plan — all [ir/*], [part/*], [regcomm/*] rules clean;
+    - [lint]: {!Lint.check_prog} on the program, and the plan's [ir/*],
+      [part/*] and [regcomm/*] rules (a plan error skips the level's
+      other oracles);
     - [roundtrip]: {!Lint.check_roundtrip} — the textual dump re-parses to
       the identical program;
-    - [crash]: the interpreter must terminate within the step bound;
-    - [trace]: {!Lint.check_trace} — the packed trace decodes cleanly;
-    - [dep]: {!Lint.check_deps} — zero [dep/sound] violations, [dep/reg]
-      agreement;
-    - [absint]: {!Lint.check_absint} — every traced address inside its
-      refined abstract region, and the refinement never looser than the
+    - [crash]: an interpreter run raised {!Interp.Run.Runtime_error} (a
+      division by zero, the step bound) while the level's artifact was
+      built, or its checks raised;
+    - [plan]: building the artifact raised any other exception;
+    - [trace]: [trace/*] — the packed trace decodes cleanly;
+    - [dep]: [dep/*] — zero [dep/sound] violations, [dep/reg] agreement;
+    - [absint]: [absint/*] — every traced address inside its refined
+      abstract region, and the refinement never looser than the
       flow-insensitive bound;
-    - [acct]: {!Lint.check_account} — cycle conservation exact on every
-      machine shape simulated;
-    - [cost]: {!Lint.check_cost} — predicted shares conserve and rederive
+    - [acct]: [acct/*] — cycle conservation exact on every
+      {!Lint.acct_configs} machine;
+    - [cost]: [cost/*] — predicted shares conserve and rederive
       bit-identically;
     - [fb-bound]: the [fb] plan's static scalar cost never exceeds its
       [ts] seed's;
-    - [ref-diff]: on a sampled subset, the event core's stats, instance
-      count and per-task schedule are cycle-identical to the frozen
-      {!Sim_ref.Engine_ref} oracle.
+    - [ref-diff]: on a sampled subset, {!Sim_ref.Engine_ref.differential}
+      over the store's prep on every {!Lint.acct_configs} machine.
 
     Any violation carries the [(profile, seed)] pair that regenerates the
     offending program; {!minimize} shrinks it and {!dump_reproducer}
@@ -37,7 +47,6 @@ type config = {
   ref_sample : int;
       (** run the sim_ref differential on every [ref_sample]-th program
           (0 disables it) *)
-  max_steps : int;  (** interpreter step bound per program execution *)
 }
 
 val default_config : config

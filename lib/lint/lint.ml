@@ -1256,21 +1256,28 @@ type report = {
    extra (the store memoizes per (key, PUs, issue-discipline)). *)
 let acct_configs = [ (4, true); (8, false) ]
 
+(* the deps and absint audits assume a valid plan, so a plan error stands
+   alone *)
+let check_artifact store (art : Harness.Artifact.artifact) =
+  let plan = art.Harness.Artifact.plan
+  and trace = art.Harness.Artifact.trace in
+  let plan_diags = check_plan plan in
+  if Diag.errors plan_diags <> [] then plan_diags
+  else
+    plan_diags @ check_trace trace @ check_deps plan trace
+    @ check_absint plan trace @ check_cost plan
+    @ List.concat_map
+        (fun (num_pus, in_order) ->
+          check_account ~num_pus ~in_order
+            (Harness.Artifact.sim store art ~num_pus ~in_order))
+        acct_configs
+
 let check_suite ?jobs ?(levels = Core.Heuristics.all_levels) ~store entries =
   Harness.Artifact.grid store ?jobs ~levels entries (fun art ->
-      let plan = art.Harness.Artifact.plan
-      and trace = art.Harness.Artifact.trace in
       {
         workload = art.Harness.Artifact.key.Harness.Artifact.workload;
         level = art.Harness.Artifact.key.Harness.Artifact.level;
-        diags =
-          check_plan plan @ check_trace trace @ check_deps plan trace
-          @ check_absint plan trace @ check_cost plan
-          @ List.concat_map
-              (fun (num_pus, in_order) ->
-                check_account ~num_pus ~in_order
-                  (Harness.Artifact.sim store art ~num_pus ~in_order))
-              acct_configs;
+        diags = check_artifact store art;
       })
 
 let total_errors reports =

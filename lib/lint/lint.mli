@@ -147,9 +147,20 @@ type report = {
 }
 
 val acct_configs : (int * bool) list
-(** The machines, [(num_pus, in_order)], that {!check_suite} (and the
-    fuzz oracle stack) simulate for the [acct/conserve] gate: the 4-PU
-    in-order and 8-PU out-of-order configurations of figure 5. *)
+(** The machines, [(num_pus, in_order)], that {!check_artifact} simulates
+    for the [acct/conserve] gate: the 4-PU in-order and 8-PU out-of-order
+    configurations of figure 5. *)
+
+val check_artifact :
+  Harness.Artifact.t -> Harness.Artifact.artifact -> Diag.t list
+(** The oracle stack over one store artifact, the one function that
+    {!check_suite}, the daemon's [lint] op and [Fuzz] run: {!check_plan},
+    then {!check_trace}, {!check_deps}, {!check_absint} and {!check_cost},
+    then {!check_account} on the {!acct_configs} machines, simulated
+    through {!Harness.Artifact.sim} (memoized, so a run that already
+    produced them pays nothing extra).  Gated: when {!check_plan} reports
+    an error, its diagnostics are returned alone, since the later audits
+    assume a valid plan.  Raises what the simulation raises. *)
 
 val check_suite :
   ?jobs:int ->
@@ -157,12 +168,9 @@ val check_suite :
   store:Harness.Artifact.t ->
   Workloads.Registry.entry list ->
   report list
-(** Lint every workload at every level (default: all four), one
-    {!Harness.Artifact.grid} cell per (workload, level).  Each cell is
-    additionally simulated on the {!acct_configs} machines through
-    {!Harness.Artifact.sim} so the [acct/conserve] gate covers the
-    suite; the sims are memoized, so a run that already produced them
-    pays nothing extra.  Results are in input order (workload-major). *)
+(** {!check_artifact} on every workload at every level (default: all
+    four), one {!Harness.Artifact.grid} cell per (workload, level).
+    Results are in input order (workload-major). *)
 
 val total_errors : report list -> int
 

@@ -107,13 +107,9 @@ let handle_op t (op : Protocol.op) : Json.t =
     Job.account_to_json
       (Job.account_of_stats spec ~kind:entry.Workloads.Registry.kind stats)
   | Protocol.Lint { workload; level } ->
-    let entry =
-      try Workloads.Suite.find workload
-      with Not_found ->
-        failwith (Printf.sprintf "unknown workload %S" workload)
-    in
+    let _, art = artifact t ~workload ~level in
     let reports =
-      Lint.check_suite ~jobs:t.jobs ~levels:[ level ] ~store:t.store [ entry ]
+      [ { Lint.workload; level; diags = Lint.check_artifact t.store art } ]
     in
     Json.Obj
       [

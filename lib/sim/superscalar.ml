@@ -12,6 +12,18 @@ type result = {
   avg_window : float;
 }
 
+let config ~width ~rob =
+  {
+    (Config.default ~num_pus:1 ~in_order:false) with
+    Config.issue_width = width;
+    rob_size = rob;
+    iq_size = max 8 (rob / 2);
+    fu_int = width;
+    fu_fp = max 1 (width / 2);
+    fu_mem = max 1 (width / 2);
+    fu_branch = max 1 (width / 2);
+  }
+
 let grow_int_array a n =
   let len = Array.length a in
   if n <= len then a

@@ -17,8 +17,12 @@ type result = {
           analogue of the Multiscalar window span *)
 }
 
+val config : width:int -> rob:int -> Config.t
+(** The one-PU out-of-order {!Config.default} machine widened to [width]
+    issue slots and a [rob]-entry reorder buffer: an issue queue of half
+    the ROB (at least 8), [width] integer units and half as many (at
+    least one) floating-point, memory and branch units. *)
+
 val run : Config.t -> Interp.Trace.t -> result
 (** [Config.issue_width], [rob_size], [iq_size], functional-unit counts and
-    memory parameters are used directly; build a wider machine by overriding
-    them (e.g. [{ (Config.default ~num_pus:1 ~in_order:false) with
-    issue_width = 4; rob_size = 64 }]). *)
+    memory parameters are used directly ({!config} sets them). *)

@@ -1,8 +1,9 @@
 (* Frozen pre-event-core reference implementation of the Multiscalar engine.
    A verbatim copy of lib/sim/engine.ml as of PR 5, kept ONLY as the oracle
-   for the cycle-exact differential tests of the event-driven core
-   (test/test_event_core.ml).  Do not optimise this file; its value is that
-   it stays behaviourally identical to the goldens the new core must match. *)
+   for the cycle-exact differential of the event-driven core ([differential]
+   at the end, which test/test_event_core.ml and the fuzzer run).  Do not
+   optimise this file; its value is that it stays behaviourally identical
+   to the goldens the new core must match. *)
 open Sim
 type result = {
   stats : Stats.t;
@@ -433,6 +434,36 @@ let run_with_trace ?observer (cfg : Config.t) (plan : Core.Partition.plan)
   stats.Stats.l2_misses <- Cache.misses (Cache.Hierarchy.l2 hier);
   { stats; instances = k_max }
 
-let run ?observer cfg plan =
-  let outcome = Interp.Run.execute plan.Core.Partition.prog in
-  run_with_trace ?observer cfg plan outcome.Interp.Run.trace
+(* The one event-core differential: [Sim.Engine.run_prepared] on [prep]
+   against this frozen core on [plan] and [trace] ([prep] must have been
+   prepared from them).  [None] when the instance counts, every task's
+   schedule (index, PU, assign, complete, retire, misprediction,
+   violations) and the stats agree; otherwise the first divergence, in
+   that order.  [Stats.t] is ints all the way down, so structural equality
+   compares every field and cycle-account category. *)
+let differential cfg prep plan trace =
+  let log = ref [] and log_ref = ref [] in
+  let r =
+    Engine.run_prepared cfg prep trace ~observer:(fun e ->
+        log :=
+          Engine.(e.e_index, e.e_pu, e.e_assign, e.e_complete, e.e_retire,
+                  e.e_mispredicted, e.e_violations)
+          :: !log)
+  in
+  let r_ref =
+    run_with_trace cfg plan trace ~observer:(fun e ->
+        log_ref :=
+          (e.e_index, e.e_pu, e.e_assign, e.e_complete, e.e_retire,
+           e.e_mispredicted, e.e_violations)
+          :: !log_ref)
+  in
+  if r.Engine.instances <> r_ref.instances then
+    Some
+      (Printf.sprintf "instances diverge: event core %d, sim_ref %d"
+         r.Engine.instances r_ref.instances)
+  else if !log <> !log_ref then Some "per-task schedules diverge from sim_ref"
+  else if r.Engine.stats <> r_ref.stats then
+    Some
+      (Printf.sprintf "stats diverge: event core %d cycles, sim_ref %d"
+         r.Engine.stats.Stats.cycles r_ref.stats.Stats.cycles)
+  else None

@@ -6,9 +6,6 @@
    (PU, assign, complete, retire, misprediction, violation count).  Also
    pins the prepare/run_prepared fast path to run_with_trace. *)
 
-let checkb = Alcotest.check Alcotest.bool
-let checki = Alcotest.check Alcotest.int
-
 let pipelines prog =
   List.map
     (fun level ->
@@ -33,51 +30,10 @@ let machine_grid =
       Sim.Config.perfect_task_pred = true };
   ]
 
-type sched = {
-  s_index : int;
-  s_pu : int;
-  s_assign : int;
-  s_complete : int;
-  s_retire : int;
-  s_mispredicted : bool;
-  s_violations : int;
-}
+let differential cfg (plan, trace) =
+  Sim_ref.Engine_ref.differential cfg (Sim.Engine.prepare plan trace) plan
+    trace
 
-let run_new cfg (plan, trace) =
-  let events = ref [] in
-  let observer (e : Sim.Engine.event) =
-    events :=
-      { s_index = e.Sim.Engine.e_index;
-        s_pu = e.Sim.Engine.e_pu;
-        s_assign = e.Sim.Engine.e_assign;
-        s_complete = e.Sim.Engine.e_complete;
-        s_retire = e.Sim.Engine.e_retire;
-        s_mispredicted = e.Sim.Engine.e_mispredicted;
-        s_violations = e.Sim.Engine.e_violations }
-      :: !events
-  in
-  let r = Sim.Engine.run_with_trace ~observer cfg plan trace in
-  (r.Sim.Engine.stats, r.Sim.Engine.instances, List.rev !events)
-
-let run_ref cfg (plan, trace) =
-  let events = ref [] in
-  let observer (e : Sim_ref.Engine_ref.event) =
-    events :=
-      { s_index = e.Sim_ref.Engine_ref.e_index;
-        s_pu = e.Sim_ref.Engine_ref.e_pu;
-        s_assign = e.Sim_ref.Engine_ref.e_assign;
-        s_complete = e.Sim_ref.Engine_ref.e_complete;
-        s_retire = e.Sim_ref.Engine_ref.e_retire;
-        s_mispredicted = e.Sim_ref.Engine_ref.e_mispredicted;
-        s_violations = e.Sim_ref.Engine_ref.e_violations }
-      :: !events
-  in
-  let r = Sim_ref.Engine_ref.run_with_trace ~observer cfg plan trace in
-  (r.Sim_ref.Engine_ref.stats, r.Sim_ref.Engine_ref.instances,
-   List.rev !events)
-
-(* Stats.t (including the nested cycle account) is ints all the way down,
-   so structural equality is a complete field-by-field comparison *)
 let prop_differential =
   QCheck.Test.make ~count:10 ~max_gen:50
     ~name:"event core matches the frozen oracle cycle-for-cycle"
@@ -86,20 +42,11 @@ let prop_differential =
         (fun pipe ->
           List.iter
             (fun cfg ->
-              let stats_n, inst_n, ev_n = run_new cfg pipe in
-              let stats_r, inst_r, ev_r = run_ref cfg pipe in
-              if inst_n <> inst_r then
-                QCheck.Test.fail_reportf "instances: new %d, ref %d" inst_n
-                  inst_r;
-              if ev_n <> ev_r then
-                QCheck.Test.fail_reportf
-                  "%dPU: per-task schedules diverge (%d vs %d events)"
-                  cfg.Sim.Config.num_pus (List.length ev_n)
-                  (List.length ev_r);
-              if stats_n <> stats_r then
-                QCheck.Test.fail_reportf "%dPU: stats diverge:@ new %a@ ref %a"
-                  cfg.Sim.Config.num_pus Sim.Stats.pp stats_n Sim.Stats.pp
-                  stats_r)
+              match differential cfg pipe with
+              | None -> ()
+              | Some msg ->
+                QCheck.Test.fail_reportf "%dPU: %s" cfg.Sim.Config.num_pus
+                  msg)
             machine_grid)
         (pipelines prog);
       true)
@@ -132,11 +79,9 @@ let test_workload_differential () =
       let art = Harness.Artifact.get store ~level entry in
       let pipe = (art.Harness.Artifact.plan, art.Harness.Artifact.trace) in
       let cfg = Sim.Config.default ~num_pus:4 ~in_order:false in
-      let stats_n, inst_n, ev_n = run_new cfg pipe in
-      let stats_r, inst_r, ev_r = run_ref cfg pipe in
-      checki "instances" inst_r inst_n;
-      checkb "schedules" true (ev_n = ev_r);
-      checkb "stats" true (stats_n = stats_r))
+      Alcotest.(check (option string))
+        (Core.Heuristics.level_name level)
+        None (differential cfg pipe))
     Core.Heuristics.all_levels
 
 let () =

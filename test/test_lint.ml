@@ -247,6 +247,36 @@ let test_corrupt_connectivity () =
   checkb "part/connected" true
     (has_rule "part/connected" (Lint.check_plan bad))
 
+(* A plan error stands alone: the later audits and the simulations assume
+   a valid plan, so check_artifact returns the plan's diagnostics only. *)
+let test_gated_artifact () =
+  let store = Harness.Artifact.create () in
+  let entry =
+    Workloads.Registry.of_program ~name:"diamond" (prog_of [ diamond_main () ])
+  in
+  let art =
+    Harness.Artifact.get store ~level:Core.Heuristics.Basic_block entry
+  in
+  let plan = art.Harness.Artifact.plan in
+  let part = find_main_part plan in
+  (* an unmapped entry: chopping the trace for the simulations raises *)
+  let task_of_entry = Array.copy part.Core.Task.task_of_entry in
+  task_of_entry.(0) <- -1;
+  let bad =
+    {
+      art with
+      Harness.Artifact.plan =
+        with_main_part plan { part with Core.Task.task_of_entry };
+    }
+  in
+  let errs = Lint.Diag.errors (Lint.check_artifact store bad) in
+  checkb "part/entry-task" true (has_rule "part/entry-task" errs);
+  List.iter
+    (fun rule ->
+      checkb (rule ^ " is a part/* rule") true
+        (Lint.rule_matches ~pat:"part/*" rule))
+    (rules errs)
+
 (* --- regcomm: handcrafted CFGs, hand-computed answers ---------------------- *)
 
 (* Diamond with a partial kill: r is rewritten on one arm only. *)
@@ -442,6 +472,52 @@ let test_suite_zero_errors () =
         (List.length (Lint.Diag.errors rep.Lint.diags)))
     reports
 
+(* The artifacts behind bench's ablation and crossinput sections, which
+   no report grid holds: the target limit, if-conversion, the optimiser,
+   LOOP_THRESH and the alternative-input profiles. *)
+let test_ablation_zero_errors () =
+  let store = Harness.Artifact.create () in
+  let get ?params ?profile_alt ?variant level name =
+    Harness.Artifact.get store ?params ?profile_alt ?variant ~level
+      (Workloads.Suite.find name)
+  in
+  let open Core.Heuristics in
+  let arts =
+    List.map
+      (fun n -> get ~params:{ default with max_targets = n } Control_flow "go")
+      [ 2; 4; 8 ]
+    @ List.map
+        (get
+           ~variant:{ Harness.Artifact.base_variant with if_convert = true }
+           Data_dependence)
+        [ "go"; "hydro2d"; "wave5" ]
+    @ List.map
+        (get
+           ~variant:{ Harness.Artifact.base_variant with optimize = true }
+           Data_dependence)
+        [ "go"; "vortex" ]
+    @ List.map
+        (fun t ->
+          get ~params:{ default with loop_thresh = t } Task_size "compress")
+        [ 1; 30; 60 ]
+    @ List.concat_map
+        (fun name ->
+          List.map
+            (fun level -> get ~profile_alt:true level name)
+            [ Data_dependence; Task_size ])
+        [ "compress"; "go"; "perl"; "su2cor" ]
+  in
+  checki "artifacts" 19 (List.length arts);
+  List.iter
+    (fun (art : Harness.Artifact.artifact) ->
+      let key = art.Harness.Artifact.key in
+      checki
+        (Printf.sprintf "%s/%s clean" key.Harness.Artifact.workload
+           (level_name key.Harness.Artifact.level))
+        0
+        (List.length (Lint.Diag.errors (Lint.check_artifact store art))))
+    arts
+
 let () =
   Alcotest.run "lint"
     [
@@ -465,6 +541,7 @@ let () =
           Alcotest.test_case "included non-call" `Quick
             test_corrupt_included_calls;
           Alcotest.test_case "disconnected" `Quick test_corrupt_connectivity;
+          Alcotest.test_case "gated artifact" `Quick test_gated_artifact;
         ] );
       ( "regcomm",
         [
@@ -482,5 +559,7 @@ let () =
         [
           Alcotest.test_case "zero errors everywhere" `Slow
             test_suite_zero_errors;
+          Alcotest.test_case "ablation artifacts" `Slow
+            test_ablation_zero_errors;
         ] );
     ]

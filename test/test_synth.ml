@@ -11,8 +11,7 @@ let contains s sub =
   in
   go 0
 
-(* a cheap config for the unit tests: full oracle stack, small machines *)
-let cfg = { Fuzz.default_config with Fuzz.max_steps = 1_000_000 }
+let cfg = Fuzz.default_config
 
 (* --- generation ------------------------------------------------------------ *)
 
@@ -127,6 +126,30 @@ let test_fault_hook () =
   | v :: _ ->
     if not (contains v.Fuzz.v_detail "division by zero") then
       Alcotest.failf "unexpected first violation: %s" (Fuzz.violation_text v)
+
+(* An interpreter error while a level's artifact is built is that level's
+   crash, whether a profiling run or the final run raised it, and the
+   store does not cache the failed run: every level reports its own. *)
+let test_fault_every_level () =
+  let profile = Workloads.Synth.Profile.default in
+  let seed = Workloads.Synth.program_seed ~seed:7 ~index:3 in
+  let p = Workloads.Synth.generate ~profile ~seed in
+  let bad = Fuzz.inject_div0 ~seed:5 p in
+  let r = Fuzz.check_value cfg ~profile:"div0" ~index:0 ~seed:0 bad in
+  let levels oracle =
+    List.filter_map
+      (fun v ->
+        if v.Fuzz.v_oracle = oracle then Some v.Fuzz.v_level else None)
+      r.Fuzz.p_violations
+  in
+  Alcotest.(check (list string)) "crash at every level"
+    [ "bb"; "cf"; "dd"; "ts"; "fb" ] (levels "crash");
+  Alcotest.(check (list string)) "no plan failure" [] (levels "plan");
+  List.iter
+    (fun v ->
+      if not (contains v.Fuzz.v_detail "division by zero") then
+        Alcotest.failf "unexpected violation: %s" (Fuzz.violation_text v))
+    r.Fuzz.p_violations
 
 (* --- golden reproducers ----------------------------------------------------- *)
 
@@ -243,6 +266,8 @@ let () =
             test_fault_hook;
           Alcotest.test_case "fuzz records in results.json" `Quick
             test_fuzz_export_shape;
+          Alcotest.test_case "div0 crashes every level" `Quick
+            test_fault_every_level;
         ] );
       ( "golden",
         [
