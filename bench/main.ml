@@ -152,7 +152,7 @@ let run_ablation () =
   line ();
   let base_cfg = Sim.Config.default ~num_pus:8 ~in_order:false in
   let custom_sim cfg (art : Harness.Artifact.artifact) =
-    (Sim.Engine.run_with_trace cfg art.Harness.Artifact.plan
+    (Sim.Engine.run_prepared cfg (Harness.Artifact.prep store art)
        art.Harness.Artifact.trace)
       .Sim.Engine.stats
   in

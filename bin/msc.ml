@@ -355,7 +355,7 @@ let superscalar_cmd =
 let timeline_cmd =
   let count_arg =
     let doc = "Number of dynamic tasks to show." in
-    Arg.(value & opt int 32 & info [ "n" ] ~doc)
+    Arg.(value & opt non_negative_conv 32 & info [ "n" ] ~doc)
   in
   let skip_arg =
     let doc = "Skip this many dynamic tasks first (past the warm-up)." in
@@ -364,25 +364,21 @@ let timeline_cmd =
   let run entry level pus in_order n skip =
     let art = Harness.Artifact.get store ~level entry in
     let plan = art.Harness.Artifact.plan in
+    let trace = art.Harness.Artifact.trace in
     let cfg = Sim.Config.default ~num_pus:pus ~in_order in
     let base = ref (-1) in
-    Printf.printf "%6s %3s %-24s %8s %8s %8s %s
-" "task" "pu" "entry"
+    Printf.printf "%6s %3s %-24s %8s %8s %8s %s\n" "task" "pu" "entry"
       "assign" "done" "retire" "flags";
     let observer (e : Sim.Engine.event) =
       if e.Sim.Engine.e_index >= skip && e.Sim.Engine.e_index < skip + n then begin
         if !base < 0 then base := e.Sim.Engine.e_assign;
         let inst = e.Sim.Engine.e_instance in
-        let fname =
-          (Ir.Prog.func_names plan.Core.Partition.prog |> fun names ->
-           List.nth names inst.Sim.Dyntask.fid)
-        in
+        let fname = trace.Interp.Trace.fnames.(inst.Sim.Dyntask.fid) in
         let part = Ir.Prog.Smap.find fname plan.Core.Partition.parts in
         let entry_blk =
           part.Core.Task.tasks.(inst.Sim.Dyntask.task).Core.Task.entry
         in
-        Printf.printf "%6d %3d %-24s %8d %8d %8d %s%s
-"
+        Printf.printf "%6d %3d %-24s %8d %8d %8d %s%s\n"
           e.Sim.Engine.e_index e.Sim.Engine.e_pu
           (Printf.sprintf "%s/L%d (%d insns)" fname entry_blk
              inst.Sim.Dyntask.size)
@@ -396,7 +392,9 @@ let timeline_cmd =
       end
     in
     ignore
-      (Sim.Engine.run_with_trace ~observer cfg plan art.Harness.Artifact.trace)
+      (Sim.Engine.run_prepared ~observer cfg
+         (Harness.Artifact.prep store art)
+         trace)
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -435,14 +433,14 @@ let trace_stats_cmd =
               (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
               trace.Interp.Trace.fnames
           in
-          let tasks = Sim.Dyntask.chop trace ~parts in
+          let tasks = Sim.Dyntask.count trace ~parts in
           let span =
             Report.Window_span.measured ~num_pus:pus ~pred trace ~tasks
           in
           ( art.Harness.Artifact.key.Harness.Artifact.workload,
             Interp.Trace.stats trace,
             trace.Interp.Trace.dyn_insns,
-            Sim.Dyntask.count tasks,
+            tasks,
             span ))
     in
     Printf.printf "%-10s %9s %9s %9s %6s %6s %6s %8s %8s %7s %8s\n"
@@ -502,7 +500,7 @@ let fuzz_cmd =
   in
   let n_arg =
     let doc = "Number of programs (spread round-robin over the profiles)." in
-    Arg.(value & opt int 200 & info [ "n" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative_conv 200 & info [ "n" ] ~docv:"N" ~doc)
   in
   let profile_arg =
     let doc =

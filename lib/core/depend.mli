@@ -15,7 +15,7 @@
       of a load in another (or the same, on re-execution) task, anywhere in
       the program.  Stores and loads of callees executing inside an
       included call are attributed to the enclosing task, mirroring
-      {!Sim.Dyntask.chop}.
+      the task walk ([Sim.Dyntask]).
 
     This module is deliberately independent of {!Regcomm} — the [dep/reg]
     lint rule differentially compares the register edges computed here

@@ -9,7 +9,14 @@
    instruction index" entry and a may-rewrite bit — because the simulator
    queries these once per dynamic register write.  Tree-set membership and
    tuple-keyed hashtable probes on that path cost an allocation and a
-   polymorphic hash per query; the flat tables are two array reads. *)
+   polymorphic hash per query; the flat tables are two array reads.
+
+   The tables are filled from arrays and register sets, with nothing
+   allocated per (block, register): each block's writes as a Regset, once
+   per function; per task block, the last-def index of each register in
+   one array reset per block, and the writes of the blocks strictly
+   reachable from it inside the task, accumulated into one Regset by a
+   depth-first search over a stamped visited array and an int stack. *)
 
 module Iset = Task.Iset
 
@@ -33,127 +40,112 @@ type t = { infos : task_info array }
 
 let all_regs = Regset.of_list (List.init Ir.Reg.count (fun i -> i))
 
-let block_writes f ~included_calls b =
-  let blk = Ir.Func.block f b in
-  let regs = ref Analysis.Dataflow.Regset.empty in
-  Array.iter
-    (fun insn ->
-      List.iter
-        (fun r -> regs := Analysis.Dataflow.Regset.add r !regs)
-        (Ir.Insn.defs insn))
-    blk.Ir.Block.insns;
-  (match blk.Ir.Block.term with
-  | Ir.Block.Call (_, _) when included_calls.(b) ->
-    for r = 0 to Ir.Reg.count - 1 do
-      regs := Analysis.Dataflow.Regset.add r !regs
-    done
-  | Ir.Block.Call (_, _) | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
-  | Ir.Block.Ret | Ir.Block.Halt -> ());
-  !regs
+let included_call ~included_calls b (blk : Ir.Block.t) =
+  match blk.Ir.Block.term with
+  | Ir.Block.Call (_, _) -> included_calls.(b)
+  | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
+  | Ir.Block.Halt -> false
+
+(* an included call writes every register *)
+let block_writes ~included_calls b (blk : Ir.Block.t) =
+  if included_call ~included_calls b blk then all_regs
+  else
+    Array.fold_left
+      (fun acc insn ->
+        match Ir.Insn.def insn with -1 -> acc | r -> Regset.add r acc)
+      Regset.empty blk.Ir.Block.insns
+
+(* [visit] every successor of block [x] (Task.intra_successors before its
+   task filter: a non-included call block has none) *)
+let iter_successors f ~included_calls x visit =
+  match (Ir.Func.block f x).Ir.Block.term with
+  | Ir.Block.Call (_, _) when not included_calls.(x) -> ()
+  | Ir.Block.Call (_, l) | Ir.Block.Jump l -> visit l
+  | Ir.Block.Br (_, l1, l2) ->
+    visit l1;
+    visit l2
+  | Ir.Block.Switch (_, targets, default) ->
+    Array.iter visit targets;
+    visit default
+  | Ir.Block.Ret | Ir.Block.Halt -> ()
 
 (* interprocedurally sound liveness: callees may read any register *)
 let sound_liveness f = Analysis.Dataflow.liveness ~call_uses:all_regs f
 
-let task_info f lv part (task : Task.t) =
-  let included_calls = part.Task.included_calls in
-  let needed_out =
-    if task.Task.has_ret || task.Task.calls_out <> [] then all_regs
-    else
-      List.fold_left
-        (fun acc target ->
-          Regset.union acc lv.Analysis.Dataflow.live_in.(target))
-        Regset.empty task.Task.targets
-  in
-  let last_write = Hashtbl.create 32 in
-  let included_at = Hashtbl.create 4 in
-  let writes = Hashtbl.create 8 in
-  Iset.iter
-    (fun b ->
-      let blk = Ir.Func.block f b in
-      Array.iteri
-        (fun idx insn ->
-          List.iter (fun r -> Hashtbl.replace last_write (b, r) idx)
-            (Ir.Insn.defs insn))
-        blk.Ir.Block.insns;
-      (match blk.Ir.Block.term with
-      | Ir.Block.Call (_, _) when included_calls.(b) ->
-        let tidx = Array.length blk.Ir.Block.insns in
-        Hashtbl.replace included_at b tidx;
-        for r = 0 to Ir.Reg.count - 1 do
-          Hashtbl.replace last_write (b, r) tidx
-        done
-      | Ir.Block.Call (_, _) | Ir.Block.Jump _ | Ir.Block.Br _
-      | Ir.Block.Switch _ | Ir.Block.Ret | Ir.Block.Halt -> ());
-      Hashtbl.replace writes b (block_writes f ~included_calls b))
-    task.Task.blocks;
-  (* strict reachability inside the task (edges to the entry end the task
-     and do not continue) *)
-  let strict_reach = Hashtbl.create 8 in
-  Iset.iter
-    (fun b ->
-      let seen = ref Iset.empty in
-      let rec visit x =
-        List.iter
-          (fun s ->
-            if not (Iset.mem s !seen) then begin
-              seen := Iset.add s !seen;
-              visit s
-            end)
-          (Task.intra_successors f ~included_calls ~entry:task.Task.entry
-             task.Task.blocks x)
-      in
-      visit b;
-      Hashtbl.replace strict_reach b !seen)
-    task.Task.blocks;
-  (* flatten into the per-dynamic-write lookup tables *)
-  let nregs = Ir.Reg.count in
-  let needed_b = Bytes.make nregs '\000' in
-  for r = 0 to nregs - 1 do
-    if Regset.mem r needed_out then Bytes.set needed_b r '\001'
-  done;
-  let blk_off = Array.make (Ir.Func.num_blocks f) (-1) in
-  let ntb = ref 0 in
-  Iset.iter
-    (fun b ->
-      blk_off.(b) <- !ntb;
-      incr ntb)
-    task.Task.blocks;
-  let fwd = Array.make (!ntb * nregs) (-1) in
-  let rw = Bytes.make (!ntb * nregs) '\000' in
-  let writes_reg reg b =
-    match Hashtbl.find_opt writes b with
-    | Some ws -> Regset.mem reg ws
-    | None -> false
-  in
-  Iset.iter
-    (fun b ->
-      let base = blk_off.(b) * nregs in
-      let reach =
-        match Hashtbl.find_opt strict_reach b with
-        | Some s -> s
-        | None -> Iset.empty
-      in
-      for reg = 0 to nregs - 1 do
-        let reach_writes = Iset.exists (writes_reg reg) reach in
-        if writes_reg reg b || reach_writes then
-          Bytes.set rw (base + reg) '\001';
-        (match Hashtbl.find_opt last_write (b, reg) with
-        | Some last
-          when Hashtbl.find_opt included_at b <> Some last
-               && not reach_writes ->
-          (* the mega-write modelling an included callee registers as the
-             last write of every register at the terminator index, but the
-             compiler cannot mark forward bits inside a separately compiled
-             callee: that site itself is never forwardable *)
-          fwd.(base + reg) <- last
-        | Some _ | None -> ())
-      done)
-    task.Task.blocks;
-  { needed_b; blk_off; fwd; rw }
-
 let create f part =
   let lv = sound_liveness f in
-  { infos = Array.map (task_info f lv part) part.Task.tasks }
+  let included_calls = part.Task.included_calls in
+  let n = Ir.Func.num_blocks f and nregs = Ir.Reg.count in
+  let writes = Array.mapi (block_writes ~included_calls) f.Ir.Func.blocks in
+  (* the search's visited stamps and stack; one block's last defs *)
+  let seen = Array.make n (-1) and stack = Array.make n 0 in
+  let search = ref 0 in
+  let last_def = Array.make nregs (-1) in
+  let task_info (task : Task.t) =
+    let needed_out =
+      if task.Task.has_ret || task.Task.calls_out <> [] then all_regs
+      else
+        List.fold_left
+          (fun acc target ->
+            Regset.union acc lv.Analysis.Dataflow.live_in.(target))
+          Regset.empty task.Task.targets
+    in
+    let needed_b =
+      Bytes.init nregs (fun r ->
+          if Regset.mem r needed_out then '\001' else '\000')
+    in
+    let blk_off = Array.make n (-1) in
+    let ntb =
+      Iset.fold
+        (fun b k ->
+          blk_off.(b) <- k;
+          k + 1)
+        task.Task.blocks 0
+    in
+    let fwd = Array.make (ntb * nregs) (-1) in
+    let rw = Bytes.make (ntb * nregs) '\000' in
+    Iset.iter
+      (fun b ->
+        (* the writes of the blocks strictly reachable from [b] inside the
+           task (edges to the entry end the task and do not continue) *)
+        incr search;
+        let sp = ref 0 and reach = ref Regset.empty in
+        let visit s =
+          if s <> task.Task.entry && blk_off.(s) >= 0 && seen.(s) <> !search
+          then begin
+            seen.(s) <- !search;
+            reach := Regset.union writes.(s) !reach;
+            stack.(!sp) <- s;
+            incr sp
+          end
+        in
+        iter_successors f ~included_calls b visit;
+        while !sp > 0 do
+          decr sp;
+          iter_successors f ~included_calls stack.(!sp) visit
+        done;
+        let blk = Ir.Func.block f b in
+        Array.fill last_def 0 nregs (-1);
+        for idx = 0 to Array.length blk.Ir.Block.insns - 1 do
+          let r = Ir.Insn.def blk.Ir.Block.insns.(idx) in
+          if r >= 0 then last_def.(r) <- idx
+        done;
+        (* the mega-write modelling an included callee is the last write of
+           every register, but the compiler cannot mark forward bits inside
+           a separately compiled callee: that site is never forwardable *)
+        let included = included_call ~included_calls b blk in
+        let base = blk_off.(b) * nregs in
+        for reg = 0 to nregs - 1 do
+          let later = Regset.mem reg !reach in
+          if later || Regset.mem reg writes.(b) then
+            Bytes.set rw (base + reg) '\001';
+          if (not (included || later)) && last_def.(reg) >= 0 then
+            fwd.(base + reg) <- last_def.(reg)
+        done)
+      task.Task.blocks;
+    { needed_b; blk_off; fwd; rw }
+  in
+  { infos = Array.map task_info part.Task.tasks }
 
 let needed t ~task ~reg =
   if task < 0 || task >= Array.length t.infos then true

@@ -82,15 +82,17 @@ val get :
 
 val prep : t -> artifact -> Sim.Engine.prep
 (** Memoized {!Sim.Engine.prepare} of the artifact — the configuration-
-    independent half of a simulation (task chop, register-communication
-    analyses, layout), shared across every machine configuration swept
-    against the same plan and trace. *)
+    independent half of a simulation (register-communication analyses,
+    the task walk's callee table, layout), sized by the program and shared
+    across every machine configuration swept against the same plan and
+    trace. *)
 
 val sim : t -> artifact -> num_pus:int -> in_order:bool -> Sim.Stats.t
 (** Memoized [Sim.Engine.run_prepared] over the artifact's shared prep
     on the {!Sim.Config.default} machine with [num_pus] PUs.  Callers must
     treat the returned statistics as read-only: repeated calls share one
-    record. *)
+    record.  Raises {!Sim.Dyntask.Not_closed} when the plan cannot chop
+    the trace into task instances, as only an invalid plan does. *)
 
 val grid :
   t ->
@@ -124,9 +126,9 @@ val traces : t -> (key * Interp.Trace.t) list
 val trace_bytes : t -> int
 (** Total resident bytes of the store's packed traces
     ({!Interp.Trace.bytes}), each physical trace counted once however many
-    keys share it.  Not the store's largest term: a store over the
-    extended grid (the 18 workloads at bb through fb, every artifact
-    prepared for simulation) holds 42.7 MB by [Obj.reachable_words], of
-    which the traces are 8.8 MB and the preps 24.9 MB, 22.2 MB of those
-    the packed task chops at three words per instance (as instance
-    records the chops took 80.0 MB and the store 100.5 MB). *)
+    keys share it: the one term of a store sized by the traces.  A store
+    over the extended grid (the 18 workloads at bb through fb, every
+    artifact prepared for simulation) holds 21.6 MB by
+    [Obj.reachable_words]: traces 9.2 MB, plans 9.6 MB, preps 2.9 MB
+    (2.5 MB of it register-communication tables).  When each prep kept its
+    task chop, the chops took 23.2 MB and the store 44.8 MB. *)

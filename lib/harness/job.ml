@@ -186,8 +186,7 @@ let dep_of_artifact (art : Artifact.artifact) =
       (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
       trace.Interp.Trace.fnames
   in
-  let instances = Sim.Dyntask.chop trace ~parts in
-  let observed = Sim.Memflow.observed trace ~instances in
+  let observed = Sim.Memflow.observed trace ~parts in
   let fnames = trace.Interp.Trace.fnames in
   let hits, flows =
     List.fold_left

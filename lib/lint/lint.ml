@@ -1021,12 +1021,12 @@ let check_deps (plan : Core.Partition.plan) trace =
       (Diag.error ~rule:"dep/sound" Diag.program_loc
          "trace names a function the plan has no partition for")
   | parts -> (
-    match Sim.Dyntask.chop trace ~parts with
+    match Sim.Memflow.observed trace ~parts with
     | exception Sim.Dyntask.Not_closed msg ->
       add
         (Diag.error ~rule:"dep/sound" Diag.program_loc
            "trace cannot be chopped into task instances: %s" msg)
-    | instances ->
+    | observed ->
       List.iter
         (fun (o : Sim.Memflow.edge) ->
           let src =
@@ -1045,7 +1045,7 @@ let check_deps (plan : Core.Partition.plan) trace =
                   occurrences)"
                  src.Core.Depend.fn src.Core.Depend.task o.Sim.Memflow.addr
                  o.Sim.Memflow.count))
-        (Sim.Memflow.observed trace ~instances)));
+        observed));
   List.sort Diag.compare !ds
 
 (* The static half of check_deps, installed behind

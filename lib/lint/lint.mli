@@ -93,10 +93,11 @@ val check_deps : Core.Partition.plan -> Interp.Trace.t -> Diag.t list
       and the two sets diffed; the analyzer's chosen criticality site must
       satisfy {!Core.Regcomm.forwardable} (and when it found none, no
       last-in-block write may be forwardable);
-    - [dep/sound]: the packed trace is chopped into dynamic task instances
-      and every observed cross-instance store→load flow must be predicted
-      by the analyzer's memory edges — the static analysis is an
-      over-approximation or it is broken.
+    - [dep/sound]: the packed trace is walked as dynamic task instances
+      ({!Sim.Memflow.observed}) and every observed cross-instance
+      store→load flow must be predicted by the analyzer's memory edges —
+      the static analysis is an over-approximation or it is broken.  A
+      trace the walk cannot chop into instances is one [dep/sound] error.
 
     Assumes a structurally valid plan (gate on {!check_plan} first). *)
 

@@ -6,13 +6,11 @@ let formula ~task_size ~pred ~num_pus =
   go 0 0.0 1.0
 
 (* Measured counterpart: the average dynamic task size observed in a packed
-   trace chopped into task instances, fed through the same series.  The
+   trace of [n_tasks] task instances, fed through the same series.  The
    total dynamic size is re-derived from the packed event stream (memoized
    size table), so this doubles as an end-to-end consistency point between
-   the trace representation and the chopper. *)
-let measured ~num_pus ~pred (trace : Interp.Trace.t)
-    ~(tasks : Sim.Dyntask.t) =
-  let n_tasks = Sim.Dyntask.count tasks in
+   the trace representation and the task walk. *)
+let measured ~num_pus ~pred (trace : Interp.Trace.t) ~tasks:n_tasks =
   if n_tasks = 0 then 0.0
   else begin
     let total = ref 0 in

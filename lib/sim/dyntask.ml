@@ -1,12 +1,9 @@
-(* The task chop (see dyntask.mli).  Instances live in three int arrays:
-   [starts] holds each instance's first event and, after the last
-   instance, the trace's event count, so instance k's last event is
-   [starts.(k + 1) - 1]; [ids] packs fid, task, successor and argument;
-   [works] packs size and control transfers.  Each field is range-checked
-   as it is packed, so a value that does not fit raises rather than
-   wraps.  The chop loop keeps its state in local variables (no closure
-   captures them) and reads callee fids from a table built once per
-   chop, so it allocates only the arrays' growth. *)
+(* The task walk (see dyntask.mli).  The cursor holds the current
+   instance's fields in mutable ints; [next] runs the per-instance loop
+   from the event after the current instance's last, keeping its state in
+   local variables (no closure captures them), and reads callee fids from
+   the program's table, built once per [program].  A walk allocates its
+   cursor and nothing per instance or event. *)
 
 type succ_kind =
   | Fallthrough of Ir.Block.label
@@ -26,51 +23,20 @@ type instance = {
 
 type succ = To_block | To_callee | To_caller | To_end
 
-type t = {
-  starts : int array;  (* count + 1 entries *)
-  ids : int array;  (* fid lsl 42 | task lsl 22 | succ lsl 20 | arg *)
-  works : int array;  (* ct lsl 31 | size *)
-}
-
 exception Not_closed of string
 
-let field_bits = 20
-let field_max = (1 lsl field_bits) - 1
-let succ_shift = field_bits
-let task_shift = succ_shift + 2
-let fid_shift = task_shift + field_bits
-let size_bits = 31
-let size_max = (1 lsl size_bits) - 1
+type program = {
+  parts : Core.Task.partition array;
+  (* the callee fid of every call block; -1 for other blocks and for
+     callees the trace does not name *)
+  callee : int array array;
+}
 
-(* the [succ] codes, in constructor order *)
-let to_block = 0
-let to_callee = 1
-let to_caller = 2
-let to_end = 3
-
-let check_fits what v max =
-  if v < 0 || v > max then
-    invalid_arg
-      (Printf.sprintf "Dyntask.chop: %s %d does not fit its packed field"
-         what v)
-
-let is_ct = function
-  | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Call _ | Ir.Block.Ret -> true
-  | Ir.Block.Jump _ | Ir.Block.Halt -> false
-
-let grow a len =
-  let b = Array.make len 0 in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let chop (trace : Interp.Trace.t) ~(parts : Core.Task.partition array) =
-  let n = Interp.Trace.num_events trace in
+let program (trace : Interp.Trace.t) ~parts =
   let fid_of_name = Hashtbl.create 16 in
   Array.iteri
     (fun i name -> Hashtbl.replace fid_of_name name i)
     trace.Interp.Trace.fnames;
-  (* the callee fid of every call block; -1 for other blocks and for
-     callees the trace does not name *)
   let callee =
     Array.map
       (fun (f : Ir.Func.t) ->
@@ -84,17 +50,39 @@ let chop (trace : Interp.Trace.t) ~(parts : Core.Task.partition array) =
           f.Ir.Func.blocks)
       trace.Interp.Trace.funcs
   in
-  let cap = ref 256 in
-  let starts = ref (Array.make (!cap + 1) 0) in
-  let ids = ref (Array.make !cap 0) in
-  let works = ref (Array.make !cap 0) in
-  let count = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    let first = !i in
+  { parts; callee }
+
+type t = {
+  prog : program;
+  trace : Interp.Trace.t;
+  mutable c_index : int;
+  mutable c_first : int;
+  mutable c_last : int;  (* -1 before the first instance *)
+  mutable c_fid : int;
+  mutable c_task : int;
+  mutable c_size : int;
+  mutable c_ct : int;
+  mutable c_succ : succ;
+  mutable c_arg : int;
+}
+
+let walk prog trace =
+  { prog; trace; c_index = -1; c_first = 0; c_last = -1; c_fid = 0;
+    c_task = 0; c_size = 0; c_ct = 0; c_succ = To_end; c_arg = 0 }
+
+let is_ct = function
+  | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Call _ | Ir.Block.Ret -> true
+  | Ir.Block.Jump _ | Ir.Block.Halt -> false
+
+let next w =
+  let trace = w.trace in
+  let n = Interp.Trace.num_events trace in
+  let first = w.c_last + 1 in
+  if first >= n then false
+  else begin
     let fid0 = Interp.Trace.get_fid trace first in
     let blk0 = Interp.Trace.get_blk trace first in
-    let part = parts.(fid0) in
+    let part = w.prog.parts.(fid0) in
     let task_idx = part.Core.Task.task_of_entry.(blk0) in
     if task_idx = -1 then
       raise
@@ -107,7 +95,7 @@ let chop (trace : Interp.Trace.t) ~(parts : Core.Task.partition array) =
     let entry = task.Core.Task.entry in
     let size = ref 0 in
     let ct = ref 0 in
-    let succ = ref to_end in
+    let succ = ref To_end in
     let arg = ref 0 in
     let j = ref first in
     let depth = ref 0 in
@@ -130,10 +118,10 @@ let chop (trace : Interp.Trace.t) ~(parts : Core.Task.partition array) =
           else go := false
         end
         else begin
-          let c = callee.(ev_fid).(ev_blk) in
+          let c = w.prog.callee.(ev_fid).(ev_blk) in
           if c < 0 then
             raise (Not_closed (Printf.sprintf "unknown callee %s" name));
-          succ := to_callee;
+          succ := To_callee;
           arg := c;
           go := false
         end
@@ -161,14 +149,14 @@ let chop (trace : Interp.Trace.t) ~(parts : Core.Task.partition array) =
               depth := 0
             end
             else begin
-              succ := to_block;
+              succ := To_block;
               arg := next_blk;
               go := false
             end
           end
         end
         else begin
-          if has_next then succ := to_caller;
+          if has_next then succ := To_caller;
           go := false
         end
       | Ir.Block.Halt -> go := false
@@ -186,71 +174,68 @@ let chop (trace : Interp.Trace.t) ~(parts : Core.Task.partition array) =
             && next_blk <> entry
           then incr j
           else begin
-            succ := to_block;
+            succ := To_block;
             arg := next_blk;
             go := false
           end
         end
     done;
-    check_fits "fid" fid0 field_max;
-    check_fits "task" task_idx field_max;
-    check_fits "successor argument" !arg field_max;
-    check_fits "size" !size size_max;
-    check_fits "control-transfer count" !ct size_max;
-    if !count = !cap then begin
-      cap := 2 * !cap;
-      starts := grow !starts (!cap + 1);
-      ids := grow !ids !cap;
-      works := grow !works !cap
-    end;
-    !starts.(!count) <- first;
-    !ids.(!count) <-
-      (fid0 lsl fid_shift) lor (task_idx lsl task_shift)
-      lor (!succ lsl succ_shift) lor !arg;
-    !works.(!count) <- (!ct lsl size_bits) lor !size;
-    incr count;
-    i := !j + 1
-  done;
-  !starts.(!count) <- !i;
+    w.c_index <- w.c_index + 1;
+    w.c_first <- first;
+    w.c_last <- !j;
+    w.c_fid <- fid0;
+    w.c_task <- task_idx;
+    w.c_size <- !size;
+    w.c_ct <- !ct;
+    w.c_succ <- !succ;
+    w.c_arg <- !arg;
+    true
+  end
+
+let index w = w.c_index
+let fid w = w.c_fid
+let task w = w.c_task
+let first w = w.c_first
+let last w = w.c_last
+let size w = w.c_size
+let ct w = w.c_ct
+let succ w = w.c_succ
+let succ_arg w = w.c_arg
+
+let get w =
   {
-    starts = Array.sub !starts 0 (!count + 1);
-    ids = Array.sub !ids 0 !count;
-    works = Array.sub !works 0 !count;
-  }
-
-let count t = Array.length t.ids
-let first t k = t.starts.(k)
-let last t k = t.starts.(k + 1) - 1
-let fid t k = t.ids.(k) lsr fid_shift
-let task t k = (t.ids.(k) lsr task_shift) land field_max
-let succ_arg t k = t.ids.(k) land field_max
-let size t k = t.works.(k) land size_max
-let ct t k = t.works.(k) lsr size_bits
-
-let succ t k =
-  match (t.ids.(k) lsr succ_shift) land 3 with
-  | 0 -> To_block
-  | 1 -> To_callee
-  | 2 -> To_caller
-  | _ -> To_end
-
-let get t k =
-  {
-    fid = fid t k;
-    task = task t k;
-    first = first t k;
-    last = last t k;
-    size = size t k;
-    ct = ct t k;
+    fid = w.c_fid;
+    task = w.c_task;
+    first = w.c_first;
+    last = w.c_last;
+    size = w.c_size;
+    ct = w.c_ct;
     kind =
-      (match succ t k with
-      | To_block -> Fallthrough (succ_arg t k)
-      | To_callee -> Calls (succ_arg t k)
+      (match w.c_succ with
+      | To_block -> Fallthrough w.c_arg
+      | To_callee -> Calls w.c_arg
       | To_caller -> Returns
       | To_end -> Program_end);
   }
 
-let check_instances trace t =
+let walk_of trace ~parts = walk (program trace ~parts) trace
+
+let instances trace ~parts =
+  let w = walk_of trace ~parts in
+  let acc = ref [] in
+  while next w do
+    acc := get w :: !acc
+  done;
+  Array.of_list (List.rev !acc)
+
+let count trace ~parts =
+  let w = walk_of trace ~parts in
+  while next w do
+    ()
+  done;
+  index w + 1
+
+let check_instances trace ~parts =
   let n = Interp.Trace.num_events trace in
   let result = ref (Ok ()) in
   let fail fmt =
@@ -258,12 +243,13 @@ let check_instances trace t =
   in
   let expected = ref 0 in
   let total_size = ref 0 in
-  for k = 0 to count t - 1 do
-    if first t k <> !expected then
-      fail "instance starts at %d, expected %d" (first t k) !expected;
-    if last t k < first t k then fail "negative instance";
-    expected := last t k + 1;
-    total_size := !total_size + size t k
+  let w = walk_of trace ~parts in
+  while next w do
+    if first w <> !expected then
+      fail "instance starts at %d, expected %d" (first w) !expected;
+    if last w < first w then fail "negative instance";
+    expected := last w + 1;
+    total_size := !total_size + size w
   done;
   if !expected <> n then fail "instances cover %d of %d events" !expected n;
   if !total_size <> trace.Interp.Trace.dyn_insns then

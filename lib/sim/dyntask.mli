@@ -1,14 +1,14 @@
-(** Chopping a dynamic trace into dynamic task instances (paper §2.2):
-    an instance starts at a task entry and runs until control leaves the
+(** Walking a dynamic trace as dynamic task instances (paper §2.2): an
+    instance starts at a task entry and runs until control leaves the
     task's block set or re-enters the entry; callees of calls marked for
     inclusion execute inside the running instance.
 
-    The chop is a packed table of int arrays, three words per instance:
-    its first event (its last is the next instance's first minus one),
-    one word packing fid, task, successor and the successor's argument,
-    and one packing size and control-transfer count.  The engine reads
-    the fields through the accessors; {!get} unpacks one instance into an
-    {!instance} record, a view for observers, tests and the reference
+    No list of instances is kept.  A walk is a cursor that finds each
+    instance's boundary as the sequencer does, by walking on from the
+    previous one, and holds the current instance's fields as plain ints,
+    none with a width limit.  Besides the trace it reads a {!program},
+    sized by the program and built once per (plan, trace).  {!get} and
+    {!instances} are record views for observers, tests and the reference
     engine. *)
 
 type succ_kind =
@@ -30,29 +30,39 @@ type instance = {
   kind : succ_kind;
 }
 
-type t
-(** The instances of one trace, in program order. *)
-
 exception Not_closed of string
-(** Raised when the trace enters a block that is no task entry — a partition
-    closure bug. *)
+(** Raised by {!next} when the trace enters a block that is no task entry
+    (a partition closure bug) or calls a function it does not name. *)
 
-val chop : Interp.Trace.t -> parts:Core.Task.partition array -> t
-(** [parts] is indexed by fid.  Allocates nothing per event; per instance
-    only the table's growth.  Raises [Invalid_argument] if a field does not
-    fit its packed width (fid, task, block label and callee fid below
-    2{^20}, size and control transfers below 2{^31}). *)
+type program
+(** The partitions, indexed by the trace's fids, and the callee fid of
+    every call block; read-only, so walks and domains may share it. *)
 
-val count : t -> int
+val program : Interp.Trace.t -> parts:Core.Task.partition array -> program
 
-(** {2 Fields of instance [k]}, [0 <= k < count t]; none allocates. *)
+type t
+(** A walk over one trace's instances, in program order. *)
 
-val fid : t -> int -> int
-val task : t -> int -> int
-val first : t -> int -> int
-val last : t -> int -> int
-val size : t -> int -> int
-val ct : t -> int -> int
+val walk : program -> Interp.Trace.t -> t
+(** A walk before the first instance of the trace [program] was built
+    from. *)
+
+val next : t -> bool
+(** Moves to the next instance; [false] once the trace is exhausted,
+    leaving the walk at the last instance.  Allocates nothing.
+    @raise Not_closed at the event where the instance breaks off. *)
+
+(** {2 Fields of the current instance}  None allocates. *)
+
+val index : t -> int
+(** The instance's number, from 0 ([-1] before the first [next]). *)
+
+val fid : t -> int
+val task : t -> int
+val first : t -> int
+val last : t -> int
+val size : t -> int
+val ct : t -> int
 
 (** The successor kind without its argument: an immediate value. *)
 type succ =
@@ -61,14 +71,22 @@ type succ =
   | To_caller  (** {!Returns} *)
   | To_end     (** {!Program_end} *)
 
-val succ : t -> int -> succ
+val succ : t -> succ
 
-val succ_arg : t -> int -> int
+val succ_arg : t -> int
 (** The block label or callee fid of {!To_block} and {!To_callee}; 0 for
     the others. *)
 
-val get : t -> int -> instance
-(** Instance [k] as a record: an allocating view of the packed fields. *)
+val get : t -> instance
+(** The current instance as a record. *)
 
-val check_instances : Interp.Trace.t -> t -> (unit, string) result
+(** {2 Whole walks}  [parts] is indexed by the trace's fids. *)
+
+val instances :
+  Interp.Trace.t -> parts:Core.Task.partition array -> instance array
+
+val count : Interp.Trace.t -> parts:Core.Task.partition array -> int
+
+val check_instances :
+  Interp.Trace.t -> parts:Core.Task.partition array -> (unit, string) result
 (** Sanity: instances tile the event range exactly and sizes add up. *)

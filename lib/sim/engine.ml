@@ -12,10 +12,10 @@
    rows slide instead of spanning the run.  One Timing.ctx is reused for
    every attempt of every dynamic task instance, the predictor and cache
    tables are byte and int pages allocated on first touch (Occ.Pages),
-   the per-task loop reads the instance's fields straight from the packed
-   chop (Dyntask.t; the record view is built only for an observer), and
-   every in-flight scan is a plain loop over those arrays, so the per-task
-   loop allocates nothing in the steady state.  The schedule is
+   the per-task loop reads the instance's fields from a task walk
+   (Dyntask.t, a cursor; the record view is built only for an observer),
+   and every in-flight scan is a plain loop over those arrays, so the
+   per-task loop allocates nothing in the steady state.  The schedule is
    cycle-for-cycle identical to the frozen pre-event core
    (Sim_ref.Engine_ref), pinned by the qcheck differential in
    test/test_event_core.ml and the byte-identical report goldens. *)
@@ -36,16 +36,14 @@ type event = {
   e_violations : int;
 }
 
-(* Trace-derived state shared by every machine configuration simulated
-   against the same (plan, trace): the task-instance chop (a packed table
-   of three ints per instance), the per-function register-communication
-   analyses and the code layout are configuration-independent, and all
-   are read-only during simulation — compute them once and reuse across
-   the table's machine sweep. *)
+(* State shared by every machine configuration simulated against the
+   same (plan, trace), sized by the program and read-only during
+   simulation: compute it once and reuse it across the table's machine
+   sweep.  Each run walks the task instances itself. *)
 type prep = {
   p_parts : Core.Task.partition array;
   p_regcomms : Core.Regcomm.t array;
-  p_instances : Dyntask.t;
+  p_tasks : Dyntask.program;
   p_layout : Layout.t;
 }
 
@@ -62,7 +60,7 @@ let prepare (plan : Core.Partition.plan) (trace : Interp.Trace.t) =
   {
     p_parts = parts;
     p_regcomms = regcomms;
-    p_instances = Dyntask.chop trace ~parts;
+    p_tasks = Dyntask.program trace ~parts;
     p_layout = Layout.create trace.Interp.Trace.funcs;
   }
 
@@ -139,9 +137,8 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   let fnames = trace.Interp.Trace.fnames in
   let parts = prep.p_parts in
   let regcomms = prep.p_regcomms in
-  let instances = prep.p_instances in
   let layout = prep.p_layout in
-  let k_max = Dyntask.count instances in
+  let w = Dyntask.walk prep.p_tasks trace in
   let hier = Cache.Hierarchy.create cfg in
   let gshare = Predict.Gshare.create cfg in
   let switch_pred = Predict.Target.create cfg in
@@ -155,13 +152,14 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   let pu_free = Array.make n 0 in
   (* circular flight window: only the last 2N instances can matter to a
      younger task's timing (every read names a task in [k - N + 1, k]).
-     Task j's assignment, resolve and retire times live at index j mod 2N.
-     A register send of task j lives at
+     Task j's assignment, resolve and retire times and size live at index
+     j mod 2N.  A register send of task j lives at
      send_time.((j mod 2N) * Reg.count + r), valid iff the stamp is j; a
      slot is reclaimed by restamping, never cleared. *)
   let assign = Array.make two_n 0 in
   let retire = Array.make two_n 0 in
   let resolve = Array.make two_n 0 in
+  let sizes = Array.make two_n 0 in
   let send_time = Array.make (two_n * Ir.Reg.count) 0 in
   let send_stamp = Array.make (two_n * Ir.Reg.count) (-1) in
   let store_maps = Array.init two_n (fun _ -> Occ.Intmap.create 32) in
@@ -236,55 +234,48 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           Predict.Target.predict_and_update switch_pred ~pc ~actual);
     }
   in
-  let entry_uid k =
-    let fid = Dyntask.fid instances k in
-    let entry =
-      parts.(fid).Core.Task.tasks.(Dyntask.task instances k).Core.Task.entry
-    in
-    Layout.block_id layout ~fid ~blk:entry
+  let entry_uid ~fid ~task =
+    Layout.block_id layout ~fid
+      ~blk:parts.(fid).Core.Task.tasks.(task).Core.Task.entry
   in
-  (* predict the transition prev -> k; returns correct? *)
-  let predict_transition prev k =
-    let pfid = Dyntask.fid instances prev in
-    let ptask = parts.(pfid).Core.Task.tasks.(Dyntask.task instances prev) in
-    let pc = entry_uid prev in
-    match Dyntask.succ instances prev with
+  (* predict the transition from the previous instance into instance
+     [fid]/[task]; returns correct? *)
+  let predict_transition ~pfid ~ptask ~psucc ~parg ~plast ~fid ~task =
+    let pt = parts.(pfid).Core.Task.tasks.(ptask) in
+    let pc = entry_uid ~fid:pfid ~task:ptask in
+    match psucc with
     | Dyntask.To_end -> true
     | Dyntask.To_caller ->
       (* block uids are non-negative, so -1 marks underflow *)
       let uid = Predict.Ras.pop_or ras (-1) in
-      uid >= 0 && uid = entry_uid k
+      uid >= 0 && uid = entry_uid ~fid ~task
     | Dyntask.To_block ->
-      let actual =
-        target_index (Dyntask.succ_arg instances prev) 0
-          ptask.Core.Task.targets
-      in
+      let actual = target_index parg 0 pt.Core.Task.targets in
       if actual < 0 then false
       else Predict.Target.predict_and_update task_pred ~pc ~actual
     | Dyntask.To_callee ->
       (* push the continuation of the call block for the matching return *)
-      (match
-         (Interp.Trace.block_at trace (Dyntask.last instances prev))
-           .Ir.Block.term
-       with
+      (match (Interp.Trace.block_at trace plast).Ir.Block.term with
       | Ir.Block.Call (_, cont) ->
         Predict.Ras.push ras (Layout.block_id layout ~fid:pfid ~blk:cont)
       | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
       | Ir.Block.Halt -> ());
       let actual =
-        List.length ptask.Core.Task.targets
-        + callee_index
-            fnames.(Dyntask.succ_arg instances prev)
-            0 ptask.Core.Task.calls_out
+        List.length pt.Core.Task.targets
+        + callee_index fnames.(parg) 0 pt.Core.Task.calls_out
       in
       Predict.Target.predict_and_update task_pred ~pc ~actual
   in
-  for k = 0 to k_max - 1 do
-    let fid = Dyntask.fid instances k in
-    let task = Dyntask.task instances k in
-    let first = Dyntask.first instances k in
-    let last = Dyntask.last instances k in
-    let size = Dyntask.size instances k in
+  (* the previous instance's fields, saved at the end of each iteration *)
+  let pfid = ref 0 and ptask = ref 0 and psucc = ref Dyntask.To_end in
+  let parg = ref 0 and plast = ref 0 in
+  while Dyntask.next w do
+    let k = Dyntask.index w in
+    let fid = Dyntask.fid w in
+    let task = Dyntask.task w in
+    let first = Dyntask.first w in
+    let last = Dyntask.last w in
+    let size = Dyntask.size w in
     let pu = k mod n in
     cur_k := k;
     in_flight_low := max 0 (k - n + 1);
@@ -292,7 +283,9 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
        any state for task k is updated *)
     let prev_free = pu_free.(pu) in
     let correct =
-      k = 0 || cfg.Config.perfect_task_pred || predict_transition (k - 1) k
+      k = 0 || cfg.Config.perfect_task_pred
+      || predict_transition ~pfid:!pfid ~ptask:!ptask ~psucc:!psucc
+           ~parg:!parg ~plast:!plast ~fid ~task
     in
     if k > 0 then begin
       stats.Stats.task_predictions <- stats.Stats.task_predictions + 1;
@@ -443,7 +436,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     (* statistics *)
     stats.Stats.tasks <- stats.Stats.tasks + 1;
     stats.Stats.dyn_insns <- stats.Stats.dyn_insns + size;
-    stats.Stats.ct_insns <- stats.Stats.ct_insns + Dyntask.ct instances k;
+    stats.Stats.ct_insns <- stats.Stats.ct_insns + Dyntask.ct w;
     stats.Stats.intra_branches <-
       stats.Stats.intra_branches + tctx.Timing.intra_branches;
     stats.Stats.intra_branch_mispredicts <-
@@ -478,7 +471,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
       f
         {
           e_index = k;
-          e_instance = Dyntask.get instances k;
+          e_instance = Dyntask.get w;
           e_pu = pu;
           e_assign = !assign_t;
           e_complete = complete;
@@ -488,14 +481,21 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
         }
     | None -> ());
     (* window-span sample: dynamic instructions in flight at assignment *)
+    sizes.(slot) <- size;
     let span = ref size in
     for j = !in_flight_low to k - 1 do
       if retire.(j mod two_n) > !assign_t then
-        span := !span + Dyntask.size instances j
+        span := !span + sizes.(j mod two_n)
     done;
     stats.Stats.window_span_total <- stats.Stats.window_span_total + !span;
-    stats.Stats.window_span_samples <- stats.Stats.window_span_samples + 1
+    stats.Stats.window_span_samples <- stats.Stats.window_span_samples + 1;
+    pfid := fid;
+    ptask := task;
+    psucc := Dyntask.succ w;
+    parg := Dyntask.succ_arg w;
+    plast := last
   done;
+  let k_max = Dyntask.index w + 1 in
   (* Total time is the last task's retirement plus its end overhead.  Its
      retire slot is written from the *final* timing attempt, after the
      ARB-overflow re-attempt and the violation squash/re-execution loop

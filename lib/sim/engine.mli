@@ -1,6 +1,6 @@
 (** The Multiscalar processor simulator.
 
-    Trace-driven: the interpreter's dynamic trace is chopped into dynamic
+    Trace-driven: the interpreter's dynamic trace is walked as dynamic
     task instances ({!Dyntask}), which are timed in program order.  Timing
     information only flows from older to younger tasks (operand arrival via
     the register ring, store forwarding via the ARB), so a single in-order
@@ -21,7 +21,7 @@ type result = {
 type event = {
   e_index : int;          (** dynamic task number *)
   e_instance : Dyntask.instance;
-      (** the instance's fields ({!Dyntask.get}), unpacked only when an
+      (** the instance's fields ({!Dyntask.get}), built only when an
           observer is installed *)
   e_pu : int;
   e_assign : int;         (** cycle the sequencer assigned the task *)
@@ -33,7 +33,7 @@ type event = {
 
 val run :
   ?observer:(event -> unit) -> Config.t -> Core.Partition.plan -> result
-(** Interprets [plan.prog], chops, and simulates.  [observer] is called once
+(** Interprets [plan.prog], prepares, and simulates.  [observer] is called once
     per dynamic task instance, in program order, with its final schedule. *)
 
 val run_with_trace :
@@ -44,13 +44,14 @@ val run_with_trace :
 
 (** {2 Shared trace preparation}
 
-    Chopping the trace into task instances, the per-function register
-    communication analyses and the code layout depend only on the
-    (plan, trace) pair, not on the machine configuration.  When sweeping
-    configurations against one trace (table 1, figure 5), [prepare] once
-    and pass the result to each [run_prepared] call.  The chop is kept
-    packed ({!Dyntask.t}, three words per instance), which is most of what
-    a prep holds. *)
+    The per-function register communication analyses, the task walk's
+    callee table ({!Dyntask.program}) and the code layout depend only on
+    the (plan, trace) pair, not on the machine configuration.  When
+    sweeping configurations against one trace (table 1, figure 5),
+    [prepare] once and pass the result to each [run_prepared] call.  A
+    prep is sized by the program, whatever the trace's length: each run
+    walks the trace's task instances itself ({!Dyntask.t}) and keeps none
+    of them. *)
 
 type prep
 
@@ -63,5 +64,7 @@ val run_prepared :
 (** [run_with_trace] minus the per-call re-preparation; [trace] must be the
     trace [prep] was built from.  Allocates what the run touches of the
     machine, whatever the trace's length: the cache and predictor page
-    indexes, the pages it names, and the per-PU rings and windows — 29 k
-    words per run on average over the paper grid. *)
+    indexes, the pages it names, the per-PU rings and windows and the task
+    walk's cursor — 29 k words per run on average over the paper grid.
+    @raise Dyntask.Not_closed when the plan's partitions do not tile the
+    trace into task instances. *)

@@ -30,15 +30,17 @@ let mem_kinds (tr : Interp.Trace.t) =
         f.Ir.Func.blocks)
     tr.Interp.Trace.funcs
 
-let observed tr ~instances =
+let observed tr ~parts =
   let kinds = mem_kinds tr in
   let last_store = Hashtbl.create 4096 in
   let edges : (int * int * int * int, int ref * int) Hashtbl.t =
     Hashtbl.create 64
   in
-  for k = 0 to Dyntask.count instances - 1 do
-    let fid = Dyntask.fid instances k and task = Dyntask.task instances k in
-    for ev = Dyntask.first instances k to Dyntask.last instances k do
+  let w = Dyntask.walk (Dyntask.program tr ~parts) tr in
+  while Dyntask.next w do
+    let k = Dyntask.index w in
+    let fid = Dyntask.fid w and task = Dyntask.task w in
+    for ev = Dyntask.first w to Dyntask.last w do
       let ka =
         kinds.(Interp.Trace.get_fid tr ev).(Interp.Trace.get_blk tr ev)
       in

@@ -1,6 +1,6 @@
 (** Observed cross-task memory dependences, replayed from a packed trace.
 
-    Walks the dynamic task instances ({!Dyntask.chop}) in order, tracking
+    Walks the dynamic task instances ({!Dyntask.t}) in order, tracking
     the last store to every effective address; a load served by a store
     from a {e strictly earlier} instance is an observed inter-task memory
     dependence — exactly the flows the Multiscalar ARB must catch and the
@@ -18,8 +18,8 @@ type edge = {
   addr : int;  (** one sample effective address, for diagnostics *)
 }
 
-val observed : Interp.Trace.t -> instances:Dyntask.t -> edge list
+val observed : Interp.Trace.t -> parts:Core.Task.partition array -> edge list
 (** Distinct (source task, destination task) pairs, sorted by
-    [(src_fid, src_task, dst_fid, dst_task)].  Stores inside included
-    callees attribute to the enclosing instance's task, mirroring
-    {!Dyntask.chop}. *)
+    [(src_fid, src_task, dst_fid, dst_task)]; [parts] is indexed by fid.
+    Stores inside included callees attribute to the enclosing instance's
+    task, as the walk does.  @raise Dyntask.Not_closed as the walk does. *)

@@ -14,7 +14,7 @@
 (** {2 Event-core fast path}
 
     The engine allocates one {!ctx} per simulation and calls {!exec}, with
-    the instance's event range read from the packed chop, for every
+    the instance's event range read from the task walk, for every
     attempt of every dynamic task instance; all scratch state is
     preallocated and invalidated by generation stamps, so steady-state
     execution allocates nothing.  The issue and commit windows start at

@@ -43,10 +43,7 @@ let run_with_trace ?observer (cfg : Config.t) (plan : Core.Partition.plan)
   let regcomms =
     Array.mapi (fun fid part -> Core.Regcomm.create funcs.(fid) part) parts
   in
-  let instances =
-    let chop = Dyntask.chop trace ~parts in
-    Array.init (Dyntask.count chop) (Dyntask.get chop)
-  in
+  let instances = Dyntask.instances trace ~parts in
   let k_max = Array.length instances in
   let layout = Layout.create funcs in
   let hier = Cache.Hierarchy.create cfg in

@@ -91,8 +91,7 @@ let test_chop_tiles_trace () =
           (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
           trace.Interp.Trace.fnames
       in
-      let instances = Sim.Dyntask.chop trace ~parts in
-      match Sim.Dyntask.check_instances trace instances with
+      match Sim.Dyntask.check_instances trace ~parts with
       | Ok () -> ()
       | Error e ->
         Alcotest.failf "%s: %s" (Core.Heuristics.level_name level) e)

@@ -247,10 +247,9 @@ let test_corrupt_connectivity () =
   checkb "part/connected" true
     (has_rule "part/connected" (Lint.check_plan bad))
 
-(* A plan error stands alone: the later audits and the simulations assume
-   a valid plan, so check_artifact returns the plan's diagnostics only. *)
-let test_gated_artifact () =
-  let store = Harness.Artifact.create () in
+(* The diamond's bb artifact with its entry block unmapped from its task:
+   walking the trace as task instances raises at the first event. *)
+let unmapped_entry_artifact store =
   let entry =
     Workloads.Registry.of_program ~name:"diamond" (prog_of [ diamond_main () ])
   in
@@ -259,16 +258,19 @@ let test_gated_artifact () =
   in
   let plan = art.Harness.Artifact.plan in
   let part = find_main_part plan in
-  (* an unmapped entry: chopping the trace for the simulations raises *)
   let task_of_entry = Array.copy part.Core.Task.task_of_entry in
   task_of_entry.(0) <- -1;
-  let bad =
-    {
-      art with
-      Harness.Artifact.plan =
-        with_main_part plan { part with Core.Task.task_of_entry };
-    }
-  in
+  {
+    art with
+    Harness.Artifact.plan =
+      with_main_part plan { part with Core.Task.task_of_entry };
+  }
+
+(* A plan error stands alone: the later audits and the simulations assume
+   a valid plan, so check_artifact returns the plan's diagnostics only. *)
+let test_gated_artifact () =
+  let store = Harness.Artifact.create () in
+  let bad = unmapped_entry_artifact store in
   let errs = Lint.Diag.errors (Lint.check_artifact store bad) in
   checkb "part/entry-task" true (has_rule "part/entry-task" errs);
   List.iter
@@ -276,6 +278,25 @@ let test_gated_artifact () =
       checkb (rule ^ " is a part/* rule") true
         (Lint.rule_matches ~pat:"part/*" rule))
     (rules errs)
+
+(* check_deps on the same plan: the memory-flow replay walks the task
+   instances, and the walk's Not_closed is one dep/sound error. *)
+let test_unchoppable_trace () =
+  let store = Harness.Artifact.create () in
+  let bad = unmapped_entry_artifact store in
+  let errs =
+    Lint.Diag.errors
+      (Lint.check_deps bad.Harness.Artifact.plan bad.Harness.Artifact.trace)
+  in
+  Alcotest.(check (list string))
+    "one dep/sound error"
+    [
+      "dep/sound: trace cannot be chopped into task instances: event 0: \
+       block main/L0 is not a task entry";
+    ]
+    (List.map
+       (fun (d : Lint.Diag.t) -> d.Lint.Diag.rule ^ ": " ^ d.Lint.Diag.message)
+       errs)
 
 (* --- regcomm: handcrafted CFGs, hand-computed answers ---------------------- *)
 
@@ -542,6 +563,7 @@ let () =
             test_corrupt_included_calls;
           Alcotest.test_case "disconnected" `Quick test_corrupt_connectivity;
           Alcotest.test_case "gated artifact" `Quick test_gated_artifact;
+          Alcotest.test_case "unchoppable trace" `Quick test_unchoppable_trace;
         ] );
       ( "regcomm",
         [

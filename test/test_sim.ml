@@ -133,6 +133,7 @@ let test_layout_unique () =
 
 (* --- dynamic task chopping ----------------------------------------------- *)
 
+(* a trace and the plan's partitions by fid: what a task walk reads *)
 let chop_of level prog =
   let plan = Core.Partition.build level prog in
   let o = Interp.Run.execute plan.Core.Partition.prog in
@@ -142,35 +143,41 @@ let chop_of level prog =
       (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
       tr.Interp.Trace.fnames
   in
-  (tr, Sim.Dyntask.chop tr ~parts)
+  (tr, parts)
+
+let walk_of (tr, parts) = Sim.Dyntask.walk (Sim.Dyntask.program tr ~parts) tr
+let count (tr, parts) = Sim.Dyntask.count tr ~parts
+let check_instances (tr, parts) = Sim.Dyntask.check_instances tr ~parts
 
 let test_chop_tiles () =
   List.iter
     (fun level ->
-      let tr, instances = chop_of level (Gen.fib_program 8) in
-      match Sim.Dyntask.check_instances tr instances with
+      match check_instances (chop_of level (Gen.fib_program 8)) with
       | Ok () -> ()
       | Error e ->
         Alcotest.failf "%s: %s" (Core.Heuristics.level_name level) e)
     Core.Heuristics.all_levels
 
 (* instances whose successor is [s] *)
-let count_succ instances s =
+let count_succ chop s =
+  let w = walk_of chop in
   let c = ref 0 in
-  for k = 0 to Sim.Dyntask.count instances - 1 do
-    if Sim.Dyntask.succ instances k = s then incr c
+  while Sim.Dyntask.next w do
+    if Sim.Dyntask.succ w = s then incr c
   done;
   !c
 
 let test_chop_kinds () =
-  let tr, instances = chop_of Core.Heuristics.Control_flow (Gen.fib_program 6) in
-  ignore tr;
-  let n = Sim.Dyntask.count instances in
+  let chop = chop_of Core.Heuristics.Control_flow (Gen.fib_program 6) in
+  (* a finished walk rests on the last instance *)
+  let w = walk_of chop in
+  while Sim.Dyntask.next w do
+    ()
+  done;
   checkb "last is program end" true
-    ((Sim.Dyntask.get instances (n - 1)).Sim.Dyntask.kind
-    = Sim.Dyntask.Program_end);
-  let calls = count_succ instances Sim.Dyntask.To_callee in
-  let rets = count_succ instances Sim.Dyntask.To_caller in
+    ((Sim.Dyntask.get w).Sim.Dyntask.kind = Sim.Dyntask.Program_end);
+  let calls = count_succ chop Sim.Dyntask.To_callee in
+  let rets = count_succ chop Sim.Dyntask.To_caller in
   checkb "calls happen" true (calls > 0);
   (* every call returns except possibly the last instance *)
   checkb "calls and returns balance" true (abs (calls - rets) <= 1)
@@ -190,10 +197,9 @@ let test_chop_included_calls () =
           Ir.Builder.call b "tiny");
       Ir.Builder.ret b);
   let prog = Ir.Builder.finish pb ~main:"main" in
-  let _, dd = chop_of Core.Heuristics.Data_dependence prog in
-  let _, ts = chop_of Core.Heuristics.Task_size prog in
-  checkb "inclusion merges instances" true
-    (Sim.Dyntask.count ts < Sim.Dyntask.count dd)
+  let dd = chop_of Core.Heuristics.Data_dependence prog in
+  let ts = chop_of Core.Heuristics.Task_size prog in
+  checkb "inclusion merges instances" true (count ts < count dd)
 
 let test_chop_nested_included_calls () =
   (* tiny2 calls tiny1; both below CALL_THRESH: at the task-size level the
@@ -214,13 +220,12 @@ let test_chop_nested_included_calls () =
           Ir.Builder.call b "tiny2");
       Ir.Builder.ret b);
   let prog = Ir.Builder.finish pb ~main:"main" in
-  let tr, ts = chop_of Core.Heuristics.Task_size prog in
-  (match Sim.Dyntask.check_instances tr ts with
+  let ts = chop_of Core.Heuristics.Task_size prog in
+  (match check_instances ts with
   | Ok () -> ()
   | Error e -> Alcotest.failf "nested inclusion: %s" e);
-  let _, dd = chop_of Core.Heuristics.Data_dependence prog in
-  checkb "nested inclusion merges instances" true
-    (Sim.Dyntask.count ts < Sim.Dyntask.count dd);
+  let dd = chop_of Core.Heuristics.Data_dependence prog in
+  checkb "nested inclusion merges instances" true (count ts < count dd);
   (* with both calls included, no instance ends in Calls/Returns except via
      main's own epilogue *)
   checkb "call boundaries disappear" true
@@ -229,15 +234,15 @@ let test_chop_nested_included_calls () =
 let test_chop_recursion () =
   (* recursive functions stay task boundaries (their inclusive size is big);
      the chop must still tile the trace *)
-  let tr, instances = chop_of Core.Heuristics.Task_size (Gen.fib_program 10) in
-  match Sim.Dyntask.check_instances tr instances with
+  match check_instances (chop_of Core.Heuristics.Task_size (Gen.fib_program 10)) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "recursion: %s" e
 
 (* The chop golden: one line per (program, level) of Corpus, an MD5 over
    every instance's fid, task, event range, size, control transfers and
-   successor, or the message of the [Not_closed] the chop raised.  Made
-   with the chop as it was before its instance table was packed. *)
+   successor, or the message of the [Not_closed] the walk raised.  Made
+   with the chop as it was before its instance table was packed, and kept
+   when the table gave way to the walk. *)
 let chop_line (c : Corpus.cell) =
   match c.Corpus.plan with
   | Error e -> Corpus.label c ^ " raises " ^ Printexc.to_string e
@@ -248,22 +253,24 @@ let chop_line (c : Corpus.cell) =
         (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
         trace.Interp.Trace.fnames
     in
-    match Sim.Dyntask.chop trace ~parts with
-    | exception Sim.Dyntask.Not_closed msg ->
-      Corpus.label c ^ " not closed: " ^ msg
-    | d ->
-      let buf = Buffer.create 65536 in
-      for k = 0 to Sim.Dyntask.count d - 1 do
-        let arg = string_of_int (Sim.Dyntask.succ_arg d k) in
-        Printf.bprintf buf "%d %d %d %d %d %d %s\n" (Sim.Dyntask.fid d k)
-          (Sim.Dyntask.task d k) (Sim.Dyntask.first d k)
-          (Sim.Dyntask.last d k) (Sim.Dyntask.size d k) (Sim.Dyntask.ct d k)
-          (match Sim.Dyntask.succ d k with
+    let w = walk_of (trace, parts) in
+    let buf = Buffer.create 65536 in
+    match
+      while Sim.Dyntask.next w do
+        let arg = string_of_int (Sim.Dyntask.succ_arg w) in
+        Printf.bprintf buf "%d %d %d %d %d %d %s\n" (Sim.Dyntask.fid w)
+          (Sim.Dyntask.task w) (Sim.Dyntask.first w) (Sim.Dyntask.last w)
+          (Sim.Dyntask.size w) (Sim.Dyntask.ct w)
+          (match Sim.Dyntask.succ w with
           | Sim.Dyntask.To_block -> "F" ^ arg
           | Sim.Dyntask.To_callee -> "C" ^ arg
           | Sim.Dyntask.To_caller -> "R"
           | Sim.Dyntask.To_end -> "E")
-      done;
+      done
+    with
+    | exception Sim.Dyntask.Not_closed msg ->
+      Corpus.label c ^ " not closed: " ^ msg
+    | () ->
       Corpus.label c ^ " "
       ^ Digest.to_hex (Digest.string (Buffer.contents buf)))
 
@@ -517,8 +524,7 @@ let prop_chop_covers_packed =
     ~count:10 Gen.arbitrary_program (fun prog ->
       List.for_all
         (fun level ->
-          let tr, instances = chop_of level prog in
-          Sim.Dyntask.check_instances tr instances = Ok ())
+          check_instances (chop_of level prog) = Ok ())
         Core.Heuristics.all_levels)
 
 let prop_engine_retires_everything =
@@ -946,9 +952,9 @@ let budget_program trips =
    per-instance time arrays, the engine allocated about 21 words per
    simulated cycle.)  And it allocates only what the run touches of the
    machine: at most [run_words] per run, where allocating the caches and
-   predictors in full took 193,029 words on 8 PUs.  The preparation (task
-   chop, layout) is sized by the trace by nature and stays outside the
-   measurement. *)
+   predictors in full took 193,029 words on 8 PUs.  The run walks the
+   trace's task instances itself, so the walk is inside the measurement;
+   the preparation stays outside it (see [test_prep_footprint]). *)
 let slack = 1024.0
 let run_words = 32768.0
 
@@ -980,6 +986,58 @@ let test_engine_alloc_budget () =
       (Core.Heuristics.Control_flow, cfg4);
       ( Core.Heuristics.Data_dependence,
         Sim.Config.default ~num_pus:8 ~in_order:true );
+    ]
+
+(* A prep is sized by the program, and a task walk allocates its cursor
+   alone: on the budget program at 400 and 2,400 trips, the words
+   reachable from [Engine.prepare]'s result are the same, and so are the
+   words one full walk allocates.  (The packed task chop a prep used to
+   hold kept three words per instance, and grew as it was built.) *)
+let test_prep_footprint () =
+  let at level trips =
+    let plan = Core.Partition.build level (budget_program trips) in
+    let trace =
+      (Interp.Run.execute plan.Core.Partition.prog).Interp.Run.trace
+    in
+    let parts =
+      Array.map
+        (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
+        trace.Interp.Trace.fnames
+    in
+    let prep = Sim.Engine.prepare plan trace in
+    let program = Sim.Dyntask.program trace ~parts in
+    let n = ref 0 in
+    let walked =
+      measure (fun () ->
+          let w = Sim.Dyntask.walk program trace in
+          while Sim.Dyntask.next w do
+            ()
+          done;
+          n := Sim.Dyntask.index w + 1)
+    in
+    (Obj.reachable_words (Obj.repr prep), walked, !n)
+  in
+  List.iter
+    (fun level ->
+      let short_prep, short_walk, short_n = at level 400 in
+      let long_prep, long_walk, long_n = at level 2400 in
+      let what =
+        Printf.sprintf
+          "%s: %d and %d instances, preps of %d and %d words, walks \
+           allocating %.0f and %.0f"
+          (Core.Heuristics.level_name level) short_n long_n short_prep
+          long_prep short_walk long_walk
+      in
+      print_endline what;
+      checkb (what ^ ": the long trace has 4x the instances") true
+        (long_n >= 4 * short_n);
+      checkb (what ^ ": preps of the same size") true (short_prep = long_prep);
+      checkb (what ^ ": walks allocating the same") true
+        (short_walk = long_walk))
+    [
+      Core.Heuristics.Basic_block;
+      Core.Heuristics.Control_flow;
+      Core.Heuristics.Data_dependence;
     ]
 
 (* An L2-shaped cache (65,536 sets of 2 ways, 1,024 pages of 64 sets)
@@ -1014,56 +1072,6 @@ let test_cache_first_touch () =
   Printf.printf "%d pages touched: %.0f words (bound %.0f)\n" k words bound;
   checki "accesses" (3 * ((6 * (k - 1)) + 1)) (Sim.Cache.accesses !c);
   checkb "within the page indexes plus the touched pages" true (words <= bound)
-
-(* The chop over the suite's bb and dd traces allocates at most
-   [chop_alloc] words per instance and keeps at most [chop_resident]
-   (about 30 and 11 as an array of records). *)
-let chop_alloc = 20.0
-let chop_resident = 4.0
-
-let test_chop_budget () =
-  let traces =
-    List.filter_map
-      (fun (c : Corpus.cell) ->
-        match (c.Corpus.suite, c.Corpus.level, c.Corpus.plan) with
-        | true, (Core.Heuristics.Basic_block | Core.Heuristics.Data_dependence),
-          Ok plan ->
-          let trace =
-            (c.Corpus.run plan.Core.Partition.prog).Interp.Run.trace
-          in
-          let parts =
-            Array.map
-              (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
-              trace.Interp.Trace.fnames
-          in
-          Some (trace, parts)
-        | _ -> None)
-      (Lazy.force corpus)
-  in
-  let chops = ref [] in
-  let words =
-    measure (fun () ->
-        List.iter
-          (fun (trace, parts) ->
-            chops := Sim.Dyntask.chop trace ~parts :: !chops)
-          traces)
-  in
-  let instances =
-    float_of_int
-      (List.fold_left (fun a d -> a + Sim.Dyntask.count d) 0 !chops)
-  in
-  let resident =
-    float_of_int
-      (List.fold_left
-         (fun a d -> a + Obj.reachable_words (Obj.repr d))
-         0 !chops)
-  in
-  let alloc = words /. instances and keep = resident /. instances in
-  Printf.printf
-    "%d traces, %.0f instances: %.1f words allocated, %.1f resident each\n"
-    (List.length traces) instances alloc keep;
-  checkb "allocated per instance" true (alloc <= chop_alloc);
-  checkb "resident per instance" true (keep <= chop_resident)
 
 (* A store and a load at word address -64, which the trace records as it
    is: the simulators map it to a block, set and bank like any other. *)
@@ -1143,7 +1151,6 @@ let () =
             test_chop_nested_included_calls;
           Alcotest.test_case "recursion" `Quick test_chop_recursion;
           Alcotest.test_case "golden digests" `Quick test_chop_golden;
-          Alcotest.test_case "allocation budget" `Quick test_chop_budget;
           QCheck_alcotest.to_alcotest prop_chop_covers_packed;
         ] );
       ( "timing",
@@ -1176,6 +1183,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_retires_everything;
           Alcotest.test_case "allocation budget" `Quick
             test_engine_alloc_budget;
+          Alcotest.test_case "prep footprint" `Quick test_prep_footprint;
           Alcotest.test_case "negative addresses" `Quick
             test_negative_address;
         ] );

@@ -353,6 +353,53 @@ let test_dep_edges_budget () =
         (fun _ f -> ignore (Analysis.Dataflow.block_dep_edges f))
         p.Ir.Prog.funcs)
 
+(* Regcomm.create on every function of the 18 workloads' plans, level by
+   level, in words per task-block (one block of one task; tasks may share
+   blocks), its sound liveness included.  Built through tuple-keyed hash
+   tables, a tree-set search per block and a closure per (block,
+   register), it took about 1,300 to 1,500 words per task-block. *)
+let regcomm_budget = 600.0
+
+let test_regcomm_budget () =
+  let unit_ = "task-block" in
+  List.map
+    (fun level ->
+      let funcs =
+        List.concat_map
+          (fun c ->
+            match (c.suite, c.plan) with
+            | true, Some (plan : Core.Partition.plan) when c.level = level ->
+              List.map
+                (fun (name, f) ->
+                  (f, Ir.Prog.Smap.find name plan.Core.Partition.parts))
+                (Ir.Prog.Smap.bindings plan.Core.Partition.prog.Ir.Prog.funcs)
+            | _ -> [])
+          (Lazy.force cells)
+      in
+      let task_blocks =
+        List.fold_left
+          (fun a (_, (part : Core.Task.partition)) ->
+            Array.fold_left
+              (fun a (t : Core.Task.t) ->
+                a + Core.Task.Iset.cardinal t.Core.Task.blocks)
+              a part.Core.Task.tasks)
+          0 funcs
+      in
+      let words =
+        measure (fun () ->
+            List.iter (fun (f, part) -> ignore (Core.Regcomm.create f part))
+              funcs)
+      in
+      let what =
+        Printf.sprintf "Regcomm.create of the %s plans"
+          (Core.Heuristics.level_name level)
+      in
+      let per = words /. float_of_int task_blocks in
+      report what ~words ~per ~unit_;
+      (what, per))
+    Core.Heuristics.extended_levels
+  |> List.iter (fun (what, per) -> judge what ~per ~unit_ ~budget:regcomm_budget)
+
 (* --- the bit-vector register set against a tree-set model ------------------- *)
 
 module Model = Set.Make (Int)
@@ -467,6 +514,8 @@ let () =
             test_memdep_budget;
           Alcotest.test_case "dependence edge allocation budget" `Quick
             test_dep_edges_budget;
+          Alcotest.test_case "regcomm allocation budget" `Quick
+            test_regcomm_budget;
         ] );
       ( "regset",
         [

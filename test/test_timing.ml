@@ -11,8 +11,10 @@ let cfg_io = Sim.Config.default ~num_pus:4 ~in_order:true
 (* Build a single-function program whose entry block holds [body]; chop it
    into basic-block tasks and return everything needed to time the first
    instance: the trace, its layout and the instance's event range. *)
-let first_range instances =
-  (Sim.Dyntask.first instances 0, Sim.Dyntask.last instances 0)
+let first_range trace ~parts =
+  let w = Sim.Dyntask.walk (Sim.Dyntask.program trace ~parts) trace in
+  ignore (Sim.Dyntask.next w);
+  (Sim.Dyntask.first w, Sim.Dyntask.last w)
 
 let instance_of body =
   let pb = Ir.Builder.program () in
@@ -25,9 +27,8 @@ let instance_of body =
   let parts =
     Array.map Core.Select.basic_block trace.Interp.Trace.funcs
   in
-  let instances = Sim.Dyntask.chop trace ~parts in
   let layout = Sim.Layout.create trace.Interp.Trace.funcs in
-  (trace, layout, first_range instances)
+  (trace, layout, first_range trace ~parts)
 
 (* The engine's inputs for one replay: the hooks plus the two per-attempt
    scalars [Timing.exec] takes.  [h_mem_dep] answers in packed form: -1
@@ -212,13 +213,12 @@ let cycles_with_pred ~correct =
           ~included_calls:(Array.make (Ir.Func.num_blocks f) false))
       trace.Interp.Trace.funcs
   in
-  let instances = Sim.Dyntask.chop trace ~parts in
   let layout = Sim.Layout.create trace.Interp.Trace.funcs in
   let env =
     with_hooks (fun h ->
         { h with h_cond_pred = (fun ~pc:_ ~taken:_ -> correct) })
   in
-  let r = exec ~env (trace, layout, first_range instances) in
+  let r = exec ~env (trace, layout, first_range trace ~parts) in
   (r.Sim.Timing.complete, r.Sim.Timing.intra_mispredicts, r.Sim.Timing.intra_branches)
 
 let test_branch_redirect_costs () =
