@@ -369,8 +369,12 @@ let timeline_cmd =
     let base = ref (-1) in
     Printf.printf "%6s %3s %-24s %8s %8s %8s %s\n" "task" "pu" "entry"
       "assign" "done" "retire" "flags";
+    (* a task's schedule depends only on older tasks, and the observer
+       sees tasks in order, so the run can stop after the window *)
+    let exception Window_done in
     let observer (e : Sim.Engine.event) =
-      if e.Sim.Engine.e_index >= skip && e.Sim.Engine.e_index < skip + n then begin
+      if e.Sim.Engine.e_index >= skip + n then raise Window_done;
+      if e.Sim.Engine.e_index >= skip then begin
         if !base < 0 then base := e.Sim.Engine.e_assign;
         let inst = e.Sim.Engine.e_instance in
         let fname = trace.Interp.Trace.fnames.(inst.Sim.Dyntask.fid) in
@@ -391,10 +395,9 @@ let timeline_cmd =
            else "")
       end
     in
-    ignore
-      (Sim.Engine.run_prepared ~observer cfg
-         (Harness.Artifact.prep store art)
-         trace)
+    let prep = Harness.Artifact.prep store art in
+    try ignore (Sim.Engine.run_prepared ~observer cfg prep trace)
+    with Window_done -> ()
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -1049,7 +1052,7 @@ let daemon_cmd =
        ~doc:
          "Run the persistent mscd simulation service: newline-delimited \
           JSON requests over a Unix domain socket, request-level dedup, \
-          shared artifact store, work-stealing execution; SIGTERM drains \
+          shared artifact store, shared scheduler; SIGTERM drains \
           gracefully")
     Term.(const run $ socket_arg $ jobs_arg)
 

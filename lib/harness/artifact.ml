@@ -21,10 +21,10 @@ type artifact = {
 }
 
 (* The four tables are Memo tables, so each key is computed once even
-   under work stealing, and a failed computation is retried by the next
-   request.  Deadlock-freedom: the only cross-key waits go get -> prep ->
-   sim and get -> run (never backwards), and a run's computation waits on
-   nothing, so the wait graph is acyclic. *)
+   when scheduler workers request it at once, and a failed computation
+   is retried by the next request.  Deadlock-freedom: the only cross-key
+   waits go get -> prep -> sim and get -> run (never backwards), and a
+   run's computation waits on nothing, so the wait graph is acyclic. *)
 type t = {
   pipeline : (key, artifact) Memo.t;
   (* interpreter outcomes by structural program digest: a program whose

@@ -30,47 +30,31 @@ let scheds : (int, Sched.t) Hashtbl.t = Hashtbl.create 4
 let scheds_mu = Mutex.create ()
 let cleanup_registered = ref false
 
+(* [Sched.create] rejects a width below 1, and a spawn can fail: the
+   table's lock must not stay held when either raises. *)
 let scheduler ~jobs =
-  if jobs < 2 then invalid_arg "Pool.scheduler: jobs must be >= 2";
-  Mutex.lock scheds_mu;
-  let t =
-    match Hashtbl.find_opt scheds jobs with
-    | Some t -> t
-    | None ->
-      let t = Sched.create ~domains:jobs () in
-      Hashtbl.replace scheds jobs t;
-      if not !cleanup_registered then begin
-        cleanup_registered := true;
-        at_exit (fun () ->
-            Mutex.lock scheds_mu;
-            let all = Hashtbl.fold (fun _ t acc -> t :: acc) scheds [] in
-            Hashtbl.reset scheds;
-            Mutex.unlock scheds_mu;
-            List.iter Sched.shutdown all)
-      end;
-      t
-  in
-  Mutex.unlock scheds_mu;
-  t
+  Mutex.protect scheds_mu (fun () ->
+      match Hashtbl.find_opt scheds jobs with
+      | Some t -> t
+      | None ->
+        let t = Sched.create ~domains:jobs () in
+        Hashtbl.replace scheds jobs t;
+        if not !cleanup_registered then begin
+          cleanup_registered := true;
+          at_exit (fun () ->
+              Mutex.lock scheds_mu;
+              let all = Hashtbl.fold (fun _ t acc -> t :: acc) scheds [] in
+              Hashtbl.reset scheds;
+              Mutex.unlock scheds_mu;
+              List.iter Sched.shutdown all)
+        end;
+        t)
 
-(* The scheduler this call should run on: when the caller is already a
-   scheduler worker, nested fan-outs go back into the same scheduler
-   (its deques, its width) instead of spawning a second pool. *)
-let enclosing () =
-  Mutex.lock scheds_mu;
-  let found =
-    Hashtbl.fold
-      (fun _ t acc ->
-        match acc with
-        | Some _ -> acc
-        | None -> if Sched.on_worker t then Some t else None)
-      scheds None
-  in
-  Mutex.unlock scheds_mu;
-  found
-
+(* When the caller is already a scheduler worker, nested fan-outs go back
+   into the same scheduler (its queues, its width) instead of waiting on
+   a second pool. *)
 let map ?jobs f xs =
-  match enclosing () with
+  match Sched.current () with
   | Some t -> Sched.map t f xs
   | None ->
     let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in

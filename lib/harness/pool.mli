@@ -1,15 +1,14 @@
-(** Parallel fan-out facade over the resident {!Sched} work-stealing
-    scheduler.
+(** Parallel fan-out facade over the resident {!Sched} scheduler.
 
     [map] keeps its deterministic contract — results in input order, so
     parallel and serial runs are indistinguishable to the caller — but
-    the execution engine is now a long-lived work-stealing scheduler:
-    one scheduler per requested width is created on first use and reused
-    for every subsequent call, so repeated experiment batches stop
-    paying per-call domain spawns.  Calls made from {e inside} a pool
-    task are routed to the caller's own scheduler (depth-first on the
-    worker's deque, stealable by its siblings), so a nested fan-out, such
-    as a daemon handler's grid, uses the full width without
+    the execution engine is a long-lived scheduler: one scheduler per
+    requested width is created on first use and reused for every
+    subsequent call, so repeated experiment batches stop paying per-call
+    domain spawns.  Calls made from {e inside} a pool task are routed to
+    the caller's own scheduler ({!Sched.current}; its subtasks run
+    newest first, on whichever worker is free), so a nested fan-out,
+    such as a daemon handler's grid, uses the full width without
     oversubscribing.
 
     Width selection honours [HARNESS_JOBS] and is always clamped by
@@ -46,6 +45,6 @@ val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
 (** [iter f xs] is [map f xs] with unit results. *)
 
 val scheduler : jobs:int -> Sched.t
-(** The resident scheduler for width [jobs] (>= 2), creating it on first
+(** The resident scheduler for width [jobs] (>= 1), creating it on first
     request.  Shared with {!map}; exposed so long-running services can
     submit directly and read {!Sched.stats}. *)

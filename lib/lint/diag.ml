@@ -91,34 +91,3 @@ let to_json d =
     ]
 
 let list_to_json ds = Harness.Json.List (List.map to_json ds)
-
-let ( let* ) r f = match r with Ok v -> f v | (Error _ as e) -> e
-
-let str_field name j =
-  match Harness.Json.member name j with
-  | Some (Harness.Json.String s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S: expected string" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let opt_int_field name j =
-  match Harness.Json.member name j with
-  | Some (Harness.Json.Int i) -> Ok (Some i)
-  | Some Harness.Json.Null | None -> Ok None
-  | Some _ -> Error (Printf.sprintf "field %S: expected int or null" name)
-
-let of_json j =
-  let* rule = str_field "rule" j in
-  let* sev_name = str_field "severity" j in
-  let* severity =
-    match sev_name with
-    | "error" -> Ok Error
-    | "warning" -> Ok Warning
-    | "info" -> Ok Info
-    | s -> Error (Printf.sprintf "unknown severity %S" s)
-  in
-  let* func = str_field "func" j in
-  let* task = opt_int_field "task" j in
-  let* block = opt_int_field "block" j in
-  let* insn = opt_int_field "insn" j in
-  let* message = str_field "message" j in
-  Ok { rule; severity; loc = { func; task; block; insn }; message }

@@ -50,9 +50,6 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> Harness.Json.t
 val list_to_json : t list -> Harness.Json.t
 
-val of_json : Harness.Json.t -> (t, string) result
-(** Inverse of {!to_json} (serialize → parse → equal). *)
-
 (** {1 Rule registry}
 
     Every checker registers its rule ids once at link time (the lint

@@ -1,29 +1,28 @@
-(** Work-stealing multicore scheduler for OCaml 5 domains.
+(** Multicore task scheduler for OCaml 5 domains: one lock, one queue
+    pair.
 
-    A scheduler owns [domains] worker domains.  Each worker has a
-    private {!Deque} (LIFO owner access, FIFO steals); external threads
-    submit through a lock-free MPMC {!Injector}.  An idle worker pops
-    its own deque, then drains the injector, then steals from the other
-    workers in randomized order; after an exponential spin backoff it
-    parks on a condition variable until new work is submitted.
+    A scheduler owns [domains] worker domains that share one mutex, one
+    condition variable and two queues: a FIFO of tasks submitted from
+    outside the pool and a LIFO of tasks submitted by its workers.  A
+    worker takes the newest worker-submitted task first, then the oldest
+    injected one, so joins go depth-first and top-level tasks start in
+    submission order.  A worker with nothing to take waits on the
+    condition variable until a task is submitted.
+
+    The tasks this engine schedules are coarse (a grid cell, a daemon
+    request), so one lock is enough for them.
 
     Submissions return {e futures}.  [await] from an external thread
-    blocks on the future's condition variable; [await] from a worker of
-    the same scheduler {e helps} — it keeps executing queued tasks while
-    the future is unresolved, so nested fan-outs ([map] inside a task)
-    never deadlock and never idle a core that still has runnable work.
+    waits until the future resolves; [await] from a worker of the same
+    scheduler {e helps} — it runs queued tasks while the future is
+    unresolved and waits only when there are none, so nested fan-outs
+    ([map] inside a task) never deadlock and never idle a core that
+    still has runnable work.
 
     The scheduler is long-lived by design: create it once, feed it
     heterogeneous tasks forever, [shutdown] joins the domains.  Queued
     but unstarted tasks are dropped at shutdown — drain by awaiting your
     futures first. *)
-
-module Deque = Deque
-(** Re-export: the per-worker run queue (the library's entry module
-    hides its siblings, so this is the public path to {!Deque}). *)
-
-module Injector = Injector
-(** Re-export: the external-submission queue. *)
 
 exception Cancelled
 (** Raised by [await] on a future whose {!Token.t} was cancelled before
@@ -45,31 +44,26 @@ type t
 type 'a future
 
 type stats = {
-  tasks : int;     (** tasks executed to completion *)
-  steals : int;    (** successful steals between workers *)
-  injected : int;  (** submissions that arrived through the injector *)
-  local : int;     (** submissions pushed to a worker's own deque *)
-  parks : int;     (** times a worker parked after exhausting backoff *)
+  tasks : int;     (** tasks taken to run, counted before they run *)
+  steals : int;    (** worker-submitted tasks run by a different worker *)
+  injected : int;  (** submissions from outside the pool *)
+  local : int;     (** submissions from a worker of the pool *)
+  parks : int;     (** waits of a worker that had nothing to run *)
 }
 
 val create : domains:int -> unit -> t
-(** Spawn [domains] (>= 1) worker domains, all initially parked. *)
-
-val domains : t -> int
+(** Spawn [domains] (>= 1) worker domains, all initially waiting. *)
 
 val submit : ?token:Token.t -> t -> (unit -> 'a) -> 'a future
-(** Schedule [f].  From a worker of [t] the task goes to that worker's
-    own deque (depth-first, stealable); from anywhere else it goes to
-    the injector.  If [token] is cancelled before the task starts, the
-    future fails with {!Cancelled} without running [f]. *)
+(** Schedule [f].  From a worker of [t] the task joins the workers'
+    LIFO; from anywhere else it joins the FIFO of injected tasks.  If
+    [token] is cancelled before the task starts, the future fails with
+    {!Cancelled} without running [f]. *)
 
 val await : 'a future -> 'a
 (** Wait for resolution; re-raises the task's exception.  On a worker
-    of the owning scheduler this executes other queued tasks while
-    waiting (structured join). *)
-
-val peek : 'a future -> [ `Pending | `Done | `Failed ]
-(** Non-blocking state snapshot. *)
+    of the owning scheduler this runs other queued tasks while waiting
+    (structured join). *)
 
 val map : ?token:Token.t -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** Structured fan-out: one task per element, results in input order.
@@ -87,8 +81,8 @@ val shutdown : t -> unit
 val stats : t -> stats
 
 val queue_depth : t -> int
-(** Racy snapshot of queued-but-unstarted tasks (injector + deques). *)
+(** Snapshot of queued-but-unstarted tasks (both queues). *)
 
-val on_worker : t -> bool
-(** Is the calling domain one of [t]'s workers?  (Used by facades to
-    route nested fan-outs back into the same scheduler.) *)
+val current : unit -> t option
+(** The scheduler whose worker the calling domain is, if any.  (Used by
+    facades to route nested fan-outs back into the same scheduler.) *)

@@ -183,8 +183,8 @@ let stats_json t =
      @ sched_fields)
 
 (* run [f] on the scheduler when there is one: handler work then lands
-   on worker domains (stealable, sharable), and nested Pool.map calls
-   inside handlers fan out on the same scheduler *)
+   on worker domains, and nested Pool.map calls inside handlers fan out
+   on the same scheduler, where any free worker can take their tasks *)
 let on_sched t f =
   match t.sched with None -> f () | Some s -> Sched.run s f
 

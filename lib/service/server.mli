@@ -3,7 +3,7 @@
 
     One {!t} owns a listening socket, a shared {!Harness.Artifact} store,
     a request-level dedup cache and (at [jobs >= 2]) the resident
-    {!Sched} work-stealing scheduler from {!Harness.Pool}.  Each accepted
+    {!Sched} scheduler from {!Harness.Pool}.  Each accepted
     connection gets a systhread speaking the newline-delimited
     {!Protocol}; handler work is submitted to the scheduler, so
     concurrent clients share cores, artifacts and in-flight requests —

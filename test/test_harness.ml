@@ -73,6 +73,12 @@ let test_pool_error_propagates () =
            (fun x -> if x = 3 then failwith "boom" else x)
            [ 1; 2; 3; 4 ]))
 
+let test_pool_scheduler_width_one () =
+  (* a one-CPU host asks for the resident scheduler at width 1 *)
+  let t = Harness.Pool.scheduler ~jobs:1 in
+  checkb "resident" true (Harness.Pool.scheduler ~jobs:1 == t);
+  checki "runs a task" 42 (Sched.run t (fun () -> 6 * 7))
+
 let test_pool_default_jobs () =
   (match Sys.getenv_opt "HARNESS_JOBS" with
   | Some _ -> checkb "positive" true (Harness.Pool.default_jobs () >= 1)
@@ -487,6 +493,8 @@ let () =
           Alcotest.test_case "order" `Quick test_pool_map_order;
           Alcotest.test_case "errors" `Quick test_pool_error_propagates;
           Alcotest.test_case "default jobs" `Quick test_pool_default_jobs;
+          Alcotest.test_case "scheduler at width 1" `Quick
+            test_pool_scheduler_width_one;
         ] );
       ( "memo",
         [

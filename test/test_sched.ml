@@ -1,137 +1,10 @@
-(* Work-stealing scheduler: deque/injector semantics, futures, stress
-   (no lost or duplicated results under stealing), exactly-once artifact
-   builds through the scheduler, cross-width determinism of the job
-   engine, and the latency histogram. *)
+(* The scheduler: futures, queue order and counters, stress (no lost or
+   duplicated results across workers), exactly-once artifact builds
+   through the scheduler, cross-width determinism of the job engine, and
+   the latency histogram. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-
-(* --- Deque ----------------------------------------------------------- *)
-
-let test_deque_lifo_fifo () =
-  let d = Sched.Deque.create ~capacity:2 ~dummy:0 () in
-  checkb "empty pop" true (Sched.Deque.pop d = None);
-  checkb "empty steal" true (Sched.Deque.steal d = None);
-  (* push past the initial capacity to exercise grow *)
-  for i = 1 to 100 do
-    Sched.Deque.push d i
-  done;
-  checki "size" 100 (Sched.Deque.size d);
-  checkb "owner pops LIFO" true (Sched.Deque.pop d = Some 100);
-  checkb "thief steals FIFO" true (Sched.Deque.steal d = Some 1);
-  checkb "steal advances" true (Sched.Deque.steal d = Some 2);
-  checkb "pop still LIFO" true (Sched.Deque.pop d = Some 99);
-  checki "size after" 96 (Sched.Deque.size d)
-
-let test_deque_last_element () =
-  let d = Sched.Deque.create ~dummy:0 () in
-  Sched.Deque.push d 7;
-  checkb "single element pops" true (Sched.Deque.pop d = Some 7);
-  checkb "then empty" true (Sched.Deque.pop d = None);
-  Sched.Deque.push d 8;
-  checkb "single element steals" true (Sched.Deque.steal d = Some 8);
-  checkb "then empty for owner" true (Sched.Deque.pop d = None)
-
-let test_deque_concurrent_drain () =
-  (* one owner pushing/popping, several thieves stealing: every element
-     must surface exactly once across all parties *)
-  let n = 20_000 and thieves = 3 in
-  let d = Sched.Deque.create ~dummy:(-1) () in
-  let stolen = Array.make thieves [] in
-  let stop = Atomic.make false in
-  let doms =
-    Array.init thieves (fun t ->
-        Domain.spawn (fun () ->
-            let acc = ref [] in
-            while not (Atomic.get stop) do
-              match Sched.Deque.steal d with
-              | Some v -> acc := v :: !acc
-              | None -> Domain.cpu_relax ()
-            done;
-            (* final sweep so nothing is left when the owner finishes *)
-            let rec sweep () =
-              match Sched.Deque.steal d with
-              | Some v ->
-                acc := v :: !acc;
-                sweep ()
-              | None -> ()
-            in
-            sweep ();
-            stolen.(t) <- !acc))
-  in
-  let popped = ref [] in
-  for i = 0 to n - 1 do
-    Sched.Deque.push d i;
-    if i mod 3 = 0 then
-      match Sched.Deque.pop d with
-      | Some v -> popped := v :: !popped
-      | None -> ()
-  done;
-  let rec drain () =
-    match Sched.Deque.pop d with
-    | Some v ->
-      popped := v :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  Array.iter Domain.join doms;
-  let all = Array.fold_left (fun acc l -> l @ acc) !popped stolen in
-  checki "every element exactly once" n (List.length all);
-  let sorted = List.sort_uniq compare all in
-  checki "no duplicates" n (List.length sorted);
-  checkb "exact element set" true (sorted = List.init n Fun.id)
-
-(* --- Injector -------------------------------------------------------- *)
-
-let test_injector_fifo () =
-  let q = Sched.Injector.create () in
-  checkb "empty" true (Sched.Injector.is_empty q);
-  checkb "empty pop" true (Sched.Injector.pop q = None);
-  List.iter (Sched.Injector.push q) [ 1; 2; 3 ];
-  checki "size" 3 (Sched.Injector.size q);
-  checkb "fifo 1" true (Sched.Injector.pop q = Some 1);
-  checkb "fifo 2" true (Sched.Injector.pop q = Some 2);
-  checkb "fifo 3" true (Sched.Injector.pop q = Some 3);
-  checkb "drained" true (Sched.Injector.is_empty q)
-
-let test_injector_mpmc () =
-  let producers = 4 and per = 5_000 in
-  let q = Sched.Injector.create () in
-  let consumed = Atomic.make 0 in
-  let sum = Atomic.make 0 in
-  let done_producing = Atomic.make 0 in
-  let prods =
-    Array.init producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Sched.Injector.push q ((p * per) + i)
-            done;
-            Atomic.incr done_producing))
-  in
-  let cons =
-    Array.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            let continue = ref true in
-            while !continue do
-              match Sched.Injector.pop q with
-              | Some v ->
-                Atomic.incr consumed;
-                ignore (Atomic.fetch_and_add sum v)
-              | None ->
-                if
-                  Atomic.get done_producing = producers
-                  && Sched.Injector.is_empty q
-                then continue := false
-                else Domain.cpu_relax ()
-            done))
-  in
-  Array.iter Domain.join prods;
-  Array.iter Domain.join cons;
-  let n = producers * per in
-  checki "all consumed" n (Atomic.get consumed);
-  checki "exact payload sum" (n * (n - 1) / 2) (Atomic.get sum)
 
 (* --- Scheduler ------------------------------------------------------- *)
 
@@ -185,8 +58,28 @@ let test_sched_cancellation () =
       Atomic.set gate true;
       ignore (Sched.await blocker);
       Alcotest.check_raises "cancelled" Sched.Cancelled (fun () ->
-          ignore (Sched.await victim));
-      checkb "peek failed" true (Sched.peek victim = `Failed))
+          ignore (Sched.await victim)))
+
+let test_sched_queue_order () =
+  (* one worker: injected tasks start oldest first, and each one's nested
+     fan-out runs newest first before the next injected task starts *)
+  with_sched ~domains:1 (fun t ->
+      let log = ref [] in
+      let note s = log := s :: !log in
+      let outer o =
+        note o;
+        ignore (Sched.map t (fun i -> note (Printf.sprintf "%s.%d" o i)) [ 1; 2 ])
+      in
+      ignore (Sched.map t outer [ "o1"; "o2"; "o3" ]);
+      Alcotest.(check (list string))
+        "depth-first joins, top-level tasks in submission order"
+        [ "o1"; "o1.2"; "o1.1"; "o2"; "o2.2"; "o2.1"; "o3"; "o3.2"; "o3.1" ]
+        (List.rev !log);
+      let st = Sched.stats t in
+      checki "tasks" 9 st.Sched.tasks;
+      checki "injected" 3 st.Sched.injected;
+      checki "local" 6 st.Sched.local;
+      checki "steals" 0 st.Sched.steals)
 
 let test_sched_stress () =
   (* 1000 mixed tiny/large tasks: every result present, correct and
@@ -215,9 +108,9 @@ let test_sched_stress () =
         ((Sched.stats t).Sched.tasks >= n + nested))
 
 let test_sched_releases_stolen_tasks () =
-  (* a thief cannot clear the deque slot it took a task from, so the slot
-     keeps pointing at the task after it has run; what the task's body
-     captured must still become garbage *)
+  (* a task run by a worker other than its submitter, and everything its
+     body captured, must become garbage once it has run: no queue may
+     keep pointing at a task it handed out *)
   with_sched ~domains:2 (fun t ->
       let made = ref 0 and collected = Atomic.make 0 in
       let nested_map () =
@@ -227,8 +120,8 @@ let test_sched_releases_stolen_tasks () =
         incr made;
         let before = (Sched.stats t).Sched.steals in
         let inner j =
-          (* hold this worker until the other one has stolen a sibling
-             from its deque, or a second has passed *)
+          (* hold this worker until the other one has taken a sibling
+             this worker submitted, or a second has passed *)
           let deadline = Unix.gettimeofday () +. 1.0 in
           while
             (Sched.stats t).Sched.steals = before
@@ -250,9 +143,10 @@ let test_sched_releases_stolen_tasks () =
       Gc.full_major ();
       checki "every captured block collected" !made (Atomic.get collected))
 
-let test_pool_exactly_once_under_stealing () =
+let test_pool_exactly_once_across_workers () =
   (* hammer one artifact key from a parallel map: the store's memo must
-     admit exactly one build no matter how the tasks interleave *)
+     admit exactly one build no matter how the tasks interleave across
+     the workers *)
   let store = Harness.Artifact.create () in
   let entry = Workloads.Suite.find "compress" in
   let arts =
@@ -371,18 +265,6 @@ let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "sched"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "lifo/fifo" `Quick test_deque_lifo_fifo;
-          Alcotest.test_case "last element race" `Quick test_deque_last_element;
-          Alcotest.test_case "concurrent drain" `Quick
-            test_deque_concurrent_drain;
-        ] );
-      ( "injector",
-        [
-          Alcotest.test_case "fifo" `Quick test_injector_fifo;
-          Alcotest.test_case "mpmc" `Quick test_injector_mpmc;
-        ] );
       ( "scheduler",
         [
           Alcotest.test_case "map order" `Quick test_sched_map_order;
@@ -391,9 +273,11 @@ let () =
           Alcotest.test_case "cancellation" `Quick test_sched_cancellation;
           Alcotest.test_case "stress 1000 mixed tasks" `Slow test_sched_stress;
           Alcotest.test_case "exactly-once artifact builds" `Slow
-            test_pool_exactly_once_under_stealing;
+            test_pool_exactly_once_across_workers;
           Alcotest.test_case "stolen tasks release their closures" `Quick
             test_sched_releases_stolen_tasks;
+          Alcotest.test_case "queue order and counters" `Quick
+            test_sched_queue_order;
         ] );
       ( "determinism",
         [
