@@ -254,20 +254,26 @@ let run_file_cmd =
     let doc = "Path to a textual IR program (see Ir.Parse)." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
+  (* a program that does not parse, or fails when it runs, is reported on
+     stderr with exit 1 *)
   let run path level pus in_order =
     match Ir.Parse.program (read_file path) with
     | Error e ->
-      Printf.eprintf "parse error: %s
-" e;
+      Printf.eprintf "parse error: %s\n" e;
       exit 1
-    | Ok prog ->
+    | Ok prog -> (
       let entry = Workloads.Registry.of_program ~name:path prog in
-      let art = Harness.Artifact.get store ~level entry in
-      let s = Harness.Artifact.sim store art ~num_pus:pus ~in_order in
-      Printf.printf "%s %s %dPU: IPC %.3f (%d insns / %d cycles)
-" path
-        (Core.Heuristics.level_name level)
-        pus (Sim.Stats.ipc s) s.Sim.Stats.dyn_insns s.Sim.Stats.cycles
+      match
+        let art = Harness.Artifact.get store ~level entry in
+        Harness.Artifact.sim store art ~num_pus:pus ~in_order
+      with
+      | exception Interp.Run.Runtime_error e ->
+        Printf.eprintf "run error: %s\n" e;
+        exit 1
+      | s ->
+        Printf.printf "%s %s %dPU: IPC %.3f (%d insns / %d cycles)\n" path
+          (Core.Heuristics.level_name level)
+          pus (Sim.Stats.ipc s) s.Sim.Stats.dyn_insns s.Sim.Stats.cycles)
   in
   Cmd.v
     (Cmd.info "run-file" ~doc:"Parse a textual IR program and simulate it")

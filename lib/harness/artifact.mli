@@ -129,6 +129,7 @@ val trace_bytes : t -> int
     keys share it: the one term of a store sized by the traces.  A store
     over the extended grid (the 18 workloads at bb through fb, every
     artifact prepared for simulation) holds 21.6 MB by
-    [Obj.reachable_words]: traces 9.2 MB, plans 9.6 MB, preps 2.9 MB
-    (2.5 MB of it register-communication tables).  When each prep kept its
+    [Obj.reachable_words]: traces 9.3 MB (9.2 MB before their words were
+    chunked), plans 9.6 MB, preps 2.9 MB (2.5 MB of it
+    register-communication tables).  When each prep kept its
     task chop, the chops took 23.2 MB and the store 44.8 MB. *)

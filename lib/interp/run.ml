@@ -162,7 +162,7 @@ let decode fid_of (b : Ir.Block.t) =
 
 (* A register's last writer is one packed int, [fid lsl blk_bits lor blk]
    (-1 before any write); blocks fit the trace's 16-bit field, since the
-   builder rejects any block that does not before it executes. *)
+   loop rejects any block that does not before it executes. *)
 let blk_bits = 16
 
 let[@inline] note_dep last_writer profile ~fid ~blk ~at r =
@@ -208,6 +208,12 @@ let execute ?on_event ?(max_steps = 30_000_000) prog =
   while !running do
     let fid = !cur_fid and blk = !cur_blk in
     let b = code.(fid).(blk) in
+    if fid >= Trace.max_funcs then
+      fail "function %s (fid %d) exceeds the trace's limit of %d functions"
+        fnames.(fid) fid Trace.max_funcs;
+    if blk >= Trace.max_blocks then
+      fail "block L%d of %s exceeds the trace's limit of %d blocks per function"
+        blk fnames.(fid) Trace.max_blocks;
     Trace.Builder.start_event buf ~fid ~blk;
     let at = (fid lsl blk_bits) lor blk in
     for i = 0 to Array.length b.insns - 1 do

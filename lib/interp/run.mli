@@ -21,17 +21,20 @@ val execute :
   outcome
 (** Run [prog] from its [main].  [max_steps] (default 30 million) bounds the
     dynamic instruction count; exceeding it raises {!Runtime_error}, as do
-    division or remainder by zero and a call to an undefined function (when
-    the call executes).  A switch condition outside the target table,
-    negative ones included, takes the default target.
+    division or remainder by zero, a call to an undefined function (when
+    the call executes) and executing a block the trace cannot name: one of
+    a function past the first {!Trace.max_funcs}, or past the first
+    {!Trace.max_blocks} of its function.  A switch condition outside the
+    target table, negative ones included, takes the default target.
 
     Loads from never-written memory read integer 0.
 
     Each block is decoded once per run and registers are held unboxed, so
     past its set-up a run allocates only for stores (the boxed cell, and
     the memory table's growth for new addresses), first-seen dependence
-    pairs, call-stack growth and the packed trace's growth: at most 3 words per dynamic instruction over the
-    workload suite, a budget [test/test_interp.ml] enforces.
+    pairs, call-stack growth and the packed trace's chunks: at most 0.75
+    words per dynamic instruction over the workload suite, a budget
+    [test/test_interp.ml] enforces.
 
     [on_event], if given, observes each completed dynamic block instance as
     it happens — the boxed view of the stream the packed trace encodes.  It

@@ -22,4 +22,8 @@ val observed : Interp.Trace.t -> parts:Core.Task.partition array -> edge list
 (** Distinct (source task, destination task) pairs, sorted by
     [(src_fid, src_task, dst_fid, dst_task)]; [parts] is indexed by fid.
     Stores inside included callees attribute to the enclosing instance's
-    task, as the walk does.  @raise Dyntask.Not_closed as the walk does. *)
+    task, as the walk does.  Allocates only as its tables grow, never per
+    address replayed: two [Occ.Intmap]s hold the last store to each
+    address and each pair's slot.  @raise Dyntask.Not_closed as the walk does.
+    @raise Invalid_argument when an instance index exceeds 34 bits, a fid
+    12 or a task index 16, the widths the packed keys give them. *)

@@ -470,11 +470,44 @@ let test_trace_decode () =
   let tr = (Interp.Run.execute (Gen.fib_program 8)).Interp.Run.trace in
   checki "clean trace lints clean" 0 (List.length (Lint.check_trace tr));
   (* smash the first event word: the fid field decodes out of range *)
-  tr.Interp.Trace.packed.(0) <- max_int;
+  tr.Interp.Trace.packed.(0).(0) <- max_int;
   let ds = Lint.check_trace tr in
   checkb "trace/decode" true (has_rule "trace/decode" ds);
   checki "reported as error" (List.length ds)
     (List.length (Lint.Diag.errors ds))
+
+(* The chunk layout the accessors assume: a trace of several chunks with
+   one chunk cut short must be a [trace/decode] error naming the chunk, not
+   an out-of-bounds read or a clean audit. *)
+let chunked_trace () =
+  let tr = (Interp.Run.execute (Gen.fib_program 14)).Interp.Run.trace in
+  checkb "three or more event chunks" true
+    (Array.length tr.Interp.Trace.packed >= 3);
+  checkb "two or more pool chunks" true
+    (Array.length tr.Interp.Trace.apool >= 2);
+  checki "clean trace lints clean" 0 (List.length (Lint.check_trace tr));
+  tr
+
+let check_layout_error tr =
+  let ds = Lint.check_trace tr in
+  checkb "trace/decode" true (has_rule "trace/decode" ds);
+  checki "reported as error" (List.length ds)
+    (List.length (Lint.Diag.errors ds));
+  checkb "names the chunk layout" true
+    (List.exists (fun d -> contains_substring d.Lint.Diag.message "chunk") ds)
+
+let test_trace_short_chunk () =
+  let tr = chunked_trace () in
+  let cs = tr.Interp.Trace.packed in
+  cs.(1) <- Array.sub cs.(1) 0 (Interp.Trace.chunk - 1);
+  check_layout_error tr
+
+let test_trace_short_pool () =
+  let tr = chunked_trace () in
+  let cs = tr.Interp.Trace.apool in
+  let last = Array.length cs - 1 in
+  cs.(last) <- Array.sub cs.(last) 0 (Array.length cs.(last) - 1);
+  check_layout_error tr
 
 (* --- the whole suite, every workload x every level ------------------------- *)
 
@@ -576,7 +609,11 @@ let () =
             test_regcomm_needed_dead_register;
         ] );
       ( "trace",
-        [ Alcotest.test_case "decode audit" `Quick test_trace_decode ] );
+        [
+          Alcotest.test_case "decode audit" `Quick test_trace_decode;
+          Alcotest.test_case "short event chunk" `Quick test_trace_short_chunk;
+          Alcotest.test_case "short address pool" `Quick test_trace_short_pool;
+        ] );
       ( "suite",
         [
           Alcotest.test_case "zero errors everywhere" `Slow

@@ -238,6 +238,14 @@ let test_chop_recursion () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "recursion: %s" e
 
+(* a corpus cell's trace and its partitions, indexed by the trace's fids *)
+let cell_trace (c : Corpus.cell) plan =
+  let trace = (c.Corpus.run plan.Core.Partition.prog).Interp.Run.trace in
+  ( trace,
+    Array.map
+      (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
+      trace.Interp.Trace.fnames )
+
 (* The chop golden: one line per (program, level) of Corpus, an MD5 over
    every instance's fid, task, event range, size, control transfers and
    successor, or the message of the [Not_closed] the walk raised.  Made
@@ -247,13 +255,7 @@ let chop_line (c : Corpus.cell) =
   match c.Corpus.plan with
   | Error e -> Corpus.label c ^ " raises " ^ Printexc.to_string e
   | Ok plan -> (
-    let trace = (c.Corpus.run plan.Core.Partition.prog).Interp.Run.trace in
-    let parts =
-      Array.map
-        (fun name -> Ir.Prog.Smap.find name plan.Core.Partition.parts)
-        trace.Interp.Trace.fnames
-    in
-    let w = walk_of (trace, parts) in
+    let w = walk_of (cell_trace c plan) in
     let buf = Buffer.create 65536 in
     match
       while Sim.Dyntask.next w do
@@ -282,6 +284,85 @@ let test_chop_golden () =
     ~what:"task instances" ~pins:"the chop as it was before its packing"
     (String.concat ""
        (List.map (fun c -> chop_line c ^ "\n") (Lazy.force corpus)))
+
+(* --- observed memory flows ------------------------------------------------ *)
+
+(* The replay [Sim.Memflow.observed] was before its tables were packed: a
+   polymorphic [Hashtbl] from each address to its last store's
+   (instance, fid, task) and one from each 4-tuple pair to its count and
+   first address. *)
+let memflow_model (tr : Interp.Trace.t) ~parts =
+  let kinds =
+    Array.map
+      (fun (f : Ir.Func.t) ->
+        Array.map
+          (fun (b : Ir.Block.t) ->
+            Array.of_list
+              (List.filter_map
+                 (function
+                   | Ir.Insn.Load _ -> Some false
+                   | Ir.Insn.Store _ -> Some true
+                   | _ -> None)
+                 (Array.to_list b.Ir.Block.insns)))
+          f.Ir.Func.blocks)
+      tr.Interp.Trace.funcs
+  in
+  let last_store = Hashtbl.create 4096 in
+  let edges : (int * int * int * int, int ref * int) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  Array.iteri
+    (fun k (d : Sim.Dyntask.instance) ->
+      let fid = d.Sim.Dyntask.fid and task = d.Sim.Dyntask.task in
+      for ev = d.Sim.Dyntask.first to d.Sim.Dyntask.last do
+        let ka =
+          kinds.(Interp.Trace.get_fid tr ev).(Interp.Trace.get_blk tr ev)
+        in
+        Array.iteri
+          (fun j store ->
+            let addr = Interp.Trace.get_addr tr ev j in
+            if store then Hashtbl.replace last_store addr (k, fid, task)
+            else
+              match Hashtbl.find_opt last_store addr with
+              | Some (k', f', t') when k' < k -> (
+                let key = (f', t', fid, task) in
+                match Hashtbl.find_opt edges key with
+                | Some (n, _) -> incr n
+                | None -> Hashtbl.replace edges key (ref 1, addr))
+              | _ -> ())
+          ka
+      done)
+    (Sim.Dyntask.instances tr ~parts);
+  Hashtbl.fold
+    (fun (src_fid, src_task, dst_fid, dst_task) (n, addr) acc ->
+      { Sim.Memflow.src_fid; src_task; dst_fid; dst_task; count = !n; addr }
+      :: acc)
+    edges []
+  |> List.sort compare
+
+(* every field of every edge, on every cell of the chop golden's corpus *)
+let test_memflow_model () =
+  let cells = ref 0 and edges = ref 0 in
+  List.iter
+    (fun (c : Corpus.cell) ->
+      match c.Corpus.plan with
+      | Error _ -> ()
+      | Ok plan ->
+        let trace, parts = cell_trace c plan in
+        let replay f =
+          match f trace ~parts with
+          | es -> Ok es
+          | exception Sim.Dyntask.Not_closed msg -> Error msg
+        in
+        let got = replay Sim.Memflow.observed in
+        if got <> replay memflow_model then
+          Alcotest.failf "%s: observed flows differ from the model"
+            (Corpus.label c);
+        incr cells;
+        Result.iter (fun es -> edges := !edges + List.length es) got)
+    (Lazy.force corpus);
+  checki "every cell replayed" (List.length (Lazy.force corpus)) !cells;
+  checkb (Printf.sprintf "%d edges compared" !edges) true (!edges > 0)
 
 (* --- timing -------------------------------------------------------------- *)
 
@@ -1153,6 +1234,8 @@ let () =
           Alcotest.test_case "golden digests" `Quick test_chop_golden;
           QCheck_alcotest.to_alcotest prop_chop_covers_packed;
         ] );
+      ( "memflow",
+        [ Alcotest.test_case "hashtable model" `Quick test_memflow_model ] );
       ( "timing",
         [
           Alcotest.test_case "dependent chain" `Quick test_dependent_chain_slower;
