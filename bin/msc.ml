@@ -106,12 +106,12 @@ let int_conv ~ok ~expected =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let pus_conv =
+let range_conv what hi =
   int_conv
-    ~ok:(fun p -> p >= 1 && p <= Sim.Config.max_pus)
-    ~expected:(Printf.sprintf "a PU count from 1 to %d" Sim.Config.max_pus)
+    ~ok:(fun v -> v >= 1 && v <= hi)
+    ~expected:(Printf.sprintf "%s from 1 to %d" what hi)
 
-let positive_conv = int_conv ~ok:(fun v -> v >= 1) ~expected:"a positive integer"
+let pus_conv = range_conv "a PU count" Sim.Config.max_pus
 
 let non_negative_conv =
   int_conv ~ok:(fun v -> v >= 0) ~expected:"a non-negative integer"
@@ -329,11 +329,15 @@ let dot_cmd =
 let superscalar_cmd =
   let width_arg =
     let doc = "Issue width of the superscalar machine." in
-    Arg.(value & opt positive_conv 4 & info [ "width" ] ~doc)
+    Arg.(value
+         & opt (range_conv "a width" Sim.Timing.max_issue_width) 4
+         & info [ "width" ] ~doc)
   in
   let rob_arg =
     let doc = "Reorder-buffer size." in
-    Arg.(value & opt positive_conv 64 & info [ "rob" ] ~doc)
+    Arg.(value
+         & opt (range_conv "a ROB size" Sim.Superscalar.max_rob) 64
+         & info [ "rob" ] ~doc)
   in
   (* the trace bench's superscalar section simulates: the dd artifact's *)
   let run entry width rob =

@@ -35,5 +35,5 @@ let create funcs =
 
 let block_addr t ~fid ~blk = t.addr.(fid).(blk)
 let block_id t ~fid ~blk = t.id.(fid).(blk)
-let site_id t ~fid ~blk ~idx = (t.id.(fid).(blk) * 1024) + idx
+let site_id t ~fid ~blk ~idx = t.addr.(fid).(blk) - code_base + idx
 let num_blocks t = t.total_blocks

@@ -15,6 +15,7 @@ val block_id : t -> fid:int -> blk:Ir.Block.label -> int
 (** Dense static block id, unique across functions. *)
 
 val site_id : t -> fid:int -> blk:Ir.Block.label -> idx:int -> int
-(** Dense static instruction id (block id space refined by offset). *)
+(** Dense static instruction id: the instruction's offset in the code
+    layout, so every site of every block is distinct. *)
 
 val num_blocks : t -> int

@@ -14,15 +14,19 @@
    outgrows it — its size follows the longest task, not the run.  Instead
    of re-probing a hashtable cycle by cycle, the scheduler jumps to the
    next cycle with a free slot.  Sites are packed into single ints
-   (fid lsl 36 | blk lsl 16 | idx) and the loads / stores / event-entry
+   (fid lsl 50 | blk lsl 34 | idx) and the loads / stores / event-entry
    results are growable parallel int arrays.  The engine drives [exec]
    through a [hooks] record created once per run. *)
 
-(* packed sites: fid lsl 36 | blk lsl 16 | idx *)
-let pack_site ~fid ~blk ~idx = (fid lsl 36) lor (blk lsl 16) lor idx
-let site_fid p = p lsr 36
-let site_blk p = (p lsr 16) land 0xFFFFF
-let site_idx p = p land 0xFFFF
+(* packed sites, in the trace's field widths: fid lsl 50 | blk lsl 34 |
+   idx (12-bit fid, 16-bit block, 34-bit instruction index) *)
+let pack_site ~fid ~blk ~idx = (fid lsl 50) lor (blk lsl 34) lor idx
+let site_fid p = p lsr 50
+let site_blk p = (p lsr 34) land 0xFFFF
+let site_idx p = p land ((1 lsl 34) - 1)
+
+(* the bandwidth windows count a cycle's slots in 8 bits *)
+let max_issue_width = 255
 
 (* Inter-task inputs, provided by the engine once per run; the closures
    read mutable engine state (current task index, assignment time), so no
@@ -93,6 +97,7 @@ type ctx = {
   mutable inter_wait : int;
   mutable intra_wait : int;
   mutable sync_waits : int;
+  mutable occupancy : int;
 }
 
 let null_hooks =
@@ -107,6 +112,11 @@ let null_hooks =
   }
 
 let create (cfg : Config.t) trace layout =
+  if cfg.Config.issue_width < 1 || cfg.Config.issue_width > max_issue_width
+  then
+    invalid_arg
+      (Printf.sprintf "Sim.Timing.create: issue width %d (need 1 to %d)"
+         cfg.Config.issue_width max_issue_width);
   {
     cfg;
     trace;
@@ -152,6 +162,7 @@ let create (cfg : Config.t) trace layout =
     inter_wait = 0;
     intra_wait = 0;
     sync_waits = 0;
+    occupancy = 0;
   }
 
 let grow_int_array a n =
@@ -400,6 +411,7 @@ let sched ctx ~site ~units ~latency ~init ~u1 ~u2 ~u3 ~def ~mem_addr ~mem_kind
   ctx.last_commit <- !c;
   ctx.rob.(i mod rob_size) <- !c;
   ctx.iq.(i mod iq_size) <- issue_t;
+  ctx.occupancy <- ctx.occupancy + (!c - !disp_t);
   if def >= 0 && def <> Ir.Reg.zero then begin
     local_time.(def) <- complete_t;
     ctx.local_site.(def) <- site
@@ -440,6 +452,7 @@ let exec (ctx : ctx) ~first ~last ~start_fetch ~mem_hold (h : hooks) =
   ctx.inter_wait <- 0;
   ctx.intra_wait <- 0;
   ctx.sync_waits <- 0;
+  ctx.occupancy <- 0;
   (* walk the events of the instance *)
   let n_events = Interp.Trace.num_events trace in
   let num_inst_events = last - first + 1 in

@@ -9,7 +9,9 @@
 
     Inter-task inputs (operand arrival through the register ring, memory
     values forwarded from older tasks' stores) are provided by the engine
-    through {!hooks}; the computation is deterministic given those. *)
+    through {!hooks}; the computation is deterministic given those.  It is
+    the one PU pipeline: the superscalar reference runs a whole trace
+    through it as one instance, with null inter-task hooks. *)
 
 (** {2 Event-core fast path}
 
@@ -103,16 +105,25 @@ type ctx = {
   mutable inter_wait : int;  (** issue cycles lost on inter-task operands *)
   mutable intra_wait : int;  (** issue cycles lost on intra-task operands *)
   mutable sync_waits : int;  (** loads held back by the sync table *)
+  mutable occupancy : int;
+      (** window residency: commit minus dispatch cycle, summed over the
+          instructions of the last {!exec} (the superscalar's window) *)
 }
 
 val pack_site : fid:int -> blk:int -> idx:int -> int
-(** [fid lsl 36 | blk lsl 16 | idx] — sites as single ints on the hot path. *)
+(** [fid lsl 50 | blk lsl 34 | idx] — sites as single ints on the hot path,
+    in the trace's field widths: a 12-bit fid, a 16-bit block and a 34-bit
+    instruction index. *)
 
 val site_fid : int -> int
 val site_blk : int -> int
 val site_idx : int -> int
 
+val max_issue_width : int
+(** 255: the issue and commit windows count a cycle's slots in 8 bits. *)
+
 val create : Config.t -> Interp.Trace.t -> Layout.t -> ctx
+(** [Invalid_argument] unless [issue_width] is 1 to {!max_issue_width}. *)
 
 val exec :
   ctx -> first:int -> last:int -> start_fetch:int -> mem_hold:int -> hooks ->

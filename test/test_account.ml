@@ -106,7 +106,9 @@ let prop_one_pu_all_useful_or_idle =
 
 (* Straight-line, branch-free, memory-free program: a single task with no
    speculation of any kind, so the Multiscalar engine degenerates to the
-   same centralised window the superscalar model simulates. *)
+   same centralised window the superscalar model simulates.  Both run on
+   Timing's pipeline, so equal cycles mean the engine's task machinery
+   adds no cycle to a single task. *)
 let straightline n =
   let pb = Ir.Builder.program () in
   let t0 = Ir.Reg.tmp 0 in

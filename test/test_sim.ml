@@ -131,6 +131,32 @@ let test_layout_unique () =
     tr.Interp.Trace.funcs;
   checki "count" (Sim.Layout.num_blocks layout) (Hashtbl.length ids)
 
+(* Every instruction site has an id of its own, also past a block's
+   1,024th instruction, where ids of the form block id * 1024 + index ran
+   into the next block's. *)
+let test_layout_sites_distinct () =
+  let blk label n term =
+    { Ir.Block.label; insns = Array.make n Ir.Insn.Nop; term }
+  in
+  let f =
+    {
+      Ir.Func.name = "main";
+      blocks = [| blk 0 1100 (Ir.Block.Jump 1); blk 1 2 Ir.Block.Ret |];
+    }
+  in
+  let layout = Sim.Layout.create [| f |] in
+  let ids = Hashtbl.create 2048 in
+  let sites = ref 0 in
+  Array.iteri
+    (fun b (bl : Ir.Block.t) ->
+      (* the terminator is a site too *)
+      for idx = 0 to Array.length bl.Ir.Block.insns do
+        incr sites;
+        Hashtbl.replace ids (Sim.Layout.site_id layout ~fid:0 ~blk:b ~idx) ()
+      done)
+    f.Ir.Func.blocks;
+  checki "distinct sites" !sites (Hashtbl.length ids)
+
 (* --- dynamic task chopping ----------------------------------------------- *)
 
 (* a trace and the plan's partitions by fid: what a task walk reads *)
@@ -517,6 +543,56 @@ let test_superscalar_wider_not_slower () =
   checkb "wider machine at least as fast" true
     (wide.Sim.Superscalar.stats.Sim.Stats.cycles
      <= narrow.Sim.Superscalar.stats.Sim.Stats.cycles)
+
+(* The superscalar golden: one line per distinct trace of Corpus (the
+   levels of a program share a trace when their plans share a program),
+   each run at 4-wide/ROB 64 and at a 2-wide, ROB-16 in-order shape:
+   cycles, instructions, intra-task branches and mispredicts, L1 I and D
+   accesses and misses, and the average window as bits.  Made with the
+   superscalar's own scheduler, before it ran on Timing.exec. *)
+let superscalar_shapes =
+  [
+    Sim.Superscalar.config ~width:4 ~rob:64;
+    {
+      (Sim.Superscalar.config ~width:2 ~rob:16) with
+      Sim.Config.in_order = true;
+    };
+  ]
+
+let superscalar_line trace =
+  String.concat " | "
+    (List.map
+       (fun cfg ->
+         let r = Sim.Superscalar.run cfg trace in
+         let s = r.Sim.Superscalar.stats in
+         Printf.sprintf "%d %d %d %d %d %d %d %d %h" s.Sim.Stats.cycles
+           s.Sim.Stats.dyn_insns s.Sim.Stats.intra_branches
+           s.Sim.Stats.intra_branch_mispredicts s.Sim.Stats.l1i_accesses
+           s.Sim.Stats.l1i_misses s.Sim.Stats.l1d_accesses
+           s.Sim.Stats.l1d_misses r.Sim.Superscalar.avg_window)
+       superscalar_shapes)
+
+let test_superscalar_golden () =
+  let seen = ref [] in
+  let lines =
+    List.filter_map
+      (fun (c : Corpus.cell) ->
+        match c.Corpus.plan with
+        | Error _ -> None
+        | Ok plan ->
+          let trace = (c.Corpus.run plan.Core.Partition.prog).Interp.Run.trace in
+          if List.memq trace !seen then None
+          else begin
+            seen := trace :: !seen;
+            Some (Corpus.label c ^ " " ^ superscalar_line trace ^ "\n")
+          end)
+      (Lazy.force corpus)
+  in
+  Corpus.check_golden
+    ~path:(Filename.concat "golden" "superscalar_digests.txt")
+    ~what:"superscalar runs"
+    ~pins:"the superscalar as it was with a scheduler of its own"
+    (String.concat "" lines)
 
 (* --- predictor ablation ---------------------------------------------------- *)
 
@@ -1222,7 +1298,11 @@ let () =
           Alcotest.test_case "slide, grow, floor" `Quick test_slots_paths;
           QCheck_alcotest.to_alcotest prop_slots_model;
         ] );
-      ("layout", [ Alcotest.test_case "unique ids" `Quick test_layout_unique ]);
+      ( "layout",
+        [
+          Alcotest.test_case "unique ids" `Quick test_layout_unique;
+          Alcotest.test_case "distinct sites" `Quick test_layout_sites_distinct;
+        ] );
       ( "chopping",
         [
           Alcotest.test_case "tiles" `Quick test_chop_tiles;
@@ -1254,6 +1334,7 @@ let () =
           Alcotest.test_case "runs" `Quick test_superscalar_runs;
           Alcotest.test_case "wider not slower" `Quick
             test_superscalar_wider_not_slower;
+          Alcotest.test_case "golden digests" `Quick test_superscalar_golden;
           Alcotest.test_case "bimodal config" `Quick test_bimodal_config_runs;
         ] );
       ( "engine",
