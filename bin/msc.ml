@@ -12,7 +12,12 @@
      run-file    parse a textual IR program (see Ir.Parse) and simulate it
      export      print a workload in the textual IR format
      dot         emit a Graphviz CFG coloured by task
-     superscalar simulate on the centralised superscalar reference machine
+     superscalar the superscalar reference's window vs the Multiscalar
+                 window span, per workload (paper 4.3.4)
+     ablation    the design-choice studies: synchronization table, target
+                 limit, if-conversion, task predictor, banks, optimiser,
+                 LOOP_THRESH
+     crossinput  dd/ts tasks selected with alternative-input profiles
      lint        statically verify IR, partitions and register communication
      deps        static cross-task dependence edges vs observed trace flows
      absint      flow-sensitive refinement precision vs the baseline regions
@@ -23,7 +28,8 @@
                  fb-bound and the frozen sim_ref cycle differential as
                  oracles)
      table1      regenerate the paper's Table 1
-     figure5     regenerate the paper's Figure 5 *)
+     figure5     regenerate the paper's Figure 5, then its int and fp
+                 geometric-mean gains over basic-block tasks *)
 
 open Cmdliner
 
@@ -57,6 +63,14 @@ let workload_conv =
     ( workload_of_name,
       fun ppf e -> Format.pp_print_string ppf e.Workloads.Registry.name )
 
+(* the first name listed twice, if any *)
+let rec repeated ?(seen = []) = function
+  | [] -> None
+  | n :: rest ->
+    if List.mem n seen then Some n else repeated ~seen:(n :: seen) rest
+
+let listed_twice what n = `Msg (Printf.sprintf "%s %S is listed twice" what n)
+
 (* a comma-separated list of distinct names, each resolved by [find]; the
    first unknown one, then the first repeated one, is reported *)
 let list_conv ~what find name =
@@ -67,14 +81,9 @@ let list_conv ~what find name =
            Result.bind (find n) (fun x -> Result.map (List.cons x) acc))
          (String.split_on_char ',' s) (Ok []))
       (fun xs ->
-        let rec repeated seen = function
-          | [] -> Ok xs
-          | n :: rest ->
-            if List.mem n seen then
-              Error (`Msg (Printf.sprintf "%s %S is listed twice" what n))
-            else repeated (n :: seen) rest
-        in
-        repeated [] (List.map name xs))
+        match repeated (List.map name xs) with
+        | None -> Ok xs
+        | Some n -> Error (listed_twice what n))
   in
   let print ppf xs =
     Format.pp_print_string ppf (String.concat "," (List.map name xs))
@@ -139,6 +148,13 @@ let workloads_filter =
 
 (* The flag and HARNESS_JOBS go through Pool's one parser; a bad value of
    either is a usage error, a count above the host's is capped. *)
+let resolve_jobs = function
+  | Some j -> `Ok (Some j)
+  | None -> (
+    match Harness.Pool.env_jobs () with
+    | Ok j -> `Ok j
+    | Error msg -> `Error (true, msg))
+
 let jobs_arg =
   let doc =
     "Worker domains for experiment batches (default: HARNESS_JOBS or the \
@@ -150,17 +166,13 @@ let jobs_arg =
           Result.map_error (fun m -> `Msg m) (Harness.Pool.parse_jobs s)),
         Format.pp_print_int )
   in
-  let resolve = function
-    | Some j -> `Ok (Some j)
-    | None -> (
-      match Harness.Pool.env_jobs () with
-      | Ok j -> `Ok j
-      | Error msg -> `Error (true, msg))
-  in
   Term.(
     ret
-      (const resolve
+      (const resolve_jobs
       $ Arg.(value & opt (some jobs_conv) None & info [ "j"; "jobs" ] ~doc)))
+
+(* HARNESS_JOBS alone, for the subcommands that take no --jobs *)
+let env_jobs = Term.(ret (const resolve_jobs $ const None))
 
 let json_arg =
   let doc = "Also export the structured job results as JSON to $(docv)." in
@@ -326,6 +338,8 @@ let dot_cmd =
        ~doc:"Emit a Graphviz CFG of a workload function, coloured by task")
     Term.(cli_parse_result (const run $ workload_arg $ level_arg $ fname_arg))
 
+(* --- the studies -------------------------------------------------------- *)
+
 let superscalar_cmd =
   let width_arg =
     let doc = "Issue width of the superscalar machine." in
@@ -339,28 +353,34 @@ let superscalar_cmd =
          & opt (range_conv "a ROB size" Sim.Superscalar.max_rob) 64
          & info [ "rob" ] ~doc)
   in
-  (* the trace bench's superscalar section simulates: the dd artifact's *)
-  let run entry width rob =
-    let art =
-      Harness.Artifact.get store ~level:Core.Heuristics.Data_dependence entry
-    in
-    let r =
-      Sim.Superscalar.run
-        (Sim.Superscalar.config ~width ~rob)
-        art.Harness.Artifact.trace
-    in
-    Printf.printf
-      "%s superscalar %d-wide/ROB %d: IPC %.3f, avg window %.1f, branch \
-       mispredict %.2f%%\n"
-      entry.Workloads.Registry.name width rob
-      (Sim.Stats.ipc r.Sim.Superscalar.stats)
-      r.Sim.Superscalar.avg_window
-      (Sim.Stats.branch_mispredict_rate r.Sim.Superscalar.stats)
+  let run entries width rob jobs =
+    Format.printf "%a@."
+      (Report.Studies.pp_superscalar ~width ~rob)
+      (Report.Studies.superscalar ~store ?jobs ~width ~rob entries)
   in
   Cmd.v
     (Cmd.info "superscalar"
-       ~doc:"Simulate a workload on the centralised superscalar reference")
-    Term.(const run $ workload_arg $ width_arg $ rob_arg)
+       ~doc:
+         "Compare the superscalar reference's IPC and window with the \
+          8-PU Multiscalar window span of dd tasks (paper 4.3.4)")
+    Term.(const run $ workloads_filter $ width_arg $ rob_arg $ env_jobs)
+
+let study_cmd name ~doc lines =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const (fun () -> List.iter print_endline (lines store)) $ const ())
+
+let ablation_cmd =
+  study_cmd "ablation" Report.Studies.ablation
+    ~doc:
+      "Ablate the design choices: synchronization table, hardware target \
+       limit, if-conversion, task predictor, D-cache/ARB banks, classical \
+       optimisation and LOOP_THRESH (8 PUs)"
+
+let crossinput_cmd =
+  study_cmd "crossinput" Report.Studies.crossinput
+    ~doc:
+      "Select dd and ts tasks with profiles of an alternative input and \
+       evaluate them on the reference input (8 PUs)"
 
 let timeline_cmd =
   let count_arg =
@@ -675,10 +695,15 @@ let table1_cmd =
 let figure5_cmd =
   let run entries jobs json =
     let rows = Report.Figure5.run ~store ?jobs entries in
-    Format.printf "%a@." Report.Figure5.pp rows;
+    Format.printf "%a@.%a@." Report.Figure5.pp rows Report.Figure5.pp_gains
+      rows;
     export_json json
   in
-  Cmd.v (Cmd.info "figure5" ~doc:"Regenerate the paper's Figure 5")
+  Cmd.v
+    (Cmd.info "figure5"
+       ~doc:
+         "Regenerate the paper's Figure 5 and its geometric-mean gains over \
+          basic-block tasks")
     Term.(const run $ workloads_filter $ jobs_arg $ json_arg)
 
 (* --- grid analyses -------------------------------------------------------- *)
@@ -968,7 +993,7 @@ let analysis_cmd a =
 
 (* The full default grid of an analysis: every workload, its default
    levels, the default machines. *)
-let full_query a =
+let full_query a jobs =
   {
     entries = Workloads.Suite.all;
     levels = a.levels;
@@ -978,15 +1003,15 @@ let full_query a =
       | One -> [ 8 ]
       | Grid -> Report.Breakdown.default_pus);
     in_order = false;
-    jobs = None;
+    jobs;
     stats = false;
     rule = None;
   }
 
 (* The fuzz corpus is not a grid analysis, but its gate and its committed
    bench/fuzz.json ride along in `msc check`. *)
-let fuzz_check () =
-  let o = Fuzz.run Fuzz.default_config in
+let fuzz_check jobs =
+  let o = Fuzz.run ?jobs Fuzz.default_config in
   outcome
     ~records:(Printf.sprintf " (%d fuzz records)" (List.length o.Fuzz.o_records))
     ~invariants:(Fuzz.invariants o)
@@ -995,7 +1020,7 @@ let fuzz_check () =
 
 let check_cmd =
   let checks =
-    List.map (fun a -> (a.file, fun () -> a.run (full_query a))) analyses
+    List.map (fun a -> (a.file, fun jobs -> a.run (full_query a jobs))) analyses
     @ [ ("fuzz", fuzz_check) ]
   in
   let names_arg =
@@ -1006,21 +1031,27 @@ let check_cmd =
     Arg.(value & pos_all (enum (List.map (fun (n, _) -> (n, n)) checks)) []
          & info [] ~docv:"NAME" ~doc)
   in
-  let run names =
-    let names = if names = [] then List.map fst checks else names in
-    let failures =
-      List.concat_map
-        (fun name ->
-          let o = (List.assoc name checks) () in
-          let path = Harness.Job.bench_path (name ^ ".json") in
-          write_json path o.json;
-          let failed = o.invariants @ o.claims in
-          Printf.printf "check %s: wrote %s%s, %d failures\n%!" name path
-            o.records (List.length failed);
-          failed)
-        names
-    in
-    fail_on failures
+  (* a name listed twice is a usage error: it would run, write its file
+     and count its failures twice *)
+  let run jobs names =
+    match repeated names with
+    | Some n -> Error (listed_twice "analysis" n)
+    | None ->
+      let names = if names = [] then List.map fst checks else names in
+      let failures =
+        List.concat_map
+          (fun name ->
+            let o = (List.assoc name checks) jobs in
+            let path = Harness.Job.bench_path (name ^ ".json") in
+            write_json path o.json;
+            let failed = o.invariants @ o.claims in
+            Printf.printf "check %s: wrote %s%s, %d failures\n%!" name path
+              o.records (List.length failed);
+            failed)
+          names
+      in
+      fail_on failures;
+      Ok ()
   in
   Cmd.v
     (Cmd.info "check"
@@ -1029,7 +1060,7 @@ let check_cmd =
           fuzz corpus on the full default grid, write each one's \
           bench/<name>.json, and exit non-zero if any invariant or suite \
           claim fails")
-    Term.(const run $ names_arg)
+    Term.(cli_parse_result (const run $ env_jobs $ names_arg))
 
 (* --- daemon / client ------------------------------------------------------ *)
 
@@ -1167,7 +1198,8 @@ let main =
     ([
        list_cmd; run_cmd; dump_cmd; trace_stats_cmd; fuzz_cmd; table1_cmd;
        figure5_cmd; check_cmd; run_file_cmd; export_cmd; dot_cmd;
-       superscalar_cmd; timeline_cmd; daemon_cmd; client_cmd;
+       superscalar_cmd; ablation_cmd; crossinput_cmd; timeline_cmd;
+       daemon_cmd; client_cmd;
      ]
     @ List.map analysis_cmd analyses)
 

@@ -131,14 +131,9 @@ let level_index level =
   in
   go 0 Core.Heuristics.extended_levels
 
-(* the deterministic order of {!traces} and {!sim_results} *)
+(* the deterministic order of {!sim_results} *)
 let order (k : key) =
   (k.workload, level_index k.level, k.params, k.profile_alt, k.variant)
-
-let traces t =
-  List.sort
-    (fun (ka, _) (kb, _) -> compare (order ka) (order kb))
-    (List.map (fun (key, art) -> (key, art.trace)) (Memo.bindings t.pipeline))
 
 (* every artifact's trace is the trace of one landed run, and every landed
    run's trace is some artifact's *)

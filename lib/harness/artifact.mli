@@ -1,13 +1,13 @@
 (** The shared artifact store of the experiment engine.
 
-    Every evaluation path (bench sections, CLI subcommands, report tables,
+    Every evaluation path (CLI subcommands, report tables, the studies,
     the daemon) needs the same expensive pipeline per [(workload,
     heuristic level)]: build the workload program, apply the {!variant}'s
     front-end transforms, select tasks with {!Core.Cost.plan_for_level},
     and interpret the partitioned program for the dynamic trace.  The store
     memoizes all of it behind a structural {!key} — the one place the
-    variants and the cross-input profile are keyed — so a full bench run
-    computes each pipeline exactly once instead of once per section.
+    variants and the cross-input profile are keyed — so one [msc] run
+    computes each pipeline exactly once however many reports need it.
 
     Interpretation is shared below the pipelines.  The store keeps the
     interpreter outcome behind each artifact's trace, keyed by a digest of
@@ -116,12 +116,6 @@ val builds : t -> int
 val sim_results : t -> (key * (int * bool) * Sim.Stats.t) list
 (** Every simulation recorded by {!sim}, sorted deterministically
     (workload, level, params, profile, variant, PUs, issue discipline). *)
-
-val traces : t -> (key * Interp.Trace.t) list
-(** Every packed trace resident in the pipeline cache, sorted like
-    {!sim_results} (without the machine axes).  Artifacts that run the
-    same program share one physical trace, so it can appear under several
-    keys. *)
 
 val trace_bytes : t -> int
 (** Total resident bytes of the store's packed traces

@@ -49,46 +49,6 @@ let results_of_store store =
       else None)
     (Artifact.sim_results store)
 
-(* --- trace statistics ------------------------------------------------------ *)
-
-type trace_stat = {
-  t_workload : string;
-  t_level : Core.Heuristics.level;
-  t_events : int;
-  t_insns : int;
-  t_addrs : int;
-  t_heap_words : int;
-  t_boxed_words : int;
-  t_bytes : int;
-}
-
-let trace_stat_of_trace ~workload ~level (trace : Interp.Trace.t) =
-  let s = Interp.Trace.stats trace in
-  {
-    t_workload = workload;
-    t_level = level;
-    t_events = s.Interp.Trace.events;
-    t_insns = trace.Interp.Trace.dyn_insns;
-    t_addrs = s.Interp.Trace.addrs;
-    t_heap_words = s.Interp.Trace.heap_words;
-    t_boxed_words = s.Interp.Trace.boxed_words;
-    t_bytes = Interp.Trace.bytes trace;
-  }
-
-let trace_stats_of_store store =
-  List.filter_map
-    (fun ((key : Artifact.key), trace) ->
-      if
-        key.Artifact.params = Core.Heuristics.default
-        && (not key.Artifact.profile_alt)
-        && key.Artifact.variant = Artifact.base_variant
-      then
-        Some
-          (trace_stat_of_trace ~workload:key.Artifact.workload
-             ~level:key.Artifact.level trace)
-      else None)
-    (Artifact.traces store)
-
 (* --- cycle-accounting breakdowns ------------------------------------------- *)
 
 type account = {
@@ -286,19 +246,6 @@ let result_to_json r =
       ("window_span", Json.Float r.window_span);
     ]
 
-let trace_stat_to_json t =
-  Json.Obj
-    [
-      ("workload", Json.String t.t_workload);
-      ("level", Json.String (level_tag t.t_level));
-      ("events", Json.Int t.t_events);
-      ("dyn_insns", Json.Int t.t_insns);
-      ("addrs", Json.Int t.t_addrs);
-      ("heap_words", Json.Int t.t_heap_words);
-      ("boxed_words", Json.Int t.t_boxed_words);
-      ("bytes", Json.Int t.t_bytes);
-    ]
-
 (* Integer-only on purpose: percentages are derived by readers, so the
    golden-snapshot diffs in test/golden/ never chase float formatting. *)
 let account_to_json a =
@@ -410,20 +357,13 @@ let fuzz_to_json z =
 let accounts_to_json accounts =
   Json.Obj [ ("accounts", Json.List (List.map account_to_json accounts)) ]
 
-(* The results.json object: the "jobs" list plus one member per section
-   that rides along. *)
-let document ?trace ?fuzz results =
-  let section name to_json = function
-    | None -> []
-    | Some items -> [ (name, Json.List (List.map to_json items)) ]
-  in
+let document ?fuzz results =
   Json.Obj
     (("jobs", Json.List (List.map result_to_json results))
-     :: (section "trace" trace_stat_to_json trace
-        @ section "fuzz" fuzz_to_json fuzz))
-
-let export ~path ?trace ?fuzz results =
-  Json.to_file path (document ?trace ?fuzz results)
+     ::
+     (match fuzz with
+     | None -> []
+     | Some items -> [ ("fuzz", Json.List (List.map fuzz_to_json items)) ]))
 
 let bench_path file =
   if Sys.file_exists "bench" && Sys.is_directory "bench" then

@@ -2,10 +2,10 @@
 
     A {!spec} names one simulation cell [workload × heuristic level ×
     machine configuration]; the other records summarise one
-    {!Artifact.artifact} (dependences, cost predictions, trace memory) or
-    one fuzz profile.  Every [*_to_json] here is the payload shape shared
-    by the [msc --json] exports, the committed [bench/*.json] files, the
-    bench harness's [bench/results.json] ({!document}) and the [mscd]
+    {!Artifact.artifact} (dependences, cost predictions) or one fuzz
+    profile.  Every [*_to_json] here is the payload shape shared by the
+    [msc --json] exports (the results object of [msc figure5 --json] is
+    {!document}), the committed [bench/*.json] files and the [mscd]
     service responses.  The computations live with their callers: the
     report runners and the daemon resolve artifacts and simulations
     through an {!Artifact} store. *)
@@ -48,31 +48,6 @@ val results_of_store : Artifact.t -> result list
 (** The canonical perf trajectory recorded in a store: every memoized
     default-machine simulation whose pipeline used default parameters, the
     baseline variant and self-profiling, in deterministic order. *)
-
-(** {1 Trace statistics}
-
-    Alongside simulation results, a store holds the packed traces the
-    pipelines produced; their memory statistics ride along in the JSON
-    export as the "trace" section. *)
-
-type trace_stat = {
-  t_workload : string;
-  t_level : Core.Heuristics.level;
-  t_events : int;       (** dynamic block instances *)
-  t_insns : int;        (** dynamic instructions *)
-  t_addrs : int;        (** effective addresses recorded *)
-  t_heap_words : int;   (** resident heap words, packed representation *)
-  t_boxed_words : int;  (** what the legacy boxed layout would occupy *)
-  t_bytes : int;        (** packed resident bytes *)
-}
-
-val trace_stat_of_trace :
-  workload:string -> level:Core.Heuristics.level -> Interp.Trace.t -> trace_stat
-
-val trace_stats_of_store : Artifact.t -> trace_stat list
-(** Memory statistics of every cached packed trace built with default
-    parameters, baseline variant and self-profiling, in deterministic
-    order (the trace-side counterpart of {!results_of_store}). *)
 
 (** {1 Cycle-accounting breakdowns}
 
@@ -188,9 +163,8 @@ val accounts_to_json : account list -> Json.t
 
     Per-profile aggregates of a differential fuzzing run ({!Fuzz} in
     [lib/fuzz]): how many generated programs went through which oracles and
-    how many passed.  These ride along in [results.json] (and
-    [bench/fuzz.json]) as the "fuzz" member, next to the trace/account/
-    dep/cost records. *)
+    how many passed.  These ride in {!document}'s "fuzz" member
+    ([msc fuzz --json], [bench/fuzz.json]). *)
 
 type fuzz = {
   z_seed : int;            (** corpus root seed *)
@@ -213,15 +187,11 @@ type fuzz = {
 val fuzz_to_json : fuzz -> Json.t
 (** Integer-only counts, like accounts and deps. *)
 
-val document :
-  ?trace:trace_stat list -> ?fuzz:fuzz list -> result list -> Json.t
-(** The [results.json] object: a "jobs" member listing {!result_to_json}
-    of the results, plus a "trace" / "fuzz" member per given section. *)
-
-val export :
-  path:string -> ?trace:trace_stat list -> ?fuzz:fuzz list -> result list ->
-  unit
-(** Write {!document} to [path] (with a trailing newline). *)
+val document : ?fuzz:fuzz list -> result list -> Json.t
+(** The results object [msc figure5 --json] and [msc table1 --json]
+    write: a "jobs" member listing {!result_to_json} of the results, plus
+    a "fuzz" member when [fuzz] is given ([msc fuzz --json],
+    [bench/fuzz.json]). *)
 
 val bench_path : string -> string
 (** Where a committed report file lives: [bench/<file>] when the current

@@ -1,8 +1,8 @@
 (** A minimal JSON tree, printer and parser.
 
-    The experiment engine exports machine-readable results
-    ([bench/results.json]); the container has no JSON library, so this is a
-    small self-contained implementation.  Printing is deterministic (object
+    The experiment engine exports machine-readable results (the [msc
+    --json] exports, [bench/*.json], the [mscd] replies) and depends on no
+    JSON library, so this is a small self-contained implementation.  Printing is deterministic (object
     fields keep their construction order) and numbers round-trip: floats are
     printed with 17 significant digits and always contain a ['.'] or
     exponent so they re-parse as [Float], never [Int]. *)

@@ -1,5 +1,5 @@
-(** Small aggregate statistics shared by the bench summary and the job
-    engine (previously duplicated as a private helper in [bench/main.ml]). *)
+(** Small aggregate statistics shared by the report layer (the Figure 5
+    gains, the cost and deps correlations), the daemon and the benchmark. *)
 
 val geomean : float list -> float
 (** Geometric mean; values are clamped below at [1e-9] (IPC ratios are

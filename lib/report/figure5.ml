@@ -56,3 +56,32 @@ let pp ppf rows =
         rows)
     config_names;
   Format.fprintf ppf "@]"
+
+(* Per machine, the geometric-mean IPC gains of cf, dd and ts over bb for
+   the int and the fp rows.  A kind with no rows is left out: the
+   geometric mean of nothing is 0, which would read as a -100% gain. *)
+let pp_gains ppf rows =
+  Format.fprintf ppf "@[<v>";
+  List.iteri
+    (fun ci cname ->
+      Format.fprintf ppf
+        (if ci = 0 then "@,-- %s --" else "@,@,-- %s --")
+        cname;
+      List.iter
+        (fun (kname, kind) ->
+          match List.filter (fun r -> r.kind = kind) rows with
+          | [] -> ()
+          | rs ->
+            let gain li =
+              100.0
+              *. (Harness.Stat.geomean
+                    (List.map
+                       (fun r -> r.ipc.(li).(ci) /. max 1e-9 r.ipc.(0).(ci))
+                       rs)
+                 -. 1.0)
+            in
+            Format.fprintf ppf "@,%-4s: cf %+.1f%%  dd %+.1f%%  ts %+.1f%%"
+              kname (gain 1) (gain 2) (gain 3))
+        [ ("int", `Int); ("fp", `Fp) ])
+    config_names;
+  Format.fprintf ppf "@]"

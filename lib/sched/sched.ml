@@ -14,16 +14,6 @@
    a worker awaiting a future runs queued tasks before it waits, so the
    subtasks of a nested fan-out always have a worker to run them. *)
 
-exception Cancelled
-
-module Token = struct
-  type t = bool Atomic.t
-
-  let create () = Atomic.make false
-  let cancel t = Atomic.set t true
-  let cancelled t = Atomic.get t
-end
-
 type task = unit -> unit
 
 type t = {
@@ -125,14 +115,10 @@ type 'a state = Pending | Done of 'a | Failed of exn
 (* [st] is guarded by [sched.mu] *)
 type 'a future = { mutable st : 'a state; sched : t }
 
-let submit ?token t f =
+let submit t f =
   let fut = { st = Pending; sched = t } in
   let task () =
-    let st =
-      match token with
-      | Some tk when Token.cancelled tk -> Failed Cancelled
-      | _ -> ( try Done (f ()) with e -> Failed e)
-    in
+    let st = try Done (f ()) with e -> Failed e in
     Mutex.protect t.mu (fun () ->
         fut.st <- st;
         Condition.broadcast t.cond)
@@ -157,8 +143,8 @@ let await fut =
   | Failed e -> raise e
   | Pending -> assert false
 
-let map ?token t f xs =
-  let futs = List.map (fun x -> submit ?token t (fun () -> f x)) xs in
+let map t f xs =
+  let futs = List.map (fun x -> submit t (fun () -> f x)) xs in
   (* await everything before re-raising so no task is abandoned
      mid-flight, then surface the lowest-index failure *)
   let settled =

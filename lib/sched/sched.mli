@@ -24,21 +24,6 @@
     but unstarted tasks are dropped at shutdown — drain by awaiting your
     futures first. *)
 
-exception Cancelled
-(** Raised by [await] on a future whose {!Token.t} was cancelled before
-    the task started running. *)
-
-module Token : sig
-  type t
-  (** Cooperative cancellation token shared by any number of tasks. *)
-
-  val create : unit -> t
-  val cancel : t -> unit
-
-  val cancelled : t -> bool
-  (** Long-running task bodies may poll this to stop early. *)
-end
-
 type t
 
 type 'a future
@@ -54,18 +39,16 @@ type stats = {
 val create : domains:int -> unit -> t
 (** Spawn [domains] (>= 1) worker domains, all initially waiting. *)
 
-val submit : ?token:Token.t -> t -> (unit -> 'a) -> 'a future
+val submit : t -> (unit -> 'a) -> 'a future
 (** Schedule [f].  From a worker of [t] the task joins the workers'
-    LIFO; from anywhere else it joins the FIFO of injected tasks.  If
-    [token] is cancelled before the task starts, the future fails with
-    {!Cancelled} without running [f]. *)
+    LIFO; from anywhere else it joins the FIFO of injected tasks. *)
 
 val await : 'a future -> 'a
 (** Wait for resolution; re-raises the task's exception.  On a worker
     of the owning scheduler this runs other queued tasks while waiting
     (structured join). *)
 
-val map : ?token:Token.t -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Structured fan-out: one task per element, results in input order.
     All tasks run to completion even if some fail; the lowest-index
     exception is then re-raised.  Callable from external threads and

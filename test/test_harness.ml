@@ -439,30 +439,9 @@ let test_job_export_file () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Harness.Job.export ~path results;
+      Harness.Json.to_file path (Harness.Job.document results);
       checkb "file holds the document" true
         (parse_file path = Harness.Job.document results))
-
-let test_job_export_with_trace () =
-  let store = Harness.Artifact.create () in
-  ignore (run_batch store);
-  let results = Harness.Job.results_of_store store in
-  let trace = Harness.Job.trace_stats_of_store store in
-  checki "one trace record per pipeline" 1 (List.length trace);
-  let t = List.hd trace in
-  checkb "events counted" true (t.Harness.Job.t_events > 0);
-  checkb "packed resident below boxed" true
-    (t.Harness.Job.t_heap_words < t.Harness.Job.t_boxed_words);
-  let path = Filename.temp_file "harness_results_trace" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Harness.Job.export ~path ~trace ~fuzz:[] results;
-      match parse_file path with
-      | Harness.Json.Obj members ->
-        checkb "jobs, trace and fuzz members" true
-          (List.map fst members = [ "jobs"; "trace"; "fuzz" ])
-      | _ -> Alcotest.fail "expected a JSON object at top level")
 
 (* --- stats ----------------------------------------------------------------- *)
 
@@ -471,7 +450,7 @@ let test_geomean () =
   checkf "singleton" 4.0 (Harness.Stat.geomean [ 4.0 ]);
   Alcotest.check (Alcotest.float 1e-12) "pair" 2.0
     (Harness.Stat.geomean [ 1.0; 4.0 ]);
-  (* matches the historical bench/main.ml definition: values clamped at 1e-9 *)
+  (* values are clamped at 1e-9 before the logarithm *)
   Alcotest.check (Alcotest.float 1e-12) "clamped"
     (exp ((log 1e-9 +. log 1.0) /. 2.0))
     (Harness.Stat.geomean [ 0.0; 1.0 ]);
@@ -522,8 +501,6 @@ let () =
         [
           Alcotest.test_case "run + json" `Quick test_job_run_and_json_roundtrip;
           Alcotest.test_case "export file" `Quick test_job_export_file;
-          Alcotest.test_case "export with trace" `Quick
-            test_job_export_with_trace;
         ] );
       ( "stats",
         [ Alcotest.test_case "geomean" `Quick test_geomean ] );

@@ -526,48 +526,19 @@ let test_suite_zero_errors () =
         (List.length (Lint.Diag.errors rep.Lint.diags)))
     reports
 
-(* The artifacts behind bench's ablation and crossinput sections, which
-   no report grid holds: the target limit, if-conversion, the optimiser,
-   LOOP_THRESH and the alternative-input profiles. *)
+(* The artifacts behind msc ablation and msc crossinput, which no report
+   grid holds: the target limit, if-conversion, the optimiser, LOOP_THRESH
+   and the alternative-input profiles. *)
 let test_ablation_zero_errors () =
   let store = Harness.Artifact.create () in
-  let get ?params ?profile_alt ?variant level name =
-    Harness.Artifact.get store ?params ?profile_alt ?variant ~level
-      (Workloads.Suite.find name)
-  in
-  let open Core.Heuristics in
-  let arts =
-    List.map
-      (fun n -> get ~params:{ default with max_targets = n } Control_flow "go")
-      [ 2; 4; 8 ]
-    @ List.map
-        (get
-           ~variant:{ Harness.Artifact.base_variant with if_convert = true }
-           Data_dependence)
-        [ "go"; "hydro2d"; "wave5" ]
-    @ List.map
-        (get
-           ~variant:{ Harness.Artifact.base_variant with optimize = true }
-           Data_dependence)
-        [ "go"; "vortex" ]
-    @ List.map
-        (fun t ->
-          get ~params:{ default with loop_thresh = t } Task_size "compress")
-        [ 1; 30; 60 ]
-    @ List.concat_map
-        (fun name ->
-          List.map
-            (fun level -> get ~profile_alt:true level name)
-            [ Data_dependence; Task_size ])
-        [ "compress"; "go"; "perl"; "su2cor" ]
-  in
+  let arts = Report.Studies.artifacts store in
   checki "artifacts" 19 (List.length arts);
   List.iter
     (fun (art : Harness.Artifact.artifact) ->
       let key = art.Harness.Artifact.key in
       checki
         (Printf.sprintf "%s/%s clean" key.Harness.Artifact.workload
-           (level_name key.Harness.Artifact.level))
+           (Core.Heuristics.level_name key.Harness.Artifact.level))
         0
         (List.length (Lint.Diag.errors (Lint.check_artifact store art))))
     arts

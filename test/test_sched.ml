@@ -42,24 +42,6 @@ let test_sched_error () =
                  else x)
                (List.init 20 Fun.id))))
 
-let test_sched_cancellation () =
-  with_sched ~domains:1 (fun t ->
-      let token = Sched.Token.create () in
-      let gate = Atomic.make false in
-      (* occupy the single worker so the cancelled task stays queued *)
-      let blocker =
-        Sched.submit t (fun () ->
-            while not (Atomic.get gate) do
-              Domain.cpu_relax ()
-            done)
-      in
-      let victim = Sched.submit ~token t (fun () -> 42) in
-      Sched.Token.cancel token;
-      Atomic.set gate true;
-      ignore (Sched.await blocker);
-      Alcotest.check_raises "cancelled" Sched.Cancelled (fun () ->
-          ignore (Sched.await victim)))
-
 let test_sched_queue_order () =
   (* one worker: injected tasks start oldest first, and each one's nested
      fan-out runs newest first before the next injected task starts *)
@@ -270,14 +252,13 @@ let () =
           Alcotest.test_case "map order" `Quick test_sched_map_order;
           Alcotest.test_case "nested map" `Quick test_sched_nested_map;
           Alcotest.test_case "error propagation" `Quick test_sched_error;
-          Alcotest.test_case "cancellation" `Quick test_sched_cancellation;
+          Alcotest.test_case "queue order and counters" `Quick
+            test_sched_queue_order;
           Alcotest.test_case "stress 1000 mixed tasks" `Slow test_sched_stress;
           Alcotest.test_case "exactly-once artifact builds" `Slow
             test_pool_exactly_once_across_workers;
           Alcotest.test_case "stolen tasks release their closures" `Quick
             test_sched_releases_stolen_tasks;
-          Alcotest.test_case "queue order and counters" `Quick
-            test_sched_queue_order;
         ] );
       ( "determinism",
         [

@@ -221,8 +221,9 @@ let test_service_oversized_machine () =
    store: the daemon's deps/cost/breakdown objects are the leading members
    of the matching report row (deps and cost rows append [extra]
    machine-side columns), simulate is the store's recorded job result,
-   absint the whole precision document and lint's report member the lint
-   document.  Compared as printed JSON — the bytes a client sees. *)
+   absint the whole precision document, lint's report member the lint
+   document, and partition counts the store artifact's plan and trace.
+   Compared as printed JSON — the bytes a client sees. *)
 let test_service_matches_reports () =
   let text = Json.to_string ~indent:false in
   let result c op =
@@ -290,7 +291,30 @@ let test_service_matches_reports () =
             (cell ^ " lint")
             (text
                (Lint.report_to_json (Lint.check_suite ~levels ~store entries)))
-            (text (field "report" (result c (P.Lint { workload; level })))))
+            (text (field "report" (result c (P.Lint { workload; level }))));
+          let art = Harness.Artifact.get store ~level (List.hd entries) in
+          let parts = art.Harness.Artifact.plan.Core.Partition.parts in
+          let trace = art.Harness.Artifact.trace in
+          Alcotest.(check string)
+            (cell ^ " partition")
+            (text
+               (Json.Obj
+                  [
+                    ("workload", Json.String workload);
+                    ("level", Json.String (Harness.Job.level_tag level));
+                    ("funcs", Json.Int (Ir.Prog.Smap.cardinal parts));
+                    ( "tasks",
+                      Json.Int
+                        (Ir.Prog.Smap.fold
+                           (fun _ (p : Core.Task.partition) n ->
+                             n + Array.length p.Core.Task.tasks)
+                           parts 0) );
+                    ( "events",
+                      Json.Int (Interp.Trace.stats trace).Interp.Trace.events );
+                    ("insns", Json.Int trace.Interp.Trace.dyn_insns);
+                    ("trace_bytes", Json.Int (Interp.Trace.bytes trace));
+                  ]))
+            (text (result c (P.Partition { workload; level }))))
         [ ("compress", Core.Heuristics.Control_flow);
           ("fpppp", Core.Heuristics.Feedback) ];
       Service.Client.close c)

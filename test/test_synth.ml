@@ -228,7 +228,7 @@ let test_fuzz_export_shape () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ()) "msc_fuzz_export.json"
   in
-  Harness.Job.export ~path ~fuzz:[ record ] [];
+  Harness.Json.to_file path (Harness.Job.document ~fuzz:[ record ] []);
   let ic = open_in path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
