@@ -43,6 +43,7 @@ module Regset = struct
   let diff a b = make (a.lo land lnot b.lo) (a.hi land lnot b.hi) a
   let equal a b = a.lo = b.lo && a.hi = b.hi
   let of_list l = List.fold_left (fun s r -> add r s) empty l
+  let all = of_list (List.init Ir.Reg.count Fun.id)
 
   let elements s =
     let acc = ref [] in
@@ -51,9 +52,6 @@ module Regset = struct
     done;
     !acc
 end
-
-let all_regs =
-  Regset.of_list (List.init Ir.Reg.count (fun i -> i))
 
 let term_uses = function
   | Ir.Block.Br (c, _, _) | Ir.Block.Switch (c, _, _) -> [ c ]
@@ -96,7 +94,7 @@ let block_use_def ~call_uses (b : Ir.Block.t) =
 let default_call_uses =
   Regset.of_list (List.init Ir.Reg.max_args (fun i -> Ir.Reg.arg i))
 
-let liveness ?(exit_live = all_regs) ?(call_uses = default_call_uses) f =
+let liveness ?(exit_live = Regset.all) ?(call_uses = default_call_uses) f =
   let n = Ir.Func.num_blocks f in
   let use = Array.make n Regset.empty in
   let def = Array.make n Regset.empty in
@@ -134,6 +132,9 @@ let liveness ?(exit_live = all_regs) ?(call_uses = default_call_uses) f =
     done
   done;
   { live_in; live_out }
+
+(* registers are architecturally global: a callee may read any of them *)
+let sound_live_in f = (liveness ~call_uses:Regset.all f).live_in
 
 (* --- cross-block dependence edges ---------------------------------------- *)
 

@@ -18,6 +18,9 @@ module Regset : sig
   type t
 
   val empty : t
+  val all : t
+  (** Every register, 0 to [Ir.Reg.count - 1]. *)
+
   val mem : Ir.Reg.t -> t -> bool
   (** [false] for registers outside 0–63. *)
 
@@ -55,6 +58,13 @@ val liveness :
     terminator is assumed to read; it defaults to the argument registers,
     but interprocedurally-sound analyses (registers are architecturally
     global, so a callee may read anything) should pass all registers. *)
+
+val sound_live_in : Ir.Func.t -> Regset.t array
+(** The interprocedurally sound live-in sets, per block:
+    [(liveness ~call_uses:Regset.all f).live_in].  The one definition of
+    the liveness that register communication's dead-register facts and
+    the dependence analysis's exports read (a plan holds one table per
+    function: [Core.Partition.live_in]). *)
 
 (** {1 Cross-block dependences} *)
 

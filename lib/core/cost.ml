@@ -121,16 +121,17 @@ type result = {
   r_per_func : (string * Analysis.Cost.t) list;
 }
 
-let memo_for f (part : Task.partition) =
-  Depend.memo f ~included_calls:part.Task.included_calls
+let memo_for f ~live_in (part : Task.partition) =
+  Depend.memo f ~live_in ~included_calls:part.Task.included_calls
 
-let cost_with facts (plan : Partition.plan) =
+let cost_with facts ~live_in (plan : Partition.plan) =
   let per_func =
     List.rev
       (Smap.fold
          (fun name part acc ->
            let f = Ir.Prog.find plan.Partition.prog name in
-           (name, func_cost facts (memo_for f part) name f part) :: acc)
+           let memo = memo_for f ~live_in:(live_in name) part in
+           (name, func_cost facts memo name f part) :: acc)
          plan.Partition.parts [])
   in
   let total =
@@ -146,7 +147,8 @@ let cost_with facts (plan : Partition.plan) =
     r_per_func = per_func;
   }
 
-let plan_cost plan = cost_with (Partition.facts plan) plan
+let plan_cost plan =
+  cost_with (Partition.facts plan) ~live_in:(Partition.live_in plan) plan
 
 (* --- feedback search ------------------------------------------------------ *)
 
@@ -184,7 +186,7 @@ let refine (plan : Partition.plan) =
         (* every candidate shares the seed's included calls, so one memo
            and one selection context serve the whole search of this
            function *)
-        let memo = memo_for f part in
+        let memo = memo_for f ~live_in:(Partition.live_in plan fname) part in
         let with_cuts =
           Select.with_cuts params f ~included_calls:part.Task.included_calls
         in

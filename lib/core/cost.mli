@@ -23,9 +23,10 @@
 
     The partition-independent half — block frequencies, call weights, the
     useful-work base and the address analysis — is the plan's
-    {!Partition.facts}: derived once per plan, on first use, and shared by
-    the seed's score, its search, the refined plan and every later
-    {!plan_cost} of it.  The search is incremental too: one {!Depend.memo}
+    {!Partition.facts}, and each function's sound liveness is the plan's
+    {!Partition.live_in}: both derived once per plan, on first use, and
+    shared by the seed's score, its search, the refined plan and every
+    later {!plan_cost} of it.  The search is incremental too: one {!Depend.memo}
     per function lives for that function's whole search, so a candidate
     re-derives dependence summaries only for the tasks the move changed.
     {!plan_cost} and every audit start from a fresh memo. *)
@@ -38,13 +39,18 @@ type result = {
 }
 
 val plan_cost : Partition.plan -> result
-(** [cost_with (Partition.facts plan) plan].  Deterministic: depends only
-    on the plan, not on hash or iteration order — the [cost/conserve] lint
-    rule checks this against {!cost_with} on freshly derived facts. *)
+(** [cost_with (Partition.facts plan) ~live_in:(Partition.live_in plan)
+    plan].  Deterministic: depends only on the plan, not on hash or
+    iteration order — the [cost/conserve] lint rule checks this against
+    {!cost_with} on freshly derived facts and liveness. *)
 
-val cost_with : Partition.facts -> Partition.plan -> result
-(** The plan's cost over the given facts, which must be those of the
-    plan's program ({!Partition.make_facts} derives them afresh). *)
+val cost_with :
+  Partition.facts -> live_in:(string -> Analysis.Dataflow.Regset.t array) ->
+  Partition.plan -> result
+(** The plan's cost over the given facts and per-function sound liveness,
+    which must be those of the plan's program ({!Partition.make_facts} and
+    {!Analysis.Dataflow.sound_live_in} derive them afresh).  [live_in] is
+    called once per function. *)
 
 (** {1 One function at a time} *)
 

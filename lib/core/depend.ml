@@ -1,7 +1,8 @@
 (* Static cross-task dependence edges (see depend.mli).  Register edges are
-   computed from Analysis.Dataflow liveness plus private per-task fixpoints
-   — NOT from Regcomm, which the dep/reg lint rule uses as the independent
-   reference implementation.  Each task summary builds the task's subgraph
+   computed from the function's sound liveness (the caller's: a plan's is
+   Partition.live_in) plus private per-task fixpoints — NOT from Regcomm,
+   which the dep/reg lint rule uses as the independent reference
+   implementation.  Each task summary builds the task's subgraph
    once (blocks as an array, intra-task successors as positions in it) and
    runs its 63 per-register fixpoints and its distance pass over that
    subgraph and one reused distance buffer.  Memory edges combine per-task
@@ -34,20 +35,23 @@ type t = {
   nstores : int;
 }
 
-let all_regs = Rset.of_list (List.init Ir.Reg.count Fun.id)
-
 (* --- per-function static tables ------------------------------------------- *)
 
-(* What happens to a register along a block's straight line: position of the
-   first read (the terminator counts as position [Array.length insns]),
-   a kill (defined before any read), or untouched pass-through. *)
-type fevent = Read of int | Kill | Through
+(* What happens to a register along a block's straight line, as one int:
+   the position of its first read (k >= 0; the terminator counts as
+   position [Array.length insns]), [kill] when it is defined before any
+   read, or [through] when the block leaves it alone. *)
+let through = -1
+let kill = -2
 
+(* Per block, one row of [Ir.Reg.count] ints for first events and one for
+   last defs: a row is a small block the minor heap takes, where one
+   [nb * count] array per function would go straight to the major heap. *)
 type fctx = {
   f : Ir.Func.t;
   included_calls : bool array;
-  live_in : Rset.t array;
-  first_event : fevent array array;  (* .(blk).(reg) *)
+  live_in : Rset.t array;  (* the caller's sound liveness *)
+  first_event : int array array;  (* .(blk).(reg) *)
   last_def : int array array;  (* .(blk).(reg); -1 = no explicit def *)
   writes : Rset.t array;  (* per block, included-call mega-writes folded in *)
   sizes : int array;
@@ -62,45 +66,40 @@ let term_reads (term : Ir.Block.terminator) r =
     true
   | Ir.Block.Jump _ | Ir.Block.Halt -> false
 
-let make_fctx (f : Ir.Func.t) ~included_calls =
+let rec first_reads fe i = function
+  | [] -> ()
+  | r :: rest ->
+    if fe.(r) = through then fe.(r) <- i;
+    first_reads fe i rest
+
+let make_fctx (f : Ir.Func.t) ~live_in ~included_calls =
   let nb = Ir.Func.num_blocks f in
-  let live_in =
-    (Analysis.Dataflow.liveness ~call_uses:all_regs f).Analysis.Dataflow.live_in
-  in
-  let first_event = Array.init nb (fun _ -> Array.make Ir.Reg.count Through) in
-  let last_def = Array.init nb (fun _ -> Array.make Ir.Reg.count (-1)) in
+  let first_event = Array.make nb [||] and last_def = Array.make nb [||] in
   let writes = Array.make nb Rset.empty in
   let sizes = Array.make nb 0 in
   Array.iter
     (fun (b : Ir.Block.t) ->
       let l = b.Ir.Block.label in
-      let fe = first_event.(l) and ld = last_def.(l) in
-      let decided = Array.make Ir.Reg.count false in
-      Array.iteri
-        (fun i insn ->
-          List.iter
-            (fun r ->
-              if not decided.(r) then begin
-                decided.(r) <- true;
-                fe.(r) <- Read i
-              end)
-            (Ir.Insn.uses insn);
-          List.iter
-            (fun r ->
-              if not decided.(r) then begin
-                decided.(r) <- true;
-                fe.(r) <- Kill
-              end;
-              ld.(r) <- i;
-              writes.(l) <- Rset.add r writes.(l))
-            (Ir.Insn.defs insn))
-        b.Ir.Block.insns;
-      let n = Array.length b.Ir.Block.insns in
-      for r = 0 to Ir.Reg.count - 1 do
-        if (not decided.(r)) && term_reads b.Ir.Block.term r then
-          fe.(r) <- Read n
+      let fe = Array.make Ir.Reg.count through in
+      let ld = Array.make Ir.Reg.count (-1) in
+      let w = ref Rset.empty in
+      let insns = b.Ir.Block.insns in
+      let n = Array.length insns in
+      for i = 0 to n - 1 do
+        first_reads fe i (Ir.Insn.uses insns.(i));
+        let r = Ir.Insn.def insns.(i) in
+        if r >= 0 then begin
+          if fe.(r) = through then fe.(r) <- kill;
+          ld.(r) <- i;
+          w := Rset.add r !w
+        end
       done;
-      if included_calls.(l) then writes.(l) <- all_regs;
+      for r = 0 to Ir.Reg.count - 1 do
+        if fe.(r) = through && term_reads b.Ir.Block.term r then fe.(r) <- n
+      done;
+      first_event.(l) <- fe;
+      last_def.(l) <- ld;
+      writes.(l) <- (if included_calls.(l) then Rset.all else !w);
       sizes.(l) <- Ir.Block.size b)
     f.Ir.Func.blocks;
   { f; included_calls; live_in; first_event; last_def; writes; sizes }
@@ -159,11 +158,7 @@ let task_dists ctx sub ~stop =
       let b = sub.blocks.(i) in
       if
         dist.(i) < max_int
-        && (stop < 0
-           ||
-           match ctx.first_event.(b).(stop) with
-           | Through -> true
-           | Read _ | Kill -> false)
+        && (stop < 0 || ctx.first_event.(b).(stop) = through)
       then begin
         let d = dist.(i) + ctx.sizes.(b) in
         let ss = sub.succs.(i) in
@@ -182,16 +177,15 @@ let task_dists ctx sub ~stop =
    before first reading it (-1 when not upward-exposed in the task). *)
 let consumer_depths ctx sub =
   let depths = Array.make Ir.Reg.count (-1) in
+  let dist = sub.dist and blocks = sub.blocks in
   for r = 1 to Ir.Reg.count - 1 do
     task_dists ctx sub ~stop:r;
     let best = ref max_int in
-    Array.iteri
-      (fun i b ->
-        if sub.dist.(i) < max_int then
-          match ctx.first_event.(b).(r) with
-          | Read k -> best := min !best (sub.dist.(i) + k)
-          | Kill | Through -> ())
-      sub.blocks;
+    for i = 0 to Array.length blocks - 1 do
+      let k = ctx.first_event.(blocks.(i)).(r) in
+      if k >= 0 && dist.(i) < max_int && dist.(i) + k < !best then
+        best := dist.(i) + k
+    done;
     if !best < max_int then depths.(r) <- !best
   done;
   depths
@@ -278,7 +272,7 @@ let summarize ctx (t : Task.t) =
       Iset.fold (fun b acc -> Rset.union acc ctx.writes.(b)) t.Task.blocks
         Rset.empty;
     exports =
-      (if t.Task.has_ret || t.Task.calls_out <> [] then all_regs
+      (if t.Task.has_ret || t.Task.calls_out <> [] then Rset.all
        else
          List.fold_left
            (fun acc tgt -> Rset.union acc ctx.live_in.(tgt))
@@ -304,8 +298,12 @@ end)
 
 type memo = { ctx : fctx; sums : tsum Tkey.t }
 
-let memo f ~included_calls =
-  { ctx = make_fctx f ~included_calls; sums = Tkey.create 64 }
+let memo f ~live_in ~included_calls =
+  if Array.length live_in <> Ir.Func.num_blocks f then
+    invalid_arg
+      (Printf.sprintf "Depend.memo: %d live-in sets for %s's %d blocks"
+         (Array.length live_in) f.Ir.Func.name (Ir.Func.num_blocks f));
+  { ctx = make_fctx f ~live_in ~included_calls; sums = Tkey.create 64 }
 
 let task_summary m t =
   match Tkey.find_opt m.sums t with
@@ -319,6 +317,15 @@ type func_edges = {
   f_regs : reg_edge list;
   f_exposed : (int * Ir.Reg.t * int) list;
 }
+
+(* (re_src, re_dst, re_reg) order, field by field *)
+let compare_edges a b =
+  match Int.compare a.re_src b.re_src with
+  | 0 -> (
+    match Int.compare a.re_dst b.re_dst with
+    | 0 -> Int.compare a.re_reg b.re_reg
+    | c -> c)
+  | c -> c
 
 let func_edges m fname (part : Task.partition) =
   if part.Task.included_calls <> m.ctx.included_calls then
@@ -361,11 +368,7 @@ let func_edges m fname (part : Task.partition) =
         pt.Task.targets)
     part.Task.tasks;
   {
-    f_regs =
-      List.sort
-        (fun a b ->
-          compare (a.re_src, a.re_dst, a.re_reg) (b.re_src, b.re_dst, b.re_reg))
-        !edges;
+    f_regs = List.sort compare_edges !edges;
     f_exposed = !exposed;
   }
 
@@ -515,6 +518,7 @@ let analyze ?(fi = false) (plan : Partition.plan) =
       (fun fname (part : Task.partition) acc ->
         let m =
           memo (Ir.Prog.find prog fname)
+            ~live_in:(Partition.live_in plan fname)
             ~included_calls:part.Task.included_calls
         in
         acc @ (func_edges m fname part).f_regs)

@@ -19,7 +19,7 @@
 
     This module is deliberately independent of {!Regcomm} — the [dep/reg]
     lint rule differentially compares the register edges computed here
-    (from {!Analysis.Dataflow} liveness and private fixpoints) against a
+    (from the function's sound liveness and private fixpoints) against a
     recomputation from [Regcomm.needed]/[forwardable].  The private
     fixpoints of one task run over its subgraph, built once per task
     summary, and share one distance buffer; the address analysis is the
@@ -71,11 +71,19 @@ type memo
     search does for all but the one or two tasks a move touches — reuses
     it.  Results are bit-identical to a fresh memo's. *)
 
-val memo : Ir.Func.t -> included_calls:bool array -> memo
+val memo :
+  Ir.Func.t -> live_in:Analysis.Dataflow.Regset.t array ->
+  included_calls:bool array -> memo
 (** An empty memo for partitions of this function with these included
-    calls.  Its lifetime is the caller's: {!Cost.refine} keeps one per
-    function for that function's whole search; {!analyze}, the cost of a
-    finished plan and the lint audits each take a fresh one. *)
+    calls.  [live_in] is the function's
+    {!Analysis.Dataflow.sound_live_in}, which the exports read; a caller
+    holding a plan passes [Partition.live_in plan fname], so the memo
+    derives no liveness of its own.  Its lifetime is the caller's:
+    {!Cost.refine} keeps one per function for that function's whole
+    search; {!analyze}, the cost of a finished plan and the lint audits
+    each take a fresh one.
+    @raise Invalid_argument when [live_in] does not have one set per block
+    of the function. *)
 
 type func_edges = {
   f_regs : reg_edge list;  (** sorted by [(re_src, re_dst, re_reg)] *)

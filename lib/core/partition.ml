@@ -37,6 +37,7 @@ let make_facts (prog : Ir.Prog.t) =
   { freqs; weights; mem; useful_base }
 
 type cell = facts option Atomic.t
+type live_cell = Analysis.Dataflow.Regset.t array Smap.t option Atomic.t
 
 type plan = {
   level : Heuristics.level;
@@ -44,23 +45,32 @@ type plan = {
   prog : Ir.Prog.t;
   parts : Task.partition Ir.Prog.Smap.t;
   cell : cell;
+  live : live_cell;
 }
 
-(* The facts are a function of [plan.prog] alone, and every plan derived
-   with [with_parts]/[with_level] keeps its source's program and cell.
-   Domains may race to fill an empty cell: each derives a copy, the first
-   compare-and-set publishes its copy, and the losers return the
-   published one (any copy would do — the derivation is deterministic). *)
-let facts plan =
-  match Atomic.get plan.cell with
-  | Some f -> f
+(* Both cells hold a function of [plan.prog] alone, and every plan
+   derived with [with_parts]/[with_level] keeps its source's program and
+   cells.  Domains may race to fill an empty cell: each derives a copy,
+   the first compare-and-set publishes its copy, and the losers return
+   the published one (any copy would do — both derivations are
+   deterministic). *)
+let published cell derive =
+  match Atomic.get cell with
+  | Some v -> v
   | None -> (
-    let f = make_facts plan.prog in
-    if Atomic.compare_and_set plan.cell None (Some f) then f
+    let v = derive () in
+    if Atomic.compare_and_set cell None (Some v) then v
     else
-      match Atomic.get plan.cell with
-      | Some f -> f
+      match Atomic.get cell with
+      | Some v -> v
       | None -> assert false)
+
+let facts plan = published plan.cell (fun () -> make_facts plan.prog)
+
+let live_in plan fname =
+  Smap.find fname
+    (published plan.live (fun () ->
+         Smap.map Analysis.Dataflow.sound_live_in plan.prog.Ir.Prog.funcs))
 
 let with_parts plan parts = { plan with parts }
 let with_level plan level = { plan with level }
@@ -159,7 +169,14 @@ let build ?(params = Heuristics.default) ?profile_input
       Select.data_dependence params f ~included_calls:(included_of f) ~deps
   in
   let parts = Ir.Prog.Smap.mapi select prog.Ir.Prog.funcs in
-  { level; params; prog; parts; cell = Atomic.make None }
+  {
+    level;
+    params;
+    prog;
+    parts;
+    cell = Atomic.make None;
+    live = Atomic.make None;
+  }
 
 (* The real checker lives in the lint library, which depends on this one;
    it registers itself here at link time (lint is built with -linkall).

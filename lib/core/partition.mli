@@ -9,10 +9,12 @@
     again.
 
     A plan also carries its program's {!facts} — block frequencies, call
-    weights, the useful-work base and the address analysis — derived once,
-    on first use, and shared by every plan derived from it with
+    weights, the useful-work base and the address analysis — and each of
+    its functions' sound liveness ({!live_in}), each derived once, on
+    first use, and shared by every plan derived from it with
     {!with_parts} or {!with_level}: the cost of the plan, its refinement,
-    {!Depend.analyze} and the lint audits all read the same copy. *)
+    {!Depend.analyze}, the simulator's preparation and the lint audits all
+    read the same copies. *)
 
 (** {1 Program facts} *)
 
@@ -39,16 +41,20 @@ val make_facts : Ir.Prog.t -> facts
 type cell
 (** A plan's facts, derived on first use. *)
 
+type live_cell
+(** A plan's per-function sound liveness, derived on first use. *)
+
 type plan = private {
   level : Heuristics.level;
   params : Heuristics.params;
   prog : Ir.Prog.t;   (** program after this level's transformations *)
   parts : Task.partition Ir.Prog.Smap.t;  (** per-function partitions *)
   cell : cell;  (** this plan's {!facts}, shared with plans derived from it *)
+  live : live_cell;  (** this plan's {!live_in} tables, shared likewise *)
 }
 (** Private: {!build} makes plans, and {!with_parts} and {!with_level} are
     the only ways to derive one plan from another.  A derived plan keeps
-    its source's program, so it shares its source's facts. *)
+    its source's program, so it shares its source's facts and liveness. *)
 
 val facts : plan -> facts
 (** [make_facts plan.prog], derived on the first call for the plan or any
@@ -56,6 +62,15 @@ val facts : plan -> facts
     across domains: concurrent first calls may each derive a copy, one is
     published with [Atomic.compare_and_set], and every caller returns the
     published copy. *)
+
+val live_in : plan -> string -> Analysis.Dataflow.Regset.t array
+(** [live_in plan fname] is {!Analysis.Dataflow.sound_live_in} of the
+    named function of [plan.prog], per block.  The first call for the
+    plan, or for any plan it was derived from, derives every function's
+    table; later calls return the same (physically equal) tables.  Kept
+    apart from {!facts}, so reading it never runs the address analysis.
+    Safe across domains like {!facts}.  Read it only.
+    @raise Not_found when the program has no such function. *)
 
 val with_parts : plan -> Task.partition Ir.Prog.Smap.t -> plan
 (** The plan with other partitions of the same program. *)

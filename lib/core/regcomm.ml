@@ -3,11 +3,13 @@
    which registers any successor task could read before rewriting (dead
    traffic the release bits never send).
 
-   The analysis itself runs once per (function, partition); its results
-   are then flattened into per-task lookup tables — a byte per register
-   for liveness-out, and per (block-in-task, register) a "forwardable at
-   instruction index" entry and a may-rewrite bit — because the simulator
-   queries these once per dynamic register write.  Tree-set membership and
+   The analysis itself runs once per (function, partition), over the
+   function's sound liveness, which the caller supplies (a plan derives it
+   once: Partition.live_in); its results are then flattened into per-task
+   lookup tables — a byte per register for liveness-out, and per
+   (block-in-task, register) a "forwardable at instruction index" entry
+   and a may-rewrite bit — because the simulator queries these once per
+   dynamic register write.  Tree-set membership and
    tuple-keyed hashtable probes on that path cost an allocation and a
    polymorphic hash per query; the flat tables are two array reads.
 
@@ -38,8 +40,6 @@ type task_info = {
 
 type t = { infos : task_info array }
 
-let all_regs = Regset.of_list (List.init Ir.Reg.count (fun i -> i))
-
 let included_call ~included_calls b (blk : Ir.Block.t) =
   match blk.Ir.Block.term with
   | Ir.Block.Call (_, _) -> included_calls.(b)
@@ -48,7 +48,7 @@ let included_call ~included_calls b (blk : Ir.Block.t) =
 
 (* an included call writes every register *)
 let block_writes ~included_calls b (blk : Ir.Block.t) =
-  if included_call ~included_calls b blk then all_regs
+  if included_call ~included_calls b blk then Regset.all
   else
     Array.fold_left
       (fun acc insn ->
@@ -69,11 +69,11 @@ let iter_successors f ~included_calls x visit =
     visit default
   | Ir.Block.Ret | Ir.Block.Halt -> ()
 
-(* interprocedurally sound liveness: callees may read any register *)
-let sound_liveness f = Analysis.Dataflow.liveness ~call_uses:all_regs f
-
-let create f part =
-  let lv = sound_liveness f in
+let create f ~live_in part =
+  if Array.length live_in <> Ir.Func.num_blocks f then
+    invalid_arg
+      (Printf.sprintf "Regcomm.create: %d live-in sets for %s's %d blocks"
+         (Array.length live_in) f.Ir.Func.name (Ir.Func.num_blocks f));
   let included_calls = part.Task.included_calls in
   let n = Ir.Func.num_blocks f and nregs = Ir.Reg.count in
   let writes = Array.mapi (block_writes ~included_calls) f.Ir.Func.blocks in
@@ -83,11 +83,10 @@ let create f part =
   let last_def = Array.make nregs (-1) in
   let task_info (task : Task.t) =
     let needed_out =
-      if task.Task.has_ret || task.Task.calls_out <> [] then all_regs
+      if task.Task.has_ret || task.Task.calls_out <> [] then Regset.all
       else
         List.fold_left
-          (fun acc target ->
-            Regset.union acc lv.Analysis.Dataflow.live_in.(target))
+          (fun acc target -> Regset.union acc live_in.(target))
           Regset.empty task.Task.targets
     in
     let needed_b =

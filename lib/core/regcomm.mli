@@ -14,7 +14,14 @@
 
 type t
 
-val create : Ir.Func.t -> Task.partition -> t
+val create :
+  Ir.Func.t -> live_in:Analysis.Dataflow.Regset.t array -> Task.partition -> t
+(** The tables of one function's partition.  [live_in] is the function's
+    {!Analysis.Dataflow.sound_live_in}, which {!needed} reads at the
+    tasks' targets; a caller holding a plan passes
+    [Partition.live_in plan fname].
+    @raise Invalid_argument when [live_in] does not have one set per block
+    of the function. *)
 
 val forwardable :
   t -> task:int -> blk:Ir.Block.label -> idx:int -> reg:Ir.Reg.t -> bool

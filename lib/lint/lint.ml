@@ -642,8 +642,9 @@ let check_regcomm_task f ~included_calls ~live_in rc i (t : Core.Task.t) =
     blocks;
   List.rev !ds
 
-let check_regcomm (f : Ir.Func.t) (p : Core.Task.partition) =
-  let rc = Core.Regcomm.create f p in
+let check_regcomm (f : Ir.Func.t) ~live_in (p : Core.Task.partition) =
+  let rc = Core.Regcomm.create f ~live_in p in
+  (* the audit's own liveness, not the table Regcomm was given *)
   let live_in = sound_live_in f in
   let included_calls = p.Core.Task.included_calls in
   List.concat
@@ -683,7 +684,10 @@ let check_plan (plan : Core.Partition.plan) =
             ~params:plan.Core.Partition.params f part
         in
         ds := pd @ !ds;
-        if Diag.errors pd = [] then ds := check_regcomm f part @ !ds
+        if Diag.errors pd = [] then
+          ds :=
+            check_regcomm f ~live_in:(Core.Partition.live_in plan name) part
+            @ !ds
       end)
     plan.Core.Partition.parts;
   List.sort Diag.compare !ds
@@ -901,10 +905,11 @@ let last_def_idx f b r =
   !best
 
 (* [edges]: the analyzer's register edges of this function alone *)
-let check_deps_func fname (f : Ir.Func.t) (part : Core.Task.partition) edges =
+let check_deps_func fname (f : Ir.Func.t) ~live_in (part : Core.Task.partition)
+    edges =
   let ds = ref [] in
   let add d = ds := d :: !ds in
-  let rc = Core.Regcomm.create f part in
+  let rc = Core.Regcomm.create f ~live_in part in
   let included_calls = part.Core.Task.included_calls in
   let tasks = part.Core.Task.tasks in
   (* the reference edge set, from Regcomm facts *)
@@ -1005,6 +1010,7 @@ let check_deps (plan : Core.Partition.plan) trace =
       List.iter add
         (check_deps_func fname
            (Ir.Prog.find plan.Core.Partition.prog fname)
+           ~live_in:(Core.Partition.live_in plan fname)
            part
            (List.filter
               (fun (e : Core.Depend.reg_edge) -> e.Core.Depend.re_fn = fname)
@@ -1059,10 +1065,12 @@ let check_deps_static (plan : Core.Partition.plan) =
     Smap.fold
       (fun fname (part : Core.Task.partition) acc ->
         let f = Ir.Prog.find plan.Core.Partition.prog fname in
+        let live_in = Core.Partition.live_in plan fname in
         let m =
-          Core.Depend.memo f ~included_calls:part.Core.Task.included_calls
+          Core.Depend.memo f ~live_in
+            ~included_calls:part.Core.Task.included_calls
         in
-        check_deps_func fname f part
+        check_deps_func fname f ~live_in part
           (Core.Depend.func_edges m fname part).Core.Depend.f_regs
         @ acc)
       plan.Core.Partition.parts []
@@ -1200,17 +1208,21 @@ let check_absint (plan : Core.Partition.plan) trace =
 
 (* cost/conserve: the predicted cycle-account shares form a well-formed
    distribution, and the whole cost result is stable under re-derivation.
-   Core.Cost.plan_cost reads the plan's facts (derived once per plan); the
-   second derivation makes fresh ones with Core.Partition.make_facts —
-   address analysis, block frequencies, function weights — and, like
-   every plan_cost, fresh dependence memos, so bit-comparing the two
-   exercises the entire derivation chain for determinism (ordered folds
-   only, no hash-order float sums). *)
+   Core.Cost.plan_cost reads the plan's facts and liveness (each derived
+   once per plan); the second derivation makes fresh ones with
+   Core.Partition.make_facts — address analysis, block frequencies,
+   function weights — and Analysis.Dataflow.sound_live_in, never from the
+   plan's cells, and, like every plan_cost, fresh dependence memos, so
+   bit-comparing the two exercises the entire derivation chain for
+   determinism (ordered folds only, no hash-order float sums). *)
 let check_cost (plan : Core.Partition.plan) =
+  let prog = plan.Core.Partition.prog in
   let a = Core.Cost.plan_cost plan in
   let b =
     Core.Cost.cost_with
-      (Core.Partition.make_facts plan.Core.Partition.prog)
+      (Core.Partition.make_facts prog)
+      ~live_in:(fun name ->
+        Analysis.Dataflow.sound_live_in (Ir.Prog.find prog name))
       plan
   in
   let ds = ref [] in

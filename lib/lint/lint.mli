@@ -55,9 +55,14 @@ val check_partition :
     {!Core.Heuristics.default}.  Assumes the function itself is
     well-formed (run {!check_prog} first). *)
 
-val check_regcomm : Ir.Func.t -> Core.Task.partition -> Diag.t list
+val check_regcomm :
+  Ir.Func.t -> live_in:Analysis.Dataflow.Regset.t array ->
+  Core.Task.partition -> Diag.t list
 (** Differential audit of {!Core.Regcomm} over every task of the partition
-    ([regcomm/*] rules).  Assumes a structurally valid partition (gate on
+    ([regcomm/*] rules).  [live_in] is the liveness {!Core.Regcomm.create}
+    is given ({!check_plan} passes the plan's {!Core.Partition.live_in});
+    the audit compares against liveness it derives by an algorithm of its
+    own.  Assumes a structurally valid partition (gate on
     {!check_partition} reporting no errors). *)
 
 val check_plan : Core.Partition.plan -> Diag.t list
@@ -131,9 +136,10 @@ val check_cost : Core.Partition.plan -> Diag.t list
     predicted shares must be a well-formed distribution
     ({!Analysis.Cost.shares_well_formed}), the scalar cost finite and
     non-negative, and the whole result bit-identical to
-    {!Core.Cost.cost_with} over facts derived afresh
-    ({!Core.Partition.make_facts}) — determinism of every fold in the
-    chain, whatever the plan's cached facts hold. *)
+    {!Core.Cost.cost_with} over facts and liveness derived afresh
+    ({!Core.Partition.make_facts}, {!Analysis.Dataflow.sound_live_in}) —
+    determinism of every fold in the chain, whatever the plan's cells
+    hold. *)
 
 val rule_matches : pat:string -> string -> bool
 (** Anchored shell-style glob match over rule ids ([*] matches any

@@ -1,6 +1,3 @@
-let all_regs =
-  Analysis.Dataflow.Regset.of_list (List.init Ir.Reg.count (fun i -> i))
-
 let pure insn =
   match insn with
   | Ir.Insn.Store (_, _, _) -> false
@@ -17,7 +14,9 @@ let may_fault insn =
   | _ -> false
 
 let run_func f =
-  let lv = Analysis.Dataflow.liveness ~call_uses:all_regs f in
+  let lv =
+    Analysis.Dataflow.liveness ~call_uses:Analysis.Dataflow.Regset.all f
+  in
   let blocks =
     Array.map
       (fun (b : Ir.Block.t) ->
@@ -27,7 +26,7 @@ let run_func f =
         List.iter
           (fun r -> live := Analysis.Dataflow.Regset.add r !live)
           (match b.Ir.Block.term with
-          | Ir.Block.Call (_, _) -> Analysis.Dataflow.Regset.elements all_regs
+          | Ir.Block.Call (_, _) -> Analysis.Dataflow.Regset.(elements all)
           | t -> Analysis.Dataflow.term_uses t);
         let kept = ref [] in
         for i = Array.length b.Ir.Block.insns - 1 downto 0 do

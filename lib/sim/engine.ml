@@ -54,7 +54,10 @@ let prepare (plan : Core.Partition.plan) (trace : Interp.Trace.t) =
   in
   let regcomms =
     Array.mapi
-      (fun fid part -> Core.Regcomm.create trace.Interp.Trace.funcs.(fid) part)
+      (fun fid part ->
+        let name = trace.Interp.Trace.fnames.(fid) in
+        Core.Regcomm.create trace.Interp.Trace.funcs.(fid)
+          ~live_in:(Core.Partition.live_in plan name) part)
       parts
   in
   {

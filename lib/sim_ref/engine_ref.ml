@@ -41,7 +41,11 @@ let run_with_trace ?observer (cfg : Config.t) (plan : Core.Partition.plan)
       fnames
   in
   let regcomms =
-    Array.mapi (fun fid part -> Core.Regcomm.create funcs.(fid) part) parts
+    Array.mapi
+      (fun fid part ->
+        Core.Regcomm.create funcs.(fid)
+          ~live_in:(Core.Partition.live_in plan fnames.(fid)) part)
+      parts
   in
   let instances = Dyntask.instances trace ~parts in
   let k_max = Array.length instances in

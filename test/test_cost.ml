@@ -123,8 +123,9 @@ let prop_memo_exact =
         (fun fname (part : Core.Task.partition) ->
           let f = Ir.Prog.find prog fname in
           let included_calls = part.Core.Task.included_calls in
-          let warm = Core.Depend.memo f ~included_calls in
-          let fresh () = Core.Depend.memo f ~included_calls in
+          let live_in = Core.Partition.live_in plan fname in
+          let warm = Core.Depend.memo f ~live_in ~included_calls in
+          let fresh () = Core.Depend.memo f ~live_in ~included_calls in
           List.iter
             (fun (p : Core.Task.partition) ->
               if
@@ -152,11 +153,27 @@ let test_memo_rejects_other_calls () =
   let part = Core.Select.basic_block f in
   let m =
     Core.Depend.memo f
+      ~live_in:(Analysis.Dataflow.sound_live_in f)
       ~included_calls:(Array.make (Ir.Func.num_blocks f) true)
   in
   match Core.Depend.func_edges m "fib" part with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a memo accepted a partition with other included calls"
+
+(* A liveness table of another function would make the exports wrong or
+   index out of bounds, so a memo refuses one whose length differs. *)
+let test_memo_rejects_other_liveness () =
+  let prog = Gen.fib_program 5 in
+  let f = Ir.Prog.find prog "fib" and main = Ir.Prog.find prog "main" in
+  if Ir.Func.num_blocks f = Ir.Func.num_blocks main then
+    Alcotest.fail "fib and main have as many blocks";
+  match
+    Core.Depend.memo f
+      ~live_in:(Analysis.Dataflow.sound_live_in main)
+      ~included_calls:(Array.make (Ir.Func.num_blocks f) false)
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a memo accepted another function's liveness"
 
 let prop_analyze_concat =
   QCheck.Test.make ~count:10
@@ -169,6 +186,7 @@ let prop_analyze_concat =
             let m =
               Core.Depend.memo
                 (Ir.Prog.find plan.Core.Partition.prog fname)
+                ~live_in:(Core.Partition.live_in plan fname)
                 ~included_calls:part.Core.Task.included_calls
             in
             (Core.Depend.func_edges m fname part).Core.Depend.f_regs)
@@ -304,6 +322,51 @@ let test_derived_plans_share_facts () =
   Alcotest.(check bool) "a separately built plan derives its own" true
     (Core.Partition.facts other != f)
 
+(* The same two properties for the plan's liveness, the second cell. *)
+let test_live_in_across_domains () =
+  let prog = Workloads.W_compress.entry.Workloads.Registry.build () in
+  let plan = Core.Partition.build Core.Heuristics.Data_dependence prog in
+  let names = Ir.Prog.func_names plan.Core.Partition.prog in
+  let ready = Atomic.make 0 in
+  let force () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.map (Core.Partition.live_in plan) names
+  in
+  let d = Domain.spawn force in
+  let mine = force () in
+  let theirs = Domain.join d in
+  Alcotest.(check bool) "both domains see the published tables" true
+    (List.for_all2 ( == ) mine theirs);
+  Alcotest.(check bool) "the published tables equal a fresh derivation" true
+    (List.for_all2
+       (fun name live ->
+         let fresh =
+           Analysis.Dataflow.sound_live_in
+             (Ir.Prog.find plan.Core.Partition.prog name)
+         in
+         Array.length live = Array.length fresh
+         && Array.for_all2 Analysis.Dataflow.Regset.equal live fresh)
+       names mine)
+
+let test_derived_plans_share_live_in () =
+  let prog = Workloads.W_compress.entry.Workloads.Registry.build () in
+  let plan = Core.Partition.build Core.Heuristics.Task_size prog in
+  let by_parts = Core.Partition.with_parts plan plan.Core.Partition.parts in
+  let by_level = Core.Partition.with_level plan Core.Heuristics.Feedback in
+  let name = plan.Core.Partition.prog.Ir.Prog.main in
+  (* forced through a derived plan first: the source reads the same cell *)
+  let live = Core.Partition.live_in by_parts name in
+  Alcotest.(check bool) "with_parts shares its source's liveness" true
+    (Core.Partition.live_in plan name == live);
+  Alcotest.(check bool) "with_level shares its source's liveness" true
+    (Core.Partition.live_in by_level name == live);
+  let other = Core.Partition.build Core.Heuristics.Task_size prog in
+  Alcotest.(check bool) "a separately built plan derives its own" true
+    (Core.Partition.live_in other name != live)
+
 let () =
   Alcotest.run "cost"
     [
@@ -319,6 +382,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_memo_exact;
           Alcotest.test_case "memo rejects other included calls" `Quick
             test_memo_rejects_other_calls;
+          Alcotest.test_case "memo rejects another function's liveness"
+            `Quick test_memo_rejects_other_liveness;
           QCheck_alcotest.to_alcotest prop_analyze_concat;
         ] );
       ( "facts",
@@ -327,6 +392,10 @@ let () =
             test_facts_across_domains;
           Alcotest.test_case "derived plans share facts" `Quick
             test_derived_plans_share_facts;
+          Alcotest.test_case "liveness derived once across domains" `Quick
+            test_live_in_across_domains;
+          Alcotest.test_case "derived plans share liveness" `Quick
+            test_derived_plans_share_live_in;
         ] );
       ( "golden",
         [

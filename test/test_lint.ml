@@ -317,7 +317,8 @@ let test_regcomm_diamond_partial_kill () =
     }
   in
   let part = whole_task f in
-  let rc = Core.Regcomm.create f part in
+  let live_in = Analysis.Dataflow.sound_live_in f in
+  let rc = Core.Regcomm.create f ~live_in part in
   (* hand-computed forward bits *)
   checkb "r@0 may be killed on the left arm" false
     (Core.Regcomm.forwardable rc ~task:0 ~blk:0 ~idx:0 ~reg:r);
@@ -335,7 +336,7 @@ let test_regcomm_diamond_partial_kill () =
   (* the task halts: every register is needed downstream *)
   checkb "needed on halt exit" true (Core.Regcomm.needed rc ~task:0 ~reg:s);
   (* and the independent audit agrees everywhere *)
-  checki "audit agrees" 0 (List.length (Lint.check_regcomm f part))
+  checki "audit agrees" 0 (List.length (Lint.check_regcomm f ~live_in part))
 
 (* Loop task re-entering its own entry: the back edge starts a fresh task
    instance, so it neither extends reachability nor kills forward bits. *)
@@ -372,14 +373,15 @@ let test_regcomm_loop_reentry () =
       included_calls;
     }
   in
-  let rc = Core.Regcomm.create f part in
+  let live_in = Analysis.Dataflow.sound_live_in f in
+  let rc = Core.Regcomm.create f ~live_in part in
   checkb "increment forwardable despite back edge" true
     (Core.Regcomm.forwardable rc ~task:0 ~blk:0 ~idx:0 ~reg:r);
   checkb "condition forwardable" true
     (Core.Regcomm.forwardable rc ~task:0 ~blk:0 ~idx:1 ~reg:c);
   checkb "loop block may rewrite its own regs" true
     (Core.Regcomm.may_rewrite rc ~task:0 ~blk:0 ~reg:r);
-  checki "audit agrees" 0 (List.length (Lint.check_regcomm f part))
+  checki "audit agrees" 0 (List.length (Lint.check_regcomm f ~live_in part))
 
 (* Included call kills everything: writes before it are not final, and the
    mega-write site itself is never forwardable (regression: Regcomm used to
@@ -408,7 +410,8 @@ let test_regcomm_included_call_kill_all () =
       included_calls;
     }
   in
-  let rc = Core.Regcomm.create f part in
+  let live_in = Analysis.Dataflow.sound_live_in f in
+  let rc = Core.Regcomm.create f ~live_in part in
   checkb "write before included call not forwardable" false
     (Core.Regcomm.forwardable rc ~task:0 ~blk:0 ~idx:0 ~reg:r);
   (* the terminator index is the callee mega-write site: never forwardable,
@@ -423,7 +426,7 @@ let test_regcomm_included_call_kill_all () =
     (Core.Regcomm.forwardable rc ~task:0 ~blk:1 ~idx:0 ~reg:s);
   checkb "after call: r released" false
     (Core.Regcomm.may_rewrite rc ~task:0 ~blk:1 ~reg:r);
-  checki "audit agrees" 0 (List.length (Lint.check_regcomm f part))
+  checki "audit agrees" 0 (List.length (Lint.check_regcomm f ~live_in part))
 
 (* Dead-register analysis: a successor task that provably redefines r
    before reading it makes r's final value dead on the ring. *)
@@ -455,14 +458,15 @@ let test_regcomm_needed_dead_register () =
       included_calls;
     }
   in
-  let rc = Core.Regcomm.create f part in
+  let live_in = Analysis.Dataflow.sound_live_in f in
+  let rc = Core.Regcomm.create f ~live_in part in
   checkb "r dead: successor redefines first" false
     (Core.Regcomm.needed rc ~task:0 ~reg:r);
   checkb "s needed: successor reads it" true
     (Core.Regcomm.needed rc ~task:0 ~reg:s);
   checkb "halting task needs everything" true
     (Core.Regcomm.needed rc ~task:1 ~reg:r);
-  checki "audit agrees" 0 (List.length (Lint.check_regcomm f part))
+  checki "audit agrees" 0 (List.length (Lint.check_regcomm f ~live_in part))
 
 (* --- packed-trace decode audit ------------------------------------------- *)
 

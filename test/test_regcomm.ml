@@ -41,9 +41,13 @@ let whole_task f =
     included_calls;
   }
 
+(* Regcomm over the function's own sound liveness, as a plan supplies it *)
+let create f part =
+  Core.Regcomm.create f ~live_in:(Analysis.Dataflow.sound_live_in f) part
+
 let test_forwardable_last_write () =
   let f = rewrite_func () in
-  let rc = Core.Regcomm.create f (whole_task f) in
+  let rc = create f (whole_task f) in
   (* the write of r in block 0 may be overwritten in block 2: not final *)
   checkb "early write not forwardable" false
     (Core.Regcomm.forwardable rc ~task:0 ~blk:0 ~idx:0 ~reg:r);
@@ -56,7 +60,7 @@ let test_forwardable_last_write () =
 
 let test_may_rewrite_release_points () =
   let f = rewrite_func () in
-  let rc = Core.Regcomm.create f (whole_task f) in
+  let rc = create f (whole_task f) in
   (* from block 0 or 1, r can still be rewritten (block 2 reachable) *)
   checkb "entry may rewrite r" true
     (Core.Regcomm.may_rewrite rc ~task:0 ~blk:0 ~reg:r);
@@ -79,7 +83,7 @@ let test_multiple_writes_same_block () =
         [| blk 0 [ Ir.Insn.Li (r, 1); Ir.Insn.Li (r, 2) ] Ir.Block.Ret |];
     }
   in
-  let rc = Core.Regcomm.create f (whole_task f) in
+  let rc = create f (whole_task f) in
   checkb "first write not forwardable" false
     (Core.Regcomm.forwardable rc ~task:0 ~blk:0 ~idx:0 ~reg:r);
   checkb "second write forwardable" true
@@ -107,7 +111,7 @@ let test_included_call_kills () =
       included_calls;
     }
   in
-  let rc = Core.Regcomm.create f part in
+  let rc = create f part in
   (* the included callee may write anything: the write before the call is
      not final, and the call block itself may rewrite every register *)
   checkb "write before included call not forwardable" false
@@ -119,7 +123,7 @@ let test_included_call_kills () =
 
 let test_unknown_sites_conservative () =
   let f = rewrite_func () in
-  let rc = Core.Regcomm.create f (whole_task f) in
+  let rc = create f (whole_task f) in
   checkb "bad task index" false
     (Core.Regcomm.forwardable rc ~task:5 ~blk:0 ~idx:0 ~reg:r);
   checkb "unknown site" false
@@ -154,11 +158,29 @@ let test_loop_task_reentry () =
       included_calls;
     }
   in
-  let rc = Core.Regcomm.create f part in
+  let rc = create f part in
   (* the increment is the last write on the iteration: forwardable even
      though the task re-enters itself *)
   checkb "increment forwardable in loop task" true
     (Core.Regcomm.forwardable rc ~task:0 ~blk:0 ~idx:0 ~reg:r)
+
+(* A liveness table of another function would answer [needed] wrongly or
+   index out of bounds, so create refuses one whose length differs. *)
+let test_rejects_other_liveness () =
+  let f = rewrite_func () in
+  let other =
+    {
+      Ir.Func.name = "other";
+      blocks = [| blk 0 [] (Ir.Block.Jump 1); blk 1 [] Ir.Block.Ret |];
+    }
+  in
+  match
+    Core.Regcomm.create f
+      ~live_in:(Analysis.Dataflow.sound_live_in other)
+      (whole_task f)
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "create accepted another function's liveness"
 
 let () =
   Alcotest.run "regcomm"
@@ -175,5 +197,7 @@ let () =
           Alcotest.test_case "conservative defaults" `Quick
             test_unknown_sites_conservative;
           Alcotest.test_case "loop re-entry" `Quick test_loop_task_reentry;
+          Alcotest.test_case "rejects another function's liveness" `Quick
+            test_rejects_other_liveness;
         ] );
     ]

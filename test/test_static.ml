@@ -5,9 +5,6 @@
 
 (* --- what the static layer answers about one plan ------------------------ *)
 
-let all_regs =
-  Analysis.Dataflow.Regset.of_list (List.init Ir.Reg.count Fun.id)
-
 let regs buf s =
   List.iter (Printf.bprintf buf " %d") (Analysis.Dataflow.Regset.elements s);
   Buffer.add_char buf ';'
@@ -25,7 +22,7 @@ let liveness buf f =
       Buffer.add_char buf '\n')
     [
       Analysis.Dataflow.liveness f;
-      Analysis.Dataflow.liveness ~call_uses:all_regs f;
+      Analysis.Dataflow.liveness ~call_uses:Analysis.Dataflow.Regset.all f;
     ]
 
 let depend buf ~fi (plan : Core.Partition.plan) =
@@ -49,14 +46,16 @@ let depend buf ~fi (plan : Core.Partition.plan) =
         t.Core.Depend.fn t.Core.Depend.task)
     (Core.Depend.mem_edges d)
 
-let exposed buf name f (part : Core.Task.partition) =
-  let m = Core.Depend.memo f ~included_calls:part.Core.Task.included_calls in
+let exposed buf name f ~live_in (part : Core.Task.partition) =
+  let m =
+    Core.Depend.memo f ~live_in ~included_calls:part.Core.Task.included_calls
+  in
   List.iter
     (fun (t, r, depth) -> Printf.bprintf buf "exp %d r%d %d\n" t r depth)
     (Core.Depend.func_edges m name part).Core.Depend.f_exposed
 
-let regcomm buf f (part : Core.Task.partition) =
-  let rc = Core.Regcomm.create f part in
+let regcomm buf f ~live_in (part : Core.Task.partition) =
+  let rc = Core.Regcomm.create f ~live_in part in
   Array.iteri
     (fun task _ ->
       Printf.bprintf buf "rc %d needed" task;
@@ -125,9 +124,10 @@ let static_digest (plan : Core.Partition.plan) =
       let f = Ir.Prog.find prog name in
       Printf.bprintf buf "func %s\n%s" name
         (Format.asprintf "%a@." Core.Task.pp part);
+      let live_in = Core.Partition.live_in plan name in
       liveness buf f;
-      exposed buf name f part;
-      regcomm buf f part)
+      exposed buf name f ~live_in part;
+      regcomm buf f ~live_in part)
     plan.Core.Partition.parts;
   depend buf ~fi:false plan;
   depend buf ~fi:true plan;
@@ -246,10 +246,10 @@ let within what ~words ~per ~unit_ ~budget =
   report what ~words ~per ~unit_;
   judge what ~per ~unit_ ~budget
 
-(* Liveness as Depend, Regcomm and Dce call it, over the 18 fb plans'
-   functions (tree-set register sets took about 3,700 words per block).
-   This suite starts no other domain, so no other allocation enters the
-   counters. *)
+(* Sound liveness as a plan derives it for Depend and Regcomm (Dce's is
+   the same fixpoint), over the 18 fb plans' functions (tree-set register
+   sets took about 3,700 words per block).  This suite starts no other
+   domain, so no other allocation enters the counters. *)
 let liveness_budget = 600.0
 
 let test_liveness_budget () =
@@ -263,17 +263,18 @@ let test_liveness_budget () =
   let words =
     measure (fun () ->
         List.iter
-          (fun f -> ignore (Analysis.Dataflow.liveness ~call_uses:all_regs f))
+          (fun f -> ignore (Analysis.Dataflow.sound_live_in f))
           funcs)
   in
   within "liveness of the fb plans' functions" ~words
     ~per:(words /. float_of_int blocks) ~unit_:"block" ~budget:liveness_budget
 
-(* What a reader of a plan whose facts are already derived pays: a second
-   plan_cost, and Depend.analyze at ab and fi as the precision report
-   calls it (about 12,900 words per static instruction when every reader
-   re-ran the address analysis). *)
-let plan_budget = 3000.0
+(* What a reader of a plan whose facts and liveness are already derived
+   pays: a second plan_cost, and Depend.analyze at ab and fi as the
+   precision report calls it (about 12,900 words per static instruction
+   when every reader re-ran the address analysis, 865 when every
+   dependence memo re-derived the liveness and boxed its first events). *)
+let plan_budget = 600.0
 
 let test_plan_budget () =
   let plans = fb_plans () in
@@ -355,10 +356,11 @@ let test_dep_edges_budget () =
 
 (* Regcomm.create on every function of the 18 workloads' plans, level by
    level, in words per task-block (one block of one task; tasks may share
-   blocks), its sound liveness included.  Built through tuple-keyed hash
-   tables, a tree-set search per block and a closure per (block,
-   register), it took about 1,300 to 1,500 words per task-block. *)
-let regcomm_budget = 600.0
+   blocks), over the plan's liveness, derived before the count starts.
+   Built through tuple-keyed hash tables, a tree-set search per block and
+   a closure per (block, register), it took about 1,300 to 1,500 words
+   per task-block; when it derived the liveness itself, 357 to 434. *)
+let regcomm_budget = 250.0
 
 let test_regcomm_budget () =
   let unit_ = "task-block" in
@@ -371,14 +373,16 @@ let test_regcomm_budget () =
             | true, Some (plan : Core.Partition.plan) when c.level = level ->
               List.map
                 (fun (name, f) ->
-                  (f, Ir.Prog.Smap.find name plan.Core.Partition.parts))
+                  ( f,
+                    Core.Partition.live_in plan name,
+                    Ir.Prog.Smap.find name plan.Core.Partition.parts ))
                 (Ir.Prog.Smap.bindings plan.Core.Partition.prog.Ir.Prog.funcs)
             | _ -> [])
           (Lazy.force cells)
       in
       let task_blocks =
         List.fold_left
-          (fun a (_, (part : Core.Task.partition)) ->
+          (fun a (_, _, (part : Core.Task.partition)) ->
             Array.fold_left
               (fun a (t : Core.Task.t) ->
                 a + Core.Task.Iset.cardinal t.Core.Task.blocks)
@@ -387,7 +391,9 @@ let test_regcomm_budget () =
       in
       let words =
         measure (fun () ->
-            List.iter (fun (f, part) -> ignore (Core.Regcomm.create f part))
+            List.iter
+              (fun (f, live_in, part) ->
+                ignore (Core.Regcomm.create f ~live_in part))
               funcs)
       in
       let what =
