@@ -59,11 +59,6 @@ let term_uses = function
     List.init Ir.Reg.max_args (fun i -> Ir.Reg.arg i)
   | Ir.Block.Jump _ | Ir.Block.Ret | Ir.Block.Halt -> []
 
-let term_defs = function
-  | Ir.Block.Call (_, _) -> [ Ir.Reg.rv ]
-  | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
-  | Ir.Block.Halt -> []
-
 (* --- liveness ----------------------------------------------------------- *)
 
 type liveness = {
@@ -73,22 +68,19 @@ type liveness = {
 
 let block_use_def ~call_uses (b : Ir.Block.t) =
   (* use = registers read before any write in the block *)
-  let use = ref Regset.empty in
-  let def = ref Regset.empty in
-  let step uses defs =
-    List.iter
-      (fun r -> if not (Regset.mem r !def) then use := Regset.add r !use)
-      uses;
-    List.iter (fun r -> def := Regset.add r !def) defs
-  in
-  Array.iter (fun i -> step (Ir.Insn.uses i) (Ir.Insn.defs i)) b.Ir.Block.insns;
+  let use = ref Regset.empty and def = ref Regset.empty in
+  let read r = if not (Regset.mem r !def) then use := Regset.add r !use in
+  Array.iter
+    (fun i ->
+      Ir.Insn.iter_uses read i;
+      match Ir.Insn.def i with -1 -> () | d -> def := Regset.add d !def)
+    b.Ir.Block.insns;
   (match b.Ir.Block.term with
   | Ir.Block.Call (_, _) ->
     use := Regset.union !use (Regset.diff call_uses !def);
-    step [] (term_defs b.Ir.Block.term)
-  | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
-  | Ir.Block.Halt ->
-    step (term_uses b.Ir.Block.term) (term_defs b.Ir.Block.term));
+    def := Regset.add Ir.Reg.rv !def
+  | Ir.Block.Br (c, _, _) | Ir.Block.Switch (c, _, _) -> read c
+  | Ir.Block.Jump _ | Ir.Block.Ret | Ir.Block.Halt -> ());
   (!use, !def)
 
 let default_call_uses =

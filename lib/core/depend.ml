@@ -66,12 +66,6 @@ let term_reads (term : Ir.Block.terminator) r =
     true
   | Ir.Block.Jump _ | Ir.Block.Halt -> false
 
-let rec first_reads fe i = function
-  | [] -> ()
-  | r :: rest ->
-    if fe.(r) = through then fe.(r) <- i;
-    first_reads fe i rest
-
 let make_fctx (f : Ir.Func.t) ~live_in ~included_calls =
   let nb = Ir.Func.num_blocks f in
   let first_event = Array.make nb [||] and last_def = Array.make nb [||] in
@@ -85,8 +79,11 @@ let make_fctx (f : Ir.Func.t) ~live_in ~included_calls =
       let w = ref Rset.empty in
       let insns = b.Ir.Block.insns in
       let n = Array.length insns in
+      let pos = ref 0 in
+      let read r = if fe.(r) = through then fe.(r) <- !pos in
       for i = 0 to n - 1 do
-        first_reads fe i (Ir.Insn.uses insns.(i));
+        pos := i;
+        Ir.Insn.iter_uses read insns.(i);
         let r = Ir.Insn.def insns.(i) in
         if r >= 0 then begin
           if fe.(r) = through then fe.(r) <- kill;

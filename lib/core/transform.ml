@@ -82,9 +82,7 @@ let all_used_registers f =
   Array.iter
     (fun (b : Ir.Block.t) ->
       Array.iter
-        (fun insn ->
-          List.iter (fun r -> used.(r) <- true)
-            (Ir.Insn.defs insn @ Ir.Insn.uses insn))
+        (Ir.Insn.iter_regs (fun r -> used.(r) <- true))
         b.Ir.Block.insns;
       List.iter (fun r -> used.(r) <- true)
         (Analysis.Dataflow.term_uses b.Ir.Block.term))
@@ -153,8 +151,7 @@ let find_induction f (lo : Analysis.Loops.loop) =
               (fun acc l ->
                 let b = Ir.Func.block f l in
                 Array.fold_left
-                  (fun acc i ->
-                    if List.mem r (Ir.Insn.defs i) then acc + 1 else acc)
+                  (fun acc i -> if Ir.Insn.def i = r then acc + 1 else acc)
                   acc b.Ir.Block.insns)
               0 lo.Analysis.Loops.blocks
           in
@@ -583,10 +580,10 @@ let rename_arm insns ~free =
           | Ir.Insn.Load _ | Ir.Insn.Store _ -> insn (* excluded by pure_insn *)
         in
         (* rename the destination *)
-        match Ir.Insn.defs insn with
-        | [] -> rewritten := insn :: !rewritten
-        | [ d ] when d = Ir.Reg.zero -> rewritten := insn :: !rewritten
-        | [ d ] ->
+        match Ir.Insn.def insn with
+        | -1 -> rewritten := insn :: !rewritten
+        | d when d = Ir.Reg.zero -> rewritten := insn :: !rewritten
+        | d ->
           let renamed = Hashtbl.find_opt map d in
           let fresh =
             match renamed with
@@ -624,7 +621,6 @@ let rename_arm insns ~free =
                  arm has written d, its current value is already in f *)
               rewritten := insn' :: Ir.Insn.Mov (f, d) :: !rewritten
             | _ -> rewritten := insn' :: !rewritten))
-        | _ :: _ :: _ -> ok := false
       end)
     insns;
   if !ok then Some (List.rev !rewritten, List.rev !renames) else None
@@ -649,7 +645,7 @@ let rec if_convert_func ~free f =
                && Array.for_all pure_insn b.Ir.Block.insns
                && not
                     (Array.exists
-                       (fun i -> List.mem c (Ir.Insn.defs i))
+                       (fun i -> Ir.Insn.def i = c)
                        b.Ir.Block.insns) ->
           Some (b.Ir.Block.insns, j)
         | _ -> None

@@ -94,15 +94,14 @@ let validate f =
             fail "function %s: block %d targets out-of-range label %d" f.name i
               s)
         (Block.successors b);
-      Array.iter
-        (fun insn ->
-          List.iter
-            (fun r ->
-              if not (Reg.is_valid r) then
-                fail "function %s: block %d uses invalid register %d" f.name i
-                  r)
-            (Insn.defs insn @ Insn.uses insn))
-        b.Block.insns)
+      let check r =
+        if not (Reg.is_valid r) then
+          fail "function %s: block %d uses invalid register %d" f.name i r
+      in
+      Array.iter (Insn.iter_regs check) b.Block.insns;
+      match b.Block.term with
+      | Block.Br (c, _, _) | Block.Switch (c, _, _) -> check c
+      | Block.Jump _ | Block.Call (_, _) | Block.Ret | Block.Halt -> ())
     f.blocks;
   !ok
 

@@ -4,6 +4,8 @@
     - [blocks.(i).label = i] for all [i];
     - the entry block is block 0;
     - every successor label is in range;
+    - every register an instruction names, and every branch or switch
+      condition, is a valid register ({!Reg.is_valid});
     - every block is either reachable from the entry or the function has been
       through {!drop_unreachable}. *)
 

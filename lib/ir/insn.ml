@@ -55,19 +55,44 @@ let def = function
 
 let defs insn = match def insn with -1 -> [] | d -> [ d ]
 
+(* [f] on [a] and [b], ascending, once when they are equal *)
+let iter2 f a b =
+  if a < b then begin
+    f a;
+    f b
+  end
+  else begin
+    f b;
+    if a <> b then f a
+  end
+
+(* [f] on the distinct values of [a], [b] and [c], ascending *)
+let iter3 f a b c =
+  let lo = Int.min a (Int.min b c) and hi = Int.max a (Int.max b c) in
+  let mid = a + b + c - lo - hi in
+  f lo;
+  if mid <> lo then f mid;
+  if hi <> mid then f hi
+
+let iter_uses f = function
+  | Nop | Li (_, _) | Lf (_, _) -> ()
+  | Mov (_, s) | Fun (_, _, s) | Bin (_, _, s, Imm _) | Load (_, s, _) -> f s
+  | Bin (_, _, s1, Reg s2) | Fbin (_, _, s1, s2) | Fcmp (_, _, s1, s2)
+  | Store (s1, s2, _) -> iter2 f s1 s2
+  | Cmov (d, c, s) -> iter3 f d c s
+
 let uses insn =
-  let rs =
-    match insn with
-    | Nop | Li (_, _) | Lf (_, _) -> []
-    | Mov (_, s) | Fun (_, _, s) -> [ s ]
-    | Bin (_, _, s, Reg s2) -> [ s; s2 ]
-    | Bin (_, _, s, Imm _) -> [ s ]
-    | Fbin (_, _, s1, s2) | Fcmp (_, _, s1, s2) -> [ s1; s2 ]
-    | Load (_, base, _) -> [ base ]
-    | Store (src, base, _) -> [ src; base ]
-    | Cmov (d, c, s) -> [ d; c; s ]
-  in
-  List.sort_uniq compare rs
+  let rs = ref [] in
+  iter_uses (fun r -> rs := r :: !rs) insn;
+  List.rev !rs
+
+let iter_regs f insn =
+  (match insn with
+  | Nop | Store (_, _, _) -> ()
+  | Li (d, _) | Lf (d, _) | Mov (d, _)
+  | Bin (_, d, _, _) | Fbin (_, d, _, _) | Fcmp (_, d, _, _)
+  | Fun (_, d, _) | Load (d, _, _) | Cmov (d, _, _) -> f d);
+  iter_uses f insn
 
 let is_mem = function
   | Load (_, _, _) | Store (_, _, _) -> true

@@ -58,8 +58,23 @@ val def : t -> Reg.t
 val defs : t -> Reg.t list
 (** {!def} as a list: empty or one register. *)
 
+val iter_uses : (Reg.t -> unit) -> t -> unit
+(** [iter_uses f insn] calls [f] once on each distinct register [insn]
+    reads, in ascending order, and allocates nothing: the one definition
+    of what an instruction reads.  A [Cmov] reads its destination too.
+    The order is a contract: {!uses} and the reference simulator's
+    dependence attribution rely on it. *)
+
 val uses : t -> Reg.t list
-(** Registers read, without duplicates. *)
+(** {!iter_uses} as a list: the registers read, ascending, without
+    duplicates. *)
+
+val iter_regs : (Reg.t -> unit) -> t -> unit
+(** [iter_regs f insn] calls [f] on the destination register when [insn]
+    has one, whatever its value (so a destination of -1 is seen, where
+    {!def} could not tell it from "writes nothing"), then {!iter_uses}.
+    What a well-formedness check walks: a register both written and read
+    is visited twice. *)
 
 val is_mem : t -> bool
 

@@ -1,18 +1,46 @@
 module Diag = Diag
 module Iset = Core.Task.Iset
-module Regset = Analysis.Dataflow.Regset
 module Smap = Ir.Prog.Smap
 
-let all_regs = Regset.of_list (List.init Ir.Reg.count (fun i -> i))
+(* Register sets as two-int bit words, registers 0-31 in [lo] and 32-63 in
+   [hi], one set per index of two flat arrays (by block, task or edge
+   slot).  The audits' own representation: Analysis.Dataflow.Regset
+   belongs to the code they audit. *)
+module Words = struct
+  type t = { lo : int array; hi : int array }
 
-(* Terminator defs, mirroring the convention of Analysis.Dataflow: a call
-   writes the return-value register; nothing else writes through its
-   terminator.  (Reimplemented here on purpose — the audit must not lean on
-   the module it is auditing.) *)
-let term_defs = function
-  | Ir.Block.Call (_, _) -> [ Ir.Reg.rv ]
-  | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
-  | Ir.Block.Halt -> []
+  let () =
+    if Ir.Reg.count > 64 then
+      failwith
+        (Printf.sprintf "Lint.Words: %d registers do not fit in two words"
+           Ir.Reg.count)
+
+  let make n = { lo = Array.make n 0; hi = Array.make n 0 }
+  let all_lo = (1 lsl Int.min Ir.Reg.count 32) - 1
+  let all_hi = (1 lsl Int.max 0 (Ir.Reg.count - 32)) - 1
+
+  let mem w i r =
+    (if r < 32 then w.lo.(i) lsr r else w.hi.(i) lsr (r - 32)) land 1 <> 0
+
+  let set w i lo hi =
+    w.lo.(i) <- lo;
+    w.hi.(i) <- hi
+
+  let add w i r =
+    if r < 32 then w.lo.(i) <- w.lo.(i) lor (1 lsl r)
+    else w.hi.(i) <- w.hi.(i) lor (1 lsl (r - 32))
+
+  let remove w i r =
+    if r < 32 then w.lo.(i) <- w.lo.(i) land lnot (1 lsl r)
+    else w.hi.(i) <- w.hi.(i) land lnot (1 lsl (r - 32))
+
+  let fill_all w i = set w i all_lo all_hi
+
+  (* [w.(i) <- w.(i) ∪ v.(j)] *)
+  let union_into w i v j =
+    set w i (w.lo.(i) lor v.lo.(j)) (w.hi.(i) lor v.hi.(j))
+  let equal w i v j = w.lo.(i) = v.lo.(j) && w.hi.(i) = v.hi.(j)
+end
 
 let reachable_blocks f =
   let n = Ir.Func.num_blocks f in
@@ -53,17 +81,25 @@ let check_func_structure (f : Ir.Func.t) =
                  (Diag.in_func ~block:i f.Ir.Func.name)
                  "terminator targets out-of-range label L%d (%d blocks)" s n))
         (Ir.Block.successors b);
+      let at = ref 0 in
+      let invalid what r =
+        if not (Ir.Reg.is_valid r) then
+          add
+            (Diag.error ~rule:"ir/invalid-reg"
+               (Diag.in_func ~block:i ~insn:!at f.Ir.Func.name)
+               "%s invalid register %d" what r)
+      in
+      let operand = invalid "instruction touches" in
       Array.iteri
         (fun idx insn ->
-          List.iter
-            (fun r ->
-              if not (Ir.Reg.is_valid r) then
-                add
-                  (Diag.error ~rule:"ir/invalid-reg"
-                     (Diag.in_func ~block:i ~insn:idx f.Ir.Func.name)
-                     "instruction touches invalid register %d" r))
-            (Ir.Insn.defs insn @ Ir.Insn.uses insn))
-        b.Ir.Block.insns)
+          at := idx;
+          Ir.Insn.iter_regs operand insn)
+        b.Ir.Block.insns;
+      match b.Ir.Block.term with
+      | Ir.Block.Br (c, _, _) | Ir.Block.Switch (c, _, _) ->
+        at := Array.length b.Ir.Block.insns;
+        invalid "terminator reads" c
+      | Ir.Block.Jump _ | Ir.Block.Call _ | Ir.Block.Ret | Ir.Block.Halt -> ())
     f.Ir.Func.blocks;
   !ds
 
@@ -79,80 +115,90 @@ let check_use_before_def ~is_main (f : Ir.Func.t) =
   else begin
     let n = Ir.Func.num_blocks f in
     let reach = reachable_blocks f in
-    let initial = Regset.of_list [ Ir.Reg.zero; Ir.Reg.sp ] in
     let preds = Ir.Func.predecessors f in
-    let defined_out = Array.make n None in
-    let block_defs (b : Ir.Block.t) acc =
-      let acc =
-        Array.fold_left
-          (fun acc insn ->
-            List.fold_left (fun acc r -> Regset.add r acc) acc
-              (Ir.Insn.defs insn))
-          acc b.Ir.Block.insns
-      in
-      List.fold_left (fun acc r -> Regset.add r acc) acc
-        (term_defs b.Ir.Block.term)
+    (* per block, once some path from the entry has reached its end
+       ([has_out]): the registers defined on every such path *)
+    let out = Words.make n and has_out = Array.make n false in
+    let cur = Words.make 1 in
+    let define r = Words.add cur 0 r in
+    let meet reached p =
+      if not has_out.(p) then reached
+      else begin
+        if reached then
+          Words.set cur 0
+            (cur.Words.lo.(0) land out.Words.lo.(p))
+            (cur.Words.hi.(0) land out.Words.hi.(p))
+        else Words.set cur 0 out.Words.lo.(p) out.Words.hi.(p);
+        true
+      end
     in
+    (* [cur] := what is defined at [l]'s entry on every path; false while
+       no path has reached it *)
     let defined_in l =
-      if l = Ir.Func.entry then Some initial
-      else
-        List.fold_left
-          (fun acc p ->
-            match defined_out.(p) with
-            | None -> acc
-            | Some dp ->
-              Some
-                (match acc with
-                | None -> dp
-                | Some a -> Regset.inter a dp))
-          None preds.(l)
+      if l = Ir.Func.entry then begin
+        Words.set cur 0 0 0;
+        define Ir.Reg.zero;
+        define Ir.Reg.sp;
+        true
+      end
+      else List.fold_left meet false preds.(l)
+    in
+    let define_insn insn =
+      match Ir.Insn.def insn with -1 -> () | r -> define r
     in
     let changed = ref true in
     while !changed do
       changed := false;
       for l = 0 to n - 1 do
-        if reach.(l) then
-          match defined_in l with
-          | None -> ()
-          | Some din ->
-            let dout = Some (block_defs (Ir.Func.block f l) din) in
-            if dout <> defined_out.(l) then begin
-              defined_out.(l) <- dout;
-              changed := true
-            end
+        if reach.(l) && defined_in l then begin
+          let b = Ir.Func.block f l in
+          Array.iter define_insn b.Ir.Block.insns;
+          (* a call writes the return-value register; no other terminator
+             writes *)
+          (match b.Ir.Block.term with
+          | Ir.Block.Call (_, _) -> define Ir.Reg.rv
+          | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
+          | Ir.Block.Halt -> ());
+          if not (has_out.(l) && Words.equal cur 0 out l) then begin
+            has_out.(l) <- true;
+            Words.set out l cur.Words.lo.(0) cur.Words.hi.(0);
+            changed := true
+          end
+        end
       done
     done;
     let ds = ref [] in
+    let at_block = ref 0 and at_insn = ref 0 in
+    let use r =
+      if r <> Ir.Reg.zero && not (Words.mem cur 0 r) then
+        ds :=
+          Diag.warning ~rule:"ir/use-before-def"
+            (Diag.in_func ~block:!at_block ~insn:!at_insn f.Ir.Func.name)
+            "%s is read but no definition reaches this use on every path \
+             from the entry"
+            (Ir.Reg.name r)
+          :: !ds
+    in
     for l = 0 to n - 1 do
-      if reach.(l) then
-        match defined_in l with
-        | None -> ()
-        | Some din ->
-          let b = Ir.Func.block f l in
-          let cur = ref din in
-          let use_at idx r =
-            if r <> Ir.Reg.zero && not (Regset.mem r !cur) then
-              ds :=
-                Diag.warning ~rule:"ir/use-before-def"
-                  (Diag.in_func ~block:l ~insn:idx f.Ir.Func.name)
-                  "%s is read but no definition reaches this use on every \
-                   path from the entry"
-                  (Ir.Reg.name r)
-                :: !ds
-          in
-          Array.iteri
-            (fun idx insn ->
-              List.iter (use_at idx) (Ir.Insn.uses insn);
-              List.iter (fun r -> cur := Regset.add r !cur) (Ir.Insn.defs insn))
-            b.Ir.Block.insns;
-          (* only *genuine* terminator reads count: a call's conservative
-             all-args use set (as liveness models it) would flag every
-             caller that passes fewer than max_args arguments *)
-          (match b.Ir.Block.term with
-          | Ir.Block.Br (c, _, _) | Ir.Block.Switch (c, _, _) ->
-            use_at (Array.length b.Ir.Block.insns) c
-          | Ir.Block.Jump _ | Ir.Block.Call _ | Ir.Block.Ret | Ir.Block.Halt
-            -> ())
+      if reach.(l) && defined_in l then begin
+        let b = Ir.Func.block f l in
+        at_block := l;
+        Array.iteri
+          (fun idx insn ->
+            at_insn := idx;
+            Ir.Insn.iter_uses use insn;
+            define_insn insn)
+          b.Ir.Block.insns;
+        (* only *genuine* terminator reads count: a call's conservative
+           all-args use set (as liveness models it) would flag every
+           caller that passes fewer than max_args arguments *)
+        match b.Ir.Block.term with
+        | Ir.Block.Br (c, _, _) | Ir.Block.Switch (c, _, _) ->
+          at_insn := Array.length b.Ir.Block.insns;
+          use c
+        | Ir.Block.Jump _ | Ir.Block.Call _ | Ir.Block.Ret | Ir.Block.Halt
+          -> ()
+      end
     done;
     !ds
   end
@@ -457,201 +503,210 @@ let check_partition ?level ?(params = Core.Heuristics.default) (f : Ir.Func.t)
 
 (* --- register-communication audit ----------------------------------------- *)
 
+(* Each block's successors, as an array *)
+let successors f =
+  Array.map (fun b -> Array.of_list (Ir.Block.successors b)) f.Ir.Func.blocks
+
+(* Each block's successors that may continue a task, as {!task_succ}
+   before its filter on the task: none after a non-included call. *)
+let task_successors f ~included_calls succs =
+  Array.mapi
+    (fun b ss ->
+      match (Ir.Func.block f b).Ir.Block.term with
+      | Ir.Block.Call (_, _) when not included_calls.(b) -> [||]
+      | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
+      | Ir.Block.Ret | Ir.Block.Halt -> ss)
+    succs
+
 (* Interprocedurally sound liveness, reimplemented as a per-instruction
-   backward walk (Regcomm goes through Analysis.Dataflow's block-summary
+   backward walk (Regcomm's comes from Analysis.Dataflow's block-summary
    fixpoint; the audit must not).  A callee may read or write any register
    (they are architecturally global), so a call terminator uses everything
-   and defines rv; returns assume everything live at the exit. *)
-let sound_live_in f =
+   and defines rv; returns assume everything live at the exit.  The
+   live-in sets, by block; [succs] is {!successors}. *)
+let sound_live_in f succs =
   let n = Ir.Func.num_blocks f in
-  let live_in = Array.make n Regset.empty in
-  let live_out = Array.make n Regset.empty in
-  let transfer (b : Ir.Block.t) out =
-    let set = ref out in
-    (match b.Ir.Block.term with
-    | Ir.Block.Call (_, _) ->
-      set := Regset.union (Regset.remove Ir.Reg.rv !set) all_regs
-    | Ir.Block.Br (c, _, _) | Ir.Block.Switch (c, _, _) ->
-      set := Regset.add c !set
-    | Ir.Block.Jump _ | Ir.Block.Ret | Ir.Block.Halt -> ());
-    for idx = Array.length b.Ir.Block.insns - 1 downto 0 do
-      let insn = b.Ir.Block.insns.(idx) in
-      List.iter (fun r -> set := Regset.remove r !set) (Ir.Insn.defs insn);
-      List.iter (fun r -> set := Regset.add r !set) (Ir.Insn.uses insn)
-    done;
-    !set
-  in
+  let live = Words.make n and set = Words.make 1 in
+  let read r = Words.add set 0 r in
+  let live_after s = Words.union_into set 0 live s in
   let changed = ref true in
   while !changed do
     changed := false;
     for l = n - 1 downto 0 do
       let b = Ir.Func.block f l in
-      let exits =
-        match b.Ir.Block.term with
-        | Ir.Block.Ret | Ir.Block.Halt -> all_regs
-        | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
-        | Ir.Block.Call _ -> Regset.empty
-      in
-      let out =
-        List.fold_left
-          (fun acc s -> Regset.union acc live_in.(s))
-          exits (Ir.Func.successors f l)
-      in
-      let inn = transfer b out in
-      if
-        not (Regset.equal out live_out.(l) && Regset.equal inn live_in.(l))
-      then begin
-        live_out.(l) <- out;
-        live_in.(l) <- inn;
+      (match b.Ir.Block.term with
+      | Ir.Block.Ret | Ir.Block.Halt -> Words.fill_all set 0
+      | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Call _
+        -> Words.set set 0 0 0);
+      Array.iter live_after succs.(l);
+      (* the block backwards from its live-out: the call defines rv but
+         reads every register, rv included *)
+      (match b.Ir.Block.term with
+      | Ir.Block.Call (_, _) -> Words.fill_all set 0
+      | Ir.Block.Br (c, _, _) | Ir.Block.Switch (c, _, _) -> read c
+      | Ir.Block.Jump _ | Ir.Block.Ret | Ir.Block.Halt -> ());
+      let insns = b.Ir.Block.insns in
+      for idx = Array.length insns - 1 downto 0 do
+        (match Ir.Insn.def insns.(idx) with
+        | -1 -> ()
+        | r -> Words.remove set 0 r);
+        Ir.Insn.iter_uses read insns.(idx)
+      done;
+      if not (Words.equal set 0 live l) then begin
+        Words.set live l set.Words.lo.(0) set.Words.hi.(0);
         changed := true
       end
     done
   done;
-  live_in
+  live
 
-(* Registers a block may write: its instruction defs, and everything when
-   it ends in an included call (the callee's effects are unknown). *)
-let block_writes f ~included_calls b =
-  let blk = Ir.Func.block f b in
-  let ws =
-    Array.fold_left
-      (fun acc insn ->
-        List.fold_left (fun acc r -> Regset.add r acc) acc (Ir.Insn.defs insn))
-      Regset.empty blk.Ir.Block.insns
-  in
-  match blk.Ir.Block.term with
-  | Ir.Block.Call (_, _) when included_calls.(b) -> all_regs
-  | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
-  | Ir.Block.Ret | Ir.Block.Halt -> ws
-
-let check_regcomm_task f ~included_calls ~live_in rc i (t : Core.Task.t) =
-  let ds = ref [] in
-  let add d = ds := d :: !ds in
-  let entry = t.Core.Task.entry in
-  let blocks = t.Core.Task.blocks in
-  let succ = task_succ f ~included_calls ~entry ~blocks in
-  let writes = Hashtbl.create 8 in
-  Iset.iter
-    (fun b -> Hashtbl.replace writes b (block_writes f ~included_calls b))
-    blocks;
-  (* may_write_from b: registers written by b or any block strictly reachable
-     from it inside the task — a reverse fixpoint over the task subgraph *)
-  let mw = Hashtbl.create 8 in
-  Iset.iter (fun b -> Hashtbl.replace mw b (Hashtbl.find writes b)) blocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Iset.iter
-      (fun b ->
-        let cur = Hashtbl.find mw b in
-        let next =
-          List.fold_left
-            (fun acc s -> Regset.union acc (Hashtbl.find mw s))
-            cur (succ b)
-        in
-        if not (Regset.equal next cur) then begin
-          Hashtbl.replace mw b next;
-          changed := true
-        end)
-      blocks
-  done;
-  (* registers some block strictly after b may still write *)
-  let write_after b =
-    List.fold_left
-      (fun acc s -> Regset.union acc (Hashtbl.find mw s))
-      Regset.empty (succ b)
-  in
-  (* dead-register facts: what must this task's exit send on the ring? *)
-  let needed_mine =
-    if t.Core.Task.has_ret || t.Core.Task.calls_out <> [] then all_regs
-    else
-      List.fold_left
-        (fun acc tgt -> Regset.union acc live_in.(tgt))
-        Regset.empty t.Core.Task.targets
-  in
-  for r = 0 to Ir.Reg.count - 1 do
-    let theirs = Core.Regcomm.needed rc ~task:i ~reg:r in
-    let mine = Regset.mem r needed_mine in
-    if theirs <> mine then
-      add
-        (Diag.error ~rule:"regcomm/needed-diff"
-           (Diag.in_func ~task:i f.Ir.Func.name)
-           "needed(%s): Regcomm says %B, the audit says %B" (Ir.Reg.name r)
-           theirs mine)
-  done;
-  Iset.iter
-    (fun b ->
-      let after = write_after b in
-      let here = Hashtbl.find writes b in
-      (* release facts: can r still be written at or after b? *)
-      for r = 0 to Ir.Reg.count - 1 do
-        let theirs = Core.Regcomm.may_rewrite rc ~task:i ~blk:b ~reg:r in
-        let mine = Regset.mem r here || Regset.mem r after in
-        if theirs <> mine then
-          add
-            (Diag.error ~rule:"regcomm/rewrite-diff"
-               (Diag.in_func ~task:i ~block:b f.Ir.Func.name)
-               "may_rewrite(%s): Regcomm says %B, the audit says %B"
-               (Ir.Reg.name r) theirs mine)
-      done;
-      (* forward facts: a write site is forwardable iff it is the last write
-         of the register in its block and no later task block can write it.
-         The mega-write modelling an included callee is never forwardable —
-         the compiler cannot mark forward bits inside a separately compiled
-         callee. *)
-      let blk = Ir.Func.block f b in
-      let nins = Array.length blk.Ir.Block.insns in
-      let last = Hashtbl.create 8 in
-      Array.iteri
-        (fun idx insn ->
-          List.iter (fun r -> Hashtbl.replace last r idx) (Ir.Insn.defs insn))
-        blk.Ir.Block.insns;
-      let included_call =
-        match blk.Ir.Block.term with
-        | Ir.Block.Call (_, _) -> included_calls.(b)
-        | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Ret
-        | Ir.Block.Halt -> false
-      in
-      let site_check idx r mine =
-        let theirs =
-          Core.Regcomm.forwardable rc ~task:i ~blk:b ~idx ~reg:r
-        in
-        if theirs <> mine then
-          add
-            (Diag.error ~rule:"regcomm/forwardable-diff"
-               (Diag.in_func ~task:i ~block:b ~insn:idx f.Ir.Func.name)
-               "forwardable(%s): Regcomm says %B, the audit says %B"
-               (Ir.Reg.name r) theirs mine)
-      in
-      Array.iteri
-        (fun idx insn ->
-          List.iter
-            (fun r ->
-              let mine =
-                (not included_call)
-                && Hashtbl.find last r = idx
-                && not (Regset.mem r after)
-              in
-              site_check idx r mine)
-            (Ir.Insn.defs insn))
-        blk.Ir.Block.insns;
-      if included_call then
-        for r = 0 to Ir.Reg.count - 1 do
-          site_check nins r false
-        done)
-    blocks;
-  List.rev !ds
+(* Registers each block may write: its instruction defs, and everything
+   when it ends in an included call (the callee's effects are unknown). *)
+let block_writes f ~included_calls =
+  let w = Words.make (Ir.Func.num_blocks f) in
+  Array.iteri
+    (fun b (blk : Ir.Block.t) ->
+      match blk.Ir.Block.term with
+      | Ir.Block.Call (_, _) when included_calls.(b) -> Words.fill_all w b
+      | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
+      | Ir.Block.Ret | Ir.Block.Halt ->
+        Array.iter
+          (fun insn ->
+            match Ir.Insn.def insn with -1 -> () | r -> Words.add w b r)
+          blk.Ir.Block.insns)
+    f.Ir.Func.blocks;
+  w
 
 let check_regcomm (f : Ir.Func.t) ~live_in (p : Core.Task.partition) =
   let rc = Core.Regcomm.create f ~live_in p in
-  (* the audit's own liveness, not the table Regcomm was given *)
-  let live_in = sound_live_in f in
+  let fname = f.Ir.Func.name in
   let included_calls = p.Core.Task.included_calls in
-  List.concat
-    (Array.to_list
-       (Array.mapi
-          (check_regcomm_task f ~included_calls ~live_in rc)
-          p.Core.Task.tasks))
+  let n = Ir.Func.num_blocks f in
+  let cfg = successors f in
+  (* the audit's own liveness, not the table Regcomm was given *)
+  let live = sound_live_in f cfg in
+  let writes = block_writes f ~included_calls in
+  let succs = task_successors f ~included_calls cfg in
+  (* per block: the index of the task at hand when it holds the block
+     (tasks are walked in order), and the registers written by the block
+     or by any block strictly reachable from it inside that task *)
+  let holder = Array.make n (-1) and may_write = Words.make n in
+  (* one task's dead-register facts; registers some block strictly after
+     the block at hand may still write; one block's last defs *)
+  let needed = Words.make 1 and after = Words.make 1 in
+  let last = Array.make Ir.Reg.count (-1) in
+  let ds = ref [] in
+  let add d = ds := d :: !ds in
+  let write_after i entry b =
+    Words.set after 0 0 0;
+    let ss = succs.(b) in
+    for k = 0 to Array.length ss - 1 do
+      let s = ss.(k) in
+      if s <> entry && holder.(s) = i then Words.union_into after 0 may_write s
+    done
+  in
+  let site_check i b idx r mine =
+    let theirs = Core.Regcomm.forwardable rc ~task:i ~blk:b ~idx ~reg:r in
+    if theirs <> mine then
+      add
+        (Diag.error ~rule:"regcomm/forwardable-diff"
+           (Diag.in_func ~task:i ~block:b ~insn:idx fname)
+           "forwardable(%s): Regcomm says %B, the audit says %B"
+           (Ir.Reg.name r) theirs mine)
+  in
+  Array.iteri
+    (fun i (t : Core.Task.t) ->
+      let entry = t.Core.Task.entry in
+      let blocks = t.Core.Task.blocks in
+      Iset.iter
+        (fun b ->
+          holder.(b) <- i;
+          Words.set may_write b writes.Words.lo.(b) writes.Words.hi.(b))
+        blocks;
+      (* may-write: a reverse fixpoint over the task subgraph *)
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        Iset.iter
+          (fun b ->
+            write_after i entry b;
+            let lo = may_write.Words.lo.(b) lor after.Words.lo.(0)
+            and hi = may_write.Words.hi.(b) lor after.Words.hi.(0) in
+            if lo <> may_write.Words.lo.(b) || hi <> may_write.Words.hi.(b)
+            then begin
+              Words.set may_write b lo hi;
+              changed := true
+            end)
+          blocks
+      done;
+      (* dead-register facts: what must this task's exit send on the ring? *)
+      if t.Core.Task.has_ret || t.Core.Task.calls_out <> [] then
+        Words.fill_all needed 0
+      else begin
+        Words.set needed 0 0 0;
+        List.iter
+          (fun tgt -> Words.union_into needed 0 live tgt)
+          t.Core.Task.targets
+      end;
+      for r = 0 to Ir.Reg.count - 1 do
+        let theirs = Core.Regcomm.needed rc ~task:i ~reg:r in
+        let mine = Words.mem needed 0 r in
+        if theirs <> mine then
+          add
+            (Diag.error ~rule:"regcomm/needed-diff" (Diag.in_func ~task:i fname)
+               "needed(%s): Regcomm says %B, the audit says %B" (Ir.Reg.name r)
+               theirs mine)
+      done;
+      Iset.iter
+        (fun b ->
+          write_after i entry b;
+          (* release facts: can r still be written at or after b? *)
+          for r = 0 to Ir.Reg.count - 1 do
+            let theirs = Core.Regcomm.may_rewrite rc ~task:i ~blk:b ~reg:r in
+            let mine = Words.mem writes b r || Words.mem after 0 r in
+            if theirs <> mine then
+              add
+                (Diag.error ~rule:"regcomm/rewrite-diff"
+                   (Diag.in_func ~task:i ~block:b fname)
+                   "may_rewrite(%s): Regcomm says %B, the audit says %B"
+                   (Ir.Reg.name r) theirs mine)
+          done;
+          (* forward facts: a write site is forwardable iff it is the last
+             write of the register in its block and no later task block can
+             write it.  The mega-write modelling an included callee is
+             never forwardable — the compiler cannot mark forward bits
+             inside a separately compiled callee. *)
+          let blk = Ir.Func.block f b in
+          let insns = blk.Ir.Block.insns in
+          let nins = Array.length insns in
+          Array.fill last 0 Ir.Reg.count (-1);
+          for idx = 0 to nins - 1 do
+            match Ir.Insn.def insns.(idx) with
+            | -1 -> ()
+            | r -> last.(r) <- idx
+          done;
+          let included_call =
+            match blk.Ir.Block.term with
+            | Ir.Block.Call (_, _) -> included_calls.(b)
+            | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
+            | Ir.Block.Ret | Ir.Block.Halt -> false
+          in
+          for idx = 0 to nins - 1 do
+            match Ir.Insn.def insns.(idx) with
+            | -1 -> ()
+            | r ->
+              site_check i b idx r
+                ((not included_call)
+                && last.(r) = idx
+                && not (Words.mem after 0 r))
+          done;
+          if included_call then
+            for r = 0 to Ir.Reg.count - 1 do
+              site_check i b nins r false
+            done)
+        blocks)
+    p.Core.Task.tasks;
+  List.rev !ds
 
 (* --- whole plans ----------------------------------------------------------- *)
 
@@ -868,40 +923,66 @@ let term_reads_reg (term : Ir.Block.terminator) r =
     true
   | Ir.Block.Jump _ | Ir.Block.Halt -> false
 
-(* Is [r] read before being written on some task path from the entry? *)
-let upward_exposed f ~included_calls (t : Core.Task.t) r =
-  let entry = t.Core.Task.entry in
-  let blocks = t.Core.Task.blocks in
-  let seen = ref Iset.empty in
-  let rec visit b =
-    if Iset.mem b !seen then false
-    else begin
-      seen := Iset.add b !seen;
-      let blk = Ir.Func.block f b in
-      let n = Array.length blk.Ir.Block.insns in
-      let rec scan i =
-        if i >= n then
-          term_reads_reg blk.Ir.Block.term r
-          || List.exists visit (task_succ f ~included_calls ~entry ~blocks b)
-        else
-          let insn = blk.Ir.Block.insns.(i) in
-          if List.mem r (Ir.Insn.uses insn) then true
-          else if List.mem r (Ir.Insn.defs insn) then false
-          else scan (i + 1)
-      in
-      scan 0
-    end
+(* [exposed c r]: is [r] read before being written on some path of task
+   [c] from its entry?  A recursive depth-first search over the task's
+   blocks, stamped per question; each answer is kept, by task and
+   register. *)
+let upward_exposure f ~included_calls (tasks : Core.Task.t array) =
+  let succs = task_successors f ~included_calls (successors f) in
+  let seen = Array.make (Ir.Func.num_blocks f) (-1) and search = ref 0 in
+  (* '\000' not asked yet, '\001' no, '\002' yes *)
+  let answers = Bytes.make (Array.length tasks * Ir.Reg.count) '\000' in
+  let reg = ref 0 and hit = ref false in
+  let probe u = if u = !reg then hit := true in
+  (* how [blk]'s instructions first touch [!reg]: 1 a read, 0 a write,
+     -1 neither *)
+  let first_touch (blk : Ir.Block.t) =
+    let insns = blk.Ir.Block.insns in
+    let touch = ref (-1) and i = ref 0 in
+    while !touch < 0 && !i < Array.length insns do
+      hit := false;
+      Ir.Insn.iter_uses probe insns.(!i);
+      if !hit then touch := 1
+      else if Ir.Insn.def insns.(!i) = !reg then touch := 0;
+      incr i
+    done;
+    !touch
   in
-  visit entry
+  let rec visit (t : Core.Task.t) b =
+    seen.(b) <> !search
+    && begin
+      seen.(b) <- !search;
+      let blk = Ir.Func.block f b in
+      match first_touch blk with
+      | 1 -> true
+      | 0 -> false
+      | _ -> term_reads_reg blk.Ir.Block.term !reg || visit_succs t succs.(b) 0
+    end
+  and visit_succs t ss k =
+    k < Array.length ss
+    && ((let s = ss.(k) in
+         s <> t.Core.Task.entry && Iset.mem s t.Core.Task.blocks && visit t s)
+       || visit_succs t ss (k + 1))
+  in
+  fun c r ->
+    let key = (c * Ir.Reg.count) + r in
+    match Bytes.get answers key with
+    | '\000' ->
+      incr search;
+      reg := r;
+      let yes = visit tasks.(c) tasks.(c).Core.Task.entry in
+      Bytes.set answers key (if yes then '\002' else '\001');
+      yes
+    | a -> a = '\002'
 
 (* Last explicit def of [r] in block [b], if any — the only sites
    Regcomm.forwardable can answer true for. *)
 let last_def_idx f b r =
-  let blk = Ir.Func.block f b in
   let best = ref (-1) in
-  Array.iteri
-    (fun i insn -> if List.mem r (Ir.Insn.defs insn) then best := i)
-    blk.Ir.Block.insns;
+  if r >= 0 then
+    Array.iteri
+      (fun i insn -> if Ir.Insn.def insn = r then best := i)
+      (Ir.Func.block f b).Ir.Block.insns;
   !best
 
 (* [edges]: the analyzer's register edges of this function alone *)
@@ -912,64 +993,94 @@ let check_deps_func fname (f : Ir.Func.t) ~live_in (part : Core.Task.partition)
   let rc = Core.Regcomm.create f ~live_in part in
   let included_calls = part.Core.Task.included_calls in
   let tasks = part.Core.Task.tasks in
-  (* the reference edge set, from Regcomm facts *)
-  let twrites =
-    Array.map
-      (fun (t : Core.Task.t) ->
-        Iset.fold
-          (fun b acc -> Regset.union acc (block_writes f ~included_calls b))
-          t.Core.Task.blocks Regset.empty)
-      tasks
-  in
-  let exposed = Hashtbl.create 64 in
-  let exposed_in c r =
-    match Hashtbl.find_opt exposed (c, r) with
-    | Some v -> v
-    | None ->
-      let v = upward_exposed f ~included_calls tasks.(c) r in
-      Hashtbl.replace exposed (c, r) v;
-      v
-  in
-  let mine = Hashtbl.create 64 in
+  let nt = Array.length tasks and nregs = Ir.Reg.count in
+  (* the reference edge set, from Regcomm facts: per task, what its blocks
+     write; per (task, target) slot, the registers of the edge to the
+     target's task *)
+  let writes = block_writes f ~included_calls in
+  let twrites = Words.make nt in
+  Array.iteri
+    (fun p (t : Core.Task.t) ->
+      Iset.iter
+        (fun b -> Words.union_into twrites p writes b)
+        t.Core.Task.blocks)
+    tasks;
+  let exposed = upward_exposure f ~included_calls tasks in
+  let first_slot = Array.make (nt + 1) 0 in
+  Array.iteri
+    (fun p (t : Core.Task.t) ->
+      first_slot.(p + 1) <- first_slot.(p) + List.length t.Core.Task.targets)
+    tasks;
+  let nslots = first_slot.(nt) in
+  let consumer = Array.make nslots (-1) in
+  let mine = Words.make nslots and theirs = Words.make nslots in
   Array.iteri
     (fun p (pt : Core.Task.t) ->
-      List.iter
-        (fun tgt ->
+      List.iteri
+        (fun k tgt ->
+          let slot = first_slot.(p) + k in
           let c = part.Core.Task.task_of_entry.(tgt) in
+          consumer.(slot) <- c;
           if c >= 0 then
-            for r = 1 to Ir.Reg.count - 1 do
+            for r = 1 to nregs - 1 do
               if
-                Regset.mem r twrites.(p)
+                Words.mem twrites p r
                 && Core.Regcomm.needed rc ~task:p ~reg:r
-                && exposed_in c r
-              then Hashtbl.replace mine (p, c, r) ()
+                && exposed c r
+              then Words.add mine slot r
             done)
         pt.Core.Task.targets)
     tasks;
-  let theirs = Hashtbl.create 64 in
+  (* the analyzer's edges, into the slots of their task pair; an edge no
+     slot holds (no such (task, target) pair, or a register out of range)
+     is kept aside, once *)
+  let stray = ref [] in
   List.iter
     (fun (e : Core.Depend.reg_edge) ->
-      Hashtbl.replace theirs (e.Core.Depend.re_src, e.Core.Depend.re_dst,
-                              e.Core.Depend.re_reg) ())
+      let p = e.Core.Depend.re_src and c = e.Core.Depend.re_dst
+      and r = e.Core.Depend.re_reg in
+      let held = ref false in
+      if p >= 0 && p < nt && c >= 0 && r >= 0 && r < nregs then
+        for slot = first_slot.(p) to first_slot.(p + 1) - 1 do
+          if consumer.(slot) = c then begin
+            Words.add theirs slot r;
+            held := true
+          end
+        done;
+      if not (!held || List.mem (p, c, r) !stray) then
+        stray := (p, c, r) :: !stray)
     edges;
-  Hashtbl.iter
-    (fun (p, c, r) () ->
-      if not (Hashtbl.mem theirs (p, c, r)) then
-        add
-          (Diag.error ~rule:"dep/reg" (Diag.in_func ~task:p fname)
-             "analyzer misses register edge task %d -> task %d on %s \
-              (Regcomm says needed, written and upward-exposed)"
-             p c (Ir.Reg.name r)))
-    mine;
-  Hashtbl.iter
-    (fun (p, c, r) () ->
-      if not (Hashtbl.mem mine (p, c, r)) then
-        add
-          (Diag.error ~rule:"dep/reg" (Diag.in_func ~task:p fname)
-             "analyzer over-reports register edge task %d -> task %d on %s \
-              (not in the Regcomm recomputation)"
-             p c (Ir.Reg.name r)))
-    theirs;
+  let misses p c r =
+    add
+      (Diag.error ~rule:"dep/reg" (Diag.in_func ~task:p fname)
+         "analyzer misses register edge task %d -> task %d on %s (Regcomm \
+          says needed, written and upward-exposed)"
+         p c (Ir.Reg.name r))
+  and over_reports p c r =
+    add
+      (Diag.error ~rule:"dep/reg" (Diag.in_func ~task:p fname)
+         "analyzer over-reports register edge task %d -> task %d on %s (not \
+          in the Regcomm recomputation)"
+         p c (Ir.Reg.name r))
+  in
+  for p = 0 to nt - 1 do
+    for slot = first_slot.(p) to first_slot.(p + 1) - 1 do
+      let c = consumer.(slot) in
+      (* a task two targets of [p] map to is one task pair *)
+      let repeat = ref false in
+      for s = first_slot.(p) to slot - 1 do
+        if consumer.(s) = c then repeat := true
+      done;
+      if c >= 0 && not !repeat then
+        for r = 0 to nregs - 1 do
+          match (Words.mem mine slot r, Words.mem theirs slot r) with
+          | true, false -> misses p c r
+          | false, true -> over_reports p c r
+          | true, true | false, false -> ()
+        done
+    done
+  done;
+  List.iter (fun (p, c, r) -> over_reports p c r) !stray;
   (* criticality sites against Regcomm.forwardable *)
   List.iter
     (fun (e : Core.Depend.reg_edge) ->

@@ -122,6 +122,22 @@ val check_absint : Core.Partition.plan -> Interp.Trace.t -> Diag.t list
 
     Assumes a structurally valid plan (gate on {!check_plan} first). *)
 
+val check_deps_func :
+  string ->
+  Ir.Func.t ->
+  live_in:Analysis.Dataflow.Regset.t array ->
+  Core.Task.partition ->
+  Core.Depend.reg_edge list ->
+  Diag.t list
+(** [check_deps_func fname f ~live_in part edges]: the [dep/reg] audit of
+    one function, [edges] being the analyzer's register edges of [f]
+    alone ({!Core.Depend.func_edges}).  [live_in] is the liveness
+    {!Core.Regcomm.create} is given.  An edge the recomputation has and
+    [edges] lacks is reported as missed, one [edges] has and the
+    recomputation lacks as over-reported, each distinct edge once.
+    {!check_deps} and {!check_deps_static} run it on every function of a
+    plan. *)
+
 val check_deps_static : Core.Partition.plan -> Diag.t list
 (** The [dep/reg] half of {!check_deps} alone — no trace required.  This
     is what {!Core.Partition.validate_deps} delegates to; the

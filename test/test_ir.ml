@@ -65,6 +65,71 @@ let test_insn_defs_uses () =
   checkb "fbin" true (uses (Fbin (Fadd, 1, 2, 3)) = [ 2; 3 ]);
   checkb "nop" true (defs Nop = [] && uses Nop = [])
 
+(* Every instruction form over registers drawn from a small set, so that
+   repeated operands (a Bin reading one register twice, a Cmov reading its
+   destination) occur in every combination. *)
+let small_regs = [ 0; 1; 5; 63 ]
+
+let every_insn =
+  let open Ir.Insn in
+  List.concat_map
+    (fun a ->
+      List.concat_map
+        (fun b ->
+          List.concat_map
+            (fun c ->
+              [
+                Nop; Li (a, 3); Lf (a, 0.5); Mov (a, b);
+                Bin (Add, a, b, Reg c); Bin (Shl, a, b, Imm 2);
+                Fbin (Fmul, a, b, c); Fcmp (Flt, a, b, c); Fun (Fneg, a, b);
+                Load (a, b, 8); Store (a, b, -4); Cmov (a, b, c);
+              ])
+            small_regs)
+        small_regs)
+    small_regs
+
+(* the registers an instruction reads, in operand order, as the model *)
+let raw_reads =
+  let open Ir.Insn in
+  function
+  | Nop | Li (_, _) | Lf (_, _) -> []
+  | Mov (_, s) | Fun (_, _, s) | Bin (_, _, s, Imm _) | Load (_, s, _) -> [ s ]
+  | Bin (_, _, s1, Reg s2) | Fbin (_, _, s1, s2) | Fcmp (_, _, s1, s2) ->
+    [ s1; s2 ]
+  | Store (src, base, _) -> [ src; base ]
+  | Cmov (d, cond, src) -> [ d; cond; src ]
+
+let test_insn_iter_uses () =
+  List.iter
+    (fun insn ->
+      let model = List.sort_uniq compare (raw_reads insn) in
+      let seen = ref [] in
+      Ir.Insn.iter_uses (fun r -> seen := r :: !seen) insn;
+      let what = Ir.Insn.to_string insn in
+      check Alcotest.(list int) (what ^ " iter_uses") model (List.rev !seen);
+      check Alcotest.(list int) (what ^ " uses") model (Ir.Insn.uses insn))
+    every_insn
+
+let test_insn_iter_uses_alloc () =
+  let insns = Array.of_list every_insn in
+  let sum = ref 0 in
+  let visit r = sum := !sum + r in
+  let walk () =
+    for i = 0 to Array.length insns - 1 do
+      Ir.Insn.iter_uses visit insns.(i)
+    done
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  walk ();
+  (* both readings box one float *)
+  check (Alcotest.float 0.0) "words beyond an empty reading" 0.0
+    (words walk -. words ignore);
+  checkb "visited" true (!sum > 0)
+
 let test_insn_fu_class () =
   let open Ir.Insn in
   checkb "add int" true (fu_class (Bin (Add, 1, 1, Imm 1)) = Fu_int);
@@ -348,6 +413,9 @@ let () =
       ( "insn",
         [
           Alcotest.test_case "defs/uses" `Quick test_insn_defs_uses;
+          Alcotest.test_case "iter_uses" `Quick test_insn_iter_uses;
+          Alcotest.test_case "iter_uses allocates nothing" `Quick
+            test_insn_iter_uses_alloc;
           Alcotest.test_case "fu class" `Quick test_insn_fu_class;
           Alcotest.test_case "pretty printing" `Quick test_insn_pp;
         ] );

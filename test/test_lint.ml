@@ -145,6 +145,36 @@ let test_prog_use_before_def () =
   checkb "non-main quiet" false
     (has_rule "ir/use-before-def" (Lint.check_prog (prog_of [ main; g ])))
 
+(* Registers ir/invalid-reg and Ir.Func.validate must both reject: a
+   destination of -1 (which Ir.Insn.def also returns for "writes
+   nothing") and branch and switch conditions, which no instruction
+   names.  Each program dies in the interpreter with an index out of
+   bounds. *)
+let invalid_reg_caught what f =
+  checkb (what ^ ": ir/invalid-reg") true
+    (has_rule "ir/invalid-reg" (Lint.check_prog (prog_of [ f ])));
+  checkb (what ^ ": Func.validate") true (Result.is_error (Ir.Func.validate f))
+
+let test_prog_invalid_dest () =
+  invalid_reg_caught "li -1" (straight_main [ Ir.Insn.Li (-1, 0) ])
+
+let test_prog_invalid_branch () =
+  invalid_reg_caught "br r99"
+    {
+      Ir.Func.name = "main";
+      blocks = [| blk 0 [] (Ir.Block.Br (99, 1, 1)); blk 1 [] Ir.Block.Halt |];
+    }
+
+let test_prog_invalid_switch () =
+  invalid_reg_caught "switch r70"
+    {
+      Ir.Func.name = "main";
+      blocks =
+        [|
+          blk 0 [] (Ir.Block.Switch (70, [| 1 |], 1)); blk 1 [] Ir.Block.Halt;
+        |];
+    }
+
 (* --- partition invariants ------------------------------------------------- *)
 
 (* 0: c=..      -> 1 | 2
@@ -428,9 +458,9 @@ let test_regcomm_included_call_kill_all () =
     (Core.Regcomm.may_rewrite rc ~task:0 ~blk:1 ~reg:r);
   checki "audit agrees" 0 (List.length (Lint.check_regcomm f ~live_in part))
 
-(* Dead-register analysis: a successor task that provably redefines r
-   before reading it makes r's final value dead on the ring. *)
-let test_regcomm_needed_dead_register () =
+(* Two one-block tasks: task 0 writes r and s, task 1 rewrites r and
+   reads s. *)
+let dead_register_func () =
   let f =
     {
       Ir.Func.name = "main";
@@ -442,22 +472,22 @@ let test_regcomm_needed_dead_register () =
     }
   in
   let included_calls = [| false; false |] in
-  let t0 =
-    Core.Task.of_blocks f ~included_calls ~entry:0
-      (Core.Task.Iset.singleton 0)
+  let task entry =
+    Core.Task.of_blocks f ~included_calls ~entry
+      (Core.Task.Iset.singleton entry)
   in
-  let t1 =
-    Core.Task.of_blocks f ~included_calls ~entry:1
-      (Core.Task.Iset.singleton 1)
-  in
-  let part =
+  ( f,
     {
       Core.Task.fname = "main";
-      tasks = [| t0; t1 |];
+      tasks = [| task 0; task 1 |];
       task_of_entry = [| 0; 1 |];
       included_calls;
-    }
-  in
+    } )
+
+(* Dead-register analysis: a successor task that provably redefines r
+   before reading it makes r's final value dead on the ring. *)
+let test_regcomm_needed_dead_register () =
+  let f, part = dead_register_func () in
   let live_in = Analysis.Dataflow.sound_live_in f in
   let rc = Core.Regcomm.create f ~live_in part in
   checkb "r dead: successor redefines first" false
@@ -467,6 +497,60 @@ let test_regcomm_needed_dead_register () =
   checkb "halting task needs everything" true
     (Core.Regcomm.needed rc ~task:1 ~reg:r);
   checki "audit agrees" 0 (List.length (Lint.check_regcomm f ~live_in part))
+
+(* Given no live registers, Regcomm finds every register dead past task 0;
+   the audit's own liveness disagrees on exactly the registers live into
+   its target, block 1, and on nothing else. *)
+let test_regcomm_audit_fires () =
+  let f, part = dead_register_func () in
+  let empty =
+    Array.make (Ir.Func.num_blocks f) Analysis.Dataflow.Regset.empty
+  in
+  let expected =
+    List.map
+      (fun reg ->
+        Printf.sprintf "regcomm/needed-diff task %d: needed(%s): Regcomm says \
+                        false, the audit says true"
+          0 (Ir.Reg.name reg))
+      (Analysis.Dataflow.Regset.elements
+         (Analysis.Dataflow.sound_live_in f).(1))
+  in
+  Alcotest.(check (list string))
+    "one needed-diff per register live into the target" expected
+    (List.map
+       (fun (d : Lint.Diag.t) ->
+         Printf.sprintf "%s task %d: %s" d.Lint.Diag.rule
+           (Option.value ~default:(-1) d.Lint.Diag.loc.Lint.Diag.task)
+           d.Lint.Diag.message)
+       (Lint.check_regcomm f ~live_in:empty part))
+
+(* dep/reg against the analyzer's own edges, then with one edge dropped and
+   a bogus one (a register task 0 never writes) added. *)
+let test_dep_reg_audit_fires () =
+  let f, part = dead_register_func () in
+  let live_in = Analysis.Dataflow.sound_live_in f in
+  let m =
+    Core.Depend.memo f ~live_in ~included_calls:part.Core.Task.included_calls
+  in
+  let edges = (Core.Depend.func_edges m "main" part).Core.Depend.f_regs in
+  let audit edges = Lint.check_deps_func "main" f ~live_in part edges in
+  checki "audit agrees" 0 (List.length (audit edges));
+  checki "one edge, task 0 -> task 1 on s" 1 (List.length edges);
+  let bogus =
+    { (List.hd edges) with Core.Depend.re_reg = c; re_site = None }
+  in
+  let ds = audit [ bogus ] in
+  let count word =
+    List.length
+      (List.filter
+         (fun (d : Lint.Diag.t) ->
+           d.Lint.Diag.rule = "dep/reg"
+           && contains_substring d.Lint.Diag.message word)
+         ds)
+  in
+  checki "diagnostics" 2 (List.length ds);
+  checki "the dropped edge is missed" 1 (count "misses");
+  checki "the bogus edge is over-reported" 1 (count "over-reports")
 
 (* --- packed-trace decode audit ------------------------------------------- *)
 
@@ -560,6 +644,12 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_prog_unreachable;
           Alcotest.test_case "empty switch" `Quick test_prog_empty_switch;
           Alcotest.test_case "use before def" `Quick test_prog_use_before_def;
+          Alcotest.test_case "invalid destination" `Quick
+            test_prog_invalid_dest;
+          Alcotest.test_case "invalid branch condition" `Quick
+            test_prog_invalid_branch;
+          Alcotest.test_case "invalid switch condition" `Quick
+            test_prog_invalid_switch;
         ] );
       ( "partition",
         [
@@ -582,7 +672,10 @@ let () =
             test_regcomm_included_call_kill_all;
           Alcotest.test_case "dead register" `Quick
             test_regcomm_needed_dead_register;
+          Alcotest.test_case "audit fires" `Quick test_regcomm_audit_fires;
         ] );
+      ( "deps",
+        [ Alcotest.test_case "audit fires" `Quick test_dep_reg_audit_fires ] );
       ( "trace",
         [
           Alcotest.test_case "decode audit" `Quick test_trace_decode;

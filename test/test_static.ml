@@ -248,9 +248,10 @@ let within what ~words ~per ~unit_ ~budget =
 
 (* Sound liveness as a plan derives it for Depend and Regcomm (Dce's is
    the same fixpoint), over the 18 fb plans' functions (tree-set register
-   sets took about 3,700 words per block).  This suite starts no other
-   domain, so no other allocation enters the counters. *)
-let liveness_budget = 600.0
+   sets took about 3,700 words per block; reading instructions through
+   sorted operand lists, 248).  This suite starts no other domain, so no
+   other allocation enters the counters. *)
+let liveness_budget = 200.0
 
 let test_liveness_budget () =
   let funcs =
@@ -345,8 +346,9 @@ let test_memdep_budget () =
 
 (* Every function's cross-block dependence edges (657 and 1,272 words per
    static instruction when they were read off tree-set reaching
-   definitions and a list of every def-use pair). *)
-let dep_edges_budget = 400.0
+   definitions and a list of every def-use pair; 47 and 48 when each
+   block's reads came through sorted operand lists). *)
+let dep_edges_budget = 40.0
 
 let test_dep_edges_budget () =
   per_insn_budget ~what:"block_dep_edges" ~budget:dep_edges_budget (fun p ->
@@ -354,15 +356,20 @@ let test_dep_edges_budget () =
         (fun _ f -> ignore (Analysis.Dataflow.block_dep_edges f))
         p.Ir.Prog.funcs)
 
-(* Regcomm.create on every function of the 18 workloads' plans, level by
-   level, in words per task-block (one block of one task; tasks may share
-   blocks), over the plan's liveness, derived before the count starts.
-   Built through tuple-keyed hash tables, a tree-set search per block and
-   a closure per (block, register), it took about 1,300 to 1,500 words
-   per task-block; when it derived the liveness itself, 357 to 434. *)
-let regcomm_budget = 250.0
+(* One function of a plan, with the plan's liveness. *)
+type plan_func = {
+  name : string;
+  f : Ir.Func.t;
+  live_in : Analysis.Dataflow.Regset.t array;
+  part : Core.Task.partition;
+}
 
-let test_regcomm_budget () =
+(* Words per task-block (one block of one task; tasks may share blocks)
+   of [run] on every function of the 18 workloads' plans, level by level.
+   The plan's liveness and what [prepare] derives are made before the
+   count starts; every level is measured and reported before any is
+   judged. *)
+let per_task_block_budget ~what ~budget ~prepare run =
   let unit_ = "task-block" in
   List.map
     (fun level ->
@@ -373,38 +380,79 @@ let test_regcomm_budget () =
             | true, Some (plan : Core.Partition.plan) when c.level = level ->
               List.map
                 (fun (name, f) ->
-                  ( f,
-                    Core.Partition.live_in plan name,
-                    Ir.Prog.Smap.find name plan.Core.Partition.parts ))
+                  let pf =
+                    {
+                      name;
+                      f;
+                      live_in = Core.Partition.live_in plan name;
+                      part = Ir.Prog.Smap.find name plan.Core.Partition.parts;
+                    }
+                  in
+                  (pf, prepare pf))
                 (Ir.Prog.Smap.bindings plan.Core.Partition.prog.Ir.Prog.funcs)
             | _ -> [])
           (Lazy.force cells)
       in
       let task_blocks =
         List.fold_left
-          (fun a (_, _, (part : Core.Task.partition)) ->
+          (fun a (pf, _) ->
             Array.fold_left
               (fun a (t : Core.Task.t) ->
                 a + Core.Task.Iset.cardinal t.Core.Task.blocks)
-              a part.Core.Task.tasks)
+              a pf.part.Core.Task.tasks)
           0 funcs
       in
       let words =
-        measure (fun () ->
-            List.iter
-              (fun (f, live_in, part) ->
-                ignore (Core.Regcomm.create f ~live_in part))
-              funcs)
+        measure (fun () -> List.iter (fun (pf, x) -> run pf x) funcs)
       in
       let what =
-        Printf.sprintf "Regcomm.create of the %s plans"
+        Printf.sprintf "%s of the %s plans" what
           (Core.Heuristics.level_name level)
       in
       let per = words /. float_of_int task_blocks in
       report what ~words ~per ~unit_;
       (what, per))
     Core.Heuristics.extended_levels
-  |> List.iter (fun (what, per) -> judge what ~per ~unit_ ~budget:regcomm_budget)
+  |> List.iter (fun (what, per) -> judge what ~per ~unit_ ~budget)
+
+(* Regcomm.create.  Built through tuple-keyed hash tables, a tree-set
+   search per block and a closure per (block, register), it took about
+   1,300 to 1,500 words per task-block; when it derived the liveness
+   itself, 357 to 434. *)
+let regcomm_budget = 250.0
+
+let test_regcomm_budget () =
+  per_task_block_budget ~what:"Regcomm.create" ~budget:regcomm_budget
+    ~prepare:ignore (fun pf () ->
+      ignore (Core.Regcomm.create pf.f ~live_in:pf.live_in pf.part))
+
+(* The regcomm/* audit, Regcomm.create and the audit's own liveness
+   included (1,044 to 1,214 words per task-block when it kept its sets in
+   per-task hash tables and read instructions through operand lists). *)
+let regcomm_audit_budget = 350.0
+
+let test_regcomm_audit_budget () =
+  per_task_block_budget ~what:"regcomm/* audit" ~budget:regcomm_audit_budget
+    ~prepare:ignore (fun pf () ->
+      ignore (Lint.check_regcomm pf.f ~live_in:pf.live_in pf.part))
+
+(* The dep/reg audit, its Regcomm.create included, over the analyzer's
+   edges, derived before the count starts (391 to 1,220 words per
+   task-block when it memoised upward exposure and both edge sets in
+   tuple-keyed hash tables). *)
+let dep_reg_audit_budget = 350.0
+
+let test_dep_reg_audit_budget () =
+  per_task_block_budget ~what:"dep/reg audit" ~budget:dep_reg_audit_budget
+    ~prepare:(fun pf ->
+      let m =
+        Core.Depend.memo pf.f ~live_in:pf.live_in
+          ~included_calls:pf.part.Core.Task.included_calls
+      in
+      (Core.Depend.func_edges m pf.name pf.part).Core.Depend.f_regs)
+    (fun pf edges ->
+      ignore
+        (Lint.check_deps_func pf.name pf.f ~live_in:pf.live_in pf.part edges))
 
 (* --- the bit-vector register set against a tree-set model ------------------- *)
 
@@ -522,6 +570,10 @@ let () =
             test_dep_edges_budget;
           Alcotest.test_case "regcomm allocation budget" `Quick
             test_regcomm_budget;
+          Alcotest.test_case "regcomm audit allocation budget" `Quick
+            test_regcomm_audit_budget;
+          Alcotest.test_case "dep/reg audit allocation budget" `Quick
+            test_dep_reg_audit_budget;
         ] );
       ( "regset",
         [
