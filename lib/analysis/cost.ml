@@ -116,17 +116,6 @@ let func_weights (prog : Ir.Prog.t) ~freqs =
   done;
   !w
 
-type task_obs = {
-  o_weight : float;
-  o_size : float;
-  o_targets : int;
-}
-
-type edge_obs = {
-  e_weight : float;
-  e_lat : float;
-}
-
 type t = {
   c_useful : float;
   c_data_wait : float;
@@ -162,36 +151,41 @@ let penalties c =
 
 let scalar ~useful_base c = penalties c /. Float.max 1.0 useful_base
 
-let evaluate ~tasks ~reg_edges ~mem_edges () =
+(* Every sum runs over the tasks by index. *)
+let evaluate ~weights ~sizes ~targets ~data_wait ~mem_squash =
+  let n = Array.length weights in
+  if Array.length sizes <> n || Array.length targets <> n then
+    invalid_arg
+      (Printf.sprintf
+         "Analysis.Cost.evaluate: %d weights, %d sizes and %d target counts" n
+         (Array.length sizes) (Array.length targets));
   let model = default_model in
-  let useful =
-    List.fold_left (fun a t -> a +. (t.o_weight *. t.o_size)) 0.0 tasks
-  in
-  let wsum = List.fold_left (fun a t -> a +. t.o_weight) 0.0 tasks in
-  let fold_edges = List.fold_left (fun a e -> a +. (e.e_weight *. e.e_lat)) 0.0 in
-  let ctrl =
-    List.fold_left
-      (fun a t ->
-        let extra = float_of_int (max 0 (t.o_targets - 1)) in
-        a +. (t.o_weight *. model.mis_rate *. extra *. t.o_size))
-      0.0 tasks
-  in
+  let useful = ref 0.0 and wsum = ref 0.0 and ctrl = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = weights.(i) and size = sizes.(i) in
+    useful := !useful +. (w *. size);
+    wsum := !wsum +. w;
+    let extra = float_of_int (max 0 (targets.(i) - 1)) in
+    ctrl := !ctrl +. (w *. model.mis_rate *. extra *. size)
+  done;
   let imb =
-    if wsum <= 0.0 then 0.0
+    if !wsum <= 0.0 then 0.0
     else begin
-      let mean = useful /. wsum in
-      List.fold_left
-        (fun a t -> a +. (t.o_weight *. Float.abs (t.o_size -. mean)))
-        0.0 tasks
+      let mean = !useful /. !wsum in
+      let imb = ref 0.0 in
+      for i = 0 to n - 1 do
+        imb := !imb +. (weights.(i) *. Float.abs (sizes.(i) -. mean))
+      done;
+      !imb
     end
   in
   {
-    c_useful = useful;
-    c_data_wait = fold_edges reg_edges;
-    c_ctrl_squash = ctrl;
-    c_mem_squash = fold_edges mem_edges;
+    c_useful = !useful;
+    c_data_wait = data_wait;
+    c_ctrl_squash = !ctrl;
+    c_mem_squash = mem_squash;
     c_load_imbalance = imb;
-    c_overhead = model.per_task_overhead *. wsum;
+    c_overhead = model.per_task_overhead *. !wsum;
   }
 
 type shares = {

@@ -13,8 +13,11 @@
     The module is deliberately neutral: it knows nothing about tasks or
     partitions — [Core.Cost] extracts the observations from a
     {!Core.Partition.plan} and its {!Core.Depend} criticality pairs, then
-    evaluates them here.  Everything is deterministic: all sums are over
-    caller-supplied lists (built in sorted order) and arrays. *)
+    evaluates them here.  Everything is deterministic, and every float
+    sum has a fixed order: per-task terms run by task index; the caller
+    adds register edges, then exposed reads, into one running
+    [data_wait] sum, and memory pairs into [mem_squash] in descending
+    [(store task, load task)] order. *)
 
 (** {1 Model constants} *)
 
@@ -72,19 +75,6 @@ val func_weights :
     ([freqs] maps a function name to its {!block_freqs}).  A fixed number
     of rounds bounds recursion; weights are capped to stay finite. *)
 
-(** {1 Observations} *)
-
-type task_obs = {
-  o_weight : float;  (** expected activations: func weight × entry freq *)
-  o_size : float;    (** expected dynamic instructions per activation *)
-  o_targets : int;   (** hardware successor targets *)
-}
-
-type edge_obs = {
-  e_weight : float;  (** expected activations of the consumer task *)
-  e_lat : float;     (** exposed latency charged per activation, cycles *)
-}
-
 (** {1 Raw category scores} *)
 
 type t = {
@@ -109,17 +99,25 @@ val scalar : useful_base:float -> t -> float
     monotonically into scalar reductions). *)
 
 val evaluate :
-  tasks:task_obs list -> reg_edges:edge_obs list ->
-  mem_edges:edge_obs list -> unit -> t
-(** Fold observations into raw scores:
+  weights:float array -> sizes:float array -> targets:int array ->
+  data_wait:float -> mem_squash:float -> t
+(** Fold one partition's observations into raw scores.  Task [i] is
+    observed as [weights.(i)], its expected activations (function weight
+    × entry frequency), [sizes.(i)], its expected dynamic instructions
+    per activation, and [targets.(i)], its hardware successor targets;
+    [data_wait] and [mem_squash] are the caller's summed edge charges
+    (Σ consumer activations × exposed latency over register edges and
+    exposed reads, resp. memory pairs).
     - [c_useful] = Σ weight × size;
-    - [c_data_wait] = Σ reg-edge weight × latency;
-    - [c_mem_squash] = Σ mem-edge weight × latency;
+    - [c_data_wait] = [data_wait];
+    - [c_mem_squash] = [mem_squash];
     - [c_ctrl_squash] = Σ weight × [mis_rate] × (targets − 1) × size
       (a misprediction squashes about a task's worth of work);
     - [c_load_imbalance] = frequency-weighted mean absolute deviation of
       task sizes (Σ weight × |size − weighted mean|);
-    - [c_overhead] = [per_task_overhead] × Σ weight. *)
+    - [c_overhead] = [per_task_overhead] × Σ weight.
+    Every Σ runs over tasks by index.
+    @raise Invalid_argument when the three arrays differ in length. *)
 
 (** {1 Shares} *)
 

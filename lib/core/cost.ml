@@ -1,14 +1,36 @@
 module Smap = Ir.Prog.Smap
 module Iset = Task.Iset
 
-let add_region r rs =
-  if List.exists (Analysis.Memdep.equal r) rs then rs else r :: rs
+let rec has_region r = function
+  | [] -> false
+  | x :: rest -> Analysis.Memdep.equal r x || has_region r rest
+
+let add_region r rs = if has_region r rs then rs else r :: rs
+
+(* some store region of [stores] may meet some load region of [loads] *)
+let rec meets_any s = function
+  | [] -> false
+  | l :: rest -> Analysis.Memdep.may_intersect s l || meets_any s rest
+
+let rec any_meet stores loads =
+  match stores with
+  | [] -> false
+  | s :: rest -> meets_any s loads || any_meet rest loads
+
+(* The running sums of one function's score.  A record of floats alone is
+   stored flat, so adding to a field allocates nothing. *)
+type sums = {
+  mutable size : float;  (* the task being sized *)
+  mutable data_wait : float;
+  mutable mem_squash : float;
+}
 
 (* Predicted raw scores of one function's partition.  Task sizes count own
    blocks only (an included callee's work is already counted under the
    callee function's weight), so summing useful over tasks of every
    function reproduces the partition-independent base up to task overlap
-   and unreachable blocks. *)
+   and unreachable blocks.  The edges are added as Depend visits them,
+   into the sums in the order Analysis.Cost documents. *)
 let func_cost (facts : Partition.facts) memo fname (f : Ir.Func.t)
     (part : Task.partition) =
   let model = Analysis.Cost.default_model in
@@ -16,102 +38,72 @@ let func_cost (facts : Partition.facts) memo fname (f : Ir.Func.t)
   if fw <= 0.0 then Analysis.Cost.zero
   else begin
     let fr = Hashtbl.find facts.Partition.freqs fname in
-    let nt = Array.length part.Task.tasks in
-    let weight_of = Array.make nt 0.0 in
-    let tasks =
-      Array.to_list
-        (Array.mapi
-           (fun i (t : Task.t) ->
-             let fe = fr.(t.Task.entry) in
-             let w = fw *. fe in
-             weight_of.(i) <- w;
-             let size =
-               Iset.fold
-                 (fun b acc ->
-                   acc
-                   +. fr.(b)
-                      *. float_of_int (Ir.Block.size (Ir.Func.block f b)))
-                 t.Task.blocks 0.0
-             in
-             let o_size = if fe > 0.0 then size /. fe else 0.0 in
-             {
-               Analysis.Cost.o_weight = w;
-               o_size;
-               o_targets = Task.num_hw_targets t;
-             })
-           part.Task.tasks)
+    let tasks = part.Task.tasks in
+    let nt = Array.length tasks in
+    let weights = Array.make nt 0.0 and sizes = Array.make nt 0.0 in
+    let targets = Array.make nt 0 in
+    let sums = { size = 0.0; data_wait = 0.0; mem_squash = 0.0 } in
+    let add_block b =
+      sums.size <-
+        sums.size
+        +. (fr.(b) *. float_of_int (Ir.Block.size (Ir.Func.block f b)))
     in
-    let edges = Depend.func_edges memo fname part in
-    let reg_edges =
-      List.map
-        (fun (e : Depend.reg_edge) ->
-          let w =
-            if e.Depend.re_dst >= 0 && e.Depend.re_dst < nt then
-              weight_of.(e.Depend.re_dst)
-            else 0.0
-          in
-          let slack = float_of_int (e.Depend.re_height - e.Depend.re_depth) in
-          {
-            Analysis.Cost.e_weight = w;
-            e_lat =
-              model.Analysis.Cost.fwd_base
-              +. Float.min model.Analysis.Cost.slack_cap
-                   (Float.max 0.0 slack);
-          })
-        edges.Depend.f_regs
-    in
+    for i = 0 to nt - 1 do
+      let t = tasks.(i) in
+      let fe = fr.(t.Task.entry) in
+      weights.(i) <- fw *. fe;
+      sums.size <- 0.0;
+      Iset.iter add_block t.Task.blocks;
+      sizes.(i) <- (if fe > 0.0 then sums.size /. fe else 0.0);
+      targets.(i) <- Task.num_hw_targets t
+    done;
     (* every upward-exposed read waits on the ring regardless of producer
-       distance; pairwise edges above vanish when a boundary move pushes
-       the producer beyond the immediate successor, this term does not *)
-    let expose_edges =
-      List.filter_map
-        (fun (ti, _r, depth) ->
-          let d = float_of_int depth in
-          if d >= model.Analysis.Cost.expose_horizon then None
-          else
-            Some
-              {
-                Analysis.Cost.e_weight = weight_of.(ti);
-                e_lat =
-                  model.Analysis.Cost.expose_rate
-                  *. (1.0 -. (d /. model.Analysis.Cost.expose_horizon));
-              })
-        edges.Depend.f_exposed
-    in
-    let reg_edges = reg_edges @ expose_edges in
+       distance; pairwise edges vanish when a boundary move pushes the
+       producer beyond the immediate successor, exposed reads do not.  The
+       slack is clamped by comparison: Float.min/max would box. *)
+    Depend.iter_func_edges memo part
+      ~reg:(fun ~src:_ ~dst ~reg:_ ~height ~depth ~site:_ ->
+        let w = if dst >= 0 && dst < nt then weights.(dst) else 0.0 in
+        let slack = float_of_int (height - depth) in
+        let slack = if slack > 0.0 then slack else 0.0 in
+        let slack =
+          if slack > model.Analysis.Cost.slack_cap then
+            model.Analysis.Cost.slack_cap
+          else slack
+        in
+        sums.data_wait <-
+          sums.data_wait +. (w *. (model.Analysis.Cost.fwd_base +. slack)))
+      ~exposed:(fun ~task ~reg:_ ~depth ->
+        let d = float_of_int depth in
+        if d < model.Analysis.Cost.expose_horizon then
+          sums.data_wait <-
+            sums.data_wait
+            +. weights.(task)
+               *. (model.Analysis.Cost.expose_rate
+                  *. (1.0 -. (d /. model.Analysis.Cost.expose_horizon))));
     (* within-function memory may-pairs, own blocks only: cross-function
        and included-call effects are partition-independent noise for the
        purpose of ranking one function's boundary placements *)
     let stores = Array.make nt [] and loads = Array.make nt [] in
     List.iter
       (fun (s : Analysis.Memdep.site) ->
-        Array.iteri
-          (fun i (t : Task.t) ->
-            if Iset.mem s.Analysis.Memdep.blk t.Task.blocks then
-              if s.Analysis.Memdep.store then
-                stores.(i) <- add_region s.Analysis.Memdep.region stores.(i)
-              else loads.(i) <- add_region s.Analysis.Memdep.region loads.(i))
-          part.Task.tasks)
+        for i = 0 to nt - 1 do
+          if Iset.mem s.Analysis.Memdep.blk tasks.(i).Task.blocks then
+            if s.Analysis.Memdep.store then
+              stores.(i) <- add_region s.Analysis.Memdep.region stores.(i)
+            else loads.(i) <- add_region s.Analysis.Memdep.region loads.(i)
+        done)
       (Analysis.Memdep.sites facts.Partition.mem fname);
-    let mem_edges = ref [] in
-    for i = 0 to nt - 1 do
-      for j = 0 to nt - 1 do
-        if
-          stores.(i) <> [] && loads.(j) <> []
-          && List.exists
-               (fun s ->
-                 List.exists (Analysis.Memdep.may_intersect s) loads.(j))
-               stores.(i)
+    for i = nt - 1 downto 0 do
+      for j = nt - 1 downto 0 do
+        if stores.(i) <> [] && loads.(j) <> [] && any_meet stores.(i) loads.(j)
         then
-          mem_edges :=
-            {
-              Analysis.Cost.e_weight = weight_of.(j);
-              e_lat = model.Analysis.Cost.mem_penalty;
-            }
-            :: !mem_edges
+          sums.mem_squash <-
+            sums.mem_squash +. (weights.(j) *. model.Analysis.Cost.mem_penalty)
       done
     done;
-    Analysis.Cost.evaluate ~tasks ~reg_edges ~mem_edges:!mem_edges ()
+    Analysis.Cost.evaluate ~weights ~sizes ~targets ~data_wait:sums.data_wait
+      ~mem_squash:sums.mem_squash
   end
 
 type result = {

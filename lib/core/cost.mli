@@ -5,7 +5,7 @@
     shares without running the simulator: per-task observations come from
     {!Analysis.Cost.block_freqs}/[func_weights], register edges with their
     produce-early/consume-late criticality pairs from
-    {!Depend.func_edges}, and within-function memory may-pairs from
+    {!Depend.iter_func_edges}, and within-function memory may-pairs from
     {!Analysis.Memdep}.  The scalar cost divides the summed penalties by a
     partition-independent useful-work base, which makes the cost decompose
     over functions — the property the greedy search relies on.
@@ -59,9 +59,12 @@ val func_cost :
   Analysis.Cost.t
 (** Raw scores of one function's partition: [plan_cost] sums these, and
     {!refine} ranks candidates by their penalties.  The register half
-    comes from {!Depend.func_edges} through the given memo, which must be
-    made for this function and the partition's included calls; the result
-    does not depend on what the memo already holds. *)
+    comes from {!Depend.iter_func_edges} through the given memo, which
+    must be made for this function and the partition's included calls;
+    the result does not depend on what the memo already holds.  Each
+    visited edge is added straight into a running sum, in the order
+    {!Analysis.Cost} documents, so a score allocates per task (its
+    observation arrays and memory-region lists), not per edge. *)
 
 (** {1 The feedback search} *)
 

@@ -5,9 +5,11 @@
    implementation.  Each task summary builds the task's subgraph
    once (blocks as an array, intra-task successors as positions in it) and
    runs its 63 per-register fixpoints and its distance pass over that
-   subgraph and one reused distance buffer.  Memory edges combine per-task
-   address-region summaries from the plan's Analysis.Memdep analysis
-   (Partition.facts). *)
+   subgraph and one reused distance buffer.  A partition's register edges
+   and exposed reads are visited from those summaries (iter_func_edges),
+   allocating nothing per edge; func_edges is their list view.  Memory
+   edges combine per-task address-region summaries from the plan's
+   Analysis.Memdep analysis (Partition.facts). *)
 
 module Smap = Ir.Prog.Smap
 module Rset = Analysis.Dataflow.Regset
@@ -293,14 +295,20 @@ module Tkey = Hashtbl.Make (struct
     Iset.fold (fun b h -> (h * 31) + b) t.Task.blocks t.Task.entry
 end)
 
-type memo = { ctx : fctx; sums : tsum Tkey.t }
+(* [dsts] is the buffer one producer's target tasks are ordered in; it
+   grows to the longest target list the memo has seen. *)
+type memo = { ctx : fctx; sums : tsum Tkey.t; mutable dsts : int array }
 
 let memo f ~live_in ~included_calls =
   if Array.length live_in <> Ir.Func.num_blocks f then
     invalid_arg
       (Printf.sprintf "Depend.memo: %d live-in sets for %s's %d blocks"
          (Array.length live_in) f.Ir.Func.name (Ir.Func.num_blocks f));
-  { ctx = make_fctx f ~live_in ~included_calls; sums = Tkey.create 64 }
+  {
+    ctx = make_fctx f ~live_in ~included_calls;
+    sums = Tkey.create 64;
+    dsts = Array.make 8 0;
+  }
 
 let task_summary m t =
   match Tkey.find_opt m.sums t with
@@ -310,64 +318,89 @@ let task_summary m t =
     Tkey.add m.sums t s;
     s
 
+(* The tasks entered at [targets] (labels no task enters skipped) into
+   [buf] from position [n] on, kept ascending by insertion; returns how
+   many the buffer holds.  A task entered twice stays twice. *)
+let rec order_dsts buf task_of_entry n = function
+  | [] -> n
+  | tgt :: rest ->
+    let c = task_of_entry.(tgt) in
+    if c < 0 then order_dsts buf task_of_entry n rest
+    else begin
+      let k = ref n in
+      while !k > 0 && buf.(!k - 1) > c do
+        buf.(!k) <- buf.(!k - 1);
+        decr k
+      done;
+      buf.(!k) <- c;
+      order_dsts buf task_of_entry (n + 1) rest
+    end
+
+let iter_func_edges m (part : Task.partition) ~reg ~exposed =
+  if part.Task.included_calls <> m.ctx.included_calls then
+    invalid_arg
+      "Depend.iter_func_edges: partition's included calls differ from the \
+       memo's";
+  let tasks = part.Task.tasks in
+  let sums = Array.map (task_summary m) tasks in
+  for p = 0 to Array.length tasks - 1 do
+    let ps = sums.(p) in
+    let targets = tasks.(p).Task.targets in
+    let len = List.length targets in
+    if len > Array.length m.dsts then
+      m.dsts <- Array.make (max len (2 * Array.length m.dsts)) 0;
+    let buf = m.dsts in
+    let n = order_dsts buf part.Task.task_of_entry 0 targets in
+    (* each consumer once, with the number of targets that enter it *)
+    let k = ref 0 in
+    while !k < n do
+      let c = buf.(!k) in
+      let next = ref (!k + 1) in
+      while !next < n && buf.(!next) = c do
+        incr next
+      done;
+      let depths = sums.(c).depths in
+      for r = 1 to Ir.Reg.count - 1 do
+        if Rset.mem r ps.twrites && Rset.mem r ps.exports && depths.(r) >= 0
+        then
+          for _ = !k to !next - 1 do
+            reg ~src:p ~dst:c ~reg:r ~height:ps.heights.(r) ~depth:depths.(r)
+              ~site:ps.sites.(r)
+          done
+      done;
+      k := !next
+    done
+  done;
+  for ti = 0 to Array.length sums - 1 do
+    let depths = sums.(ti).depths in
+    for r = 1 to Ir.Reg.count - 1 do
+      if depths.(r) >= 0 then exposed ~task:ti ~reg:r ~depth:depths.(r)
+    done
+  done
+
 type func_edges = {
   f_regs : reg_edge list;
   f_exposed : (int * Ir.Reg.t * int) list;
 }
 
-(* (re_src, re_dst, re_reg) order, field by field *)
-let compare_edges a b =
-  match Int.compare a.re_src b.re_src with
-  | 0 -> (
-    match Int.compare a.re_dst b.re_dst with
-    | 0 -> Int.compare a.re_reg b.re_reg
-    | c -> c)
-  | c -> c
-
-let func_edges m fname (part : Task.partition) =
-  if part.Task.included_calls <> m.ctx.included_calls then
-    invalid_arg
-      "Depend.func_edges: partition's included calls differ from the memo's";
-  let sums = Array.map (task_summary m) part.Task.tasks in
-  let exposed = ref [] in
-  for ti = Array.length sums - 1 downto 0 do
-    let depths = sums.(ti).depths in
-    for r = Ir.Reg.count - 1 downto 1 do
-      if depths.(r) >= 0 then exposed := (ti, r, depths.(r)) :: !exposed
-    done
-  done;
-  let edges = ref [] in
-  Array.iteri
-    (fun p (pt : Task.t) ->
-      let ps = sums.(p) in
-      List.iter
-        (fun tgt ->
-          let c = part.Task.task_of_entry.(tgt) in
-          if c >= 0 then
-            for r = 1 to Ir.Reg.count - 1 do
-              if
-                Rset.mem r ps.twrites
-                && Rset.mem r ps.exports
-                && sums.(c).depths.(r) >= 0
-              then
-                edges :=
-                  {
-                    re_fn = fname;
-                    re_src = p;
-                    re_dst = c;
-                    re_reg = r;
-                    re_height = ps.heights.(r);
-                    re_depth = sums.(c).depths.(r);
-                    re_site = ps.sites.(r);
-                  }
-                  :: !edges
-            done)
-        pt.Task.targets)
-    part.Task.tasks;
-  {
-    f_regs = List.sort compare_edges !edges;
-    f_exposed = !exposed;
-  }
+let func_edges m fname part =
+  let regs = ref [] and exposed = ref [] in
+  iter_func_edges m part
+    ~reg:(fun ~src ~dst ~reg ~height ~depth ~site ->
+      regs :=
+        {
+          re_fn = fname;
+          re_src = src;
+          re_dst = dst;
+          re_reg = reg;
+          re_height = height;
+          re_depth = depth;
+          re_site = site;
+        }
+        :: !regs)
+    ~exposed:(fun ~task ~reg ~depth ->
+      exposed := (task, reg, depth) :: !exposed);
+  { f_regs = List.rev !regs; f_exposed = List.rev !exposed }
 
 (* --- memory edges ---------------------------------------------------------- *)
 

@@ -85,27 +85,49 @@ val memo :
     @raise Invalid_argument when [live_in] does not have one set per block
     of the function. *)
 
+val iter_func_edges :
+  memo -> Task.partition ->
+  reg:
+    (src:int -> dst:int -> reg:Ir.Reg.t -> height:int -> depth:int ->
+    site:(Ir.Block.label * int) option -> unit) ->
+  exposed:(task:int -> reg:Ir.Reg.t -> depth:int -> unit) -> unit
+(** The one definition of a partition's register edges and exposed reads,
+    independent of the rest of the plan — what the cost model ({!Cost})
+    reads while searching over one function's boundaries.  Both come from
+    one summary per task.
+
+    [reg] visits every register edge (fields as in {!reg_edge}) in
+    [(src, dst, reg)] order: producers by index, each producer's
+    consumers ordered in a buffer the memo keeps (a consumer entered
+    through two targets of a malformed partition is visited twice per
+    register), registers ascending.  [exposed] then visits
+    [(task, reg, depth)] for every register a task reads before writing
+    (minimum instruction distance from the task entry to the first read),
+    in [(task, reg)] order.  This is the consumer half of the criticality
+    pair for {e every} upward-exposed read, whoever produces the value —
+    unlike the register edges, which only pair immediate-successor
+    tasks, it cannot be shrunk by pushing a producer further back, which
+    is what makes it the split-robust part of the cost model's
+    [data_wait] term.
+
+    Nothing is allocated per edge or per exposed read: a visit costs the
+    array of the partition's task summaries, the memo's lookups of them
+    and the summaries of tasks the memo has not seen.  The memo is
+    single-domain, and a visitor must not visit with the same memo.
+    @raise Invalid_argument when the partition's included calls differ
+    from the ones the memo was made for. *)
+
 type func_edges = {
-  f_regs : reg_edge list;  (** sorted by [(re_src, re_dst, re_reg)] *)
+  f_regs : reg_edge list;  (** in {!iter_func_edges}'s order *)
   f_exposed : (int * Ir.Reg.t * int) list;
-      (** [(task, reg, depth)] for every register a task reads before
-          writing (minimum instruction distance from the task entry to the
-          first read), sorted by [(task, reg)].  This is the consumer half
-          of the criticality pair for {e every} upward-exposed read,
-          whoever produces the value — unlike [f_regs], which only pairs
-          immediate-successor tasks, it cannot be shrunk by pushing a
-          producer further back, which is what makes it the split-robust
-          part of the cost model's [data_wait] term. *)
+      (** [(task, reg, depth)], in {!iter_func_edges}'s order *)
 }
 
 val func_edges : memo -> string -> Task.partition -> func_edges
-(** Register edges and exposed reads of the named function's partition,
-    independent of the rest of the plan — the entry point the cost model
-    ({!Cost}) uses while searching over one function's boundaries.  Both
-    come from one summary per task.  [analyze]'s register edges are
-    exactly the concatenation of [f_regs] over the plan's functions in
-    name order.  Raises [Invalid_argument] when the partition's included
-    calls differ from the ones the memo was made for. *)
+(** {!iter_func_edges} as lists, the register edges labelled with the
+    named function — the view {!analyze}, the lint audits and tests read.
+    [analyze]'s register edges are exactly the concatenation of [f_regs]
+    over the plan's functions in name order. *)
 
 (** {1 A whole plan's edges} *)
 

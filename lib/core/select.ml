@@ -13,6 +13,7 @@ type ctx = {
   dfs : Analysis.Dfs.t;
   loops : Analysis.Loops.t;
   included_calls : bool array;
+  marks : Task.marks;  (* the stamps every [fits] count reads *)
 }
 
 let make_ctx params f ~included_calls =
@@ -22,6 +23,7 @@ let make_ctx params f ~included_calls =
     dfs = Analysis.Dfs.compute f;
     loops = Analysis.Loops.compute f;
     included_calls;
+    marks = Task.marks f ~included_calls;
   }
 
 (* paper: is_a_terminal_node — non-included calls and returns stop
@@ -53,10 +55,8 @@ let grow_task ?(cut = fun _ -> false) ctx ~entry ~steer =
   let q = Queue.create () in
   Queue.add entry q;
   let fits set =
-    let t =
-      Task.of_blocks ctx.f ~included_calls:ctx.included_calls ~entry set
-    in
-    Task.num_hw_targets t <= ctx.params.Heuristics.max_targets
+    Task.count_hw_targets ctx.marks ~entry set
+    <= ctx.params.Heuristics.max_targets
   in
   while not (Queue.is_empty q) do
     let b = Queue.pop q in
@@ -131,9 +131,9 @@ let control_flow params f ~included_calls =
    (closure discovers it as a target of whatever task contains one of its
    predecessors).  This is the mechanism the cost-directed [fb] search
    uses to move task heads along dominator edges.  Staged: the context
-   (DFS numbering, loop forest) does not depend on the cuts, so a search
-   applies the first three arguments once and scores every candidate with
-   the result. *)
+   (DFS numbering, loop forest, target-count marks) does not depend on
+   the cuts, so a search applies the first three arguments once and
+   scores every candidate with the result. *)
 let with_cuts params f ~included_calls =
   let ctx = make_ctx params f ~included_calls in
   fun ~cuts ->

@@ -13,7 +13,10 @@
     Growth is greedy (§3.3): exploration continues past the [max_targets]
     limit hoping for control-flow reconvergence; the largest prefix of the
     exploration whose target count fits the hardware's prediction table — the
-    *feasible task* — is what gets demarcated. *)
+    *feasible task* — is what gets demarcated.  Each admitted block's
+    prefix is counted by {!Task.count_hw_targets}, the task's exit walk
+    read through the selection's stamp array, so no task record is built
+    until a task is demarcated. *)
 
 type dep_edge = {
   producer : Ir.Block.label;
@@ -39,7 +42,9 @@ val with_cuts :
 
     Staged: [with_cuts params f ~included_calls] derives the function's DFS
     numbering and loop forest once and returns the partitioner of every
-    [cuts]. *)
+    [cuts].  The partitioner also holds the {!Task.marks} that every
+    growth step's target count ({!Task.count_hw_targets}) reads, a
+    mutable stamp: it serves one search on one domain. *)
 
 val data_dependence :
   Heuristics.params -> Ir.Func.t -> included_calls:bool array ->

@@ -38,10 +38,33 @@ val num_hw_targets : t -> int
 val task_of : partition -> Ir.Block.label -> t option
 (** The task whose entry is the given block. *)
 
+(** The exit walk: a block set entered at [entry] has three kinds of
+    exit, found in one walk over its blocks' terminators: a successor
+    that leaves the set or re-enters the entry (a target), the callee of
+    a non-included call (whose continuation is reached through the
+    callee's return and is a new task), and a return or halt.
+    {!of_blocks} builds a task record from the walk; {!count_hw_targets}
+    counts its distinct hardware targets without building one. *)
+
 val of_blocks :
   Ir.Func.t -> included_calls:bool array -> entry:Ir.Block.label -> Iset.t -> t
-(** Assemble a task record from a block set, computing targets, out-calls
-    and return flags. *)
+(** Assemble a task record from a block set: its targets, out-calls and
+    return flag from the exit walk. *)
+
+type marks
+(** The stamp array a target count reads the walk through: one slot per
+    block of a function and one per distinct callee.  Mutable: one count
+    at a time, on one domain. *)
+
+val marks : Ir.Func.t -> included_calls:bool array -> marks
+(** Fresh marks for block sets of this function under these included
+    calls. *)
+
+val count_hw_targets : marks -> entry:Ir.Block.label -> Iset.t -> int
+(** [num_hw_targets (of_blocks f ~included_calls ~entry blocks)] for the
+    marks' function and included calls, from the same walk, without the
+    record: each target and callee is counted once, when the walk first
+    stamps its slot.  Allocates nothing. *)
 
 val forced_entries :
   Ir.Func.t -> included_calls:bool array -> Iset.t -> Ir.Block.label list

@@ -258,52 +258,150 @@ let check_prog prog = List.sort Diag.compare (fst (check_prog_sound prog))
 
 (* --- partition invariants ------------------------------------------------- *)
 
-(* Intra-task successor relation, restated from the Task model (§2.2):
-   reaching the entry again starts a new task instance, and a non-included
-   call transfers to the callee's tasks, so neither edge continues the
-   current task. *)
-let task_succ f ~included_calls ~entry ~blocks b =
-  let blk = Ir.Func.block f b in
-  match blk.Ir.Block.term with
-  | Ir.Block.Call (_, _) when not included_calls.(b) -> []
-  | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
-  | Ir.Block.Ret | Ir.Block.Halt ->
-    List.filter
-      (fun s -> s <> entry && Iset.mem s blocks)
-      (Ir.Block.successors blk)
+(* The part/* audit's walk state over one partition: a stamp per block,
+   never cleared (each walk takes a fresh stamp), an explicit stack for
+   the connectivity walk, and what the exit walk recomputes for the task
+   at hand.  Both walks read Ir.Block terminators directly, restating the
+   Task model (§2.2) rather than calling it.  [exit_step] is the exit
+   walk's per-block step, made once per partition; it reads the task's
+   entry and blocks from here. *)
+type walk = {
+  wf : Ir.Func.t;
+  included : bool array;
+  task_of_entry : int array;
+  stamps : int array;
+  mutable stamp : int;
+  stack : int array;
+  mutable depth : int;
+  mutable reached : int;
+  mutable entry : Ir.Block.label;
+  mutable blocks : Iset.t;
+  targets : int array;  (* the exit targets, ascending, in [0, ntargets) *)
+  mutable ntargets : int;
+  mutable calls : string list;  (* callees of non-included calls *)
+  mutable has_ret : bool;
+  mutable open_conts : (Ir.Block.label * Ir.Block.label) list;
+      (* (call block, continuation) pairs whose continuation is no task's
+         entry, by descending block *)
+  exit_step : Ir.Block.label -> unit;
+}
+
+(* [visit w s] for each successor a terminator names, as often as it
+   names it *)
+let iter_succs w visit (term : Ir.Block.terminator) =
+  match term with
+  | Ir.Block.Jump s | Ir.Block.Call (_, s) -> visit w s
+  | Ir.Block.Br (_, s1, s2) ->
+    visit w s1;
+    visit w s2
+  | Ir.Block.Switch (_, ss, default) ->
+    for k = 0 to Array.length ss - 1 do
+      visit w ss.(k)
+    done;
+    visit w default
+  | Ir.Block.Ret | Ir.Block.Halt -> ()
+
+(* Intra-task successors: reaching the entry again starts a new task
+   instance, and a non-included call transfers to the callee's tasks, so
+   neither edge continues the current task.  Each one not yet reached is
+   stamped and pushed. *)
+let push_succ w s =
+  if s <> w.entry && Iset.mem s w.blocks && w.stamps.(s) <> w.stamp then begin
+    w.stamps.(s) <- w.stamp;
+    w.stack.(w.depth) <- s;
+    w.depth <- w.depth + 1;
+    w.reached <- w.reached + 1
+  end
+
+let push_task_succs w b =
+  match (Ir.Func.block w.wf b).Ir.Block.term with
+  | Ir.Block.Call (_, _) when not w.included.(b) -> ()
+  | term -> iter_succs w push_succ term
+
+(* Blocks of the task reachable from its entry inside the task, the
+   entry included; they hold the current stamp afterwards. *)
+let reach_within w =
+  w.stamp <- w.stamp + 1;
+  w.stamps.(w.entry) <- w.stamp;
+  w.stack.(0) <- w.entry;
+  w.depth <- 1;
+  w.reached <- 1;
+  while w.depth > 0 do
+    w.depth <- w.depth - 1;
+    push_task_succs w w.stack.(w.depth)
+  done;
+  w.reached
+
+(* An intra-function target: a successor leaving the task or re-entering
+   its entry (loop task), kept once, in ascending order. *)
+let exit_target w s =
+  if (s = w.entry || not (Iset.mem s w.blocks)) && w.stamps.(s) <> w.stamp
+  then begin
+    w.stamps.(s) <- w.stamp;
+    let k = ref w.ntargets in
+    while !k > 0 && w.targets.(!k - 1) > s do
+      w.targets.(!k) <- w.targets.(!k - 1);
+      decr k
+    done;
+    w.targets.(!k) <- s;
+    w.ntargets <- w.ntargets + 1
+  end
+
+let exit_step w b =
+  match (Ir.Func.block w.wf b).Ir.Block.term with
+  | Ir.Block.Call (callee, cont) when not w.included.(b) ->
+    w.calls <- callee :: w.calls;
+    if w.task_of_entry.(cont) = -1 then
+      w.open_conts <- (b, cont) :: w.open_conts
+  | Ir.Block.Ret | Ir.Block.Halt -> w.has_ret <- true
+  | term -> iter_succs w exit_target term
 
 (* Independent recomputation of a task's exit metadata: the intra-function
-   targets (including the entry itself for loop tasks), distinct callees of
-   non-included calls, and whether some block returns. *)
-let recompute_exits f ~included_calls ~entry blocks =
-  let targets = ref Iset.empty in
-  let calls = ref [] in
-  let has_ret = ref false in
-  Iset.iter
-    (fun b ->
-      let blk = Ir.Func.block f b in
-      match blk.Ir.Block.term with
-      | Ir.Block.Call (callee, _) when not included_calls.(b) ->
-        calls := callee :: !calls
-      | Ir.Block.Ret | Ir.Block.Halt -> has_ret := true
-      | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
-        ->
-        List.iter
-          (fun s ->
-            if s = entry || not (Iset.mem s blocks) then
-              targets := Iset.add s !targets)
-          (Ir.Block.successors blk))
-    blocks;
-  (Iset.elements !targets, List.sort_uniq compare !calls, !has_ret)
+   targets (including the entry itself for loop tasks), callees of
+   non-included calls, whether some block returns, and the continuations
+   of non-included calls no task enters. *)
+let recompute_exits w =
+  w.stamp <- w.stamp + 1;
+  w.ntargets <- 0;
+  w.calls <- [];
+  w.has_ret <- false;
+  w.open_conts <- [];
+  Iset.iter w.exit_step w.blocks
 
-let forced_conts f ~included_calls blocks =
-  Iset.fold
-    (fun b acc ->
-      match (Ir.Func.block f b).Ir.Block.term with
-      | Ir.Block.Call (_, cont) when not included_calls.(b) -> (b, cont) :: acc
-      | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
-      | Ir.Block.Ret | Ir.Block.Halt -> acc)
-    blocks []
+let make_walk f ~included_calls ~task_of_entry =
+  let n = Ir.Func.num_blocks f in
+  let rec w =
+    {
+      wf = f;
+      included = included_calls;
+      task_of_entry;
+      stamps = Array.make n 0;
+      stamp = 0;
+      stack = Array.make n 0;
+      depth = 0;
+      reached = 0;
+      entry = Ir.Func.entry;
+      blocks = Iset.empty;
+      targets = Array.make n 0;
+      ntargets = 0;
+      calls = [];
+      has_ret = false;
+      open_conts = [];
+      exit_step = (fun b -> exit_step w b);
+    }
+  in
+  w
+
+(* the recomputed targets equal [labels] *)
+let same_targets w labels =
+  let rec go i = function
+    | [] -> i = w.ntargets
+    | l :: rest -> i < w.ntargets && w.targets.(i) = l && go (i + 1) rest
+  in
+  go 0 labels
+
+let target_list w = List.init w.ntargets (fun i -> w.targets.(i))
+let task_loc fname i = Diag.in_func ~task:i fname
 
 let level_rank = function
   | Core.Heuristics.Basic_block -> 0
@@ -378,88 +476,81 @@ let check_partition ?level ?(params = Core.Heuristics.default) (f : Ir.Func.t)
                p.Core.Task.tasks.(i).Core.Task.entry))
       p.Core.Task.task_of_entry;
     (* per-task invariants *)
+    let w =
+      make_walk f ~included_calls ~task_of_entry:p.Core.Task.task_of_entry
+    in
+    let in_range l = l >= 0 && l < n in
     Array.iteri
       (fun i (t : Core.Task.t) ->
-        let loc = Diag.in_func ~task:i fname in
-        let in_range l = l >= 0 && l < n in
         if not (in_range t.Core.Task.entry && Iset.for_all in_range t.Core.Task.blocks)
         then
           add
-            (Diag.error ~rule:"part/block-range" loc
+            (Diag.error ~rule:"part/block-range" (task_loc fname i)
                "task mentions out-of-range block labels (%d blocks in %s)" n
                fname)
         else begin
           let entry = t.Core.Task.entry in
           let blocks = t.Core.Task.blocks in
+          w.entry <- entry;
+          w.blocks <- blocks;
           if p.Core.Task.task_of_entry.(entry) <> i then
             add
-              (Diag.error ~rule:"part/entry-mismatch" loc
+              (Diag.error ~rule:"part/entry-mismatch" (task_loc fname i)
                  "entry L%d maps back to task %d, not %d" entry
                  p.Core.Task.task_of_entry.(entry) i);
           if not (Iset.mem entry blocks) then
             add
-              (Diag.error ~rule:"part/entry-not-member" loc
+              (Diag.error ~rule:"part/entry-not-member" (task_loc fname i)
                  "task does not contain its own entry L%d" entry)
           else begin
             (* connectivity: every block reachable from the entry without
                re-entering it and without crossing a non-included call *)
-            let seen = ref (Iset.singleton entry) in
-            let rec visit b =
-              List.iter
-                (fun s ->
-                  if not (Iset.mem s !seen) then begin
-                    seen := Iset.add s !seen;
-                    visit s
-                  end)
-                (task_succ f ~included_calls ~entry ~blocks b)
-            in
-            visit entry;
-            if not (Iset.equal !seen blocks) then
+            if reach_within w <> Iset.cardinal blocks then
               add
-                (Diag.error ~rule:"part/connected" loc
+                (Diag.error ~rule:"part/connected" (task_loc fname i)
                    "blocks {%s} are not reachable from entry L%d inside the \
                     task"
-                   (pp_labels (Iset.elements (Iset.diff blocks !seen)))
+                   (pp_labels
+                      (Iset.elements
+                         (Iset.filter (fun b -> w.stamps.(b) <> w.stamp) blocks)))
                    entry);
             (* independent exit recomputation, diffed field by field *)
-            let targets, calls, has_ret =
-              recompute_exits f ~included_calls ~entry blocks
-            in
-            if targets <> t.Core.Task.targets then
+            recompute_exits w;
+            let calls = List.sort_uniq compare w.calls in
+            if not (same_targets w t.Core.Task.targets) then
               add
-                (Diag.error ~rule:"part/stale-targets" loc
+                (Diag.error ~rule:"part/stale-targets" (task_loc fname i)
                    "stored targets [%s] but the CFG yields [%s]"
                    (pp_labels t.Core.Task.targets)
-                   (pp_labels targets));
+                   (pp_labels (target_list w)));
             if calls <> t.Core.Task.calls_out then
               add
-                (Diag.error ~rule:"part/stale-calls" loc
+                (Diag.error ~rule:"part/stale-calls" (task_loc fname i)
                    "stored calls_out [%s] but the CFG yields [%s]"
                    (String.concat "," t.Core.Task.calls_out)
                    (String.concat "," calls));
-            if has_ret <> t.Core.Task.has_ret then
+            if w.has_ret <> t.Core.Task.has_ret then
               add
-                (Diag.error ~rule:"part/stale-ret" loc
+                (Diag.error ~rule:"part/stale-ret" (task_loc fname i)
                    "stored has_ret %B but the CFG yields %B"
-                   t.Core.Task.has_ret has_ret);
+                   t.Core.Task.has_ret w.has_ret);
             (* closure over the true (recomputed) exits *)
-            List.iter
-              (fun tgt ->
-                if p.Core.Task.task_of_entry.(tgt) = -1 then
-                  add
-                    (Diag.error ~rule:"part/closure-target" loc
-                       "target L%d is not any task's entry" tgt))
-              targets;
+            for k = 0 to w.ntargets - 1 do
+              let tgt = w.targets.(k) in
+              if p.Core.Task.task_of_entry.(tgt) = -1 then
+                add
+                  (Diag.error ~rule:"part/closure-target" (task_loc fname i)
+                     "target L%d is not any task's entry" tgt)
+            done;
             List.iter
               (fun (b, cont) ->
-                if p.Core.Task.task_of_entry.(cont) = -1 then
-                  add
-                    (Diag.error ~rule:"part/closure-cont"
-                       (Diag.in_func ~task:i ~block:b fname)
-                       "continuation L%d of the non-included call in L%d is \
-                        not any task's entry"
-                       cont b))
-              (forced_conts f ~included_calls blocks);
+                add
+                  (Diag.error ~rule:"part/closure-cont"
+                     (Diag.in_func ~task:i ~block:b fname)
+                     "continuation L%d of the non-included call in L%d is \
+                      not any task's entry"
+                     cont b))
+              w.open_conts;
             (* the hardware tracks at most max_targets next-task targets;
                the heuristics guarantee it from Control_flow up — except for
                a task that is a single unsplittable block (e.g. a wide
@@ -467,16 +558,16 @@ let check_partition ?level ?(params = Core.Heuristics.default) (f : Ir.Func.t)
             (match level with
             | Some l when level_rank l >= level_rank Core.Heuristics.Control_flow
               ->
-              let hw = List.length targets + List.length calls in
+              let hw = w.ntargets + List.length calls in
               if hw > params.Core.Heuristics.max_targets then
                 if Iset.cardinal blocks > 1 then
                   add
-                    (Diag.error ~rule:"part/hw-targets" loc
+                    (Diag.error ~rule:"part/hw-targets" (task_loc fname i)
                        "%d hardware targets exceed the prediction bound N=%d"
                        hw params.Core.Heuristics.max_targets)
                 else
                   add
-                    (Diag.info ~rule:"part/hw-targets" loc
+                    (Diag.info ~rule:"part/hw-targets" (task_loc fname i)
                        "single-block task has %d hardware targets (bound \
                         N=%d); no selection can split a basic block"
                        hw params.Core.Heuristics.max_targets)
@@ -486,14 +577,14 @@ let check_partition ?level ?(params = Core.Heuristics.default) (f : Ir.Func.t)
       p.Core.Task.tasks;
     (* coverage: the simulator maps every executed block to a task, so every
        reachable block must belong to at least one *)
-    let covered =
-      Array.fold_left
-        (fun acc (t : Core.Task.t) -> Iset.union acc t.Core.Task.blocks)
-        Iset.empty p.Core.Task.tasks
-    in
+    w.stamp <- w.stamp + 1;
+    let cover b = if in_range b then w.stamps.(b) <- w.stamp in
+    Array.iter
+      (fun (t : Core.Task.t) -> Iset.iter cover t.Core.Task.blocks)
+      p.Core.Task.tasks;
     let reach = reachable_blocks f in
     for b = 0 to n - 1 do
-      if reach.(b) && not (Iset.mem b covered) then
+      if reach.(b) && w.stamps.(b) <> w.stamp then
         add
           (Diag.error ~rule:"part/uncovered" (Diag.in_func ~block:b fname)
              "reachable block L%d belongs to no task" b)
@@ -507,8 +598,9 @@ let check_partition ?level ?(params = Core.Heuristics.default) (f : Ir.Func.t)
 let successors f =
   Array.map (fun b -> Array.of_list (Ir.Block.successors b)) f.Ir.Func.blocks
 
-(* Each block's successors that may continue a task, as {!task_succ}
-   before its filter on the task: none after a non-included call. *)
+(* Each block's successors that may continue a task, as [push_task_succs]
+   reads them before its filter on the task: none after a non-included
+   call. *)
 let task_successors f ~included_calls succs =
   Array.mapi
     (fun b ss ->

@@ -207,6 +207,147 @@ let prop_build_deterministic =
                a.Core.Task.tasks b.Core.Task.tasks)
         p1.Core.Partition.parts p2.Core.Partition.parts)
 
+(* --- the exit walk and the target count ------------------------------------ *)
+
+module Iset = Core.Task.Iset
+
+(* of_blocks as it was, over Ir.Block.successors lists *)
+let old_of_blocks f ~included_calls ~entry blocks =
+  let targets = ref Iset.empty and calls_out = ref [] and has_ret = ref false in
+  Iset.iter
+    (fun b ->
+      let blk = Ir.Func.block f b in
+      match blk.Ir.Block.term with
+      | Ir.Block.Call (callee, _) when not included_calls.(b) ->
+        calls_out := callee :: !calls_out
+      | Ir.Block.Ret | Ir.Block.Halt -> has_ret := true
+      | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
+        ->
+        List.iter
+          (fun s ->
+            if s = entry || not (Iset.mem s blocks) then
+              targets := Iset.add s !targets)
+          (Ir.Block.successors blk))
+    blocks;
+  {
+    Core.Task.entry;
+    blocks;
+    targets = Iset.elements !targets;
+    calls_out = List.sort_uniq compare !calls_out;
+    has_ret = !has_ret;
+  }
+
+let exit_func terms =
+  {
+    Ir.Func.name = "exits";
+    blocks =
+      Array.mapi
+        (fun label term -> { Ir.Block.label; insns = [||]; term })
+        terms;
+  }
+
+(* Every entry and every block set of [f] under [included_calls], one
+   marks value serving all of them in turn: the count must equal the
+   record's, and the record the old definition's. *)
+let check_exits f ~included_calls sets =
+  let marks = Core.Task.marks f ~included_calls in
+  List.iter
+    (fun (entry, blocks) ->
+      let t = Core.Task.of_blocks f ~included_calls ~entry blocks in
+      if t <> old_of_blocks f ~included_calls ~entry blocks then
+        Alcotest.failf "of_blocks differs from the old definition at L%d {%s}"
+          entry
+          (String.concat "," (List.map string_of_int (Iset.elements blocks)));
+      let want = Core.Task.num_hw_targets t in
+      let got = Core.Task.count_hw_targets marks ~entry blocks in
+      if got <> want then
+        Alcotest.failf "count_hw_targets %d, of_blocks %d at L%d {%s}" got want
+          entry
+          (String.concat "," (List.map string_of_int (Iset.elements blocks))))
+    sets
+
+let subsets n =
+  List.init (1 lsl n) (fun mask ->
+      Iset.of_list (List.filter (fun b -> mask land (1 lsl b) <> 0) (List.init n Fun.id)))
+
+(* One function with each shape the count must dedupe: a switch naming a
+   label twice (and the entry), a callee called from two blocks, a branch
+   with both arms the same, a successor that is the task entry, and an
+   included call; every entry and block set, with and without the
+   inclusion. *)
+let test_count_shapes () =
+  let f =
+    exit_func
+      [|
+        Ir.Block.Switch (1, [| 1; 2; 1; 0 |], 2);
+        Ir.Block.Call ("g", 3);
+        Ir.Block.Br (1, 4, 4);
+        Ir.Block.Call ("g", 5);
+        Ir.Block.Call ("h", 0);
+        Ir.Block.Jump 0;
+        Ir.Block.Ret;
+      |]
+  in
+  let n = Ir.Func.num_blocks f in
+  let sets =
+    List.concat_map
+      (fun entry -> List.map (fun s -> (entry, s)) (subsets n))
+      (List.init n Fun.id)
+  in
+  check_exits f ~included_calls:(Array.make n false) sets;
+  check_exits f
+    ~included_calls:(Array.init n (fun b -> b = 1 || b = 4))
+    sets;
+  (* the count allocates nothing: both readings box one float *)
+  let marks = Core.Task.marks f ~included_calls:(Array.make n false) in
+  let all = Iset.of_list (List.init n Fun.id) in
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let count () = ignore (Core.Task.count_hw_targets marks ~entry:0 all) in
+  count ();
+  Alcotest.(check (float 0.0)) "words beyond an empty reading" 0.0
+    (words count -. words ignore)
+
+(* Random functions of up to 8 blocks, whose small label range makes
+   repeated switch labels, repeated callees and successors that are the
+   entry common, each with random included calls and 30 random
+   (entry, block set) pairs read through one marks value. *)
+let gen_exit_case =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n ->
+    let label = int_bound (n - 1) in
+    let term =
+      frequency
+        [
+          (2, map (fun l -> Ir.Block.Jump l) label);
+          (2, map2 (fun a b -> Ir.Block.Br (1, a, b)) label label);
+          (1, map (fun l -> Ir.Block.Br (1, l, l)) label);
+          ( 2,
+            map2
+              (fun ls d -> Ir.Block.Switch (1, Array.of_list ls, d))
+              (list_size (int_range 1 5) label)
+              label );
+          ( 3,
+            map2 (fun g c -> Ir.Block.Call (g, c)) (oneofl [ "f"; "g"; "h" ])
+              label );
+          (1, return Ir.Block.Ret);
+          (1, return Ir.Block.Halt);
+        ]
+    in
+    let set = map (fun l -> Iset.of_list l) (list_size (int_range 0 n) label) in
+    triple (array_repeat n term) (array_repeat n bool)
+      (list_repeat 30 (pair label set)))
+
+let prop_count_model =
+  QCheck.Test.make ~count:500
+    ~name:"count_hw_targets equals num_hw_targets of of_blocks"
+    (QCheck.make gen_exit_case) (fun (terms, included, sets) ->
+      check_exits (exit_func terms) ~included_calls:included sets;
+      true)
+
 let () =
   Alcotest.run "select"
     [
@@ -225,6 +366,11 @@ let () =
           Alcotest.test_case "no deps = control flow" `Quick
             test_dd_no_deps_equals_cf;
           QCheck_alcotest.to_alcotest prop_dd_partitions_valid;
+        ] );
+      ( "exit walk",
+        [
+          Alcotest.test_case "count shapes" `Quick test_count_shapes;
+          QCheck_alcotest.to_alcotest prop_count_model;
         ] );
       ( "driver",
         [

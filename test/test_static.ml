@@ -358,11 +358,17 @@ let test_dep_edges_budget () =
 
 (* One function of a plan, with the plan's liveness. *)
 type plan_func = {
+  plan : Core.Partition.plan;
   name : string;
   f : Ir.Func.t;
   live_in : Analysis.Dataflow.Regset.t array;
   part : Core.Task.partition;
 }
+
+let num_task_blocks (part : Core.Task.partition) =
+  Array.fold_left
+    (fun a (t : Core.Task.t) -> a + Core.Task.Iset.cardinal t.Core.Task.blocks)
+    0 part.Core.Task.tasks
 
 (* Words per task-block (one block of one task; tasks may share blocks)
    of [run] on every function of the 18 workloads' plans, level by level.
@@ -382,6 +388,7 @@ let per_task_block_budget ~what ~budget ~prepare run =
                 (fun (name, f) ->
                   let pf =
                     {
+                      plan;
                       name;
                       f;
                       live_in = Core.Partition.live_in plan name;
@@ -394,13 +401,7 @@ let per_task_block_budget ~what ~budget ~prepare run =
           (Lazy.force cells)
       in
       let task_blocks =
-        List.fold_left
-          (fun a (pf, _) ->
-            Array.fold_left
-              (fun a (t : Core.Task.t) ->
-                a + Core.Task.Iset.cardinal t.Core.Task.blocks)
-              a pf.part.Core.Task.tasks)
-          0 funcs
+        List.fold_left (fun a (pf, _) -> a + num_task_blocks pf.part) 0 funcs
       in
       let words =
         measure (fun () -> List.iter (fun (pf, x) -> run pf x) funcs)
@@ -453,6 +454,103 @@ let test_dep_reg_audit_budget () =
     (fun pf edges ->
       ignore
         (Lint.check_deps_func pf.name pf.f ~live_in:pf.live_in pf.part edges))
+
+(* The part/* audit (Lint.check_partition) as check_plan runs it, with
+   the plan's level and parameters (112 to 167 words per task-block when
+   it walked tasks through successor lists and tree-set seen sets). *)
+let partition_audit_budget = 60.0
+
+let test_partition_audit_budget () =
+  per_task_block_budget ~what:"part/* audit" ~budget:partition_audit_budget
+    ~prepare:ignore (fun pf () ->
+      ignore
+        (Lint.check_partition ~level:pf.plan.Core.Partition.level
+           ~params:pf.plan.Core.Partition.params pf.f pf.part))
+
+(* The functions of the 18 fb plans the fb search scores (positive
+   weight), each with the plan's liveness and partition. *)
+let fb_funcs () =
+  List.concat_map
+    (fun (plan : Core.Partition.plan) ->
+      let facts = Core.Partition.facts plan in
+      List.filter_map
+        (fun (name, part) ->
+          if Ir.Prog.Smap.find name facts.Core.Partition.weights > 0.0 then
+            Some
+              {
+                plan;
+                name;
+                f = Ir.Prog.find plan.Core.Partition.prog name;
+                live_in = Core.Partition.live_in plan name;
+                part;
+              }
+          else None)
+        (Ir.Prog.Smap.bindings plan.Core.Partition.parts))
+    (fb_plans ())
+
+let num_tasks pf = Array.length pf.part.Core.Task.tasks
+
+(* One candidate's score as the fb search pays it: func_cost on a memo
+   that already holds the partition's task summaries (563 words per task
+   when Depend built edge lists and the score mapped them into
+   observation lists). *)
+let func_cost_budget = 150.0
+
+let test_func_cost_budget () =
+  let funcs =
+    List.map
+      (fun pf ->
+        let m =
+          Core.Depend.memo pf.f ~live_in:pf.live_in
+            ~included_calls:pf.part.Core.Task.included_calls
+        in
+        let facts = Core.Partition.facts pf.plan in
+        ignore (Core.Cost.func_cost facts m pf.name pf.f pf.part);
+        (pf, facts, m))
+      (fb_funcs ())
+  in
+  let tasks = List.fold_left (fun a (pf, _, _) -> a + num_tasks pf) 0 funcs in
+  let words =
+    measure (fun () ->
+        List.iter
+          (fun (pf, facts, m) ->
+            ignore (Core.Cost.func_cost facts m pf.name pf.f pf.part))
+          funcs)
+  in
+  within "func_cost on a warm memo over the fb plans" ~words
+    ~per:(words /. float_of_int tasks) ~unit_:"task" ~budget:func_cost_budget
+
+(* One candidate's partition as the fb search builds it: the staged
+   Select.with_cuts, made before the count, given the partition's own
+   task entries (170 words per task-block when each admitted block's
+   target count built a task record). *)
+let with_cuts_budget = 120.0
+
+let test_with_cuts_budget () =
+  let funcs =
+    List.map
+      (fun pf ->
+        let part = pf.part in
+        let cuts =
+          Array.fold_left
+            (fun s (t : Core.Task.t) -> Core.Task.Iset.add t.Core.Task.entry s)
+            Core.Task.Iset.empty part.Core.Task.tasks
+        in
+        let with_cuts =
+          Core.Select.with_cuts pf.plan.Core.Partition.params pf.f
+            ~included_calls:part.Core.Task.included_calls
+        in
+        (with_cuts, cuts, num_task_blocks (with_cuts ~cuts)))
+      (fb_funcs ())
+  in
+  let task_blocks = List.fold_left (fun a (_, _, k) -> a + k) 0 funcs in
+  let words =
+    measure (fun () ->
+        List.iter (fun (with_cuts, cuts, _) -> ignore (with_cuts ~cuts)) funcs)
+  in
+  within "a with_cuts candidate over the fb plans" ~words
+    ~per:(words /. float_of_int task_blocks) ~unit_:"task-block"
+    ~budget:with_cuts_budget
 
 (* --- the bit-vector register set against a tree-set model ------------------- *)
 
@@ -574,6 +672,12 @@ let () =
             test_regcomm_audit_budget;
           Alcotest.test_case "dep/reg audit allocation budget" `Quick
             test_dep_reg_audit_budget;
+          Alcotest.test_case "part/* audit allocation budget" `Quick
+            test_partition_audit_budget;
+          Alcotest.test_case "func_cost allocation budget" `Quick
+            test_func_cost_budget;
+          Alcotest.test_case "with_cuts allocation budget" `Quick
+            test_with_cuts_budget;
         ] );
       ( "regset",
         [
