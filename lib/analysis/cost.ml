@@ -27,8 +27,9 @@ let block_freqs (f : Ir.Func.t) =
   let model = default_model in
   let n = Ir.Func.num_blocks f in
   let dfs = Dfs.compute f in
-  let loops = Loops.compute f in
-  let dom = Dom.compute f in
+  let preds = Ir.Func.pred_table f in
+  let dom = Dom.compute dfs preds in
+  let loops = Loops.compute f dom preds in
   (* loop-nest depth: how many natural loops contain each block *)
   let depth = Array.make n 0 in
   List.iter
@@ -37,25 +38,31 @@ let block_freqs (f : Ir.Func.t) =
     loops.Loops.loops;
   let freq = Array.make n 0.0 in
   if n > 0 then freq.(Ir.Func.entry) <- 1.0;
+  (* the block whose out-edges are walked, and the sum of their weights *)
+  let src = ref 0 and total = Array.make 1 0.0 in
+  let weight s =
+    let b = !src in
+    if Dfs.is_retreating dfs ~src:b ~dst:s then model.trip -. 1.0
+    else if depth.(s) < depth.(b) then model.exit_bias
+    else 1.0
+  in
+  let add_weight s = total.(0) <- total.(0) +. weight s in
+  let push s =
+    let b = !src in
+    if not (Dfs.is_retreating dfs ~src:b ~dst:s) then
+      freq.(s) <- freq.(s) +. (freq.(b) *. weight s /. total.(0))
+  in
   (* reverse postorder puts every forward-edge source before its target, so
      one pass suffices: by the time a block is processed its forward-in
      mass is complete *)
   Array.iter
     (fun b ->
       if loops.Loops.is_header.(b) then freq.(b) <- freq.(b) *. model.trip;
-      let succs = Ir.Func.successors f b in
-      let weight s =
-        if Dfs.is_retreating dfs ~src:b ~dst:s then model.trip -. 1.0
-        else if depth.(s) < depth.(b) then model.exit_bias
-        else 1.0
-      in
-      let total = List.fold_left (fun acc s -> acc +. weight s) 0.0 succs in
-      if total > 0.0 then
-        List.iter
-          (fun s ->
-            if not (Dfs.is_retreating dfs ~src:b ~dst:s) then
-              freq.(s) <- freq.(s) +. (freq.(b) *. weight s /. total))
-          succs)
+      let blk = Ir.Func.block f b in
+      src := b;
+      total.(0) <- 0.0;
+      Ir.Block.iter_succs add_weight blk;
+      if total.(0) > 0.0 then Ir.Block.iter_succs push blk)
     dfs.Dfs.rpo;
   (* a reachable block fed only by retreating edges (irreducible shapes)
      got no mass; inherit the immediate dominator's, which appears earlier

@@ -93,13 +93,12 @@ let liveness ?(exit_live = Regset.all) ?(call_uses = default_call_uses) f =
   (* what flows into each block's live-out before its successors: the exit
      set at [Ret]/[Halt], nothing elsewhere *)
   let base = Array.make n Regset.empty in
-  let succs = Array.make n [||] in
+  let succs = Ir.Func.succ_table f in
   for l = 0 to n - 1 do
     let b = Ir.Func.block f l in
     let u, d = block_use_def ~call_uses b in
     use.(l) <- u;
     def.(l) <- d;
-    succs.(l) <- Array.of_list (Ir.Block.successors b);
     match b.Ir.Block.term with
     | Ir.Block.Ret | Ir.Block.Halt -> base.(l) <- exit_live
     | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _ | Ir.Block.Call _ ->
@@ -112,7 +111,9 @@ let liveness ?(exit_live = Regset.all) ?(call_uses = default_call_uses) f =
     changed := false;
     for l = n - 1 downto 0 do
       let out = ref base.(l) in
-      Array.iter (fun s -> out := Regset.union !out live_in.(s)) succs.(l);
+      for k = succs.Ir.Func.first.(l) to succs.Ir.Func.first.(l + 1) - 1 do
+        out := Regset.union !out live_in.(succs.Ir.Func.adj.(k))
+      done;
       let out = !out in
       let inn = Regset.union use.(l) (Regset.diff out def.(l)) in
       if not (Regset.equal out live_out.(l) && Regset.equal inn live_in.(l))
@@ -145,16 +146,15 @@ let block_dep_edges f =
     def.(l) <- d;
     exposed.(l) <- Regset.remove Ir.Reg.zero u
   done;
-  let succs = Array.init n (fun l -> Array.of_list (Ir.Func.successors f l)) in
+  let succs = Ir.Func.succ_table f in
   let reach_lo = Array.make n 0 and reach_hi = Array.make n 0 in
   let stack = Array.make (max 1 n) 0 and queued = Array.make n false in
   let depth = ref 0 in
   (* what reaches the entries of [b]'s successors gains [lo]/[hi]; the
      search goes on from each one that grew *)
   let pass_on b lo hi =
-    let ss = succs.(b) in
-    for k = 0 to Array.length ss - 1 do
-      let t = ss.(k) in
+    for k = succs.Ir.Func.first.(b) to succs.Ir.Func.first.(b + 1) - 1 do
+      let t = succs.Ir.Func.adj.(k) in
       let lo' = reach_lo.(t) lor lo and hi' = reach_hi.(t) lor hi in
       if lo' <> reach_lo.(t) || hi' <> reach_hi.(t) then begin
         reach_lo.(t) <- lo';

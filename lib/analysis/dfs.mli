@@ -10,6 +10,8 @@ type t = {
 }
 
 val compute : Ir.Func.t -> t
+(** Depth first from the entry, each block's successors in
+    {!Ir.Block.iter_succs} order. *)
 
 val is_retreating : t -> src:Ir.Block.label -> dst:Ir.Block.label -> bool
 (** An edge [src -> dst] is retreating when [dst]'s postorder number is at

@@ -1,39 +1,38 @@
 type t = { idom : int array }
 
-let compute f =
-  let n = Ir.Func.num_blocks f in
-  let dfs = Dfs.compute f in
-  let preds = Ir.Func.predecessors f in
-  let idom = Array.make n (-1) in
+(* walk up in terms of postorder numbers until the two fingers meet *)
+let rec intersect post idom a b =
+  if a = b then a
+  else if post.(a) < post.(b) then intersect post idom idom.(a) b
+  else intersect post idom a idom.(b)
+
+let compute (dfs : Dfs.t) (preds : Ir.Func.table) =
+  let post = dfs.Dfs.post in
+  let idom = Array.make (Array.length post) (-1) in
   idom.(Ir.Func.entry) <- Ir.Func.entry;
-  (* intersect in terms of postorder numbers: walk up until meet *)
-  let rec intersect a b =
-    if a = b then a
-    else if dfs.Dfs.post.(a) < dfs.Dfs.post.(b) then intersect idom.(a) b
-    else intersect a idom.(b)
-  in
   let changed = ref true in
   while !changed do
     changed := false;
-    Array.iter
-      (fun l ->
-        if l <> Ir.Func.entry then begin
-          let processed =
-            List.filter (fun p -> idom.(p) <> -1) preds.(l)
-          in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-            let new_idom = List.fold_left intersect first rest in
-            if idom.(l) <> new_idom then begin
-              idom.(l) <- new_idom;
-              changed := true
-            end
-        end)
-      dfs.Dfs.rpo
+    for i = 0 to Array.length dfs.Dfs.rpo - 1 do
+      let l = dfs.Dfs.rpo.(i) in
+      if l <> Ir.Func.entry then begin
+        (* the meet of the predecessors processed so far, in row order *)
+        let meet = ref (-1) in
+        for k = preds.Ir.Func.first.(l) to preds.Ir.Func.first.(l + 1) - 1 do
+          let p = preds.Ir.Func.adj.(k) in
+          if idom.(p) <> -1 then
+            meet := if !meet = -1 then p else intersect post idom !meet p
+        done;
+        if !meet <> -1 && idom.(l) <> !meet then begin
+          idom.(l) <- !meet;
+          changed := true
+        end
+      end
+    done
   done;
   { idom }
 
-let dominates t a b =
-  let rec climb x = if x = a then true else if t.idom.(x) = x || t.idom.(x) = -1 then false else climb t.idom.(x) in
-  if t.idom.(b) = -1 then false else climb b
+let rec climb idom a x =
+  x = a || (idom.(x) <> x && idom.(x) <> -1 && climb idom a idom.(x))
+
+let dominates t a b = t.idom.(b) <> -1 && climb t.idom a b

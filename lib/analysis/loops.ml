@@ -12,63 +12,65 @@ type t = {
   innermost : int array;
 }
 
-module Imap = Map.Make (Int)
-
-let natural_loop f preds ~header ~latch =
-  (* header plus everything reaching latch without passing header *)
-  let in_loop = Hashtbl.create 16 in
-  Hashtbl.replace in_loop header ();
-  let rec add l =
-    if not (Hashtbl.mem in_loop l) then begin
-      Hashtbl.replace in_loop l ();
-      List.iter add preds.(l)
-    end
-  in
-  add latch;
-  let _ = f in
-  List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) in_loop [])
-
-let compute f =
+let compute f (dom : Dom.t) (preds : Ir.Func.table) =
   let n = Ir.Func.num_blocks f in
-  let dom = Dom.compute f in
-  let preds = Ir.Func.predecessors f in
-  (* back edges: l -> h with h dominating l *)
-  let back_edges = ref [] in
-  for l = 0 to n - 1 do
-    List.iter
-      (fun s -> if Dom.dominates dom s l then back_edges := (l, s) :: !back_edges)
-      (Ir.Func.successors f l)
+  let first = preds.Ir.Func.first and adj = preds.Ir.Func.adj in
+  (* [mark.(l) = h + 1] puts [l] in the loop headed by [h]; [stack] holds
+     the marked blocks whose predecessors are still to be walked *)
+  let mark = Array.make n 0 and stack = Array.make n 0 in
+  let loops = ref [] in
+  for h = 0 to n - 1 do
+    (* back edges into [h]: from the predecessors it dominates, ascending *)
+    let latches = ref [] in
+    for k = first.(h + 1) - 1 downto first.(h) do
+      if Dom.dominates dom h adj.(k) then latches := adj.(k) :: !latches
+    done;
+    if !latches <> [] then begin
+      (* the natural loop: [h] plus everything reaching a latch without
+         passing [h], unreachable predecessors included *)
+      let stamp = h + 1 in
+      mark.(h) <- stamp;
+      let sp = ref 0 in
+      let add l =
+        if mark.(l) <> stamp then begin
+          mark.(l) <- stamp;
+          stack.(!sp) <- l;
+          incr sp
+        end
+      in
+      List.iter add !latches;
+      while !sp > 0 do
+        decr sp;
+        let l = stack.(!sp) in
+        for k = first.(l) to first.(l + 1) - 1 do
+          add adj.(k)
+        done
+      done;
+      let blocks = ref [] and size = ref 0 in
+      for l = n - 1 downto 0 do
+        if mark.(l) = stamp then begin
+          blocks := l :: !blocks;
+          size := !size + Ir.Block.size (Ir.Func.block f l)
+        end
+      done;
+      let lo =
+        {
+          header = h;
+          blocks = !blocks;
+          latches = !latches;
+          static_size = !size;
+        }
+      in
+      loops := lo :: !loops
+    end
   done;
-  (* group by header *)
-  let by_header =
-    List.fold_left
-      (fun m (latch, header) ->
-        let latches = try Imap.find header m with Not_found -> [] in
-        Imap.add header (latch :: latches) m)
-      Imap.empty !back_edges
-  in
+  (* largest first (equal sizes keep descending headers), so that assigning
+     innermost in this order leaves the smallest (innermost) loop as the
+     final owner *)
   let loops =
-    Imap.fold
-      (fun header latches acc ->
-        let blocks =
-          List.fold_left
-            (fun bs latch ->
-              List.sort_uniq compare
-                (bs @ natural_loop f preds ~header ~latch))
-            [] latches
-        in
-        let static_size =
-          List.fold_left
-            (fun acc l -> acc + Ir.Block.size (Ir.Func.block f l))
-            0 blocks
-        in
-        { header; blocks; latches; static_size } :: acc)
-      by_header []
-  in
-  (* order loops by size so that assigning innermost in decreasing-size order
-     leaves the smallest (innermost) loop as the final owner *)
-  let loops =
-    List.sort (fun a b -> compare (List.length b.blocks) (List.length a.blocks)) loops
+    List.stable_sort
+      (fun a b -> compare (List.length b.blocks) (List.length a.blocks))
+      !loops
   in
   let is_header = Array.make n false in
   let is_latch = Array.make n false in

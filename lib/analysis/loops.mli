@@ -12,12 +12,13 @@
 type loop = {
   header : Ir.Block.label;
   blocks : Ir.Block.label list;   (** includes the header; sorted *)
-  latches : Ir.Block.label list;  (** sources of back edges *)
+  latches : Ir.Block.label list;  (** sources of back edges, ascending *)
   static_size : int;              (** static instructions in the loop body *)
 }
 
 type t = {
   loops : loop list;
+      (** by decreasing block count, equal counts by decreasing header *)
   is_header : bool array;
   is_latch : bool array;
   innermost : int array;
@@ -25,7 +26,12 @@ type t = {
           or -1 *)
 }
 
-val compute : Ir.Func.t -> t
+val compute : Ir.Func.t -> Dom.t -> Ir.Func.table -> t
+(** [compute f dom preds] from [f]'s dominators ({!Dom.compute}) and its
+    {!Ir.Func.pred_table}: the back edges into a header are its rows'
+    predecessors it dominates, and a loop's blocks are marked walking back
+    through the table from its latches.  A natural loop includes the
+    unreachable blocks that reach a latch. *)
 
 val crosses_boundary : t -> src:Ir.Block.label -> dst:Ir.Block.label -> bool
 (** Does the edge enter or exit some loop (its innermost-loop membership

@@ -1,36 +1,27 @@
-let forward f start =
+(* Blocks forward-reachable from the producer get bit 1; walking back
+   from the consumer through those blocks only (a path from a reached
+   block to the consumer stays inside them) sets bit 2 as well; the
+   blocks holding both lie on a path. *)
+let codependent f (preds : Ir.Func.table) ~producer ~consumer =
   let n = Ir.Func.num_blocks f in
-  let seen = Array.make n false in
-  let rec visit l =
-    if not seen.(l) then begin
-      seen.(l) <- true;
-      List.iter visit (Ir.Func.successors f l)
+  let m = Bytes.make n '\000' in
+  let rec forward l =
+    if Bytes.get m l = '\000' then begin
+      Bytes.set m l '\001';
+      Ir.Block.iter_succs forward (Ir.Func.block f l)
     end
   in
-  visit start;
-  seen
-
-let backward f target =
-  let n = Ir.Func.num_blocks f in
-  let preds = Ir.Func.predecessors f in
-  let seen = Array.make n false in
-  let rec visit l =
-    if not seen.(l) then begin
-      seen.(l) <- true;
-      List.iter visit preds.(l)
+  let rec backward l =
+    if Bytes.get m l = '\001' then begin
+      Bytes.set m l '\003';
+      for k = preds.Ir.Func.first.(l) to preds.Ir.Func.first.(l + 1) - 1 do
+        backward preds.Ir.Func.adj.(k)
+      done
     end
   in
-  visit target;
-  seen
-
-let codependent_set f ~producer ~consumer =
-  let fwd = forward f producer in
-  if not fwd.(consumer) then []
-  else begin
-    let bwd = backward f consumer in
-    let acc = ref [] in
-    for l = Ir.Func.num_blocks f - 1 downto 0 do
-      if fwd.(l) && bwd.(l) then acc := l :: !acc
-    done;
-    !acc
-  end
+  forward producer;
+  backward consumer;
+  for l = 0 to n - 1 do
+    Bytes.set m l (if Bytes.get m l = '\003' then '\001' else '\000')
+  done;
+  m

@@ -1,15 +1,12 @@
-(** Reachability helpers used by the data-dependence heuristic's codependent
-    sets: "the set of basic blocks in all the control flow paths from the
-    producer to the consumer" (paper §3.4). *)
+(** Codependent sets for the data-dependence heuristic: "the set of basic
+    blocks in all the control flow paths from the producer to the
+    consumer" (paper §3.4). *)
 
-val forward : Ir.Func.t -> Ir.Block.label -> bool array
-(** Blocks reachable from the given block (inclusive). *)
-
-val backward : Ir.Func.t -> Ir.Block.label -> bool array
-(** Blocks from which the given block is reachable (inclusive). *)
-
-val codependent_set :
-  Ir.Func.t -> producer:Ir.Block.label -> consumer:Ir.Block.label ->
-  Ir.Block.label list
-(** Blocks lying on some path producer → consumer (both included); empty if
-    the consumer is unreachable from the producer. *)
+val codependent :
+  Ir.Func.t -> Ir.Func.table -> producer:Ir.Block.label ->
+  consumer:Ir.Block.label -> Bytes.t
+(** [codependent f preds ~producer ~consumer], given [f]'s
+    {!Ir.Func.pred_table}, holds one byte per block: ['\001'] for the
+    blocks lying on some path producer → consumer (both included),
+    ['\000'] for the rest; all ['\000'] when the consumer is unreachable
+    from the producer. *)

@@ -173,8 +173,8 @@ let refine (plan : Partition.plan) =
       let n = Ir.Func.num_blocks f in
       let fw = Smap.find fname facts.Partition.weights in
       if fw > 0.0 && n >= 3 && n <= max_search_blocks then begin
-        let dom = Analysis.Dom.compute f in
         let dfs = Analysis.Dfs.compute f in
+        let dom = Analysis.Dom.compute dfs (Ir.Func.pred_table f) in
         (* every candidate shares the seed's included calls, so one memo
            and one selection context serve the whole search of this
            function *)

@@ -3,7 +3,8 @@
    Partition.live_in) plus private per-task fixpoints — NOT from Regcomm,
    which the dep/reg lint rule uses as the independent reference
    implementation.  Each task summary builds the task's subgraph
-   once (blocks as an array, intra-task successors as positions in it) and
+   once (blocks as an array, intra-task successors as one row of positions
+   per block in a flat array) and
    runs its 63 per-register fixpoints and its distance pass over that
    subgraph and one reused distance buffer.  A partition's register edges
    and exposed reads are visited from those summaries (iter_func_edges),
@@ -104,12 +105,14 @@ let make_fctx (f : Ir.Func.t) ~live_in ~included_calls =
   { f; included_calls; live_in; first_event; last_def; writes; sizes }
 
 (* One task's subgraph, built once per summary: its blocks in ascending
-   label order, each block's intra-task successors (Task.intra_successors)
-   as positions in that array, and one distance buffer, by position, that
-   every fixpoint of the summary reuses. *)
+   label order, each block's intra-task successors (Task.iter_intra_successors)
+   as positions in that array, position [i]'s in
+   [succs.(first.(i))] .. [succs.(first.(i + 1) - 1)], and one distance
+   buffer, by position, that every fixpoint of the summary reuses. *)
 type sub = {
   blocks : int array;
-  succs : int array array;
+  first : int array;
+  succs : int array;
   entry : int;  (* position of the task entry *)
   dist : int array;
 }
@@ -125,21 +128,43 @@ let position blocks b =
   go 0 (Array.length blocks - 1)
 
 let subgraph ctx (task : Task.t) =
-  let blocks = Array.of_list (Iset.elements task.Task.blocks) in
-  let succs =
-    Array.map
-      (fun b ->
-        Array.of_list
-          (List.map (position blocks)
-             (Task.intra_successors ctx.f ~included_calls:ctx.included_calls
-                ~entry:task.Task.entry task.Task.blocks b)))
-      blocks
+  let nt = Iset.cardinal task.Task.blocks in
+  let blocks = Array.make nt 0 in
+  ignore
+    (Iset.fold
+       (fun b i ->
+         blocks.(i) <- b;
+         i + 1)
+       task.Task.blocks 0);
+  let walk visit =
+    Task.iter_intra_successors ctx.f ~included_calls:ctx.included_calls
+      ~entry:task.Task.entry task.Task.blocks visit
   in
+  (* count each position's successors into [first.(i + 1)], sum them into
+     starts, then place the rows one after another *)
+  let first = Array.make (nt + 1) 0 and pos = ref 0 in
+  let count = walk (fun _ -> first.(!pos + 1) <- first.(!pos + 1) + 1) in
+  for i = 0 to nt - 1 do
+    pos := i;
+    count blocks.(i)
+  done;
+  for i = 1 to nt do
+    first.(i) <- first.(i) + first.(i - 1)
+  done;
+  let succs = Array.make first.(nt) 0 in
+  let place =
+    walk (fun s ->
+        succs.(!pos) <- position blocks s;
+        incr pos)
+  in
+  pos := 0;
+  Array.iter place blocks;
   {
     blocks;
+    first;
     succs;
     entry = position blocks task.Task.entry;
-    dist = Array.make (Array.length blocks) max_int;
+    dist = Array.make nt max_int;
   }
 
 (* Minimum-distance fixpoint from the task entry over the subgraph, into
@@ -160,9 +185,8 @@ let task_dists ctx sub ~stop =
         && (stop < 0 || ctx.first_event.(b).(stop) = through)
       then begin
         let d = dist.(i) + ctx.sizes.(b) in
-        let ss = sub.succs.(i) in
-        for k = 0 to Array.length ss - 1 do
-          let j = ss.(k) in
+        for k = sub.first.(i) to sub.first.(i + 1) - 1 do
+          let j = sub.succs.(k) in
           if d < dist.(j) then begin
             dist.(j) <- d;
             changed := true
@@ -202,14 +226,13 @@ let producer_heights ctx sub =
   while !changed do
     changed := false;
     for i = 0 to nt - 1 do
-      let s =
-        Array.fold_left
-          (fun acc j ->
-            Rset.union acc (Rset.union ctx.writes.(sub.blocks.(j)) maw.(j)))
-          maw.(i) sub.succs.(i)
-      in
-      if not (Rset.equal s maw.(i)) then begin
-        maw.(i) <- s;
+      let s = ref maw.(i) in
+      for k = sub.first.(i) to sub.first.(i + 1) - 1 do
+        let j = sub.succs.(k) in
+        s := Rset.union !s (Rset.union ctx.writes.(sub.blocks.(j)) maw.(j))
+      done;
+      if not (Rset.equal !s maw.(i)) then begin
+        maw.(i) <- !s;
         changed := true
       end
     done

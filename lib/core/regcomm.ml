@@ -55,20 +55,6 @@ let block_writes ~included_calls b (blk : Ir.Block.t) =
         match Ir.Insn.def insn with -1 -> acc | r -> Regset.add r acc)
       Regset.empty blk.Ir.Block.insns
 
-(* [visit] every successor of block [x] (Task.intra_successors before its
-   task filter: a non-included call block has none) *)
-let iter_successors f ~included_calls x visit =
-  match (Ir.Func.block f x).Ir.Block.term with
-  | Ir.Block.Call (_, _) when not included_calls.(x) -> ()
-  | Ir.Block.Call (_, l) | Ir.Block.Jump l -> visit l
-  | Ir.Block.Br (_, l1, l2) ->
-    visit l1;
-    visit l2
-  | Ir.Block.Switch (_, targets, default) ->
-    Array.iter visit targets;
-    visit default
-  | Ir.Block.Ret | Ir.Block.Halt -> ()
-
 let create f ~live_in part =
   if Array.length live_in <> Ir.Func.num_blocks f then
     invalid_arg
@@ -77,9 +63,18 @@ let create f ~live_in part =
   let included_calls = part.Task.included_calls in
   let n = Ir.Func.num_blocks f and nregs = Ir.Reg.count in
   let writes = Array.mapi (block_writes ~included_calls) f.Ir.Func.blocks in
-  (* the search's visited stamps and stack; one block's last defs *)
+  (* the search's visited stamps, stack and the writes it has reached;
+     one block's last defs *)
   let seen = Array.make n (-1) and stack = Array.make n 0 in
-  let search = ref 0 in
+  let search = ref 0 and sp = ref 0 and reach = ref Regset.empty in
+  let visit s =
+    if seen.(s) <> !search then begin
+      seen.(s) <- !search;
+      reach := Regset.union writes.(s) !reach;
+      stack.(!sp) <- s;
+      incr sp
+    end
+  in
   let last_def = Array.make nregs (-1) in
   let task_info (task : Task.t) =
     let needed_out =
@@ -103,25 +98,20 @@ let create f ~live_in part =
     in
     let fwd = Array.make (ntb * nregs) (-1) in
     let rw = Bytes.make (ntb * nregs) '\000' in
+    let succs =
+      Task.iter_intra_successors f ~included_calls ~entry:task.Task.entry
+        task.Task.blocks visit
+    in
     Iset.iter
       (fun b ->
         (* the writes of the blocks strictly reachable from [b] inside the
            task (edges to the entry end the task and do not continue) *)
         incr search;
-        let sp = ref 0 and reach = ref Regset.empty in
-        let visit s =
-          if s <> task.Task.entry && blk_off.(s) >= 0 && seen.(s) <> !search
-          then begin
-            seen.(s) <- !search;
-            reach := Regset.union writes.(s) !reach;
-            stack.(!sp) <- s;
-            incr sp
-          end
-        in
-        iter_successors f ~included_calls b visit;
+        reach := Regset.empty;
+        succs b;
         while !sp > 0 do
           decr sp;
-          iter_successors f ~included_calls stack.(!sp) visit
+          succs stack.(!sp)
         done;
         let blk = Ir.Func.block f b in
         Array.fill last_def 0 nregs (-1);

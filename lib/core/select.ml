@@ -11,17 +11,21 @@ type ctx = {
   f : Ir.Func.t;
   params : Heuristics.params;
   dfs : Analysis.Dfs.t;
+  preds : Ir.Func.table;  (* what codependent sets walk back through *)
   loops : Analysis.Loops.t;
   included_calls : bool array;
   marks : Task.marks;  (* the stamps every [fits] count reads *)
 }
 
 let make_ctx params f ~included_calls =
+  let dfs = Analysis.Dfs.compute f in
+  let preds = Ir.Func.pred_table f in
   {
     f;
     params;
-    dfs = Analysis.Dfs.compute f;
-    loops = Analysis.Loops.compute f;
+    dfs;
+    preds;
+    loops = Analysis.Loops.compute f (Analysis.Dom.compute dfs preds) preds;
     included_calls;
     marks = Task.marks f ~included_calls;
   }
@@ -64,7 +68,7 @@ let grow_task ?(cut = fun _ -> false) ctx ~entry ~steer =
       (not (terminal_node ctx b))
       && Iset.cardinal !included < ctx.params.Heuristics.max_task_blocks
     then
-      List.iter
+      Ir.Block.iter_succs
         (fun ch ->
           if
             (not (cut ch))
@@ -74,7 +78,7 @@ let grow_task ?(cut = fun _ -> false) ctx ~entry ~steer =
             if fits !included then feasible := !included;
             if steer !included ch then Queue.add ch q
           end)
-        (Ir.Func.successors ctx.f b)
+        (Ir.Func.block ctx.f b)
   done;
   !feasible
 
@@ -131,9 +135,9 @@ let control_flow params f ~included_calls =
    (closure discovers it as a target of whatever task contains one of its
    predecessors).  This is the mechanism the cost-directed [fb] search
    uses to move task heads along dominator edges.  Staged: the context
-   (DFS numbering, loop forest, target-count marks) does not depend on
-   the cuts, so a search applies the first three arguments once and
-   scores every candidate with the result. *)
+   (DFS numbering, predecessor table, loop forest, target-count marks)
+   does not depend on the cuts, so a search applies the first three
+   arguments once and scores every candidate with the result. *)
 let with_cuts params f ~included_calls =
   let ctx = make_ctx params f ~included_calls in
   fun ~cuts ->
@@ -144,21 +148,23 @@ let with_cuts params f ~included_calls =
 
 let data_dependence params f ~included_calls ~deps =
   let ctx = make_ctx params f ~included_calls in
-  (* codependent sets are cached per dependence edge *)
+  (* codependent sets are cached per (producer, consumer) pair, one byte
+     per block *)
+  let n = Ir.Func.num_blocks f in
   let codep_cache = Hashtbl.create 32 in
   let codep d =
-    let key = (d.producer, d.consumer) in
-    match Hashtbl.find_opt codep_cache key with
-    | Some s -> s
-    | None ->
+    let key = (d.producer * n) + d.consumer in
+    match Hashtbl.find codep_cache key with
+    | s -> s
+    | exception Not_found ->
       let s =
-        Iset.of_list
-          (Analysis.Reach.codependent_set ctx.f ~producer:d.producer
-             ~consumer:d.consumer)
+        Analysis.Reach.codependent ctx.f ctx.preds ~producer:d.producer
+          ~consumer:d.consumer
       in
       Hashtbl.replace codep_cache key s;
       s
   in
+  let in_codep d b = Bytes.get (codep d) b <> '\000' in
   (* Per the paper's task_selection(): dependences are processed in
      decreasing frequency order, each expansion steering the traversal along
      the codependent set of exactly one dependence edge.  Exploration stops
@@ -168,7 +174,7 @@ let data_dependence params f ~included_calls ~deps =
      back to plain control-flow growth. *)
   let grow entry =
     let touches_any_dep =
-      List.exists (fun d -> d.producer = entry || Iset.mem entry (codep d)) deps
+      List.exists (fun d -> d.producer = entry || in_codep d entry) deps
     in
     if not touches_any_dep then
       grow_task ctx ~entry ~steer:(fun _ _ -> true)
@@ -194,7 +200,7 @@ let data_dependence params f ~included_calls ~deps =
         | None -> pick included);
         match !current with
         | None -> false (* all rooted dependences captured: stop *)
-        | Some d -> Iset.mem ch (codep d)
+        | Some d -> in_codep d ch
       in
       grow_task ctx ~entry ~steer
     end

@@ -41,10 +41,11 @@ val with_cuts :
     set it reproduces a partition with at least those boundaries.
 
     Staged: [with_cuts params f ~included_calls] derives the function's DFS
-    numbering and loop forest once and returns the partitioner of every
-    [cuts].  The partitioner also holds the {!Task.marks} that every
-    growth step's target count ({!Task.count_hw_targets}) reads, a
-    mutable stamp: it serves one search on one domain. *)
+    numbering, predecessor table, dominators and loop forest once and
+    returns the partitioner of every [cuts].  The partitioner also holds
+    the {!Task.marks} that every growth step's target count
+    ({!Task.count_hw_targets}) reads, a mutable stamp: it serves one
+    search on one domain. *)
 
 val data_dependence :
   Heuristics.params -> Ir.Func.t -> included_calls:bool array ->
@@ -53,4 +54,7 @@ val data_dependence :
     of explored blocks are still included (as in control flow), but
     exploration only continues into blocks lying in the codependent set of
     some active, not-yet-included dependence — dependence-free paths are
-    terminated.  [deps] should be sorted by decreasing [freq]. *)
+    terminated.  [deps] should be sorted by decreasing [freq].  Each
+    (producer, consumer) pair's codependent set ({!Analysis.Reach}) is
+    derived once per call, over the predecessor table the selection
+    context holds. *)

@@ -157,15 +157,21 @@ let forced_entries f ~included_calls blocks =
       | Ir.Block.Ret | Ir.Block.Halt -> acc)
     blocks []
 
+let iter_intra_successors f ~included_calls ~entry blocks visit =
+  let step s = if s <> entry && Iset.mem s blocks then visit s in
+  fun b ->
+    let blk = Ir.Func.block f b in
+    match blk.Ir.Block.term with
+    | Ir.Block.Call (_, _) when not included_calls.(b) -> ()
+    | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
+    | Ir.Block.Ret | Ir.Block.Halt -> Ir.Block.iter_succs step blk
+
 let intra_successors f ~included_calls ~entry blocks b =
-  let blk = Ir.Func.block f b in
-  match blk.Ir.Block.term with
-  | Ir.Block.Call (_, _) when not included_calls.(b) -> []
-  | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
-  | Ir.Block.Ret | Ir.Block.Halt ->
-    List.filter
-      (fun s -> s <> entry && Iset.mem s blocks)
-      (Ir.Block.successors blk)
+  let acc = ref [] in
+  iter_intra_successors f ~included_calls ~entry blocks
+    (fun s -> acc := s :: !acc)
+    b;
+  List.rev !acc
 
 let validate f p =
   let result = ref (Ok ()) in

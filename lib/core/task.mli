@@ -72,12 +72,20 @@ val forced_entries :
     task entries via the return path even though they are nobody's
     predicted target. *)
 
+val iter_intra_successors :
+  Ir.Func.t -> included_calls:bool array -> entry:Ir.Block.label -> Iset.t ->
+  (Ir.Block.label -> unit) -> Ir.Block.label -> unit
+(** [iter_intra_successors f ~included_calls ~entry blocks visit b] visits
+    the successors of block [b] that stay inside the task, in
+    {!Ir.Block.iter_succs} order: members of the set other than the entry
+    (re-entering the entry starts a new task instance); a non-included call
+    block has none.  Staged: applied to [visit] it makes its filter once,
+    and the walk it returns allocates nothing beyond what [visit] does. *)
+
 val intra_successors :
   Ir.Func.t -> included_calls:bool array -> entry:Ir.Block.label -> Iset.t ->
   Ir.Block.label -> Ir.Block.label list
-(** Successors of a block that stay inside the task: members of the set
-    other than the entry (re-entering the entry starts a new task instance);
-    a non-included call block has none. *)
+(** The labels {!iter_intra_successors} visits, in its order. *)
 
 val validate : Ir.Func.t -> partition -> (unit, string) result
 (** Checks: entry block 0 is a task entry; every task's blocks are connected

@@ -37,14 +37,14 @@ let unroll_loop f (lo : Analysis.Loops.loop) k =
   let header_of_copy i = Hashtbl.find copy_label (i mod k, header) in
   let rewrite_term i (b : Ir.Block.t) =
     let map = Hashtbl.create 8 in
-    List.iter
+    Ir.Block.iter_succs
       (fun s ->
         if s = header then
           (* back edge: next copy (or wrap to the original header) *)
           Hashtbl.replace map s (header_of_copy (i + 1))
         else if Iset.mem s in_loop then
           Hashtbl.replace map s (Hashtbl.find copy_label (i, s)))
-      (Ir.Block.successors b);
+      b;
     retarget map b.Ir.Block.term
   in
   (* rewrite original loop blocks (copy 0) *)
@@ -306,11 +306,11 @@ let unroll_counted f (lo : Analysis.Loops.loop) (c : counted) k ~fresh =
           else begin
             (* intra-body edges stay within the copy *)
             let map = Hashtbl.create 4 in
-            List.iter
+            Ir.Block.iter_succs
               (fun s ->
                 if Iset.mem s in_loop && s <> c.c_header then
                   Hashtbl.replace map s (Hashtbl.find copy_label (i, s)))
-              (Ir.Block.successors b);
+              b;
             retarget map b.Ir.Block.term
           end
         in
@@ -363,6 +363,14 @@ let unroll_counted f (lo : Analysis.Loops.loop) (c : counted) k ~fresh =
   in
   { f with Ir.Func.blocks = Array.of_list (old @ appended) }
 
+(* The function's natural loops, from one DFS numbering and one
+   predecessor table *)
+let loops_of f =
+  let preds = Ir.Func.pred_table f in
+  Analysis.Loops.compute f
+    (Analysis.Dom.compute (Analysis.Dfs.compute f) preds)
+    preds
+
 let is_innermost loops lo =
   (* no other loop is strictly contained in lo *)
   not
@@ -377,7 +385,7 @@ let is_innermost loops lo =
        loops)
 
 let rec unroll_round params ~free ~handled f =
-  let loops = Analysis.Loops.compute f in
+  let loops = loops_of f in
   let candidate =
     List.find_opt
       (fun lo ->
@@ -499,7 +507,7 @@ let apply_hoist f (lo : Analysis.Loops.loop) r step latch body_start r_old =
   { f with Ir.Func.blocks = blocks }
 
 let hoist_induction_with ~free f =
-  let loops = Analysis.Loops.compute f in
+  let loops = loops_of f in
   List.fold_left
     (fun f lo ->
       match find_induction f lo with

@@ -14,26 +14,37 @@ type t = {
   term : terminator;
 }
 
-let successors b =
+(* A switch's distinct labels ascending, by repeated minimum: each round
+   visits the least label above the one visited last.  Labels are
+   non-negative, so [max_int] is no label. *)
+let rec iter_switch f targets default last =
+  let next = ref (if default > last then default else max_int) in
+  for k = 0 to Array.length targets - 1 do
+    let t = targets.(k) in
+    if t > last && t < !next then next := t
+  done;
+  if !next < max_int then begin
+    f !next;
+    iter_switch f targets default !next
+  end
+
+let iter_succs f b =
   match b.term with
-  | Jump l -> [ l ]
-  | Br (_, l1, l2) -> if l1 = l2 then [ l1 ] else [ l1; l2 ]
-  | Switch (_, targets, default) ->
-    List.sort_uniq compare (default :: Array.to_list targets)
-  | Call (_, cont) -> [ cont ]
-  | Ret | Halt -> []
+  | Jump l | Call (_, l) -> f l
+  | Br (_, l1, l2) ->
+    f l1;
+    if l2 <> l1 then f l2
+  | Switch (_, targets, default) -> iter_switch f targets default min_int
+  | Ret | Halt -> ()
+
+let successors b =
+  let acc = ref [] in
+  iter_succs (fun l -> acc := l :: !acc) b;
+  List.rev !acc
 
 let is_branch_term = function
   | Br (_, _, _) | Switch (_, _, _) -> true
   | Jump _ | Call (_, _) | Ret | Halt -> false
-
-let num_targets term =
-  match term with
-  | Jump _ | Call (_, _) -> 1
-  | Ret | Halt -> 0
-  | Br (_, l1, l2) -> if l1 = l2 then 1 else 2
-  | Switch (_, targets, default) ->
-    List.length (List.sort_uniq compare (default :: Array.to_list targets))
 
 let size b = Array.length b.insns + 1
 

@@ -25,15 +25,23 @@ type t = {
   term : terminator;
 }
 
+val iter_succs : (label -> unit) -> t -> unit
+(** [iter_succs f b] calls [f] on each distinct intra-function CFG
+    successor of [b] once (for [Call] this is the continuation), in this
+    order: [Jump] and [Call] their one label; [Br (_, l1, l2)] [l1] then
+    [l2], once if they are equal; [Switch] its distinct labels, the
+    default among them, ascending; [Ret] and [Halt] none.  Allocates
+    nothing beyond what [f] does.  A switch's labels are found by repeated
+    minimum, so its walk takes time quadratic in its distinct labels (a
+    switch of the 18 workloads or of the seed-42 synthetic corpus has at
+    most 9: 8 targets and the default). *)
+
 val successors : t -> label list
-(** Intra-function CFG successors (for [Call] this is the continuation). *)
+(** The labels {!iter_succs} visits, in its order. *)
 
 val is_branch_term : terminator -> bool
 (** True for terminators that are *predicted* control transfers in the
     timing model: conditional branches and switches. *)
-
-val num_targets : terminator -> int
-(** Number of distinct intra-function successor labels. *)
 
 val size : t -> int
 (** Static instruction count, including the terminator (counted as one

@@ -20,9 +20,28 @@ val block : t -> Block.label -> Block.t
 val num_blocks : t -> int
 
 val successors : t -> Block.label -> Block.label list
+(** [Block.successors] of the block with this label. *)
+
+type table = {
+  first : int array;
+      (** [num_blocks + 1] offsets: block [l]'s row is
+          [adj.(first.(l))] .. [adj.(first.(l + 1) - 1)] *)
+  adj : Block.label array;  (** every row, in block order *)
+}
+(** A compressed adjacency table of the CFG: one row per block, all rows in
+    one array.  Built by {!Block.iter_succs}, so every edge [b -> s]
+    appears once however often the terminator names [s]. *)
+
+val pred_table : t -> table
+(** Row [l] holds the predecessors of block [l], ascending, unreachable
+    ones included. *)
+
+val succ_table : t -> table
+(** Row [l] holds the successors of block [l] in {!Block.iter_succs}
+    order. *)
 
 val predecessors : t -> Block.label list array
-(** Predecessor lists for all blocks, computed in one pass. *)
+(** {!pred_table}'s rows as lists. *)
 
 val static_size : t -> int
 (** Total static instruction count (including terminators). *)

@@ -48,7 +48,7 @@ let reachable_blocks f =
   let rec visit l =
     if not seen.(l) then begin
       seen.(l) <- true;
-      List.iter visit (Ir.Func.successors f l)
+      Ir.Block.iter_succs visit (Ir.Func.block f l)
     end
   in
   if n > 0 then visit Ir.Func.entry;
@@ -73,14 +73,14 @@ let check_func_structure (f : Ir.Func.t) =
           (Diag.error ~rule:"ir/block-label"
              (Diag.in_func ~block:i f.Ir.Func.name)
              "block at index %d carries label %d" i b.Ir.Block.label);
-      List.iter
+      Ir.Block.iter_succs
         (fun s ->
           if s < 0 || s >= n then
             add
               (Diag.error ~rule:"ir/label-range"
                  (Diag.in_func ~block:i f.Ir.Func.name)
                  "terminator targets out-of-range label L%d (%d blocks)" s n))
-        (Ir.Block.successors b);
+        b;
       let at = ref 0 in
       let invalid what r =
         if not (Ir.Reg.is_valid r) then
@@ -594,9 +594,12 @@ let check_partition ?level ?(params = Core.Heuristics.default) (f : Ir.Func.t)
 
 (* --- register-communication audit ----------------------------------------- *)
 
-(* Each block's successors, as an array *)
+(* Each block's successors, as an array: its row of the successor table *)
 let successors f =
-  Array.map (fun b -> Array.of_list (Ir.Block.successors b)) f.Ir.Func.blocks
+  let t = Ir.Func.succ_table f in
+  Array.init (Ir.Func.num_blocks f) (fun l ->
+      Array.sub t.Ir.Func.adj t.Ir.Func.first.(l)
+        (t.Ir.Func.first.(l + 1) - t.Ir.Func.first.(l)))
 
 (* Each block's successors that may continue a task, as [push_task_succs]
    reads them before its filter on the task: none after a non-included

@@ -77,3 +77,14 @@ let square_sum_spec n =
     s := !s + (i * i)
   done;
   !s + (n * 1000)
+
+(* A function's dominators and natural loops, derived as the selectors
+   derive them: one DFS numbering and one predecessor table. *)
+let dom f =
+  Analysis.Dom.compute (Analysis.Dfs.compute f) (Ir.Func.pred_table f)
+
+let loops f =
+  let preds = Ir.Func.pred_table f in
+  Analysis.Loops.compute f
+    (Analysis.Dom.compute (Analysis.Dfs.compute f) preds)
+    preds

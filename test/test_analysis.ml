@@ -1,6 +1,7 @@
 (* Tests for the compiler analyses: DFS numbering, dominators, natural
    loops, liveness, cross-block dependence edges against a
-   reaching-definitions model, and codependent sets. *)
+   reaching-definitions model, and codependent sets; the first four and
+   the last against the list definitions they replaced (Cfg_model). *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -57,7 +58,7 @@ let test_dfs_retreating () =
 
 let test_dom_diamond () =
   let f = diamond_func () in
-  let dom = Analysis.Dom.compute f in
+  let dom = Gen.dom f in
   checki "idom of 1" 0 dom.Analysis.Dom.idom.(1);
   checki "idom of 2" 0 dom.Analysis.Dom.idom.(2);
   checki "join dominated by entry only" 0 dom.Analysis.Dom.idom.(3);
@@ -68,7 +69,7 @@ let test_dom_diamond () =
 
 let test_dom_loop () =
   let f = loop_func () in
-  let dom = Analysis.Dom.compute f in
+  let dom = Gen.dom f in
   checki "header idom" 0 dom.Analysis.Dom.idom.(1);
   checki "body idom" 1 dom.Analysis.Dom.idom.(2);
   checkb "header dominates latch" true (Analysis.Dom.dominates dom 1 2)
@@ -79,7 +80,7 @@ let prop_entry_dominates_all =
       List.for_all
         (fun name ->
           let f = Ir.Prog.find prog name in
-          let dom = Analysis.Dom.compute f in
+          let dom = Gen.dom f in
           let d = Analysis.Dfs.compute f in
           Array.for_all
             (fun l ->
@@ -94,7 +95,7 @@ let prop_idom_dominates =
       List.for_all
         (fun name ->
           let f = Ir.Prog.find prog name in
-          let dom = Analysis.Dom.compute f in
+          let dom = Gen.dom f in
           Array.for_all (fun l ->
               let id = dom.Analysis.Dom.idom.(l) in
               id = -1 || Analysis.Dom.dominates dom id l)
@@ -105,7 +106,7 @@ let prop_idom_dominates =
 
 let test_loops_simple () =
   let f = loop_func () in
-  let loops = Analysis.Loops.compute f in
+  let loops = Gen.loops f in
   checki "one loop" 1 (List.length loops.Analysis.Loops.loops);
   let lo = List.hd loops.Analysis.Loops.loops in
   checki "header" 1 lo.Analysis.Loops.header;
@@ -132,7 +133,7 @@ let test_loops_nested () =
       Ir.Builder.ret b);
   let prog = Ir.Builder.finish pb ~main:"main" in
   let f = Ir.Prog.find prog "main" in
-  let loops = Analysis.Loops.compute f in
+  let loops = Gen.loops f in
   checki "two loops" 2 (List.length loops.Analysis.Loops.loops);
   let sizes =
     List.sort compare
@@ -370,16 +371,6 @@ module Reaching = struct
       (Hashtbl.fold (fun (a, b, r) () acc -> (a, b, r) :: acc) tbl [])
 end
 
-(* A program as the levels compile it: as built, hoisted (bb, cf, dd) and
-   unrolled then hoisted (ts, fb). *)
-let compiled prog =
-  [
-    prog;
-    Core.Transform.hoist_program prog;
-    Core.Transform.hoist_program
-      (Core.Transform.unroll_program Core.Heuristics.default prog);
-  ]
-
 (* The first function of [prog]'s compilations whose edges differ from the
    model's, with both edge lists. *)
 let model_mismatch prog =
@@ -391,7 +382,7 @@ let model_mismatch prog =
           and want = Reaching.block_dep_edges f in
           if got = want then None else Some (name, got, want))
         (Ir.Prog.Smap.bindings p.Ir.Prog.funcs))
-    (compiled prog)
+    (Cfg_model.compiled prog)
 
 let print_edges l =
   String.concat " "
@@ -418,22 +409,140 @@ let test_dep_edges_corpus () =
 
 (* --- reachability / codependent sets ------------------------------------- *)
 
+(* the blocks a codependent set's bytes mark *)
+let codependent f ~producer ~consumer =
+  let m =
+    Analysis.Reach.codependent f (Ir.Func.pred_table f) ~producer ~consumer
+  in
+  List.filter
+    (fun l -> Bytes.get m l <> '\000')
+    (List.init (Bytes.length m) Fun.id)
+
 let test_codependent_diamond () =
   let f = diamond_func () in
   checkb "0 to 3 covers all" true
-    (Analysis.Reach.codependent_set f ~producer:0 ~consumer:3 = [ 0; 1; 2; 3 ]);
-  checkb "1 to 3" true
-    (Analysis.Reach.codependent_set f ~producer:1 ~consumer:3 = [ 1; 3 ]);
-  checkb "unreachable empty" true
-    (Analysis.Reach.codependent_set f ~producer:3 ~consumer:0 = [])
+    (codependent f ~producer:0 ~consumer:3 = [ 0; 1; 2; 3 ]);
+  checkb "1 to 3" true (codependent f ~producer:1 ~consumer:3 = [ 1; 3 ]);
+  checkb "unreachable empty" true (codependent f ~producer:3 ~consumer:0 = [])
 
 let test_reach_directions () =
   let f = loop_func () in
-  let fwd = Analysis.Reach.forward f 1 in
-  checkb "loop reaches exit" true fwd.(3);
-  checkb "loop does not reach entry" false fwd.(0);
-  let bwd = Analysis.Reach.backward f 2 in
-  checkb "entry reaches latch" true bwd.(0)
+  checkb "loop to exit" true
+    (codependent f ~producer:1 ~consumer:3 = [ 1; 2; 3 ]);
+  checkb "loop does not reach entry" true
+    (codependent f ~producer:1 ~consumer:0 = []);
+  checkb "entry to latch" true
+    (codependent f ~producer:0 ~consumer:2 = [ 0; 1; 2 ]);
+  checkb "a block to itself" true
+    (codependent f ~producer:3 ~consumer:3 = [ 3 ])
+
+(* --- the CFG analyses against the list definitions they replaced ---------- *)
+
+let show l = String.concat "," (List.map string_of_int l)
+let show_arr a = "[" ^ show (Array.to_list a) ^ "]"
+
+(* Codependent sets are compared on every (producer, consumer) pair of a
+   function up to this many blocks, and on the pairs [block_dep_edges]
+   names (the ones selection asks for) beyond it. *)
+let all_pairs = 64
+
+(* The first difference between the analyses of [f] and Cfg_model's, as a
+   message: the DFS numbering, the dominators, the loop forest record by
+   record, and the codependent bytes. *)
+let analyses_mismatch (f : Ir.Func.t) =
+  let n = Ir.Func.num_blocks f in
+  let dfs = Analysis.Dfs.compute f and mdfs = Cfg_model.Dfs.compute f in
+  let preds = Ir.Func.pred_table f in
+  let dom = Analysis.Dom.compute dfs preds in
+  let loops = Analysis.Loops.compute f dom preds in
+  let mloops = Cfg_model.Loops.compute f in
+  let differ what show got want =
+    if got = want then None
+    else
+      Some (Printf.sprintf "%s %s, the model %s" what (show got) (show want))
+  in
+  let arr what got want = differ what show_arr got want in
+  let bools what got want =
+    arr what (Array.map Bool.to_int got) (Array.map Bool.to_int want)
+  in
+  let show_loops l =
+    String.concat " "
+      (List.map
+         (fun (h, blocks, latches, size) ->
+           Printf.sprintf "(header %d blocks [%s] latches [%s] size %d)" h
+             (show blocks) (show latches) size)
+         l)
+  in
+  let pairs =
+    if n <= all_pairs then
+      List.concat_map
+        (fun p -> List.init n (fun c -> (p, c)))
+        (List.init n Fun.id)
+    else
+      List.sort_uniq compare
+        (List.map
+           (fun (p, c, _) -> (p, c))
+           (Analysis.Dataflow.block_dep_edges f))
+  in
+  let codep (producer, consumer) =
+    differ
+      (Printf.sprintf "codependent %d>%d" producer consumer)
+      (fun l -> "[" ^ show l ^ "]")
+      (codependent f ~producer ~consumer)
+      (Cfg_model.codependent_set f ~producer ~consumer)
+  in
+  List.find_map Lazy.force
+    [
+      lazy (arr "pre" dfs.Analysis.Dfs.pre mdfs.Cfg_model.Dfs.pre);
+      lazy (arr "post" dfs.Analysis.Dfs.post mdfs.Cfg_model.Dfs.post);
+      lazy (arr "rpo" dfs.Analysis.Dfs.rpo mdfs.Cfg_model.Dfs.rpo);
+      lazy (arr "idom" dom.Analysis.Dom.idom (Cfg_model.Dom.compute f));
+      lazy
+        (differ "loops" show_loops
+           (List.map
+              (fun Analysis.Loops.{ header; blocks; latches; static_size } ->
+                (header, blocks, latches, static_size))
+              loops.Analysis.Loops.loops)
+           (List.map
+              (fun Cfg_model.Loops.{ header; blocks; latches; static_size } ->
+                (header, blocks, latches, static_size))
+              mloops.Cfg_model.Loops.loops));
+      lazy
+        (bools "is_header" loops.Analysis.Loops.is_header
+           mloops.Cfg_model.Loops.is_header);
+      lazy
+        (bools "is_latch" loops.Analysis.Loops.is_latch
+           mloops.Cfg_model.Loops.is_latch);
+      lazy
+        (arr "innermost" loops.Analysis.Loops.innermost
+           mloops.Cfg_model.Loops.innermost);
+      lazy (List.find_map codep pairs);
+    ]
+
+let test_cfg_model_corpus () =
+  List.iter
+    (fun (name, f) ->
+      match analyses_mismatch f with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s" name msg)
+    (Lazy.force Cfg_model.corpus_funcs)
+
+let prop_cfg_model_random =
+  QCheck.Test.make ~name:"random CFGs match the list model" ~count:1000
+    Cfg_model.arbitrary_func (fun f ->
+      match analyses_mismatch f with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+let prop_cfg_model_builder =
+  QCheck.Test.make ~name:"builder functions match the list model" ~count:100
+    Gen.arbitrary_program (fun prog ->
+      Ir.Prog.Smap.for_all
+        (fun name f ->
+          match analyses_mismatch f with
+          | None -> true
+          | Some msg -> QCheck.Test.fail_reportf "%s: %s" name msg)
+        prog.Ir.Prog.funcs)
 
 let () =
   Alcotest.run "analysis"
@@ -475,5 +584,11 @@ let () =
         [
           Alcotest.test_case "codependent" `Quick test_codependent_diamond;
           Alcotest.test_case "directions" `Quick test_reach_directions;
+        ] );
+      ( "model",
+        [
+          Alcotest.test_case "corpus and shapes" `Quick test_cfg_model_corpus;
+          QCheck_alcotest.to_alcotest prop_cfg_model_random;
+          QCheck_alcotest.to_alcotest prop_cfg_model_builder;
         ] );
     ]

@@ -85,7 +85,7 @@ let cost_bits (c : Analysis.Cost.t) =
    without its candidate cap: a new head at each reachable dominator-tree
    child of a head, or each non-entry head removed. *)
 let candidate_cuts f (part : Core.Task.partition) =
-  let dom = Analysis.Dom.compute f and dfs = Analysis.Dfs.compute f in
+  let dom = Gen.dom f and dfs = Analysis.Dfs.compute f in
   let heads =
     Array.fold_left
       (fun s (t : Core.Task.t) -> Iset.add t.Core.Task.entry s)

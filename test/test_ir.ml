@@ -169,13 +169,105 @@ let test_block_successors () =
 
 let test_block_targets () =
   let open Ir.Block in
+  let num_targets term =
+    let k = ref 0 in
+    iter_succs (fun _ -> incr k) { label = 0; insns = [||]; term };
+    !k
+  in
   checki "jump" 1 (num_targets (Jump 0));
   checki "br" 2 (num_targets (Br (1, 0, 1)));
   checki "br same" 1 (num_targets (Br (1, 0, 0)));
   checki "switch" 3 (num_targets (Switch (1, [| 0; 1 |], 2)));
+  checki "switch repeats" 3 (num_targets (Switch (1, [| 2; 0; 2; 1 |], 0)));
   checki "ret" 0 (num_targets Ret);
   checkb "branch terms" true (is_branch_term (Br (1, 0, 0)));
   checkb "jump not branch" false (is_branch_term (Jump 0))
+
+(* Ir.Block.iter_succs (with successors, its list view) and Ir.Func's
+   tables against the list definitions they replaced (Cfg_model), on
+   [f]; the first difference is returned as a message. *)
+let cfg_mismatch (f : Ir.Func.t) =
+  let n = Ir.Func.num_blocks f in
+  let row (t : Ir.Func.table) l =
+    List.init (t.Ir.Func.first.(l + 1) - t.Ir.Func.first.(l)) (fun k ->
+        t.Ir.Func.adj.(t.Ir.Func.first.(l) + k))
+  in
+  let preds = Ir.Func.pred_table f and succs = Ir.Func.succ_table f in
+  let model_preds = Cfg_model.predecessors f
+  and pred_lists = Ir.Func.predecessors f in
+  let show l = String.concat "," (List.map string_of_int l) in
+  let differ what l got want =
+    if got = want then None
+    else
+      Some
+        (Printf.sprintf "L%d %s: [%s], the model [%s]" l what (show got)
+           (show want))
+  in
+  List.find_map
+    (fun l ->
+      let b = Ir.Func.block f l in
+      let want = Cfg_model.successors b in
+      let seen = ref [] in
+      Ir.Block.iter_succs (fun s -> seen := s :: !seen) b;
+      List.find_map Fun.id
+        [
+          differ "iter_succs" l (List.rev !seen) want;
+          differ "successors" l (Ir.Block.successors b) want;
+          differ "succ_table" l (row succs l) want;
+          differ "pred_table" l (row preds l) model_preds.(l);
+          differ "predecessors" l pred_lists.(l) model_preds.(l);
+        ])
+    (List.init n Fun.id)
+
+let test_cfg_model_corpus () =
+  List.iter
+    (fun (name, f) ->
+      match cfg_mismatch f with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s" name msg)
+    (Lazy.force Cfg_model.corpus_funcs)
+
+let prop_cfg_model_random =
+  QCheck.Test.make ~name:"random CFGs match the list model" ~count:500
+    Cfg_model.arbitrary_func (fun f ->
+      match cfg_mismatch f with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+let prop_cfg_model_builder =
+  QCheck.Test.make ~name:"builder functions match the list model" ~count:100
+    Gen.arbitrary_program (fun prog ->
+      Ir.Prog.Smap.for_all
+        (fun name f ->
+          match cfg_mismatch f with
+          | None -> true
+          | Some msg -> QCheck.Test.fail_reportf "%s: %s" name msg)
+        prog.Ir.Prog.funcs)
+
+let test_iter_succs_alloc () =
+  let blocks =
+    Array.concat
+      (List.map
+         (fun (f : Ir.Func.t) -> f.Ir.Func.blocks)
+         (Cfg_model.shapes ()))
+  in
+  let sum = ref 0 in
+  let visit l = sum := !sum + l in
+  let walk () =
+    for i = 0 to Array.length blocks - 1 do
+      Ir.Block.iter_succs visit blocks.(i)
+    done
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  walk ();
+  (* both readings box one float *)
+  check (Alcotest.float 0.0) "words beyond an empty reading" 0.0
+    (words walk -. words ignore);
+  checkb "visited" true (!sum > 0)
 
 (* --- functions ----------------------------------------------------------- *)
 
@@ -423,6 +515,14 @@ let () =
         [
           Alcotest.test_case "successors" `Quick test_block_successors;
           Alcotest.test_case "targets" `Quick test_block_targets;
+          Alcotest.test_case "iter_succs allocates nothing" `Quick
+            test_iter_succs_alloc;
+        ] );
+      ( "model",
+        [
+          Alcotest.test_case "corpus and shapes" `Quick test_cfg_model_corpus;
+          QCheck_alcotest.to_alcotest prop_cfg_model_random;
+          QCheck_alcotest.to_alcotest prop_cfg_model_builder;
         ] );
       ( "func",
         [

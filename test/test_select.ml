@@ -55,7 +55,7 @@ let test_cf_loop_body_task () =
   let f = Ir.Prog.find prog "main" in
   let part = Core.Select.control_flow params f ~included_calls:(no_calls f) in
   checkb "valid" true (Core.Task.validate f part = Ok ());
-  let loops = Analysis.Loops.compute f in
+  let loops = Gen.loops f in
   let lo = List.hd loops.Analysis.Loops.loops in
   let t = find_task part lo.Analysis.Loops.header in
   (* the loop-body task's targets include its own entry (next iteration) *)

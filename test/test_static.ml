@@ -246,14 +246,10 @@ let within what ~words ~per ~unit_ ~budget =
   report what ~words ~per ~unit_;
   judge what ~per ~unit_ ~budget
 
-(* Sound liveness as a plan derives it for Depend and Regcomm (Dce's is
-   the same fixpoint), over the 18 fb plans' functions (tree-set register
-   sets took about 3,700 words per block; reading instructions through
-   sorted operand lists, 248).  This suite starts no other domain, so no
-   other allocation enters the counters. *)
-let liveness_budget = 200.0
-
-let test_liveness_budget () =
+(* Words per block of [run] over the functions of the 18 fb plans.  This
+   suite starts no other domain, so no other allocation enters the
+   counters. *)
+let per_fb_block_budget ~what ~budget run =
   let funcs =
     List.concat_map
       (fun (plan : Core.Partition.plan) ->
@@ -261,14 +257,42 @@ let test_liveness_budget () =
       (fb_plans ())
   in
   let blocks = List.fold_left (fun a f -> a + Ir.Func.num_blocks f) 0 funcs in
-  let words =
-    measure (fun () ->
-        List.iter
-          (fun f -> ignore (Analysis.Dataflow.sound_live_in f))
-          funcs)
-  in
-  within "liveness of the fb plans' functions" ~words
-    ~per:(words /. float_of_int blocks) ~unit_:"block" ~budget:liveness_budget
+  let words = measure (fun () -> List.iter run funcs) in
+  within (what ^ " of the fb plans' functions") ~words
+    ~per:(words /. float_of_int blocks) ~unit_:"block" ~budget
+
+(* Sound liveness as a plan derives it for Depend and Regcomm (Dce's is
+   the same fixpoint): tree-set register sets took about 3,700 words per
+   block; reading instructions through sorted operand lists, 248; joining
+   successors through per-block arrays and a closure per block, 100. *)
+let liveness_budget = 75.0
+
+let test_liveness_budget () =
+  per_fb_block_budget ~what:"liveness" ~budget:liveness_budget (fun f ->
+      ignore (Analysis.Dataflow.sound_live_in f))
+
+(* A function's static block frequencies, as Partition.facts derives them
+   (238 words per block when they derived three DFS numberings, two
+   dominator trees and three predecessor arrays from successor lists). *)
+let block_freqs_budget = 100.0
+
+let test_block_freqs_budget () =
+  per_fb_block_budget ~what:"block_freqs" ~budget:block_freqs_budget (fun f ->
+      ignore (Analysis.Cost.block_freqs f))
+
+(* A loop forest as a consumer derives it: one DFS numbering, one
+   predecessor table, the dominators and the loops (149 words per block
+   when Loops.compute derived its own dominators over predecessor lists
+   and marked each natural loop in a Hashtbl). *)
+let loops_budget = 80.0
+
+let test_loops_budget () =
+  per_fb_block_budget ~what:"loop forest" ~budget:loops_budget (fun f ->
+      let preds = Ir.Func.pred_table f in
+      ignore
+        (Analysis.Loops.compute f
+           (Analysis.Dom.compute (Analysis.Dfs.compute f) preds)
+           preds))
 
 (* What a reader of a plan whose facts and liveness are already derived
    pays: a second plan_cost, and Depend.analyze at ab and fi as the
@@ -355,6 +379,58 @@ let test_dep_edges_budget () =
       Ir.Prog.Smap.iter
         (fun _ f -> ignore (Analysis.Dataflow.block_dep_edges f))
         p.Ir.Prog.funcs)
+
+(* Data-dependence selection as Partition.build runs it, over every
+   function of the 18 workloads' hoisted programs with the profiled edges
+   it passes: the most frequent 64 of Partition.dep_edges_of_profile from
+   the program's run (1,388 words per block when every dependence edge
+   rebuilt a predecessor array for its codependent set, kept as a tree
+   set). *)
+let data_dependence_budget = 500.0
+
+let test_data_dependence_budget () =
+  let params = Core.Heuristics.default in
+  let funcs =
+    List.concat_map
+      (fun (c : Corpus.cell) ->
+        match c.Corpus.plan with
+        | Ok plan
+          when c.Corpus.suite
+               && c.Corpus.level = Core.Heuristics.Data_dependence ->
+          let prog = plan.Core.Partition.prog in
+          let outcome = c.Corpus.run prog in
+          List.map
+            (fun (name, f) ->
+              let deps =
+                match Interp.Trace.fid outcome.Interp.Run.trace name with
+                | fid ->
+                  List.filteri
+                    (fun i _ -> i < 64)
+                    (Core.Partition.dep_edges_of_profile
+                       outcome.Interp.Run.profile ~fid f)
+                | exception Not_found -> []
+              in
+              (f, deps))
+            (Ir.Prog.Smap.bindings prog.Ir.Prog.funcs)
+        | _ -> [])
+      (Lazy.force corpus)
+  in
+  let blocks =
+    List.fold_left (fun a (f, _) -> a + Ir.Func.num_blocks f) 0 funcs
+  in
+  let words =
+    measure (fun () ->
+        List.iter
+          (fun (f, deps) ->
+            ignore
+              (Core.Select.data_dependence params f
+                 ~included_calls:(Array.make (Ir.Func.num_blocks f) false)
+                 ~deps))
+          funcs)
+  in
+  within "data-dependence selection of the hoisted programs" ~words
+    ~per:(words /. float_of_int blocks) ~unit_:"block"
+    ~budget:data_dependence_budget
 
 (* One function of a plan, with the plan's liveness. *)
 type plan_func = {
@@ -661,6 +737,12 @@ let () =
           Alcotest.test_case "analysis digests" `Quick test_analysis_golden;
           Alcotest.test_case "liveness allocation budget" `Quick
             test_liveness_budget;
+          Alcotest.test_case "block_freqs allocation budget" `Quick
+            test_block_freqs_budget;
+          Alcotest.test_case "loop forest allocation budget" `Quick
+            test_loops_budget;
+          Alcotest.test_case "data_dependence allocation budget" `Quick
+            test_data_dependence_budget;
           Alcotest.test_case "plan allocation budget" `Quick test_plan_budget;
           Alcotest.test_case "memdep allocation budget" `Quick
             test_memdep_budget;

@@ -32,18 +32,18 @@ let test_counted_unroll_grows () =
     (Ir.Func.num_blocks f' > Ir.Func.num_blocks f);
   (* the loop should now be at least LOOP_THRESH instructions or have been
      expanded by the capped factor *)
-  let loops = Analysis.Loops.compute f' in
+  let loops = Gen.loops f' in
   let lo = List.hd loops.Analysis.Loops.loops in
   checkb "loop expanded" true
     (lo.Analysis.Loops.static_size
-     > (List.hd (Analysis.Loops.compute f).Analysis.Loops.loops)
+     > (List.hd (Gen.loops f).Analysis.Loops.loops)
          .Analysis.Loops.static_size)
 
 let test_counted_unroll_single_carried_write () =
   (* induction coalescing: the carried register is written exactly once in
      the unrolled body, near the top *)
   let _, f' = unrolled (Gen.square_sum_program 10) in
-  let loops = Analysis.Loops.compute f' in
+  let loops = Gen.loops f' in
   let lo = List.hd loops.Analysis.Loops.loops in
   let r = Ir.Reg.tmp 1 (* square_sum's induction register *) in
   let writes =
@@ -114,7 +114,7 @@ let test_hoist_moves_increment () =
   let f' = Ir.Prog.find (Core.Transform.hoist_program prog) "main" in
   (* the latch must no longer end with the increment; some body block must
      start with a mov of the induction register *)
-  let loops = Analysis.Loops.compute f' in
+  let loops = Gen.loops f' in
   let lo = List.hd loops.Analysis.Loops.loops in
   let latch = List.hd lo.Analysis.Loops.latches in
   let latch_insns = (Ir.Func.block f' latch).Ir.Block.insns in
