@@ -6,7 +6,9 @@
    one of its call sites (registers are architecturally global, so no
    calling context needs to be tracked).  States live in buffers the
    engine owns: one per node, plus scratch buffers for a block's
-   out-state, an edge's refinement, and the join and widening candidates. *)
+   out-state, an edge's refinement, and the join and widening candidates.
+   The supergraph and the buffers are built once per [solve]; each round
+   the client asks for runs over them, reset to bottom. *)
 
 module type STATE = sig
   type t
@@ -36,7 +38,8 @@ module Make (S : STATE) = struct
   let widen_after = 3
   let narrow_rounds = 2
 
-  let solve ?refine ~seed ~transfer (prog : Ir.Prog.t) =
+  let solve ?refine ?(again = fun _ -> false) ~seed ~transfer
+      (prog : Ir.Prog.t) =
     let fnames =
       Array.of_list (List.map fst (Ir.Prog.Smap.bindings prog.Ir.Prog.funcs))
     in
@@ -123,7 +126,8 @@ module Make (S : STATE) = struct
     in
     let upd_count = Array.make nnodes 0 in
     (* FIFO worklist; a node is queued at most once, so a ring of one slot
-       per node never overflows *)
+       per node never overflows.  A round ends with the ring empty and
+       every flag cleared. *)
     let queued = Array.make nnodes false in
     let ring = Array.make (max 1 nnodes) 0 in
     let head = ref 0 and len = ref 0 in
@@ -135,89 +139,100 @@ module Make (S : STATE) = struct
       end
     in
     let seed_of = Array.make nnodes None in
-    Array.iteri
-      (fun fi name ->
-        match seed name with
-        | Some s ->
-          let n = node fi Ir.Func.entry in
-          seed_of.(n) <- Some s;
-          S.join_into states.(n) s;
-          push n
-        | None -> ())
-      fnames;
-    let updates = ref 0 and widenings = ref 0 in
-    (* ascending pass: propagate block outs along supergraph edges, widening
-       any target whose entry state keeps moving *)
-    while !len > 0 do
-      let n = ring.(!head) in
-      head := (!head + 1) mod Array.length ring;
-      decr len;
-      queued.(n) <- false;
-      let fname = fnames.(func_of.(n)) in
-      let blk = funcs.(func_of.(n)).Ir.Func.blocks.(blk_of.(n)) in
-      transfer fname blk ~src:states.(n) ~dst:out;
-      let ss = succs.(n) in
-      for k = 0 to Array.length ss - 1 do
-        let m = ss.(k) in
-        let old = states.(m) in
-        S.assign !cand old;
-        S.join_into !cand (along fname blk blk_of.(m));
-        if upd_count.(m) >= widen_after then begin
-          S.assign !wide !cand;
-          S.widen_into ~old !wide;
-          if not (S.equal !wide !cand) then incr widenings;
-          let c = !cand in
-          cand := !wide;
-          wide := c
-        end;
-        if not (S.equal !cand old) then begin
-          S.assign old !cand;
-          upd_count.(m) <- upd_count.(m) + 1;
-          incr updates;
-          push m
-        end
-      done
-    done;
-    (* descending (narrowing) passes: recompute each entry state from its
-       predecessors and accept only provable refinements *)
-    let narrowed = ref 0 in
-    let rec narrow rounds =
-      if rounds > 0 then begin
-        let changed = ref false in
-        let cand = !cand in
-        for n = 0 to nnodes - 1 do
-          if not (S.is_bot states.(n)) then begin
-            S.assign cand (match seed_of.(n) with Some s -> s | None -> bot);
-            let ps = preds.(n) in
-            for k = 0 to Array.length ps - 1 do
-              let p = ps.(k) in
-              if not (S.is_bot states.(p)) then begin
-                let pname = fnames.(func_of.(p)) in
-                let pblk = funcs.(func_of.(p)).Ir.Func.blocks.(blk_of.(p)) in
-                transfer pname pblk ~src:states.(p) ~dst:out;
-                S.join_into cand (along pname pblk blk_of.(n))
-              end
-            done;
-            if S.leq cand states.(n) && not (S.equal cand states.(n)) then begin
-              S.assign states.(n) cand;
-              incr narrowed;
-              changed := true
-            end
+    (* one round: every state, update count and seed from scratch *)
+    let rec round () =
+      Array.iter (fun st -> S.assign st bot) states;
+      Array.fill upd_count 0 nnodes 0;
+      Array.fill seed_of 0 nnodes None;
+      Array.iteri
+        (fun fi name ->
+          match seed name with
+          | Some s ->
+            let n = node fi Ir.Func.entry in
+            seed_of.(n) <- Some s;
+            S.join_into states.(n) s;
+            push n
+          | None -> ())
+        fnames;
+      let updates = ref 0 and widenings = ref 0 in
+      (* ascending pass: propagate block outs along supergraph edges, widening
+         any target whose entry state keeps moving *)
+      while !len > 0 do
+        let n = ring.(!head) in
+        head := (!head + 1) mod Array.length ring;
+        decr len;
+        queued.(n) <- false;
+        let fname = fnames.(func_of.(n)) in
+        let blk = funcs.(func_of.(n)).Ir.Func.blocks.(blk_of.(n)) in
+        transfer fname blk ~src:states.(n) ~dst:out;
+        let ss = succs.(n) in
+        for k = 0 to Array.length ss - 1 do
+          let m = ss.(k) in
+          let old = states.(m) in
+          S.assign !cand old;
+          S.join_into !cand (along fname blk blk_of.(m));
+          if upd_count.(m) >= widen_after then begin
+            S.assign !wide !cand;
+            S.widen_into ~old !wide;
+            if not (S.equal !wide !cand) then incr widenings;
+            let c = !cand in
+            cand := !wide;
+            wide := c
+          end;
+          if not (S.equal !cand old) then begin
+            S.assign old !cand;
+            upd_count.(m) <- upd_count.(m) + 1;
+            incr updates;
+            push m
           end
-        done;
-        if !changed then narrow (rounds - 1)
-      end
+        done
+      done;
+      (* descending (narrowing) passes: recompute each entry state from its
+         predecessors and accept only provable refinements *)
+      let narrowed = ref 0 in
+      let rec narrow rounds =
+        if rounds > 0 then begin
+          let changed = ref false in
+          let cand = !cand in
+          for n = 0 to nnodes - 1 do
+            if not (S.is_bot states.(n)) then begin
+              S.assign cand (match seed_of.(n) with Some s -> s | None -> bot);
+              let ps = preds.(n) in
+              for k = 0 to Array.length ps - 1 do
+                let p = ps.(k) in
+                if not (S.is_bot states.(p)) then begin
+                  let pname = fnames.(func_of.(p)) in
+                  let pblk = funcs.(func_of.(p)).Ir.Func.blocks.(blk_of.(p)) in
+                  transfer pname pblk ~src:states.(p) ~dst:out;
+                  S.join_into cand (along pname pblk blk_of.(n))
+                end
+              done;
+              let st = states.(n) in
+              if S.leq cand st && not (S.equal cand st) then begin
+                S.assign st cand;
+                incr narrowed;
+                changed := true
+              end
+            end
+          done;
+          if !changed then narrow (rounds - 1)
+        end
+      in
+      narrow narrow_rounds;
+      let r =
+        {
+          findex;
+          offset;
+          states;
+          bot;
+          updates = !updates;
+          widenings = !widenings;
+          narrowed = !narrowed;
+        }
+      in
+      if again r then round () else r
     in
-    narrow narrow_rounds;
-    {
-      findex;
-      offset;
-      states;
-      bot;
-      updates = !updates;
-      widenings = !widenings;
-      narrowed = !narrowed;
-    }
+    round ()
 
   let func_states r fname =
     match Hashtbl.find_opt r.findex fname with

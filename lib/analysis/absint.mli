@@ -76,6 +76,7 @@ module Make (S : STATE) : sig
   val solve :
     ?refine:
       (string -> Ir.Block.t -> Ir.Block.label -> src:S.t -> dst:S.t -> unit) ->
+    ?again:(result -> bool) ->
     seed:(string -> S.t option) ->
     transfer:(string -> Ir.Block.t -> src:S.t -> dst:S.t -> unit) ->
     Ir.Prog.t ->
@@ -83,7 +84,7 @@ module Make (S : STATE) : sig
   (** Run the ascending worklist pass (widening past 3 updates per block)
       followed by 2 guarded descending passes.  [seed fname] is the extra
       state joined into the entry block of [fname] (the loader state for
-      [main], [None] elsewhere); the engine reads it during the solve.
+      [main], [None] elsewhere); the engine reads it as each round starts.
       [transfer fname block ~src ~dst] abstractly executes one block from
       its entry state [src] into [dst].  [transfer] of an unreachable
       [src] should leave [dst] unreachable, so unreachable blocks stay
@@ -99,19 +100,28 @@ module Make (S : STATE) : sig
       interprocedural edges ([Call]/[Ret]), [target] is a label in the
       {e callee}/continuation function — a condition-driven client matches
       on [block]'s terminator and leaves those edges alone.  Default: the
-      out-state itself. *)
+      out-state itself.
+
+      [again r] (default: never) is called with each round's result; when
+      it answers [true], the engine solves once more over the same
+      supergraph and state buffers, reset to bottom, with zero counts and
+      the seeds read afresh, and returns the last round's result.  A
+      client whose [transfer] reads something the previous round's states
+      determine (Memdep's abstract memory) updates it here.  A round's
+      states are the engine's buffers, so they are valid until [again]
+      returns [true]; the returned result's stay valid. *)
 
   val entry_state : result -> string -> Ir.Block.label -> S.t
-  (** The fixpoint state at a block's entry (the engine's buffer, read-only);
-      an unreachable state for unknown functions, out-of-range labels, or
-      unreachable blocks. *)
+  (** The fixpoint state at a block's entry (the engine's buffer, read-only,
+      valid until the next round); an unreachable state for unknown
+      functions, out-of-range labels, or unreachable blocks. *)
 
   val func_states : result -> string -> S.t array option
   (** All block-entry states of one function, indexed by label: the
-      engine's buffers, read-only. *)
+      engine's buffers, read-only and valid until the next round. *)
 
   val updates : result -> int
-  (** Total accepted state updates across the ascending pass. *)
+  (** Total accepted state updates across the round's ascending pass. *)
 
   val widenings : result -> int
   (** Updates that went through {!S.widen_into}. *)

@@ -378,7 +378,10 @@ let bin_value regs op s o =
    flag (unreachable is the bottom state; its registers are then
    meaningless) and one strided interval per register, updated in place.
    Joins and widenings go through [mk]'s reuse, so a register whose value
-   does not change keeps its interval and costs no allocation. *)
+   does not change keeps its interval and costs no allocation.  [assign]
+   copies the registers of an unreachable state too: the engine resets
+   its buffers to bottom for every round, and a reset buffer that kept
+   its registers would keep the last round's intervals alive. *)
 module Rstate = struct
   type t = { mutable reach : bool; regs : value array }
 
@@ -387,7 +390,7 @@ module Rstate = struct
 
   let assign dst src =
     dst.reach <- src.reach;
-    if src.reach then Array.blit src.regs 0 dst.regs 0 Ir.Reg.count
+    Array.blit src.regs 0 dst.regs 0 Ir.Reg.count
 
   (* [p] holds register by register *)
   let for_all2 p a b =
@@ -715,8 +718,6 @@ let analyze ~sp prog =
      ubiquitous "li addr; access" pattern, which the flow-insensitive env
      drowns in the loader's zero seed.  A single-cell memory stands in for
      the partition here: loads fall back to the global mem join. *)
-  let fi_cells = [| !mem |] in
-  let fi_partition = [| top |] in
   (* every replay of a block from a known entry state runs in this one
      register file *)
   let scratch = Array.make Ir.Reg.count Bot in
@@ -724,19 +725,28 @@ let analyze ~sp prog =
     Array.blit entry 0 scratch 0 Ir.Reg.count;
     exec_block cells partition ~on_site b scratch
   in
-  let fi_site_tbl =
-    Ir.Prog.Smap.map
-      (fun (f : Ir.Func.t) ->
+  (* every function's sites, each block replayed from [entry fname label];
+     a block with no entry (unreachable) keeps the site skeleton, replayed
+     from the flow-insensitive registers with every region emptied *)
+  let site_table cells partition entry =
+    Ir.Prog.Smap.mapi
+      (fun fname (f : Ir.Func.t) ->
         let acc = ref [] in
         Array.iter
           (fun (b : Ir.Block.t) ->
+            let e = entry fname b.Ir.Block.label in
             let on_site ~idx ~store ~region ~stored:_ =
+              let region = if Option.is_some e then region else Bot in
               acc := { blk = b.Ir.Block.label; idx; store; region } :: !acc
             in
-            replay fi_cells fi_partition ~on_site b regs)
+            replay cells partition ~on_site b (Option.value e ~default:regs))
           f.Ir.Func.blocks;
         List.rev !acc)
       prog.Ir.Prog.funcs
+  in
+  let fi_site_tbl =
+    let always = Some regs in
+    site_table [| !mem |] [| top |] (fun _ _ -> always)
   in
   (* Flow-sensitive pass: solve for block-entry register states against a
      frozen memory, then fold the stores those states imply back into the
@@ -778,20 +788,19 @@ let analyze ~sp prog =
   in
   let max_outer = 8 in
   let outer = ref 0 in
-  let stable = ref false in
-  let last = ref None in
-  while not !stable do
+  let next = Array.make ncells Bot in
+  let on_site ~idx:_ ~store ~region ~stored =
+    if store && not (is_bot region) then
+      for i = 0 to ncells - 1 do
+        if (not saturated.(i)) && may_intersect partition.(i) region then
+          next.(i) <- join next.(i) stored
+      done
+  in
+  (* after each solve: fold its stores into the cells, and ask for another
+     round while any cell moved *)
+  let again res =
     incr outer;
-    let res = Engine.solve ~seed ~transfer ~refine:refine_edge prog in
-    last := Some res;
-    let next = Array.copy cells in
-    let on_site ~idx:_ ~store ~region ~stored =
-      if store && not (is_bot region) then
-        for i = 0 to ncells - 1 do
-          if (not saturated.(i)) && may_intersect partition.(i) region then
-            next.(i) <- join next.(i) stored
-        done
-    in
+    Array.blit cells 0 next 0 ncells;
     Ir.Prog.Smap.iter
       (fun fname (f : Ir.Func.t) ->
         match Engine.func_states res fname with
@@ -805,29 +814,20 @@ let analyze ~sp prog =
                 replay cells partition ~on_site b entry.Rstate.regs)
             f.Ir.Func.blocks)
       prog.Ir.Prog.funcs;
-    let moved = Array.make ncells false in
     let any = ref false in
     for i = 0 to ncells - 1 do
       if not (equal next.(i) cells.(i)) then begin
-        moved.(i) <- true;
-        any := true
+        any := true;
+        if !outer < max_outer then cells.(i) <- next.(i)
+        else begin
+          cells.(i) <- join next.(i) !mem;
+          saturated.(i) <- true
+        end
       end
     done;
-    if not !any then stable := true
-    else begin
-      Array.blit next 0 cells 0 ncells;
-      if !outer >= max_outer then
-        for i = 0 to ncells - 1 do
-          if moved.(i) then begin
-            cells.(i) <- join cells.(i) !mem;
-            saturated.(i) <- true
-          end
-        done
-    end
-  done;
-  let res =
-    match !last with Some r -> r | None -> assert false (* loop ran once *)
+    !any
   in
+  let res = Engine.solve ~seed ~transfer ~refine:refine_edge ~again prog in
   (* Refined site table: replay each block from its fixpoint entry state
      and clamp every region to the flow-insensitive one — the refinement
      bound holds by construction ([absint/refines] audits the plumbing),
@@ -835,51 +835,15 @@ let analyze ~sp prog =
      surviving region. *)
   let site_tbl =
     Ir.Prog.Smap.mapi
-      (fun fname (f : Ir.Func.t) ->
-        let states = Engine.func_states res fname in
-        let acc = ref [] in
-        Array.iter
-          (fun (b : Ir.Block.t) ->
-            let entry =
-              match states with
-              | None -> None
-              | Some states ->
-                let st = states.(b.Ir.Block.label) in
-                if st.Rstate.reach then Some st.Rstate.regs else None
-            in
-            match entry with
-            | None ->
-              (* unreachable block: empty regions, same site skeleton *)
-              Array.iteri
-                (fun idx insn ->
-                  match insn with
-                  | Ir.Insn.Load _ ->
-                    acc :=
-                      { blk = b.Ir.Block.label; idx; store = false; region = Bot }
-                      :: !acc
-                  | Ir.Insn.Store _ ->
-                    acc :=
-                      { blk = b.Ir.Block.label; idx; store = true; region = Bot }
-                      :: !acc
-                  | _ -> ())
-                b.Ir.Block.insns
-            | Some entry ->
-              let on_site ~idx ~store ~region ~stored:_ =
-                acc := { blk = b.Ir.Block.label; idx; store; region } :: !acc
-              in
-              replay cells partition ~on_site b entry)
-          f.Ir.Func.blocks;
-        let refined = List.rev !acc in
-        let fi =
-          match Ir.Prog.Smap.find_opt fname fi_site_tbl with
-          | Some l -> l
-          | None -> []
-        in
+      (fun fname refined ->
         List.map2
           (fun r f ->
             if leq r.region f.region then r else { r with region = f.region })
-          refined fi)
-      prog.Ir.Prog.funcs
+          refined
+          (Ir.Prog.Smap.find fname fi_site_tbl))
+      (site_table cells partition (fun fname blk ->
+           let st = Engine.entry_state res fname blk in
+           if st.Rstate.reach then Some st.Rstate.regs else None))
   in
   let nsat = Array.fold_left (fun n s -> if s then n + 1 else n) 0 saturated in
   {

@@ -263,25 +263,27 @@ let refine (plan : Partition.plan) =
    [improve_factor]. *)
 let seed_factor = 0.8
 
-let build ?params ?profile_input ?run prog =
+let build ?params ?profile_input ?run ?program prog =
   let seed_ts =
-    Partition.build ?params ?profile_input ?run Heuristics.Feedback prog
+    Partition.build ?params ?profile_input ?run ?program Heuristics.Feedback
+      prog
   in
   let seed_dd =
     Partition.with_level
-      (Partition.build ?params ?profile_input ?run Heuristics.Data_dependence
-         prog)
+      (Partition.build ?params ?profile_input ?run ?program
+         Heuristics.Data_dependence prog)
       Heuristics.Feedback
   in
-  (* each seed's facts are derived once, for its score and, for the
-     winner, its search and every later reader of the refined plan *)
+  (* each seed's facts are its program record's, derived once for its
+     score and, for the winner, its search and every later reader of the
+     refined plan *)
   let c_ts = (plan_cost seed_ts).r_scalar in
   let c_dd = (plan_cost seed_dd).r_scalar in
   if c_dd < c_ts *. seed_factor then refine seed_dd else refine seed_ts
 
-let plan_for_level ?params ?profile_input ?run level prog =
+let plan_for_level ?params ?profile_input ?run ?program level prog =
   match level with
-  | Heuristics.Feedback -> build ?params ?profile_input ?run prog
+  | Heuristics.Feedback -> build ?params ?profile_input ?run ?program prog
   | Heuristics.Basic_block | Heuristics.Control_flow
   | Heuristics.Data_dependence | Heuristics.Task_size ->
-    Partition.build ?params ?profile_input ?run level prog
+    Partition.build ?params ?profile_input ?run ?program level prog

@@ -24,9 +24,10 @@
     The partition-independent half — block frequencies, call weights, the
     useful-work base and the address analysis — is the plan's
     {!Partition.facts}, and each function's sound liveness is the plan's
-    {!Partition.live_in}: both derived once per plan, on first use, and
-    shared by the seed's score, its search, the refined plan and every
-    later {!plan_cost} of it.  The search is incremental too: one {!Depend.memo}
+    {!Partition.live_in}: both derived once per {!Partition.program}
+    record, on first use, and shared by the seed's score, its search, the
+    refined plan, every later {!plan_cost} of it and every other plan on
+    the same record.  The search is incremental too: one {!Depend.memo}
     per function lives for that function's whole search, so a candidate
     re-derives dependence summaries only for the tasks the move changed.
     {!plan_cost} and every audit start from a fresh memo. *)
@@ -76,7 +77,8 @@ val refine : Partition.plan -> Partition.plan
 
 val build :
   ?params:Heuristics.params -> ?profile_input:Ir.Prog.t ->
-  ?run:(Ir.Prog.t -> Interp.Run.outcome) -> Ir.Prog.t -> Partition.plan
+  ?run:(Ir.Prog.t -> Interp.Run.outcome) ->
+  ?program:(Ir.Prog.t -> Partition.program) -> Ir.Prog.t -> Partition.plan
 (** The [fb] level end to end: build two candidate seeds — the
     [Task_size]-transformed plan (carrying the [Feedback] level tag) and
     the [Data_dependence] plan (same selection scheme without the
@@ -85,14 +87,17 @@ val build :
     then {!refine} the winner.  The scalar cost normalises by each
     program's own useful-work base, which is what makes the two plans
     comparable even though unrolling changes the instruction count.  Both
-    seed builds take their profiling runs from [run], as in
-    {!Partition.build}; the refined plan keeps its seed's program, so
-    without [profile_input] one of those runs already interpreted it. *)
+    seed builds take their profiling runs from [run] and their program
+    records from [program], as in {!Partition.build}; the refined plan
+    keeps its seed's record, so without [profile_input] one of those runs
+    already interpreted its program. *)
 
 val plan_for_level :
   ?params:Heuristics.params -> ?profile_input:Ir.Prog.t ->
-  ?run:(Ir.Prog.t -> Interp.Run.outcome) -> Heuristics.level -> Ir.Prog.t ->
-  Partition.plan
+  ?run:(Ir.Prog.t -> Interp.Run.outcome) ->
+  ?program:(Ir.Prog.t -> Partition.program) -> Heuristics.level ->
+  Ir.Prog.t -> Partition.plan
 (** Level dispatch for callers that accept any {!Heuristics.level}:
     [Feedback] goes through {!build}, everything else through
-    {!Partition.build} unchanged; [run] reaches every profiling run. *)
+    {!Partition.build} unchanged; [run] reaches every profiling run and
+    [program] every program record. *)

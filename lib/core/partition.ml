@@ -36,40 +36,46 @@ let make_facts (prog : Ir.Prog.t) =
   in
   { freqs; weights; mem; useful_base }
 
-type cell = facts option Atomic.t
-type live_cell = Analysis.Dataflow.Regset.t array Smap.t option Atomic.t
+(* A hoisted program with two cells, each holding a function of the
+   program alone: its facts and every function's sound liveness. *)
+type program = {
+  hoisted : Ir.Prog.t;
+  cell : facts option Atomic.t;
+  live : Analysis.Dataflow.Regset.t array Smap.t option Atomic.t;
+}
+
+let hoist prog =
+  {
+    hoisted = Transform.hoist_program prog;
+    cell = Atomic.make None;
+    live = Atomic.make None;
+  }
 
 type plan = {
   level : Heuristics.level;
   params : Heuristics.params;
   prog : Ir.Prog.t;
   parts : Task.partition Ir.Prog.Smap.t;
-  cell : cell;
-  live : live_cell;
+  program : program;
 }
 
-(* Both cells hold a function of [plan.prog] alone, and every plan
-   derived with [with_parts]/[with_level] keeps its source's program and
-   cells.  Domains may race to fill an empty cell: each derives a copy,
-   the first compare-and-set publishes its copy, and the losers return
-   the published one (any copy would do — both derivations are
-   deterministic). *)
+(* Every plan built on a record, and every plan derived from one with
+   [with_parts]/[with_level], reads the record's cells.  Domains may race
+   to fill an empty cell: each derives a copy, the first compare-and-set
+   publishes its copy, and the losers return the published one (any copy
+   would do — both derivations are deterministic). *)
 let published cell derive =
   match Atomic.get cell with
   | Some v -> v
-  | None -> (
-    let v = derive () in
-    if Atomic.compare_and_set cell None (Some v) then v
-    else
-      match Atomic.get cell with
-      | Some v -> v
-      | None -> assert false)
+  | None ->
+    ignore (Atomic.compare_and_set cell None (Some (derive ())));
+    Option.get (Atomic.get cell)
 
-let facts plan = published plan.cell (fun () -> make_facts plan.prog)
+let facts plan = published plan.program.cell (fun () -> make_facts plan.prog)
 
 let live_in plan fname =
   Smap.find fname
-    (published plan.live (fun () ->
+    (published plan.program.live (fun () ->
          Smap.map Analysis.Dataflow.sound_live_in plan.prog.Ir.Prog.funcs))
 
 let with_parts plan parts = { plan with parts }
@@ -95,7 +101,7 @@ let dep_edges_of_profile profile ~fid f =
 let max_deps = 64
 
 let build ?(params = Heuristics.default) ?profile_input
-    ?(run = fun p -> Interp.Run.execute p) level prog =
+    ?(run = fun p -> Interp.Run.execute p) ?(program = hoist) level prog =
   (* cross-input profiling: run every profiling interpretation on a program
      built from the *training* input, transformed by exactly the same
      (structure-only, deterministic) passes as the evaluated program, so
@@ -130,7 +136,8 @@ let build ?(params = Heuristics.default) ?profile_input
       ((prog, prof_prog), fun f -> Array.make (Ir.Func.num_blocks f) false)
   in
   (* induction hoisting is part of the base compilation at every level *)
-  let prog = Transform.hoist_program prog in
+  let program = program prog in
+  let prog = program.hoisted in
   let prof_prog =
     match profile_input with
     | Some _ -> Transform.hoist_program prof_prog
@@ -169,14 +176,7 @@ let build ?(params = Heuristics.default) ?profile_input
       Select.data_dependence params f ~included_calls:(included_of f) ~deps
   in
   let parts = Ir.Prog.Smap.mapi select prog.Ir.Prog.funcs in
-  {
-    level;
-    params;
-    prog;
-    parts;
-    cell = Atomic.make None;
-    live = Atomic.make None;
-  }
+  { level; params; prog; parts; program }
 
 (* The real checker lives in the lint library, which depends on this one;
    it registers itself here at link time (lint is built with -linkall).

@@ -8,13 +8,16 @@
     outcome (the artifact store) can hand it in instead of interpreting
     again.
 
-    A plan also carries its program's {!facts} — block frequencies, call
-    weights, the useful-work base and the address analysis — and each of
-    its functions' sound liveness ({!live_in}), each derived once, on
-    first use, and shared by every plan derived from it with
-    {!with_parts} or {!with_level}: the cost of the plan, its refinement,
-    {!Depend.analyze}, the simulator's preparation and the lint audits all
-    read the same copies. *)
+    A plan points at a {!program} record: the hoisted program, its
+    {!facts} — block frequencies, call weights, the useful-work base and
+    the address analysis — and each of its functions' sound liveness
+    ({!live_in}), each derived once, on first use.  Every plan built on
+    the record, and every plan derived from one with {!with_parts} or
+    {!with_level}, reads the same copies: the cost of the plan, its
+    refinement, {!Depend.analyze}, the simulator's preparation and the
+    lint audits.  {!build} takes the record from a [program] lookup, so a
+    caller that keeps records (the artifact store) shares them between
+    the plans of every level that compiles to the same program. *)
 
 (** {1 Program facts} *)
 
@@ -29,59 +32,63 @@ type facts = {
 }
 (** The partition-independent observations of a program that the cost
     model ({!Cost}), {!Depend.analyze} and the lint audits share.  Read
-    them only: a plan's facts are shared by every plan derived from it,
-    across domains. *)
+    them only: a plan's facts are shared by every plan on its {!program}
+    record, across domains. *)
 
 val make_facts : Ir.Prog.t -> facts
 (** Derive the facts afresh.  Deterministic: two derivations of the same
     program are equal. *)
 
+(** {1 Program records} *)
+
+type program
+(** A hoisted program with its {!facts} and its {!live_in} tables, each
+    derived on first use by any plan built on the record. *)
+
+val hoist : Ir.Prog.t -> program
+(** [hoist prog] is a fresh record of [prog] after induction-variable
+    hoisting, the base compilation every level applies, with nothing
+    derived yet.  {!build}'s default [program] lookup. *)
+
 (** {1 Plans} *)
-
-type cell
-(** A plan's facts, derived on first use. *)
-
-type live_cell
-(** A plan's per-function sound liveness, derived on first use. *)
 
 type plan = private {
   level : Heuristics.level;
   params : Heuristics.params;
   prog : Ir.Prog.t;   (** program after this level's transformations *)
   parts : Task.partition Ir.Prog.Smap.t;  (** per-function partitions *)
-  cell : cell;  (** this plan's {!facts}, shared with plans derived from it *)
-  live : live_cell;  (** this plan's {!live_in} tables, shared likewise *)
+  program : program;  (** the record of [prog]: its facts and liveness *)
 }
 (** Private: {!build} makes plans, and {!with_parts} and {!with_level} are
     the only ways to derive one plan from another.  A derived plan keeps
-    its source's program, so it shares its source's facts and liveness. *)
+    its source's program record. *)
 
 val facts : plan -> facts
-(** [make_facts plan.prog], derived on the first call for the plan or any
-    plan it was derived from, and returned by every later call.  Safe
+(** [make_facts plan.prog], derived on the first call for any plan on the
+    same {!program} record, and returned by every later call.  Safe
     across domains: concurrent first calls may each derive a copy, one is
     published with [Atomic.compare_and_set], and every caller returns the
     published copy. *)
 
 val live_in : plan -> string -> Analysis.Dataflow.Regset.t array
 (** [live_in plan fname] is {!Analysis.Dataflow.sound_live_in} of the
-    named function of [plan.prog], per block.  The first call for the
-    plan, or for any plan it was derived from, derives every function's
-    table; later calls return the same (physically equal) tables.  Kept
-    apart from {!facts}, so reading it never runs the address analysis.
-    Safe across domains like {!facts}.  Read it only.
+    named function of [plan.prog], per block.  The first call for any
+    plan on the same {!program} record derives every function's table;
+    later calls return the same (physically equal) tables.  Kept apart
+    from {!facts}, so reading it never runs the address analysis.  Safe
+    across domains like {!facts}.  Read it only.
     @raise Not_found when the program has no such function. *)
 
 val with_parts : plan -> Task.partition Ir.Prog.Smap.t -> plan
-(** The plan with other partitions of the same program. *)
+(** The plan with other partitions of the same program record. *)
 
 val with_level : plan -> Heuristics.level -> plan
 (** The plan under another level tag (the [fb] level's [dd] seed). *)
 
 val build :
   ?params:Heuristics.params -> ?profile_input:Ir.Prog.t ->
-  ?run:(Ir.Prog.t -> Interp.Run.outcome) -> Heuristics.level -> Ir.Prog.t ->
-  plan
+  ?run:(Ir.Prog.t -> Interp.Run.outcome) -> ?program:(Ir.Prog.t -> program) ->
+  Heuristics.level -> Ir.Prog.t -> plan
 (** Induction-variable hoisting is applied at every level (it is part of the
     paper's base Multiscalar compilation); loop unrolling and call inclusion
     only at [Task_size] (and at [Feedback], whose seed this is).
@@ -98,7 +105,13 @@ val build :
     given, for callee sizes, then after unrolling and hoisting, for
     dependence frequencies), [dd] one (after hoisting), [bb] and [cf] none.
     It must return what {!Interp.Run.execute} would for the same program;
-    the plan is then the same whatever [run] is. *)
+    the plan is then the same whatever [run] is.
+
+    [program] (default {!hoist}) makes the plan's record from the program
+    this level hoists: the given one, or at [ts] and [fb] the unrolled
+    one.  It must return a record of that program's hoisting, fresh or
+    one an earlier plan was built on, whose facts and liveness the plan
+    then shares. *)
 
 val validate : plan -> (unit, string) result
 (** Full static verification of a plan, delegated to [Lint.validate_plan]

@@ -20,11 +20,12 @@ type artifact = {
   trace : Interp.Trace.t;
 }
 
-(* The four tables are Memo tables, so each key is computed once even
+(* The five tables are Memo tables, so each key is computed once even
    when scheduler workers request it at once, and a failed computation
    is retried by the next request.  Deadlock-freedom: the only cross-key
-   waits go get -> prep -> sim and get -> run (never backwards), and a
-   run's computation waits on nothing, so the wait graph is acyclic. *)
+   waits go get -> prep -> sim, get -> run and get -> programs (never
+   backwards), and neither a run's nor a record's computation waits on
+   anything, so the wait graph is acyclic. *)
 type t = {
   pipeline : (key, artifact) Memo.t;
   (* interpreter outcomes by structural program digest: a program whose
@@ -33,6 +34,10 @@ type t = {
      artifacts' traces land here, so the table holds no trace that no
      artifact holds. *)
   runs : (Digest.t, Interp.Run.outcome) Memo.t;
+  (* program records by the digest of the program given to the lookup,
+     before hoisting, under the same rule: only the records of artifacts'
+     plans land here *)
+  programs : (Digest.t, Core.Partition.program) Memo.t;
   (* configuration-independent Sim.Engine.prep per pipeline artifact,
      shared by every machine configuration simulated against it *)
   preps : (key, Sim.Engine.prep) Memo.t;
@@ -44,6 +49,7 @@ let create () =
   {
     pipeline = Memo.create 64;
     runs = Memo.create 64;
+    programs = Memo.create 64;
     preps = Memo.create 64;
     sims = Memo.create 256;
     builds = Atomic.make 0;
@@ -76,26 +82,38 @@ let get t ?(params = Core.Heuristics.default) ?(profile_alt = false)
       in
       let prog = transform prog in
       let profile_input = Option.map transform profile_input in
-      (* a profiling run takes a landed or in-flight outcome, but one it
-         interprets itself stays this pipeline's: a callee-size run or a
-         losing fb seed's run would keep a trace no artifact holds *)
-      let own = ref [] in
-      let run p =
+      (* a profiling run or a program record takes a landed or in-flight
+         value, but one this pipeline makes itself stays its own until its
+         plan lands: a callee-size run, or a losing fb seed's run or
+         record, would be kept with no artifact holding it *)
+      let lookup tbl own make p =
         let d = digest p in
-        match Memo.find t.runs d with
-        | Some outcome -> outcome
-        | None ->
-          let outcome = Interp.Run.execute p in
-          own := (d, outcome) :: !own;
-          outcome
+        match Memo.find tbl d with
+        | Some v -> v
+        | None -> (
+          match List.assoc_opt d !own with
+          | Some v -> v
+          | None ->
+            let v = make p in
+            own := (d, v) :: !own;
+            v)
       in
+      let own_runs = ref [] and own_programs = ref [] in
       let plan =
-        Core.Cost.plan_for_level ~params ?profile_input ~run level prog
+        Core.Cost.plan_for_level ~params ?profile_input
+          ~run:(lookup t.runs own_runs Interp.Run.execute)
+          ~program:(lookup t.programs own_programs Core.Partition.hoist)
+          level prog
       in
+      List.iter
+        (fun (d, r) ->
+          if r == plan.Core.Partition.program then
+            ignore (memo t.programs d (fun () -> r)))
+        !own_programs;
       let d = digest plan.Core.Partition.prog in
       let outcome =
         memo t.runs d (fun () ->
-            match List.assoc_opt d !own with
+            match List.assoc_opt d !own_runs with
             | Some outcome -> outcome
             | None -> Interp.Run.execute plan.Core.Partition.prog)
       in
@@ -123,6 +141,7 @@ let grid t ?jobs ~levels entries f =
        entries)
 
 let builds t = Atomic.get t.builds
+let programs t = List.length (Memo.bindings t.programs)
 
 let level_index level =
   let rec go i = function

@@ -17,6 +17,14 @@
     their own selection made.  A profiling run whose trace no artifact
     holds (ts's callee-size run, the losing fb seed's) is never kept.
 
+    Program records ({!Core.Partition.program}: the hoisted program, its
+    facts and its liveness) are shared the same way, keyed by a digest of
+    the program before hoisting: bb, cf, dd and fb's dd seed build on one
+    record, ts and fb's ts seed on another, so each distinct program is
+    hoisted, and its facts and liveness derived, once per store.  A
+    pipeline reuses any landed record, but one it creates stays private
+    until its plan lands, so the losing fb seed's record is never kept.
+
     The store is domain-safe: it is the synchronisation point for
     {!Pool}-parallel jobs.  Its tables are {!Memo} tables: the first
     requester of a key computes, later requesters block on that key alone
@@ -112,6 +120,10 @@ val builds : t -> int
 (** Number of pipeline computations actually performed (cache misses) —
     the exactly-once property is [builds t = number of distinct keys]
     while no computation has failed. *)
+
+val programs : t -> int
+(** Number of landed program records: one per distinct program that some
+    artifact's plan was built on. *)
 
 val sim_results : t -> (key * (int * bool) * Sim.Stats.t) list
 (** Every simulation recorded by {!sim}, sorted deterministically

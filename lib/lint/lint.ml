@@ -1415,10 +1415,10 @@ let check_absint (plan : Core.Partition.plan) trace =
 (* cost/conserve: the predicted cycle-account shares form a well-formed
    distribution, and the whole cost result is stable under re-derivation.
    Core.Cost.plan_cost reads the plan's facts and liveness (each derived
-   once per plan); the second derivation makes fresh ones with
+   once per program record); the second derivation makes fresh ones with
    Core.Partition.make_facts — address analysis, block frequencies,
    function weights — and Analysis.Dataflow.sound_live_in, never from the
-   plan's cells, and, like every plan_cost, fresh dependence memos, so
+   record, and, like every plan_cost, fresh dependence memos, so
    bit-comparing the two exercises the entire derivation chain for
    determinism (ordered folds only, no hash-order float sums). *)
 let check_cost (plan : Core.Partition.plan) =

@@ -154,8 +154,8 @@ val check_cost : Core.Partition.plan -> Diag.t list
     non-negative, and the whole result bit-identical to
     {!Core.Cost.cost_with} over facts and liveness derived afresh
     ({!Core.Partition.make_facts}, {!Analysis.Dataflow.sound_live_in}) —
-    determinism of every fold in the chain, whatever the plan's cells
-    hold. *)
+    determinism of every fold in the chain, whatever the plan's program
+    record holds. *)
 
 val rule_matches : pat:string -> string -> bool
 (** Anchored shell-style glob match over rule ids ([*] matches any

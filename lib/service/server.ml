@@ -229,20 +229,47 @@ let handle_line t line =
 
 (* --- connection + accept loops ---------------------------------------- *)
 
+(* The longest request line a connection may send, newline excluded: far
+   above any request the protocol defines (a few hundred bytes), and a
+   constant, so no request line can grow the daemon's heap past it. *)
+let max_line = 65_536
+
+(* [input_line ic] read through [buf], which raises [Exit] once the line
+   passes [max_line] bytes *)
+let read_line ic buf =
+  Buffer.clear buf;
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Buffer.contents buf
+    | c when Buffer.length buf < max_line ->
+      Buffer.add_char buf c;
+      go ()
+    | _ -> raise Exit
+    | exception End_of_file when Buffer.length buf > 0 -> Buffer.contents buf
+  in
+  go ()
+
 let conn_loop t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
+  let buf = Buffer.create 256 in
+  let reply resp =
+    output_string oc resp;
+    output_char oc '\n';
+    flush oc
+  in
   let rec loop () =
-    match input_line ic with
+    match read_line ic buf with
     | exception (End_of_file | Sys_error _) -> ()
+    | exception Exit ->
+      (* answered, counted as a failed request, and the connection closed *)
+      record t ~micros:0.0 ~ok:false;
+      reply
+        (Protocol.error_response ~id:Json.Null
+           (Printf.sprintf "request line longer than %d bytes" max_line))
     | line ->
       let line = String.trim line in
-      if line <> "" then begin
-        let resp = handle_line t line in
-        output_string oc resp;
-        output_char oc '\n';
-        flush oc
-      end;
+      if line <> "" then reply (handle_line t line);
       if not (Atomic.get t.draining) then loop ()
   in
   (try loop () with _ -> ());
@@ -281,7 +308,7 @@ let serve t =
   Mutex.lock t.mu;
   (* every fd still registered is owned by a live connection thread that
      cannot close it while we hold the mutex; SHUTDOWN_RECEIVE wakes the
-     ones blocked in input_line, and in-flight handlers still write
+     ones blocked in a read, and in-flight handlers still write
      their response before conn_loop observes the shutdown *)
   List.iter
     (fun (fd, _) ->

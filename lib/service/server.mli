@@ -12,7 +12,8 @@
     second response is flagged [dedup].  The dedup cache is a
     {!Harness.Memo}: a failed request is answered with its error to
     everyone waiting on it and is not cached, so the next request for
-    the key computes it again.
+    the key computes it again.  A request line longer than 64 KiB is
+    answered with an error, and its connection closed.
 
     Draining: {!request_stop} (wired to SIGTERM and to the [shutdown]
     op by the CLI) makes {!serve} stop accepting, unblock idle

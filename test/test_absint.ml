@@ -110,6 +110,65 @@ let test_widening_terminates () =
     | Some sts -> Array.for_all (fun s -> !s >= 0) sts
     | None -> false)
 
+(* --- engine: every round solves from scratch ------------------------------- *)
+
+(* Path-length bounds capped at 100: the transfer's cap lets the
+   descending passes narrow the loop header the ascending pass widened. *)
+let capped_transfer _ (blk : Ir.Block.t) ~src ~dst =
+  let st = !src in
+  dst :=
+    if st < 0 then st
+    else if st >= 100 then 100
+    else min 100 (st + Array.length blk.Ir.Block.insns)
+
+(* A round asked for by [again], over the first round's supergraph and
+   buffers with another seed, must end with the states and counts of a
+   solve from scratch with that seed: nothing may leak from the previous
+   round's states, queue flags or update counts. *)
+let test_rounds_start_from_scratch () =
+  let pb = Ir.Builder.program () in
+  Ir.Builder.func pb "step" (fun b ->
+      Ir.Builder.addi b v v 1;
+      Ir.Builder.ret b);
+  Ir.Builder.func pb "main" (fun b ->
+      Ir.Builder.li b i 0;
+      Ir.Builder.li b n 1000;
+      Ir.Builder.while_ b
+        ~cond:(fun b ->
+          Ir.Builder.bin b Ir.Insn.Lt c i (Ir.Insn.Reg n);
+          c)
+        (fun b ->
+          Ir.Builder.call b "step";
+          Ir.Builder.addi b i i 1);
+      Ir.Builder.halt b);
+  let prog = Ir.Builder.finish pb ~main:"main" in
+  let start = ref 1000 in
+  let seed f = if f = "main" then Some (ref !start) else None in
+  let rounds = ref 0 in
+  let again _ =
+    incr rounds;
+    start := 0;
+    !rounds = 1
+  in
+  let r = UB.solve ~again ~seed ~transfer:capped_transfer prog in
+  let fresh = UB.solve ~seed ~transfer:capped_transfer prog in
+  checki "two rounds" 2 !rounds;
+  checkb "the rounds' seeds differ" true (!start = 0);
+  let states r =
+    List.concat_map
+      (fun f ->
+        match UB.func_states r f with
+        | Some sts -> Array.to_list (Array.map ( ! ) sts)
+        | None -> [])
+      [ "main"; "step" ]
+  in
+  checkb "same states" true (states r = states fresh);
+  checki "same updates" (UB.updates fresh) (UB.updates r);
+  checki "same widenings" (UB.widenings fresh) (UB.widenings r);
+  checki "same narrowings" (UB.narrowed fresh) (UB.narrowed r);
+  checkb "the solve widens and narrows" true
+    (UB.widenings fresh > 0 && UB.narrowed fresh > 0)
+
 (* --- refinement: constant branch kills the dead arm ------------------------ *)
 
 let test_constant_branch_prunes () =
@@ -233,6 +292,8 @@ let () =
             test_reachability;
           Alcotest.test_case "widening terminates infinite chain" `Quick
             test_widening_terminates;
+          Alcotest.test_case "rounds start from scratch" `Quick
+            test_rounds_start_from_scratch;
         ] );
       ( "refine",
         [

@@ -343,6 +343,60 @@ let test_artifact_shared_runs () =
     (List.fold_left (fun acc tr -> acc + Interp.Trace.bytes tr) 0 distinct)
     (Harness.Artifact.trace_bytes store)
 
+(* Program records are shared like runs: in one store, the plans of every
+   level that compiles to one program read the physically same facts and
+   liveness tables. *)
+let same_record (a : Core.Partition.plan) (b : Core.Partition.plan) =
+  Core.Partition.facts a == Core.Partition.facts b
+  && List.for_all
+       (fun name ->
+         Core.Partition.live_in a name == Core.Partition.live_in b name)
+       (Ir.Prog.func_names a.Core.Partition.prog)
+
+let test_artifact_shared_programs () =
+  let store = Harness.Artifact.create () in
+  let entries = [ Workloads.Suite.find "compress"; Workloads.Suite.find "li" ] in
+  let arts =
+    Harness.Artifact.grid store ~jobs:1 ~levels:Core.Heuristics.extended_levels
+      entries Fun.id
+  in
+  List.iter
+    (fun (entry : Workloads.Registry.entry) ->
+      let name = entry.Workloads.Registry.name in
+      let plan level =
+        (List.find
+           (fun (a : Harness.Artifact.artifact) ->
+             a.Harness.Artifact.key.Harness.Artifact.workload = name
+             && a.Harness.Artifact.key.Harness.Artifact.level = level)
+           arts)
+          .Harness.Artifact.plan
+      in
+      let bb = plan Core.Heuristics.Basic_block
+      and ts = plan Core.Heuristics.Task_size
+      and fb = plan Core.Heuristics.Feedback in
+      checkb (name ^ ": cf shares bb's record") true
+        (same_record (plan Core.Heuristics.Control_flow) bb);
+      checkb (name ^ ": dd shares bb's record") true
+        (same_record (plan Core.Heuristics.Data_dependence) bb);
+      checkb (name ^ ": ts has a program of its own") false
+        (compare ts.Core.Partition.prog bb.Core.Partition.prog = 0);
+      checkb (name ^ ": fb kept its ts seed and shares its record") true
+        (same_record fb ts))
+    entries;
+  checki "one record per distinct program" 4 (Harness.Artifact.programs store)
+
+(* An fb plan's losing seed leaves no record in the store: each of these
+   workloads' fb pipelines builds two seeds on two records (their ts and
+   dd programs differ, as the test above checks). *)
+let test_artifact_fb_keeps_one_record () =
+  let store = Harness.Artifact.create () in
+  let entries = [ Workloads.Suite.find "compress"; Workloads.Suite.find "li" ] in
+  ignore
+    (Harness.Artifact.grid store ~jobs:1 ~levels:[ Core.Heuristics.Feedback ]
+       entries Fun.id);
+  checki "one pipeline per workload" 2 (Harness.Artifact.builds store);
+  checki "one record per pipeline" 2 (Harness.Artifact.programs store)
+
 (* --- parallel/serial equivalence of the report tables ---------------------- *)
 
 let small_suite () =
@@ -488,6 +542,10 @@ let () =
             test_artifact_physical_equality;
           Alcotest.test_case "sim memoized" `Quick test_sim_memoized;
           Alcotest.test_case "shared runs" `Quick test_artifact_shared_runs;
+          Alcotest.test_case "shared programs" `Quick
+            test_artifact_shared_programs;
+          Alcotest.test_case "fb keeps one record" `Quick
+            test_artifact_fb_keeps_one_record;
           Alcotest.test_case "concurrent once" `Quick
             test_artifact_concurrent_once;
         ] );

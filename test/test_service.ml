@@ -214,6 +214,39 @@ let test_service_oversized_machine () =
       | Error msg -> Alcotest.fail msg);
       Service.Client.close c)
 
+(* One request line past the daemon's 64 KiB cap is answered with an error
+   and its connection closed; the next client is served. *)
+let test_service_overlong_line () =
+  with_server (fun ~socket _srv ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let line = String.make ((64 * 1024) + 1) 'x' ^ "\n" in
+      (* the daemon may close before it reads the newline *)
+      (try ignore (Unix.write_substring fd line 0 (String.length line))
+       with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+      let ic = Unix.in_channel_of_descr fd in
+      (match Json.parse (input_line ic) with
+      | Ok resp ->
+        checkb "error response" true (field "ok" resp = Json.Bool false);
+        checkb "the cap named" true
+          (match field "error" resp with
+          | Json.String msg -> msg = "request line longer than 65536 bytes"
+          | _ -> false)
+      | Error msg -> Alcotest.fail msg);
+      checkb "connection closed" true
+        (match input_line ic with
+        | exception (End_of_file | Sys_error _) -> true
+        | _ -> false);
+      close_in ic;
+      let c = Service.Client.connect ~socket in
+      (match Service.Client.request c P.Stats with
+      | Ok resp ->
+        checkb "next client served" true (field "ok" resp = Json.Bool true);
+        checkb "the line counted as an error" true
+          (field "errors" (field "result" resp) = Json.Int 1)
+      | Error msg -> Alcotest.fail msg);
+      Service.Client.close c)
+
 (* --- the daemon and the report layer agree ---------------------------- *)
 
 (* For one (workload, level) cell, every analysis op answers with exactly
@@ -336,5 +369,6 @@ let () =
             test_service_matches_reports;
           Alcotest.test_case "oversized machine" `Slow
             test_service_oversized_machine;
+          Alcotest.test_case "overlong line" `Slow test_service_overlong_line;
         ] );
     ]
