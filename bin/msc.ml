@@ -590,8 +590,8 @@ let fuzz_cmd =
       | None -> Core.Heuristics.extended_levels
       | Some l -> [ l ]
     in
-    let cfg = { Fuzz.seed; n; profiles; levels; ref_sample } in
-    if inject then Fuzz.fault_hook := Some (Fuzz.inject_div0 ~seed);
+    let fault_hook = if inject then Some (Fuzz.inject_div0 ~seed) else None in
+    let cfg = { Fuzz.seed; n; profiles; levels; ref_sample; fault_hook } in
     let progress ~done_ ~total =
       Printf.eprintf "\rfuzz: %d/%d programs%!" done_ total
     in
@@ -632,7 +632,7 @@ let fuzz_cmd =
       Printf.printf "wrote %s (%d fuzz records)\n" path
         (List.length o.Fuzz.o_records));
     match o.Fuzz.o_violations with
-    | [] -> Fuzz.fault_hook := None
+    | [] -> ()
     | v :: _ ->
       List.iteri
         (fun i v -> if i < 10 then print_endline (Fuzz.violation_text v))
@@ -645,7 +645,7 @@ let fuzz_cmd =
       | Some profile ->
         let prog = Workloads.Synth.generate ~profile ~seed:v.Fuzz.v_seed in
         let prog =
-          match !Fuzz.fault_hook with Some f -> f prog | None -> prog
+          match fault_hook with Some f -> f prog | None -> prog
         in
         let fails = Fuzz.fails_oracle cfg ~oracle:v.Fuzz.v_oracle in
         if fails prog then begin
@@ -666,7 +666,6 @@ let fuzz_cmd =
             "note: first violation does not reproduce standalone (profile \
              %s, seed %d)\n"
             v.Fuzz.v_profile v.Fuzz.v_seed);
-      Fuzz.fault_hook := None;
       exit 1
   in
   Cmd.v

@@ -36,10 +36,6 @@ module Regset = struct
     let lo = a.lo lor b.lo and hi = a.hi lor b.hi in
     if lo = b.lo && hi = b.hi then b else make lo hi a
 
-  let inter a b =
-    let lo = a.lo land b.lo and hi = a.hi land b.hi in
-    if lo = b.lo && hi = b.hi then b else make lo hi a
-
   let diff a b = make (a.lo land lnot b.lo) (a.hi land lnot b.hi) a
   let equal a b = a.lo = b.lo && a.hi = b.hi
   let of_list l = List.fold_left (fun s r -> add r s) empty l

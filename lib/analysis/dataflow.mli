@@ -11,8 +11,8 @@
 
 (** Immutable sets of architectural registers, as two machine words
     (registers 0–31 and 32–63).  Initialising the module fails if
-    {!Ir.Reg.count} exceeds 64.  [add], [remove], [union], [inter] and
-    [diff] return an argument unchanged (physically) when the result
+    {!Ir.Reg.count} exceeds 64.  [add], [remove], [union] and [diff]
+    return an argument unchanged (physically) when the result
     equals it. *)
 module Regset : sig
   type t
@@ -29,7 +29,6 @@ module Regset : sig
 
   val remove : Ir.Reg.t -> t -> t
   val union : t -> t -> t
-  val inter : t -> t -> t
   val diff : t -> t -> t
   val equal : t -> t -> bool
   val of_list : Ir.Reg.t list -> t

@@ -17,10 +17,6 @@ type partition = {
 
 let num_hw_targets t = List.length t.targets + List.length t.calls_out
 
-let task_of p entry =
-  let i = p.task_of_entry.(entry) in
-  if i = -1 then None else Some p.tasks.(i)
-
 (* --- the exit walk ----------------------------------------------------------- *)
 
 (* [s] is an exit of the set [blocks] entered at [entry] when it leaves
@@ -165,65 +161,6 @@ let iter_intra_successors f ~included_calls ~entry blocks visit =
     | Ir.Block.Call (_, _) when not included_calls.(b) -> ()
     | Ir.Block.Call _ | Ir.Block.Jump _ | Ir.Block.Br _ | Ir.Block.Switch _
     | Ir.Block.Ret | Ir.Block.Halt -> Ir.Block.iter_succs step blk
-
-let intra_successors f ~included_calls ~entry blocks b =
-  let acc = ref [] in
-  iter_intra_successors f ~included_calls ~entry blocks
-    (fun s -> acc := s :: !acc)
-    b;
-  List.rev !acc
-
-let validate f p =
-  let result = ref (Ok ()) in
-  let fail fmt =
-    Format.kasprintf (fun s -> if !result = Ok () then result := Error s) fmt
-  in
-  let n = Ir.Func.num_blocks f in
-  if Array.length p.task_of_entry <> n then
-    fail "%s: task_of_entry has wrong length" p.fname;
-  if p.task_of_entry.(Ir.Func.entry) = -1 then
-    fail "%s: function entry is not a task entry" p.fname;
-  Array.iteri
-    (fun i t ->
-      if p.task_of_entry.(t.entry) <> i then
-        fail "%s: task %d entry L%d not mapped back" p.fname i t.entry;
-      if not (Iset.mem t.entry t.blocks) then
-        fail "%s: task %d does not contain its entry" p.fname i;
-      (* connectivity *)
-      let seen = ref (Iset.singleton t.entry) in
-      let rec visit b =
-        List.iter
-          (fun s ->
-            if not (Iset.mem s !seen) then begin
-              seen := Iset.add s !seen;
-              visit s
-            end)
-          (intra_successors f ~included_calls:p.included_calls ~entry:t.entry
-             t.blocks b)
-      in
-      visit t.entry;
-      if not (Iset.equal !seen t.blocks) then
-        fail "%s: task %d (entry L%d) is not connected from its entry" p.fname
-          i t.entry;
-      (* recomputed exits match *)
-      let fresh =
-        of_blocks f ~included_calls:p.included_calls ~entry:t.entry t.blocks
-      in
-      if fresh.targets <> t.targets then
-        fail "%s: task %d has stale targets" p.fname i;
-      (* closure: every target and forced entry is a task entry *)
-      List.iter
-        (fun tgt ->
-          if p.task_of_entry.(tgt) = -1 then
-            fail "%s: task %d targets L%d which is no task entry" p.fname i tgt)
-        t.targets;
-      List.iter
-        (fun cont ->
-          if p.task_of_entry.(cont) = -1 then
-            fail "%s: call continuation L%d is no task entry" p.fname cont)
-        (forced_entries f ~included_calls:p.included_calls t.blocks))
-    p.tasks;
-  !result
 
 let pp ppf p =
   Format.fprintf ppf "@[<v>partition of %s (%d tasks)" p.fname

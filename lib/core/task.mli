@@ -3,7 +3,9 @@
 
     Tasks may overlap statically (Multiscalar replicates code); at run time a
     task is identified by its entry block.  A {!partition} of a function is
-    *closed*: every inter-task control transfer lands on some task's entry. *)
+    *closed*: every inter-task control transfer lands on some task's entry.
+    Lint's [part/*] audit ([Lint.check_partition]) checks these invariants
+    on every plan. *)
 
 module Iset : Set.S with type elt = int
 
@@ -34,9 +36,6 @@ val num_hw_targets : t -> int
 (** Number of next-task targets the prediction hardware must track:
     intra-function targets plus distinct called functions (returns are
     handled by the return-address stack and not counted). *)
-
-val task_of : partition -> Ir.Block.label -> t option
-(** The task whose entry is the given block. *)
 
 (** The exit walk: a block set entered at [entry] has three kinds of
     exit, found in one walk over its blocks' terminators: a successor
@@ -81,16 +80,5 @@ val iter_intra_successors :
     (re-entering the entry starts a new task instance); a non-included call
     block has none.  Staged: applied to [visit] it makes its filter once,
     and the walk it returns allocates nothing beyond what [visit] does. *)
-
-val intra_successors :
-  Ir.Func.t -> included_calls:bool array -> entry:Ir.Block.label -> Iset.t ->
-  Ir.Block.label -> Ir.Block.label list
-(** The labels {!iter_intra_successors} visits, in its order. *)
-
-val validate : Ir.Func.t -> partition -> (unit, string) result
-(** Checks: entry block 0 is a task entry; every task's blocks are connected
-    and reachable from its entry within the task; targets are exactly the
-    out-edges of the task; every intra-function target is some task's
-    entry. *)
 
 val pp : Format.formatter -> partition -> unit

@@ -11,6 +11,7 @@ type config = {
   profiles : Workloads.Synth.Profile.t list;
   levels : Core.Heuristics.level list;
   ref_sample : int;
+  fault_hook : (Ir.Prog.t -> Ir.Prog.t) option;
 }
 
 let default_config =
@@ -20,6 +21,7 @@ let default_config =
     profiles = Workloads.Synth.Profile.all;
     levels = Core.Heuristics.extended_levels;
     ref_sample = 10;
+    fault_hook = None;
   }
 
 type violation = {
@@ -58,8 +60,6 @@ type outcome = {
   o_shapes : (string * shape) list;
   o_wall_seconds : float;
 }
-
-let fault_hook : (Ir.Prog.t -> Ir.Prog.t) option ref = ref None
 
 let violation_text v =
   Printf.sprintf "%s #%d (seed %d) level %s oracle %s: %s" v.v_profile
@@ -230,7 +230,7 @@ let check_one config ~index =
   let profile = profile_of_index config index in
   let seed = Workloads.Synth.program_seed ~seed:config.seed ~index in
   let prog = Workloads.Synth.generate ~profile ~seed in
-  let prog = match !fault_hook with Some f -> f prog | None -> prog in
+  let prog = match config.fault_hook with Some f -> f prog | None -> prog in
   check_value config ~profile:profile.Workloads.Synth.Profile.name ~index
     ~seed prog
 

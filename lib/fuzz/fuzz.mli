@@ -47,12 +47,17 @@ type config = {
   ref_sample : int;
       (** run the sim_ref differential on every [ref_sample]-th program
           (0 disables it) *)
+  fault_hook : (Ir.Prog.t -> Ir.Prog.t) option;
+      (** debug: when set, every generated program passes through it
+          before the oracle stack — how tests and [--inject-fault] seed
+          known-bad programs to prove the harness catches and shrinks
+          them *)
 }
 
 val default_config : config
 (** seed 42, n 200, every profile, all five levels, 1-in-10 sim_ref
-    sampling.  Every program is simulated on the {!Lint.acct_configs}
-    machines. *)
+    sampling, no fault hook.  Every program is simulated on the
+    {!Lint.acct_configs} machines. *)
 
 type violation = {
   v_profile : string;
@@ -93,12 +98,6 @@ type outcome = {
   o_wall_seconds : float;
 }
 
-val fault_hook : (Ir.Prog.t -> Ir.Prog.t) option ref
-(** Debug hook: when set, every generated program passes through it before
-    the oracle stack — how tests and [--inject-fault] seed known-bad
-    programs to prove the harness catches and shrinks them.  Read-only
-    during a run (set it before, clear after). *)
-
 val inject_div0 : seed:int -> Ir.Prog.t -> Ir.Prog.t
 (** The canned injected fault: a deterministic (seeded) unguarded
     [div .., .., #0] inserted into one block of [main], which the [crash]
@@ -111,13 +110,13 @@ val check_value : config -> profile:string -> index:int -> seed:int ->
 
 val check_one : config -> index:int -> report
 (** Generate program [index] of the corpus (profile round-robin, seed via
-    {!Workloads.Synth.program_seed}), apply {!fault_hook}, run
+    {!Workloads.Synth.program_seed}), apply the config's [fault_hook], run
     {!check_value}. *)
 
 val run : ?jobs:int -> ?progress:(done_:int -> total:int -> unit) ->
   config -> outcome
 (** The whole corpus through {!check_one} on the {!Harness.Pool} domains.
-    Deterministic in [config] (and [fault_hook]) regardless of [jobs];
+    Deterministic in [config] regardless of [jobs];
     [progress] is called from the coordinating domain only. *)
 
 val invariants : outcome -> string list

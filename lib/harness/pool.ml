@@ -62,5 +62,3 @@ let map ?jobs f xs =
      | [] | [ _ ] -> List.map f xs
      | _ when jobs <= 1 -> List.map f xs
      | _ -> Sched.map (scheduler ~jobs) f xs)
-
-let iter ?jobs f xs = ignore (map ?jobs f xs)

@@ -41,9 +41,6 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     [List.map f xs] on the calling domain.  All elements are applied
     even if some raise; the lowest-index exception is then re-raised. *)
 
-val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [iter f xs] is [map f xs] with unit results. *)
-
 val scheduler : jobs:int -> Sched.t
 (** The resident scheduler for width [jobs] (>= 1), creating it on first
     request.  Shared with {!map}; exposed so long-running services can

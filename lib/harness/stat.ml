@@ -5,11 +5,6 @@ let geomean xs =
     exp (List.fold_left (fun a x -> a +. log (max 1e-9 x)) 0.0 xs
          /. float_of_int (List.length xs))
 
-let mean xs =
-  match xs with
-  | [] -> 0.0
-  | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 (* Centered two-pass form: the textbook E[xy] - E[x]E[y] expansion loses
    all significance when a series is (nearly) constant — the subtraction
    of two large almost-equal sums can leave positive float dust where the
@@ -75,9 +70,6 @@ module Histogram = struct
     if v < t.minv then t.minv <- v;
     if v > t.maxv then t.maxv <- v;
     t.sum <- t.sum +. v
-
-  let count t = t.total
-  let total_sum t = t.sum
 
   let merge a b =
     let t = create () in

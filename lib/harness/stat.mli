@@ -6,9 +6,6 @@ val geomean : float list -> float
     positive, the clamp only guards degenerate zero rows) and the empty
     list yields [0.0]. *)
 
-val mean : float list -> float
-(** Arithmetic mean; empty list yields [0.0]. *)
-
 val pearson_opt : (float * float) list -> float option
 (** Pearson correlation coefficient of [(x, y)] samples, computed in
     centered two-pass form (immune to the cancellation that makes the
@@ -39,11 +36,7 @@ module Histogram : sig
   val merge : t -> t -> t
   (** Exact bucket-wise sum; inputs are unchanged. *)
 
-  val count : t -> int
   val mean : t -> float
-
-  val total_sum : t -> float
-  (** Sum of all recorded samples (exact, not bucketed). *)
 
   val percentile : t -> float -> float
   (** [percentile t p] for [p] in [[0, 100]] (clamped): the geometric

@@ -81,17 +81,11 @@ let addr_at t k =
   if t.awide then word t.apool k
   else (word t.apool (k lsr 1) lsr (narrow_bits * (k land 1))) land narrow_mask
 
-let get_addr t i k = addr_at t (addr_offset t i + k)
-
 let iter_addrs t i f =
   let base = addr_offset t i in
   for k = base to base + addr_count t i - 1 do
     f (addr_at t k)
   done
-
-let event_addrs t i =
-  let base = addr_offset t i in
-  Array.init (addr_count t i) (fun k -> addr_at t (base + k))
 
 let block_at t i = Ir.Func.block t.funcs.(get_fid t i) (get_blk t i)
 let size_at t i = t.sizes.(get_fid t i).(get_blk t i)
@@ -321,8 +315,6 @@ module Builder = struct
       cs.(j) <- cs.(j) lor (v lsl (narrow_bits * (b.na land 1)))
     end;
     b.na <- b.na + 1
-
-  let num_events b = b.n
 
   let last_event_addrs b =
     if b.n = 0 then [||]

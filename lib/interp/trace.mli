@@ -79,15 +79,8 @@ val addr_at : t -> int -> int
 (** Decode one address by {e pool} index (compose with {!addr_offset} to
     walk an event's addresses with a running cursor). *)
 
-val get_addr : t -> int -> int -> int
-(** [get_addr t i k] is the [k]-th address of event [i]. *)
-
 val iter_addrs : t -> int -> (int -> unit) -> unit
 (** Apply to each address of event [i], in instruction order. *)
-
-val event_addrs : t -> int -> int array
-(** The event's addresses as a fresh array (test / debugging convenience —
-    this allocates; hot paths should use the cursor accessors). *)
 
 val block_at : t -> int -> Ir.Block.t
 (** Static block of event [i]. *)
@@ -153,8 +146,6 @@ module Builder : sig
 
   val push_addr : t -> int -> unit
   (** Record one effective address for the open event. *)
-
-  val num_events : t -> int
 
   val last_event_addrs : t -> int array
   (** Addresses of the currently open event (observer support). *)

@@ -42,10 +42,6 @@ let successors b =
   iter_succs (fun l -> acc := l :: !acc) b;
   List.rev !acc
 
-let is_branch_term = function
-  | Br (_, _, _) | Switch (_, _, _) -> true
-  | Jump _ | Call (_, _) | Ret | Halt -> false
-
 let size b = Array.length b.insns + 1
 
 let pp_term ppf = function

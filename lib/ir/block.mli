@@ -39,10 +39,6 @@ val iter_succs : (label -> unit) -> t -> unit
 val successors : t -> label list
 (** The labels {!iter_succs} visits, in its order. *)
 
-val is_branch_term : terminator -> bool
-(** True for terminators that are *predicted* control transfers in the
-    timing model: conditional branches and switches. *)
-
 val size : t -> int
 (** Static instruction count, including the terminator (counted as one
     control-transfer instruction, except fall-through [Jump]s which real

@@ -116,6 +116,35 @@ let funop_name = function
   | Fneg -> "fneg" | Fabs -> "fabs" | Fsqrt -> "fsqrt" | Itof -> "itof"
   | Ftoi -> "ftoi"
 
+(* The parser's lookups: each family's constructors as [Some op] constants,
+   matched by the name the family's printer gives them.  The lists are
+   static data, so neither they nor a lookup allocate. *)
+let rec find_name name s = function
+  | [] -> None
+  | op :: rest -> (
+    match op with
+    | Some o when String.equal (name o) s -> op
+    | Some _ | None -> find_name name s rest)
+
+let binop_of_name s =
+  find_name binop_name s
+    [
+      Some Add; Some Sub; Some Mul; Some Div; Some Rem; Some And; Some Or;
+      Some Xor; Some Shl; Some Shr; Some Lt; Some Le; Some Eq; Some Ne;
+      Some Gt; Some Ge;
+    ]
+
+let fbinop_of_name s =
+  find_name fbinop_name s
+    [ Some Fadd; Some Fsub; Some Fmul; Some Fdiv; Some Fmin; Some Fmax ]
+
+let fcmp_of_name s =
+  find_name fcmp_name s [ Some Flt; Some Fle; Some Feq; Some Fne ]
+
+let funop_of_name s =
+  find_name funop_name s
+    [ Some Fneg; Some Fabs; Some Fsqrt; Some Itof; Some Ftoi ]
+
 (* shortest decimal that parses back to the identical float, so [lf]
    instructions survive the textual round-trip bit-for-bit *)
 let float_repr x =

@@ -78,6 +78,14 @@ val iter_regs : (Reg.t -> unit) -> t -> unit
 
 val is_mem : t -> bool
 
+val binop_of_name : string -> binop option
+val fbinop_of_name : string -> fbinop option
+val fcmp_of_name : string -> fcmp option
+val funop_of_name : string -> funop option
+(** The operator {!pp} prints under this mnemonic, if any: each family's
+    table is derived from its printer, so the two spellings cannot drift.
+    A lookup allocates nothing. *)
+
 val float_repr : float -> string
 (** Shortest decimal (or [nan]/[inf]) that {!float_of_string} maps back to
     the identical float — what {!pp} prints for [Lf], so the textual IR

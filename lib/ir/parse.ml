@@ -39,32 +39,6 @@ let label s =
 let split_operands s =
   List.map String.trim (String.split_on_char ',' s)
 
-let binop_of_name = function
-  | "add" -> Some Insn.Add | "sub" -> Some Insn.Sub | "mul" -> Some Insn.Mul
-  | "div" -> Some Insn.Div | "rem" -> Some Insn.Rem | "and" -> Some Insn.And
-  | "or" -> Some Insn.Or | "xor" -> Some Insn.Xor | "shl" -> Some Insn.Shl
-  | "shr" -> Some Insn.Shr | "slt" -> Some Insn.Lt | "sle" -> Some Insn.Le
-  | "seq" -> Some Insn.Eq | "sne" -> Some Insn.Ne | "sgt" -> Some Insn.Gt
-  | "sge" -> Some Insn.Ge
-  | _ -> None
-
-let fbinop_of_name = function
-  | "fadd" -> Some Insn.Fadd | "fsub" -> Some Insn.Fsub
-  | "fmul" -> Some Insn.Fmul | "fdiv" -> Some Insn.Fdiv
-  | "fmin" -> Some Insn.Fmin | "fmax" -> Some Insn.Fmax
-  | _ -> None
-
-let fcmp_of_name = function
-  | "flt" -> Some Insn.Flt | "fle" -> Some Insn.Fle | "feq" -> Some Insn.Feq
-  | "fne" -> Some Insn.Fne
-  | _ -> None
-
-let funop_of_name = function
-  | "fneg" -> Some Insn.Fneg | "fabs" -> Some Insn.Fabs
-  | "fsqrt" -> Some Insn.Fsqrt | "itof" -> Some Insn.Itof
-  | "ftoi" -> Some Insn.Ftoi
-  | _ -> None
-
 (* "4(sp)" -> (sp, 4) *)
 let mem_operand s =
   let s = String.trim s in
@@ -117,31 +91,31 @@ let insn line =
       let* s = reg s in
       let* base, off = mem_operand m in
       Ok (Insn.Store (s, base, off))
-    | op, [ d; s; o ] when binop_of_name op <> None ->
+    | op, [ d; s; o ] when Insn.binop_of_name op <> None ->
       let* d = reg d in
       let* s = reg s in
       let* o = operand o in
-      (match binop_of_name op with
+      (match Insn.binop_of_name op with
       | Some op -> Ok (Insn.Bin (op, d, s, o))
       | None -> assert false)
-    | op, [ d; s1; s2 ] when fbinop_of_name op <> None ->
+    | op, [ d; s1; s2 ] when Insn.fbinop_of_name op <> None ->
       let* d = reg d in
       let* s1 = reg s1 in
       let* s2 = reg s2 in
-      (match fbinop_of_name op with
+      (match Insn.fbinop_of_name op with
       | Some op -> Ok (Insn.Fbin (op, d, s1, s2))
       | None -> assert false)
-    | op, [ d; s1; s2 ] when fcmp_of_name op <> None ->
+    | op, [ d; s1; s2 ] when Insn.fcmp_of_name op <> None ->
       let* d = reg d in
       let* s1 = reg s1 in
       let* s2 = reg s2 in
-      (match fcmp_of_name op with
+      (match Insn.fcmp_of_name op with
       | Some op -> Ok (Insn.Fcmp (op, d, s1, s2))
       | None -> assert false)
-    | op, [ d; s ] when funop_of_name op <> None ->
+    | op, [ d; s ] when Insn.funop_of_name op <> None ->
       let* d = reg d in
       let* s = reg s in
-      (match funop_of_name op with
+      (match Insn.funop_of_name op with
       | Some op -> Ok (Insn.Fun (op, d, s))
       | None -> assert false)
     | _, _ -> fail "bad instruction %S" line)

@@ -85,12 +85,3 @@ let default ~num_pus ~in_order =
     task_path_history = true;
     perfect_task_pred = false;
   }
-
-let latency cfg = function
-  | Ir.Insn.Fu_int -> cfg.lat_int
-  | Ir.Insn.Fu_int_mul -> cfg.lat_int_mul
-  | Ir.Insn.Fu_int_div -> cfg.lat_int_div
-  | Ir.Insn.Fu_fp -> cfg.lat_fp
-  | Ir.Insn.Fu_fp_div -> cfg.lat_fp_div
-  | Ir.Insn.Fu_load -> 1
-  | Ir.Insn.Fu_store -> 1

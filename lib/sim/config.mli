@@ -63,5 +63,3 @@ val default : num_pus:int -> in_order:bool -> t
     memory 58 cycles; ARB 32 entries/PU with 2-cycle hit; gshare and
     path-based predictors with 16-bit histories and 64K entries.  Raises
     [Invalid_argument] unless [1 <= num_pus <= max_pus]. *)
-
-val latency : t -> Ir.Insn.fu_class -> int

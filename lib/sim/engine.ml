@@ -523,9 +523,6 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   stats.Stats.l2_misses <- Cache.misses (Cache.Hierarchy.l2 hier);
   { stats; instances = k_max }
 
-let run_with_trace ?observer cfg plan trace =
-  run_prepared ?observer cfg (prepare plan trace) trace
-
 let run ?observer cfg plan =
-  let outcome = Interp.Run.execute plan.Core.Partition.prog in
-  run_with_trace ?observer cfg plan outcome.Interp.Run.trace
+  let trace = (Interp.Run.execute plan.Core.Partition.prog).Interp.Run.trace in
+  run_prepared ?observer cfg (prepare plan trace) trace

@@ -33,14 +33,9 @@ type event = {
 
 val run :
   ?observer:(event -> unit) -> Config.t -> Core.Partition.plan -> result
-(** Interprets [plan.prog], prepares, and simulates.  [observer] is called once
-    per dynamic task instance, in program order, with its final schedule. *)
-
-val run_with_trace :
-  ?observer:(event -> unit) -> Config.t -> Core.Partition.plan ->
-  Interp.Trace.t -> result
-(** Reuse an existing trace of [plan.prog] (e.g. across PU counts and issue
-    disciplines of the same heuristic level). *)
+(** Interprets [plan.prog], then {!run_prepared} on a fresh {!prepare} of
+    its trace.  [observer] is called once per dynamic task instance, in
+    program order, with its final schedule. *)
 
 (** {2 Shared trace preparation}
 
@@ -61,8 +56,8 @@ val prepare : Core.Partition.plan -> Interp.Trace.t -> prep
 
 val run_prepared :
   ?observer:(event -> unit) -> Config.t -> prep -> Interp.Trace.t -> result
-(** [run_with_trace] minus the per-call re-preparation; [trace] must be the
-    trace [prep] was built from.  Allocates what the run touches of the
+(** Simulates [trace] on the configured machine; [trace] must be the trace
+    [prep] was built from.  Allocates what the run touches of the
     machine, whatever the trace's length: the cache and predictor page
     indexes, the pages it names, the per-PU rings and windows and the task
     walk's cursor — 29 k words per run on average over the paper grid.

@@ -33,5 +33,3 @@ let find name =
   match List.find_opt (fun e -> String.equal e.Registry.name name) all with
   | Some e -> e
   | None -> raise Not_found
-
-let names () = List.map (fun e -> e.Registry.name) all

@@ -23,7 +23,8 @@ let pipelines prog =
     Core.Heuristics.all_levels
 
 let sim cfg (plan, trace) =
-  (Sim.Engine.run_with_trace cfg plan trace).Sim.Engine.stats
+  (Sim.Engine.run_prepared cfg (Sim.Engine.prepare plan trace) trace)
+    .Sim.Engine.stats
 
 (* --- conservation: the tentpole invariant --------------------------------- *)
 
@@ -127,9 +128,7 @@ let test_differential_superscalar () =
   let cfg = { serial_cfg with Sim.Config.arb_hit = 1 } in
   let plan = Core.Partition.build Core.Heuristics.Control_flow (straightline 80) in
   let o = Interp.Run.execute plan.Core.Partition.prog in
-  let ms =
-    (Sim.Engine.run_with_trace cfg plan o.Interp.Run.trace).Sim.Engine.stats
-  in
+  let ms = sim cfg (plan, o.Interp.Run.trace) in
   let ss = Sim.Superscalar.run cfg o.Interp.Run.trace in
   checki "same cycle count as the superscalar reference"
     ss.Sim.Superscalar.stats.Sim.Stats.cycles ms.Sim.Stats.cycles;

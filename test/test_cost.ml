@@ -37,7 +37,8 @@ let prop_fb_valid =
         QCheck.Test.fail_reportf "fb cost audit: %s"
           (Format.asprintf "%a" Lint.Diag.pp d));
       let stats =
-        (Sim.Engine.run_with_trace cfg8 plan trace).Sim.Engine.stats
+        (Sim.Engine.run_prepared cfg8 (Sim.Engine.prepare plan trace) trace)
+          .Sim.Engine.stats
       in
       match Lint.check_account ~num_pus:8 ~in_order:false stats with
       | [] -> true

@@ -4,7 +4,7 @@
    and a grid of machine shapes, the two cores must agree on every
    statistic, every cycle-account category, and the full per-task schedule
    (PU, assign, complete, retire, misprediction, violation count).  Also
-   pins the prepare/run_prepared fast path to run_with_trace. *)
+   pins one prep shared across machines to a fresh prep per machine. *)
 
 let pipelines prog =
   List.map
@@ -60,11 +60,14 @@ let prop_prepared_matches =
           let prep = Sim.Engine.prepare plan trace in
           List.iter
             (fun cfg ->
-              let direct = Sim.Engine.run_with_trace cfg plan trace in
+              let fresh =
+                Sim.Engine.run_prepared cfg (Sim.Engine.prepare plan trace)
+                  trace
+              in
               let shared = Sim.Engine.run_prepared cfg prep trace in
-              if direct.Sim.Engine.stats <> shared.Sim.Engine.stats then
+              if fresh.Sim.Engine.stats <> shared.Sim.Engine.stats then
                 QCheck.Test.fail_reportf
-                  "%dPU: run_prepared diverges from run_with_trace"
+                  "%dPU: the shared prep diverges from a fresh one"
                   cfg.Sim.Config.num_pus)
             machine_grid)
         (pipelines prog);

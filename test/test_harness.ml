@@ -507,9 +507,7 @@ let test_geomean () =
   (* values are clamped at 1e-9 before the logarithm *)
   Alcotest.check (Alcotest.float 1e-12) "clamped"
     (exp ((log 1e-9 +. log 1.0) /. 2.0))
-    (Harness.Stat.geomean [ 0.0; 1.0 ]);
-  checkf "mean empty" 0.0 (Harness.Stat.mean []);
-  checkf "mean" 2.5 (Harness.Stat.mean [ 1.0; 4.0 ])
+    (Harness.Stat.geomean [ 0.0; 1.0 ])
 
 let () =
   Alcotest.run "harness"

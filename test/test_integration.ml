@@ -121,10 +121,11 @@ let test_all_insns_retired () =
       let prog = sample_program () in
       let plan = Core.Partition.build level prog in
       let outcome = Interp.Run.execute plan.Core.Partition.prog in
+      let trace = outcome.Interp.Run.trace in
       let r =
-        Sim.Engine.run_with_trace
+        Sim.Engine.run_prepared
           (Sim.Config.default ~num_pus:8 ~in_order:false)
-          plan outcome.Interp.Run.trace
+          (Sim.Engine.prepare plan trace) trace
       in
       check Alcotest.int
         (Core.Heuristics.level_name level ^ " all insns retired")

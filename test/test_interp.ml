@@ -310,6 +310,11 @@ let prop_packed_decodes_legacy =
       in
       let tr = o.Interp.Run.trace in
       let legacy = Array.of_list (List.rev !legacy) in
+      let addrs_of j =
+        let acc = ref [] in
+        Interp.Trace.iter_addrs tr j (fun a -> acc := a :: !acc);
+        Array.of_list (List.rev !acc)
+      in
       Interp.Trace.num_events tr = Array.length legacy
       &&
       let ok = ref true in
@@ -318,7 +323,7 @@ let prop_packed_decodes_legacy =
           if
             Interp.Trace.get_fid tr j <> fid
             || Interp.Trace.get_blk tr j <> blk
-            || Interp.Trace.event_addrs tr j <> addrs
+            || addrs_of j <> addrs
           then ok := false)
         legacy;
       !ok)
@@ -348,9 +353,10 @@ let test_trace_wide_addresses () =
   checki "huge-address store/load round-trips" 123
     (Ir.Value.to_int o.Interp.Run.result);
   checkb "pool promoted to wide" true tr.Interp.Trace.awide;
-  checki "pre-promotion address survives" 8 (Interp.Trace.get_addr tr 0 0);
+  let base = Interp.Trace.addr_offset tr 0 in
+  checki "pre-promotion address survives" 8 (Interp.Trace.addr_at tr base);
   checki "wide address decodes exactly" (huge + 3)
-    (Interp.Trace.get_addr tr 0 1);
+    (Interp.Trace.addr_at tr (base + 1));
   checkb "audit passes on a wide trace" true (Interp.Trace.check tr = Ok ())
 
 let test_trace_narrow_stays_packed () =

@@ -5,6 +5,13 @@ let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+(* Minor words allocated while [f ()] runs; each reading boxes one float,
+   so a test compares against [words ignore]. *)
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
 (* --- registers ----------------------------------------------------------- *)
 
 let test_reg_roles () =
@@ -119,11 +126,6 @@ let test_insn_iter_uses_alloc () =
       Ir.Insn.iter_uses visit insns.(i)
     done
   in
-  let words f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
-  in
   walk ();
   (* both readings box one float *)
   check (Alcotest.float 0.0) "words beyond an empty reading" 0.0
@@ -179,9 +181,7 @@ let test_block_targets () =
   checki "br same" 1 (num_targets (Br (1, 0, 0)));
   checki "switch" 3 (num_targets (Switch (1, [| 0; 1 |], 2)));
   checki "switch repeats" 3 (num_targets (Switch (1, [| 2; 0; 2; 1 |], 0)));
-  checki "ret" 0 (num_targets Ret);
-  checkb "branch terms" true (is_branch_term (Br (1, 0, 0)));
-  checkb "jump not branch" false (is_branch_term (Jump 0))
+  checki "ret" 0 (num_targets Ret)
 
 (* Ir.Block.iter_succs (with successors, its list view) and Ir.Func's
    tables against the list definitions they replaced (Cfg_model), on
@@ -257,11 +257,6 @@ let test_iter_succs_alloc () =
     for i = 0 to Array.length blocks - 1 do
       Ir.Block.iter_succs visit blocks.(i)
     done
-  in
-  let words f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
   in
   walk ();
   (* both readings box one float *)
@@ -409,7 +404,35 @@ let test_parse_insn_forms () =
         | Ok i' -> checkb c true (i = i')
         | Error e -> Alcotest.failf "%s reparse: %s" c e)
       | Error e -> Alcotest.failf "%s: %s" c e)
-    cases
+    cases;
+  (* every operator of each family parses under its mnemonic and prints
+     back the same text *)
+  List.iter
+    (fun c ->
+      match Ir.Parse.insn c with
+      | Ok i -> check Alcotest.string c c (Ir.Insn.to_string i)
+      | Error e -> Alcotest.failf "%s: %s" c e)
+    (List.map
+       (fun m -> m ^ " t1, t0, t2")
+       [
+         "add"; "sub"; "mul"; "div"; "rem"; "and"; "or"; "xor"; "shl"; "shr";
+         "slt"; "sle"; "seq"; "sne"; "sgt"; "sge"; "fadd"; "fsub"; "fmul";
+         "fdiv"; "fmin"; "fmax"; "flt"; "fle"; "feq"; "fne";
+       ]
+    @ List.map
+        (fun m -> m ^ " t1, t2")
+        [ "fneg"; "fabs"; "fsqrt"; "itof"; "ftoi" ]);
+  (* the mnemonic lookups the parser makes per instruction allocate
+     nothing; both readings box one float *)
+  let lookups () =
+    ignore (Sys.opaque_identity (Ir.Insn.binop_of_name "sge"));
+    ignore (Sys.opaque_identity (Ir.Insn.fbinop_of_name "sge"));
+    ignore (Sys.opaque_identity (Ir.Insn.fcmp_of_name "fne"));
+    ignore (Sys.opaque_identity (Ir.Insn.funop_of_name "ftoi"))
+  in
+  lookups ();
+  check (Alcotest.float 0.0) "lookups allocate nothing" 0.0
+    (words lookups -. words ignore)
 
 let test_parse_errors () =
   let bad =

@@ -328,6 +328,58 @@ let test_unchoppable_trace () =
        (fun (d : Lint.Diag.t) -> d.Lint.Diag.rule ^ ": " ^ d.Lint.Diag.message)
        errs)
 
+let test_corrupt_entry_not_member () =
+  let plan = plan_of_main (diamond_main ()) Core.Heuristics.Basic_block in
+  let part = find_main_part plan in
+  (* task 1 keeps its entry L1 but loses it from its block set *)
+  let tasks = Array.copy part.Core.Task.tasks in
+  tasks.(1) <- { (tasks.(1)) with Core.Task.blocks = Core.Task.Iset.empty };
+  let bad = with_main_part plan { part with Core.Task.tasks } in
+  checkb "part/entry-not-member" true
+    (has_rule "part/entry-not-member" (Lint.check_plan bad))
+
+let test_corrupt_closure_target () =
+  let plan = plan_of_main (diamond_main ()) Core.Heuristics.Basic_block in
+  let part = find_main_part plan in
+  (* the join L3 stops being a task entry: both arms' exits land on no
+     task *)
+  let task_of_entry = Array.copy part.Core.Task.task_of_entry in
+  task_of_entry.(3) <- -1;
+  let bad = with_main_part plan { part with Core.Task.task_of_entry } in
+  checkb "part/closure-target" true
+    (has_rule "part/closure-target" (Lint.check_plan bad))
+
+let test_corrupt_closure_cont () =
+  let leaf = { Ir.Func.name = "leaf"; blocks = [| blk 0 [] Ir.Block.Ret |] } in
+  let main =
+    {
+      Ir.Func.name = "main";
+      blocks =
+        [| blk 0 [] (Ir.Block.Call ("leaf", 1)); blk 1 [] Ir.Block.Halt |];
+    }
+  in
+  let plan =
+    Core.Partition.build Core.Heuristics.Basic_block (prog_of [ leaf; main ])
+  in
+  checki "clean" 0 (List.length (Lint.check_plan plan));
+  let part = find_main_part plan in
+  (* the call's continuation L1 is no longer a task entry: the return from
+     leaf lands on no task *)
+  let task_of_entry = Array.copy part.Core.Task.task_of_entry in
+  task_of_entry.(1) <- -1;
+  let bad = with_main_part plan { part with Core.Task.task_of_entry } in
+  checkb "part/closure-cont" true
+    (has_rule "part/closure-cont" (Lint.check_plan bad))
+
+let test_corrupt_task_of_entry_length () =
+  let plan = plan_of_main (diamond_main ()) Core.Heuristics.Basic_block in
+  let part = find_main_part plan in
+  (* one slot more than the function has blocks *)
+  let task_of_entry = Array.append part.Core.Task.task_of_entry [| -1 |] in
+  let bad = with_main_part plan { part with Core.Task.task_of_entry } in
+  checkb "part/task-of-entry-length" true
+    (has_rule "part/task-of-entry-length" (Lint.check_plan bad))
+
 (* --- regcomm: handcrafted CFGs, hand-computed answers ---------------------- *)
 
 (* Diamond with a partial kill: r is rewritten on one arm only. *)
@@ -662,6 +714,14 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_corrupt_connectivity;
           Alcotest.test_case "gated artifact" `Quick test_gated_artifact;
           Alcotest.test_case "unchoppable trace" `Quick test_unchoppable_trace;
+          Alcotest.test_case "entry not member" `Quick
+            test_corrupt_entry_not_member;
+          Alcotest.test_case "closure target" `Quick
+            test_corrupt_closure_target;
+          Alcotest.test_case "closure continuation" `Quick
+            test_corrupt_closure_cont;
+          Alcotest.test_case "task_of_entry length" `Quick
+            test_corrupt_task_of_entry_length;
         ] );
       ( "regcomm",
         [

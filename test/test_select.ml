@@ -7,10 +7,16 @@ let checki = Alcotest.check Alcotest.int
 let params = Core.Heuristics.default
 let no_calls f = Array.make (Ir.Func.num_blocks f) false
 
-let find_task part entry =
-  match Core.Task.task_of part entry with
-  | Some t -> t
-  | None -> Alcotest.failf "no task at entry L%d" entry
+let find_task (part : Core.Task.partition) entry =
+  match part.Core.Task.task_of_entry.(entry) with
+  | -1 -> Alcotest.failf "no task at entry L%d" entry
+  | i -> part.Core.Task.tasks.(i)
+
+(* The partition audit every plan passes ([part/*]): connectivity, single
+   entry, closure, stored exits against the CFG, block coverage and, given
+   the level, the hardware target bound. *)
+let valid ~level f part =
+  Lint.Diag.errors (Lint.check_partition ~level ~params f part) = []
 
 (* --- basic block tasks --------------------------------------------------- *)
 
@@ -20,7 +26,7 @@ let test_basic_block () =
   let part = Core.Select.basic_block f in
   checki "one task per block" (Ir.Func.num_blocks f)
     (Array.length part.Core.Task.tasks);
-  checkb "valid" true (Core.Task.validate f part = Ok ());
+  checkb "valid" true (valid ~level:Core.Heuristics.Basic_block f part);
   Array.iter
     (fun (t : Core.Task.t) ->
       checki "singleton" 1 (Core.Task.Iset.cardinal t.Core.Task.blocks))
@@ -45,7 +51,7 @@ let test_cf_reconvergence () =
   let prog = diamond_prog () in
   let f = Ir.Prog.find prog "main" in
   let part = Core.Select.control_flow params f ~included_calls:(no_calls f) in
-  checkb "valid" true (Core.Task.validate f part = Ok ());
+  checkb "valid" true (valid ~level:Core.Heuristics.Control_flow f part);
   let t = find_task part Ir.Func.entry in
   checki "whole diamond in one task" (Ir.Func.num_blocks f)
     (Core.Task.Iset.cardinal t.Core.Task.blocks)
@@ -54,7 +60,7 @@ let test_cf_loop_body_task () =
   let prog = Gen.square_sum_program 5 in
   let f = Ir.Prog.find prog "main" in
   let part = Core.Select.control_flow params f ~included_calls:(no_calls f) in
-  checkb "valid" true (Core.Task.validate f part = Ok ());
+  checkb "valid" true (valid ~level:Core.Heuristics.Control_flow f part);
   let loops = Gen.loops f in
   let lo = List.hd loops.Analysis.Loops.loops in
   let t = find_task part lo.Analysis.Loops.header in
@@ -78,7 +84,7 @@ let test_cf_call_terminates () =
   let prog = Ir.Builder.finish pb ~main:"main" in
   let f = Ir.Prog.find prog "main" in
   let part = Core.Select.control_flow params f ~included_calls:(no_calls f) in
-  checkb "valid" true (Core.Task.validate f part = Ok ());
+  checkb "valid" true (valid ~level:Core.Heuristics.Control_flow f part);
   let t = find_task part Ir.Func.entry in
   checkb "call is an out-call" true (t.Core.Task.calls_out = [ "leaf" ]);
   (* the continuation is a separate task even though nobody targets it *)
@@ -105,7 +111,7 @@ let test_cf_target_limit () =
   let prog = switch_prog 8 in
   let f = Ir.Prog.find prog "main" in
   let part = Core.Select.control_flow params f ~included_calls:(no_calls f) in
-  checkb "valid" true (Core.Task.validate f part = Ok ());
+  checkb "valid" true (valid ~level:Core.Heuristics.Control_flow f part);
   let t = find_task part Ir.Func.entry in
   checkb "targets within limit" true
     (Core.Task.num_hw_targets t <= params.Core.Heuristics.max_targets)
@@ -119,7 +125,7 @@ let prop_cf_partitions_valid =
           let part =
             Core.Select.control_flow params f ~included_calls:(no_calls f)
           in
-          Core.Task.validate f part = Ok ())
+          valid ~level:Core.Heuristics.Control_flow f part)
         (Ir.Prog.func_names prog))
 
 let prop_cf_multiblock_within_limit =

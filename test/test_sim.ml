@@ -346,7 +346,9 @@ let memflow_model (tr : Interp.Trace.t) ~parts =
         in
         Array.iteri
           (fun j store ->
-            let addr = Interp.Trace.get_addr tr ev j in
+            let addr =
+              Interp.Trace.addr_at tr (Interp.Trace.addr_offset tr ev + j)
+            in
             if store then Hashtbl.replace last_store addr (k, fid, task)
             else
               match Hashtbl.find_opt last_store addr with
@@ -650,7 +652,8 @@ let test_all_insns_retired () =
     (fun level ->
       let plan = Core.Partition.build level prog in
       let o = Interp.Run.execute plan.Core.Partition.prog in
-      let r = Sim.Engine.run_with_trace cfg8 plan o.Interp.Run.trace in
+      let tr = o.Interp.Run.trace in
+      let r = Sim.Engine.run_prepared cfg8 (Sim.Engine.prepare plan tr) tr in
       checki
         (Core.Heuristics.level_name level)
         o.Interp.Run.steps r.Sim.Engine.stats.Sim.Stats.dyn_insns)
@@ -691,7 +694,10 @@ let prop_engine_retires_everything =
         (fun level ->
           let plan = Core.Partition.build level prog in
           let o = Interp.Run.execute plan.Core.Partition.prog in
-          let r = Sim.Engine.run_with_trace cfg4 plan o.Interp.Run.trace in
+          let tr = o.Interp.Run.trace in
+          let r =
+            Sim.Engine.run_prepared cfg4 (Sim.Engine.prepare plan tr) tr
+          in
           r.Sim.Engine.stats.Sim.Stats.dyn_insns = o.Interp.Run.steps
           && r.Sim.Engine.stats.Sim.Stats.cycles > 0)
         Core.Heuristics.all_levels)

@@ -639,14 +639,12 @@ type op =
   | Add of int
   | Remove of int
   | Union of int list
-  | Inter of int list
   | Diff of int list
 
 let print_op = function
   | Add r -> Printf.sprintf "add %d" r
   | Remove r -> Printf.sprintf "remove %d" r
   | Union l -> "union " ^ QCheck.Print.(list int) l
-  | Inter l -> "inter " ^ QCheck.Print.(list int) l
   | Diff l -> "diff " ^ QCheck.Print.(list int) l
 
 (* the word boundaries (31 | 32) and both ends get extra weight *)
@@ -661,7 +659,6 @@ let gen_op =
         (4, map (fun r -> Add r) gen_reg);
         (3, map (fun r -> Remove r) gen_reg);
         (1, map (fun l -> Union l) regs);
-        (1, map (fun l -> Inter l) regs);
         (1, map (fun l -> Diff l) regs);
       ])
 
@@ -681,7 +678,7 @@ let prop_regset_model =
         let o, mo =
           match op with
           | Add r | Remove r -> (Regset.of_list [ r ], Model.singleton r)
-          | Union l | Inter l | Diff l ->
+          | Union l | Diff l ->
             (Regset.of_list (List.rev l), Model.of_list l)
         in
         let s', m' =
@@ -689,7 +686,6 @@ let prop_regset_model =
           | Add r -> (Regset.add r s, Model.add r m)
           | Remove r -> (Regset.remove r s, Model.remove r m)
           | Union _ -> (Regset.union s o, Model.union m mo)
-          | Inter _ -> (Regset.inter s o, Model.inter m mo)
           | Diff _ -> (Regset.diff s o, Model.diff m mo)
         in
         if not (agrees s' m' && agrees o mo) then
@@ -699,7 +695,7 @@ let prop_regset_model =
         let unchanged =
           match op with
           | Add _ | Remove _ -> Model.equal m' m && s' != s
-          | Union _ | Inter _ | Diff _ ->
+          | Union _ | Diff _ ->
             (Model.equal m' m || Model.equal m' mo) && s' != s && s' != o
         in
         if unchanged then

@@ -118,10 +118,8 @@ let test_injected_fault_shrinks () =
       Alcotest.(check bool) "parsed reproducer still fails" true (fails p'))
 
 let test_fault_hook () =
-  Fuzz.fault_hook := Some (Fuzz.inject_div0 ~seed:5);
-  let r = Fuzz.check_one cfg ~index:3 in
-  Fuzz.fault_hook := None;
-  match r.Fuzz.p_violations with
+  let hooked = { cfg with Fuzz.fault_hook = Some (Fuzz.inject_div0 ~seed:5) } in
+  match (Fuzz.check_one hooked ~index:3).Fuzz.p_violations with
   | [] -> Alcotest.fail "hooked fault not caught"
   | v :: _ ->
     if not (contains v.Fuzz.v_detail "division by zero") then
