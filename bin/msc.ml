@@ -640,32 +640,26 @@ let fuzz_cmd =
       let extra = List.length o.Fuzz.o_violations - 10 in
       if extra > 0 then Printf.printf "(+%d more violations)\n" extra;
       (* shrink the first offender and leave a reproducer behind *)
-      (match Workloads.Synth.Profile.find v.Fuzz.v_profile with
-      | None -> ()
-      | Some profile ->
-        let prog = Workloads.Synth.generate ~profile ~seed:v.Fuzz.v_seed in
-        let prog =
-          match fault_hook with Some f -> f prog | None -> prog
+      let prog = Fuzz.program cfg ~index:v.Fuzz.v_index in
+      let fails = Fuzz.fails_oracle cfg ~oracle:v.Fuzz.v_oracle in
+      if fails prog then begin
+        let small = Fuzz.minimize ~fails prog in
+        let name =
+          Printf.sprintf "%s-%d-%s" v.Fuzz.v_profile v.Fuzz.v_index
+            v.Fuzz.v_oracle
         in
-        let fails = Fuzz.fails_oracle cfg ~oracle:v.Fuzz.v_oracle in
-        if fails prog then begin
-          let small = Fuzz.minimize ~fails prog in
-          let name =
-            Printf.sprintf "%s-%d-%s" v.Fuzz.v_profile v.Fuzz.v_index
-              v.Fuzz.v_oracle
-          in
-          match Fuzz.dump_reproducer ~dir:out ~name small with
-          | Ok path ->
-            Printf.printf "reproducer: %s (%d insns, shrunk from %d)\n" path
-              (Ir.Prog.static_size small)
-              (Ir.Prog.static_size prog)
-          | Error msg -> Printf.printf "reproducer dump failed: %s\n" msg
-        end
-        else
-          Printf.printf
-            "note: first violation does not reproduce standalone (profile \
-             %s, seed %d)\n"
-            v.Fuzz.v_profile v.Fuzz.v_seed);
+        match Fuzz.dump_reproducer ~dir:out ~name small with
+        | Ok path ->
+          Printf.printf "reproducer: %s (%d insns, shrunk from %d)\n" path
+            (Ir.Prog.static_size small)
+            (Ir.Prog.static_size prog)
+        | Error msg -> Printf.printf "reproducer dump failed: %s\n" msg
+      end
+      else
+        Printf.printf
+          "note: first violation does not reproduce standalone (profile %s, \
+           seed %d)\n"
+          v.Fuzz.v_profile v.Fuzz.v_seed;
       exit 1
   in
   Cmd.v

@@ -103,7 +103,6 @@ val equal : value -> value -> bool
 (** Structural equality of the abstract values (not set equality of [Bot]
     corner cases — normalisation makes the two coincide in practice). *)
 
-val pp_value : Format.formatter -> value -> unit
 val value_to_string : value -> string
 
 (** {1 Whole-program analysis} *)

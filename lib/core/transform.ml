@@ -1,81 +1,53 @@
 module Iset = Set.Make (Int)
 
-(* --- loop unrolling ------------------------------------------------------ *)
+(* --- rewriting loops ------------------------------------------------------ *)
 
 let max_unroll = 16
 
-let retarget map term =
-  let m l = match Hashtbl.find_opt map l with Some l' -> l' | None -> l in
-  match term with
-  | Ir.Block.Jump l -> Ir.Block.Jump (m l)
-  | Ir.Block.Br (c, l1, l2) -> Ir.Block.Br (c, m l1, m l2)
-  | Ir.Block.Switch (c, ts, d) -> Ir.Block.Switch (c, Array.map m ts, m d)
-  | Ir.Block.Call (f, cont) -> Ir.Block.Call (f, m cont)
-  | Ir.Block.Ret -> Ir.Block.Ret
-  | Ir.Block.Halt -> Ir.Block.Halt
+(* Labels for copies of the blocks [ls] (ascending) of [f]: [label i l] is
+   [l] itself in copy 0 and for a block not in [ls]; in copy [i >= 1] the
+   [j]-th block of [ls] is [num_blocks f + (i - 1) * length ls + j]. *)
+let copy_labels f ls =
+  let n = Ir.Func.num_blocks f and m = List.length ls in
+  let index = Array.make n (-1) in
+  List.iteri (fun j l -> index.(l) <- j) ls;
+  fun i l -> if i = 0 || index.(l) < 0 then l else n + ((i - 1) * m) + index.(l)
+
+(* [f] with each block of [bs] at its label: a block with one of [f]'s
+   labels replaces it in place, the others (fresh labels, dense from
+   [num_blocks f]) are appended in label order.  Every loop rewrite ends
+   here. *)
+let assemble f bs =
+  let n = Ir.Func.num_blocks f in
+  let size =
+    List.fold_left (fun m (b : Ir.Block.t) -> max m (b.Ir.Block.label + 1)) n bs
+  in
+  let blocks = Array.make size f.Ir.Func.blocks.(0) in
+  Array.blit f.Ir.Func.blocks 0 blocks 0 n;
+  List.iter (fun (b : Ir.Block.t) -> blocks.(b.Ir.Block.label) <- b) bs;
+  { f with Ir.Func.blocks }
 
 (* Unroll one loop by factor [k]: append k-1 copies of the loop body; back
    edges of copy i lead to the header of copy i+1, and those of the last copy
    lead back to the original header.  Exits of every copy keep their original
    (outside) targets. *)
 let unroll_loop f (lo : Analysis.Loops.loop) k =
-  let blocks = ref (Array.to_list f.Ir.Func.blocks) in
-  let next_label = ref (Ir.Func.num_blocks f) in
-  let in_loop = Iset.of_list lo.Analysis.Loops.blocks in
   let header = lo.Analysis.Loops.header in
-  (* label of block [l] in copy [i]; copy 0 is the original *)
-  let copy_label = Hashtbl.create 16 in
-  Hashtbl.replace copy_label (0, header) header;
-  Iset.iter (fun l -> Hashtbl.replace copy_label (0, l) l) in_loop;
-  for i = 1 to k - 1 do
-    Iset.iter
-      (fun l ->
-        Hashtbl.replace copy_label (i, l) !next_label;
-        incr next_label)
-      in_loop
-  done;
-  let header_of_copy i = Hashtbl.find copy_label (i mod k, header) in
-  let rewrite_term i (b : Ir.Block.t) =
-    let map = Hashtbl.create 8 in
-    Ir.Block.iter_succs
-      (fun s ->
-        if s = header then
-          (* back edge: next copy (or wrap to the original header) *)
-          Hashtbl.replace map s (header_of_copy (i + 1))
-        else if Iset.mem s in_loop then
-          Hashtbl.replace map s (Hashtbl.find copy_label (i, s)))
-      b;
-    retarget map b.Ir.Block.term
+  let label = copy_labels f lo.Analysis.Loops.blocks in
+  let copy i l =
+    let b = Ir.Func.block f l in
+    {
+      Ir.Block.label = label i l;
+      insns = (if i = 0 then b.Ir.Block.insns else Array.copy b.Ir.Block.insns);
+      term =
+        Ir.Block.map_term b.Ir.Block.term ~cond:Fun.id ~label:(fun s ->
+            if s = header then label ((i + 1) mod k) header else label i s);
+    }
   in
-  (* rewrite original loop blocks (copy 0) *)
-  blocks :=
-    List.map
-      (fun (b : Ir.Block.t) ->
-        if Iset.mem b.Ir.Block.label in_loop then
-          { b with Ir.Block.term = rewrite_term 0 b }
-        else b)
-      !blocks;
-  (* append copies 1..k-1 *)
-  let copies = ref [] in
-  for i = 1 to k - 1 do
-    Iset.iter
-      (fun l ->
-        let b = Ir.Func.block f l in
-        let b' =
-          {
-            Ir.Block.label = Hashtbl.find copy_label (i, l);
-            insns = Array.copy b.Ir.Block.insns;
-            term = rewrite_term i b;
-          }
-        in
-        copies := b' :: !copies)
-      in_loop
-  done;
-  let all =
-    !blocks @ List.sort (fun a b -> compare a.Ir.Block.label b.Ir.Block.label)
-                (List.rev !copies)
-  in
-  { f with Ir.Func.blocks = Array.of_list all }
+  assemble f
+    (List.concat_map
+       (fun i -> List.map (copy i) lo.Analysis.Loops.blocks)
+       (List.init k Fun.id))
 
 let all_used_registers f =
   let used = Array.make Ir.Reg.count false in
@@ -105,9 +77,32 @@ let free_registers p =
     p.Ir.Prog.funcs;
   ref (List.filter (fun r -> not used.(r)) (List.init Ir.Reg.count Fun.id))
 
-(* A hoistable induction register in loop [lo]: defined in the loop exactly
-   once, by `add r, r, #imm` sitting last in the single latch; all loop exits
-   leave from the header; the header has a single in-loop successor. *)
+(* The first [k] registers of the pool, taken out of it, or [None] (the
+   pool left as it is) when it holds fewer *)
+let take free k =
+  if List.length !free < k then None
+  else begin
+    let taken = Array.make k Ir.Reg.zero in
+    for j = 0 to k - 1 do
+      taken.(j) <- List.hd !free;
+      free := List.tl !free
+    done;
+    Some taken
+  end
+
+(* --- the induction rewrite ------------------------------------------------ *)
+
+(* A hoistable induction register [reg] of a loop: defined in the loop
+   exactly once, by `add reg, reg, #step` sitting last in the single
+   [latch]; all loop exits leave from the header; the header has a single
+   in-loop successor, [body_start]. *)
+type induction = {
+  reg : Ir.Reg.t;
+  step : int;
+  latch : Ir.Block.label;
+  body_start : Ir.Block.label;
+}
+
 let find_induction f (lo : Analysis.Loops.loop) =
   let in_loop = Iset.of_list lo.Analysis.Loops.blocks in
   let header = lo.Analysis.Loops.header in
@@ -155,22 +150,85 @@ let find_induction f (lo : Analysis.Loops.loop) =
                   acc b.Ir.Block.insns)
               0 lo.Analysis.Loops.blocks
           in
-          if defs_of_r = 1 then Some (r, step, latch, body_start) else None
+          if defs_of_r = 1 then Some { reg = r; step; latch; body_start }
+          else None
         | _ -> None
       end
     | _, _ -> None)
   | _ -> None
 
+(* The induction rewrite of loop [lo]'s body (its blocks but the header)
+   at factor k = [Array.length values] >= 1, where [values] = rOld, v_1 ..
+   v_(k-1) are unused registers.  Copy [i] of body block [l] is labelled
+   [label i l]; copy 0 replaces the original.  The first body block of
+   copy 0 starts with the group prelude
+
+     rOld = r; r = r + k*s; v_i = rOld + i*s
+
+   so the carried register r is written once, at the top, and the next
+   task receives it at once.  Copy [i] reads its value (rOld, v_i) for r
+   in its instructions and in every terminator but the latch's, which runs
+   after the original increment and so reads r itself; the latch loses
+   that increment.  In-body edges stay within the copy and back edges of
+   copy [i] go to [next_header i]. *)
+let rewrite_body f (lo : Analysis.Loops.loop) ind values ~label ~next_header =
+  let k = Array.length values and r = ind.reg and r_old = values.(0) in
+  let prelude =
+    Ir.Insn.Mov (r_old, r)
+    :: Ir.Insn.Bin (Ir.Insn.Add, r, r, Ir.Insn.Imm (k * ind.step))
+    :: List.init (k - 1) (fun j ->
+           Ir.Insn.Bin
+             ( Ir.Insn.Add,
+               values.(j + 1),
+               r_old,
+               Ir.Insn.Imm ((j + 1) * ind.step) ))
+  in
+  let copy i =
+    let read x = if x = r then values.(i) else x in
+    let rewrite = Ir.Insn.map_regs ~use:read ~def:Fun.id in
+    let target s =
+      if s = lo.Analysis.Loops.header then next_header i else label i s
+    in
+    fun l ->
+      let b = Ir.Func.block f l in
+      let insns = Array.map rewrite b.Ir.Block.insns in
+      let insns =
+        if l = ind.latch then Array.sub insns 0 (Array.length insns - 1)
+        else insns
+      in
+      let insns =
+        if i = 0 && l = ind.body_start then
+          Array.append (Array.of_list prelude) insns
+        else insns
+      in
+      {
+        Ir.Block.label = label i l;
+        insns;
+        term =
+          Ir.Block.map_term b.Ir.Block.term ~label:target
+            ~cond:(if l = ind.latch then Fun.id else read);
+      }
+  in
+  List.concat_map
+    (fun i ->
+      let copy = copy i in
+      List.filter_map
+        (fun l ->
+          if l = lo.Analysis.Loops.header then None else Some (copy l))
+        lo.Analysis.Loops.blocks)
+    (List.init k Fun.id)
 
 (* --- counted-loop unrolling with induction coalescing -------------------- *)
 
-(* The generic copy-based unrolling above leaves one serial `add r, r, s`
-   per iteration copy, so the next group's tasks wait for a chain of adds
-   spread across the whole task — precisely what the Multiscalar compiler's
-   induction rescheduling avoids.  For loops in the canonical counted shape
-   produced by front ends (header = single compare + branch; single latch
-   ending in the increment; exits only from the header; no calls), we unroll
-   by computing all derived induction values at the top of the group:
+(* Copy-based unrolling leaves one serial `add r, r, s` per iteration
+   copy, so the next group's tasks wait for a chain of adds spread across
+   the whole task — precisely what the Multiscalar compiler's induction
+   rescheduling avoids.  For loops in the canonical counted shape produced
+   by front ends (header = single compare + branch; single latch ending in
+   the increment; exits only from the header; no calls), the induction
+   rewrite computes all derived induction values at the top of the group,
+   and copy i >= 1 is entered through a copy of the header that tests its
+   own value:
 
      H  : c = r < bound        ; br B0 X          (entry, unchanged label)
      B0 : rOld = r; r = r + k*s; v_i = rOld + i*s (group prelude)
@@ -179,189 +237,55 @@ let find_induction f (lo : Analysis.Loops.loop) =
      Bi : body[i] with r -> v_i                   ; jump H(i+1) (or H)
      Fi : r = v_i              ; jump X           (early-exit fixup)
 
-   The carried register r is written once, at the second instruction of the
-   group, so the successor task's induction value forwards immediately.
    The fixup blocks restore r when the trip count is not a multiple of k.
    Each fixup is an extra task successor, so k is capped at N-1 targets. *)
 
-type counted = {
-  c_header : Ir.Block.label;
-  c_exit : Ir.Block.label;       (* header's out-of-loop successor *)
-  c_body_start : Ir.Block.label;
-  c_latch : Ir.Block.label;
-  c_reg : Ir.Reg.t;
-  c_step : int;
-  c_cmp : Ir.Insn.binop;
-  c_cond : Ir.Reg.t;
-  c_bound : Ir.Insn.operand;
-}
-
+(* A counted loop's induction and X, its header's out-of-loop successor *)
 let find_counted f (lo : Analysis.Loops.loop) =
-  let in_loop = Iset.of_list lo.Analysis.Loops.blocks in
-  let header = lo.Analysis.Loops.header in
-  match (lo.Analysis.Loops.latches, find_induction f lo) with
-  | [ latch ], Some (r, step, latch', body_start) when latch = latch' ->
-    let hb = Ir.Func.block f header in
-    (match (hb.Ir.Block.insns, hb.Ir.Block.term) with
-    | [| Ir.Insn.Bin (cmp, c, r', bound) |], Ir.Block.Br (c', bt, bf)
-      when c = c' && r' = r && bt = body_start && not (Iset.mem bf in_loop)
-           && (cmp = Ir.Insn.Lt || cmp = Ir.Insn.Gt)
-           && (match bound with
-              | Ir.Insn.Reg rb -> rb <> r && rb <> c
-              | Ir.Insn.Imm _ -> true) ->
-      Some
-        {
-          c_header = header;
-          c_exit = bf;
-          c_body_start = body_start;
-          c_latch = latch;
-          c_reg = r;
-          c_step = step;
-          c_cmp = cmp;
-          c_cond = c;
-          c_bound = bound;
-        }
-    | _, _ -> None)
-  | _, _ -> None
+  let hb = Ir.Func.block f lo.Analysis.Loops.header in
+  match (find_induction f lo, hb.Ir.Block.insns, hb.Ir.Block.term) with
+  | ( Some ind,
+      [| Ir.Insn.Bin (cmp, c, r, bound) |],
+      Ir.Block.Br (c', bt, bf) )
+    when c = c' && r = ind.reg && bt = ind.body_start
+         && (not (List.mem bf lo.Analysis.Loops.blocks))
+         && (cmp = Ir.Insn.Lt || cmp = Ir.Insn.Gt)
+         && (match bound with
+            | Ir.Insn.Reg rb -> rb <> r && rb <> c
+            | Ir.Insn.Imm _ -> true) ->
+    Some (ind, bf)
+  | _, _, _ -> None
 
-let subst_reg_uses ~from_ ~to_ insn =
-  let s x = if x = from_ then to_ else x in
-  let so = function
-    | Ir.Insn.Reg x -> Ir.Insn.Reg (s x)
-    | Ir.Insn.Imm _ as o -> o
-  in
-  match insn with
-  | Ir.Insn.Nop | Ir.Insn.Li _ | Ir.Insn.Lf _ -> insn
-  | Ir.Insn.Mov (d, x) -> Ir.Insn.Mov (d, s x)
-  | Ir.Insn.Bin (op, d, x, o) -> Ir.Insn.Bin (op, d, s x, so o)
-  | Ir.Insn.Fbin (op, d, x, y) -> Ir.Insn.Fbin (op, d, s x, s y)
-  | Ir.Insn.Fcmp (op, d, x, y) -> Ir.Insn.Fcmp (op, d, s x, s y)
-  | Ir.Insn.Fun (op, d, x) -> Ir.Insn.Fun (op, d, s x)
-  | Ir.Insn.Load (d, base, off) -> Ir.Insn.Load (d, s base, off)
-  | Ir.Insn.Store (x, base, off) -> Ir.Insn.Store (s x, s base, off)
-  | Ir.Insn.Cmov (d, c, x) -> Ir.Insn.Cmov (d, s c, s x)
-
-let unroll_counted f (lo : Analysis.Loops.loop) (c : counted) k ~fresh =
-  (* fresh: k registers — rOld followed by v_1 .. v_{k-1} *)
-  let r_old, derived =
-    match fresh with
-    | r0 :: rest -> (r0, Array.of_list rest)
-    | [] -> invalid_arg "unroll_counted"
-  in
-  let in_loop = Iset.of_list lo.Analysis.Loops.blocks in
-  let body_blocks = List.filter (fun l -> l <> c.c_header) lo.Analysis.Loops.blocks in
-  let next_label = ref (Ir.Func.num_blocks f) in
-  let fresh_label () =
-    let l = !next_label in
-    incr next_label;
-    l
-  in
-  (* labels of body copies (copy 0 reuses the original blocks), the extra
-     headers H1..H(k-1), and fixups F1..F(k-1) *)
-  let copy_label = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace copy_label (0, l) l) body_blocks;
-  for i = 1 to k - 1 do
-    List.iter
-      (fun l -> Hashtbl.replace copy_label (i, l) (fresh_label ()))
-      body_blocks
-  done;
-  let hs = Array.init (k - 1) (fun _ -> fresh_label ()) in
-  let fs = Array.init (k - 1) (fun _ -> fresh_label ()) in
-  let value_of_copy i = if i = 0 then r_old else derived.(i - 1) in
-  let next_header i = if i = k - 1 then c.c_header else hs.(i) in
-  let new_blocks = ref [] in
-  (* rewrite the body blocks of copy [i] *)
-  let rewrite_copy i =
-    List.iter
-      (fun l ->
-        let b = Ir.Func.block f l in
-        let v = value_of_copy i in
-        let insns =
-          Array.map (subst_reg_uses ~from_:c.c_reg ~to_:v) b.Ir.Block.insns
-        in
-        (* drop the increment at the end of the latch *)
-        let insns =
-          if l = c.c_latch then Array.sub insns 0 (Array.length insns - 1)
-          else insns
-        in
-        (* the group prelude goes at the top of copy 0's first body block *)
-        let insns =
-          if i = 0 && l = c.c_body_start then begin
-            let prelude =
-              Ir.Insn.Mov (r_old, c.c_reg)
-              :: Ir.Insn.Bin (Ir.Insn.Add, c.c_reg, c.c_reg, Ir.Insn.Imm (k * c.c_step))
-              :: List.init (k - 1) (fun j ->
-                     Ir.Insn.Bin
-                       ( Ir.Insn.Add,
-                         derived.(j),
-                         r_old,
-                         Ir.Insn.Imm ((j + 1) * c.c_step) ))
-            in
-            Array.append (Array.of_list prelude) insns
-          end
-          else insns
-        in
-        let term =
-          if l = c.c_latch then Ir.Block.Jump (next_header i)
-          else begin
-            (* intra-body edges stay within the copy *)
-            let map = Hashtbl.create 4 in
-            Ir.Block.iter_succs
-              (fun s ->
-                if Iset.mem s in_loop && s <> c.c_header then
-                  Hashtbl.replace map s (Hashtbl.find copy_label (i, s)))
-              b;
-            retarget map b.Ir.Block.term
-          end
-        in
-        new_blocks :=
-          { Ir.Block.label = Hashtbl.find copy_label (i, l); insns; term }
-          :: !new_blocks)
-      body_blocks
-  in
-  for i = 0 to k - 1 do
-    rewrite_copy i
-  done;
-  (* headers H1..H(k-1) and fixups F1..F(k-1) *)
-  for i = 1 to k - 1 do
-    new_blocks :=
+let unroll_counted f (lo : Analysis.Loops.loop) ind ~exit values =
+  let k = Array.length values and header = lo.Analysis.Loops.header in
+  let body = List.filter (fun l -> l <> header) lo.Analysis.Loops.blocks in
+  let label = copy_labels f body in
+  (* H1..H(k-1), then F1..F(k-1), follow the body copies *)
+  let h i = Ir.Func.num_blocks f + ((k - 1) * List.length body) + i - 1 in
+  let fixup i = h i + k - 1 in
+  let hb = Ir.Func.block f header in
+  let entry i =
+    let read x = if x = ind.reg then values.(i) else x in
+    [
       {
-        Ir.Block.label = hs.(i - 1);
-        insns = [| Ir.Insn.Bin (c.c_cmp, c.c_cond, value_of_copy i, c.c_bound) |];
+        Ir.Block.label = h i;
+        insns =
+          Array.map (Ir.Insn.map_regs ~use:read ~def:Fun.id) hb.Ir.Block.insns;
         term =
-          Ir.Block.Br
-            (c.c_cond, Hashtbl.find copy_label (i, c.c_body_start), fs.(i - 1));
-      }
-      :: !new_blocks;
-    new_blocks :=
+          Ir.Block.map_term hb.Ir.Block.term ~cond:Fun.id ~label:(fun s ->
+              if s = exit then fixup i else label i s);
+      };
       {
-        Ir.Block.label = fs.(i - 1);
-        insns = [| Ir.Insn.Mov (c.c_reg, value_of_copy i) |];
-        term = Ir.Block.Jump c.c_exit;
-      }
-      :: !new_blocks
-  done;
-  let replaced = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.Block.t) -> Hashtbl.replace replaced b.Ir.Block.label b)
-    !new_blocks;
-  let old =
-    Array.to_list
-      (Array.map
-         (fun (b : Ir.Block.t) ->
-           match Hashtbl.find_opt replaced b.Ir.Block.label with
-           | Some b' ->
-             Hashtbl.remove replaced b.Ir.Block.label;
-             b'
-           | None -> b)
-         f.Ir.Func.blocks)
+        Ir.Block.label = fixup i;
+        insns = [| Ir.Insn.Mov (ind.reg, values.(i)) |];
+        term = Ir.Block.Jump exit;
+      };
+    ]
   in
-  let appended =
-    List.sort
-      (fun (a : Ir.Block.t) b -> compare a.Ir.Block.label b.Ir.Block.label)
-      (Hashtbl.fold (fun _ b acc -> b :: acc) replaced [])
-  in
-  { f with Ir.Func.blocks = Array.of_list (old @ appended) }
+  assemble f
+    (rewrite_body f lo ind values ~label ~next_header:(fun i ->
+         if i = k - 1 then header else h (i + 1))
+    @ List.concat_map entry (List.init (k - 1) succ))
 
 (* The function's natural loops, from one DFS numbering and one
    predecessor table *)
@@ -407,23 +331,16 @@ let rec unroll_round params ~free ~handled f =
       if k_wanted <= 1 then f
       else begin
         match find_counted f lo with
-        | Some c ->
+        | Some (ind, exit) ->
           (* every early-exit fixup is an extra task successor: keep the
              group within the hardware's N targets *)
           let k = min k_wanted (params.Heuristics.max_targets - 1) in
-          let rec take n = function
-            | r :: rest when n > 0 ->
-              let taken, rest' = take (n - 1) rest in
-              (r :: taken, rest')
-            | rest -> ([], rest)
-          in
-          let fresh, rest = take k !free in
-          if k >= 2 && List.length fresh = k then begin
-            free := rest;
-            unroll_counted f lo c k ~fresh
+          if k < 2 then f
+          else begin
+            match take free k with
+            | Some values -> unroll_counted f lo ind ~exit values
+            | None -> unroll_loop f lo k
           end
-          else if k >= 2 then unroll_loop f lo k
-          else f
         | None -> unroll_loop f lo k_wanted
       end
     in
@@ -446,79 +363,22 @@ let mark_included_calls ~call_thresh ~callee_size f =
 
 (* --- induction-variable hoisting ----------------------------------------- *)
 
-let apply_hoist f (lo : Analysis.Loops.loop) r step latch body_start r_old =
-  let in_loop = Iset.of_list lo.Analysis.Loops.blocks in
-  let header = lo.Analysis.Loops.header in
-  let subst_reg x = if x = r then r_old else x in
-  let subst_operand = function
-    | Ir.Insn.Reg x -> Ir.Insn.Reg (subst_reg x)
-    | Ir.Insn.Imm _ as o -> o
-  in
-  let subst_uses insn =
-    match insn with
-    | Ir.Insn.Nop | Ir.Insn.Li _ | Ir.Insn.Lf _ -> insn
-    | Ir.Insn.Mov (d, s) -> Ir.Insn.Mov (d, subst_reg s)
-    | Ir.Insn.Bin (op, d, s, o) -> Ir.Insn.Bin (op, d, subst_reg s, subst_operand o)
-    | Ir.Insn.Fbin (op, d, s1, s2) -> Ir.Insn.Fbin (op, d, subst_reg s1, subst_reg s2)
-    | Ir.Insn.Fcmp (op, d, s1, s2) -> Ir.Insn.Fcmp (op, d, subst_reg s1, subst_reg s2)
-    | Ir.Insn.Fun (op, d, s) -> Ir.Insn.Fun (op, d, subst_reg s)
-    | Ir.Insn.Load (d, base, off) -> Ir.Insn.Load (d, subst_reg base, off)
-    | Ir.Insn.Store (s, base, off) ->
-      Ir.Insn.Store (subst_reg s, subst_reg base, off)
-    | Ir.Insn.Cmov (d, c, s) -> Ir.Insn.Cmov (d, subst_reg c, subst_reg s)
-  in
-  let subst_term_uses term =
-    match term with
-    | Ir.Block.Br (c, l1, l2) -> Ir.Block.Br (subst_reg c, l1, l2)
-    | Ir.Block.Switch (c, ts, d) -> Ir.Block.Switch (subst_reg c, ts, d)
-    | Ir.Block.Jump _ | Ir.Block.Call _ | Ir.Block.Ret | Ir.Block.Halt -> term
-  in
-  let blocks =
-    Array.map
-      (fun (b : Ir.Block.t) ->
-        let l = b.Ir.Block.label in
-        if not (Iset.mem l in_loop) || l = header then b
-        else begin
-          let insns = Array.map subst_uses b.Ir.Block.insns in
-          let insns =
-            if l = latch then Array.sub insns 0 (Array.length insns - 1)
-            else insns
-          in
-          let insns =
-            if l = body_start then
-              Array.append
-                [|
-                  Ir.Insn.Mov (r_old, r);
-                  Ir.Insn.Bin (Ir.Insn.Add, r, r, Ir.Insn.Imm step);
-                |]
-                insns
-            else insns
-          in
-          (* the latch's terminator runs after the (original) increment and
-             must keep seeing the post-increment value *)
-          let term =
-            if l = latch then b.Ir.Block.term
-            else subst_term_uses b.Ir.Block.term
-          in
-          { b with Ir.Block.insns; term }
-        end)
-      f.Ir.Func.blocks
-  in
-  { f with Ir.Func.blocks = blocks }
-
+(* the induction rewrite at factor 1: no copies, no new labels, and the
+   back edge still goes to the header *)
 let hoist_induction_with ~free f =
-  let loops = loops_of f in
   List.fold_left
-    (fun f lo ->
+    (fun f (lo : Analysis.Loops.loop) ->
       match find_induction f lo with
-      | Some (r, step, latch, body_start) ->
-        (match !free with
-        | r_old :: rest ->
-          free := rest;
-          apply_hoist f lo r step latch body_start r_old
-        | [] -> f)
-      | None -> f)
-    f loops.Analysis.Loops.loops
+      | None -> f
+      | Some ind -> (
+        match take free 1 with
+        | None -> f
+        | Some values ->
+          assemble f
+            (rewrite_body f lo ind values
+               ~label:(fun _ l -> l)
+               ~next_header:(fun _ -> lo.Analysis.Loops.header))))
+    f (loops_of f).Analysis.Loops.loops
 
 let hoist_program p =
   Ir.Prog.map_funcs (hoist_induction_with ~free:(free_registers p)) p
@@ -561,36 +421,17 @@ let pure_insn = function
    the fresh pool runs dry *)
 let rename_arm insns ~free =
   let map = Hashtbl.create 4 in
+  let subst r = match Hashtbl.find_opt map r with Some r' -> r' | None -> r in
   let renames = ref [] in
   let rewritten = ref [] in
   let ok = ref true in
   Array.iter
     (fun insn ->
       if !ok then begin
-        let subst r = match Hashtbl.find_opt map r with Some r' -> r' | None -> r in
-        let insn =
-          match insn with
-          | Ir.Insn.Nop -> Ir.Insn.Nop
-          | Ir.Insn.Li (d, n) -> Ir.Insn.Li (d, n)
-          | Ir.Insn.Lf (d, x) -> Ir.Insn.Lf (d, x)
-          | Ir.Insn.Mov (d, s) -> Ir.Insn.Mov (d, subst s)
-          | Ir.Insn.Bin (op, d, s, o) ->
-            let o' =
-              match o with
-              | Ir.Insn.Reg r -> Ir.Insn.Reg (subst r)
-              | Ir.Insn.Imm _ -> o
-            in
-            Ir.Insn.Bin (op, d, subst s, o')
-          | Ir.Insn.Fbin (op, d, s1, s2) -> Ir.Insn.Fbin (op, d, subst s1, subst s2)
-          | Ir.Insn.Fcmp (op, d, s1, s2) -> Ir.Insn.Fcmp (op, d, subst s1, subst s2)
-          | Ir.Insn.Fun (op, d, s) -> Ir.Insn.Fun (op, d, subst s)
-          | Ir.Insn.Cmov (d, c, s) -> Ir.Insn.Cmov (d, subst c, subst s)
-          | Ir.Insn.Load _ | Ir.Insn.Store _ -> insn (* excluded by pure_insn *)
-        in
-        (* rename the destination *)
         match Ir.Insn.def insn with
-        | -1 -> rewritten := insn :: !rewritten
-        | d when d = Ir.Reg.zero -> rewritten := insn :: !rewritten
+        | d when d = -1 || d = Ir.Reg.zero ->
+          rewritten :=
+            Ir.Insn.map_regs ~use:subst ~def:Fun.id insn :: !rewritten
         | d ->
           let renamed = Hashtbl.find_opt map d in
           let fresh =
@@ -600,7 +441,6 @@ let rename_arm insns ~free =
               (match !free with
               | f :: rest ->
                 free := rest;
-                Hashtbl.replace map d f;
                 renames := (d, f) :: !renames;
                 Some f
               | [] -> None)
@@ -608,25 +448,14 @@ let rename_arm insns ~free =
           (match fresh with
           | None -> ok := false
           | Some f ->
-            let insn' =
-              match insn with
-              | Ir.Insn.Nop -> Ir.Insn.Nop
-              | Ir.Insn.Li (_, n) -> Ir.Insn.Li (f, n)
-              | Ir.Insn.Lf (_, x) -> Ir.Insn.Lf (f, x)
-              | Ir.Insn.Mov (_, s) -> Ir.Insn.Mov (f, s)
-              | Ir.Insn.Bin (op, _, s, o) -> Ir.Insn.Bin (op, f, s, o)
-              | Ir.Insn.Fbin (op, _, s1, s2) -> Ir.Insn.Fbin (op, f, s1, s2)
-              | Ir.Insn.Fcmp (op, _, s1, s2) -> Ir.Insn.Fcmp (op, f, s1, s2)
-              | Ir.Insn.Fun (op, _, s) -> Ir.Insn.Fun (op, f, s)
-              | Ir.Insn.Cmov (_, c, s) ->
-                (* a cmov keeps the old value on false: seed the fresh reg *)
-                Ir.Insn.Cmov (f, c, s)
-              | Ir.Insn.Load _ | Ir.Insn.Store _ -> insn
-            in
+            (* uses read the arm's renames before this def *)
+            let insn' = Ir.Insn.map_regs ~use:subst ~def:(fun _ -> f) insn in
+            Hashtbl.replace map d f;
             (match insn with
             | Ir.Insn.Cmov _ when renamed = None ->
-              (* seed f with d's value on entry to the arm first; once the
-                 arm has written d, its current value is already in f *)
+              (* a cmov keeps the old value on false: seed f with d's value
+                 on entry to the arm first; once the arm has written d, its
+                 current value is already in f *)
               rewritten := insn' :: Ir.Insn.Mov (f, d) :: !rewritten
             | _ -> rewritten := insn' :: !rewritten))
       end)

@@ -14,6 +14,14 @@
       are preserved by renaming body uses to a fresh copy of the
       pre-increment value.
 
+    Hoisting and counted unrolling are one induction rewrite of the loop
+    body, at factor 1 and at the unroll factor k: copy [i] of the body
+    reads its own induction value — in its instructions and in its branch
+    and switch conditions — for the carried register, which is written
+    once, at the top of the first copy.  Only the latch's terminator,
+    which runs after the original increment, reads the carried register
+    itself.
+
     Every transform that needs scratch registers draws them from the pool
     unused across the {e whole program}: registers are architecturally
     global, so a register free in one function can be live across a call
@@ -22,12 +30,14 @@
 val unroll_program : Heuristics.params -> Ir.Prog.t -> Ir.Prog.t
 (** Unrolls every function's innermost loops smaller than [loop_thresh].
     Loops in canonical counted form are unrolled with *induction
-    coalescing*: all derived induction values are computed at the top of
-    the group and the carried register is written exactly once, so the
-    next group's task receives it immediately; early exits go through
-    fixup blocks that restore the architectural induction value.  Other
-    loops are unrolled by plain code replication (each copy keeps the
-    loop's tests), which is correct for any iteration count. *)
+    coalescing*, the induction rewrite at factor k: all derived induction
+    values are computed at the top of the group and the carried register
+    is written exactly once, so the next group's task receives it
+    immediately; each further copy is entered through a copy of the
+    header testing that copy's value, and early exits go through fixup
+    blocks that restore the architectural induction value.  Other loops
+    are unrolled by plain code replication (each copy keeps the loop's
+    tests), which is correct for any iteration count. *)
 
 val mark_included_calls :
   call_thresh:int -> callee_size:(string -> float) -> Ir.Func.t -> bool array
@@ -37,7 +47,9 @@ val mark_included_calls :
 val hoist_program : Ir.Prog.t -> Ir.Prog.t
 (** Hoists the increment of every loop in canonical counted form: single
     latch holding the increment as its last instruction, all loop exits
-    leaving from the header.  Loops not in this form are left alone. *)
+    leaving from the header.  This is the induction rewrite at factor 1:
+    no block is copied or added.  Loops not in this form are left
+    alone. *)
 
 val if_convert_program : Ir.Prog.t -> Ir.Prog.t
 (** Optional predication extension (the paper mentions predication as a

@@ -226,13 +226,18 @@ let profile_of_index config index =
   | [] -> invalid_arg "Fuzz: empty profile list"
   | ps -> List.nth ps (index mod List.length ps)
 
+let program config ~index =
+  let prog =
+    Workloads.Synth.generate ~profile:(profile_of_index config index)
+      ~seed:(Workloads.Synth.program_seed ~seed:config.seed ~index)
+  in
+  match config.fault_hook with Some f -> f prog | None -> prog
+
 let check_one config ~index =
-  let profile = profile_of_index config index in
-  let seed = Workloads.Synth.program_seed ~seed:config.seed ~index in
-  let prog = Workloads.Synth.generate ~profile ~seed in
-  let prog = match config.fault_hook with Some f -> f prog | None -> prog in
-  check_value config ~profile:profile.Workloads.Synth.Profile.name ~index
-    ~seed prog
+  check_value config
+    ~profile:(profile_of_index config index).Workloads.Synth.Profile.name
+    ~index ~seed:(Workloads.Synth.program_seed ~seed:config.seed ~index)
+    (program config ~index)
 
 (* --- aggregation ------------------------------------------------------ *)
 

@@ -108,10 +108,13 @@ val check_value : config -> profile:string -> index:int -> seed:int ->
 (** The oracle stack over one concrete program (no generation, no fault
     hook) — what {!minimize} predicates and regression tests call. *)
 
+val program : config -> index:int -> Ir.Prog.t
+(** Program [index] of the corpus: generated from the profile the index
+    picks round-robin and the seed {!Workloads.Synth.program_seed} gives
+    it, then passed through the config's [fault_hook]. *)
+
 val check_one : config -> index:int -> report
-(** Generate program [index] of the corpus (profile round-robin, seed via
-    {!Workloads.Synth.program_seed}), apply the config's [fault_hook], run
-    {!check_value}. *)
+(** {!check_value} on {!program}. *)
 
 val run : ?jobs:int -> ?progress:(done_:int -> total:int -> unit) ->
   config -> outcome

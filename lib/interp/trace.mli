@@ -108,12 +108,9 @@ type mem_stats = {
 
 val stats : t -> mem_stats
 
-val heap_words : t -> int
-(** Resident heap words: packed event words + address pool + size table,
-    array headers and chunk indexes included. *)
-
 val bytes : t -> int
-(** [heap_words] in bytes. *)
+(** Resident heap bytes: packed event words + address pool + size table,
+    array headers and chunk indexes included. *)
 
 (** {1 Self-check} *)
 

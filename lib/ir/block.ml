@@ -42,6 +42,13 @@ let successors b =
   iter_succs (fun l -> acc := l :: !acc) b;
   List.rev !acc
 
+let map_term ~label ~cond = function
+  | Jump l -> Jump (label l)
+  | Br (c, l1, l2) -> Br (cond c, label l1, label l2)
+  | Switch (c, targets, d) -> Switch (cond c, Array.map label targets, label d)
+  | Call (f, l) -> Call (f, label l)
+  | (Ret | Halt) as t -> t
+
 let size b = Array.length b.insns + 1
 
 let pp_term ppf = function

@@ -39,6 +39,13 @@ val iter_succs : (label -> unit) -> t -> unit
 val successors : t -> label list
 (** The labels {!iter_succs} visits, in its order. *)
 
+val map_term :
+  label:(label -> label) -> cond:(Reg.t -> Reg.t) -> terminator -> terminator
+(** [map_term ~label ~cond t] is [t] with every label it names (a [Call]'s
+    continuation, each of a [Switch]'s labels however often it is
+    repeated) replaced by [label l], and a [Br] or [Switch] condition by
+    [cond c]: the one definition of rewriting a terminator. *)
+
 val size : t -> int
 (** Static instruction count, including the terminator (counted as one
     control-transfer instruction, except fall-through [Jump]s which real

@@ -78,15 +78,6 @@ let callees f =
   in
   List.sort_uniq compare names
 
-let retarget_term map term =
-  match term with
-  | Block.Jump l -> Block.Jump map.(l)
-  | Block.Br (c, l1, l2) -> Block.Br (c, map.(l1), map.(l2))
-  | Block.Switch (c, ts, d) -> Block.Switch (c, Array.map (fun l -> map.(l)) ts, map.(d))
-  | Block.Call (f, cont) -> Block.Call (f, map.(cont))
-  | Block.Ret -> Block.Ret
-  | Block.Halt -> Block.Halt
-
 let drop_unreachable f =
   let n = num_blocks f in
   let reachable = Array.make n false in
@@ -114,7 +105,9 @@ let drop_unreachable f =
                {
                  Block.label = map.(b.Block.label);
                  insns = b.Block.insns;
-                 term = retarget_term map b.Block.term;
+                 term =
+                   Block.map_term ~label:(Array.get map) ~cond:Fun.id
+                     b.Block.term;
                }
            else None)
          (Array.to_list f.blocks))

@@ -94,6 +94,20 @@ let iter_regs f insn =
   | Fun (_, d, _) | Load (d, _, _) | Cmov (d, _, _) -> f d);
   iter_uses f insn
 
+let map_regs ~use ~def = function
+  | Nop -> Nop
+  | Li (d, n) -> Li (def d, n)
+  | Lf (d, x) -> Lf (def d, x)
+  | Mov (d, s) -> Mov (def d, use s)
+  | Bin (op, d, s, Reg s2) -> Bin (op, def d, use s, Reg (use s2))
+  | Bin (op, d, s, (Imm _ as o)) -> Bin (op, def d, use s, o)
+  | Fbin (op, d, s1, s2) -> Fbin (op, def d, use s1, use s2)
+  | Fcmp (op, d, s1, s2) -> Fcmp (op, def d, use s1, use s2)
+  | Fun (op, d, s) -> Fun (op, def d, use s)
+  | Load (d, b, off) -> Load (def d, use b, off)
+  | Store (s, b, off) -> Store (use s, use b, off)
+  | Cmov (d, c, s) -> Cmov (def d, use c, use s)
+
 let is_mem = function
   | Load (_, _, _) | Store (_, _, _) -> true
   | Nop | Li _ | Lf _ | Mov _ | Bin _ | Fbin _ | Fcmp _ | Fun _ | Cmov _ ->

@@ -76,6 +76,14 @@ val iter_regs : (Reg.t -> unit) -> t -> unit
     What a well-formedness check walks: a register both written and read
     is visited twice. *)
 
+val map_regs : use:(Reg.t -> Reg.t) -> def:(Reg.t -> Reg.t) -> t -> t
+(** [map_regs ~use ~def insn] is [insn] with every register it reads
+    replaced by [use r] and the one it writes by [def d]: the one
+    definition of rewriting an instruction's registers.  A [Cmov]'s
+    destination, which it also reads, goes through [def] alone.  Neither
+    function should have effects: the order they are applied in is
+    unspecified. *)
+
 val is_mem : t -> bool
 
 val binop_of_name : string -> binop option
@@ -86,10 +94,9 @@ val funop_of_name : string -> funop option
     table is derived from its printer, so the two spellings cannot drift.
     A lookup allocates nothing. *)
 
-val float_repr : float -> string
-(** Shortest decimal (or [nan]/[inf]) that {!float_of_string} maps back to
-    the identical float — what {!pp} prints for [Lf], so the textual IR
+val pp : Format.formatter -> t -> unit
+(** Prints an [Lf] immediate as the shortest decimal (or [nan]/[inf]) that
+    {!float_of_string} maps back to the identical float, so the textual IR
     round-trips exactly. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

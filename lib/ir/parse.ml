@@ -55,6 +55,12 @@ let mem_operand s =
     Ok (base, off)
   | Some _ | None -> fail "bad memory operand %S" s
 
+let regs3 mk d s1 s2 =
+  let* d = reg d in
+  let* s1 = reg s1 in
+  let* s2 = reg s2 in
+  Ok (mk d s1 s2)
+
 let insn line =
   let line = String.trim line in
   match String.index_opt line ' ' with
@@ -78,11 +84,7 @@ let insn line =
       let* d = reg d in
       let* s = reg s in
       Ok (Insn.Mov (d, s))
-    | "cmov", [ d; c; s ] ->
-      let* d = reg d in
-      let* c = reg c in
-      let* s = reg s in
-      Ok (Insn.Cmov (d, c, s))
+    | "cmov", [ d; c; s ] -> regs3 (fun d c s -> Insn.Cmov (d, c, s)) d c s
     | "ld", [ d; m ] ->
       let* d = reg d in
       let* base, off = mem_operand m in
@@ -91,33 +93,29 @@ let insn line =
       let* s = reg s in
       let* base, off = mem_operand m in
       Ok (Insn.Store (s, base, off))
-    | op, [ d; s; o ] when Insn.binop_of_name op <> None ->
-      let* d = reg d in
-      let* s = reg s in
-      let* o = operand o in
-      (match Insn.binop_of_name op with
-      | Some op -> Ok (Insn.Bin (op, d, s, o))
-      | None -> assert false)
-    | op, [ d; s1; s2 ] when Insn.fbinop_of_name op <> None ->
-      let* d = reg d in
-      let* s1 = reg s1 in
-      let* s2 = reg s2 in
-      (match Insn.fbinop_of_name op with
-      | Some op -> Ok (Insn.Fbin (op, d, s1, s2))
-      | None -> assert false)
-    | op, [ d; s1; s2 ] when Insn.fcmp_of_name op <> None ->
-      let* d = reg d in
-      let* s1 = reg s1 in
-      let* s2 = reg s2 in
-      (match Insn.fcmp_of_name op with
-      | Some op -> Ok (Insn.Fcmp (op, d, s1, s2))
-      | None -> assert false)
-    | op, [ d; s ] when Insn.funop_of_name op <> None ->
-      let* d = reg d in
-      let* s = reg s in
-      (match Insn.funop_of_name op with
-      | Some op -> Ok (Insn.Fun (op, d, s))
-      | None -> assert false)
+    | op, [ d; s; x ] -> (
+      (* one lookup per family: the integer one reads an operand third,
+         the two float ones a register *)
+      match Insn.binop_of_name op with
+      | Some op ->
+        let* d = reg d in
+        let* s = reg s in
+        let* o = operand x in
+        Ok (Insn.Bin (op, d, s, o))
+      | None -> (
+        match Insn.fbinop_of_name op with
+        | Some op -> regs3 (fun d s1 s2 -> Insn.Fbin (op, d, s1, s2)) d s x
+        | None -> (
+          match Insn.fcmp_of_name op with
+          | Some op -> regs3 (fun d s1 s2 -> Insn.Fcmp (op, d, s1, s2)) d s x
+          | None -> fail "bad instruction %S" line)))
+    | op, [ d; s ] -> (
+      match Insn.funop_of_name op with
+      | Some op ->
+        let* d = reg d in
+        let* s = reg s in
+        Ok (Insn.Fun (op, d, s))
+      | None -> fail "bad instruction %S" line)
     | _, _ -> fail "bad instruction %S" line)
 
 let terminator line =

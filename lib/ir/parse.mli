@@ -31,6 +31,3 @@ val program : string -> (Prog.t, string) result
 
 val insn : string -> (Insn.t, string) result
 (** Parse a single instruction, e.g. ["add t1, t0, #3"]. *)
-
-val reg : string -> (Reg.t, string) result
-(** Parse a register name as printed by {!Reg.name}. *)

@@ -15,5 +15,4 @@ val to_int : t -> int
 val to_float : t -> float
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

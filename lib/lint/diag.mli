@@ -23,8 +23,6 @@ type t = {
   message : string;
 }
 
-val severity_name : severity -> string
-
 val program_loc : loc
 (** Location for whole-program findings (no function). *)
 
@@ -35,7 +33,6 @@ val warning :
   rule:string -> loc -> ('a, Format.formatter, unit, t) format4 -> 'a
 val info : rule:string -> loc -> ('a, Format.formatter, unit, t) format4 -> 'a
 
-val is_error : t -> bool
 val errors : t list -> t list
 val count : severity -> t list -> int
 
@@ -43,11 +40,9 @@ val compare : t -> t -> int
 (** Orders by severity (errors first), then location, then rule — the
     stable presentation order of every lint report. *)
 
-val pp_loc : Format.formatter -> loc -> unit
 val pp : Format.formatter -> t -> unit
 (** e.g. [error part/stale-targets at compress/task 3/L7: ...]. *)
 
-val to_json : t -> Harness.Json.t
 val list_to_json : t list -> Harness.Json.t
 
 (** {1 Rule registry}

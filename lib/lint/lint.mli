@@ -135,17 +135,14 @@ val check_deps_func :
     {!Core.Regcomm.create} is given.  An edge the recomputation has and
     [edges] lacks is reported as missed, one [edges] has and the
     recomputation lacks as over-reported, each distinct edge once.
-    {!check_deps} and {!check_deps_static} run it on every function of a
+    {!check_deps} and {!validate_plan_deps} run it on every function of a
     plan. *)
 
-val check_deps_static : Core.Partition.plan -> Diag.t list
-(** The [dep/reg] half of {!check_deps} alone — no trace required.  This
-    is what {!Core.Partition.validate_deps} delegates to; the
-    cost-directed feedback search runs it on every candidate plan. *)
-
 val validate_plan_deps : Core.Partition.plan -> (unit, string) result
-(** [Ok ()] when {!check_deps_static} reports no errors; same error shape
-    as {!validate_plan}. *)
+(** [Ok ()] when the [dep/reg] half of {!check_deps} alone — no trace
+    required — reports no errors; same error shape as {!validate_plan}.
+    This is what {!Core.Partition.validate_deps} delegates to; the
+    cost-directed feedback search runs it on every candidate plan. *)
 
 val check_cost : Core.Partition.plan -> Diag.t list
 (** Static cost-model audit ([cost/conserve]): {!Core.Cost.plan_cost}'s

@@ -73,6 +73,8 @@ let run_block (b : Ir.Block.t) =
   in
   let out = ref [] in
   let emit i = out := i :: !out in
+  (* operands rewritten to their roots *)
+  let subst insn = Ir.Insn.map_regs ~use:root ~def:Fun.id insn in
   Array.iter
     (fun insn ->
       match insn with
@@ -132,7 +134,7 @@ let run_block (b : Ir.Block.t) =
           emit (Ir.Insn.Lf (d, x));
           set d (CFlt x)
         | _, _ ->
-          emit (Ir.Insn.Fbin (op, d, root s1, root s2));
+          emit (subst insn);
           set d Unknown)
       | Ir.Insn.Fcmp (op, d, s1, s2) ->
         (match (flt_of s1, flt_of s2) with
@@ -141,7 +143,7 @@ let run_block (b : Ir.Block.t) =
           emit (Ir.Insn.Li (d, n));
           set d (Const n)
         | _, _ ->
-          emit (Ir.Insn.Fcmp (op, d, root s1, root s2));
+          emit (subst insn);
           set d Unknown)
       | Ir.Insn.Fun (op, d, s) ->
         let folded =
@@ -162,13 +164,12 @@ let run_block (b : Ir.Block.t) =
             | Ir.Insn.Li (_, n) -> Const n
             | _ -> Unknown)
         | None ->
-          emit (Ir.Insn.Fun (op, d, root s));
+          emit (subst insn);
           set d Unknown)
-      | Ir.Insn.Load (d, base, off) ->
-        emit (Ir.Insn.Load (d, root base, off));
+      | Ir.Insn.Load (d, _, _) ->
+        emit (subst insn);
         set d Unknown
-      | Ir.Insn.Store (s, base, off) ->
-        emit (Ir.Insn.Store (root s, root base, off))
+      | Ir.Insn.Store _ -> emit (subst insn)
       | Ir.Insn.Cmov (d, c, s) ->
         (match int_of c with
         | Some 0 -> () (* never moves: drop *)
@@ -188,25 +189,24 @@ let run_block (b : Ir.Block.t) =
               set d (Copy s')
             end)
         | None ->
-          emit (Ir.Insn.Cmov (d, root c, root s));
+          emit (subst insn);
           set d Unknown))
     b.Ir.Block.insns;
   (* fold terminators with known conditions *)
-  let term =
+  let known =
     match b.Ir.Block.term with
     | Ir.Block.Br (c, l1, l2) ->
-      (match int_of c with
-      | Some 0 -> Ir.Block.Jump l2
-      | Some _ -> Ir.Block.Jump l1
-      | None -> Ir.Block.Br (root c, l1, l2))
+      Option.map (fun v -> if v = 0 then l2 else l1) (int_of c)
     | Ir.Block.Switch (c, targets, d) ->
-      (match int_of c with
-      | Some v when v >= 0 && v < Array.length targets ->
-        Ir.Block.Jump targets.(v)
-      | Some _ -> Ir.Block.Jump d
-      | None -> Ir.Block.Switch (root c, targets, d))
-    | Ir.Block.Jump _ | Ir.Block.Call _ | Ir.Block.Ret | Ir.Block.Halt ->
-      b.Ir.Block.term
+      Option.map
+        (fun v -> if v >= 0 && v < Array.length targets then targets.(v) else d)
+        (int_of c)
+    | Ir.Block.Jump _ | Ir.Block.Call _ | Ir.Block.Ret | Ir.Block.Halt -> None
+  in
+  let term =
+    match known with
+    | Some l -> Ir.Block.Jump l
+    | None -> Ir.Block.map_term ~label:Fun.id ~cond:root b.Ir.Block.term
   in
   { b with Ir.Block.insns = Array.of_list (List.rev !out); term }
 

@@ -12,21 +12,21 @@
     The tasks this engine schedules are coarse (a grid cell, a daemon
     request), so one lock is enough for them.
 
-    Submissions return {e futures}.  [await] from an external thread
-    waits until the future resolves; [await] from a worker of the same
-    scheduler {e helps} — it runs queued tasks while the future is
-    unresolved and waits only when there are none, so nested fan-outs
+    {!map} and {!run} wait for the tasks they submit.  From an external
+    thread they wait until the tasks resolve; from a worker of the same
+    scheduler they {e help} — they run queued tasks while a task is
+    unresolved and wait only when there are none, so nested fan-outs
     ([map] inside a task) never deadlock and never idle a core that
-    still has runnable work.
+    still has runnable work.  A task submitted from a worker of the
+    scheduler joins the workers' LIFO; one from anywhere else joins the
+    FIFO of injected tasks.
 
     The scheduler is long-lived by design: create it once, feed it
     heterogeneous tasks forever, [shutdown] joins the domains.  Queued
-    but unstarted tasks are dropped at shutdown — drain by awaiting your
-    futures first. *)
+    but unstarted tasks are dropped at shutdown — drain by letting your
+    [map] and [run] calls return first. *)
 
 type t
-
-type 'a future
 
 type stats = {
   tasks : int;     (** tasks taken to run, counted before they run *)
@@ -39,15 +39,6 @@ type stats = {
 val create : domains:int -> unit -> t
 (** Spawn [domains] (>= 1) worker domains, all initially waiting. *)
 
-val submit : t -> (unit -> 'a) -> 'a future
-(** Schedule [f].  From a worker of [t] the task joins the workers'
-    LIFO; from anywhere else it joins the FIFO of injected tasks. *)
-
-val await : 'a future -> 'a
-(** Wait for resolution; re-raises the task's exception.  On a worker
-    of the owning scheduler this runs other queued tasks while waiting
-    (structured join). *)
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Structured fan-out: one task per element, results in input order.
     All tasks run to completion even if some fail; the lowest-index
@@ -55,7 +46,8 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     from inside tasks alike. *)
 
 val run : t -> (unit -> 'a) -> 'a
-(** [await (submit t f)]. *)
+(** Run [f] as one task and wait for its result, re-raising its
+    exception. *)
 
 val shutdown : t -> unit
 (** Stop the workers and join their domains.  Queued unstarted tasks

@@ -69,7 +69,7 @@ type ctx = {
   mutable win_start : int;  (** the current attempt's [start_fetch] *)
   local_time : int array;
       (** per register: completion time of the instance's last write, or -1 *)
-  local_site : int array;  (** packed site of that write (see {!pack_site}) *)
+  local_site : int array;  (** packed site of that write (see {!site_fid}) *)
   avail_cache : int array;
   local_store : Occ.Intmap.t;
   addr_seen : Occ.Intmap.t;
@@ -110,14 +110,12 @@ type ctx = {
           instructions of the last {!exec} (the superscalar's window) *)
 }
 
-val pack_site : fid:int -> blk:int -> idx:int -> int
-(** [fid lsl 50 | blk lsl 34 | idx] — sites as single ints on the hot path,
-    in the trace's field widths: a 12-bit fid, a 16-bit block and a 34-bit
-    instruction index. *)
-
 val site_fid : int -> int
 val site_blk : int -> int
 val site_idx : int -> int
+(** The fields of a packed site, [fid lsl 50 | blk lsl 34 | idx] — sites
+    as single ints on the hot path, in the trace's field widths: a 12-bit
+    fid, a 16-bit block and a 34-bit instruction index. *)
 
 val max_issue_width : int
 (** 255: the issue and commit windows count a cycle's slots in 8 bits. *)

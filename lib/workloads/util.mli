@@ -7,13 +7,8 @@ module Lcg : sig
 
   val create : int -> t
 
-  val next : t -> int
-  (** 30-bit non-negative. *)
-
   val below : t -> int -> int
   (** Uniform in [0, n). *)
-
-  val float01 : t -> float
 end
 
 val ints : seed:int -> n:int -> bound:int -> int list

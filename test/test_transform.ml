@@ -90,6 +90,54 @@ let test_unroll_skips_big_loops () =
   let f, f' = unrolled (Ir.Builder.finish pb ~main:"main") in
   checki "unchanged" (Ir.Func.num_blocks f) (Ir.Func.num_blocks f')
 
+(* --- body terminators on the induction register --------------------------- *)
+
+(* Counted loops over t0 in [0, 10) whose body branches on t0 itself:
+   through a [Br], counting the iterations with t0 <> 0 (9), and through a
+   [Switch], weighting t0 = 0, 1, 2 and the rest 1, 10, 100 and 1000
+   (7111).  Each copy of an unrolled body must branch on its own value. *)
+let branch_on_induction () =
+  let pb = Ir.Builder.program () in
+  let t0 = Ir.Reg.tmp 0 and t1 = Ir.Reg.tmp 1 in
+  Ir.Builder.func pb "main" (fun b ->
+      Ir.Builder.li b t1 0;
+      Ir.Builder.for_ b t0 ~from:(Ir.Insn.Imm 0) ~below:(Ir.Insn.Imm 10)
+        ~step:1 (fun b ->
+          Ir.Builder.when_ b t0 (fun b -> Ir.Builder.addi b t1 t1 1));
+      Ir.Builder.mov b Ir.Reg.rv t1);
+  Ir.Builder.finish pb ~main:"main"
+
+let switch_on_induction () =
+  let pb = Ir.Builder.program () in
+  let t0 = Ir.Reg.tmp 0 and t1 = Ir.Reg.tmp 1 in
+  let add n b = Ir.Builder.addi b t1 t1 n in
+  Ir.Builder.func pb "main" (fun b ->
+      Ir.Builder.li b t1 0;
+      Ir.Builder.for_ b t0 ~from:(Ir.Insn.Imm 0) ~below:(Ir.Insn.Imm 10)
+        ~step:1 (fun b ->
+          Ir.Builder.switch_ b t0 [| add 1; add 10; add 100 |]
+            ~default:(add 1000));
+      Ir.Builder.mov b Ir.Reg.rv t1);
+  Ir.Builder.finish pb ~main:"main"
+
+let test_body_terminators_read_copy_value () =
+  List.iter
+    (fun (name, expect, prog) ->
+      checki (name ^ " source") expect (result prog);
+      checki (name ^ " hoisted") expect
+        (result (Core.Transform.hoist_program prog));
+      let f, f' = unrolled prog in
+      checkb (name ^ " grows") true
+        (Ir.Func.num_blocks f' > Ir.Func.num_blocks f);
+      checki (name ^ " unrolled") expect
+        (result (Core.Transform.unroll_program params prog));
+      let plan = Core.Cost.plan_for_level Core.Heuristics.Task_size prog in
+      checki (name ^ " ts plan") expect (result plan.Core.Partition.prog))
+    [
+      ("br", 9, branch_on_induction ());
+      ("switch", 7111, switch_on_induction ());
+    ]
+
 (* --- call inclusion ------------------------------------------------------ *)
 
 let test_mark_included_calls () =
@@ -299,6 +347,8 @@ let () =
             test_generic_unroll_semantics;
           Alcotest.test_case "skips big loops" `Quick
             test_unroll_skips_big_loops;
+          Alcotest.test_case "branches on induction" `Quick
+            test_body_terminators_read_copy_value;
         ] );
       ( "call inclusion",
         [ Alcotest.test_case "thresholds" `Quick test_mark_included_calls ] );
