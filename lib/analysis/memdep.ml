@@ -450,12 +450,18 @@ let build_partition ~sp (prog : Ir.Prog.t) =
         f.Ir.Func.blocks)
     prog.Ir.Prog.funcs;
   (* starts of initialised runs: a cell whose predecessor is uninitialised
-     begins a distinct static object *)
-  let init = Hashtbl.create 64 in
-  List.iter (fun (a, _) -> Hashtbl.replace init a ()) prog.Ir.Prog.mem_init;
-  Hashtbl.iter
-    (fun a () -> if not (Hashtbl.mem init (a - 1)) then add_bound a)
-    init;
+     begins a distinct static object.  By base, a run starts one when no
+     earlier run reaches its base. *)
+  ignore
+    (List.fold_left
+       (fun reach (base, stop) ->
+         if reach < base then add_bound base;
+         max reach stop)
+       min_int
+       (List.sort compare
+          (List.map
+             (fun (base, cells) -> (base, base + Ir.Prog.length cells))
+             prog.Ir.Prog.mem_init)));
   let cuts = List.sort compare (Hashtbl.fold (fun a () l -> a :: l) bounds []) in
   let cuts =
     let n = List.length cuts in
@@ -649,18 +655,26 @@ let refine_edge _fname (b : Ir.Block.t) target ~src ~dst =
     | _ -> ()
   end
 
+(* the loader's zero joined with each initial cell [keep] selects, in
+   program order; a float cell is top *)
+let init_join (prog : Ir.Prog.t) keep =
+  List.fold_left
+    (fun acc (base, cells) ->
+      let acc = ref acc in
+      for j = 0 to Ir.Prog.length cells - 1 do
+        if keep (base + j) then
+          acc :=
+            match cells with
+            | Ir.Prog.Ints a -> join !acc (singleton a.(j))
+            | Ir.Prog.Flts _ -> top
+      done;
+      !acc)
+    (singleton 0) prog.Ir.Prog.mem_init
+
 let analyze ~sp prog =
   let regs = Array.make Ir.Reg.count (singleton 0) in
   regs.(Ir.Reg.sp) <- singleton sp;
-  let mem =
-    ref
-      (List.fold_left
-         (fun acc (_, v) ->
-           match v with
-           | Ir.Value.Int n -> join acc (singleton n)
-           | Ir.Value.Flt _ -> top)
-         (singleton 0) prog.Ir.Prog.mem_init)
-  in
+  let mem = ref (init_join prog (fun _ -> true)) in
   let round = ref 0 in
   let widen_from = 3 and max_rounds = 64 in
   let changed = ref true in
@@ -758,18 +772,7 @@ let analyze ~sp prog =
      remains. *)
   let partition = build_partition ~sp prog in
   let ncells = Array.length partition in
-  let cell_init i =
-    let p = partition.(i) in
-    List.fold_left
-      (fun acc (a, v) ->
-        if contains p a then
-          match v with
-          | Ir.Value.Int n -> join acc (singleton n)
-          | Ir.Value.Flt _ -> top
-        else acc)
-      (singleton 0) prog.Ir.Prog.mem_init
-  in
-  let cells = Array.init ncells cell_init in
+  let cells = Array.init ncells (fun i -> init_join prog (contains partition.(i))) in
   let saturated = Array.make ncells false in
   (* the loader state, joined into main's entry by every solve *)
   let loader =

@@ -368,7 +368,7 @@ let rec mkdir_p dir =
 let progs_equal (a : Ir.Prog.t) (b : Ir.Prog.t) =
   String.equal a.main b.main
   && a.mem_top = b.mem_top
-  && compare (List.sort compare a.mem_init) (List.sort compare b.mem_init) = 0
+  && compare a.mem_init b.mem_init = 0
   && Ir.Prog.Smap.equal (fun f g -> compare f g = 0) a.funcs b.funcs
 
 let dump_reproducer ~dir ~name prog =

@@ -20,14 +20,20 @@ type artifact = {
   trace : Interp.Trace.t;
 }
 
-(* The five tables are Memo tables, so each key is computed once even
+(* The six tables are Memo tables, so each key is computed once even
    when scheduler workers request it at once, and a failed computation
    is retried by the next request.  Deadlock-freedom: the only cross-key
-   waits go get -> prep -> sim, get -> run and get -> programs (never
-   backwards), and neither a run's nor a record's computation waits on
-   anything, so the wait graph is acyclic. *)
+   waits go get -> prep -> sim, get -> sources, get -> run and get ->
+   programs (never backwards), and neither a source's, a run's nor a
+   record's computation waits on anything, so the wait graph is
+   acyclic. *)
 type t = {
   pipeline : (key, artifact) Memo.t;
+  (* source programs by (workload, profile input, variant): each workload
+     input is built, and the variant's transforms run on it, once per
+     store; every pass returns a new program and mutates none it is
+     given, so pipelines share them *)
+  sources : (string * bool * variant, Ir.Prog.t) Memo.t;
   (* interpreter outcomes by structural program digest: a program whose
      trace some artifact holds is interpreted once per store, and its
      profiling runs for other levels reuse it.  Only the runs behind
@@ -48,6 +54,7 @@ type t = {
 let create () =
   {
     pipeline = Memo.create 64;
+    sources = Memo.create 64;
     runs = Memo.create 64;
     programs = Memo.create 64;
     preps = Memo.create 64;
@@ -68,20 +75,20 @@ let get t ?(params = Core.Heuristics.default) ?(profile_alt = false)
   in
   memo t.pipeline key (fun () ->
       Atomic.incr t.builds;
-      let prog = entry.Workloads.Registry.build () in
-      let profile_input =
-        if profile_alt then Some (entry.Workloads.Registry.build_alt ())
-        else None
-      in
       (* the variant's front-end transforms are structure-only and
          deterministic, so the training program keeps the evaluated one's
          block labels and function names *)
-      let transform p =
-        let p = if variant.optimize then Opt.Pipeline.run p else p in
-        if variant.if_convert then Core.Transform.if_convert_program p else p
+      let source alt =
+        memo t.sources (entry.Workloads.Registry.name, alt, variant) (fun () ->
+            let p =
+              if alt then entry.Workloads.Registry.build_alt ()
+              else entry.Workloads.Registry.build ()
+            in
+            let p = if variant.optimize then Opt.Pipeline.run p else p in
+            if variant.if_convert then Core.Transform.if_convert_program p else p)
       in
-      let prog = transform prog in
-      let profile_input = Option.map transform profile_input in
+      let prog = source false in
+      let profile_input = if profile_alt then Some (source true) else None in
       (* a profiling run or a program record takes a landed or in-flight
          value, but one this pipeline makes itself stays its own until its
          plan lands: a callee-size run, or a losing fb seed's run or

@@ -9,6 +9,13 @@
     variants and the cross-input profile are keyed — so one [msc] run
     computes each pipeline exactly once however many reports need it.
 
+    Source programs are shared below the pipelines: the store keeps the
+    program [entry.build ()] (or [build_alt ()]) returned, after the
+    variant's transforms, keyed by (workload, profile input, variant), so
+    each workload input is built once per store however many levels
+    select from it.  No pass mutates a program it is given, so every
+    program derived from a source shares its data runs.
+
     Interpretation is shared below the pipelines.  The store keeps the
     interpreter outcome behind each artifact's trace, keyed by a digest of
     the program, and hands {!Core.Cost.plan_for_level} a [run] that reuses
@@ -134,8 +141,11 @@ val trace_bytes : t -> int
     ({!Interp.Trace.bytes}), each physical trace counted once however many
     keys share it: the one term of a store sized by the traces.  A store
     over the extended grid (the 18 workloads at bb through fb, every
-    artifact prepared for simulation) holds 21.6 MB by
-    [Obj.reachable_words]: traces 9.3 MB (9.2 MB before their words were
-    chunked), plans 9.6 MB, preps 2.9 MB (2.5 MB of it
-    register-communication tables).  When each prep kept its
-    task chop, the chops took 23.2 MB and the store 44.8 MB. *)
+    artifact prepared for simulation) holds 13.1 MB by
+    [Obj.reachable_words], each term counted after the ones before it:
+    the plans' programs 0.44 MB (0.20 MB of it their shared data runs),
+    traces 9.27 MB, the rest of the plans (program records' facts and
+    liveness) 0.57 MB, preps 2.56 MB, source programs and tables
+    0.27 MB.  With boxed data cells and a build per pipeline it held
+    16.2 MB, 3.33 MB of it data segments; when each prep kept its task
+    chop, the chops took 23.2 MB. *)

@@ -70,9 +70,85 @@ let value regs r =
 (* [Value.is_true]: for an integer n, [float_of_int n <> 0.0] iff n <> 0 *)
 let[@inline] is_true regs r = regs.flts.(r) <> 0.0
 
+(* --- memory, unboxed -------------------------------------------------------- *)
+
+(* Memory is fixed-size pages found by [addr asr page_bits] in an
+   int-keyed table behind a last-page cache.  A page holds its cells'
+   integers, floats and kinds (1 for a float), as the register file does,
+   so loads and stores allocate nothing.  A cell never written reads as
+   integer 0.  [asr] is floor division, so negative and huge addresses
+   each land in their own cell.  A page's arrays are 64 words, inside
+   the size classes OCaml 5's major heap pools (up to 128 words);
+   DESIGN.md §5 has the page sizes measured. *)
+let page_bits = 6
+let page_size = 1 lsl page_bits
+
+type page = { cints : int array; cflts : float array; kinds : Bytes.t }
+
+type mem = {
+  pages : (int, page) Hashtbl.t;
+  mutable last_idx : int;  (* [min_int] is no page's index *)
+  mutable last : page;
+}
+
+(* the page of [idx], through the cache; [Not_found] when no store made it *)
+let[@inline] find_page mem idx =
+  if idx = mem.last_idx then mem.last
+  else begin
+    let p = Hashtbl.find mem.pages idx in
+    mem.last_idx <- idx;
+    mem.last <- p;
+    p
+  end
+
+let[@inline] store_page mem idx =
+  match find_page mem idx with
+  | p -> p
+  | exception Not_found ->
+    let p =
+      {
+        cints = Array.make page_size 0;
+        cflts = Array.make page_size 0.0;
+        kinds = Bytes.make page_size '\000';
+      }
+    in
+    Hashtbl.add mem.pages idx p;
+    mem.last_idx <- idx;
+    mem.last <- p;
+    p
+
+let[@inline] store_int mem a n =
+  let p = store_page mem (a asr page_bits) and i = a land (page_size - 1) in
+  p.cints.(i) <- n;
+  Bytes.unsafe_set p.kinds i '\000'
+
+let[@inline] store_flt mem a x =
+  let p = store_page mem (a asr page_bits) and i = a land (page_size - 1) in
+  p.cflts.(i) <- x;
+  Bytes.unsafe_set p.kinds i '\001'
+
+(* the data runs, copied in program order *)
+let load_data (prog : Ir.Prog.t) =
+  let mem =
+    {
+      pages = Hashtbl.create 16;
+      last_idx = min_int;
+      last = { cints = [||]; cflts = [||]; kinds = Bytes.empty };
+    }
+  in
+  List.iter
+    (fun (base, cells) ->
+      match cells with
+      | Ir.Prog.Ints a ->
+        for j = 0 to Array.length a - 1 do store_int mem (base + j) a.(j) done
+      | Ir.Prog.Flts a ->
+        for j = 0 to Array.length a - 1 do store_flt mem (base + j) a.(j) done)
+    prog.Ir.Prog.mem_init;
+  mem
+
 (* --- one instruction ------------------------------------------------------ *)
 
-let exec regs (mem : (int, Ir.Value.t) Hashtbl.t) buf insn =
+let exec regs mem buf insn =
   let open Ir.Insn in
   match insn with
   | Nop -> ()
@@ -109,17 +185,20 @@ let exec regs (mem : (int, Ir.Value.t) Hashtbl.t) buf insn =
     | Fsqrt -> set_flt regs d (sqrt regs.flts.(s))
     | Itof -> set_flt regs d (float_of_int regs.ints.(s))
     | Ftoi -> set_int regs d (int_of_float regs.flts.(s)))
-  | Load (d, base, off) -> (
+  | Load (d, base, off) ->
     let a = regs.ints.(base) + off in
     Trace.Builder.push_addr buf a;
-    match Hashtbl.find mem a with
-    | Ir.Value.Int n -> set_int regs d n
-    | Ir.Value.Flt x -> set_flt regs d x
+    (match find_page mem (a asr page_bits) with
+    | p ->
+      let i = a land (page_size - 1) in
+      if Bytes.unsafe_get p.kinds i = '\001' then set_flt regs d p.cflts.(i)
+      else set_int regs d p.cints.(i)
     | exception Not_found -> set_int regs d 0)
   | Store (s, base, off) ->
     let a = regs.ints.(base) + off in
     Trace.Builder.push_addr buf a;
-    Hashtbl.replace mem a (value regs s)
+    if regs.is_flt.(s) then store_flt mem a regs.flts.(s)
+    else store_int mem a regs.ints.(s)
   | Cmov (d, c, s) -> if is_true regs c then copy regs d s
 
 (* --- decoding ------------------------------------------------------------- *)
@@ -190,8 +269,7 @@ let execute ?on_event ?(max_steps = 30_000_000) prog =
     }
   in
   set_int regs Ir.Reg.sp initial_sp;
-  let mem : (int, Ir.Value.t) Hashtbl.t = Hashtbl.create 4096 in
-  List.iter (fun (a, v) -> Hashtbl.replace mem a v) prog.Ir.Prog.mem_init;
+  let mem = load_data prog in
   let profile = Profile.create ~nfuncs:(Array.length funcs) in
   let last_writer = Array.make Ir.Reg.count (-1) in
   let buf = Trace.Builder.create () in

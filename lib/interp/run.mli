@@ -27,14 +27,16 @@ val execute :
     {!Trace.max_blocks} of its function.  A switch condition outside the
     target table, negative ones included, takes the default target.
 
-    Loads from never-written memory read integer 0.
+    Loads from never-written memory read integer 0.  Addresses are any
+    [int], negative ones included, and a loaded value keeps the kind it
+    was stored with.
 
-    Each block is decoded once per run and registers are held unboxed, so
-    past its set-up a run allocates only for stores (the boxed cell, and
-    the memory table's growth for new addresses), first-seen dependence
-    pairs, call-stack growth and the packed trace's chunks: at most 0.75
-    words per dynamic instruction over the workload suite, a budget
-    [test/test_interp.ml] enforces.
+    Each block is decoded once per run, and registers and memory are held
+    unboxed (memory in fixed-size pages, the data runs copied in at
+    start), so past its set-up a run allocates only for the first store to
+    each page, first-seen dependence pairs, call-stack growth and the
+    packed trace's chunks: at most 0.50 words per dynamic instruction over
+    the workload suite, a budget [test/test_interp.ml] enforces.
 
     [on_event], if given, observes each completed dynamic block instance as
     it happens — the boxed view of the stream the packed trace encodes.  It

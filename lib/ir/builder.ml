@@ -13,7 +13,7 @@ type b = {
 
 type pb = {
   mutable funcs : (string * Func.t) list;
-  mutable rev_data : (int * Value.t) list;
+  mutable rev_data : (int * Prog.cells) list;
   mutable next_addr : int;
 }
 
@@ -25,17 +25,19 @@ let alloc pb n =
   pb.next_addr <- pb.next_addr + n;
   base
 
-let init_cell pb addr v = pb.rev_data <- (addr, v) :: pb.rev_data
+let add_data pb base cells = pb.rev_data <- (base, cells) :: pb.rev_data
 
-let data_ints pb xs =
-  let base = alloc pb (List.length xs) in
-  List.iteri (fun i x -> init_cell pb (base + i) (Value.Int x)) xs;
+let init_cell pb addr = function
+  | Value.Int n -> add_data pb addr (Prog.Ints [| n |])
+  | Value.Flt x -> add_data pb addr (Prog.Flts [| x |])
+
+let data pb cells =
+  let base = alloc pb (Prog.length cells) in
+  add_data pb base cells;
   base
 
-let data_floats pb xs =
-  let base = alloc pb (List.length xs) in
-  List.iteri (fun i x -> init_cell pb (base + i) (Value.Flt x)) xs;
-  base
+let data_ints pb xs = data pb (Prog.Ints (Array.of_list xs))
+let data_floats pb xs = data pb (Prog.Flts (Array.of_list xs))
 
 (* --- function building ------------------------------------------------- *)
 
@@ -201,7 +203,7 @@ let finish pb ~main =
     {
       Prog.funcs;
       main;
-      mem_init = List.rev pb.rev_data;
+      mem_init = Prog.runs (List.rev pb.rev_data);
       mem_top = pb.next_addr;
     }
   in

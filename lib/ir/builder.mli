@@ -29,14 +29,18 @@ val alloc : pb -> int -> int
     address. *)
 
 val data_ints : pb -> int list -> int
-(** Allocate and initialise consecutive integer cells; returns base. *)
+(** Allocate and initialise consecutive integer cells; returns base.  The
+    cells become one unboxed run of the data segment. *)
 
 val data_floats : pb -> float list -> int
 
 val init_cell : pb -> int -> Value.t -> unit
+(** Initialise one cell at any address, after (and over) the cells
+    initialised before it. *)
 
 val finish : pb -> main:string -> Prog.t
-(** Close the program.  @raise Invalid_argument if validation fails. *)
+(** Close the program, merging the data calls in order into maximal runs
+    ({!Prog.runs}).  @raise Invalid_argument if validation fails. *)
 
 (** {1 Straight-line emission} *)
 

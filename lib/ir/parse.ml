@@ -14,7 +14,7 @@ let reg s =
     | Some _ | None -> fail "bad argument register %S" s
   else if String.length s >= 2 && s.[0] = 't' then
     match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-    | Some i when Reg.is_valid (Reg.tmp 0 + i) -> Ok (Reg.tmp i)
+    | Some i when i >= 0 && Reg.is_valid (Reg.tmp 0 + i) -> Ok (Reg.tmp i)
     | Some _ | None -> fail "bad temporary register %S" s
   else fail "unknown register %S" s
 
@@ -185,6 +185,20 @@ let terminator line =
         | _ -> fail "bad call %S" line)
       | _ -> Ok None)
 
+(* one data line's values, read straight into an array *)
+let data_cells parse what zero values =
+  let a = Array.make (Array.length values) zero in
+  let rec fill i =
+    if i = Array.length values then Ok a
+    else
+      match parse values.(i) with
+      | Some x ->
+        a.(i) <- x;
+        fill (i + 1)
+      | None -> fail "bad %s datum %S" what values.(i)
+  in
+  fill 0
+
 type fstate = {
   mutable cur_label : int;
   mutable cur_insns : Insn.t list;
@@ -243,30 +257,21 @@ let program text =
               | Some a -> Ok a
               | None -> fail "bad data address %S" addr
             in
-            let values = List.filter (fun v -> not (String.equal v "")) values in
+            let values =
+              Array.of_list (List.filter (fun v -> not (String.equal v "")) values)
+            in
             let* cells =
               match kind with
               | "int" ->
-                List.fold_left
-                  (fun acc v ->
-                    let* acc = acc in
-                    match int_of_string_opt v with
-                    | Some n -> Ok (Value.Int n :: acc)
-                    | None -> fail "bad int datum %S" v)
-                  (Ok []) values
+                let* a = data_cells int_of_string_opt "int" 0 values in
+                Ok (Prog.Ints a)
               | "flt" ->
-                List.fold_left
-                  (fun acc v ->
-                    let* acc = acc in
-                    match float_of_string_opt v with
-                    | Some x -> Ok (Value.Flt x :: acc)
-                    | None -> fail "bad float datum %S" v)
-                  (Ok []) values
+                let* a = data_cells float_of_string_opt "float" 0.0 values in
+                Ok (Prog.Flts a)
               | _ -> fail "bad data kind %S" kind
             in
-            let cells = List.rev cells in
-            List.iteri (fun i v -> data := (addr + i, v) :: !data) cells;
-            next_addr := max !next_addr (addr + List.length cells);
+            data := (addr, cells) :: !data;
+            next_addr := max !next_addr (addr + Array.length values);
             Ok ()
           | _ -> fail "bad data line %S" line
         end
@@ -336,7 +341,7 @@ let program text =
     {
       Prog.funcs = prog_funcs;
       main = !main;
-      mem_init = List.rev !data;
+      mem_init = Prog.runs (List.rev !data);
       mem_top = !next_addr;
     }
   in

@@ -21,10 +21,14 @@
     v}
 
     Blocks must be labelled [L0..Ln-1] in order; every function needs at
-    least one block; [main] defaults to ["main"].  The optional [memtop]
-    directive raises the program's memory bound past the last initialised
-    cell, preserving scratch regions builder programs reserve without
-    initialising (the dependence analyses read {!Prog.t.mem_top}). *)
+    least one block; [main] defaults to ["main"].  Each [data] line is read
+    straight into one unboxed array; a line with no values adds no run,
+    and lines that continue one another merge into one run
+    ({!Prog.runs}), so a printed program's lines come back as its runs.
+    The optional [memtop] directive raises the program's memory bound
+    past the last initialised cell, preserving scratch regions builder
+    programs reserve without initialising (the dependence analyses read
+    {!Prog.t.mem_top}). *)
 
 val program : string -> (Prog.t, string) result
 (** Parse a whole program from a string.  The result is validated. *)

@@ -26,33 +26,17 @@ let func_text f =
 
 let program_text p =
   let buf = Buffer.create 1024 in
-  (* contiguous runs of same-kind data cells compress into one line *)
-  let rec emit_data = function
-    | [] -> ()
-    | (addr, Value.Int _) :: _ as cells ->
-      let rec take acc a = function
-        | (addr', Value.Int n) :: rest when addr' = a ->
-          take (n :: acc) (a + 1) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let ns, rest = take [] addr cells in
-      Buffer.add_string buf
-        (Printf.sprintf "data %d int %s\n" addr
-           (String.concat " " (List.map string_of_int ns)));
-      emit_data rest
-    | (addr, Value.Flt _) :: _ as cells ->
-      let rec take acc a = function
-        | (addr', Value.Flt x) :: rest when addr' = a ->
-          take (x :: acc) (a + 1) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let xs, rest = take [] addr cells in
-      Buffer.add_string buf
-        (Printf.sprintf "data %d flt %s\n" addr
-           (String.concat " " (List.map (Printf.sprintf "%h") xs)));
-      emit_data rest
-  in
-  emit_data p.Prog.mem_init;
+  List.iter
+    (fun (base, cells) ->
+      (match cells with
+      | Prog.Ints a ->
+        Printf.bprintf buf "data %d int" base;
+        Array.iter (Printf.bprintf buf " %d") a
+      | Prog.Flts a ->
+        Printf.bprintf buf "data %d flt" base;
+        Array.iter (Printf.bprintf buf " %h") a);
+      Buffer.add_char buf '\n')
+    p.Prog.mem_init;
   (* builder programs reserve scratch memory beyond the initialised cells
      (alloc without data); the analyses read [mem_top], so the bound must
      survive the round-trip explicitly *)

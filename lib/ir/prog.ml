@@ -1,11 +1,47 @@
 module Smap = Map.Make (String)
 
+type cells = Ints of int array | Flts of float array
+
 type t = {
   funcs : Func.t Smap.t;
   main : string;
-  mem_init : (int * Value.t) list;
+  mem_init : (int * cells) list;
   mem_top : int;
 }
+
+let length = function Ints a -> Array.length a | Flts a -> Array.length a
+
+let continues (base, cells) (base', cells') =
+  base' = base + length cells
+  &&
+  match cells, cells' with
+  | Ints _, Ints _ | Flts _, Flts _ -> true
+  | Ints _, Flts _ | Flts _, Ints _ -> false
+
+let ints = function Ints a -> a | Flts _ -> [||]
+let flts = function Flts a -> a | Ints _ -> [||]
+
+(* one pass: each group of pieces that continue one another is
+   concatenated once *)
+let runs pieces =
+  let flush group acc =
+    match List.rev group with
+    | [] -> acc
+    | [ run ] -> run :: acc
+    | (base, cells) :: _ as group ->
+      let cat f = Array.concat (List.map (fun (_, c) -> f c) group) in
+      (base, match cells with Ints _ -> Ints (cat ints) | Flts _ -> Flts (cat flts))
+      :: acc
+  in
+  let rec go group acc = function
+    | [] -> List.rev (flush group acc)
+    | (_, cells) :: rest when length cells = 0 -> go group acc rest
+    | piece :: rest -> (
+      match group with
+      | prev :: _ when continues prev piece -> go (piece :: group) acc rest
+      | _ -> go [ piece ] (flush group acc) rest)
+  in
+  go [] [] pieces
 
 let find p name = Smap.find name p.funcs
 let has_func p name = Smap.mem name p.funcs

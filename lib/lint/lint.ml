@@ -931,12 +931,10 @@ let check_roundtrip prog =
         (Diag.error ~rule:"ir/roundtrip" Diag.program_loc
            "mem_top changed across print/parse: %d became %d"
            prog.Ir.Prog.mem_top p'.Ir.Prog.mem_top);
-    let norm m = List.sort compare m in
-    if compare (norm p'.Ir.Prog.mem_init) (norm prog.Ir.Prog.mem_init) <> 0
-    then
+    if compare p'.Ir.Prog.mem_init prog.Ir.Prog.mem_init <> 0 then
       add
         (Diag.error ~rule:"ir/roundtrip" Diag.program_loc
-           "data segment changed across print/parse (%d cells became %d)"
+           "data segment changed across print/parse (%d runs became %d)"
            (List.length prog.Ir.Prog.mem_init)
            (List.length p'.Ir.Prog.mem_init));
     Smap.iter

@@ -15,23 +15,35 @@ let shared_run () =
       Hashtbl.replace runs key o;
       o
 
-(* the 18 workloads, then the fuzz programs, generated as Fuzz.check_one
-   generates them *)
-let programs () =
+(* the 44 programs of the seed-42 fuzz corpus as Fuzz.check_one draws
+   them, named by index and profile *)
+let fuzz_corpus =
   let cfg = Fuzz.default_config in
+  List.init 44 (fun index ->
+      let profile =
+        List.nth cfg.Fuzz.profiles (index mod List.length cfg.Fuzz.profiles)
+      in
+      ( Printf.sprintf "fuzz-%02d-%s" index profile.Workloads.Synth.Profile.name,
+        fun () -> Fuzz.program cfg ~index ))
+
+(* the shrunken fuzz reproducers' texts, by file name *)
+let reproducer_texts () =
+  Sys.readdir "golden/fuzz" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ir")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let ic = open_in_bin (Filename.concat "golden/fuzz" f) in
+         let text = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         (f, text))
+
+(* the 18 workloads, then the fuzz programs *)
+let programs () =
   List.map
     (fun (e : Workloads.Registry.entry) ->
       (true, e.Workloads.Registry.name, e.build))
     Workloads.Suite.all
-  @ List.init 44 (fun index ->
-        let profile =
-          List.nth cfg.Fuzz.profiles (index mod List.length cfg.Fuzz.profiles)
-        in
-        let seed = Workloads.Synth.program_seed ~seed:cfg.Fuzz.seed ~index in
-        ( false,
-          Printf.sprintf "fuzz-%02d-%s" index
-            profile.Workloads.Synth.Profile.name,
-          fun () -> Workloads.Synth.generate ~profile ~seed ))
+  @ List.map (fun (name, build) -> (false, name, build)) fuzz_corpus
 
 type cell = {
   name : string;

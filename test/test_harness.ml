@@ -397,6 +397,38 @@ let test_artifact_fb_keeps_one_record () =
   checki "one pipeline per workload" 2 (Harness.Artifact.builds store);
   checki "one record per pipeline" 2 (Harness.Artifact.programs store)
 
+(* A store builds each workload once, whatever the number of pipelines on
+   it, and no pass mutates the source program the pipelines share: after
+   the grid each program [build] returned still equals a fresh build. *)
+let test_artifact_one_build () =
+  let store = Harness.Artifact.create () in
+  let counted name =
+    let entry = Workloads.Suite.find name in
+    let calls = ref 0 and built = ref [] in
+    let build () =
+      incr calls;
+      let p = entry.Workloads.Registry.build () in
+      built := p :: !built;
+      p
+    in
+    ({ entry with Workloads.Registry.build }, calls, built)
+  in
+  let cases = [ counted "compress"; counted "su2cor" ] in
+  ignore
+    (Harness.Artifact.grid store ~jobs:1 ~levels:Core.Heuristics.extended_levels
+       (List.map (fun (e, _, _) -> e) cases)
+       Fun.id);
+  List.iter
+    (fun ((entry : Workloads.Registry.entry), calls, built) ->
+      let name = entry.Workloads.Registry.name in
+      checki (name ^ ": one build") 1 !calls;
+      List.iter
+        (fun p ->
+          checkb (name ^ ": source unchanged") true
+            (compare p (entry.Workloads.Registry.build ()) = 0))
+        !built)
+    cases
+
 (* --- parallel/serial equivalence of the report tables ---------------------- *)
 
 let small_suite () =
@@ -542,6 +574,8 @@ let () =
           Alcotest.test_case "shared runs" `Quick test_artifact_shared_runs;
           Alcotest.test_case "shared programs" `Quick
             test_artifact_shared_programs;
+          Alcotest.test_case "one build per workload" `Quick
+            test_artifact_one_build;
           Alcotest.test_case "fb keeps one record" `Quick
             test_artifact_fb_keeps_one_record;
           Alcotest.test_case "concurrent once" `Quick

@@ -358,8 +358,76 @@ let test_builder_data () =
   checkb "disjoint" true (bdata >= a + 3);
   Ir.Builder.func pb "main" (fun b -> Ir.Builder.ret b);
   let prog = Ir.Builder.finish pb ~main:"main" in
-  checki "mem_init entries" 4 (List.length prog.Ir.Prog.mem_init);
+  checki "mem_init cells" 4
+    (List.fold_left
+       (fun n (_, cells) -> n + Ir.Prog.length cells)
+       0 prog.Ir.Prog.mem_init);
   checkb "mem_top past data" true (prog.Ir.Prog.mem_top >= bdata + 1)
+
+(* The data segment's runs, as the builder and the parser both merge them:
+   adjacent same-kind pieces join, a kind change starts a run, and a cell
+   written inside an earlier run stays a later run the interpreter reads. *)
+let expected_runs base =
+  [
+    (base, Ir.Prog.Ints [| 1; 2; 3 |]);
+    (base + 3, Ir.Prog.Flts [| 0.5; 1.5 |]);
+    (base + 1, Ir.Prog.Ints [| 9 |]);
+  ]
+
+let reads_cell prog addr =
+  let p =
+    Ir.Prog.map_funcs
+      (fun f ->
+        if f.Ir.Func.name <> prog.Ir.Prog.main then f
+        else
+          {
+            f with
+            Ir.Func.blocks =
+              [|
+                {
+                  Ir.Block.label = 0;
+                  insns = [| Ir.Insn.Load (Ir.Reg.rv, Ir.Reg.zero, addr) |];
+                  term = Ir.Block.Ret;
+                };
+              |];
+          })
+      prog
+  in
+  (Interp.Run.execute p).Interp.Run.result
+
+let test_builder_data_runs () =
+  let pb = Ir.Builder.program () in
+  let a = Ir.Builder.data_ints pb [ 1; 2 ] in
+  ignore (Ir.Builder.data_ints pb [ 3 ]);
+  ignore (Ir.Builder.data_floats pb [ 0.5; 1.5 ]);
+  ignore (Ir.Builder.data_floats pb []);
+  Ir.Builder.init_cell pb (a + 1) (Ir.Value.Int 9);
+  Ir.Builder.func pb "main" (fun b -> Ir.Builder.ret b);
+  let prog = Ir.Builder.finish pb ~main:"main" in
+  checkb "runs" true (prog.Ir.Prog.mem_init = expected_runs a);
+  checkb "later run read" true (reads_cell prog (a + 1) = Ir.Value.Int 9);
+  checkb "earlier run read" true (reads_cell prog (a + 2) = Ir.Value.Int 3);
+  checkb "float run read" true (reads_cell prog (a + 4) = Ir.Value.Flt 1.5)
+
+let test_parse_data_runs () =
+  let text =
+    "data 4096 int 1 2\ndata 4098 int 3\ndata 5000 int\ndata 4099 flt 0.5 1.5\n\
+     data 4097 int 9\nfunc main {\nL0:\n  ret\n}\nmain main\n"
+  in
+  match Ir.Parse.program text with
+  | Error e -> Alcotest.failf "parse: %s" e
+  | Ok prog ->
+    checkb "runs" true (prog.Ir.Prog.mem_init = expected_runs 4096);
+    checkb "later run read" true (reads_cell prog 4097 = Ir.Value.Int 9);
+    Alcotest.(check string)
+      "one line per run"
+      "data 4096 int 1 2 3\ndata 4099 flt 0x1p-1 0x1.8p+0\ndata 4097 int 9\n"
+      (String.concat ""
+         (List.map
+            (fun l -> l ^ "\n")
+            (List.filter
+               (fun l -> String.length l > 5 && String.sub l 0 5 = "data ")
+               (String.split_on_char '\n' (Ir.Pp.program_text prog)))))
 
 let test_builder_unreachable_pruned () =
   let pb = Ir.Builder.program () in
@@ -438,7 +506,7 @@ let test_parse_errors () =
   let bad =
     [
       "frobnicate t0, t1"; "li t0"; "add t99, t0, #1"; "ld t0, sp";
-      "br t0, L1"; "li t0, abc";
+      "br t0, L1"; "li t0, abc"; "li t-4, 1";
     ]
   in
   List.iter
@@ -489,10 +557,101 @@ let prop_parse_roundtrip =
         Ir.Value.equal a.Interp.Run.result b.Interp.Run.result
         && a.Interp.Run.steps = b.Interp.Run.steps)
 
+(* The printer's oracle: one MD5 per program of [Ir.Pp.program_text], the
+   data lines included, for every workload as built from both inputs and
+   the 44 programs of the seed-42 fuzz corpus.  Made with the printer that
+   walked a boxed cell list, before the data segment became typed runs,
+   and never regenerated in a change to the printer or the data segment. *)
+let test_program_text_golden () =
+  let line name p =
+    Printf.sprintf "%-22s %s\n" name
+      (Digest.to_hex (Digest.string (Ir.Pp.program_text p)))
+  in
+  let got =
+    String.concat ""
+      (List.concat_map
+         (fun (e : Workloads.Registry.entry) ->
+           [ line e.name (e.build ()); line (e.name ^ "/alt") (e.build_alt ()) ])
+         Workloads.Suite.all
+      @ List.init 44 (fun index ->
+            line (Printf.sprintf "fuzz-%02d" index)
+              (Fuzz.program Fuzz.default_config ~index)))
+  in
+  Corpus.check_golden
+    ~path:(Filename.concat "golden" "program_text_digests.txt")
+    ~what:"the printed program text" ~pins:"each program's printed text" got
+
 let test_dot_export () =
   let prog = Gen.square_sum_program 3 in
   let dot = Ir.Pp.dot_of_func (Ir.Prog.find prog "main") in
   checkb "digraph" true (String.length dot > 20 && String.sub dot 0 7 = "digraph")
+
+(* Mutation fuzzing of the parser, seeded from the fuzz reproducers and
+   su2cor's printed text (int and float data runs): a mutant deletes a
+   character, inserts or replaces a token, or duplicates or drops a line.
+   The parser must return on every one, and each program it accepts that
+   lint's IR rules pass must survive the printer and parser unchanged, the
+   fuzz stack's round-trip oracle. *)
+let mutation_seeds =
+  lazy
+    (Array.of_list
+       (Ir.Pp.program_text ((Workloads.Suite.find "su2cor").build ())
+       :: List.map snd (Corpus.reproducer_texts ())))
+
+let mutation_tokens =
+  [|
+    "t-1"; "a-1"; "L-1"; "t-4"; "t52"; "data "; "memtop "; "func "; "main ";
+    "nan"; "inf"; "-0x1p-1074"; "0x1.fffffffffffffp+1023"; "4611686018427387903";
+    "-4611686018427387904"; "int"; "flt"; "#"; "#-1"; ","; "("; ")"; ":";
+    "{"; "}"; "L0"; "r0"; "-1"; "\n"; " ";
+  |]
+
+let mutate text =
+  let open QCheck.Gen in
+  let n = String.length text in
+  let* op = int_bound 4 in
+  let* pos = int_bound (max 0 (n - 1)) in
+  let* tok = oneofa mutation_tokens in
+  match op with
+  | 0 when n > 0 ->
+    return (String.sub text 0 pos ^ String.sub text (pos + 1) (n - pos - 1))
+  | 0 | 1 -> return (String.sub text 0 pos ^ tok ^ String.sub text pos (n - pos))
+  | 2 ->
+    (* replace the token around [pos], up to the next separator *)
+    let is_sep c = c = ' ' || c = ',' || c = '\n' in
+    let stop = ref pos in
+    while !stop < n && not (is_sep text.[!stop]) do incr stop done;
+    let start = ref pos in
+    while !start > 0 && not (is_sep text.[!start - 1]) do decr start done;
+    return (String.sub text 0 !start ^ tok ^ String.sub text !stop (n - !stop))
+  | _ ->
+    let ls = String.split_on_char '\n' text in
+    let* i = int_bound (List.length ls - 1) in
+    return
+      (String.concat "\n"
+         (List.concat
+            (List.mapi
+               (fun j l -> if j <> i then [ l ] else if op = 3 then [ l; l ] else [])
+               ls)))
+
+let gen_mutant =
+  let open QCheck.Gen in
+  let* text st =
+    let seeds = Lazy.force mutation_seeds in
+    seeds.(Random.State.int st (Array.length seeds))
+  in
+  let* k = int_range 1 3 in
+  let rec go k text = if k = 0 then return text else mutate text >>= go (k - 1) in
+  go k text
+
+let prop_parse_mutants =
+  QCheck.Test.make ~name:"mutated texts parse or fail cleanly" ~count:2000
+    (QCheck.make ~print:Fun.id gen_mutant) (fun text ->
+      match Ir.Parse.program text with
+      | Error _ -> true
+      | Ok p ->
+        Lint.Diag.errors (Lint.check_prog p) <> []
+        || Lint.check_roundtrip p = [])
 
 let prop_random_programs_valid =
   QCheck.Test.make ~name:"random builder programs validate" ~count:60
@@ -561,6 +720,7 @@ let () =
           Alcotest.test_case "duplicate func" `Quick test_builder_duplicate_func;
           Alcotest.test_case "missing callee" `Quick test_builder_missing_callee;
           Alcotest.test_case "data segment" `Quick test_builder_data;
+          Alcotest.test_case "data runs" `Quick test_builder_data_runs;
           Alcotest.test_case "unreachable pruned" `Quick
             test_builder_unreachable_pruned;
         ] );
@@ -572,7 +732,13 @@ let () =
           Alcotest.test_case "comments and data" `Quick
             test_parse_comments_and_data;
           Alcotest.test_case "dot export" `Quick test_dot_export;
+          Alcotest.test_case "printer golden digests" `Quick
+            test_program_text_golden;
+          Alcotest.test_case "data runs" `Quick test_parse_data_runs;
           QCheck_alcotest.to_alcotest prop_parse_roundtrip;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 42 |])
+            prop_parse_mutants;
         ] );
       ( "properties",
         [
