@@ -49,6 +49,12 @@ type t = {
   preps : (key, Sim.Engine.prep) Memo.t;
   sims : (key * int * bool, Sim.Stats.t) Memo.t;
   builds : int Atomic.t;
+  (* machines the cells of running grids finished with, and the number of
+     running grids; both change only under [lending], and the list is
+     dropped when the last running grid returns *)
+  lending : Mutex.t;
+  mutable idle : Sim.Engine.machine list;
+  running : int Atomic.t;
 }
 
 let create () =
@@ -60,6 +66,9 @@ let create () =
     preps = Memo.create 64;
     sims = Memo.create 256;
     builds = Atomic.make 0;
+    lending = Mutex.create ();
+    idle = [];
+    running = Atomic.make 0;
   }
 
 let memo tbl key compute = fst (Memo.find_or_compute tbl key compute)
@@ -134,21 +143,51 @@ let get t ?(params = Core.Heuristics.default) ?(profile_alt = false)
 let prep t (art : artifact) =
   memo t.preps art.key (fun () -> Sim.Engine.prepare art.plan art.trace)
 
+(* An idle machine of [cfg] while a grid runs, else a fresh one; no lock
+   is taken while none runs *)
+let borrow t cfg =
+  let lent =
+    if Atomic.get t.running = 0 then None
+    else
+      Mutex.protect t.lending (fun () ->
+          let fits m = Sim.Engine.config m = cfg in
+          let m = List.find_opt fits t.idle in
+          Option.iter (fun m -> t.idle <- List.filter (( != ) m) t.idle) m;
+          m)
+  in
+  match lent with Some m -> m | None -> Sim.Engine.machine cfg
+
+let give_back t m =
+  if Atomic.get t.running > 0 then
+    Mutex.protect t.lending (fun () ->
+        if Atomic.get t.running > 0 then t.idle <- m :: t.idle)
+
 let sim t (art : artifact) ~num_pus ~in_order =
   let p = prep t art in
   memo t.sims (art.key, num_pus, in_order) (fun () ->
-      let cfg = Sim.Config.default ~num_pus ~in_order in
-      (Sim.Engine.run_prepared cfg p art.trace).Sim.Engine.stats)
+      let m = borrow t (Sim.Config.default ~num_pus ~in_order) in
+      let r = Sim.Engine.run_on m p art.trace in
+      give_back t m;
+      r.Sim.Engine.stats)
 
 let grid t ?jobs ~levels entries f =
-  Pool.map ?jobs
-    (fun (entry, level) -> f (get t ~level entry))
-    (List.concat_map
-       (fun entry -> List.map (fun level -> (entry, level)) levels)
-       entries)
+  Mutex.protect t.lending (fun () -> Atomic.incr t.running);
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect t.lending (fun () ->
+          if Atomic.fetch_and_add t.running (-1) = 1 then t.idle <- []))
+    (fun () ->
+      Pool.map ?jobs
+        (fun (entry, level) -> f (get t ~level entry))
+        (List.concat_map
+           (fun entry -> List.map (fun level -> (entry, level)) levels)
+           entries))
 
 let builds t = Atomic.get t.builds
 let programs t = List.length (Memo.bindings t.programs)
+
+let idle_machines t =
+  Mutex.protect t.lending (fun () -> List.length t.idle)
 
 let level_index level =
   let rec go i = function

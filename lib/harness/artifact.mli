@@ -103,11 +103,16 @@ val prep : t -> artifact -> Sim.Engine.prep
     trace. *)
 
 val sim : t -> artifact -> num_pus:int -> in_order:bool -> Sim.Stats.t
-(** Memoized [Sim.Engine.run_prepared] over the artifact's shared prep
-    on the {!Sim.Config.default} machine with [num_pus] PUs.  Callers must
-    treat the returned statistics as read-only: repeated calls share one
-    record.  Raises {!Sim.Dyntask.Not_closed} when the plan cannot chop
-    the trace into task instances, as only an invalid plan does. *)
+(** Memoized {!Sim.Engine.run_on} over the artifact's shared prep on a
+    {!Sim.Config.default} machine with [num_pus] PUs.  While a {!grid}
+    runs, the machine is one that an earlier simulation finished with, if
+    one of that configuration is idle, and goes back to the store's idle
+    list after the run; outside any grid it is a fresh machine, dropped
+    after the run, and no lock is taken.  Either way the statistics are
+    those of a fresh machine.  Callers must treat the returned statistics
+    as read-only: repeated calls share one record.  Raises
+    {!Sim.Dyntask.Not_closed} when the plan cannot chop the trace into
+    task instances, as only an invalid plan does. *)
 
 val grid :
   t ->
@@ -121,7 +126,11 @@ val grid :
     {!Pool.map} at width [jobs].  Results are entry-major: the cells of
     the [i]-th entry are at positions [i * n] to [i * n + n - 1], in
     [levels] order, where [n] is the number of levels.  [f] runs on a
-    pool worker and typically calls {!sim} itself. *)
+    pool worker and typically calls {!sim} itself.  While any grid runs,
+    the store lends its cells' simulations the machines earlier ones
+    finished with ({!sim}); when the last running grid returns, normally
+    or by an exception, the store drops its idle machines, so no
+    simulation scratch outlives a grid. *)
 
 val builds : t -> int
 (** Number of pipeline computations actually performed (cache misses) —
@@ -131,6 +140,10 @@ val builds : t -> int
 val programs : t -> int
 (** Number of landed program records: one per distinct program that some
     artifact's plan was built on. *)
+
+val idle_machines : t -> int
+(** Number of machines the store holds for the simulations of running
+    grids: 0 whenever no grid runs. *)
 
 val sim_results : t -> (key * (int * bool) * Sim.Stats.t) list
 (** Every simulation recorded by {!sim}, sorted deterministically

@@ -94,6 +94,12 @@ let access t addr =
 let accesses t = t.accesses
 let misses t = t.misses
 
+let reset t =
+  Occ.Pages.reset t.tags;
+  Occ.Pages.reset t.ages;
+  t.accesses <- 0;
+  t.misses <- 0
+
 module Hierarchy = struct
   type h = {
     cfg : Config.t;
@@ -123,6 +129,11 @@ module Hierarchy = struct
     else
       h.cfg.Config.l1_latency + h.cfg.Config.l2_latency
       + h.cfg.Config.mem_latency
+
+  let reset h =
+    reset h.l1d_;
+    reset h.l1i_;
+    reset h.l2_
 
   let dload h addr = through h h.l1d_ addr
 

@@ -33,6 +33,11 @@ module Hierarchy : sig
   val create : Config.t -> h
   (** Shares one L2 between the I- and D-side L1s. *)
 
+  val reset : h -> unit
+  (** Back to the state {!create} made: in each of the three caches every
+      set empty, its touched pages dropped ({!Occ.Pages.reset}), both
+      counters 0. *)
+
   val dload : h -> int -> int
   (** Latency of a data access at the given word address. *)
 

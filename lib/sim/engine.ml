@@ -1,7 +1,11 @@
 (* The Multiscalar engine on the event-driven, structure-of-arrays core.
 
    A run allocates in proportion to what it touches of the machine, not to
-   the simulated cycles or task instances (DESIGN.md §10).  Cross-task
+   the simulated cycles or task instances (DESIGN.md §10).  The machine —
+   caches, predictors, rings, maps, windows and one Timing.ctx — is a
+   value made from a configuration alone and reset in place, table by
+   table, at the start of every run on it, so a sweep that reuses it
+   (Harness.Artifact's grids) pays its set-up once.  Cross-task
    state lives in rings over the last 2N task instances (N = PUs):
    assignment, resolve and retire times, generation-stamped ring-send
    register slots and per-flight store maps; the synchronization table is
@@ -9,12 +13,13 @@
    size.  The shared ring / ARB-bank bandwidth is Occ.Slots windows whose
    floor rises to each task's first assignment cycle — a0 only increases
    from task to task and every probe of task k is at or after it — so the
-   rows slide instead of spanning the run.  One Timing.ctx is reused for
-   every attempt of every dynamic task instance, the predictor and cache
-   tables are byte and int pages allocated on first touch (Occ.Pages),
-   the per-task loop reads the instance's fields from a task walk
-   (Dyntask.t, a cursor; the record view is built only for an observer),
-   and every in-flight scan is a plain loop over those arrays, so the
+   rows slide instead of spanning the run.  The machine's Timing.ctx is
+   reused for every attempt of every dynamic task instance, the predictor
+   and cache tables are byte and int pages allocated on first touch
+   (Occ.Pages) and dropped by a reset, the per-task loop reads the
+   instance's fields from a task walk (Dyntask.t, a cursor; the record
+   view is built only for an observer), and every in-flight scan is a
+   plain loop over those arrays, so the
    per-task loop allocates nothing in the steady state.  The schedule is
    cycle-for-cycle identical to the frozen pre-event core
    (Sim_ref.Engine_ref), pinned by the qcheck differential in
@@ -135,13 +140,41 @@ let send_time_of trace (tctx : Timing.ctx) rc ~fid ~task ~first ~last
     end
   end
 
-let run_prepared ?observer (cfg : Config.t) (prep : prep)
-    (trace : Interp.Trace.t) =
-  let fnames = trace.Interp.Trace.fnames in
-  let parts = prep.p_parts in
-  let regcomms = prep.p_regcomms in
-  let layout = prep.p_layout in
-  let w = Dyntask.walk prep.p_tasks trace in
+(* The machine's tables, made once from a configuration and reset in
+   place at the start of every run on it, so a run allocates only what it
+   touches of the caches and predictors, its statistics and its task
+   walk.  The cross-task state is rings over the last 2N instances: only
+   they can matter to a younger task's timing (every read names a task in
+   [k - N + 1, k]).  Task j's assignment, resolve and retire times and
+   size live at index j mod 2N.  A register send of task j lives at
+   send_time.((j mod 2N) * Reg.count + r), valid iff the stamp is j; a
+   slot is reclaimed by restamping, never cleared. *)
+type machine = {
+  cfg : Config.t;
+  hier : Cache.Hierarchy.h;
+  gshare : Predict.Gshare.t;
+  switch_pred : Predict.Target.t;
+  task_pred : Predict.Target.t;
+  ras : Predict.Ras.t;
+  pu_free : int array;
+  assign : int array;
+  retire : int array;
+  resolve : int array;
+  sizes : int array;
+  send_time : int array;
+  send_stamp : int array;
+  store_maps : Occ.Intmap.t array;
+  last_writer_task : int array;
+  (* (load site, store site) pairs, packed; grows for the whole run *)
+  sync_table : Occ.Intmap.t;
+  (* per-PU ring injection bandwidth, per-cycle *)
+  ring_slots : Occ.Slots.t;
+  (* one access per D-cache/ARB bank per cycle, shared by all PUs *)
+  bank_slots : Occ.Slots.t;
+  tctx : Timing.ctx;
+}
+
+let machine (cfg : Config.t) =
   let hier = Cache.Hierarchy.create cfg in
   let gshare = Predict.Gshare.create cfg in
   let switch_pred = Predict.Target.create cfg in
@@ -149,16 +182,9 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     Predict.Target.create ~use_history:cfg.Config.task_path_history cfg
   in
   let ras = Predict.Ras.create 64 in
-  let stats = Stats.create () in
   let n = cfg.Config.num_pus in
   let two_n = 2 * n in
   let pu_free = Array.make n 0 in
-  (* circular flight window: only the last 2N instances can matter to a
-     younger task's timing (every read names a task in [k - N + 1, k]).
-     Task j's assignment, resolve and retire times and size live at index
-     j mod 2N.  A register send of task j lives at
-     send_time.((j mod 2N) * Reg.count + r), valid iff the stamp is j; a
-     slot is reclaimed by restamping, never cleared. *)
   let assign = Array.make two_n 0 in
   let retire = Array.make two_n 0 in
   let resolve = Array.make two_n 0 in
@@ -167,17 +193,57 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   let send_stamp = Array.make (two_n * Ir.Reg.count) (-1) in
   let store_maps = Array.init two_n (fun _ -> Occ.Intmap.create 32) in
   let last_writer_task = Array.make Ir.Reg.count (-1) in
-  (* (load site, store site) pairs, packed; grows for the whole run *)
   let sync_table = Occ.Intmap.create 64 in
-  (* per-PU ring injection bandwidth, per-cycle *)
   let ring_slots = Occ.Slots.create ~rows:n ~hint:1024 in
-  (* one access per D-cache/ARB bank per cycle, shared by all PUs *)
   let bank_slots = Occ.Slots.create ~rows:cfg.Config.l1_banks ~hint:1024 in
+  let tctx = Timing.create cfg in
+  { cfg; hier; gshare; switch_pred; task_pred; ras; pu_free; assign; retire;
+    resolve; sizes; send_time; send_stamp; store_maps; last_writer_task;
+    sync_table; ring_slots; bank_slots; tctx }
+
+let config m = m.cfg
+
+(* back to the state [machine] made, one reset per table; [tctx] needs
+   none, as [Timing.exec] resets it for every attempt *)
+let reset m =
+  Cache.Hierarchy.reset m.hier;
+  Predict.Gshare.reset m.gshare;
+  Predict.Target.reset m.switch_pred;
+  Predict.Target.reset m.task_pred;
+  Predict.Ras.reset m.ras;
+  let refill a v = Array.fill a 0 (Array.length a) v in
+  refill m.pu_free 0;
+  refill m.assign 0;
+  refill m.retire 0;
+  refill m.resolve 0;
+  refill m.sizes 0;
+  refill m.send_time 0;
+  refill m.send_stamp (-1);
+  Array.iter Occ.Intmap.clear m.store_maps;
+  refill m.last_writer_task (-1);
+  Occ.Intmap.clear m.sync_table;
+  Occ.Slots.reset m.ring_slots;
+  Occ.Slots.reset m.bank_slots
+
+let run_on ?observer (m : machine) (prep : prep) (trace : Interp.Trace.t) =
+  reset m;
+  let { cfg; hier; gshare; switch_pred; task_pred; ras; pu_free; assign;
+        retire; resolve; sizes; send_time; send_stamp; store_maps;
+        last_writer_task; sync_table; ring_slots; bank_slots; tctx } =
+    m
+  in
+  let fnames = trace.Interp.Trace.fnames in
+  let parts = prep.p_parts in
+  let regcomms = prep.p_regcomms in
+  let layout = prep.p_layout in
+  let w = Dyntask.walk prep.p_tasks trace in
+  let stats = Stats.create () in
+  let n = cfg.Config.num_pus in
+  let two_n = 2 * n in
   (* per-attempt inputs read by the once-per-run hook closures *)
   let cur_k = ref 0 in
   let cur_assign = ref 0 in
   let in_flight_low = ref 0 in
-  let tctx = Timing.create cfg trace layout in
   let hooks =
     {
       Timing.h_reg_avail =
@@ -314,7 +380,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
        [tctx] *)
     let assign_t = ref a0 in
     cur_assign := !assign_t;
-    Timing.exec tctx ~first ~last
+    Timing.exec tctx ~trace ~layout ~first ~last
       ~start_fetch:(!assign_t + cfg.Config.task_start_overhead)
       ~mem_hold:0 hooks;
     (* ARB overflow: speculative footprint exceeds the task's ARB share;
@@ -323,7 +389,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
     then begin
       stats.Stats.arb_overflows <- stats.Stats.arb_overflows + 1;
       cur_assign := !assign_t;
-      Timing.exec tctx ~first ~last
+      Timing.exec tctx ~trace ~layout ~first ~last
         ~start_fetch:(!assign_t + cfg.Config.task_start_overhead)
         ~mem_hold:retire.((k - 1) mod two_n) hooks
     end;
@@ -380,7 +446,7 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
           assign_t := max !assign_t v_time + 1;
           incr retries;
           cur_assign := !assign_t;
-          Timing.exec tctx ~first ~last
+          Timing.exec tctx ~trace ~layout ~first ~last
             ~start_fetch:(!assign_t + cfg.Config.task_start_overhead)
             ~mem_hold:0 hooks;
           stable := false
@@ -522,6 +588,9 @@ let run_prepared ?observer (cfg : Config.t) (prep : prep)
   stats.Stats.l2_accesses <- Cache.accesses (Cache.Hierarchy.l2 hier);
   stats.Stats.l2_misses <- Cache.misses (Cache.Hierarchy.l2 hier);
   { stats; instances = k_max }
+
+let run_prepared ?observer cfg prep trace =
+  run_on ?observer (machine cfg) prep trace
 
 let run ?observer cfg plan =
   let trace = (Interp.Run.execute plan.Core.Partition.prog).Interp.Run.trace in

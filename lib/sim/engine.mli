@@ -54,12 +54,40 @@ val prepare : Core.Partition.plan -> Interp.Trace.t -> prep
 (** Configuration-independent simulation state; read-only afterwards, so a
     prep may be shared freely across domains. *)
 
-val run_prepared :
-  ?observer:(event -> unit) -> Config.t -> prep -> Interp.Trace.t -> result
-(** Simulates [trace] on the configured machine; [trace] must be the trace
-    [prep] was built from.  Allocates what the run touches of the
-    machine, whatever the trace's length: the cache and predictor page
-    indexes, the pages it names, the per-PU rings and windows and the task
-    walk's cursor — 29 k words per run on average over the paper grid.
+(** {2 Machines}
+
+    A machine is the simulated hardware of one configuration: the cache
+    hierarchy, the three predictors and the return-address stack, the
+    2N-slot flight rings (N = PUs), the ring-send slots and stamps, the
+    store maps, the last-writer and synchronization tables, the ring and
+    bank windows and one {!Timing.ctx}.  A run resets it in place first,
+    so one machine serves any number of runs, one at a time; a sweep that
+    reuses it pays its set-up once. *)
+
+type machine
+
+val machine : Config.t -> machine
+(** A machine of the given configuration, its tables as a run starts. *)
+
+val config : machine -> Config.t
+
+val run_on :
+  ?observer:(event -> unit) -> machine -> prep -> Interp.Trace.t -> result
+(** Resets the machine in place to the state {!machine} gives it, then
+    simulates [trace] on it; [trace] must be the trace [prep] was built
+    from.  The result equals {!run_prepared}'s on the machine's
+    configuration, whatever ran on the machine before, including a run an
+    exception stopped (an [observer]'s, or [Dyntask.Not_closed]).
+    Allocates what the run touches of the machine, whatever the trace's
+    length: the cache and predictor pages it names (a reset drops them),
+    its statistics and the task walk's cursor.
     @raise Dyntask.Not_closed when the plan's partitions do not tile the
     trace into task instances. *)
+
+val run_prepared :
+  ?observer:(event -> unit) -> Config.t -> prep -> Interp.Trace.t -> result
+(** [run_on] on a fresh {!machine}: beside the run's own words, the
+    machine's page indexes, rings, maps and windows.  In a Figure 5 grid
+    over the 18 workloads that is 21,482 words per simulation, where a
+    machine lent across the grid's cells (Harness.Artifact's grids)
+    leaves 6,285. *)

@@ -91,6 +91,15 @@ module Slots = struct
       done;
     t.origin <- t.floor
 
+  (* back to the state [create] made: every row zeroed (a row keeps the
+     length it grew to), origin and floor at cycle 0 *)
+  let reset t =
+    for r = 0 to Array.length t.rows - 1 do
+      Bytes.fill t.rows.(r) 0 t.len '\000'
+    done;
+    t.origin <- 0;
+    t.floor <- 0
+
   let count t ~row time =
     check t time;
     let b = t.rows.(row) in
@@ -255,4 +264,9 @@ module Pages = struct
     if pg != t.empty then pg else touch t p
 
   let[@inline] offset t row = (row land (rows_per_page - 1)) * t.width
+
+  (* every slot of the index the shared empty page again: a reset table
+     holds what a new one holds, and the next run allocates the pages it
+     touches afresh *)
+  let reset t = Array.fill t.index 0 (Array.length t.index) t.empty
 end

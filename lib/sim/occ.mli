@@ -33,6 +33,11 @@ module Slots : sig
       reservations below it are forgotten.  Raises [Invalid_argument]
       if it is below the current floor. *)
 
+  val reset : t -> unit
+  (** Back to the state {!create} made: every reservation dropped and the
+      window and floor at cycle 0.  A row keeps the length it grew to,
+      which no probe can observe. *)
+
   val capacity : t -> int
   (** Cycles each row holds now.  A row slides when a reservation falls
       past its end and grows (to twice the span) only when the span from
@@ -102,4 +107,9 @@ module Pages : sig
   val offset : 'p t -> int -> int
   (** Index in its page of the given row's first entry:
       [(row mod 64) * width]. *)
+
+  val reset : 'p t -> unit
+  (** Back to the state {!bytes} or {!ints} made: every slot of the index
+      is the shared empty page again, so the touched pages are dropped,
+      not kept, and a later {!page} allocates afresh. *)
 end

@@ -1,12 +1,13 @@
 (* Control-flow predictors.  The paper sizes their tables in bits (2-bit
    counters, 2-bit confidence plus a 2-bit target number), so each entry
-   takes one byte.  A run creates three 64K-entry tables and touches part
-   of each (on the paper grid, 23 to 254 of a table's 1,024 pages on
-   average), so the tables are first-touch byte pages (Occ.Pages, 64
-   entries to a page): creating one allocates its page index, and an
+   takes one byte.  A machine has three 64K-entry tables and a run
+   touches part of each (on the paper grid, 23 to 254 of a table's 1,024
+   pages on average), so the tables are first-touch byte pages (Occ.Pages,
+   64 entries to a page): creating one allocates its page index, an
    entry's page is allocated, holding the initial counter, when a
-   prediction first indexes it.  The return-address stack is a fixed ring
-   that overwrites its oldest slot when full. *)
+   prediction first indexes it, and a reset drops the touched pages.  The
+   return-address stack is a fixed ring that overwrites its oldest slot
+   when full. *)
 
 let mix pc = (pc * 2654435761) land max_int
 
@@ -38,6 +39,10 @@ module Gshare = struct
          (if taken then min 3 (counter + 1) else max 0 (counter - 1)));
     t.hist <- ((t.hist lsl 1) lor (if taken then 1 else 0)) land t.hist_mask;
     correct
+
+  let reset t =
+    t.hist <- 0;
+    Occ.Pages.reset t.table
 end
 
 module Target = struct
@@ -78,6 +83,10 @@ module Target = struct
     (* path history: fold the chosen target and the task pc in *)
     t.hist <- ((t.hist lsl 2) lxor mix pc lxor actual) land t.hist_mask;
     correct
+
+  let reset t =
+    t.hist <- 0;
+    Occ.Pages.reset t.table
 end
 
 module Ras = struct
@@ -108,4 +117,9 @@ module Ras = struct
 
   let pop t = if t.size = 0 then None else Some (pop_or t 0)
   let depth t = t.size
+
+  let reset t =
+    Array.fill t.slots 0 (Array.length t.slots) 0;
+    t.top <- 0;
+    t.size <- 0
 end

@@ -20,6 +20,10 @@ module Gshare : sig
 
   val predict_and_update : t -> pc:int -> taken:bool -> bool
   (** Returns whether the prediction was correct, then trains. *)
+
+  val reset : t -> unit
+  (** Back to the state {!create} made: an empty history and every
+      counter weakly taken, the touched pages dropped. *)
 end
 
 module Target : sig
@@ -34,6 +38,10 @@ module Target : sig
   (** Predict a target number for the task at [pc] given the current path
       history, compare against [actual], train, and fold [actual] into the
       path history.  Returns whether the prediction was correct. *)
+
+  val reset : t -> unit
+  (** Back to the state {!create} made: an empty path history and every
+      entry zero, the touched pages dropped. *)
 end
 
 module Ras : sig
@@ -53,4 +61,7 @@ module Ras : sig
       underflow. *)
 
   val depth : t -> int
+
+  val reset : t -> unit
+  (** Back to the state {!create} made: empty, every slot zero. *)
 end

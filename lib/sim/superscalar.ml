@@ -56,8 +56,8 @@ let run (cfg : Config.t) (trace : Interp.Trace.t) =
           Predict.Target.predict_and_update switch_pred ~pc ~actual);
     }
   in
-  let ctx = Timing.create cfg trace layout in
-  Timing.exec ctx ~first:0
+  let ctx = Timing.create cfg in
+  Timing.exec ctx ~trace ~layout ~first:0
     ~last:(Interp.Trace.num_events trace - 1)
     ~start_fetch:0 ~mem_hold:0 hooks;
   let stats = Stats.create () in

@@ -1,7 +1,8 @@
 (* Per-task pipeline timing — the event-driven, structure-of-arrays core.
 
-   One [ctx] is allocated per simulation run and reused for every attempt
-   of every dynamic task instance: all per-attempt state lives in
+   One [ctx] is allocated per simulated machine, sized by its
+   configuration alone, and reused for every attempt of every dynamic task
+   instance of every run on that machine: all per-attempt state lives in
    preallocated flat int arrays and mutable ctx fields invalidated by a
    generation bump, so the steady state allocates nothing — every helper
    on the hot path is a top-level function fully applied to the context
@@ -16,7 +17,8 @@
    next cycle with a free slot.  Sites are packed into single ints
    (fid lsl 50 | blk lsl 34 | idx) and the loads / stores / event-entry
    results are growable parallel int arrays.  The engine drives [exec]
-   through a [hooks] record created once per run. *)
+   through a [hooks] record created once per run, and hands each attempt
+   the run's trace and layout. *)
 
 (* packed sites, in the trace's field widths: fid lsl 50 | blk lsl 34 |
    idx (12-bit fid, 16-bit block, 34-bit instruction index) *)
@@ -45,8 +47,7 @@ type hooks = {
 
 type ctx = {
   cfg : Config.t;
-  trace : Interp.Trace.t;
-  layout : Layout.t;
+  mutable layout : Layout.t;  (* the current attempt's *)
   (* functional-unit pools: next cycle each unit can accept an op *)
   units_int : int array;
   units_fp : int array;
@@ -111,7 +112,10 @@ let null_hooks =
     h_switch_pred = (fun ~pc:_ ~actual:_ -> true);
   }
 
-let create (cfg : Config.t) trace layout =
+(* the layout a ctx holds before its first attempt *)
+let no_layout = Layout.create [||]
+
+let create (cfg : Config.t) =
   if cfg.Config.issue_width < 1 || cfg.Config.issue_width > max_issue_width
   then
     invalid_arg
@@ -119,8 +123,7 @@ let create (cfg : Config.t) trace layout =
          cfg.Config.issue_width max_issue_width);
   {
     cfg;
-    trace;
-    layout;
+    layout = no_layout;
     units_int = Array.make cfg.Config.fu_int 0;
     units_fp = Array.make cfg.Config.fu_fp 0;
     units_mem = Array.make cfg.Config.fu_mem 0;
@@ -418,10 +421,15 @@ let sched ctx ~site ~units ~latency ~init ~u1 ~u2 ~u3 ~def ~mem_addr ~mem_kind
   end;
   complete_t
 
-let exec (ctx : ctx) ~first ~last ~start_fetch ~mem_hold (h : hooks) =
+let exec (ctx : ctx) ~trace ~layout ~first ~last ~start_fetch ~mem_hold
+    (h : hooks) =
   let cfg = ctx.cfg in
-  let trace = ctx.trace in
-  let layout = ctx.layout in
+  (* a machine outlives its runs, so its ctx is old: no boxed field of it
+     is rewritten unless it changes.  Storing the run's young hooks into
+     it on every attempt would enter the minor heap's remembered set each
+     time; the hooks and layout change once per run, the event-entry
+     array only when it grows. *)
+  if ctx.layout != layout then ctx.layout <- layout;
   (* new attempt: invalidate every slot window by generation and start
      the windows at the attempt's first fetch cycle *)
   ctx.gen <- ctx.gen + 1;
@@ -438,7 +446,7 @@ let exec (ctx : ctx) ~first ~last ~start_fetch ~mem_hold (h : hooks) =
   Occ.Intmap.clear ctx.addr_seen;
   ctx.n_loads <- 0;
   ctx.n_stores <- 0;
-  ctx.h <- h;
+  if ctx.h != h then ctx.h <- h;
   ctx.mem_hold <- mem_hold;
   ctx.fetch_time <- start_fetch;
   ctx.fetch_in_cycle <- 0;
@@ -456,7 +464,8 @@ let exec (ctx : ctx) ~first ~last ~start_fetch ~mem_hold (h : hooks) =
   (* walk the events of the instance *)
   let n_events = Interp.Trace.num_events trace in
   let num_inst_events = last - first + 1 in
-  ctx.event_entry <- grow_int_array ctx.event_entry num_inst_events;
+  if num_inst_events > Array.length ctx.event_entry then
+    ctx.event_entry <- grow_int_array ctx.event_entry num_inst_events;
   ctx.n_events_inst <- num_inst_events;
   let lat_int = cfg.Config.lat_int in
   let lat_int_mul = cfg.Config.lat_int_mul in

@@ -15,9 +15,10 @@
 
 (** {2 Event-core fast path}
 
-    The engine allocates one {!ctx} per simulation and calls {!exec}, with
-    the instance's event range read from the task walk, for every
-    attempt of every dynamic task instance; all scratch state is
+    The engine allocates one {!ctx} per simulated machine, sized by its
+    configuration, and calls {!exec}, with the run's trace and layout and
+    the instance's event range read from the task walk, for every attempt
+    of every dynamic task instance of every run; all scratch state is
     preallocated and invalidated by generation stamps, so steady-state
     execution allocates nothing.  The issue and commit windows start at
     the attempt's [start_fetch] and grow only with one attempt's span.
@@ -53,8 +54,7 @@ type hooks = {
 
 type ctx = {
   cfg : Config.t;
-  trace : Interp.Trace.t;
-  layout : Layout.t;
+  mutable layout : Layout.t;  (** the layout of the last {!exec} *)
   units_int : int array;
   units_fp : int array;
   units_mem : int array;
@@ -120,14 +120,23 @@ val site_idx : int -> int
 val max_issue_width : int
 (** 255: the issue and commit windows count a cycle's slots in 8 bits. *)
 
-val create : Config.t -> Interp.Trace.t -> Layout.t -> ctx
-(** [Invalid_argument] unless [issue_width] is 1 to {!max_issue_width}. *)
+val create : Config.t -> ctx
+(** A context for the configured PU, for any trace.
+    [Invalid_argument] unless [issue_width] is 1 to {!max_issue_width}. *)
 
 val exec :
-  ctx -> first:int -> last:int -> start_fetch:int -> mem_hold:int -> hooks ->
+  ctx ->
+  trace:Interp.Trace.t ->
+  layout:Layout.t ->
+  first:int ->
+  last:int ->
+  start_fetch:int ->
+  mem_hold:int ->
+  hooks ->
   unit
-(** Replay one instance, the trace events [first] to [last] inclusive
-    ({!Dyntask.first} and {!Dyntask.last}), whose fetch starts at
+(** Replay one instance, the events [first] to [last] inclusive of
+    [trace] ({!Dyntask.first} and {!Dyntask.last}), laid out by
+    [layout] (built from [trace]'s functions), whose fetch starts at
     [start_fetch], overwriting the context's result fields.  Memory
     operations may not issue before [mem_hold] (ARB-overflow
     serialisation; 0 normally).  Every issue and

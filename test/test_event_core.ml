@@ -4,7 +4,8 @@
    and a grid of machine shapes, the two cores must agree on every
    statistic, every cycle-account category, and the full per-task schedule
    (PU, assign, complete, retire, misprediction, violation count).  Also
-   pins one prep shared across machines to a fresh prep per machine. *)
+   pins one prep shared across machines to a fresh prep per machine, and
+   one machine reused across runs to a fresh machine per run. *)
 
 let pipelines prog =
   List.map
@@ -73,6 +74,77 @@ let prop_prepared_matches =
         (pipelines prog);
       true)
 
+(* A run's statistics (cycle account included), instance count and
+   per-task schedule as its observer sees it. *)
+let observed run =
+  let log = ref [] in
+  let r =
+    run ~observer:(fun (e : Sim.Engine.event) ->
+        log :=
+          Sim.Engine.(e.e_index, e.e_pu, e.e_assign, e.e_complete, e.e_retire,
+                      e.e_mispredicted, e.e_violations)
+          :: !log)
+  in
+  (r.Sim.Engine.stats, r.Sim.Engine.instances, !log)
+
+exception Halfway
+
+(* One machine of each shape runs [other] (a prep and its trace), then
+   every one of [runs] forward, then a run that its observer stops halfway
+   through the trace, then every one backward: each compared run must
+   equal the same run on a fresh machine.  The first divergence, if any. *)
+let reuse_diverges (other_prep, other_trace) runs =
+  let diverged = ref None in
+  List.iter
+    (fun cfg ->
+      let fresh =
+        List.map
+          (fun (prep, trace) ->
+            ( prep,
+              trace,
+              observed (fun ~observer ->
+                  Sim.Engine.run_prepared ~observer cfg prep trace) ))
+          runs
+      in
+      let m = Sim.Engine.machine cfg in
+      let check order (prep, trace, expected) =
+        let reused =
+          observed (fun ~observer -> Sim.Engine.run_on ~observer m prep trace)
+        in
+        if reused <> expected && !diverged = None then
+          diverged :=
+            Some
+              (Printf.sprintf
+                 "%dPU, %s: the reused machine diverges from a fresh one"
+                 cfg.Sim.Config.num_pus order)
+      in
+      ignore (Sim.Engine.run_on m other_prep other_trace);
+      List.iter (check "forward") fresh;
+      (let prep, trace, (_, instances, _) = List.hd fresh in
+       try
+         ignore
+           (Sim.Engine.run_on m prep trace ~observer:(fun e ->
+                if e.Sim.Engine.e_index >= instances / 2 then raise Halfway))
+       with Halfway -> ());
+      List.iter (check "backward") (List.rev fresh))
+    machine_grid;
+  !diverged
+
+let prepared (plan, trace) = (Sim.Engine.prepare plan trace, trace)
+
+let prop_reused_machine =
+  QCheck.Test.make ~count:10 ~max_gen:50
+    ~name:"a reused machine reproduces every fresh run"
+    (QCheck.pair Gen.arbitrary_program Gen.arbitrary_program)
+    (fun (other, prog) ->
+      match
+        reuse_diverges
+          (prepared (List.hd (pipelines other)))
+          (List.map prepared (pipelines prog))
+      with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
 (* deterministic anchor: a real workload's pipelines through both cores *)
 let test_workload_differential () =
   let entry = Workloads.Suite.find "compress" in
@@ -87,6 +159,48 @@ let test_workload_differential () =
         None (differential cfg pipe))
     Core.Heuristics.all_levels
 
+(* Two 40-trip loops.  The writer carries t9 through a division in every
+   trip, so its last writer of t9 is a late task with a late send; the
+   reader reads t9 in every trip and never writes it. *)
+let t9_writer =
+  "func main {\nL0:\n  li t9, 7\n  li t0, 0\n  jump L1\nL1:\n\
+  \  slt r3, t0, #40\n  br r3, L2, L3\nL2:\n  div t9, t9, #1\n\
+  \  add t0, t0, #1\n  jump L1\nL3:\n  ret\n}\nmain main\n"
+
+let t9_reader =
+  "func main {\nL0:\n  li t1, 0\n  li t0, 0\n  jump L1\nL1:\n\
+  \  slt r3, t0, #40\n  br r3, L2, L3\nL2:\n  add t1, t1, t9\n\
+  \  add t0, t0, #1\n  jump L1\nL3:\n  mov rv, t1\n  ret\n}\nmain main\n"
+
+(* the same on real workloads, compress's dd pipeline and then m88ksim's
+   four, whose runs squash on memory dependences and fill the
+   synchronization table; and on the reader's pipelines after the
+   writer's, where only the last-writer table or the send stamps keep the
+   writer's late send out of the reader's runs *)
+let test_workload_reuse () =
+  let store = Harness.Artifact.create () in
+  let pipe entry level =
+    let art = Harness.Artifact.get store ~level entry in
+    (Harness.Artifact.prep store art, art.Harness.Artifact.trace)
+  in
+  let parsed name text =
+    match Ir.Parse.program text with
+    | Ok prog -> Workloads.Registry.of_program ~name prog
+    | Error e -> Alcotest.failf "parse: %s" e
+  in
+  Alcotest.(check (option string))
+    "m88ksim after compress" None
+    (reuse_diverges
+       (pipe (Workloads.Suite.find "compress") Core.Heuristics.Data_dependence)
+       (List.map
+          (pipe (Workloads.Suite.find "m88ksim"))
+          Core.Heuristics.all_levels));
+  Alcotest.(check (option string))
+    "a register no task of the run writes" None
+    (reuse_diverges
+       (pipe (parsed "writer" t9_writer) Core.Heuristics.Basic_block)
+       (List.map (pipe (parsed "reader" t9_reader)) Core.Heuristics.all_levels))
+
 let () =
   Alcotest.run "event_core"
     [
@@ -94,7 +208,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_differential;
           QCheck_alcotest.to_alcotest prop_prepared_matches;
+          QCheck_alcotest.to_alcotest prop_reused_machine;
           Alcotest.test_case "compress workload" `Quick
             test_workload_differential;
+          Alcotest.test_case "workloads, reused machine" `Quick
+            test_workload_reuse;
         ] );
     ]

@@ -283,6 +283,82 @@ let test_artifact_concurrent_once () =
   | first :: rest -> checkb "all physically equal" true (List.for_all (fun p -> p == first) rest)
   | [] -> Alcotest.fail "no results"
 
+(* words allocated so far; the major collection first makes the counters
+   exact *)
+let allocated () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* A grid lends each simulation a machine an earlier one finished with, so
+   a simulation allocates what it touches of the machine, not the machine:
+   over compress, li, tomcatv and fpppp, with every pipeline and prep built
+   first, a Figure 5 grid allocates at most [grid_sim_words] per
+   simulation (20,638 when each simulation made its own machine). *)
+let grid_sim_words = 10_000.0
+
+let test_grid_lends_machines () =
+  let store = Harness.Artifact.create () in
+  let entries =
+    List.map Workloads.Suite.find [ "compress"; "li"; "tomcatv"; "fpppp" ]
+  in
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun level ->
+          ignore
+            (Harness.Artifact.prep store
+               (Harness.Artifact.get store ~level entry)))
+        Report.Figure5.levels)
+    entries;
+  let before = allocated () in
+  ignore (Report.Figure5.run ~store ~jobs:1 entries);
+  let words = allocated () -. before in
+  let sims = List.length (Harness.Artifact.sim_results store) in
+  let per_sim = words /. float_of_int sims in
+  Printf.printf "%d simulations, %.0f words each\n" sims per_sim;
+  checki "simulations" 64 sims;
+  checkb "within the words per simulation" true (per_sim <= grid_sim_words);
+  checki "no machine outlives the grid" 0
+    (Harness.Artifact.idle_machines store)
+
+(* The store holds machines only while a grid runs: none after a
+   simulation outside any grid, at least one inside a cell once it has
+   simulated, none after the grid returns or raises; and a lent machine's
+   statistics are a fresh machine's. *)
+let test_idle_machines () =
+  let store = Harness.Artifact.create () in
+  let entry = Workloads.Suite.find "compress" in
+  let idle () = Harness.Artifact.idle_machines store in
+  let bb = Harness.Artifact.get store ~level:Core.Heuristics.Basic_block entry in
+  ignore (Harness.Artifact.sim store bb ~num_pus:4 ~in_order:false);
+  checki "after a simulation outside any grid" 0 (idle ());
+  let inside =
+    Harness.Artifact.grid store ~jobs:1
+      ~levels:[ Core.Heuristics.Control_flow; Core.Heuristics.Data_dependence ]
+      [ entry ]
+      (fun art ->
+        let s = Harness.Artifact.sim store art ~num_pus:8 ~in_order:false in
+        let fresh =
+          Sim.Engine.run_prepared
+            (Sim.Config.default ~num_pus:8 ~in_order:false)
+            (Harness.Artifact.prep store art) art.Harness.Artifact.trace
+        in
+        checkb "a lent machine's statistics are a fresh one's" true
+          (s = fresh.Sim.Engine.stats);
+        idle ())
+  in
+  checkb "inside a grid cell, after its simulation" true
+    (List.for_all (fun n -> n >= 1) inside);
+  checki "after the grid" 0 (idle ());
+  Alcotest.check_raises "a cell that raises" (Failure "cell") (fun () ->
+      ignore
+        (Harness.Artifact.grid store ~jobs:1
+           ~levels:[ Core.Heuristics.Task_size ] [ entry ] (fun art ->
+             ignore (Harness.Artifact.sim store art ~num_pus:4 ~in_order:true);
+             failwith "cell")));
+  checki "after a grid whose cell raised" 0 (idle ())
+
 (* One interpretation per distinct program: bb, cf and dd run the same
    hoisted program, and fb's refined plan keeps its seed's program, so
    their artifacts share one physical trace; sharing changes no plan. *)
@@ -580,6 +656,9 @@ let () =
             test_artifact_fb_keeps_one_record;
           Alcotest.test_case "concurrent once" `Quick
             test_artifact_concurrent_once;
+          Alcotest.test_case "grid lends machines" `Quick
+            test_grid_lends_machines;
+          Alcotest.test_case "idle machines" `Quick test_idle_machines;
         ] );
       ( "parallel = serial",
         [

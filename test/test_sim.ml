@@ -1117,9 +1117,13 @@ let budget_program trips =
    machine: at most [run_words] per run, where allocating the caches and
    predictors in full took 193,029 words on 8 PUs.  The run walks the
    trace's task instances itself, so the walk is inside the measurement;
-   the preparation stays outside it (see [test_prep_footprint]). *)
+   the preparation stays outside it (see [test_prep_footprint]).  A second
+   run on the same machine allocates at most [reuse_words]: a reset drops
+   the touched pages and keeps the page indexes, rings, maps and windows
+   (a fresh machine's run takes 14–19 k words here). *)
 let slack = 1024.0
 let run_words = 32768.0
+let reuse_words = 4096.0
 
 let test_engine_alloc_budget () =
   let run level cfg trips =
@@ -1127,23 +1131,35 @@ let test_engine_alloc_budget () =
     let trace = (Interp.Run.execute plan.Core.Partition.prog).Interp.Run.trace in
     let prep = Sim.Engine.prepare plan trace in
     let before = allocated () in
-    let r = Sim.Engine.run_prepared cfg prep trace in
-    (allocated () -. before, r.Sim.Engine.stats.Sim.Stats.cycles)
+    let m = Sim.Engine.machine cfg in
+    let r = Sim.Engine.run_on m prep trace in
+    let fresh = allocated () -. before in
+    let before = allocated () in
+    let again = Sim.Engine.run_on m prep trace in
+    let reused = allocated () -. before in
+    checkb "the second run equals the first" true
+      (again.Sim.Engine.stats = r.Sim.Engine.stats);
+    (fresh, reused, r.Sim.Engine.stats.Sim.Stats.cycles)
   in
   List.iter
     (fun (level, cfg) ->
-      let short_w, short_c = run level cfg 400 in
-      let long_w, long_c = run level cfg 2400 in
+      let short_w, short_again, short_c = run level cfg 400 in
+      let long_w, long_again, long_c = run level cfg 2400 in
       let what =
-        Printf.sprintf "%s on %d PUs: %.0f words for %d cycles, %.0f for %d"
+        Printf.sprintf
+          "%s on %d PUs: %.0f words (%.0f again) for %d cycles, %.0f (%.0f \
+           again) for %d"
           (Core.Heuristics.level_name level) cfg.Sim.Config.num_pus short_w
-          short_c long_w long_c
+          short_again short_c long_w long_again long_c
       in
+      print_endline what;
       checkb (what ^ ": the long trace is 4x longer") true
         (long_c >= 4 * short_c);
       checkb (what ^ ": within the budget") true (long_w -. short_w <= slack);
       checkb (what ^ ": within the run's words") true
-        (Float.max short_w long_w <= run_words))
+        (Float.max short_w long_w <= run_words);
+      checkb (what ^ ": a reused machine within its words") true
+        (Float.max short_again long_again <= reuse_words))
     [
       (Core.Heuristics.Basic_block, cfg8);
       (Core.Heuristics.Control_flow, cfg4);

@@ -58,8 +58,8 @@ let default_env =
 let with_hooks f = { default_env with hooks = f default_env.hooks }
 
 let exec ?(env = default_env) ?(cfg = cfg) (trace, layout, (first, last)) =
-  let ctx = Sim.Timing.create cfg trace layout in
-  Sim.Timing.exec ctx ~first ~last ~start_fetch:env.start_fetch
+  let ctx = Sim.Timing.create cfg in
+  Sim.Timing.exec ctx ~trace ~layout ~first ~last ~start_fetch:env.start_fetch
     ~mem_hold:env.mem_hold env.hooks;
   ctx
 
