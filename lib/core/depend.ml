@@ -8,9 +8,10 @@
    runs its 63 per-register fixpoints and its distance pass over that
    subgraph and one reused distance buffer.  A partition's register edges
    and exposed reads are visited from those summaries (iter_func_edges),
-   allocating nothing per edge; func_edges is their list view.  Memory
-   edges combine per-task address-region summaries from the plan's
-   Analysis.Memdep analysis (Partition.facts). *)
+   allocating nothing per edge; func_edges is their list view and
+   reg_edges a whole plan's.  Memory edges (analyze) combine per-task
+   address-region summaries from the plan's Analysis.Memdep analysis
+   (Partition.facts). *)
 
 module Smap = Ir.Prog.Smap
 module Rset = Analysis.Dataflow.Regset
@@ -29,8 +30,6 @@ type reg_edge = {
 }
 
 type t = {
-  summary : Analysis.Memdep.t;
-  regs : reg_edge list;
   mems : (task_id * task_id) list;
   mem_set : (string * int * string * int, unit) Hashtbl.t;
   ntasks : int;
@@ -425,6 +424,18 @@ let func_edges m fname part =
       exposed := (task, reg, depth) :: !exposed);
   { f_regs = List.rev !regs; f_exposed = List.rev !exposed }
 
+let reg_edges (plan : Partition.plan) =
+  List.concat_map
+    (fun (fname, (part : Task.partition)) ->
+      let m =
+        memo
+          (Ir.Prog.find plan.Partition.prog fname)
+          ~live_in:(Partition.live_in plan fname)
+          ~included_calls:part.Task.included_calls
+      in
+      (func_edges m fname part).f_regs)
+    (Smap.bindings plan.Partition.parts)
+
 (* --- memory edges ---------------------------------------------------------- *)
 
 let dedup_regions rs =
@@ -464,8 +475,10 @@ let closure prog =
 
 let analyze ?(fi = false) (plan : Partition.plan) =
   let prog = plan.Partition.prog in
-  let summary = (Partition.facts plan).Partition.mem in
-  let site_fn = if fi then Analysis.Memdep.fi_sites else Analysis.Memdep.sites in
+  let sites =
+    (if fi then Analysis.Memdep.fi_sites else Analysis.Memdep.sites)
+      (Partition.facts plan).Partition.mem
+  in
   let reach = closure prog in
   (* per-function region groupings *)
   let by_blk = Hashtbl.create 16 in
@@ -491,7 +504,7 @@ let analyze ?(fi = false) (plan : Partition.plan) =
               s.Analysis.Memdep.region :: ld.(s.Analysis.Memdep.blk);
             all_ld := s.Analysis.Memdep.region :: !all_ld
           end)
-        (site_fn summary fname);
+        (sites fname);
       Hashtbl.replace by_blk fname (st, ld);
       Hashtbl.replace func_regions fname
         (dedup_regions !all_st, dedup_regions !all_ld))
@@ -565,21 +578,7 @@ let analyze ?(fi = false) (plan : Partition.plan) =
             end)
           tinfos)
     tinfos;
-  (* register edges per function *)
-  let regs =
-    Smap.fold
-      (fun fname (part : Task.partition) acc ->
-        let m =
-          memo (Ir.Prog.find prog fname)
-            ~live_in:(Partition.live_in plan fname)
-            ~included_calls:part.Task.included_calls
-        in
-        acc @ (func_edges m fname part).f_regs)
-      plan.Partition.parts []
-  in
   {
-    summary;
-    regs;
     mems = List.sort compare (List.rev !mems);
     mem_set;
     ntasks = !ntasks;
@@ -587,8 +586,6 @@ let analyze ?(fi = false) (plan : Partition.plan) =
     nstores = !nstores;
   }
 
-let summary t = t.summary
-let reg_edges t = t.regs
 let mem_edges t = t.mems
 
 let predicts_mem t ~src ~dst =

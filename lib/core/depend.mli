@@ -1,21 +1,21 @@
 (** Static cross-task dependence edges of a task-selection plan.
 
-    Combines the two dependence kinds the paper's §2 performance issues
-    trace back to:
+    Derives the two dependence kinds the paper's §2 performance issues
+    trace back to, each on its own, since most readers ask about one:
 
-    - {b register edges} ([data_wait]): a producer task whose final value of
-      a register feeds an immediate successor task that reads it before
-      redefining it.  Each edge carries the paper's "produce early, consume
-      late" criticality pair — the {e producer height} (static instructions
-      from the producer's entry until the value is forwardable on the ring)
-      and the {e consumer depth} (static instructions from the consumer's
-      entry to the first read);
-    - {b memory edges} ([mem_squash]): a task containing a store whose
-      address region ({!Analysis.Memdep}) may intersect the address region
-      of a load in another (or the same, on re-execution) task, anywhere in
-      the program.  Stores and loads of callees executing inside an
-      included call are attributed to the enclosing task, mirroring
-      the task walk ([Sim.Dyntask]).
+    - {b register edges} ([data_wait], {!reg_edges}): a producer task
+      whose final value of a register feeds an immediate successor task
+      that reads it before redefining it.  Each edge carries the paper's
+      "produce early, consume late" criticality pair — the {e producer
+      height} (static instructions from the producer's entry until the
+      value is forwardable on the ring) and the {e consumer depth}
+      (static instructions from the consumer's entry to the first read);
+    - {b memory edges} ([mem_squash], {!analyze}): a task containing a
+      store whose address region ({!Analysis.Memdep}) may intersect the
+      address region of a load in another (or the same, on re-execution)
+      task, anywhere in the program.  Stores and loads of callees
+      executing inside an included call are attributed to the enclosing
+      task, mirroring the task walk ([Sim.Dyntask]).
 
     This module is deliberately independent of {!Regcomm} — the [dep/reg]
     lint rule differentially compares the register edges computed here
@@ -50,15 +50,17 @@ type reg_edge = {
 }
 
 type t
+(** A plan's memory edges, with its task and memory-site counts. *)
 
 val analyze : ?fi:bool -> Partition.plan -> t
-(** Derive the edges.  [fi] (default [false]) selects the flow-insensitive
+(** Derive the memory edges; no register edge is derived ({!reg_edges}
+    does that).  [fi] (default [false]) selects the flow-insensitive
     baseline site regions ({!Analysis.Memdep.fi_sites}) instead of the
     refined ones — the before/after switch the precision report compares.
     Both read the plan's own address analysis,
     [(Partition.facts plan).mem] (one {!Analysis.Memdep.analyze} run
-    yields both site tables), so repeated analyses of one plan share
-    it. *)
+    yields both site tables), so repeated analyses of one plan share it,
+    and a reader of the regions themselves reads that record. *)
 
 (** {1 One function's register dependences} *)
 
@@ -80,7 +82,7 @@ val memo :
     holding a plan passes [Partition.live_in plan fname], so the memo
     derives no liveness of its own.  Its lifetime is the caller's:
     {!Cost.refine} keeps one per function for that function's whole
-    search; {!analyze}, the cost of a finished plan and the lint audits
+    search; {!reg_edges}, the cost of a finished plan and the lint audit
     each take a fresh one.
     @raise Invalid_argument when [live_in] does not have one set per block
     of the function. *)
@@ -125,17 +127,16 @@ type func_edges = {
 
 val func_edges : memo -> string -> Task.partition -> func_edges
 (** {!iter_func_edges} as lists, the register edges labelled with the
-    named function — the view {!analyze}, the lint audits and tests read.
-    [analyze]'s register edges are exactly the concatenation of [f_regs]
-    over the plan's functions in name order. *)
+    named function — the view {!reg_edges}, the [dep/reg] lint audit and
+    tests read. *)
 
 (** {1 A whole plan's edges} *)
 
-val summary : t -> Analysis.Memdep.t
-(** The address analysis the memory edges were derived from. *)
-
-val reg_edges : t -> reg_edge list
-(** Sorted by [(re_fn, re_src, re_dst, re_reg)]. *)
+val reg_edges : Partition.plan -> reg_edge list
+(** The plan's register edges: [f_regs] of {!func_edges} under a fresh
+    {!memo} per function, the functions in name order, so sorted by
+    [(re_fn, re_src, re_dst, re_reg)].  The one whole-plan register
+    derivation; the memory edges' {!analyze} derives none. *)
 
 val mem_edges : t -> (task_id * task_id) list
 (** Store-task → load-task may-dependence pairs (self-pairs included),

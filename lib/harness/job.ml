@@ -136,10 +136,10 @@ let precision_of_summary prog summary =
 let dep_of_artifact (art : Artifact.artifact) =
   let plan = art.Artifact.plan and trace = art.Artifact.trace in
   let dep = Core.Depend.analyze plan in
-  let summary = Core.Depend.summary dep in
   let fi_dep = Core.Depend.analyze ~fi:true plan in
   let unbounded, fi_unbounded, widest =
-    precision_of_summary plan.Core.Partition.prog summary
+    precision_of_summary plan.Core.Partition.prog
+      (Core.Partition.facts plan).Core.Partition.mem
   in
   let parts =
     Array.map
@@ -167,7 +167,7 @@ let dep_of_artifact (art : Artifact.artifact) =
     d_kind = art.Artifact.kind;
     d_level = art.Artifact.key.Artifact.level;
     d_tasks = Core.Depend.num_tasks dep;
-    d_reg_edges = List.length (Core.Depend.reg_edges dep);
+    d_reg_edges = List.length (Core.Depend.reg_edges plan);
     d_mem_edges = List.length (Core.Depend.mem_edges dep);
     d_fi_mem_edges = List.length (Core.Depend.mem_edges fi_dep);
     d_store_sites = Core.Depend.num_store_sites dep;

@@ -28,9 +28,10 @@ let escape_string b s =
   Buffer.add_char b '"'
 
 (* 17 significant digits reproduce any double exactly; force a '.' or
-   exponent so the token re-parses as a float. *)
+   exponent so the token re-parses as a float.  JSON has no token for NaN
+   or an infinity, so those print as null. *)
 let float_repr x =
-  if Float.is_nan x then "null"
+  if not (Float.is_finite x) then "null"
   else if Float.is_integer x && Float.abs x < 1e16 then
     Printf.sprintf "%.1f" x
   else
@@ -172,8 +173,8 @@ let parse s =
     let tok = String.sub s start (!pos - start) in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok then
       match float_of_string_opt tok with
-      | Some x -> Float x
-      | None -> fail "bad number %S" tok
+      | Some x when Float.is_finite x -> Float x
+      | Some _ | None -> fail "bad number %S" tok
     else
       match int_of_string_opt tok with
       | Some i -> Int i

@@ -5,7 +5,8 @@
     JSON library, so this is a small self-contained implementation.  Printing is deterministic (object
     fields keep their construction order) and numbers round-trip: floats are
     printed with 17 significant digits and always contain a ['.'] or
-    exponent so they re-parse as [Float], never [Int]. *)
+    exponent so they re-parse as [Float], never [Int].  A non-finite float
+    (NaN or an infinity) has no JSON token and prints as [null]. *)
 
 type t =
   | Null
@@ -27,7 +28,10 @@ val parse : string -> (t, string) result
 (** Recursive-descent parser for the exact grammar [to_string] emits (plus
     arbitrary whitespace); the standard JSON escapes (backslash-quote,
     backslash-backslash, [b f n r t], [uXXXX]) are understood, and escaped
-    non-ASCII code points are decoded to UTF-8. *)
+    non-ASCII code points are decoded to UTF-8.  A number must fit its
+    kind: an integer outside [int]'s range ([99999999999999999999]) or a
+    float that is not a finite double ([1e999]) is an error, so every
+    parsed tree prints back as JSON. *)
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on missing fields or non-objects. *)

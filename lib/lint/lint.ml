@@ -1205,21 +1205,33 @@ let check_deps_func fname (f : Ir.Func.t) ~live_in (part : Core.Task.partition)
     edges;
   !ds
 
+(* The dep/reg half of check_deps, without a trace: the register edges
+   are derived function by function, each checked against its Regcomm
+   recomputation.  Installed behind Core.Partition.validate_deps, where
+   the cost-directed search vets every candidate plan with it (candidates
+   have no trace, so dep/sound is covered suite-wide once the refined plan
+   is final). *)
+let check_deps_static (plan : Core.Partition.plan) =
+  let ds =
+    Smap.fold
+      (fun fname (part : Core.Task.partition) acc ->
+        let f = Ir.Prog.find plan.Core.Partition.prog fname in
+        let live_in = Core.Partition.live_in plan fname in
+        let m =
+          Core.Depend.memo f ~live_in
+            ~included_calls:part.Core.Task.included_calls
+        in
+        check_deps_func fname f ~live_in part
+          (Core.Depend.func_edges m fname part).Core.Depend.f_regs
+        @ acc)
+      plan.Core.Partition.parts []
+  in
+  List.sort Diag.compare ds
+
 let check_deps (plan : Core.Partition.plan) trace =
-  let ds = ref [] in
+  let ds = ref (check_deps_static plan) in
   let add d = ds := d :: !ds in
   let dep = Core.Depend.analyze plan in
-  Smap.iter
-    (fun fname part ->
-      List.iter add
-        (check_deps_func fname
-           (Ir.Prog.find plan.Core.Partition.prog fname)
-           ~live_in:(Core.Partition.live_in plan fname)
-           part
-           (List.filter
-              (fun (e : Core.Depend.reg_edge) -> e.Core.Depend.re_fn = fname)
-              (Core.Depend.reg_edges dep))))
-    plan.Core.Partition.parts;
   let fnames = trace.Interp.Trace.fnames in
   (match
      Array.map
@@ -1257,29 +1269,6 @@ let check_deps (plan : Core.Partition.plan) trace =
                  o.Sim.Memflow.count))
         observed));
   List.sort Diag.compare !ds
-
-(* The static half of check_deps, installed behind
-   Core.Partition.validate_deps: the cost-directed search vets every
-   candidate plan with it (candidates have no trace, so dep/sound is
-   covered suite-wide once the refined plan is final).  Only the register
-   edges are derived, function by function — the memory analysis
-   Depend.analyze would add is never read here. *)
-let check_deps_static (plan : Core.Partition.plan) =
-  let ds =
-    Smap.fold
-      (fun fname (part : Core.Task.partition) acc ->
-        let f = Ir.Prog.find plan.Core.Partition.prog fname in
-        let live_in = Core.Partition.live_in plan fname in
-        let m =
-          Core.Depend.memo f ~live_in
-            ~included_calls:part.Core.Task.included_calls
-        in
-        check_deps_func fname f ~live_in part
-          (Core.Depend.func_edges m fname part).Core.Depend.f_regs
-        @ acc)
-      plan.Core.Partition.parts []
-  in
-  List.sort Diag.compare ds
 
 let first_error_message ds =
   match Diag.errors ds with

@@ -97,7 +97,8 @@ val check_deps : Core.Partition.plan -> Interp.Trace.t -> Diag.t list
       from {!Core.Regcomm.needed} plus an independent upward-exposure DFS
       and the two sets diffed; the analyzer's chosen criticality site must
       satisfy {!Core.Regcomm.forwardable} (and when it found none, no
-      last-in-block write may be forwardable);
+      last-in-block write may be forwardable).  This half is the audit
+      {!validate_plan_deps} runs, one code path for both;
     - [dep/sound]: the packed trace is walked as dynamic task instances
       ({!Sim.Memflow.observed}) and every observed cross-instance
       store→load flow must be predicted by the analyzer's memory edges —
@@ -135,12 +136,14 @@ val check_deps_func :
     {!Core.Regcomm.create} is given.  An edge the recomputation has and
     [edges] lacks is reported as missed, one [edges] has and the
     recomputation lacks as over-reported, each distinct edge once.
-    {!check_deps} and {!validate_plan_deps} run it on every function of a
-    plan. *)
+    {!check_deps} and {!validate_plan_deps} share one audit that runs it
+    on every function of a plan, over that function's
+    {!Core.Depend.func_edges} under a fresh memo. *)
 
 val validate_plan_deps : Core.Partition.plan -> (unit, string) result
-(** [Ok ()] when the [dep/reg] half of {!check_deps} alone — no trace
-    required — reports no errors; same error shape as {!validate_plan}.
+(** [Ok ()] when the [dep/reg] half of {!check_deps} alone — the same
+    audit, no trace required — reports no errors; same error shape as
+    {!validate_plan}.
     This is what {!Core.Partition.validate_deps} delegates to; the
     cost-directed feedback search runs it on every candidate plan. *)
 

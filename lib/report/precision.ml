@@ -46,25 +46,18 @@ let busiest_cell summary prog =
 let row_of_artifact (art : Harness.Artifact.artifact) =
   let plan = art.Harness.Artifact.plan in
   let prog = plan.Core.Partition.prog in
+  let summary = (Core.Partition.facts plan).Core.Partition.mem in
   let dep = Core.Depend.analyze plan in
-  let summary = Core.Depend.summary dep in
   let fi_dep = Core.Depend.analyze ~fi:true plan in
   let unbounded, fi_unbounded, widest =
     Harness.Job.precision_of_summary prog summary
-  in
-  let sites =
-    List.fold_left
-      (fun acc fname ->
-        acc + List.length (Analysis.Memdep.sites summary fname))
-      0
-      (Ir.Prog.func_names prog)
   in
   let top_cell, top_cell_sites = busiest_cell summary prog in
   {
     workload = art.Harness.Artifact.key.Harness.Artifact.workload;
     kind = art.Harness.Artifact.kind;
     level = art.Harness.Artifact.key.Harness.Artifact.level;
-    sites;
+    sites = Core.Depend.num_load_sites dep + Core.Depend.num_store_sites dep;
     fi_edges = List.length (Core.Depend.mem_edges fi_dep);
     ab_edges = List.length (Core.Depend.mem_edges dep);
     unbounded;

@@ -8,7 +8,6 @@ type cols = {
   task_mispred : float;  (* % *)
   br_mispred : float;    (* % normalised per control transfer *)
   win_span : float;      (* paper's formula *)
-  win_span_measured : float;
 }
 
 type row = {
@@ -40,7 +39,6 @@ let cols_of_stats (s : Sim.Stats.t) ~num_pus =
     task_mispred;
     br_mispred = normalised_mispred ~task_mispred ~ct;
     win_span = Window_span.formula ~task_size ~pred ~num_pus;
-    win_span_measured = Sim.Stats.measured_window_span s;
   }
 
 let num_pus = 8

@@ -471,9 +471,8 @@ let test_memo_rejects_other_liveness () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a memo accepted another function's liveness"
 
-let prop_analyze_concat =
-  QCheck.Test.make ~count:10
-    ~name:"analyze's register edges concatenate the per-function edges"
+let prop_reg_edges_concat =
+  QCheck.Test.make ~count:10 ~name:"reg_edges concatenates func_edges"
     Gen.arbitrary_program (fun prog ->
       let plan = Core.Partition.build Core.Heuristics.Feedback prog in
       let per_func =
@@ -488,7 +487,7 @@ let prop_analyze_concat =
             (Core.Depend.func_edges m fname part).Core.Depend.f_regs)
           (Ir.Prog.Smap.bindings plan.Core.Partition.parts)
       in
-      Core.Depend.reg_edges (Core.Depend.analyze plan) = per_func)
+      Core.Depend.reg_edges plan = per_func)
 
 (* --- a search that accepts a move ------------------------------------------- *)
 
@@ -682,7 +681,7 @@ let () =
             test_memo_rejects_other_calls;
           Alcotest.test_case "memo rejects another function's liveness"
             `Quick test_memo_rejects_other_liveness;
-          QCheck_alcotest.to_alcotest prop_analyze_concat;
+          QCheck_alcotest.to_alcotest prop_reg_edges_concat;
         ] );
       ( "facts",
         [

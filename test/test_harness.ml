@@ -51,6 +51,42 @@ let test_json_errors () =
   checkb "unterminated" true (bad "\"abc");
   checkb "empty" true (bad "")
 
+(* Every parsed tree must print back as JSON: a number outside its kind's
+   range is a parse error, and a non-finite float prints as null. *)
+let test_json_non_finite () =
+  let bad_number s =
+    match Harness.Json.parse s with
+    | Ok _ -> false
+    | Error e ->
+      let key = "bad number" in
+      let rec has i =
+        i + String.length key <= String.length e
+        && (String.sub e i (String.length key) = key || has (i + 1))
+      in
+      has 0
+  in
+  List.iter
+    (fun s -> checkb s true (bad_number s))
+    [
+      "1e999";
+      "-1e999";
+      "1.5e400";
+      "[0.5, 1e999]";
+      "{\"id\":1e999,\"op\":\"stats\"}";
+      "99999999999999999999";
+    ];
+  checkb "largest double parses" true
+    (Harness.Json.parse "1.7976931348623157e308"
+    = Ok (Harness.Json.Float Float.max_float));
+  checkb "underflow parses as zero" true
+    (Harness.Json.parse "1e-999" = Ok (Harness.Json.Float 0.0));
+  List.iter
+    (fun x ->
+      let s = Harness.Json.to_string (Harness.Json.List [ Harness.Json.Float x ]) in
+      checkb (Printf.sprintf "%h prints as null" x) true
+        (Harness.Json.parse s = Ok (Harness.Json.List [ Harness.Json.Null ])))
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
+
 (* --- Pool ------------------------------------------------------------------ *)
 
 let test_pool_map_order () =
@@ -626,6 +662,7 @@ let () =
           Alcotest.test_case "float stays float" `Quick
             test_json_float_stays_float;
           Alcotest.test_case "errors" `Quick test_json_errors;
+          Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
         ] );
       ( "pool",
         [

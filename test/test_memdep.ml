@@ -262,11 +262,10 @@ let test_reg_edge_criticality () =
      Ir.Builder.finish pb ~main:"main")
   in
   let plan = Core.Partition.build Core.Heuristics.Basic_block prog in
-  let dep = Core.Depend.analyze plan in
   let edge r =
     List.find
       (fun (e : Core.Depend.reg_edge) -> e.Core.Depend.re_reg = r)
-      (Core.Depend.reg_edges dep)
+      (Core.Depend.reg_edges plan)
   in
   let ea = edge a and ev = edge v in
   (* producer height counts instructions up to and including the write *)

@@ -70,6 +70,75 @@ let test_protocol_key () =
   checkb "stats uncached" true (P.key P.Stats = None);
   checkb "shutdown uncached" true (P.key P.Shutdown = None)
 
+(* Mutants of a few request lines: a character deleted, or a token
+   inserted or put in place of the token around a position, one to three
+   times.  The tokens include numbers no double or int holds, a lone
+   surrogate escape and a NUL byte. *)
+let request_seeds =
+  [|
+    {|{"id": 7, "op": "simulate", "workload": "li", "level": "ts", "num_pus": 4}|};
+    {|{"id": -2.5e-3, "op": "breakdown", "workload": "go", "level": "cf"}|};
+    {|{"id": "a", "op": "deps", "workload": "li", "level": "dd"}|};
+    {|{"id": [1, 2.5], "op": "fuzz", "seed": 3, "n": 10, "profile": "big"}|};
+    {|{"id": null, "op": "stats"}|};
+    {|{"op": "lint", "workload": "go", "level": "cf"}|};
+  |]
+
+let request_tokens =
+  [|
+    "1e999"; "-1e999"; "99999999999999999999"; {|"\ud800"|}; "\000";
+    {|"\u0000"|}; "-0.0"; "1.5e-300"; "null"; "true"; "{"; "}"; "[";
+    "]"; ","; ":"; {|"|}; {|\|}; {|"id"|}; {|"op"|}; {|"stats"|};
+    {|"lint"|}; {|"fb"|}; " ";
+  |]
+
+let mutate_request line =
+  let open QCheck.Gen in
+  let n = String.length line in
+  let* op = int_bound 2 in
+  let* pos = int_bound (max 0 (n - 1)) in
+  let* tok = oneofa request_tokens in
+  match op with
+  | 0 when n > 0 ->
+    return (String.sub line 0 pos ^ String.sub line (pos + 1) (n - pos - 1))
+  | 0 | 1 ->
+    return (String.sub line 0 pos ^ tok ^ String.sub line pos (n - pos))
+  | _ ->
+    let is_sep c = c = ' ' || c = ',' || c = ':' in
+    let stop = ref pos in
+    while !stop < n && not (is_sep line.[!stop]) do incr stop done;
+    let start = ref pos in
+    while !start > 0 && not (is_sep line.[!start - 1]) do decr start done;
+    return (String.sub line 0 !start ^ tok ^ String.sub line !stop (n - !stop))
+
+let gen_request_mutant =
+  let open QCheck.Gen in
+  let* line = oneofa request_seeds in
+  let* k = int_range 1 3 in
+  let rec go k line =
+    if k = 0 then return line else mutate_request line >>= go (k - 1)
+  in
+  go k line
+
+(* Whatever a client sends, parse_request returns, a parsed op re-encodes
+   to itself, and every reply the server can build from the parsed id is
+   JSON that echoes that id. *)
+let prop_request_mutants =
+  QCheck.Test.make ~name:"mutated requests parse or fail cleanly" ~count:2000
+    (QCheck.make ~print:String.escaped gen_request_mutant) (fun line ->
+      let echoes id reply =
+        match Json.parse reply with
+        | Ok json -> Json.member "id" json = Some id
+        | Error _ -> false
+      in
+      match P.parse_request line with
+      | Error msg -> echoes Json.Null (P.error_response ~id:Json.Null msg)
+      | Ok { P.id; op } ->
+        P.parse_request (Json.to_string ~indent:false (P.op_to_json op))
+        = Ok { P.id = Json.Null; op }
+        && echoes id (P.ok_response ~id ~dedup:false ~micros:1.5 Json.Null)
+        && echoes id (P.error_response ~id "failed"))
+
 (* --- live server ------------------------------------------------------ *)
 
 let with_server f =
@@ -359,6 +428,9 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_protocol_parse;
           Alcotest.test_case "dedup keys" `Quick test_protocol_key;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 42 |])
+            prop_request_mutants;
         ] );
       ( "server",
         [

@@ -39,7 +39,7 @@ let depend buf ~fi (plan : Core.Partition.plan) =
         (match e.Core.Depend.re_site with
         | Some (b, i) -> Printf.sprintf "L%d.%d" b i
         | None -> "-"))
-    (Core.Depend.reg_edges d);
+    (Core.Depend.reg_edges plan);
   List.iter
     (fun ((s : Core.Depend.task_id), (t : Core.Depend.task_id)) ->
       Printf.bprintf buf "mem %s.%d>%s.%d\n" s.Core.Depend.fn s.Core.Depend.task
@@ -298,8 +298,9 @@ let test_loops_budget () =
    pays: a second plan_cost, and Depend.analyze at ab and fi as the
    precision report calls it (about 12,900 words per static instruction
    when every reader re-ran the address analysis, 865 when every
-   dependence memo re-derived the liveness and boxed its first events). *)
-let plan_budget = 600.0
+   dependence memo re-derived the liveness and boxed its first events,
+   271 when both analyses derived the register edges too). *)
+let plan_budget = 150.0
 
 let test_plan_budget () =
   let plans = fb_plans () in

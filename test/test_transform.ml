@@ -92,51 +92,141 @@ let test_unroll_skips_big_loops () =
 
 (* --- body terminators on the induction register --------------------------- *)
 
-(* Counted loops over t0 in [0, 10) whose body branches on t0 itself:
-   through a [Br], counting the iterations with t0 <> 0 (9), and through a
-   [Switch], weighting t0 = 0, 1, 2 and the rest 1, 10, 100 and 1000
-   (7111).  Each copy of an unrolled body must branch on its own value. *)
-let branch_on_induction () =
+(* A counted loop over t0: [trips] iterations from [start] by [step], its
+   exclusive bound [slack] short of start + trips * step.  Its body
+   branches on t0 itself, which every copy of a rewritten body must read
+   as its own value: a [Br] on t0 (when [cmp] is [None]) or on t0 [cmp] c,
+   adding [taken] or [other] to t1, or a [Switch] on t0 adding its arm's
+   weight (past the arms, [default]'s).  The result is t1 plus t0's exit
+   value. *)
+type body =
+  | Br of { cmp : (Ir.Insn.binop * int) option; taken : int; other : int }
+  | Switch of { arms : int array; default : int }
+
+type loop = { start : int; trips : int; step : int; slack : int; body : body }
+
+let loop_program l =
   let pb = Ir.Builder.program () in
-  let t0 = Ir.Reg.tmp 0 and t1 = Ir.Reg.tmp 1 in
+  let t0 = Ir.Reg.tmp 0 and t1 = Ir.Reg.tmp 1 and t2 = Ir.Reg.tmp 2 in
+  let add n b = Ir.Builder.addi b t1 t1 n in
+  let bound =
+    l.start + (l.trips * l.step) - (if l.step > 0 then l.slack else -l.slack)
+  in
   Ir.Builder.func pb "main" (fun b ->
       Ir.Builder.li b t1 0;
-      Ir.Builder.for_ b t0 ~from:(Ir.Insn.Imm 0) ~below:(Ir.Insn.Imm 10)
-        ~step:1 (fun b ->
-          Ir.Builder.when_ b t0 (fun b -> Ir.Builder.addi b t1 t1 1));
-      Ir.Builder.mov b Ir.Reg.rv t1);
+      Ir.Builder.for_ b t0 ~from:(Ir.Insn.Imm l.start)
+        ~below:(Ir.Insn.Imm bound) ~step:l.step (fun b ->
+          match l.body with
+          | Br { cmp = None; taken; other } ->
+            Ir.Builder.if_ b t0 (add taken) (add other)
+          | Br { cmp = Some (op, c); taken; other } ->
+            Ir.Builder.bin b op t2 t0 (Ir.Insn.Imm c);
+            Ir.Builder.if_ b t2 (add taken) (add other)
+          | Switch { arms; default } ->
+            Ir.Builder.switch_ b t0 (Array.map add arms)
+              ~default:(add default));
+      Ir.Builder.bin b Ir.Insn.Add Ir.Reg.rv t1 (Ir.Insn.Reg t0));
   Ir.Builder.finish pb ~main:"main"
 
-let switch_on_induction () =
-  let pb = Ir.Builder.program () in
-  let t0 = Ir.Reg.tmp 0 and t1 = Ir.Reg.tmp 1 in
-  let add n b = Ir.Builder.addi b t1 t1 n in
-  Ir.Builder.func pb "main" (fun b ->
-      Ir.Builder.li b t1 0;
-      Ir.Builder.for_ b t0 ~from:(Ir.Insn.Imm 0) ~below:(Ir.Insn.Imm 10)
-        ~step:1 (fun b ->
-          Ir.Builder.switch_ b t0 [| add 1; add 10; add 100 |]
-            ~default:(add 1000));
-      Ir.Builder.mov b Ir.Reg.rv t1);
-  Ir.Builder.finish pb ~main:"main"
+let show_loop l =
+  Printf.sprintf "start %d, %d trips, step %d, slack %d, %s" l.start l.trips
+    l.step l.slack
+    (match l.body with
+    | Br { cmp; taken; other } ->
+      Printf.sprintf "br %s ? %d : %d"
+        (match cmp with
+        | None -> "t0"
+        | Some (op, c) ->
+          Ir.Insn.to_string
+            (Ir.Insn.Bin (op, Ir.Reg.tmp 2, Ir.Reg.tmp 0, Ir.Insn.Imm c)))
+        taken other
+    | Switch { arms; default } ->
+      Printf.sprintf "switch t0 [%s] default %d"
+        (String.concat "; " (Array.to_list (Array.map string_of_int arms)))
+        default)
+
+(* The loops this test began with, over t0 in [0, 10): a [Br] counting the
+   iterations with t0 <> 0 (9), and a [Switch] weighting t0 = 0, 1, 2 and
+   the rest 1, 10, 100 and 1000 (7111), each plus t0's exit value. *)
+let fixed_loops =
+  [
+    ( { start = 0; trips = 10; step = 1; slack = 0;
+        body = Br { cmp = None; taken = 1; other = 0 } },
+      19 );
+    ( { start = 0; trips = 10; step = 1; slack = 0;
+        body = Switch { arms = [| 1; 10; 100 |]; default = 1000 } },
+      7121 );
+  ]
+
+let gen_loop =
+  let open QCheck.Gen in
+  let* start = int_range (-20) 20 in
+  let* trips = int_range 0 40 in
+  let* magnitude = int_range 1 3 in
+  let* step = oneofl [ magnitude; -magnitude ] in
+  let* slack = int_bound (magnitude - 1) in
+  let weight = int_range 0 9 in
+  let* body =
+    oneof
+      [
+        (let* cmp =
+           oneof
+             [
+               return None;
+               map2
+                 (fun op c -> Some (op, c))
+                 (oneofl Ir.Insn.[ Lt; Le; Eq; Ne; Gt; Ge ])
+                 (int_range (-30) 30);
+             ]
+         in
+         map2 (fun taken other -> Br { cmp; taken; other }) weight weight);
+        map2
+          (fun arms default -> Switch { arms; default })
+          (array_size (int_range 1 4) weight)
+          weight;
+      ]
+  in
+  return { start; trips; step; slack; body }
+
+(* Every rewrite that runs the induction rewrite on the loop must keep
+   the program's result *)
+let rewrites prog =
+  [
+    ("hoisted", Core.Transform.hoist_program prog);
+    ("unrolled", Core.Transform.unroll_program params prog);
+    ( "unrolled at loop_thresh 60",
+      Core.Transform.unroll_program
+        { params with Core.Heuristics.loop_thresh = 60 }
+        prog );
+    ( "ts plan",
+      (Core.Cost.plan_for_level Core.Heuristics.Task_size prog)
+        .Core.Partition.prog );
+  ]
+
+let rewrites_agree l =
+  let prog = loop_program l in
+  let expect = result prog in
+  List.for_all (fun (_, p) -> result p = expect) (rewrites prog)
+
+let prop_branches_on_induction =
+  QCheck.Test.make ~name:"random loops branching on induction" ~count:300
+    (QCheck.make ~print:show_loop gen_loop)
+    rewrites_agree
 
 let test_body_terminators_read_copy_value () =
   List.iter
-    (fun (name, expect, prog) ->
-      checki (name ^ " source") expect (result prog);
-      checki (name ^ " hoisted") expect
-        (result (Core.Transform.hoist_program prog));
+    (fun (l, expect) ->
+      let prog = loop_program l and name = show_loop l in
+      checki (name ^ ": source") expect (result prog);
       let f, f' = unrolled prog in
-      checkb (name ^ " grows") true
+      checkb (name ^ ": grows") true
         (Ir.Func.num_blocks f' > Ir.Func.num_blocks f);
-      checki (name ^ " unrolled") expect
-        (result (Core.Transform.unroll_program params prog));
-      let plan = Core.Cost.plan_for_level Core.Heuristics.Task_size prog in
-      checki (name ^ " ts plan") expect (result plan.Core.Partition.prog))
-    [
-      ("br", 9, branch_on_induction ());
-      ("switch", 7111, switch_on_induction ());
-    ]
+      List.iter
+        (fun (what, p) -> checki (name ^ ": " ^ what) expect (result p))
+        (rewrites prog))
+    fixed_loops;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 33 |])
+    prop_branches_on_induction
 
 (* --- call inclusion ------------------------------------------------------ *)
 

@@ -194,12 +194,23 @@ step committed check_committed
 # service smoke: boot the mscd daemon on a throwaway socket, drive it with
 # the deterministic load generator, verify the run from the machine-readable
 # report (zero errors, dedup observed, tail latency present), then check the
-# SIGTERM drain path exits cleanly
-check_service() {
-  local sock report daemon_log pid
+# SIGTERM drain path exits cleanly.  The daemon and the step's files live
+# only as long as the step: the body runs in a subshell whose EXIT trap
+# kills a daemon still running and removes the socket, the load report and
+# the daemon log, whichever way the step ends.
+check_service() (
+  local sock report daemon_log pid=
   sock=$(mktemp -u /tmp/mscd-smoke-XXXXXX.sock)
-  report=/tmp/mscd_smoke_loadgen.json
-  daemon_log=/tmp/mscd_smoke_daemon.log
+  report=$(mktemp /tmp/mscd-smoke-XXXXXX.json)
+  daemon_log=$(mktemp /tmp/mscd-smoke-XXXXXX.log)
+  cleanup() {
+    if [ -n "$pid" ]; then
+      kill -KILL "$pid" 2>/dev/null || true
+      wait "$pid" 2>/dev/null || true
+    fi
+    rm -f "$sock" "$report" "$daemon_log"
+  }
+  trap cleanup EXIT
   dune exec bin/msc.exe -- daemon --socket "$sock" >"$daemon_log" 2>&1 &
   pid=$!
   local i=0
@@ -208,18 +219,17 @@ check_service() {
     if [ "$i" -gt 100 ] || ! kill -0 "$pid" 2>/dev/null; then
       echo "smoke: mscd did not come up on $sock" >&2
       cat "$daemon_log" >&2
-      return 1
+      exit 1
     fi
     sleep 0.1
   done
   if ! dune exec tools/loadgen.exe -- --socket "$sock" -n 600 -c 8 \
       --seed 42 --json "$report"; then
     echo "smoke: loadgen reported request failures" >&2
-    kill -TERM "$pid" 2>/dev/null || true
-    return 1
+    exit 1
   fi
   if command -v python3 >/dev/null 2>&1; then
-    python3 - "$report" <<'EOF' || { kill -TERM "$pid" 2>/dev/null || true; return 1; }
+    python3 - "$report" <<'EOF' || exit 1
 import json, sys
 r = json.load(open(sys.argv[1]))
 if r["requests"] < 500:
@@ -241,17 +251,18 @@ EOF
   kill -TERM "$pid"
   local rc=0
   wait "$pid" || rc=$?
+  pid=
   if [ "$rc" -ne 0 ]; then
     echo "smoke: mscd SIGTERM drain exited $rc (want 0)" >&2
     cat "$daemon_log" >&2
-    return 1
+    exit 1
   fi
   if [ -S "$sock" ]; then
     echo "smoke: mscd left its socket behind after drain" >&2
-    return 1
+    exit 1
   fi
   echo "smoke: mscd drained cleanly on SIGTERM"
-}
+)
 
 step service check_service
 
